@@ -19,8 +19,7 @@ qtable_cfg = load_config({
     "scenario": {"s0": 5000, "delta_s": [10, 20, 30, 40, 50, 60, 70],
                  "delta_t": 1.0, "r": 0.05, "alpha_tol": 0.01},
     "mc": {"paths": 100000, "steps": 1, "seed": 7},
-    "stencil": {"half_width": 20, "p_max": 39, "s_step": 10.0,
-                "table_path": "/tmp/demo_stencil_n20.txt"},
+    "stencil": {"half_width": 20, "p_max": 39, "s_step": 10.0},
 })
 header, rows, ok = run_qtable(qtable_cfg)
 print(",".join(header))

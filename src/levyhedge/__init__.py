@@ -18,7 +18,7 @@ from .chaos import (
 from .errors import (
     AlignmentError,
     BankruptcyError,
-    BudgetExceededError,
+    ConfigError,
     ConventionError,
     DegenerateModelError,
     GridError,

@@ -30,8 +30,6 @@ def _apply_overrides(raw: dict, args) -> dict:
         raw.setdefault("mc", {}).setdefault("paths", args.paths)
     if getattr(args, "alpha_tol", None) is not None:
         raw.setdefault("scenario", {}).setdefault("alpha_tol", args.alpha_tol)
-    if getattr(args, "table_path", None) is not None:
-        raw.setdefault("stencil", {}).setdefault("table_path", args.table_path)
     return raw
 
 
@@ -51,7 +49,6 @@ def main(argv=None) -> int:
     p_build = table_sub.add_parser("build", help="build and save a coefficient table")
     p_build.add_argument("--half-width", type=int, required=True)
     p_build.add_argument("--p-max", type=int, default=None)
-    p_build.add_argument("--budget", type=int, default=None)
     p_build.add_argument("--out", required=True)
 
     for name in ("qtable", "converge", "pnl"):
@@ -61,13 +58,11 @@ def main(argv=None) -> int:
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--paths", type=int, default=None)
         p.add_argument("--alpha-tol", type=float, dest="alpha_tol", default=None)
-        p.add_argument("--table-path", dest="table_path", default=None)
 
     args = parser.parse_args(argv)
 
     if args.command == "table":
-        kwargs = {"budget": args.budget} if args.budget else {}
-        table = build_lookup_table(args.half_width, args.p_max, **kwargs)
+        table = build_lookup_table(args.half_width, args.p_max)
         save_table(table, args.out)
         print(f"wrote table N={table.half_width} PMAX={table.p_max} to {args.out}")
         return 0

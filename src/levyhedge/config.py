@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
 
+from .errors import ConfigError
 from .models import (
     CompoundPoisson,
     FixedJumps,
@@ -16,6 +18,31 @@ from .models import (
     risk_neutral_drift,
 )
 from .pricing import OptionSpec
+
+# Every key the library reads, nested as in the config.  A leaf is None; a
+# block is the dict of its keys, and also covers a list of such blocks.
+_OPTION_KEYS = {"kind": None, "strike": None, "maturity": None, "barrier": None}
+_KNOWN_KEYS = {
+    "model": {
+        "kind": None, "drift_b": None, "brownian_sigma": None, "truncation_eps": None,
+        "intensity": None, "jump_law": {"kind": None, "mean": None, "std": None, "size": None},
+        "theta": None, "nu": None, "vg_sigma": None, "sigma": None,
+    },
+    "option": _OPTION_KEYS,
+    "options": _OPTION_KEYS,
+    "scenario": {
+        "s0": None, "delta_s": None, "delta_t": None, "r": None, "dividend": None,
+        "alpha_tol": None,
+    },
+    "mc": {"paths": None, "steps": None, "seed": None, "antithetic": None},
+    "stencil": {"half_width": None, "p_max": None, "s_step": None},
+    "strategies": None,
+    "pnl": {
+        "n_scenarios": None, "q": None, "swap": {"strike": None, "unit_price": None},
+        "neutral_strikes": None,
+    },
+    "output": {"dir": None},
+}
 
 __all__ = ["ExperimentConfig", "load_config", "config_hash", "build_model", "build_option"]
 
@@ -90,12 +117,10 @@ class ExperimentConfig:
     half_width: int
     p_max: int
     s_step: float
-    table_path: str | None
-    budget: int | None
     strategies: tuple[str, ...]
     output_dir: str
 
-    @property
+    @functools.cached_property
     def hash(self) -> str:
         return config_hash(self.raw)
 
@@ -105,12 +130,33 @@ def config_hash(raw: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()[:12]
 
 
+def _check_keys(block: dict, known: dict, prefix: str = "") -> None:
+    for key, value in block.items():
+        path = f"{prefix}{key}"
+        if key not in known:
+            raise ConfigError(f"unknown config key {path!r}")
+        sub = known[key]
+        if sub is None:
+            continue
+        if isinstance(value, dict):
+            _check_keys(value, sub, path + ".")
+        elif isinstance(value, list):
+            for i, item in enumerate(value):
+                if isinstance(item, dict):
+                    _check_keys(item, sub, f"{path}[{i}].")
+
+
 def load_config(source) -> ExperimentConfig:
-    """Parse a config dict or a path to a JSON file."""
+    """Parse a config dict or a path to a JSON file.
+
+    Raises ``ConfigError`` naming the dotted path of any key the library
+    does not read, so a typo never runs silently on defaults.
+    """
     if isinstance(source, (str, Path)):
         raw = json.loads(Path(source).read_text())
     else:
         raw = dict(source)
+    _check_keys(raw, _KNOWN_KEYS)
     scen = raw.get("scenario", {})
     r = float(scen.get("r", 0.05))
     dividend = float(scen.get("dividend", 0.0))
@@ -147,8 +193,6 @@ def load_config(source) -> ExperimentConfig:
         half_width=half_width,
         p_max=int(sten.get("p_max", 2 * half_width - 1)),
         s_step=float(sten.get("s_step", default_step)),
-        table_path=sten.get("table_path"),
-        budget=int(sten["budget"]) if "budget" in sten else None,
         strategies=tuple(raw.get("strategies", ())),
         output_dir=raw.get("output", {}).get("dir", "."),
     )

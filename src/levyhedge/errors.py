@@ -5,6 +5,10 @@ class LevyHedgeError(Exception):
     """Base class for all library errors."""
 
 
+class ConfigError(LevyHedgeError, ValueError):
+    """Experiment config carries a key the library does not read."""
+
+
 class UnsupportedOrderError(LevyHedgeError, ValueError):
     """Moment order outside the analytic range of the jump distribution."""
 
@@ -19,19 +23,6 @@ class MissingJumpRecordsError(LevyHedgeError, ValueError):
 
 class InsufficientNodesError(LevyHedgeError, ValueError):
     """Stencil order p requires 2N > p."""
-
-
-class BudgetExceededError(LevyHedgeError, RuntimeError):
-    """Combination enumeration exceeded the configured work budget.
-
-    ``completed_orders`` reports the derivative orders whose coefficients
-    were fully accumulated before the budget ran out.
-    """
-
-    def __init__(self, message, completed_orders=(), visits=0):
-        super().__init__(message)
-        self.completed_orders = tuple(completed_orders)
-        self.visits = visits
 
 
 class TableFormatError(LevyHedgeError, ValueError):

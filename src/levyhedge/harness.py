@@ -9,7 +9,6 @@ byte-identical outputs.  Each row carries the config hash.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,11 +27,11 @@ from .pricing import (
     derivative_ladder,
     payoff,
 )
-from .stencil import StencilTable, build_lookup_table, load_table, save_table
+from .stencil import StencilTable, build_lookup_table
 from .swaps import RealizedHistory, SwapSpec, moment_swap_basket
 from .taylor import HedgeScenario, assemble_ledger, find_q
 
-__all__ = ["run_qtable", "run_converge", "run_pnl", "ensure_table", "write_csv"]
+__all__ = ["run_qtable", "run_converge", "run_pnl", "write_csv"]
 
 FLOAT_FMT = "{:.12g}"
 
@@ -75,19 +74,6 @@ def write_csv(path, header, rows) -> None:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
-
-
-def ensure_table(cfg: ExperimentConfig) -> StencilTable:
-    """Load the configured stencil table, building (and caching) on demand."""
-    kwargs = {"budget": cfg.budget} if cfg.budget else {}
-    if cfg.table_path and os.path.exists(cfg.table_path):
-        table = load_table(cfg.table_path)
-        if table.half_width == cfg.half_width and table.p_max >= cfg.p_max:
-            return table
-    table = build_lookup_table(cfg.half_width, cfg.p_max, **kwargs)
-    if cfg.table_path:
-        save_table(table, cfg.table_path)
-    return table
 
 
 class Market:
@@ -149,7 +135,7 @@ def run_qtable(cfg: ExperimentConfig):
     """One row per (option, delta_s): the truncation order q meeting the
     tolerance and the error it achieved.  Returns (header, rows, ok)."""
     rng = np.random.default_rng(cfg.seed)
-    table = ensure_table(cfg)
+    table = build_lookup_table(cfg.half_width, cfg.p_max)
     market = Market(cfg, rng)
     rows = []
     ok = True
@@ -178,7 +164,7 @@ def run_converge(cfg: ExperimentConfig):
     if len(cfg.options) != 1 or len(cfg.delta_s) != 1:
         raise ValueError("convergence runs use one option and one delta_s")
     rng = np.random.default_rng(cfg.seed)
-    table = ensure_table(cfg)
+    table = build_lookup_table(cfg.half_width, cfg.p_max)
     market = Market(cfg, rng)
     opt = cfg.options[0]
     ds = cfg.delta_s[0]
@@ -368,7 +354,7 @@ def run_pnl(cfg: ExperimentConfig):
     pnl_block = cfg.raw.get("pnl", {})
     n_scenarios = int(pnl_block.get("n_scenarios", 1000))
     rng = np.random.default_rng(cfg.seed)
-    table = ensure_table(cfg)
+    table = build_lookup_table(cfg.half_width, cfg.p_max)
     market = Market(cfg, rng)
     opt = cfg.options[0]
     ladder, price_t, _ = market.ladder(opt, table)

@@ -3,16 +3,21 @@
 A derivative of order p is approximated from 2N+1 equally spaced samples
 as f^(p) ~ (1/T^p) * sum_k d_k^(p) f_k.  Off-center coefficients come from
 
-    d_k^(p) = (-1)^(k+c1) * p!/k^(1+c2) * C_{N,k} * sum_i 1/X(i)^2
+    d_k^(p) = (-1)^(k+c1) * p!/k^(1+c2) * C_{N,k} * e_c({1/y^2 : y = 1..N, y != |k|})
 
 where C_{N,k} = N!^2 / ((N-k)! (N+k)!), c = floor((p-1)/2), c1 = 1 iff c
-is even, c2 = 1 iff p is even, and X runs over the products of all
-length-c combinations drawn from {1..N} \\ {|k|}.  The center coefficient
-is 0 for odd p and -2 * sum_{k>0} d_k^(p) for even p.
+is even, c2 = 1 iff p is even, and e_c is the elementary symmetric
+polynomial of degree c: the sum, over every length-c combination of the
+other offsets, of 1/(product)^2.  The center coefficient is 0 for odd p
+and -2 * sum_{k>0} d_k^(p) for even p.
 
-Coefficients are accumulated in exact rational arithmetic; the expensive
-combination sums are enumerated once per length c and shared across every
-offset k, which is what makes precomputing the table worthwhile.
+The e_c never enumerate combinations.  One forward pass over y = 1..N
+builds e_c of the whole set, e_c <- e_c + e_{c-1}/y^2, and each offset's
+sums follow by deflation, e_c(not k) = e_c - e_{c-1}(not k)/k^2, so a table
+of N offsets and orders up to 2N-1 costs O(N^2) exact rational operations.
+Fornberg (1988), "Generation of finite difference formulas on arbitrarily
+spaced grids", Math. Comp. 51, gives an equivalent recursion.  Everything
+is accumulated in exact rational arithmetic.
 """
 
 from __future__ import annotations
@@ -20,11 +25,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 import numpy as np
 
-from .errors import BudgetExceededError, InsufficientNodesError, TableFormatError
+from .errors import InsufficientNodesError, TableFormatError
 
 __all__ = [
     "StencilTable",
@@ -35,7 +39,6 @@ __all__ = [
     "load_table",
 ]
 
-DEFAULT_BUDGET = 100_000_000
 _FILE_VERSION = 1
 
 
@@ -46,10 +49,51 @@ def _c_params(p: int) -> tuple[int, int, int]:
     return c, c1, c2
 
 
-def stencil_coefficient(
-    p: int, half_width: int, k: int, budget: int = DEFAULT_BUDGET
-) -> Fraction:
-    """Exact d_k^(p) for a single offset, by direct combination enumeration.
+def _cnk(n: int, k: int) -> Fraction:
+    return Fraction(math.factorial(n) ** 2, math.factorial(n - k) * math.factorial(n + k))
+
+
+def _excluded_sums(n: int, c_max: int) -> list[list[Fraction]]:
+    """sums[k][c] = e_c({1/y^2 : y = 1..n, y != k}) for k = 1..n, c = 0..c_max.
+
+    Row 0 is unused.  Needs c_max <= n - 1, the size of each excluded set.
+    """
+    total = [Fraction(1)] + [Fraction(0)] * c_max
+    for y in range(1, n + 1):
+        inv = Fraction(1, y * y)
+        for c in range(c_max, 0, -1):
+            total[c] += total[c - 1] * inv
+    sums: list[list[Fraction]] = [[]]
+    for k in range(1, n + 1):
+        inv = Fraction(1, k * k)
+        row = [Fraction(1)]
+        for c in range(1, c_max + 1):
+            row.append(total[c] - row[c - 1] * inv)
+        sums.append(row)
+    return sums
+
+
+def _stencil_row(p: int, n: int, sums: list[list[Fraction]]) -> dict[int, Fraction]:
+    """d_k^(p) for k = -n..n from the excluded-offset sums."""
+    c, c1, c2 = _c_params(p)
+    row: dict[int, Fraction] = {}
+    total = Fraction(0)
+    for k in range(1, n + 1):
+        d = (
+            (-1) ** (k + c1)
+            * Fraction(math.factorial(p), k ** (1 + c2))
+            * _cnk(n, k)
+            * sums[k][c]
+        )
+        row[k] = d
+        row[-k] = -d if p % 2 == 1 else d
+        total += d
+    row[0] = Fraction(0) if p % 2 == 1 else -2 * total
+    return row
+
+
+def stencil_coefficient(p: int, half_width: int, k: int) -> Fraction:
+    """Exact d_k^(p) for a single offset.
 
     Requires 2N >= p; at p = 2N the leading error order degenerates but the
     coefficients are still the classic ones (the three-point second
@@ -60,34 +104,7 @@ def stencil_coefficient(
         raise InsufficientNodesError(f"order p={p} needs 2N >= p, got N={n}")
     if not -n <= k <= n:
         raise ValueError(f"offset k={k} outside [-{n}, {n}]")
-    c, c1, c2 = _c_params(p)
-    if k == 0:
-        if p % 2 == 1:
-            return Fraction(0)
-        return -2 * sum(
-            stencil_coefficient(p, n, kk, budget) for kk in range(1, n + 1)
-        )
-    pool = [y for y in range(1, n + 1) if y != abs(k)]
-    comb_sum = Fraction(0)
-    visits = 0
-    for combo in combinations(pool, c):
-        visits += 1
-        if visits > budget:
-            raise BudgetExceededError(
-                f"enumeration for (p={p}, N={n}, k={k}) exceeded budget {budget}",
-                visits=visits,
-            )
-        prod = math.prod(combo)
-        comb_sum += Fraction(1, prod * prod)
-    mag = Fraction(math.factorial(p), abs(k) ** (1 + c2)) * _cnk(n, abs(k)) * comb_sum
-    d = (-1) ** (abs(k) + c1) * mag
-    if k < 0 and p % 2 == 1:
-        d = -d
-    return d
-
-
-def _cnk(n: int, k: int) -> Fraction:
-    return Fraction(math.factorial(n) ** 2, math.factorial(n - k) * math.factorial(n + k))
+    return _stencil_row(p, n, _excluded_sums(n, _c_params(p)[0]))[k]
 
 
 @dataclass(frozen=True)
@@ -97,7 +114,6 @@ class StencilTable:
     half_width: int
     p_max: int
     entries: dict[tuple[int, int], Fraction]
-    work_visits: int = 0
 
     def coefficient(self, p: int, k: int) -> Fraction:
         if not 1 <= p <= self.p_max:
@@ -118,17 +134,15 @@ class StencilTable:
         return [self.coefficient(p, k) for k in range(-n, n + 1)]
 
 
-def build_lookup_table(
-    half_width: int, p_max: int | None = None, budget: int = DEFAULT_BUDGET
-) -> StencilTable:
+def build_lookup_table(half_width: int, p_max: int | None = None) -> StencilTable:
     """Build the full coefficient table for p = 1..p_max.
 
-    The enumeration loops over the combination length c first: each
-    length-c combination of {1..N} is generated once and its reciprocal
-    squared product is credited to every offset k the combination excludes.
-    Work is metered in (combination, offset) visits against ``budget``;
-    exceeding it raises ``BudgetExceededError`` reporting which derivative
-    orders had already been completed.
+    Every order p needs the degree-c elementary symmetric sums e_c of
+    {1/y^2} with each offset k left out in turn, c = floor((p-1)/2).  They
+    are built once for every c <= floor((p_max-1)/2): a forward pass gives
+    e_c over all of 1..N, and deflation, e_c(not k) = e_c - e_{c-1}(not k)/k^2,
+    gives each offset's row, so the cost is polynomial in N (Fornberg 1988
+    reaches the same weights by an equivalent recursion).
     """
     n = half_width
     if n < 1:
@@ -139,50 +153,12 @@ def build_lookup_table(
         raise InsufficientNodesError(
             f"p_max={p_max} outside 1..{2 * n - 1} for half_width {n}"
         )
-    c_max = (p_max - 1) // 2
-    fact_n = math.factorial(n)
-    # acc[c][k] accumulates integer numerators of sum 1/X^2 over the common
-    # denominator (N!/k)^2, so the hot loop is pure integer arithmetic.
-    acc: list[list[int]] = [[0] * (n + 1) for _ in range(c_max + 1)]
-    visits = 0
-    completed: list[int] = []
-    for c in range(0, c_max + 1):
-        for combo in combinations(range(1, n + 1), c):
-            prod = math.prod(combo)
-            base = fact_n // prod
-            members = set(combo)
-            for k in range(1, n + 1):
-                if k in members:
-                    continue
-                visits += 1
-                term = base // k
-                acc[c][k] += term * term
-        completed.append(c)
-        if visits > budget:
-            done_orders = [p for p in range(1, p_max + 1) if (p - 1) // 2 <= c]
-            raise BudgetExceededError(
-                f"table build for N={n} exceeded budget {budget} after c={c} "
-                f"({visits} visits); orders p<={max(done_orders)} were complete",
-                completed_orders=done_orders,
-                visits=visits,
-            )
+    sums = _excluded_sums(n, _c_params(p_max)[0])
     entries: dict[tuple[int, int], Fraction] = {}
     for p in range(1, p_max + 1):
-        c, c1, c2 = _c_params(p)
-        total = Fraction(0)
-        for k in range(1, n + 1):
-            comb_sum = Fraction(acc[c][k] * k * k, fact_n * fact_n)
-            d = (
-                (-1) ** (k + c1)
-                * Fraction(math.factorial(p), k ** (1 + c2))
-                * _cnk(n, k)
-                * comb_sum
-            )
+        for k, d in _stencil_row(p, n, sums).items():
             entries[(p, k)] = d
-            entries[(p, -k)] = -d if p % 2 == 1 else d
-            total += d
-        entries[(p, 0)] = Fraction(0) if p % 2 == 1 else -2 * total
-    return StencilTable(half_width=n, p_max=p_max, entries=entries, work_visits=visits)
+    return StencilTable(half_width=n, p_max=p_max, entries=entries)
 
 
 def apply_stencil(samples, p: int, period: float, table: StencilTable):

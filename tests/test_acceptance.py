@@ -53,16 +53,6 @@ def report(num, text):
     print(f"\nACCEPTANCE {num}: PASS — {text}")
 
 
-@pytest.fixture(scope="module")
-def table_n20(tmp_path_factory):
-    from levyhedge.stencil import save_table
-
-    path = tmp_path_factory.mktemp("tables") / "stencil_n20.txt"
-    table = build_lookup_table(20, 39)
-    save_table(table, path)
-    return table, str(path)
-
-
 def test_criterion_01_stencil_exactness():
     start = time.time()
     checked = 0
@@ -280,11 +270,9 @@ QTABLE_CONFIG = {
 }
 
 
-def test_criterion_06_qtable_reproduction(table_n20):
-    _, table_path = table_n20
+def test_criterion_06_qtable_reproduction():
     start = time.time()
     raw = json.loads(json.dumps(QTABLE_CONFIG))
-    raw["stencil"]["table_path"] = table_path
     cfg = load_config(raw)
     header, rows, ok = run_qtable(cfg)
     assert ok
@@ -408,8 +396,7 @@ def test_criterion_09_moment_neutrality():
               f"D2^k <= {np.abs(combined).max():.1e} for k <= 3")
 
 
-def test_criterion_10_cli_determinism(tmp_path, table_n20):
-    _, table_path = table_n20
+def test_criterion_10_cli_determinism(tmp_path):
     raw = json.loads(json.dumps(QTABLE_CONFIG))
     raw["scenario"]["delta_s"] = [10, 20]
     raw["stencil"] = {"half_width": 8, "p_max": 15, "s_step": 10.0}

@@ -76,7 +76,7 @@ class TestEnumeration:
         # compositions with sum <= k: sum_m 2^(m-1) = 2^k - 1
         assert len(enumerate_compositions(k)) == 2**k - 1
 
-    def test_order_budget(self):
+    def test_order_range(self):
         with pytest.raises(UnsupportedOrderError):
             enumerate_partitions(13)
         with pytest.raises(UnsupportedOrderError):

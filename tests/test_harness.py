@@ -89,10 +89,11 @@ class TestPnl:
         # the swap ledger change IS the truncated Taylor sum, so per scenario
         # the residual obeys the remainder bound from the remaining computed
         # terms, plus a small allowance for the stencil's own truncation
-        from levyhedge.harness import Market, ensure_table
+        from levyhedge.harness import Market
+        from levyhedge.stencil import build_lookup_table
 
         rng = np.random.default_rng(cfg.seed)
-        table = ensure_table(cfg)
+        table = build_lookup_table(cfg.half_width, cfg.p_max)
         market = Market(cfg, rng)
         ladder, _, _ = market.ladder(cfg.options[0], table)
         q = 4

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from levyhedge.errors import BudgetExceededError, InsufficientNodesError, TableFormatError
+from levyhedge.errors import InsufficientNodesError, TableFormatError
 from levyhedge.stencil import (
     apply_stencil,
     build_lookup_table,
@@ -31,7 +31,9 @@ def test_fourth_order_first_derivative():
     assert row == [Fraction(1, 12), Fraction(-2, 3), 0, Fraction(2, 3), Fraction(-1, 12)]
 
 
-@pytest.mark.parametrize("p,n", [(1, 2), (2, 2), (3, 2), (4, 3), (5, 3), (7, 4), (6, 6)])
+@pytest.mark.parametrize(
+    "p,n", [(1, 2), (2, 2), (3, 2), (4, 3), (5, 3), (7, 4), (6, 6), (2, 1), (6, 3), (8, 4)]
+)
 def test_matches_vandermonde_oracle(p, n):
     oracle = vandermonde_stencil(p, n)
     for k in range(-n, n + 1):
@@ -73,11 +75,30 @@ def test_build_idempotent():
     assert a.entries == b.entries
 
 
-def test_budget_exceeded_reports_progress():
-    with pytest.raises(BudgetExceededError) as exc:
-        build_lookup_table(8, budget=10)
-    assert exc.value.visits > 10
-    assert exc.value.completed_orders
+def _moment_violations(table, orders):
+    """Orders p whose row breaks sum_k d_k k^j = p! delta_{jp}, j = 0..2N."""
+    n = table.half_width
+    bad = []
+    for p in orders:
+        row = table.row_exact(p)
+        for j in range(2 * n + 1):
+            moment = sum(d * k**j for d, k in zip(row, range(-n, n + 1)))
+            if moment != (math.factorial(p) if j == p else 0):
+                bad.append(p)
+                break
+    return bad
+
+
+@pytest.mark.parametrize("n", [12, 20])
+def test_every_row_meets_moment_conditions(n):
+    table = build_lookup_table(n)
+    assert _moment_violations(table, range(1, table.p_max + 1)) == []
+
+
+def test_wide_table_meets_moment_conditions():
+    # the end rows; checking all 79 rows exactly takes seconds
+    table = build_lookup_table(40)
+    assert _moment_violations(table, [1, 2, 78, 79]) == []
 
 
 @given(
