@@ -39,6 +39,7 @@ from .jump_baskets import (
     PathState,
     ScenarioOutcome,
     iterated_integral,
+    iterated_integrals,
     phi_hedge_basket,
     pja_basket_general,
     pja_basket_order2,

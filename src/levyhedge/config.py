@@ -46,54 +46,73 @@ _KNOWN_KEYS = {
 
 __all__ = ["ExperimentConfig", "load_config", "config_hash", "build_model", "build_option"]
 
+_REQUIRED = object()
+
+
+def _number(block: dict, key: str, path: str, default=_REQUIRED, cast=float):
+    """``cast(block[key])``, raising ``ConfigError`` that names the dotted
+    path of a missing or non-numeric field."""
+    value = block.get(key, default)
+    if value is _REQUIRED:
+        raise ConfigError(f"config field {path + key!r} is missing")
+    try:
+        return cast(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"config field {path + key!r} must be a number, got {value!r}") from None
+
 
 def build_model(block: dict, r: float = 0.0, dividend: float = 0.0) -> LevyModel:
     """Construct a LevyModel from its config block.
 
     ``drift_b`` may be the string "risk_neutral", in which case the drift
     that makes the dividend-adjusted discounted asset driftless is used.
+    A malformed field raises ``ConfigError`` naming its dotted path.
     """
+    path = "model."
     kind = block.get("kind", "brownian")
-    sigma = float(block.get("brownian_sigma", 0.0))
-    eps = float(block.get("truncation_eps", 1e-6))
+    sigma = _number(block, "brownian_sigma", path, 0.0)
+    eps = _number(block, "truncation_eps", path, 1e-6)
     if kind == "brownian":
         spec = None
     elif kind == "compound_poisson":
         law_block = block.get("jump_law", {"kind": "normal"})
+        law_path = path + "jump_law."
         law_kind = law_block.get("kind", "normal")
         if law_kind == "normal":
             law = NormalJumps(
-                mean=float(law_block.get("mean", 0.0)),
-                std=float(law_block.get("std", 0.1)),
+                mean=_number(law_block, "mean", law_path, 0.0),
+                std=_number(law_block, "std", law_path, 0.1),
             )
         elif law_kind == "fixed":
-            law = FixedJumps(size=float(law_block.get("size", 0.05)))
+            law = FixedJumps(size=_number(law_block, "size", law_path, 0.05))
         else:
-            raise ValueError(f"unknown jump law {law_kind!r}")
-        spec = CompoundPoisson(intensity=float(block["intensity"]), law=law)
+            raise ConfigError(f"config field {law_path + 'kind'!r}: unknown jump law {law_kind!r}")
+        spec = CompoundPoisson(intensity=_number(block, "intensity", path), law=law)
     elif kind == "variance_gamma":
+        sigma_key = "vg_sigma" if "vg_sigma" in block else "sigma"
         spec = VarianceGamma(
-            theta=float(block["theta"]),
-            nu=float(block["nu"]),
-            sigma=float(block.get("vg_sigma", block.get("sigma", 0.0))),
+            theta=_number(block, "theta", path),
+            nu=_number(block, "nu", path),
+            sigma=_number(block, sigma_key, path, 0.0),
         )
     else:
-        raise ValueError(f"unknown model kind {kind!r}")
-    drift = block.get("drift_b", 0.0)
+        raise ConfigError(f"config field {path + 'kind'!r}: unknown model kind {kind!r}")
     model = LevyModel(drift_b=0.0, brownian_sigma=sigma, jump_spec=spec, jump_eps=eps)
-    if drift == "risk_neutral":
+    if block.get("drift_b") == "risk_neutral":
         b = risk_neutral_drift(model, r, dividend)
     else:
-        b = float(drift)
+        b = _number(block, "drift_b", path, 0.0)
     return LevyModel(drift_b=b, brownian_sigma=sigma, jump_spec=spec, jump_eps=eps)
 
 
-def build_option(block: dict) -> OptionSpec:
+def build_option(block: dict, path: str = "option.") -> OptionSpec:
+    if "kind" not in block:
+        raise ConfigError(f"config field {path + 'kind'!r} is missing")
     return OptionSpec(
         kind=block["kind"],
-        strike=float(block["strike"]),
-        maturity=float(block["maturity"]),
-        barrier=float(block["barrier"]) if block.get("barrier") is not None else None,
+        strike=_number(block, "strike", path),
+        maturity=_number(block, "maturity", path),
+        barrier=_number(block, "barrier", path) if block.get("barrier") is not None else None,
     )
 
 
@@ -150,7 +169,8 @@ def load_config(source) -> ExperimentConfig:
     """Parse a config dict or a path to a JSON file.
 
     Raises ``ConfigError`` naming the dotted path of any key the library
-    does not read, so a typo never runs silently on defaults.
+    does not read, so a typo never runs silently on defaults, and of any
+    field that is missing, non-numeric or names an unknown kind.
     """
     if isinstance(source, (str, Path)):
         raw = json.loads(Path(source).read_text())
@@ -158,41 +178,45 @@ def load_config(source) -> ExperimentConfig:
         raw = dict(source)
     _check_keys(raw, _KNOWN_KEYS)
     scen = raw.get("scenario", {})
-    r = float(scen.get("r", 0.05))
-    dividend = float(scen.get("dividend", 0.0))
+    r = _number(scen, "r", "scenario.", 0.05)
+    dividend = _number(scen, "dividend", "scenario.", 0.0)
     model = build_model(raw.get("model", {}), r=r, dividend=dividend)
     if "options" in raw:
-        options = tuple(build_option(b) for b in raw["options"])
+        options = tuple(
+            build_option(b, f"options[{k}].") for k, b in enumerate(raw["options"])
+        )
     elif "option" in raw:
         options = (build_option(raw["option"]),)
     else:
-        raise ValueError("config needs an 'option' or 'options' block")
+        raise ConfigError("config needs an 'option' or 'options' block")
     ds = scen.get("delta_s", [10.0])
     if not isinstance(ds, (list, tuple)):
         ds = [ds]
     if not ds:
-        raise ValueError("delta_s grid must be nonempty")
+        raise ConfigError("config field 'scenario.delta_s' must be a nonempty grid")
+    grid = {f"[{k}]": x for k, x in enumerate(ds)}
     mc = raw.get("mc", {})
     sten = raw.get("stencil", {})
-    half_width = int(sten.get("half_width", 8))
-    default_step = max(0.5, float(scen.get("s0", 100.0)) * 1e-4)
+    half_width = _number(sten, "half_width", "stencil.", 8, int)
+    s0 = _number(scen, "s0", "scenario.", 100.0)
+    default_step = max(0.5, s0 * 1e-4)
     return ExperimentConfig(
         raw=raw,
         model=model,
         options=options,
-        s0=float(scen.get("s0", 100.0)),
-        delta_s=tuple(float(x) for x in ds),
-        delta_t=float(scen.get("delta_t", 1.0 / 252.0)),
+        s0=s0,
+        delta_s=tuple(_number(grid, key, "scenario.delta_s") for key in grid),
+        delta_t=_number(scen, "delta_t", "scenario.", 1.0 / 252.0),
         r=r,
         dividend=dividend,
-        alpha_tol=float(scen.get("alpha_tol", 0.01)),
-        n_paths=int(mc.get("paths", 100_000)),
-        steps=int(mc.get("steps", 1)),
-        seed=int(mc.get("seed", 0)),
+        alpha_tol=_number(scen, "alpha_tol", "scenario.", 0.01),
+        n_paths=_number(mc, "paths", "mc.", 100_000, int),
+        steps=_number(mc, "steps", "mc.", 1, int),
+        seed=_number(mc, "seed", "mc.", 0, int),
         antithetic=bool(mc.get("antithetic", False)),
         half_width=half_width,
-        p_max=int(sten.get("p_max", 2 * half_width - 1)),
-        s_step=float(sten.get("s_step", default_step)),
+        p_max=_number(sten, "p_max", "stencil.", 2 * half_width - 1, int),
+        s_step=_number(sten, "s_step", "stencil.", default_step),
         strategies=tuple(raw.get("strategies", ())),
         output_dir=raw.get("output", {}).get("dir", "."),
     )

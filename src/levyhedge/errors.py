@@ -6,7 +6,7 @@ class LevyHedgeError(Exception):
 
 
 class ConfigError(LevyHedgeError, ValueError):
-    """Experiment config carries a key the library does not read."""
+    """Experiment config is malformed; the message names the offending field."""
 
 
 class UnsupportedOrderError(LevyHedgeError, ValueError):

@@ -8,7 +8,7 @@ plus stock and cash changes value by exactly C_i (Delta S)^i:
 * ``pja_basket_simple``   -- dt negligible, at most one jump.
 * ``pja_basket_order2``   -- dt material, sigma = 0, one jump, i = 2.
 * ``pja_basket_general``  -- dt material, sigma = 0, one jump, any i,
-  through the binomial coefficient tables c_k^(i,j).
+  through the closed-form sums of the binomial coefficients c_k^(i,j).
 * ``pji_basket``          -- infinite-activity case: positions in the
   power-jump-integral assets U_theta = e^{r dt} S'_theta indexed by the
   tuples of I_i, valid for negligible dt with any number of jumps.
@@ -19,16 +19,25 @@ plus stock and cash changes value by exactly C_i (Delta S)^i:
 These are imaginary book entries: they are marked to the recorded jump
 list of a simulated path, never to market quotes.  Regime violations are
 measured by ``replication_report``, not silently ignored.
+
+A ``pji_basket`` is marked through the iterated integrals S'_theta of all
+its tuples in one pass (``iterated_integrals``).  The tuples form a prefix
+tree: S'_theta integrates S'_parent, its prefix, against the compensated
+power-jump process Y^(l) of its last entry l.  Between jumps the whole tree
+moves by a nilpotent linear drift step, solved exactly by a finite power
+series of gathers through the parent index; at each jump time every node
+gains the jump powers times its parent's left limit.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chaos import constant_term, enumerate_compositions, phi_extract, pi_coefficient
+from .chaos import MAX_ORDER, constant_term, enumerate_compositions, multinomial, phi_extract
 from .errors import UnsupportedOrderError
 from .models import MomentVector
 
@@ -42,6 +51,7 @@ __all__ = [
     "pji_basket",
     "phi_hedge_basket",
     "iterated_integral",
+    "iterated_integrals",
     "replication_report",
 ]
 
@@ -87,8 +97,7 @@ class JumpBasket:
     """Positions replicating one Taylor term out of jump assets.
 
     ``pja_units[i]`` are units of T^(i), ``pji_units[theta]`` units of
-    U_theta, plus stock and bank cash.  ``coeff_table`` keeps the
-    c_k^(i,j) values when the general construction produced the basket.
+    U_theta, plus stock and bank cash.
     """
 
     coefficient: float
@@ -102,7 +111,6 @@ class JumpBasket:
     pji_units: dict[tuple, float] = field(default_factory=dict)
     stock_units: float = 0.0
     bank_cash: float = 0.0
-    coeff_table: dict | None = None
 
     def initial_cost(self) -> float:
         t_leg = sum(
@@ -125,11 +133,12 @@ class JumpBasket:
             terms.append(units * math.exp(self.r * t1) * dy)
         if self.pji_units:
             growth_full = math.exp(self.r * self.delta_t)
-            for theta, units in self.pji_units.items():
-                s_val = iterated_integral(
-                    theta, outcome.jump_times, outcome.jump_sizes, self.moments, t0, t1
-                )
-                terms.append(units * growth_full * s_val)
+            s_vals = iterated_integrals(
+                tuple(self.pji_units), outcome.jump_times, outcome.jump_sizes,
+                self.moments, t0, t1,
+            )
+            units = np.fromiter(self.pji_units.values(), float, len(self.pji_units))
+            terms += (units * growth_full * s_vals).tolist()
         return math.fsum(terms)
 
 
@@ -188,25 +197,6 @@ def pja_basket_simple(
     )
 
 
-def _cij_tables(i: int, s_t: float, drift_b: float, dt: float):
-    """Coefficient tables of the binomial expansion of (Delta S)^i when
-    Delta S = S_t (e^{b dt}(1 + Delta X) - 1):
-
-    c0[j] collects the constant part, c1[j] the Delta-S-linear part and
-    ck[(j, k)] the (Delta X)^k parts for 2 <= k <= j.
-    """
-    ebd = math.exp(drift_b * dt)
-    c0, c1, ck = {}, {}, {}
-    for j in range(0, i + 1):
-        sign = (-1.0) ** (i - j)
-        binom = math.comb(i, j)
-        c0[j] = s_t**i * binom * sign * ebd**j * (1.0 + j * (1.0 / ebd - 1.0))
-        c1[j] = s_t ** (i - 1) * binom * sign * j * ebd ** (j - 1)
-        for k in range(2, j + 1):
-            ck[(j, k)] = s_t**i * binom * sign * ebd**j * math.comb(j, k)
-    return c0, c1, ck
-
-
 def pja_basket_general(
     coefficient: float,
     scenario,
@@ -228,7 +218,6 @@ def pja_basket_general(
         raise UnsupportedOrderError(f"general PJA basket needs order >= 2, got {i}")
     s_t, r, dt = scenario.s_t, scenario.r, scenario.delta_t
     t = path_state.t
-    c0, c1, ck = _cij_tables(i, s_t, drift_b, dt)
     growth = math.exp(r * dt) - 1.0
     disc_mat = math.exp(-r * (t + dt))
     # the j-sums of the coefficient tables telescope through the binomial
@@ -260,7 +249,6 @@ def pja_basket_general(
         pja_units=units,
         stock_units=stock,
         bank_cash=cash,
-        coeff_table={"c0": c0, "c1": c1, "ck": ck},
     )
 
 
@@ -314,25 +302,26 @@ def pji_basket(
     i: int,
     moments: MomentVector,
     path_state: PathState | None = None,
-    max_order: int = 12,
+    max_order: int = MAX_ORDER,
 ) -> JumpBasket:
     """General-case basket: S_t^i Pi_theta e^{-r dt} units of the
     power-jump-integral asset U_theta for every tuple theta in I_i, plus
     S_t^i C^(i) / (e^{r dt} - 1) in cash.  Valid for negligible dt with
-    any jump activity."""
+    any jump activity.
+
+    Pi_theta = (theta, n)! C^(n) with n = i - sum(theta) (see
+    ``chaos.pi_coefficient``); the i + 1 constants C^(0..i) are computed
+    once for all 2^i - 1 tuples."""
     s_t, r, dt = scenario.s_t, scenario.r, scenario.delta_t
     state = path_state if path_state is not None else PathState(t=0.0)
     disc = math.exp(-r * dt)
-    units = {
-        theta: coefficient * s_t**i * pi_coefficient(theta, i, moments, dt, max_order) * disc
-        for theta in enumerate_compositions(i, max_order)
-    }
-    cash = (
-        coefficient
-        * s_t**i
-        * constant_term(i, moments, dt, max_order)
-        / (math.exp(r * dt) - 1.0)
-    )
+    consts = [constant_term(n, moments, dt, max_order) for n in range(i + 1)]
+    units = {}
+    for theta in enumerate_compositions(i, max_order):
+        n = i - sum(theta)
+        pi = multinomial(theta + (n,)) * consts[n]
+        units[theta] = coefficient * s_t**i * pi * disc
+    cash = coefficient * s_t**i * consts[i] / (math.exp(r * dt) - 1.0)
     return JumpBasket(
         coefficient=coefficient,
         order=i,
@@ -352,7 +341,7 @@ def phi_hedge_basket(
     n: int,
     moments: MomentVector,
     path_state: PathState,
-    max_order: int = 12,
+    max_order: int = MAX_ORDER,
 ) -> JumpBasket:
     """Single-integral reduction traded through T^(j) assets.
 
@@ -387,6 +376,97 @@ def phi_hedge_basket(
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class _PrefixTree:
+    """A tuple set closed under prefixes, one node per tuple.
+
+    Node 0 is the empty tuple; every other node's ``parent`` is its prefix
+    and ``level`` its last entry (0 for the root).  ``index[k]`` is the node
+    of the k-th requested tuple.
+    """
+
+    parent: np.ndarray
+    level: np.ndarray
+    index: np.ndarray
+    depth: int
+
+
+@functools.lru_cache(maxsize=16)
+def _prefix_tree(thetas: tuple) -> _PrefixTree:
+    node_of = {(): 0}
+    parent, level = [0], [0]
+    for theta in sorted({th[:d] for th in thetas for d in range(1, len(th) + 1)}, key=len):
+        node_of[theta] = len(parent)
+        parent.append(node_of[theta[:-1]])
+        level.append(theta[-1])
+    return _PrefixTree(
+        parent=np.array(parent, dtype=np.intp),
+        level=np.array(level, dtype=np.intp),
+        index=np.array([node_of[th] for th in thetas], dtype=np.intp),
+        depth=max(map(len, thetas), default=0),
+    )
+
+
+def iterated_integrals(
+    thetas,
+    jump_times,
+    jump_sizes,
+    moments: MomentVector,
+    t0: float,
+    t1: float,
+) -> np.ndarray:
+    """S'_theta for every tuple of ``thetas`` at once, on a finite-activity
+    jump path with no Brownian part.
+
+    S'_theta is the iterated integral of dY^(i_1) ... dY^(i_j) over
+    t0 < s_j < ... < s_1 <= t1, so S'_theta = int S'_parent(s-) dY^(l)(s)
+    with parent the prefix (i_1, ..., i_{j-1}) and l = i_j.  The tuples are
+    closed under prefixes into a tree whose root, the empty tuple, is 1,
+    and the whole family V is stepped along the path:
+
+    * between jumps dV_theta/ds = -m_l V_parent, a nilpotent linear system,
+      so a width w advances V by exp(wA) V = sum_{n <= depth} (w^n/n!) A^n V
+      exactly; each A^n term is one gather of the previous term through the
+      parent index;
+    * at a jump time V_theta gains (sum of x^l over the jumps at that time)
+      times the left limit V_parent(tau-), so jumps that share a time do not
+      see each other.
+
+    Jumps must lie in (t0, t1]; a jump at t1 counts.  The result is exact up
+    to float rounding and follows the order of ``thetas`` (tuples of ints).
+    """
+    tree = _prefix_tree(tuple(thetas))
+    jump_times = np.asarray(jump_times, dtype=float)
+    jump_sizes = np.asarray(jump_sizes, dtype=float)
+    if len(jump_times) and (jump_times.min() <= t0 or jump_times.max() > t1):
+        raise ValueError("jumps must lie inside (t0, t1]")
+    top = int(tree.level.max())
+    drift = -np.array([0.0] + [moments[k] for k in range(1, top + 1)])[tree.level]
+    # power sums sum x^l of the jumps at each distinct time; l = 0 adds nothing
+    times, group = np.unique(jump_times, return_inverse=True)
+    powers = np.zeros((len(times), top + 1))
+    np.add.at(powers, group, jump_sizes[:, None] ** np.arange(top + 1))
+    powers[:, 0] = 0.0
+
+    parent = tree.parent
+
+    def advance(value, width):
+        term = value
+        for n in range(1, tree.depth + 1):
+            term = (width / n) * drift * term[parent]
+            value = value + term
+        return value
+
+    value = np.zeros(len(parent))
+    value[0] = 1.0
+    now = t0
+    for tau, power in zip(times, powers):
+        value = advance(value, tau - now)
+        value = value + power[tree.level] * value[parent]
+        now = tau
+    return advance(value, t1 - now)[tree.index]
+
+
 def iterated_integral(
     theta,
     jump_times,
@@ -395,56 +475,8 @@ def iterated_integral(
     t0: float,
     t1: float,
 ) -> float:
-    """S'_theta: the iterated integral of dY^(i_1) ... dY^(i_j) over
-    t0 < s_j < ... < s_1 <= t1, evaluated exactly on a finite-activity
-    jump path with no Brownian part.
-
-    Between jumps every level is a polynomial in time (the compensator
-    contributes -m_i ds); each jump adds the left limit of the integrand
-    times the jump power.  The recursion keeps exact piecewise-polynomial
-    coefficients, so the result is exact up to float rounding.
-    """
-    jump_times = np.asarray(jump_times, dtype=float)
-    jump_sizes = np.asarray(jump_sizes, dtype=float)
-    if len(jump_times) and (jump_times.min() <= t0 or jump_times.max() > t1):
-        raise ValueError("jumps must lie inside (t0, t1]")
-    order = np.argsort(jump_times, kind="stable")
-    jump_times = jump_times[order]
-    jump_sizes = jump_sizes[order]
-    # common partition: boundaries t0 < tau_1 < ... < t1
-    inner = [tau for tau in jump_times if tau < t1]
-    bounds = [t0] + sorted(set(inner)) + [t1]
-    jumps_at = {}
-    for tau, x in zip(jump_times, jump_sizes):
-        key = t1 if tau == t1 else tau
-        jumps_at.setdefault(key, []).append(x)
-
-    # integrand starts as the constant 1 (empty inner integral)
-    segs = [np.array([1.0]) for _ in range(len(bounds) - 1)]
-    value_at_end = 1.0
-    for level in theta:
-        m_i = moments[level]
-        new_segs = []
-        acc = 0.0  # running value at segment start, after jumps at that boundary
-        for q in range(len(bounds) - 1):
-            width = bounds[q + 1] - bounds[q]
-            # -m_i * antiderivative of the integrand polynomial
-            poly = segs[q]
-            anti = np.concatenate([[acc], -m_i * poly / np.arange(1, len(poly) + 1)])
-            new_segs.append(anti)
-            left_limit_new = _polyval(anti, width)
-            left_limit_old = _polyval(poly, width)
-            acc = left_limit_new
-            boundary = bounds[q + 1]
-            for x in jumps_at.get(boundary, []):
-                acc += left_limit_old * x**level
-        value_at_end = acc
-        segs = new_segs
-    return value_at_end
-
-
-def _polyval(coeffs_ascending: np.ndarray, x: float) -> float:
-    out = 0.0
-    for c in coeffs_ascending[::-1]:
-        out = out * x + c
-    return out
+    """S'_theta for one tuple: ``iterated_integrals`` on the tree of theta's
+    prefixes (see there for the method and the conventions)."""
+    return float(
+        iterated_integrals((tuple(theta),), jump_times, jump_sizes, moments, t0, t1)[0]
+    )

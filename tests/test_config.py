@@ -78,3 +78,45 @@ def test_hash_is_computed_once(monkeypatch):
     first = cfg.hash
     assert cfg.hash == first == real(cfg.raw)
     assert len(calls) == 1
+
+
+def test_unknown_jump_law_names_its_path():
+    raw = minimal(model={"kind": "compound_poisson", "intensity": 2.0,
+                         "jump_law": {"kind": "cauchy"}})
+    with pytest.raises(ConfigError, match=r"'model\.jump_law\.kind'.*'cauchy'"):
+        load_config(raw)
+
+
+def test_unknown_model_kind_names_its_path():
+    with pytest.raises(ConfigError, match=r"'model\.kind'.*'gauss'"):
+        load_config(minimal(model={"kind": "gauss"}))
+
+
+def test_missing_option_block():
+    with pytest.raises(ConfigError, match=r"'option' or 'options'"):
+        load_config({})
+
+
+def test_empty_delta_s_grid():
+    with pytest.raises(ConfigError, match=r"'scenario\.delta_s'"):
+        load_config(minimal(scenario={"delta_s": []}))
+
+
+@pytest.mark.parametrize("block, field, path", [
+    ("stencil", "half_width", r"'stencil\.half_width'"),
+    ("scenario", "delta_t", r"'scenario\.delta_t'"),
+    ("mc", "paths", r"'mc\.paths'"),
+])
+def test_non_numeric_field_names_its_path(block, field, path):
+    with pytest.raises(ConfigError, match=path + r".*'x'"):
+        load_config(minimal(**{block: {field: "x"}}))
+
+
+def test_non_numeric_nested_fields_name_their_paths():
+    with pytest.raises(ConfigError, match=r"'scenario\.delta_s\[1\]'"):
+        load_config(minimal(scenario={"delta_s": [1.0, "x"]}))
+    with pytest.raises(ConfigError, match=r"'options\[0\]\.strike'"):
+        load_config(minimal(options=[{"kind": "european_call", "strike": "x",
+                                      "maturity": 1.0}]))
+    with pytest.raises(ConfigError, match=r"'model\.intensity' is missing"):
+        load_config(minimal(model={"kind": "compound_poisson"}))

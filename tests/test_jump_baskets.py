@@ -1,13 +1,16 @@
 import math
 
 import numpy as np
+import numpy.polynomial.polynomial as P
 import pytest
 
+from levyhedge import jump_baskets
 from levyhedge.chaos import constant_term, enumerate_compositions, pi_coefficient
 from levyhedge.jump_baskets import (
     PathState,
     ScenarioOutcome,
     iterated_integral,
+    iterated_integrals,
     phi_hedge_basket,
     pja_basket_general,
     pja_basket_order2,
@@ -24,6 +27,25 @@ def make_moments(rng, order=10, scale=0.1):
     law = NormalJumps(mean=rng.uniform(-0.05, 0.05), std=rng.uniform(0.02, scale))
     model = LevyModel(jump_spec=CompoundPoisson(lam, law))
     return moment_vector(model, order), model
+
+
+def reference_iterated_integral(theta, times, sizes, moments, t0, t1):
+    """One tuple at a time: each level of theta integrates the previous one
+    as an exact polynomial in (s - left end) on every interval between jump
+    times, and adds the jumps at the interval's right end."""
+    bounds = [t0, *sorted(set(times) - {t1}), t1]
+    integrand = [np.array([1.0])] * (len(bounds) - 1)
+    value = 1.0
+    for level in theta:
+        acc, antis = 0.0, []
+        for q, poly in enumerate(integrand):
+            width = bounds[q + 1] - bounds[q]
+            anti = P.polyint(-moments[level] * poly, k=acc)
+            jumps = sum(x**level for tau, x in zip(times, sizes) if tau == bounds[q + 1])
+            acc = P.polyval(width, anti) + P.polyval(width, poly) * jumps
+            antis.append(anti)
+        integrand, value = antis, acc
+    return value
 
 
 def scen(s_t, dt, r):
@@ -183,27 +205,84 @@ class TestIteratedIntegral:
         got = iterated_integral((1, 1), [tau], [x], moments, 0.0, T)
         assert got == pytest.approx(want, rel=1e-11)
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 9, 12])
     def test_power_decomposition_pathwise(self, n):
         """(X_{t+dt}-X_t)^n = sum_theta Pi_theta S'_theta + C^(n), exactly,
         on sigma = 0 finite-activity paths."""
         rng = np.random.default_rng(90 + n)
+        thetas = enumerate_compositions(n)
         for _ in range(40):
-            moments, _ = make_moments(rng)
+            moments, _ = make_moments(rng, order=12)
             t0 = rng.uniform(0, 1)
             dt = rng.uniform(0.05, 0.8)
             n_jumps = rng.integers(0, 5)
             times = np.sort(rng.uniform(t0, t0 + dt, n_jumps))
             sizes = rng.uniform(-0.3, 0.3, n_jumps)
-            dx = sizes.sum() - moments[1] * dt + moments[1] * dt  # jump sum only
             # X increment for sigma=0 pure-jump CP: sum of jumps
             dx = sizes.sum()
-            total = constant_term(n, moments, dt)
-            for theta in enumerate_compositions(n):
-                pi = pi_coefficient(theta, n, moments, dt)
-                s_val = iterated_integral(theta, times, sizes, moments, t0, t0 + dt)
-                total += pi * s_val
-            assert total == pytest.approx(dx**n, rel=1e-9, abs=1e-12)
+            s_vals = iterated_integrals(thetas, times, sizes, moments, t0, t0 + dt)
+            terms = [constant_term(n, moments, dt)] + [
+                pi_coefficient(theta, n, moments, dt) * s_val
+                for theta, s_val in zip(thetas, s_vals)
+            ]
+            total = math.fsum(terms)
+            # high orders cancel terms far larger than (dX)^n
+            assert abs(total - dx**n) <= 1e-12 * max(map(abs, terms))
+            if n <= 4:
+                assert total == pytest.approx(dx**n, rel=1e-9, abs=1e-12)
+
+    def test_jumps_at_one_time_and_at_the_end_hand_formula(self):
+        rng = np.random.default_rng(15)
+        moments, _ = make_moments(rng)
+        m1 = moments[1]
+        t0, T = 0.2, 0.5
+        tau, x1, x2, z = 0.3, 0.12, -0.07, 0.2
+        # S'_(1)(s) = (x1 + x2) 1{s >= t0 + tau} - m1 (s - t0).  The two jumps
+        # at one time both see the left limit -m1 tau and not each other; the
+        # jump at t1 sees the left limit x1 + x2 - m1 T.
+        xs = x1 + x2
+        want = (
+            -m1 * tau * xs
+            + (xs - m1 * T) * z
+            + m1**2 * T**2 / 2
+            - m1 * xs * (T - tau)
+        )
+        times = [t0 + tau, t0 + tau, t0 + T]
+        got = iterated_integral((1, 1), times, [x1, x2, z], moments, t0, t0 + T)
+        assert got == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("time", [0.2, 0.71])
+    def test_jump_outside_the_period_raises(self, time):
+        rng = np.random.default_rng(16)
+        moments, _ = make_moments(rng)
+        with pytest.raises(ValueError):
+            iterated_integrals([(1,), (2, 1)], [0.5, time], [0.1, 0.1], moments, 0.2, 0.7)
+
+    def test_batch_matches_per_tuple_reference(self):
+        rng = np.random.default_rng(19)
+        thetas = enumerate_compositions(7)
+        for times in ([], [0.3], [0.25, 0.25, 0.6], [0.12, 0.5, 0.9]):
+            moments, _ = make_moments(rng)
+            sizes = rng.uniform(-0.3, 0.3, len(times))
+            batch = iterated_integrals(thetas, times, sizes, moments, 0.1, 0.9)
+            for theta, value in zip(thetas, batch):
+                want = reference_iterated_integral(theta, times, sizes, moments, 0.1, 0.9)
+                # |S'_theta| is at most the product of its integrators' total variations
+                scale = math.prod(
+                    sum(abs(x) ** i for x in sizes) + abs(moments[i]) * 0.8 for i in theta
+                )
+                assert abs(value - want) <= 1e-13 * scale
+
+    def test_single_tuple_matches_batch(self):
+        rng = np.random.default_rng(17)
+        moments, _ = make_moments(rng)
+        thetas = enumerate_compositions(8)
+        times = np.array([0.15, 0.4, 0.4, 0.9])
+        sizes = np.array([0.1, -0.2, 0.05, 0.3])
+        batch = iterated_integrals(thetas, times, sizes, moments, 0.1, 0.9)
+        assert batch.shape == (len(thetas),)
+        for theta, value in zip(thetas, batch):
+            assert iterated_integral(theta, times, sizes, moments, 0.1, 0.9) == value
 
 
 class TestPJIBasket:
@@ -250,6 +329,26 @@ class TestPJIBasket:
             assert basket.change_of_value(outcome) == pytest.approx(
                 c * (s_t * dx) ** order, rel=1e-9, abs=1e-9
             )
+
+    def test_order12_mark_evaluates_the_tree_once_per_outcome(self, monkeypatch):
+        rng = np.random.default_rng(18)
+        moments, _ = make_moments(rng, order=12)
+        dt = 0.05
+        basket = pji_basket(0.7, scen(100.0, dt, 0.05), 12, moments)
+        calls = []
+        real = jump_baskets.iterated_integrals
+
+        def counting(thetas, *args):
+            calls.append(len(thetas))
+            return real(thetas, *args)
+
+        monkeypatch.setattr(jump_baskets, "iterated_integrals", counting)
+        for n_jumps in range(4):
+            times = np.sort(dt * (1.0 - rng.random(n_jumps)))
+            sizes = rng.normal(0.0, 0.1, n_jumps)
+            outcome = ScenarioOutcome(100.0 * sizes.sum(), times, sizes)
+            basket.change_of_value(outcome)
+        assert calls == [2**12 - 1] * 4
 
     def test_expected_change_matches_constant_mc(self):
         model = LevyModel(jump_spec=CompoundPoisson(4.0, FixedJumps(0.06)))
