@@ -18,7 +18,7 @@ from levyhedge import (
     SwapSpec,
     moment_swap_basket,
     moment_vector,
-    pja_basket_simple,
+    pja_basket_general,
     pji_basket,
     replication_report,
 )
@@ -38,7 +38,7 @@ for ds in (-12.0, -3.0, 5.0, 8.0):
 # Power-jump-asset basket under the one-jump regime.
 model = LevyModel(jump_spec=CompoundPoisson(2.0, NormalJumps(0.0, 0.06)))
 moments = moment_vector(model, 8)
-pja = pja_basket_simple(0.25, scenario, 3, PathState(t=0.0), moments)
+pja = pja_basket_general(0.25, scenario, 3, PathState(t=0.0), moments)
 jump = 0.08
 outcome = ScenarioOutcome(delta_s=100.0 * jump,
                           jump_times=np.array([0.01]), jump_sizes=np.array([jump]))

@@ -46,6 +46,10 @@ _KNOWN_KEYS = {
 
 __all__ = ["ExperimentConfig", "load_config", "config_hash", "build_model", "build_option"]
 
+# The hedging strategies a pnl run knows, by config name.
+STRATEGY_NAMES = ("taylor+swaps", "taylor+pja", "minvar", "minvar+varswap", "delta",
+                  "moment-neutral")
+
 _REQUIRED = object()
 
 
@@ -59,6 +63,14 @@ def _number(block: dict, key: str, path: str, default=_REQUIRED, cast=float):
         return cast(value)
     except (TypeError, ValueError):
         raise ConfigError(f"config field {path + key!r} must be a number, got {value!r}") from None
+
+
+def _numbers(values, path: str) -> tuple:
+    """Every entry of a list as a float, naming ``path[k]`` if one is not."""
+    if not isinstance(values, (list, tuple)):
+        raise ConfigError(f"config field {path!r} must be a list, got {values!r}")
+    items = {f"[{k}]": x for k, x in enumerate(values)}
+    return tuple(_number(items, key, path) for key in items)
 
 
 def build_model(block: dict, r: float = 0.0, dividend: float = 0.0) -> LevyModel:
@@ -137,6 +149,11 @@ class ExperimentConfig:
     p_max: int
     s_step: float
     strategies: tuple[str, ...]
+    n_scenarios: int
+    pnl_q: int
+    swap_strike: float
+    swap_unit_price: float
+    neutral_strikes: tuple[float, ...]
     output_dir: str
 
     @functools.cached_property
@@ -170,7 +187,9 @@ def load_config(source) -> ExperimentConfig:
 
     Raises ``ConfigError`` naming the dotted path of any key the library
     does not read, so a typo never runs silently on defaults, and of any
-    field that is missing, non-numeric or names an unknown kind.
+    field that is missing, non-numeric, out of range or names an unknown
+    kind or strategy.  The ``pnl`` block is checked here too, before any
+    Monte Carlo draw.
     """
     if isinstance(source, (str, Path)):
         raw = json.loads(Path(source).read_text())
@@ -194,18 +213,36 @@ def load_config(source) -> ExperimentConfig:
         ds = [ds]
     if not ds:
         raise ConfigError("config field 'scenario.delta_s' must be a nonempty grid")
-    grid = {f"[{k}]": x for k, x in enumerate(ds)}
     mc = raw.get("mc", {})
     sten = raw.get("stencil", {})
     half_width = _number(sten, "half_width", "stencil.", 8, int)
+    p_max = _number(sten, "p_max", "stencil.", 2 * half_width - 1, int)
     s0 = _number(scen, "s0", "scenario.", 100.0)
     default_step = max(0.5, s0 * 1e-4)
+    strategies = raw.get("strategies") or ["taylor+swaps"]
+    if not isinstance(strategies, (list, tuple)):
+        raise ConfigError(f"config field 'strategies' must be a list of names, got {strategies!r}")
+    for k, name in enumerate(strategies):
+        if name not in STRATEGY_NAMES:
+            raise ConfigError(f"config field 'strategies[{k}]': unknown strategy {name!r}")
+    pnl = raw.get("pnl", {})
+    n_scenarios = _number(pnl, "n_scenarios", "pnl.", 1000, int)
+    if n_scenarios < 1:
+        raise ConfigError(f"config field 'pnl.n_scenarios' must be >= 1, got {n_scenarios}")
+    q = p_max if pnl.get("q", "max") == "max" else _number(pnl, "q", "pnl.", cast=int)
+    if not 0 <= q <= p_max:
+        raise ConfigError(f"config field 'pnl.q' must be 'max' or an order in 0..{p_max}, got {q}")
+    swap = pnl.get("swap", {})
+    neutral_strikes = _numbers(pnl.get("neutral_strikes", []), "pnl.neutral_strikes")
+    if "moment-neutral" in strategies and not neutral_strikes:
+        raise ConfigError("config field 'pnl.neutral_strikes' is missing: the "
+                          "moment-neutral strategy needs at least one strike")
     return ExperimentConfig(
         raw=raw,
         model=model,
         options=options,
         s0=s0,
-        delta_s=tuple(_number(grid, key, "scenario.delta_s") for key in grid),
+        delta_s=_numbers(ds, "scenario.delta_s"),
         delta_t=_number(scen, "delta_t", "scenario.", 1.0 / 252.0),
         r=r,
         dividend=dividend,
@@ -215,8 +252,13 @@ def load_config(source) -> ExperimentConfig:
         seed=_number(mc, "seed", "mc.", 0, int),
         antithetic=bool(mc.get("antithetic", False)),
         half_width=half_width,
-        p_max=_number(sten, "p_max", "stencil.", 2 * half_width - 1, int),
+        p_max=p_max,
         s_step=_number(sten, "s_step", "stencil.", default_step),
-        strategies=tuple(raw.get("strategies", ())),
+        strategies=tuple(strategies),
+        n_scenarios=n_scenarios,
+        pnl_q=q,
+        swap_strike=_number(swap, "strike", "pnl.swap.", 0.04),
+        swap_unit_price=_number(swap, "unit_price", "pnl.swap.", 1.0),
+        neutral_strikes=neutral_strikes,
         output_dir=raw.get("output", {}).get("dir", "."),
     )

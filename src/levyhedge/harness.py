@@ -15,9 +15,9 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .errors import NeedsHigherOrderError
-from .jump_baskets import PathState, ScenarioOutcome, pja_basket_simple
+from .jump_baskets import PathState, ScenarioOutcome, pja_basket_general
 from .minvar import mvp_bank_stock, mvp_with_varswap
-from .models import moment_vector
+from .models import MomentVector, moment_vector
 from .neutral import solve_neutrality
 from .pricing import (
     EUROPEAN_CALL,
@@ -218,128 +218,114 @@ def _simulate_outcomes(cfg: ExperimentConfig, n_scenarios: int, rng: np.random.G
     return outcomes
 
 
-@dataclass
-class _Strategy:
-    name: str
-    hedge_change: callable
-    counts_violations: bool = False
+@dataclass(frozen=True)
+class _Book:
+    """What every strategy hedges: the option's ladder on the shared market,
+    its Taylor coefficients C_i for i = 2..q and the run's settings."""
+
+    cfg: ExperimentConfig
+    market: Market
+    table: StencilTable
+    ladder: DerivativeLadder
+    moments: MomentVector
+    scenario: HedgeScenario
+    coeffs: dict
+
+    def delta_leg(self, o) -> float:
+        """Bank and stock: the time decay d1 dt plus the linear term D1 dS."""
+        return self.ladder.d1 * self.cfg.delta_t + self.ladder.derivative(1) * o.delta_s
+
+    def swap_spec(self, order: int) -> SwapSpec:
+        cfg = self.cfg
+        return SwapSpec(order=order, delta_s=cfg.delta_t, n=3, strike=cfg.swap_strike,
+                        unit_price=cfg.swap_unit_price)
 
 
-def _build_strategy(cfg, strategy, ladder, market, table, pnl_block, moments, q):
-    """Wire one strategy into a hedge-change function of (outcome)."""
+def _ledger(book: _Book, basket):
+    """The Taylor ledger to order q with ``basket(i, c_i)`` for each term."""
+    ledger = assemble_ledger(book.ladder, book.scenario, book.cfg.pnl_q, basket)
+    return lambda o: ledger.change_of_value(o.delta_s, o)
+
+
+def _taylor_swaps(book: _Book):
+    history = RealizedHistory(sums={k: 0.0 for k in book.coeffs})
+    return _ledger(book, lambda i, c_i: moment_swap_basket(
+        c_i, book.scenario, book.swap_spec(i), history))
+
+
+def _taylor_pja(book: _Book):
+    state = PathState(t=0.0)
+    return _ledger(book, lambda i, c_i: pja_basket_general(
+        c_i, book.scenario, i, state, book.moments))
+
+
+def _minvar(book: _Book):
+    cfg = book.cfg
+    weights = mvp_bank_stock(book.coeffs, cfg.s0, book.moments, cfg.delta_t, cfg.r)
     growth = math.exp(cfg.r * cfg.delta_t) - 1.0
-    base_scen = HedgeScenario(
-        s_t=cfg.s0, delta_s=cfg.delta_s[0], delta_t=cfg.delta_t, r=cfg.r,
-        option=cfg.options[0], alpha_tol=cfg.alpha_tol,
+    return lambda o: (
+        book.delta_leg(o) + weights.bank_cash * growth + weights.stock_units * o.delta_s
     )
-    c_coeffs = {i: ladder.derivative(i) / math.factorial(i) for i in range(2, q + 1)}
 
-    if strategy == "taylor+swaps":
-        swap_block = pnl_block.get("swap", {})
-        strike = float(swap_block.get("strike", 0.04))
-        unit_price = float(swap_block.get("unit_price", 1.0))
-        history = RealizedHistory(sums={k: 0.0 for k in range(2, q + 1)})
 
-        def provider(i, c_i):
-            spec = SwapSpec(
-                order=i, delta_s=cfg.delta_t, n=3, strike=strike, unit_price=unit_price
-            )
-            return moment_swap_basket(c_i, base_scen, spec, history)
+def _minvar_varswap(book: _Book):
+    cfg = book.cfg
+    spec = book.swap_spec(2)
+    history = RealizedHistory(sums={2: 0.0})
+    higher = {i: c for i, c in book.coeffs.items() if i >= 3}
+    legs = []
+    # the squared term still goes through its exact swap basket
+    if 2 in book.coeffs:
+        legs.append(moment_swap_basket(book.coeffs[2], book.scenario, spec, history))
+    if higher:
+        weights = mvp_with_varswap(higher, cfg.s0, book.moments, cfg.delta_t, cfg.r, spec,
+                                   history)
+        legs.append(weights.swap)
+    return lambda o: book.delta_leg(o) + sum(leg.change_of_value(o.delta_s) for leg in legs)
 
-        ledger = assemble_ledger(ladder, base_scen, q, provider)
-        return _Strategy(strategy, lambda o: ledger.change_of_value(o.delta_s, o))
 
-    if strategy == "taylor+pja":
-        state = PathState(t=0.0)
+def _delta(book: _Book):
+    # naive benchmark: bank + stock only, no higher-term hedging
+    return book.delta_leg
 
-        def provider(i, c_i):
-            return pja_basket_simple(c_i, base_scen, i, state, moments)
 
-        ledger = assemble_ledger(ladder, base_scen, q, provider)
-        return _Strategy(
-            strategy, lambda o: ledger.change_of_value(o.delta_s, o), counts_violations=True
-        )
+def _moment_neutral(book: _Book):
+    cfg, market = book.cfg, book.market
+    instruments = []
+    for strike in cfg.neutral_strikes:
+        opt = OptionSpec(kind=EUROPEAN_CALL, strike=strike, maturity=market.maturity)
+        ladder, price_t, _ = market.ladder(opt, book.table)
+        instruments.append((opt, ladder, price_t))
+    orders = range(1, len(instruments) + 1)
+    system = solve_neutrality(
+        np.array([book.ladder.derivative(j) for j in orders]),
+        [np.array([lad.derivative(j) for j in orders]) for _, lad, _ in instruments],
+    )
 
-    if strategy == "minvar":
-        weights = mvp_bank_stock(c_coeffs, cfg.s0, moments, cfg.delta_t, cfg.r)
+    def change(o):
+        # realized change of the hedge side: -sum w_i dF_i plus the
+        # deterministic decay the weights cannot remove
+        total = book.ladder.d1 * cfg.delta_t
+        for w, (opt, lad, p_t) in zip(system.weights, instruments):
+            d_inst = market.price_later(opt, cfg.s0 + o.delta_s) - p_t
+            total += -w * d_inst + w * lad.d1 * cfg.delta_t
+        return total
 
-        def change(o):
-            return (
-                ladder.d1 * cfg.delta_t
-                + ladder.derivative(1) * o.delta_s
-                + weights.bank_cash * growth
-                + weights.stock_units * o.delta_s
-            )
+    return change
 
-        return _Strategy(strategy, change)
 
-    if strategy == "minvar+varswap":
-        swap_block = pnl_block.get("swap", {})
-        spec = SwapSpec(
-            order=2, delta_s=cfg.delta_t, n=3,
-            strike=float(swap_block.get("strike", 0.04)),
-            unit_price=float(swap_block.get("unit_price", 1.0)),
-        )
-        history = RealizedHistory(sums={2: 0.0})
-        coeffs3 = {i: c for i, c in c_coeffs.items() if i >= 3}
-        # the squared term still goes through its exact swap basket
-        basket2 = (
-            moment_swap_basket(c_coeffs[2], base_scen, spec, history)
-            if 2 in c_coeffs
-            else None
-        )
-        weights = mvp_with_varswap(
-            coeffs3, cfg.s0, moments, cfg.delta_t, cfg.r, spec, history
-        ) if coeffs3 else None
-
-        def change(o):
-            total = ladder.d1 * cfg.delta_t + ladder.derivative(1) * o.delta_s
-            if basket2 is not None:
-                total += basket2.change_of_value(o.delta_s)
-            if weights is not None:
-                total += weights.bank_cash * growth
-                realized = (o.delta_s / cfg.s0) ** 2 / spec.annualizer
-                pay = (realized - spec.strike) * spec.notional
-                total += weights.varswap_units * (pay - spec.unit_price)
-            return total
-
-        return _Strategy(strategy, change)
-
-    if strategy == "delta":
-        # naive benchmark: bank + stock only, no higher-term hedging
-        def change(o):
-            return ladder.d1 * cfg.delta_t + ladder.derivative(1) * o.delta_s
-
-        return _Strategy(strategy, change)
-
-    if strategy == "moment-neutral":
-        strikes = pnl_block.get("neutral_strikes", ())
-        if not strikes:
-            raise ValueError("moment-neutral strategy needs pnl.neutral_strikes")
-        n = len(strikes)
-        instruments = []
-        for k in strikes:
-            opt = OptionSpec(kind=EUROPEAN_CALL, strike=float(k), maturity=market.maturity)
-            instruments.append((opt, market.ladder(opt, table)))
-        target_vec = np.array([ladder.derivative(j) for j in range(1, n + 1)])
-        matrix = [
-            np.array([lad.derivative(j) for j in range(1, n + 1)])
-            for _, (lad, _, _) in instruments
-        ]
-        system = solve_neutrality(target_vec, matrix)
-
-        def change(o):
-            # realized change of the hedge side: -sum w_i dF_i plus the
-            # deterministic decay the weights cannot remove
-            total = ladder.d1 * cfg.delta_t
-            for w, (opt, (lad, p_t, _)) in zip(system.weights, instruments):
-                d_inst = market.price_later(opt, cfg.s0 + o.delta_s) - p_t
-                total += -w * d_inst + w * lad.d1 * cfg.delta_t
-            return total
-
-        return _Strategy(strategy, change)
-
-    raise ValueError(f"unknown strategy {strategy!r}")
+# Each strategy wires its hedge into a change-of-value function of the
+# scenario outcome; config.STRATEGY_NAMES lists the same names.
+_STRATEGIES = {
+    "taylor+swaps": _taylor_swaps,
+    "taylor+pja": _taylor_pja,
+    "minvar": _minvar,
+    "minvar+varswap": _minvar_varswap,
+    "delta": _delta,
+    "moment-neutral": _moment_neutral,
+}
+# strategies whose baskets assume at most one jump per period
+_ONE_JUMP = {"taylor+pja"}
 
 
 def run_pnl(cfg: ExperimentConfig):
@@ -351,29 +337,34 @@ def run_pnl(cfg: ExperimentConfig):
     """
     if len(cfg.options) != 1:
         raise ValueError("pnl runs use a single option")
-    pnl_block = cfg.raw.get("pnl", {})
-    n_scenarios = int(pnl_block.get("n_scenarios", 1000))
+    n_scenarios = cfg.n_scenarios
     rng = np.random.default_rng(cfg.seed)
     table = build_lookup_table(cfg.half_width, cfg.p_max)
     market = Market(cfg, rng)
     opt = cfg.options[0]
     ladder, price_t, _ = market.ladder(opt, table)
-    q = pnl_block.get("q", "max")
-    q = cfg.p_max if q == "max" else int(q)
-    moments = moment_vector(cfg.model, max(q + 2, 3))
+    q = cfg.pnl_q
+    book = _Book(
+        cfg=cfg, market=market, table=table, ladder=ladder,
+        moments=moment_vector(cfg.model, max(q + 2, 3)),
+        scenario=HedgeScenario(
+            s_t=cfg.s0, delta_s=cfg.delta_s[0], delta_t=cfg.delta_t, r=cfg.r,
+            option=opt, alpha_tol=cfg.alpha_tol,
+        ),
+        coeffs={i: ladder.derivative(i) / math.factorial(i) for i in range(2, q + 1)},
+    )
     outcomes = _simulate_outcomes(cfg, n_scenarios, rng)
 
     rows = []
     summaries = []
-    for name in cfg.strategies or ("taylor+swaps",):
-        strat = _build_strategy(cfg, name, ladder, market, table, pnl_block, moments, q)
+    for name in cfg.strategies:
+        hedge_change = _STRATEGIES[name](book)
         residuals = np.empty(n_scenarios)
         violations = 0
         for idx, outcome in enumerate(outcomes):
             exact = market.price_later(opt, cfg.s0 + outcome.delta_s) - price_t
-            hedge = strat.hedge_change(outcome)
-            residuals[idx] = exact - hedge
-            if strat.counts_violations and outcome.n_jumps > 1:
+            residuals[idx] = exact - hedge_change(outcome)
+            if name in _ONE_JUMP and outcome.n_jumps > 1:
                 violations += 1
             rows.append((idx, name, outcome.delta_s, residuals[idx], outcome.n_jumps, cfg.hash))
         summaries.append(

@@ -5,10 +5,11 @@ power-jump process to a bank-account numeraire.  Under the one-jump
 regimes stated with each constructor, a static position in these assets
 plus stock and cash changes value by exactly C_i (Delta S)^i:
 
-* ``pja_basket_simple``   -- dt negligible, at most one jump.
-* ``pja_basket_order2``   -- dt material, sigma = 0, one jump, i = 2.
-* ``pja_basket_general``  -- dt material, sigma = 0, one jump, any i,
-  through the closed-form sums of the binomial coefficients c_k^(i,j).
+* ``pja_basket_general``  -- sigma = 0, at most one jump, any i >= 2,
+  through the closed-form sums of the binomial coefficients c_k^(i,j);
+  with drift_b = 0 it is the negligible-dt basket.  ``pja_basket_simple``
+  (drift_b = 0) and ``pja_basket_order2`` (i = 2) are its special cases,
+  kept only as names.
 * ``pji_basket``          -- infinite-activity case: positions in the
   power-jump-integral assets U_theta = e^{r dt} S'_theta indexed by the
   tuples of I_i, valid for negligible dt with any number of jumps.
@@ -165,79 +166,42 @@ def replication_report(basket: JumpBasket, outcome: ScenarioOutcome) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def pja_basket_simple(
-    coefficient: float, scenario, i: int, path_state: PathState, moments: MomentVector
-) -> JumpBasket:
-    """Negligible-dt basket: S_t^i e^{-r(t+dt)} units of T^(i) plus the cash
-    leg that freezes today's asset value and the compensator drift.
-
-    Exact whenever Delta S = S_t * Delta X with at most one jump in the
-    period.
-    """
-    s_t, r, dt = scenario.s_t, scenario.r, scenario.delta_t
-    t = path_state.t
-    t_now = path_state.t_asset(i, r)
-    units = coefficient * s_t**i * math.exp(-r * (t + dt))
-    cash = (
-        coefficient
-        * s_t**i
-        * (math.exp(-r * (t + dt)) * t_now - math.exp(-r * t) * t_now + moments[i] * dt)
-        / (math.exp(r * dt) - 1.0)
-    )
-    return JumpBasket(
-        coefficient=coefficient,
-        order=i,
-        s_t=s_t,
-        r=r,
-        delta_t=dt,
-        path_state=path_state,
-        moments=moments,
-        pja_units={i: units},
-        bank_cash=cash,
-    )
-
-
 def pja_basket_general(
     coefficient: float,
     scenario,
     i: int,
     path_state: PathState,
     moments: MomentVector,
-    drift_b: float,
+    drift_b: float = 0.0,
 ) -> JumpBasket:
-    """Material-dt basket for any order i >= 2 (sigma = 0, one jump).
+    """Power-jump basket for any order i >= 2, exact when sigma = 0 and at
+    most one jump x lands in the period: Delta S = S_t (e^{b dt}(1 + x) - 1).
 
     Holds sum_j c_k^(i,j) e^{-r(t+dt)} units of T^(k) for k = 2..i, the
     Delta-S-linear coefficients as stock, and cash covering the constant
     legs plus the frozen T^(k) values and compensator drifts.  Cash at the
     hedge date cannot depend on the coming move, so the Delta-S-linear
     piece is carried as its equivalent stock position rather than as a
-    deposit.
+    deposit.  With drift_b = 0 (dt negligible) only the S_t^i e^{-r(t+dt)}
+    units of T^(i) and the cash remain.
     """
     if i < 2:
-        raise UnsupportedOrderError(f"general PJA basket needs order >= 2, got {i}")
+        raise UnsupportedOrderError(f"PJA basket needs order >= 2, got {i}")
     s_t, r, dt = scenario.s_t, scenario.r, scenario.delta_t
     t = path_state.t
-    growth = math.exp(r * dt) - 1.0
     disc_mat = math.exp(-r * (t + dt))
+    scale = coefficient * s_t**i
     # the j-sums of the coefficient tables telescope through the binomial
     # identities sum_j C(i,j)C(j,k)(-1)^{i-j} x^j = C(i,k) x^k (x-1)^{i-k};
     # evaluating the closed forms avoids the huge alternating cancellations
     ebd = math.exp(drift_b * dt)
     em1 = math.expm1(drift_b * dt)
-    units: dict[int, float] = {}
-    ck_sums = {k: s_t**i * math.comb(i, k) * ebd**k * em1 ** (i - k) for k in range(2, i + 1)}
-    for k in range(2, i + 1):
-        units[k] = coefficient * ck_sums[k] * disc_mat
-    stock = coefficient * i * s_t ** (i - 1) * em1 ** (i - 1)
-    c0_sum = s_t**i * (1 - i) * em1**i
-    cash_terms = [c0_sum]
-    for k in range(2, i + 1):
+    weights = {k: math.comb(i, k) * ebd**k * em1 ** (i - k) for k in range(2, i + 1)}
+    weights = {k: w for k, w in weights.items() if w}  # drift_b = 0 keeps only k = i
+    cash_terms = [(1 - i) * em1**i]
+    for k, w in weights.items():
         t_now = path_state.t_asset(k, r)
-        cash_terms.append(
-            ck_sums[k] * (disc_mat * t_now - math.exp(-r * t) * t_now + moments[k] * dt)
-        )
-    cash = coefficient * math.fsum(cash_terms) / growth
+        cash_terms.append(w * (disc_mat * t_now - math.exp(-r * t) * t_now + moments[k] * dt))
     return JumpBasket(
         coefficient=coefficient,
         order=i,
@@ -246,10 +210,19 @@ def pja_basket_general(
         delta_t=dt,
         path_state=path_state,
         moments=moments,
-        pja_units=units,
-        stock_units=stock,
-        bank_cash=cash,
+        pja_units={k: scale * w * disc_mat for k, w in weights.items()},
+        stock_units=coefficient * i * s_t ** (i - 1) * em1 ** (i - 1),
+        bank_cash=scale * math.fsum(cash_terms) / (math.exp(r * dt) - 1.0),
     )
+
+
+def pja_basket_simple(
+    coefficient: float, scenario, i: int, path_state: PathState, moments: MomentVector
+) -> JumpBasket:
+    """``pja_basket_general`` at drift_b = 0 (dt negligible, at most one
+    jump).  Kept as a name because the benchmark tracer
+    (``levybench/tracer.py``) wraps it."""
+    return pja_basket_general(coefficient, scenario, i, path_state, moments)
 
 
 def pja_basket_order2(
@@ -259,41 +232,10 @@ def pja_basket_order2(
     moments: MomentVector,
     drift_b: float,
 ) -> JumpBasket:
-    """Material-dt basket for the squared term, written out directly:
-    S_t^2 e^{2 b dt} e^{-r(t+dt)} units of T^(2), 2 S_t (e^{b dt} - 1)
-    units of stock, and the cash leg that freezes the remaining terms."""
-    s_t, r, dt = scenario.s_t, scenario.r, scenario.delta_t
-    t = path_state.t
-    ebd = math.exp(drift_b * dt)
-    em1 = math.expm1(drift_b * dt)
-    growth = math.exp(r * dt) - 1.0
-    disc_mat = math.exp(-r * (t + dt))
-    t_now = path_state.t_asset(2, r)
-    units = coefficient * s_t**2 * ebd**2 * disc_mat
-    stock = coefficient * 2.0 * s_t * em1
-    cash = (
-        coefficient
-        * math.fsum(
-            [
-                s_t**2 * ebd**2 * disc_mat * t_now,
-                -(s_t**2) * em1**2,
-                s_t**2 * ebd**2 * (-math.exp(-r * t) * t_now + moments[2] * dt),
-            ]
-        )
-        / growth
-    )
-    return JumpBasket(
-        coefficient=coefficient,
-        order=2,
-        s_t=s_t,
-        r=r,
-        delta_t=dt,
-        path_state=path_state,
-        moments=moments,
-        pja_units={2: units},
-        stock_units=stock,
-        bank_cash=cash,
-    )
+    """``pja_basket_general`` at i = 2 (dt material, sigma = 0, one jump).
+    Kept as a name because the benchmark tracer (``levybench/tracer.py``)
+    wraps it."""
+    return pja_basket_general(coefficient, scenario, 2, path_state, moments, drift_b)
 
 
 def pji_basket(

@@ -12,12 +12,13 @@ left-endpoint predictable weights.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .chaos import constant_term, phi_extract
 from .errors import DegenerateModelError, ZeroRateError
 from .models import MomentVector
-from .swaps import ACTUAL, RealizedHistory, SwapSpec
+from .swaps import ACTUAL, RealizedHistory, SwapBasket, SwapSpec, moment_swap_basket
+from .taylor import HedgeScenario
 
 __all__ = [
     "MinVarWeights",
@@ -30,12 +31,21 @@ __all__ = [
 
 @dataclass(frozen=True)
 class MinVarWeights:
-    """Portfolio weights: stock units, bank cash, optional variance-swap leg."""
+    """Portfolio weights: stock units, bank cash, optional variance-swap leg.
+
+    The book changes by ``bank_cash * (e^{r dt} - 1) + stock_units * dS``
+    plus ``swap.change_of_value(dS)`` when a swap is held.  With a variance
+    swap the stock leg and ``bank_cash`` are zero: ``swap`` holds the swap
+    units and the whole bank deposit, so no deposit is counted twice.
+    """
 
     stock_units: float
     bank_cash: float
-    varswap_units: float | None = None
-    swap: SwapSpec | None = None
+    swap: SwapBasket | None = None
+
+    @property
+    def varswap_units(self) -> float | None:
+        return None if self.swap is None else self.swap.swap_units
 
 
 def mvp_weight(f1_val, x_f2_integral, x2_nu_integral, sigma, s) -> float:
@@ -75,6 +85,38 @@ def mvp_bank_stock(coefficients, s_t, moments: MomentVector, delta_t, r) -> MinV
     return MinVarWeights(stock_units=stock, bank_cash=bank)
 
 
+def _varswap_book(
+    phi_numer,
+    legs,
+    s_t,
+    moments: MomentVector,
+    delta_t,
+    r,
+    swap: SwapSpec,
+    history: RealizedHistory | None,
+) -> MinVarWeights:
+    """Bank + variance-swap book carrying phi = phi_numer / m_2 on the swap.
+
+    The swap leg is the order-2 swap basket at coefficient phi: phi ann
+    S^2 / notional units plus the deposit cancelling its known legs.  The
+    deposit also funds ``legs`` (the target's compensators) less the swap's
+    expected jump leg phi S^2 m_2 dt.  The whole deposit sits in the swap
+    basket; the returned ``bank_cash`` is zero.
+    """
+    if swap.order != 2:
+        raise ValueError(f"variance-swap leg needs an order-2 swap, got order {swap.order}")
+    if history is None or history.convention != ACTUAL:
+        raise DegenerateModelError("variance-swap leg needs actual-return history")
+    m2 = moments[2]
+    if m2 == 0:
+        raise DegenerateModelError("m_2 = 0: variance swap carries no jump variance")
+    phi = phi_numer / m2
+    scenario = HedgeScenario(s_t=s_t, delta_s=0.0, delta_t=delta_t, r=r)
+    leg = moment_swap_basket(phi, scenario, swap, history)
+    bank = (legs - phi * s_t**2 * m2 * delta_t) / _growth(r, delta_t) + leg.bank_cash
+    return MinVarWeights(stock_units=0.0, bank_cash=0.0, swap=replace(leg, bank_cash=bank))
+
+
 def mvp_with_varswap(
     coefficients,
     s_t,
@@ -93,27 +135,9 @@ def mvp_with_varswap(
     items = _coeff_items(coefficients)
     if any(i < 3 for i, _ in items):
         raise ValueError("variance-swap minimal variance hedges orders i >= 3")
-    if history.convention != ACTUAL:
-        raise DegenerateModelError("variance-swap leg needs actual-return history")
-    m2 = moments[2]
-    if m2 == 0:
-        raise DegenerateModelError("m_2 = 0: variance swap carries no jump variance")
-    growth = _growth(r, delta_t)
-    phi = sum(c * s_t ** (i - 2) * moments[i] for i, c in items) / m2
-    ann = swap.annualizer
-    s_bar = history.power_sum(2) / ann
-    bank = (
-        sum(c * s_t**i * moments[i] * delta_t for i, c in items)
-        + phi
-        * s_t**2
-        * (ann * (swap.strike - s_bar) + swap.unit_price * ann - m2 * delta_t)
-    ) / growth
-    return MinVarWeights(
-        stock_units=0.0,
-        bank_cash=bank,
-        varswap_units=phi * ann * s_t**2,
-        swap=swap,
-    )
+    legs = sum(c * s_t**i * moments[i] * delta_t for i, c in items)
+    phi_numer = sum(c * s_t ** (i - 2) * moments[i] for i, c in items)
+    return _varswap_book(phi_numer, legs, s_t, moments, delta_t, r, swap, history)
 
 
 def mvp_general(
@@ -136,36 +160,19 @@ def mvp_general(
     """
     items = _coeff_items(coefficients)
     growth = _growth(r, delta_t)
-    bank = sum(
-        c * s_t**i * constant_term(i, moments, delta_t) for i, c in items
-    ) / growth
+    legs = sum(c * s_t**i * constant_term(i, moments, delta_t) for i, c in items)
     phi_total: dict[int, float] = {}
     for i, c in items:
         for j, val in phi_extract(i, moments, delta_t, s_t).items():
             phi_total[j] = phi_total.get(j, 0.0) + c * val
+    if swap is not None:
+        phi_numer = sum(val * moments[j] for j, val in phi_total.items()) / s_t**2
+        return _varswap_book(phi_numer, legs, s_t, moments, delta_t, r, swap, history)
     sigma = moments.brownian_sigma
-    if swap is None:
-        denom = (sigma**2 + moments[2]) * s_t
-        if denom == 0:
-            raise DegenerateModelError("sigma^2 + m_2 = 0: nothing to project onto")
-        numer = sigma**2 * phi_total.get(1, 0.0) + sum(
-            val * moments[j + 1] for j, val in phi_total.items()
-        )
-        return MinVarWeights(stock_units=numer / denom, bank_cash=bank)
-    if history is None or history.convention != ACTUAL:
-        raise DegenerateModelError("variance-swap leg needs actual-return history")
-    m2 = moments[2]
-    if m2 == 0:
-        raise DegenerateModelError("m_2 = 0: variance swap carries no jump variance")
-    phi = sum(val * moments[j] for j, val in phi_total.items()) / (m2 * s_t**2)
-    ann = swap.annualizer
-    s_bar = history.power_sum(2) / ann
-    bank = bank + phi * s_t**2 * (
-        ann * (swap.strike - s_bar) + swap.unit_price * ann - m2 * delta_t
-    ) / growth
-    return MinVarWeights(
-        stock_units=0.0,
-        bank_cash=bank,
-        varswap_units=phi * ann * s_t**2,
-        swap=swap,
+    denom = (sigma**2 + moments[2]) * s_t
+    if denom == 0:
+        raise DegenerateModelError("sigma^2 + m_2 = 0: nothing to project onto")
+    numer = sigma**2 * phi_total.get(1, 0.0) + sum(
+        val * moments[j + 1] for j, val in phi_total.items()
     )
+    return MinVarWeights(stock_units=numer / denom, bank_cash=legs / growth)

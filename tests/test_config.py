@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from levyhedge.config import load_config
+from levyhedge.config import STRATEGY_NAMES, load_config
 from levyhedge.errors import ConfigError, LevyHedgeError
 
 
@@ -120,3 +120,64 @@ def test_non_numeric_nested_fields_name_their_paths():
                                       "maturity": 1.0}]))
     with pytest.raises(ConfigError, match=r"'model\.intensity' is missing"):
         load_config(minimal(model={"kind": "compound_poisson"}))
+
+
+def test_pnl_defaults():
+    cfg = load_config(minimal())
+    assert cfg.strategies == ("taylor+swaps",)
+    assert (cfg.n_scenarios, cfg.pnl_q, cfg.swap_strike, cfg.swap_unit_price) == (
+        1000, cfg.p_max, 0.04, 1.0)
+    assert cfg.neutral_strikes == ()
+    cfg = load_config(minimal(strategies=list(STRATEGY_NAMES),
+                              pnl={"q": 3, "n_scenarios": 7, "neutral_strikes": [90, 110.5],
+                                   "swap": {"strike": 0.1, "unit_price": 0.2}}))
+    assert cfg.strategies == STRATEGY_NAMES
+    assert (cfg.n_scenarios, cfg.pnl_q, cfg.swap_strike, cfg.swap_unit_price) == (
+        7, 3, 0.1, 0.2)
+    assert cfg.neutral_strikes == (90.0, 110.5)
+
+
+def test_strategy_table_matches_names():
+    from levyhedge import harness
+
+    assert sorted(harness._STRATEGIES) == sorted(STRATEGY_NAMES)
+
+
+@pytest.mark.parametrize("pnl, path", [
+    ({"n_scenarios": "x"}, r"'pnl\.n_scenarios'.*'x'"),
+    ({"n_scenarios": 0}, r"'pnl\.n_scenarios' must be >= 1"),
+    ({"q": "x"}, r"'pnl\.q'.*'x'"),
+    ({"q": 9}, r"'pnl\.q'.*0\.\.7, got 9"),
+    ({"q": -1}, r"'pnl\.q'"),
+    ({"swap": {"strike": "x"}}, r"'pnl\.swap\.strike'"),
+    ({"swap": {"unit_price": None}}, r"'pnl\.swap\.unit_price'"),
+    ({"neutral_strikes": 100}, r"'pnl\.neutral_strikes' must be a list"),
+    ({"neutral_strikes": [90, "x"]}, r"'pnl\.neutral_strikes\[1\]'"),
+])
+def test_malformed_pnl_field_names_its_path(pnl, path):
+    with pytest.raises(ConfigError, match=path):
+        load_config(minimal(pnl=pnl))
+
+
+def test_strategies_must_be_known_names():
+    with pytest.raises(ConfigError, match=r"'strategies' must be a list.*'delta'"):
+        load_config(minimal(strategies="delta"))
+    with pytest.raises(ConfigError, match=r"'strategies\[1\]'.*'gamma'"):
+        load_config(minimal(strategies=["delta", "gamma"]))
+
+
+def test_moment_neutral_needs_strikes():
+    with pytest.raises(ConfigError, match=r"'pnl\.neutral_strikes' is missing"):
+        load_config(minimal(strategies=["moment-neutral"]))
+    with pytest.raises(ConfigError, match=r"'pnl\.neutral_strikes' is missing"):
+        load_config(minimal(strategies=["moment-neutral"], pnl={"neutral_strikes": []}))
+
+
+def test_pnl_errors_come_before_any_draw(tmp_path, monkeypatch):
+    from levyhedge import cli, harness
+
+    monkeypatch.setattr(harness, "run_pnl", lambda cfg: pytest.fail("run_pnl reached"))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(minimal(strategies=["delta", "gamma"])))
+    with pytest.raises(ConfigError, match=r"'strategies\[1\]'"):
+        cli.main(["pnl", "--config", str(path), "--out", str(tmp_path / "pnl.csv")])

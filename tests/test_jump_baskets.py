@@ -100,6 +100,33 @@ class TestSimpleBasket:
                 c * (s_t * x) ** order, rel=1e-10
             )
 
+    @pytest.mark.parametrize("order", [2, 3, 5])
+    def test_matches_hand_formula(self, order):
+        # drift_b = 0: S^i e^{-r(t+dt)} units of T^(i) only, no stock, and
+        # the cash freezing today's T^(i) value and the compensator drift
+        rng = np.random.default_rng(20 + order)
+        for _ in range(20):
+            moments, _ = make_moments(rng)
+            s_t, dt, r = rng.uniform(20, 200), rng.uniform(1e-4, 0.05), rng.uniform(0.02, 0.12)
+            t = rng.uniform(0.0, 2.0)
+            state = PathState(t=t, y={k: rng.uniform(-0.01, 0.01) for k in range(2, order + 1)})
+            c = rng.uniform(0.1, 2.0) * rng.choice([-1, 1])
+            basket = pja_basket_general(c, scen(s_t, dt, r), order, state, moments)
+            t_now = math.exp(r * t) * state.y[order]
+            units = c * s_t**order * math.exp(-r * (t + dt))
+            cash = (
+                c * s_t**order
+                * (math.exp(-r * (t + dt)) * t_now - math.exp(-r * t) * t_now
+                   + moments[order] * dt)
+                / (math.exp(r * dt) - 1.0)
+            )
+            assert basket.pja_units[order] == pytest.approx(units, rel=1e-12)
+            assert basket.pja_units.keys() == {order}
+            assert basket.stock_units == 0.0
+            assert basket.bank_cash == pytest.approx(cash, rel=1e-10)
+            alias = pja_basket_simple(c, scen(s_t, dt, r), order, state, moments)
+            assert alias == basket
+
     def test_regime_violation_reported(self):
         rng = np.random.default_rng(3)
         moments, _ = make_moments(rng)
@@ -156,11 +183,23 @@ class TestMaterialDtBaskets:
             b = rng.uniform(-0.1, 0.2)
             state = PathState(t=rng.uniform(0, 1), y={2: rng.uniform(-0.01, 0.01)})
             c = rng.uniform(0.1, 2.0)
-            direct = pja_basket_order2(c, scen(s_t, dt, r), state, moments, b)
             general = pja_basket_general(c, scen(s_t, dt, r), 2, state, moments, b)
-            assert direct.pja_units[2] == pytest.approx(general.pja_units[2], rel=1e-12)
-            assert direct.stock_units == pytest.approx(general.stock_units, rel=1e-12)
-            assert direct.bank_cash == pytest.approx(general.bank_cash, rel=1e-10)
+            # the squared term written out: S^2 e^{2b dt} e^{-r(t+dt)} units of
+            # T^(2), 2 S (e^{b dt} - 1) stock, cash freezing the other terms
+            t, ebd, disc = state.t, math.exp(b * dt), math.exp(-r * (state.t + dt))
+            em1 = math.expm1(b * dt)
+            t_now = math.exp(r * t) * state.y[2]
+            cash = c * math.fsum([
+                s_t**2 * ebd**2 * disc * t_now,
+                -s_t**2 * em1**2,
+                s_t**2 * ebd**2 * (-math.exp(-r * t) * t_now + moments[2] * dt),
+            ]) / (math.exp(r * dt) - 1.0)
+            assert general.pja_units == {
+                2: pytest.approx(c * s_t**2 * ebd**2 * disc, rel=1e-12)
+            }
+            assert general.stock_units == pytest.approx(c * 2.0 * s_t * em1, rel=1e-12)
+            assert general.bank_cash == pytest.approx(cash, rel=1e-10)
+            assert pja_basket_order2(c, scen(s_t, dt, r), state, moments, b) == general
 
     def test_dt_limit_reduces_to_simple(self):
         rng = np.random.default_rng(6)

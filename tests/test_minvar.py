@@ -20,6 +20,12 @@ def cp_model(lam, law, sigB=0.0, b=0.03):
     return LevyModel(drift_b=b, brownian_sigma=sigB, jump_spec=CompoundPoisson(lam, law))
 
 
+def mark_book(w, ds, r, dt):
+    """Change of value of a whole minimal-variance book over one period."""
+    value = w.bank_cash * math.expm1(r * dt) + w.stock_units * ds
+    return value if w.swap is None else value + w.swap.change_of_value(ds)
+
+
 class TestMvpWeight:
     def test_perfect_self_hedge(self):
         # hedging the asset itself: f1 = sigma S, f2(x) = x S
@@ -136,6 +142,16 @@ class TestWithVarswap:
             mvp_with_varswap({2: 1.0, 3: 1.0}, 100.0, mom, 2e-4, 0.05,
                              self.swap(2e-4), RealizedHistory(sums={2: 0.0}))
 
+    def test_rejects_higher_moment_swap(self):
+        model = cp_model(5.0, FixedJumps(0.08))
+        mom = moment_vector(model, 5)
+        spec = SwapSpec(order=3, delta_s=2e-4, n=3, strike=0.0, unit_price=0.0)
+        hist = RealizedHistory(sums={2: 0.0, 3: 0.0})
+        with pytest.raises(ValueError, match="order-2 swap"):
+            mvp_with_varswap({3: 1.0}, 100.0, mom, 2e-4, 0.05, spec, hist)
+        with pytest.raises(ValueError, match="order-2 swap"):
+            mvp_general({3: 1.0}, 100.0, mom, 2e-4, 0.05, swap=spec, history=hist)
+
     def test_no_jump_variance(self):
         model = LevyModel(brownian_sigma=0.2)
         mom = moment_vector(model, 5)
@@ -186,6 +202,65 @@ class TestWithVarswap:
             rc = (resid - resid.mean()) * (instr - instr.mean())
             z = rc.mean() / (rc.std(ddof=1) / math.sqrt(n))
             assert abs(z) < 4
+
+
+    @pytest.mark.parametrize("notional", [1.0, 2.0])
+    def test_swap_book_marks_projected_square(self, notional):
+        """The swap book (swap units plus the whole deposit) changes by
+        phi dS^2 + sum_i C_i S^i m_i dt - phi S^2 m_2 dt for every move,
+        whatever the notional, strike, unit price and past returns."""
+        model = cp_model(5.0, NormalJumps(0.02, 0.06), sigB=0.1)
+        mom = moment_vector(model, 6)
+        coeffs, s_t, dt, r = {3: 2e-4, 4: 1e-5}, 100.0, 1e-3, 0.05
+        spec = SwapSpec(order=2, delta_s=dt, n=4, strike=3e-3, unit_price=5e-3,
+                        notional=notional)
+        hist = RealizedHistory(sums={2: 4e-6})
+        w = mvp_with_varswap(coeffs, s_t, mom, dt, r, spec, hist)
+        phi = sum(c * s_t ** (i - 2) * mom[i] for i, c in coeffs.items()) / mom[2]
+        assert w.varswap_units == pytest.approx(phi * spec.annualizer * s_t**2 / notional,
+                                                rel=1e-12)
+        assert w.bank_cash == 0.0 and w.stock_units == 0.0
+        legs = sum(c * s_t**i * mom[i] * dt for i, c in coeffs.items())
+        for ds in (-9.0, -1.5, 0.0, 2.0, 12.0):
+            want = phi * ds**2 + legs - phi * s_t**2 * mom[2] * dt
+            assert mark_book(w, ds, r, dt) == pytest.approx(want, rel=1e-10, abs=1e-12)
+
+    def test_whole_book_counts_the_deposit_once(self):
+        """Marking every leg of the general book (bank, stock and swap)
+        gives phi dS^2 plus the deposit's net carry sum_i C_i S^i C^(i)
+        less phi S^2 m_2 dt, once."""
+        from levyhedge.chaos import constant_term
+
+        model = cp_model(5.0, NormalJumps(0.02, 0.06), sigB=0.1)
+        mom = moment_vector(model, 6)
+        coeffs, s_t, dt, r = {3: 2e-4, 4: 1e-5}, 100.0, 1e-3, 0.05
+        spec = SwapSpec(order=2, delta_s=dt, n=4, strike=3e-3, unit_price=5e-3)
+        w = mvp_general(coeffs, s_t, mom, dt, r, swap=spec,
+                        history=RealizedHistory(sums={2: 4e-6}))
+        phi = w.varswap_units / (spec.annualizer * s_t**2)
+        legs = sum(c * s_t**i * constant_term(i, mom, dt) for i, c in coeffs.items())
+        for ds in (-9.0, 0.0, 12.0):
+            want = phi * ds**2 + legs - phi * s_t**2 * mom[2] * dt
+            assert mark_book(w, ds, r, dt) == pytest.approx(want, rel=1e-10, abs=1e-12)
+
+    def test_notional_halves_units_not_exposure(self):
+        model = cp_model(5.0, FixedJumps(0.08), sigB=0.18)
+        mom = moment_vector(model, 6)
+        coeffs, dt = {3: 2e-4, 4: 1e-5}, 2e-4
+        hist = RealizedHistory(sums={2: 1e-5})
+        books = []
+        for notional in (1.0, 2.0):
+            spec = SwapSpec(order=2, delta_s=dt, n=3, strike=2e-4, unit_price=6.4e-3,
+                            notional=notional)
+            books.append((
+                mvp_with_varswap(coeffs, 100.0, mom, dt, 0.05, spec, hist),
+                mvp_general(coeffs, 100.0, mom, dt, 0.05, swap=spec, history=hist),
+            ))
+        for one, two in zip(*books):
+            assert two.varswap_units == pytest.approx(one.varswap_units / 2, rel=1e-12)
+            for ds in (-8.0, 0.5, 8.0):
+                assert mark_book(two, ds, 0.05, dt) == pytest.approx(
+                    mark_book(one, ds, 0.05, dt), rel=1e-10)
 
 
 class TestGeneral:
