@@ -8,6 +8,7 @@ byte-identical outputs.  Each row carries the config hash.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 
@@ -32,6 +33,8 @@ from .swaps import RealizedHistory, SwapSpec, moment_swap_basket
 from .taylor import HedgeScenario, assemble_ledger, find_q
 
 __all__ = ["run_qtable", "run_converge", "run_pnl", "write_csv"]
+
+_log = logging.getLogger(__name__)
 
 FLOAT_FMT = "{:.12g}"
 
@@ -106,16 +109,16 @@ class Market:
     def price_now(self, option: OptionSpec, s: float):
         return self.bundle_full.price(option, s, self.cfg.r)
 
-    def price_later(self, option: OptionSpec, s: float) -> float:
+    def values_later(self, option: OptionSpec, spots) -> np.ndarray:
+        """Prices after the hedging period at every spot (payoffs once the
+        option has expired)."""
+        spots = np.asarray(spots, dtype=float)
         if self.bundle_later is None:
-            return float(payoff(option, np.array([s]))[0])
-        return self.bundle_later.price(option, s, self.cfg.r)[0]
+            return np.asarray(payoff(option, spots), dtype=float)
+        return self.bundle_later.values(option, spots, self.cfg.r)
 
     def curve_later(self, option: OptionSpec) -> np.ndarray:
-        if self.bundle_later is None:
-            return np.asarray(payoff(option, self.grid), dtype=float)
-        prices, _ = self.bundle_later.price_many(option, self.grid, self.cfg.r)
-        return prices
+        return self.values_later(option, self.grid)
 
     def ladder(self, option: OptionSpec, table: StencilTable) -> tuple[DerivativeLadder, float, float]:
         """(ladder, price_t, price_t_se) with d1 from the forward difference
@@ -141,12 +144,12 @@ def run_qtable(cfg: ExperimentConfig):
     ok = True
     for opt in cfg.options:
         ladder, price_t, _ = market.ladder(opt, table)
-        for ds in cfg.delta_s:
+        changes = market.values_later(opt, cfg.s0 + np.asarray(cfg.delta_s)) - price_t
+        for ds, exact in zip(cfg.delta_s, changes):
             scen = HedgeScenario(
                 s_t=cfg.s0, delta_s=ds, delta_t=cfg.delta_t, r=cfg.r,
                 option=opt, alpha_tol=cfg.alpha_tol,
             )
-            exact = market.price_later(opt, cfg.s0 + ds) - price_t
             ref = REFERENCE_Q.get((opt.kind, int(ds)))
             try:
                 q, err = find_q(ladder, scen, exact)
@@ -169,7 +172,7 @@ def run_converge(cfg: ExperimentConfig):
     opt = cfg.options[0]
     ds = cfg.delta_s[0]
     ladder, price_t, se_t = market.ladder(opt, table)
-    exact = market.price_later(opt, cfg.s0 + ds) - price_t
+    exact = market.values_later(opt, [cfg.s0 + ds])[0] - price_t
     rows = []
     cumulative = ladder.d1 * cfg.delta_t
     for i in range(1, cfg.p_max + 1):
@@ -221,7 +224,8 @@ def _simulate_outcomes(cfg: ExperimentConfig, n_scenarios: int, rng: np.random.G
 @dataclass(frozen=True)
 class _Book:
     """What every strategy hedges: the option's ladder on the shared market,
-    its Taylor coefficients C_i for i = 2..q and the run's settings."""
+    its Taylor coefficients C_i for i = 2..q, the run's settings and the
+    scenario outcomes with their moves."""
 
     cfg: ExperimentConfig
     market: Market
@@ -230,10 +234,12 @@ class _Book:
     moments: MomentVector
     scenario: HedgeScenario
     coeffs: dict
+    outcomes: list
+    moves: np.ndarray
 
-    def delta_leg(self, o) -> float:
+    def delta_leg(self, delta_s):
         """Bank and stock: the time decay d1 dt plus the linear term D1 dS."""
-        return self.ladder.d1 * self.cfg.delta_t + self.ladder.derivative(1) * o.delta_s
+        return self.ladder.d1 * self.cfg.delta_t + self.ladder.derivative(1) * delta_s
 
     def swap_spec(self, order: int) -> SwapSpec:
         cfg = self.cfg
@@ -244,7 +250,7 @@ class _Book:
 def _ledger(book: _Book, basket):
     """The Taylor ledger to order q with ``basket(i, c_i)`` for each term."""
     ledger = assemble_ledger(book.ladder, book.scenario, book.cfg.pnl_q, basket)
-    return lambda o: ledger.change_of_value(o.delta_s, o)
+    return np.array([ledger.change_of_value(o.delta_s, o) for o in book.outcomes])
 
 
 def _taylor_swaps(book: _Book):
@@ -263,8 +269,9 @@ def _minvar(book: _Book):
     cfg = book.cfg
     weights = mvp_bank_stock(book.coeffs, cfg.s0, book.moments, cfg.delta_t, cfg.r)
     growth = math.exp(cfg.r * cfg.delta_t) - 1.0
-    return lambda o: (
-        book.delta_leg(o) + weights.bank_cash * growth + weights.stock_units * o.delta_s
+    return (
+        book.delta_leg(book.moves) + weights.bank_cash * growth
+        + weights.stock_units * book.moves
     )
 
 
@@ -281,12 +288,15 @@ def _minvar_varswap(book: _Book):
         weights = mvp_with_varswap(higher, cfg.s0, book.moments, cfg.delta_t, cfg.r, spec,
                                    history)
         legs.append(weights.swap)
-    return lambda o: book.delta_leg(o) + sum(leg.change_of_value(o.delta_s) for leg in legs)
+    return np.array([
+        book.delta_leg(o.delta_s) + sum(leg.change_of_value(o.delta_s) for leg in legs)
+        for o in book.outcomes
+    ])
 
 
 def _delta(book: _Book):
     # naive benchmark: bank + stock only, no higher-term hedging
-    return book.delta_leg
+    return book.delta_leg(book.moves)
 
 
 def _moment_neutral(book: _Book):
@@ -301,21 +311,18 @@ def _moment_neutral(book: _Book):
         np.array([book.ladder.derivative(j) for j in orders]),
         [np.array([lad.derivative(j) for j in orders]) for _, lad, _ in instruments],
     )
-
-    def change(o):
-        # realized change of the hedge side: -sum w_i dF_i plus the
-        # deterministic decay the weights cannot remove
-        total = book.ladder.d1 * cfg.delta_t
-        for w, (opt, lad, p_t) in zip(system.weights, instruments):
-            d_inst = market.price_later(opt, cfg.s0 + o.delta_s) - p_t
-            total += -w * d_inst + w * lad.d1 * cfg.delta_t
-        return total
-
-    return change
+    # realized change of the hedge side: -sum w_i dF_i plus the
+    # deterministic decay the weights cannot remove
+    total = np.full(len(book.moves), book.ladder.d1 * cfg.delta_t)
+    spots = cfg.s0 + book.moves
+    for w, (opt, lad, p_t) in zip(system.weights, instruments):
+        d_inst = market.values_later(opt, spots) - p_t
+        total += -w * d_inst + w * lad.d1 * cfg.delta_t
+    return total
 
 
-# Each strategy wires its hedge into a change-of-value function of the
-# scenario outcome; config.STRATEGY_NAMES lists the same names.
+# Each strategy maps the scenario outcomes to the hedge side's change of
+# value, one entry per outcome; config.STRATEGY_NAMES lists the same names.
 _STRATEGIES = {
     "taylor+swaps": _taylor_swaps,
     "taylor+pja": _taylor_pja,
@@ -331,9 +338,11 @@ _ONE_JUMP = {"taylor+pja"}
 def run_pnl(cfg: ExperimentConfig):
     """Per-scenario hedge residuals per strategy.
 
-    residual = (option change) - (ledger change); one-jump-regime
-    violations are counted, never dropped.  Returns (header, rows,
-    summary_header, summary_rows).
+    residual = (option change) - (hedge change); the option change depends
+    on the scenario alone, so every scenario spot is repriced once per run
+    and shared by every strategy.  One-jump-regime violations are counted,
+    never dropped, and moves beyond the stencil span are logged.  Returns
+    (header, rows, summary_header, summary_rows).
     """
     if len(cfg.options) != 1:
         raise ValueError("pnl runs use a single option")
@@ -343,6 +352,16 @@ def run_pnl(cfg: ExperimentConfig):
     market = Market(cfg, rng)
     opt = cfg.options[0]
     ladder, price_t, _ = market.ladder(opt, table)
+    outcomes = _simulate_outcomes(cfg, n_scenarios, rng)
+    moves = np.array([o.delta_s for o in outcomes])
+    span = cfg.half_width * cfg.s_step
+    outside = int(np.count_nonzero(np.abs(moves) > span))
+    if outside:
+        _log.warning(
+            "%d of %d scenario moves exceed the stencil span |dS| <= %g; "
+            "their hedges extrapolate the derivative ladder",
+            outside, n_scenarios, span,
+        )
     q = cfg.pnl_q
     book = _Book(
         cfg=cfg, market=market, table=table, ladder=ladder,
@@ -352,27 +371,26 @@ def run_pnl(cfg: ExperimentConfig):
             option=opt, alpha_tol=cfg.alpha_tol,
         ),
         coeffs={i: ladder.derivative(i) / math.factorial(i) for i in range(2, q + 1)},
+        outcomes=outcomes,
+        moves=moves,
     )
-    outcomes = _simulate_outcomes(cfg, n_scenarios, rng)
+    exact = market.values_later(opt, cfg.s0 + moves) - price_t
+    multi_jump = sum(1 for o in outcomes if o.n_jumps > 1)
 
     rows = []
     summaries = []
     for name in cfg.strategies:
-        hedge_change = _STRATEGIES[name](book)
-        residuals = np.empty(n_scenarios)
-        violations = 0
-        for idx, outcome in enumerate(outcomes):
-            exact = market.price_later(opt, cfg.s0 + outcome.delta_s) - price_t
-            residuals[idx] = exact - hedge_change(outcome)
-            if name in _ONE_JUMP and outcome.n_jumps > 1:
-                violations += 1
-            rows.append((idx, name, outcome.delta_s, residuals[idx], outcome.n_jumps, cfg.hash))
+        residuals = exact - _STRATEGIES[name](book)
+        rows.extend(
+            (idx, name, o.delta_s, residuals[idx], o.n_jumps, cfg.hash)
+            for idx, o in enumerate(outcomes)
+        )
         summaries.append(
             (
                 name,
                 float(residuals.mean()),
                 float(residuals.std(ddof=1)) if n_scenarios > 1 else 0.0,
-                violations,
+                multi_jump if name in _ONE_JUMP else 0,
                 n_scenarios,
                 cfg.hash,
             )

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chaos import MAX_ORDER, constant_term, enumerate_compositions, multinomial, phi_extract
+from .chaos import MAX_ORDER, constant_term, enumerate_compositions, phi_extract
 from .errors import UnsupportedOrderError
 from .models import MomentVector
 
@@ -252,16 +252,21 @@ def pji_basket(
     any jump activity.
 
     Pi_theta = (theta, n)! C^(n) with n = i - sum(theta) (see
-    ``chaos.pi_coefficient``); the i + 1 constants C^(0..i) are computed
-    once for all 2^i - 1 tuples."""
+    ``chaos.pi_coefficient``); the i + 1 constants C^(0..i) and the
+    factorials 0!..i! behind the multinomials are computed once for all
+    2^i - 1 tuples."""
     s_t, r, dt = scenario.s_t, scenario.r, scenario.delta_t
     state = path_state if path_state is not None else PathState(t=0.0)
     disc = math.exp(-r * dt)
     consts = [constant_term(n, moments, dt, max_order) for n in range(i + 1)]
+    fact = [math.factorial(k) for k in range(i + 1)]
     units = {}
     for theta in enumerate_compositions(i, max_order):
         n = i - sum(theta)
-        pi = multinomial(theta + (n,)) * consts[n]
+        denom = fact[n]
+        for part in theta:
+            denom *= fact[part]
+        pi = fact[i] // denom * consts[n]
         units[theta] = coefficient * s_t**i * pi * disc
     cash = coefficient * s_t**i * consts[i] / (math.exp(r * dt) - 1.0)
     return JumpBasket(

@@ -8,6 +8,12 @@ whole spot grid (and repricing at an arbitrary bumped spot) share the same
 draws -- common random numbers by construction, which is what keeps the
 high-order differences alive.
 
+Many spots are priced in one pass: ``PathBundle.values`` prices each
+distinct spot once, a block of spots at a time as one (spots x paths)
+payoff matrix of at most ``BLOCK_ELEMENTS`` floats, and ``price`` and
+``price_many`` reduce the same blocks.  The P&L harness reprices all its
+scenario spots this way once per run and shares them across strategies.
+
 Barrier monitoring is discrete on the simulation grid.  An expired option
 (zero remaining maturity) is valued by its payoff with the barrier checked
 against the evaluation state.
@@ -48,6 +54,10 @@ DOWN_AND_IN = "down_and_in"
 _KINDS = (EUROPEAN_CALL, EUROPEAN_PUT, UP_AND_OUT, UP_AND_IN, DOWN_AND_OUT, DOWN_AND_IN)
 _BARRIER_KINDS = (UP_AND_OUT, UP_AND_IN, DOWN_AND_OUT, DOWN_AND_IN)
 
+# Float64 elements in one (spots x paths) payoff block (2 MB): bounds the
+# memory a block and its few temporaries take, whatever the number of spots.
+BLOCK_ELEMENTS = 1 << 18
+
 
 @dataclass(frozen=True)
 class OptionSpec:
@@ -82,11 +92,11 @@ def payoff(option: OptionSpec, s_terminal, s_max=None, s_min=None):
     st = np.asarray(s_terminal, dtype=float)
     smax = st if s_max is None else np.asarray(s_max, dtype=float)
     smin = st if s_min is None else np.asarray(s_min, dtype=float)
+    if option.kind == EUROPEAN_PUT:
+        return np.maximum(option.strike - st, 0.0)
     call = np.maximum(st - option.strike, 0.0)
     if option.kind == EUROPEAN_CALL:
         return call
-    if option.kind == EUROPEAN_PUT:
-        return np.maximum(option.strike - st, 0.0)
     h = option.barrier
     if option.kind == UP_AND_OUT:
         return np.where(smax >= h, 0.0, call)
@@ -128,22 +138,42 @@ class PathBundle:
     def n_paths(self) -> int:
         return len(self.terminal)
 
+    def values(self, option: OptionSpec, spots, r: float) -> np.ndarray:
+        """Discounted expected payoff at every spot, each distinct spot
+        priced once; no standard error."""
+        unique, inverse = np.unique(np.asarray(spots, dtype=float), return_inverse=True)
+        prices, _ = self._reduce(option, unique, r, with_se=False)
+        return prices[inverse]
+
     def price(self, option: OptionSpec, s0: float, r: float):
         """Discounted expected payoff started at s0; returns (price, se)."""
-        pay = payoff(
-            option, s0 * self.terminal, s0 * self.running_max, s0 * self.running_min
-        )
-        disc = math.exp(-r * self.horizon)
-        n = len(pay)
-        se = disc * pay.std(ddof=1) / math.sqrt(n) if n > 1 else 0.0
-        return disc * pay.mean(), se
+        prices, ses = self._reduce(option, np.array([s0], dtype=float), r, with_se=True)
+        return prices[0], ses[0]
 
     def price_many(self, option: OptionSpec, spots, r: float):
-        out_p = np.empty(len(spots))
-        out_se = np.empty(len(spots))
-        for idx, s in enumerate(spots):
-            out_p[idx], out_se[idx] = self.price(option, float(s), r)
-        return out_p, out_se
+        """(prices, standard errors) at every spot, in the order given."""
+        return self._reduce(option, np.asarray(spots, dtype=float), r, with_se=True)
+
+    def _reduce(self, option: OptionSpec, spots: np.ndarray, r: float, with_se: bool):
+        """Discounted mean payoff per spot and, with ``with_se``, its
+        standard error (zeros otherwise), from one (spots x paths) payoff
+        block of at most ``BLOCK_ELEMENTS`` floats at a time."""
+        disc = math.exp(-r * self.horizon)
+        n = self.n_paths
+        means = np.empty(len(spots))
+        sds = np.zeros(len(spots))
+        rows = max(1, BLOCK_ELEMENTS // n)
+        for lo in range(0, len(spots), rows):
+            col = spots[lo:lo + rows, None]
+            if option.kind in _BARRIER_KINDS:
+                pay = payoff(option, col * self.terminal, col * self.running_max,
+                             col * self.running_min)
+            else:
+                pay = payoff(option, col * self.terminal)
+            means[lo:lo + rows] = pay.mean(axis=1)
+            if with_se and n > 1:
+                sds[lo:lo + rows] = pay.std(axis=1, ddof=1)
+        return disc * means, disc * sds / math.sqrt(n)
 
 
 def _expired_value(option: OptionSpec, s0: float) -> float:

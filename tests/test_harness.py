@@ -1,10 +1,12 @@
+import logging
 import math
 
 import numpy as np
 import pytest
 
-from levyhedge.config import load_config
-from levyhedge.harness import run_converge, run_pnl, run_qtable
+from levyhedge.config import STRATEGY_NAMES, load_config
+from levyhedge.harness import Market, run_converge, run_pnl, run_qtable
+from levyhedge.pricing import PathBundle, payoff
 
 
 def base_config(**over):
@@ -42,6 +44,20 @@ class TestQTable:
         assert not ok
         assert rows[1][2] is None
         assert rows[1][3] > 0.01
+
+
+class TestMarket:
+    def test_expired_values_are_payoffs(self):
+        raw = base_config()
+        raw["options"].append({"kind": "up_and_out", "strike": 5000, "maturity": 1.0,
+                               "barrier": 5050})
+        cfg = load_config(raw)  # delta_t equals the maturity
+        market = Market(cfg, np.random.default_rng(1))
+        assert market.bundle_later is None
+        spots = np.array([4990.0, 5020.0, 5060.0, 5020.0])
+        for opt in cfg.options:
+            want = [float(payoff(opt, np.array([s]))[0]) for s in spots]
+            np.testing.assert_array_equal(market.values_later(opt, spots), want)
 
 
 class TestConverge:
@@ -89,7 +105,6 @@ class TestPnl:
         # the swap ledger change IS the truncated Taylor sum, so per scenario
         # the residual obeys the remainder bound from the remaining computed
         # terms, plus a small allowance for the stencil's own truncation
-        from levyhedge.harness import Market
         from levyhedge.stencil import build_lookup_table
 
         rng = np.random.default_rng(cfg.seed)
@@ -163,3 +178,57 @@ class TestPnl:
         assert "minvar+varswap" in by
         resid = np.array([r[3] for r in rows if r[1] == "minvar+varswap"])
         assert np.all(np.isfinite(resid))
+
+    def test_scenarios_priced_once_per_run(self, monkeypatch):
+        values_calls, price_calls = [], []
+        real_values, real_price = PathBundle.values, PathBundle.price
+
+        def counting_values(self, option, spots, r):
+            values_calls.append((option, len(spots)))
+            return real_values(self, option, spots, r)
+
+        def counting_price(self, option, s0, r):
+            price_calls.append(option)
+            return real_price(self, option, s0, r)
+
+        monkeypatch.setattr(PathBundle, "values", counting_values)
+        monkeypatch.setattr(PathBundle, "price", counting_price)
+        strikes = [4950.0, 5050.0]
+        for strategies in (["delta"], list(STRATEGY_NAMES)):
+            values_calls.clear()
+            price_calls.clear()
+            cfg = self.pnl_config(strategies, neutral_strikes=strikes)
+            run_pnl(cfg)
+            main = cfg.options[0]
+            # the main option: its stencil curve, then every scenario spot at once
+            assert [n for opt, n in values_calls if opt is main] == [
+                2 * cfg.half_width + 1, cfg.n_scenarios]
+            # one valuation-date price per option hedged or traded, none per scenario
+            n_instruments = len(strikes) if "moment-neutral" in strategies else 0
+            assert len(price_calls) == 1 + n_instruments
+            assert len(values_calls) == 2 * (1 + n_instruments)
+
+    def test_moves_outside_the_stencil_span_are_logged(self, caplog):
+        cfg = self.pnl_config(["delta"])
+        with caplog.at_level(logging.WARNING, logger="levyhedge.harness"):
+            _, rows, _, _ = run_pnl(cfg)
+        span = cfg.half_width * cfg.s_step
+        outside = sum(abs(r[2]) > span for r in rows)
+        assert 0 < outside < len(rows)
+        records = [r for r in caplog.records if r.name == "levyhedge.harness"]
+        assert len(records) == 1
+        assert records[0].levelno == logging.WARNING
+        assert records[0].getMessage().startswith(f"{outside} of {len(rows)} scenario moves")
+
+    def test_moves_inside_the_stencil_span_log_nothing(self, caplog):
+        raw = base_config()
+        raw["scenario"] = {"s0": 5000, "delta_s": [10.0], "delta_t": 0.002,
+                           "r": 0.05, "alpha_tol": 0.01}
+        raw["options"] = [{"kind": "european_call", "strike": 5000, "maturity": 0.25}]
+        raw["model"] = {"kind": "brownian", "drift_b": 0.05, "brownian_sigma": 0.01}
+        raw["stencil"] = {"half_width": 4, "p_max": 5, "s_step": 10.0}
+        raw["strategies"] = ["delta"]
+        raw["pnl"] = {"n_scenarios": 50, "q": 2}
+        with caplog.at_level(logging.WARNING, logger="levyhedge.harness"):
+            run_pnl(load_config(raw))
+        assert not [r for r in caplog.records if r.name == "levyhedge.harness"]

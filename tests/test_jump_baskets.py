@@ -5,7 +5,7 @@ import numpy.polynomial.polynomial as P
 import pytest
 
 from levyhedge import jump_baskets
-from levyhedge.chaos import constant_term, enumerate_compositions, pi_coefficient
+from levyhedge.chaos import constant_term, enumerate_compositions, multinomial, pi_coefficient
 from levyhedge.jump_baskets import (
     PathState,
     ScenarioOutcome,
@@ -368,6 +368,21 @@ class TestPJIBasket:
             assert basket.change_of_value(outcome) == pytest.approx(
                 c * (s_t * dx) ** order, rel=1e-9, abs=1e-9
             )
+
+    @pytest.mark.parametrize("order", range(1, 13))
+    def test_units_match_per_tuple_multinomials(self, order):
+        rng = np.random.default_rng(40 + order)
+        moments, _ = make_moments(rng, order=12)
+        s_t, dt, r, c = 100.0, 0.01, 0.05, rng.uniform(0.1, 2.0)
+        basket = pji_basket(c, scen(s_t, dt, r), order, moments)
+        consts = [constant_term(n, moments, dt) for n in range(order + 1)]
+        disc = math.exp(-r * dt)
+        want = {}
+        for theta in enumerate_compositions(order):
+            n = order - sum(theta)
+            pi = multinomial(theta + (n,)) * consts[n]
+            want[theta] = c * s_t**order * pi * disc
+        assert list(basket.pji_units.items()) == list(want.items())
 
     def test_order12_mark_evaluates_the_tree_once_per_outcome(self, monkeypatch):
         rng = np.random.default_rng(18)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from levyhedge import pricing
 from levyhedge.errors import GridError, LadderOrderError, PricingFailedError
 from levyhedge.models import (
     CompoundPoisson,
@@ -107,6 +108,87 @@ class TestMCPrice:
         opt = OptionSpec(kind="european_call", strike=6287.0, maturity=1.0)
         price, se = mc_price(model, opt, 6287.0, r=0.0543, n_paths=100_000, seed=11)
         assert abs(price - 410.914) < 2 * se
+
+
+def reference_price(bundle, option, s0, r):
+    """The per-spot kernel: one payoff vector over every path at spot s0."""
+    pay = payoff(option, s0 * bundle.terminal, s0 * bundle.running_max,
+                 s0 * bundle.running_min)
+    disc = math.exp(-r * bundle.horizon)
+    n = len(pay)
+    se = disc * pay.std(ddof=1) / math.sqrt(n) if n > 1 else 0.0
+    return disc * pay.mean(), se
+
+
+ALL_KINDS = [
+    OptionSpec(kind="european_call", strike=100.0, maturity=0.5),
+    OptionSpec(kind="european_put", strike=100.0, maturity=0.5),
+    OptionSpec(kind="up_and_out", strike=100.0, maturity=0.5, barrier=112.0),
+    OptionSpec(kind="up_and_in", strike=100.0, maturity=0.5, barrier=112.0),
+    OptionSpec(kind="down_and_out", strike=95.0, maturity=0.5, barrier=88.0),
+    OptionSpec(kind="down_and_in", strike=95.0, maturity=0.5, barrier=88.0),
+]
+
+
+class TestBlockKernel:
+    """values, price and price_many reduce (spots x paths) payoff blocks;
+    every result must be bit-identical to the per-spot kernel."""
+
+    @pytest.fixture(scope="class")
+    def bundle(self):
+        model = LevyModel(drift_b=0.03, brownian_sigma=0.2,
+                          jump_spec=CompoundPoisson(3.0, NormalJumps(-0.02, 0.05)))
+        # 2^16 paths: a block holds four spots
+        return PathBundle(model, 0.5, 4, 2**16, np.random.default_rng(21))
+
+    def spot_sets(self, bundle):
+        rows = pricing.BLOCK_ELEMENTS // bundle.n_paths
+        assert rows == 4
+        rng = np.random.default_rng(22)
+        for count in (1, rows - 1, rows, rows + 1):
+            yield rng.uniform(90.0, 110.0, count)
+        # duplicates, unsorted, spread over two blocks
+        yield np.array([104.0, 97.5, 104.0, 100.0, 97.5, 104.0, 91.0])
+
+    def check(self, bundle, option, spots, r):
+        want = [reference_price(bundle, option, float(s), r) for s in spots]
+        want_p = np.array([p for p, _ in want])
+        want_se = np.array([se for _, se in want])
+        got_p, got_se = bundle.price_many(option, spots, r)
+        np.testing.assert_array_equal(got_p, want_p)
+        np.testing.assert_array_equal(got_se, want_se)
+        np.testing.assert_array_equal(bundle.values(option, spots, r), want_p)
+        for s, (p, se) in zip(spots, want):
+            assert bundle.price(option, float(s), r) == (p, se)
+
+    @pytest.mark.parametrize("option", ALL_KINDS, ids=lambda o: o.kind)
+    def test_bit_identical_to_per_spot_kernel(self, bundle, option):
+        for spots in self.spot_sets(bundle):
+            self.check(bundle, option, spots, 0.05)
+
+    @pytest.mark.parametrize("option", ALL_KINDS, ids=lambda o: o.kind)
+    def test_expired_bundle_is_the_payoff(self, option):
+        # zero horizon: every relative path stays at 1 and nothing is discounted
+        model = LevyModel(drift_b=0.03, brownian_sigma=0.2,
+                          jump_spec=CompoundPoisson(3.0, NormalJumps(-0.02, 0.05)))
+        bundle = PathBundle(model, 0.0, 1, 2000, np.random.default_rng(23))
+        spots = np.array([86.0, 99.0, 101.0, 99.0, 120.0])
+        self.check(bundle, option, spots, 0.05)
+        np.testing.assert_array_equal(bundle.values(option, spots, 0.05),
+                                      payoff(option, spots))
+
+    def test_values_prices_each_distinct_spot_once(self, bundle, monkeypatch):
+        priced = []
+        real = pricing.payoff
+
+        def counting(option, s_terminal, *extrema):
+            priced.append(len(s_terminal))
+            return real(option, s_terminal, *extrema)
+
+        monkeypatch.setattr(pricing, "payoff", counting)
+        spots = np.array([104.0, 97.5, 104.0, 100.0, 97.5, 104.0])
+        bundle.values(ALL_KINDS[0], spots, 0.05)
+        assert sum(priced) == 3
 
 
 class TestPriceCurve:
