@@ -44,9 +44,9 @@ jumpy = LevyModel(drift_b=0.05, brownian_sigma=0.15,
 uo = OptionSpec(kind="up_and_out", strike=100.0, maturity=0.5, barrier=115.0)
 ui = OptionSpec(kind="up_and_in", strike=100.0, maturity=0.5, barrier=115.0)
 eur = OptionSpec(kind="european_call", strike=100.0, maturity=0.5)
-from levyhedge import PathBundle
+from levyhedge import PathBundle, relative_factors
 
-bundle = PathBundle(jumpy, 0.5, 26, 100_000, np.random.default_rng(2))
+bundle = PathBundle(relative_factors(jumpy, 0.5 / 26, 26, 100_000, np.random.default_rng(2)), 0.5)
 v_uo, _ = bundle.price(uo, 100.0, 0.05)
 v_ui, _ = bundle.price(ui, 100.0, 0.05)
 v_eu, _ = bundle.price(eur, 100.0, 0.05)

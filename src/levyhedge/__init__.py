@@ -51,12 +51,12 @@ from .minvar import MinVarWeights, mvp_bank_stock, mvp_general, mvp_weight, mvp_
 from .models import (
     CompoundPoisson,
     FixedJumps,
+    JumpRecords,
     LevyModel,
     MomentVector,
     NormalJumps,
     PathGrid,
     VarianceGamma,
-    evolve_asset,
     increment_cumulants,
     levy_moment,
     log_mean_growth,
@@ -64,7 +64,6 @@ from .models import (
     power_jump_path,
     relative_factors,
     risk_neutral_drift,
-    simulate_increment,
     simulate_path,
 )
 from .neutral import NeutralitySystem, solve_neutrality

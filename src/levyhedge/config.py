@@ -214,6 +214,11 @@ def load_config(source) -> ExperimentConfig:
     if not ds:
         raise ConfigError("config field 'scenario.delta_s' must be a nonempty grid")
     mc = raw.get("mc", {})
+    n_paths = _number(mc, "paths", "mc.", 100_000, int)
+    steps = _number(mc, "steps", "mc.", 1, int)
+    for key, value in (("paths", n_paths), ("steps", steps)):
+        if value < 1:
+            raise ConfigError(f"config field 'mc.{key}' must be >= 1, got {value}")
     sten = raw.get("stencil", {})
     half_width = _number(sten, "half_width", "stencil.", 8, int)
     p_max = _number(sten, "p_max", "stencil.", 2 * half_width - 1, int)
@@ -247,8 +252,8 @@ def load_config(source) -> ExperimentConfig:
         r=r,
         dividend=dividend,
         alpha_tol=_number(scen, "alpha_tol", "scenario.", 0.01),
-        n_paths=_number(mc, "paths", "mc.", 100_000, int),
-        steps=_number(mc, "steps", "mc.", 1, int),
+        n_paths=n_paths,
+        steps=steps,
         seed=_number(mc, "seed", "mc.", 0, int),
         antithetic=bool(mc.get("antithetic", False)),
         half_width=half_width,

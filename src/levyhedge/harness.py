@@ -4,6 +4,12 @@ Every run is a pure function of (config, seed): paths derive from one
 seeded generator, accumulation is single-threaded and ordered, and CSV
 floats are printed through one fixed format, so identical inputs yield
 byte-identical outputs.  Each row carries the config hash.
+
+All randomness goes through ``models.relative_factors``: ``Market`` makes
+one factor draw whose columns after the first are the post-move paths
+(nested dates), and the P&L scenarios are one more draw of one period
+with jump records.  A malformed run raises ``ConfigError`` naming the
+config field.
 """
 
 from __future__ import annotations
@@ -15,10 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ExperimentConfig
-from .errors import NeedsHigherOrderError
+from .errors import BankruptcyError, ConfigError, NeedsHigherOrderError
 from .jump_baskets import PathState, ScenarioOutcome, pja_basket_general
 from .minvar import mvp_bank_stock, mvp_with_varswap
-from .models import MomentVector, moment_vector
+from .models import MomentVector, moment_vector, relative_factors
 from .neutral import solve_neutrality
 from .pricing import (
     EUROPEAN_CALL,
@@ -80,34 +86,45 @@ def write_csv(path, header, rows) -> None:
 
 
 class Market:
-    """Shared paths for one experiment: one bundle for the valuation date,
-    one for the post-move date, so every option and every spot is priced
-    with common random numbers."""
+    """Shared paths for one experiment, so every option and every spot is
+    priced with common random numbers.
+
+    One factor draw covers the option's life on the grid [delta_t, then
+    max(1, steps - 1) equal steps]: the valuation-date bundle is all of it
+    and the post-move bundle its columns after the first, so both dates
+    share draws and barrier dates and d1 sees only the period's move.  A
+    period reaching maturity draws ``steps`` equal steps and values the
+    post-move date by payoffs.  Each bundle's bankrupt (discarded) path
+    count is logged, at WARNING when it is not zero.
+    """
 
     def __init__(self, cfg: ExperimentConfig, rng: np.random.Generator):
         self.cfg = cfg
         n = cfg.half_width
         self.grid = cfg.s0 + cfg.s_step * np.arange(-n, n + 1)
         maturity = cfg.options[0].maturity
-        for opt in cfg.options:
+        for k, opt in enumerate(cfg.options):
             if opt.maturity != maturity:
-                raise ValueError("all options in one run must share a maturity")
-        for opt in cfg.options:
+                raise ConfigError(
+                    f"config field 'options[{k}].maturity' is {opt.maturity}, but all "
+                    f"options in one run must share options[0]'s maturity {maturity}"
+                )
             opt.check_barrier_side(cfg.s0)
         self.maturity = maturity
         remaining = maturity - cfg.delta_t
-        self.bundle_full = PathBundle(
-            cfg.model, maturity, cfg.steps, cfg.n_paths, rng, cfg.antithetic
-        )
-        self.bundle_later = None
         if remaining > 1e-14:
-            later_steps = max(1, cfg.steps - 1)
-            self.bundle_later = PathBundle(
-                cfg.model, remaining, later_steps, cfg.n_paths, rng, cfg.antithetic
-            )
-
-    def price_now(self, option: OptionSpec, s: float):
-        return self.bundle_full.price(option, s, self.cfg.r)
+            later = max(1, cfg.steps - 1)
+            dts = np.array([cfg.delta_t] + [remaining / later] * later)
+        else:
+            dts = np.full(cfg.steps, maturity / cfg.steps)
+        factors = relative_factors(cfg.model, dts, len(dts), cfg.n_paths, rng, cfg.antithetic)
+        self.bundle_full = PathBundle(factors, maturity)
+        self.bundle_later = PathBundle(factors[:, 1:], remaining) if remaining > 1e-14 else None
+        for date, bundle in (("valuation", self.bundle_full), ("post-move", self.bundle_later)):
+            if bundle is not None:
+                _log.log(logging.WARNING if bundle.n_bankrupt else logging.INFO,
+                         "%s-date bundle: %d of %d paths bankrupt and discarded",
+                         date, bundle.n_bankrupt, bundle.n_requested)
 
     def values_later(self, option: OptionSpec, spots) -> np.ndarray:
         """Prices after the hedging period at every spot (payoffs once the
@@ -117,21 +134,14 @@ class Market:
             return np.asarray(payoff(option, spots), dtype=float)
         return self.bundle_later.values(option, spots, self.cfg.r)
 
-    def curve_later(self, option: OptionSpec) -> np.ndarray:
-        return self.values_later(option, self.grid)
-
     def ladder(self, option: OptionSpec, table: StencilTable) -> tuple[DerivativeLadder, float, float]:
         """(ladder, price_t, price_t_se) with d1 from the forward difference
         over the hedging period."""
         cfg = self.cfg
-        price_t, se_t = self.price_now(option, cfg.s0)
-        curve = self.curve_later(option)
+        price_t, se_t = self.bundle_full.price(option, cfg.s0, cfg.r)
+        curve = self.values_later(option, self.grid)
         d1 = (curve[cfg.half_width] - price_t) / cfg.delta_t
-        return (
-            derivative_ladder(curve, table, cfg.p_max, cfg.s_step, d1),
-            price_t,
-            se_t,
-        )
+        return derivative_ladder(curve, table, cfg.p_max, cfg.s_step, d1), price_t, se_t
 
 
 def run_qtable(cfg: ExperimentConfig):
@@ -164,8 +174,12 @@ def run_qtable(cfg: ExperimentConfig):
 def run_converge(cfg: ExperimentConfig):
     """Term-by-term convergence for a single option and a single move:
     rows (i, D2^i, cumulative approximation), Table-style."""
-    if len(cfg.options) != 1 or len(cfg.delta_s) != 1:
-        raise ValueError("convergence runs use one option and one delta_s")
+    if len(cfg.options) != 1:
+        raise ConfigError(f"config field 'options' holds {len(cfg.options)} options; "
+                          "a convergence run uses one")
+    if len(cfg.delta_s) != 1:
+        raise ConfigError(f"config field 'scenario.delta_s' holds {len(cfg.delta_s)} moves; "
+                          "a convergence run uses one")
     rng = np.random.default_rng(cfg.seed)
     table = build_lookup_table(cfg.half_width, cfg.p_max)
     market = Market(cfg, rng)
@@ -190,35 +204,22 @@ def run_converge(cfg: ExperimentConfig):
 # ---------------------------------------------------------------------------
 
 
-def _simulate_outcomes(cfg: ExperimentConfig, n_scenarios: int, rng: np.random.Generator):
-    """One-period scenarios with jump records (product-form dynamics)."""
-    model = cfg.model
-    dt = cfg.delta_t
-    sig = model.brownian_sigma
-    z = rng.standard_normal(n_scenarios)
-    diffusive = (model.drift_b - 0.5 * sig**2) * dt + sig * math.sqrt(dt) * z
-    spec = model.jump_spec
-    if spec is not None and hasattr(spec, "intensity"):
-        counts = rng.poisson(spec.intensity * dt, n_scenarios)
-        sizes = spec.law.sample(rng, int(counts.sum()))
-        split = np.split(sizes, np.cumsum(counts)[:-1])
-    else:
-        split = [np.empty(0)] * n_scenarios
-    outcomes = []
-    for i in range(n_scenarios):
-        jumps = np.asarray(split[i], dtype=float)
-        factor = math.exp(diffusive[i])
-        if len(jumps):
-            factor *= float(np.prod(1.0 + jumps))
-        times = np.sort(rng.uniform(0.0, dt, len(jumps))) if len(jumps) else np.empty(0)
-        outcomes.append(
-            ScenarioOutcome(
-                delta_s=cfg.s0 * (factor - 1.0),
-                jump_times=times,
-                jump_sizes=jumps,
-            )
-        )
-    return outcomes
+def _simulate_outcomes(cfg: ExperimentConfig, rng: np.random.Generator):
+    """One-period scenarios drawn from the model, with their jump records
+    in time order (log-jumps, for variance-gamma)."""
+    factors, jumps = relative_factors(cfg.model, cfg.delta_t, 1, cfg.n_scenarios, rng,
+                                      records=True)
+    moves = cfg.s0 * (factors[:, 0] - 1.0)
+    bankrupt = int(np.count_nonzero(np.isnan(moves)))
+    if bankrupt:
+        raise BankruptcyError(f"{bankrupt} of {cfg.n_scenarios} scenarios hit a jump <= -1")
+    order = np.lexsort((jumps.time, jumps.path))
+    cuts = np.searchsorted(jumps.path[order], np.arange(1, cfg.n_scenarios))
+    return [
+        ScenarioOutcome(delta_s=float(ds), jump_times=times, jump_sizes=sizes)
+        for ds, times, sizes in zip(moves, np.split(jumps.time[order], cuts),
+                                    np.split(jumps.size[order], cuts))
+    ]
 
 
 @dataclass(frozen=True)
@@ -345,14 +346,15 @@ def run_pnl(cfg: ExperimentConfig):
     (header, rows, summary_header, summary_rows).
     """
     if len(cfg.options) != 1:
-        raise ValueError("pnl runs use a single option")
+        raise ConfigError(f"config field 'options' holds {len(cfg.options)} options; "
+                          "a pnl run uses one")
     n_scenarios = cfg.n_scenarios
     rng = np.random.default_rng(cfg.seed)
     table = build_lookup_table(cfg.half_width, cfg.p_max)
     market = Market(cfg, rng)
     opt = cfg.options[0]
     ladder, price_t, _ = market.ladder(opt, table)
-    outcomes = _simulate_outcomes(cfg, n_scenarios, rng)
+    outcomes = _simulate_outcomes(cfg, rng)
     moves = np.array([o.delta_s for o in outcomes])
     span = cfg.half_width * cfg.s_step
     outside = int(np.count_nonzero(np.abs(moves) > span))

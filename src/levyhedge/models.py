@@ -6,7 +6,7 @@ supported:
 
 * ``CompoundPoisson`` -- finite activity.  Paths evolve by the stochastic
   exponential, so each jump J multiplies the price by (1 + J) and every
-  jump is recorded for power-jump bookkeeping.
+  jump can be recorded for power-jump bookkeeping.
 * ``VarianceGamma`` -- infinite activity, sampled exactly through the
   gamma time change.  Individual jumps are unobservable, so paths evolve
   in exponential form S -> S * exp(b*dt + dX); when explicit jump records
@@ -14,9 +14,15 @@ supported:
   VG Levy measure is used, with the truncated small-jump mass folded into
   the drift.
 
+``relative_factors`` is the one sampler of the model's moves: per-step
+factors S_{k+1}/S_k on any grid of steps, with flat jump records on
+request.  Path bundles, single paths (``simulate_path``) and the P&L's
+one-period scenarios are all drawn through it.  ``one_jump_increments``
+samples a different law on purpose: the at-most-one-jump reading of a
+short period in which the hedge weights are derived.
+
 Moments m_i = integral of x^i against the Levy measure are analytic for
-both families and are the raw inputs to every hedging formula downstream.
-"""
+both families and are the raw inputs to every hedging formula downstream."""
 
 from __future__ import annotations
 
@@ -24,7 +30,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize, special
+from scipy import special
 
 from .errors import BankruptcyError, MissingJumpRecordsError, UnsupportedOrderError
 
@@ -39,8 +45,7 @@ __all__ = [
     "levy_moment",
     "moment_vector",
     "increment_cumulants",
-    "simulate_increment",
-    "evolve_asset",
+    "JumpRecords",
     "relative_factors",
     "simulate_path",
     "power_jump_path",
@@ -258,26 +263,136 @@ def increment_cumulants(model: LevyModel, dt: float, k_max: int) -> tuple[float,
 # ---------------------------------------------------------------------------
 
 
-def simulate_increment(model: LevyModel, dt: float, rng: np.random.Generator):
-    """One increment of X over dt.
+@dataclass(frozen=True)
+class JumpRecords:
+    """Every jump of one factor draw, ordered by path and then step: its
+    path and step index, its size (a log-jump for exponential-form models)
+    and its time from the start of the grid."""
 
-    Returns ``(dx, jumps)`` where ``jumps`` is the array of individual jump
-    sizes for finite-activity models and ``None`` when jumps are not
-    individually observable (VG via the gamma time change).
+    path: np.ndarray
+    step: np.ndarray
+    size: np.ndarray
+    time: np.ndarray
+
+
+_NO_JUMPS = JumpRecords(np.empty(0, dtype=int), np.empty(0, dtype=int), np.empty(0), np.empty(0))
+
+
+def _log_drift(model: LevyModel) -> float:
+    """Deterministic log-growth rate of a factor besides the jumps."""
+    if model.exponential_form:
+        return model.drift_b
+    return model.drift_b - 0.5 * model.brownian_sigma**2
+
+
+def relative_factors(
+    model: LevyModel,
+    dt,
+    steps: int,
+    n_paths: int,
+    rng: np.random.Generator,
+    antithetic: bool = False,
+    records: bool = False,
+):
+    """Multiplicative per-step factors S_{k+1}/S_k, shape (n_paths, steps).
+
+    The library's one sampler of the model's moves; ``dt`` is one step
+    length or one per step.  Compound-Poisson factors are the stochastic
+    exponential exp((b - sigma^2/2) dt + sigma dW) prod(1 + J); exponential-
+    form factors are exp(b dt + dX), with VG exact through the gamma time
+    change.  The factors do not depend on the price level, so one draw
+    prices every initial condition (the common-random-numbers backbone).
+    Cells hit by a jump <= -1 carry NaN factors and are discarded
+    downstream.  With ``antithetic`` the Gaussian draws of the second half
+    mirror the first half (jump counts and sizes are shared pairwise).
+
+    With ``records`` the result is ``(factors, JumpRecords)``; VG jumps then
+    come from the eps-truncated compound-Poisson approximation of its Levy
+    measure (``model.jump_eps``), so that individual jumps exist.
     """
-    if dt <= 0:
-        raise ValueError("dt must be > 0")
-    dx = model.brownian_sigma * math.sqrt(dt) * rng.standard_normal()
+    if steps < 1 or n_paths < 1:
+        raise ValueError("need steps >= 1 and n_paths >= 1")
+    if records and antithetic:
+        raise ValueError("jump records are drawn without antithetic pairing")
+    dts = np.broadcast_to(np.asarray(dt, dtype=float), (steps,))
+    if np.any(dts < 0):
+        raise ValueError("dt must be >= 0")
+    rows = (n_paths + 1) // 2 if antithetic else n_paths
+    z = rng.standard_normal((rows, steps))
+    if antithetic:
+        z = np.concatenate([z, -z], axis=0)[:n_paths]
+    log_f = _log_drift(model) * dts + model.brownian_sigma * np.sqrt(dts) * z
+    jump_log, jumps = _jump_part(model, dts, (rows, steps), rng, records)
+    if jump_log is not None:
+        if antithetic:
+            jump_log = np.concatenate([jump_log, jump_log], axis=0)[:n_paths]
+        log_f += jump_log
+    factors = np.exp(log_f, out=log_f)
+    return (factors, jumps) if records else factors
+
+
+def _jump_part(model: LevyModel, dts: np.ndarray, shape, rng: np.random.Generator,
+               records: bool):
+    """Log-factor of each cell's jumps (None without a jump part) and, with
+    ``records``, the jumps themselves."""
     spec = model.jump_spec
     if spec is None:
-        return dx, np.empty(0)
+        return None, _NO_JUMPS
+    if isinstance(spec, VarianceGamma) and not records:
+        g = rng.gamma(dts / spec.nu, spec.nu, shape)
+        return spec.theta * g + spec.sigma * np.sqrt(g) * rng.standard_normal(shape), None
     if isinstance(spec, CompoundPoisson):
-        n = rng.poisson(spec.intensity * dt)
-        jumps = spec.law.sample(rng, n)
-        return dx + jumps.sum(), jumps
-    g = rng.gamma(dt / spec.nu, spec.nu)
-    dx += spec.theta * g + spec.sigma * math.sqrt(g) * rng.standard_normal()
-    return dx, None
+        rate, sample, small_drift = spec.intensity, spec.law.sample, 0.0
+    else:
+        rate, sample, small_drift = _truncated_vg(spec, model.jump_eps)
+    counts = rng.poisson(rate * dts, shape)
+    sizes = sample(rng, int(counts.sum()))
+    if model.exponential_form:
+        logj = sizes
+    else:
+        with np.errstate(invalid="ignore", divide="ignore"):
+            logj = np.where(sizes <= -1.0, np.nan, np.log1p(sizes))  # NaN: bankrupt
+    cells = np.repeat(np.arange(counts.size), counts.ravel())
+    jump_log = np.bincount(cells, logj, counts.size).reshape(shape)
+    if small_drift:
+        jump_log += small_drift * dts
+    if not records:
+        return jump_log, None
+    path, step = np.divmod(cells, shape[1])
+    start = np.cumsum(dts) - dts
+    times = start[step] + dts[step] * rng.random(len(sizes))
+    return jump_log, JumpRecords(path, step, sizes, times)
+
+
+def _truncated_vg(spec: VarianceGamma, eps: float):
+    """The eps-truncated compound-Poisson approximation of a VG Levy
+    measure as (rate, size sampler, drift).
+
+    Jumps with |x| > eps arrive at the exponential-integral tail rates
+    C E1(M eps) upwards and C E1(G eps) downwards; the mean of the dropped
+    small jumps, the integral of x nu(dx) over |x| <= eps, becomes a drift.
+    """
+    c, g, m = spec.cgm()
+    up, down = c * special.exp1(m * eps), c * special.exp1(g * eps)
+    drift = c * ((1 - math.exp(-m * eps)) / m - (1 - math.exp(-g * eps)) / g)
+
+    def sample(rng: np.random.Generator, n: int) -> np.ndarray:
+        # each jump picks a side, then inverts that side's tail
+        # E1(lam x) = (1 - u) E1(lam eps) by bisection on log x, all at once;
+        # E1(z) <= exp(-z) for z >= 1 gives the upper bracket
+        negative = rng.random(n) < down / (up + down)
+        lam = np.where(negative, g, m)
+        target = (1.0 - rng.random(n)) * special.exp1(lam * eps)
+        lo = np.full(n, math.log(eps))
+        hi = np.log(np.maximum(np.maximum(1.0, -np.log(target)) / lam, eps))
+        for _ in range(64):
+            mid = 0.5 * (lo + hi)
+            above = special.exp1(lam * np.exp(mid)) > target
+            lo = np.where(above, mid, lo)
+            hi = np.where(above, hi, mid)
+        return np.where(negative, -1.0, 1.0) * np.exp(hi)
+
+    return up + down, sample, drift
 
 
 def one_jump_increments(
@@ -303,78 +418,6 @@ def one_jump_increments(
     return model.brownian_sigma * math.sqrt(dt) * z + jumps
 
 
-def evolve_asset(model: LevyModel, s: float, dt: float, rng: np.random.Generator):
-    """Advance the asset one step; returns ``(s_next, dx, jumps)``.
-
-    Compound-Poisson paths follow the exponential solution of the SDE, so a
-    jump J multiplies the price by (1 + J); a jump <= -1 raises
-    ``BankruptcyError``.  Exponential-form models multiply by exp(b dt + dX).
-    """
-    if s <= 0:
-        raise ValueError("asset price must be > 0")
-    dx, jumps = simulate_increment(model, dt, rng)
-    if model.exponential_form:
-        return s * math.exp(model.drift_b * dt + dx), dx, jumps
-    jump_sum = jumps.sum() if jumps is not None else 0.0
-    diffusive = dx - jump_sum
-    sig = model.brownian_sigma
-    factor = math.exp((model.drift_b - 0.5 * sig**2) * dt + diffusive)
-    if jumps is not None and len(jumps):
-        if np.any(jumps <= -1.0):
-            raise BankruptcyError(f"jump of size {jumps.min():.6g} <= -1 bankrupts the path")
-        factor *= np.prod(1.0 + jumps)
-    return s * factor, dx, jumps
-
-
-def relative_factors(
-    model: LevyModel,
-    dt: float,
-    steps: int,
-    n_paths: int,
-    rng: np.random.Generator,
-    antithetic: bool = False,
-) -> np.ndarray:
-    """Multiplicative per-step factors S_{k+1}/S_k, shape (n_paths, steps).
-
-    The factors do not depend on the price level, so one draw prices every
-    initial condition (the common-random-numbers backbone).  Paths hit by a
-    jump <= -1 carry NaN factors and are discarded downstream.  With
-    ``antithetic`` the Gaussian draws of the second half mirror the first
-    half (jump counts and sizes are shared pairwise).
-    """
-    if antithetic:
-        half = (n_paths + 1) // 2
-        z = rng.standard_normal((half, steps))
-        z = np.concatenate([z, -z], axis=0)[:n_paths]
-    else:
-        z = rng.standard_normal((n_paths, steps))
-    sig = model.brownian_sigma
-    spec = model.jump_spec
-    if model.exponential_form:
-        log_f = model.drift_b * dt + sig * math.sqrt(dt) * z
-        shape = (half, steps) if antithetic else (n_paths, steps)
-        g = rng.gamma(dt / spec.nu, spec.nu, shape)
-        zz = rng.standard_normal(shape)
-        vg = spec.theta * g + spec.sigma * np.sqrt(g) * zz
-        if antithetic:
-            vg = np.concatenate([vg, vg], axis=0)[:n_paths]
-        return np.exp(log_f + vg)
-    log_f = (model.drift_b - 0.5 * sig**2) * dt + sig * math.sqrt(dt) * z
-    if spec is not None:
-        shape = (half, steps) if antithetic else (n_paths, steps)
-        counts = rng.poisson(spec.intensity * dt, shape)
-        sizes = spec.law.sample(rng, int(counts.sum()))
-        cells = np.repeat(np.arange(counts.size), counts.ravel())
-        with np.errstate(invalid="ignore", divide="ignore"):
-            logj = np.where(sizes <= -1.0, np.nan, np.log1p(sizes))  # NaN: bankrupt
-        jsum = np.zeros(counts.size)
-        np.add.at(jsum, cells, logj)
-        jsum = jsum.reshape(shape)
-        if antithetic:
-            jsum = np.concatenate([jsum, jsum], axis=0)[:n_paths]
-        log_f = log_f + jsum
-    return np.exp(log_f)
-
 
 # ---------------------------------------------------------------------------
 # Paths with jump records
@@ -396,7 +439,7 @@ class PathGrid:
     def __post_init__(self):
         if np.any(np.diff(self.times) <= 0):
             raise ValueError("times must be strictly increasing")
-        if np.any(self.asset <= 0):
+        if not np.all(self.asset > 0):  # NaN too: a jump <= -1 on the way
             raise BankruptcyError("asset values must stay positive")
         if len(self.jump_times) and (
             self.jump_times.min() <= self.times[0] or self.jump_times.max() > self.times[-1]
@@ -411,103 +454,35 @@ def simulate_path(
     rng: np.random.Generator,
     track_jumps: bool = True,
 ) -> PathGrid:
-    """Simulate one asset path on a fixed time grid.
+    """Simulate one asset path on a fixed time grid: one draw of
+    ``relative_factors`` and its cumulative product.
 
     With ``track_jumps`` a VG model is replaced by its eps-truncated
     compound-Poisson approximation so that individual jumps exist; without
-    it VG increments are exact but unrecorded.
+    it VG increments are exact but unrecorded.  X excludes the drift b: it
+    is the Brownian part plus the jumps (plus, for truncated VG, the small
+    jumps' drift).  A jump <= -1 raises ``BankruptcyError``.
     """
     times = np.asarray(times, dtype=float)
-    sampler_model = model
-    vg_approx = None
-    if track_jumps and isinstance(model.jump_spec, VarianceGamma):
-        vg_approx = _VGJumpApproximation(model.jump_spec, model.jump_eps)
-    s_vals = [s0]
-    x_vals = [0.0]
-    jt, js = [], []
-    s = s0
-    x = 0.0
-    for t0, t1 in zip(times[:-1], times[1:]):
-        dt = t1 - t0
-        if vg_approx is not None:
-            dx, jumps, s = vg_approx.step(model, s, dt, rng)
-            u = rng.uniform(size=len(jumps))
-            for size, frac in zip(jumps, u):
-                jt.append(t0 + dt * frac)
-                js.append(size)
-        else:
-            s, dx, jumps = evolve_asset(model, s, dt, rng)
-            if jumps is not None and len(jumps):
-                u = rng.uniform(size=len(jumps))
-                for size, frac in zip(jumps, u):
-                    jt.append(t0 + dt * frac)
-                    js.append(size)
-        x += dx
-        s_vals.append(s)
-        x_vals.append(x)
-    recorded = track_jumps and (
-        not isinstance(model.jump_spec, VarianceGamma) or vg_approx is not None
-    )
-    order = np.argsort(jt) if jt else np.empty(0, dtype=int)
+    dts = np.diff(times)
+    if model.exponential_form and not track_jumps:
+        factors, jumps = relative_factors(model, dts, len(dts), 1, rng), _NO_JUMPS
+    else:
+        factors, jumps = relative_factors(model, dts, len(dts), 1, rng, records=True)
+    dx = np.log(factors[0]) - _log_drift(model) * dts
+    if not model.exponential_form:
+        with np.errstate(invalid="ignore", divide="ignore"):
+            dx += np.bincount(jumps.step, jumps.size - np.log1p(jumps.size), len(dts))
+    order = np.argsort(jumps.time)
     return PathGrid(
         times=times,
-        asset=np.array(s_vals),
-        x=np.array(x_vals),
-        jump_times=np.array(jt)[order] if jt else np.empty(0),
-        jump_sizes=np.array(js)[order] if js else np.empty(0),
-        jumps_recorded=recorded,
+        asset=s0 * np.concatenate([[1.0], np.cumprod(factors[0])]),
+        x=np.concatenate([[0.0], np.cumsum(dx)]),
+        jump_times=times[0] + jumps.time[order],
+        jump_sizes=jumps.size[order],
+        jumps_recorded=track_jumps,
         model=model,
     )
-
-
-class _VGJumpApproximation:
-    """eps-truncated compound-Poisson approximation of a VG process.
-
-    Jumps with |x| > eps arrive as two one-sided compound-Poisson streams
-    with exponential-integral tail rates; the mean of the discarded small
-    jumps is folded into a drift correction.
-    """
-
-    def __init__(self, spec: VarianceGamma, eps: float):
-        c, g, m = spec.cgm()
-        self.spec = spec
-        self.eps = eps
-        self.rate_pos = c * special.exp1(m * eps)
-        self.rate_neg = c * special.exp1(g * eps)
-        # small-jump mean: int_{|x|<=eps} x nu(dx)
-        self.small_drift = c * ((1 - math.exp(-m * eps)) / m - (1 - math.exp(-g * eps)) / g)
-        self._m = m
-        self._g = g
-
-    def _sample_side(self, rng, n, rate_param):
-        """Inverse-CDF sampling of density ~ exp(-rate x)/x on (eps, inf)."""
-        if n == 0:
-            return np.empty(0)
-        tail = special.exp1(rate_param * self.eps)
-        u = rng.uniform(size=n)
-        out = np.empty(n)
-        for idx, ui in enumerate(u):
-            target = (1.0 - ui) * tail
-            lo, hi = self.eps, self.eps
-            while special.exp1(rate_param * hi) > target:
-                hi *= 2.0
-                if hi > 1e12:
-                    break
-            out[idx] = optimize.brentq(
-                lambda y: special.exp1(rate_param * y) - target, lo, hi, xtol=1e-14
-            )
-        return out
-
-    def step(self, model: LevyModel, s, dt, rng):
-        n_pos = rng.poisson(self.rate_pos * dt)
-        n_neg = rng.poisson(self.rate_neg * dt)
-        pos = self._sample_side(rng, n_pos, self._m)
-        neg = -self._sample_side(rng, n_neg, self._g)
-        jumps = np.concatenate([pos, neg])
-        dx_brownian = model.brownian_sigma * math.sqrt(dt) * rng.standard_normal()
-        dx = dx_brownian + self.small_drift * dt + jumps.sum()
-        s_next = s * math.exp(model.drift_b * dt + dx)
-        return dx, jumps, s_next
 
 
 def power_jump_path(path: PathGrid, i: int, r: float = 0.0):

@@ -9,10 +9,11 @@ draws -- common random numbers by construction, which is what keeps the
 high-order differences alive.
 
 Many spots are priced in one pass: ``PathBundle.values`` prices each
-distinct spot once, a block of spots at a time as one (spots x paths)
-payoff matrix of at most ``BLOCK_ELEMENTS`` floats, and ``price`` and
-``price_many`` reduce the same blocks.  The P&L harness reprices all its
-scenario spots this way once per run and shares them across strategies.
+distinct spot once, and ``price`` and ``price_many`` share its kernel,
+which prices one spot at a time through reused one-float-per-path buffers
+with in-place ufuncs; a barrier kind builds only the running extremum it
+monitors.  The P&L harness reprices all its scenario spots this way once
+per run and shares them across strategies.
 
 Barrier monitoring is discrete on the simulation grid.  An expired option
 (zero remaining maturity) is valued by its payoff with the barrier checked
@@ -52,11 +53,14 @@ DOWN_AND_OUT = "down_and_out"
 DOWN_AND_IN = "down_and_in"
 
 _KINDS = (EUROPEAN_CALL, EUROPEAN_PUT, UP_AND_OUT, UP_AND_IN, DOWN_AND_OUT, DOWN_AND_IN)
-_BARRIER_KINDS = (UP_AND_OUT, UP_AND_IN, DOWN_AND_OUT, DOWN_AND_IN)
-
-# Float64 elements in one (spots x paths) payoff block (2 MB): bounds the
-# memory a block and its few temporaries take, whatever the number of spots.
-BLOCK_ELEMENTS = 1 << 18
+# Each barrier kind: the running extremum it monitors and the test on the
+# spot-scaled extremum under which the call pays (``payoff``'s complement).
+_BARRIER_PAYS = {
+    UP_AND_OUT: ("running_max", np.less),
+    UP_AND_IN: ("running_max", np.greater_equal),
+    DOWN_AND_OUT: ("running_min", np.greater),
+    DOWN_AND_IN: ("running_min", np.less_equal),
+}
 
 
 @dataclass(frozen=True)
@@ -73,7 +77,7 @@ class OptionSpec:
             raise ValueError(f"unknown option kind {self.kind!r}")
         if self.strike <= 0 or self.maturity <= 0:
             raise ValueError("strike and maturity must be > 0")
-        if self.kind in _BARRIER_KINDS:
+        if self.kind in _BARRIER_PAYS:
             if self.barrier is None or self.barrier <= 0:
                 raise ValueError(f"{self.kind} needs a positive barrier")
         elif self.barrier is not None:
@@ -110,28 +114,24 @@ def payoff(option: OptionSpec, s_terminal, s_max=None, s_min=None):
 class PathBundle:
     """Simulated relative paths reduced to what payoffs need.
 
-    Holds, per path, the terminal relative level R_T and the running
-    max/min of the relative path (both clipped to include the start
-    level 1), so any spot s prices as payoff(s*R_T, s*Rmax, s*Rmin).
-    Paths bankrupted by a jump <= -1 are dropped and counted.
+    Built from a (paths x steps) matrix of per-step factors (see
+    ``relative_factors``) over ``horizon``.  Holds, per path, the terminal
+    relative level R_T and the running max/min of the relative path (both
+    clipped to include the start level 1), so any spot s prices as
+    payoff(s*R_T, s*Rmax, s*Rmin).  Paths bankrupted by a jump <= -1 (NaN
+    factors) are dropped and counted.
     """
 
-    def __init__(self, model: LevyModel, horizon: float, steps: int, n_paths: int,
-                 rng: np.random.Generator, antithetic: bool = False):
-        if steps < 1 or n_paths < 1:
-            raise ValueError("need steps >= 1 and n_paths >= 1")
-        dt = horizon / steps
-        factors = relative_factors(model, dt, steps, n_paths, rng, antithetic)
+    def __init__(self, factors: np.ndarray, horizon: float):
         rel = np.cumprod(factors, axis=1)
         alive = ~np.isnan(rel[:, -1])
-        self.n_requested = n_paths
-        self.n_bankrupt = int(n_paths - alive.sum())
+        self.n_requested = len(factors)
+        self.n_bankrupt = int(self.n_requested - alive.sum())
         if not alive.any():
             raise PricingFailedError("every simulated path went bankrupt")
-        rel = rel[alive]
-        self.terminal = rel[:, -1]
-        self.running_max = np.maximum(rel.max(axis=1), 1.0)
-        self.running_min = np.minimum(rel.min(axis=1), 1.0)
+        self.terminal = rel[alive, -1]
+        self.running_max = np.maximum(rel.max(axis=1)[alive], 1.0)
+        self.running_min = np.minimum(rel.min(axis=1)[alive], 1.0)
         self.horizon = horizon
 
     @property
@@ -156,24 +156,50 @@ class PathBundle:
 
     def _reduce(self, option: OptionSpec, spots: np.ndarray, r: float, with_se: bool):
         """Discounted mean payoff per spot and, with ``with_se``, its
-        standard error (zeros otherwise), from one (spots x paths) payoff
-        block of at most ``BLOCK_ELEMENTS`` floats at a time."""
+        standard error (zeros otherwise), one spot at a time through
+        buffers of one float per path that every spot reuses."""
         disc = math.exp(-r * self.horizon)
         n = self.n_paths
         means = np.empty(len(spots))
         sds = np.zeros(len(spots))
-        rows = max(1, BLOCK_ELEMENTS // n)
-        for lo in range(0, len(spots), rows):
-            col = spots[lo:lo + rows, None]
-            if option.kind in _BARRIER_KINDS:
-                pay = payoff(option, col * self.terminal, col * self.running_max,
-                             col * self.running_min)
-            else:
-                pay = payoff(option, col * self.terminal)
-            means[lo:lo + rows] = pay.mean(axis=1)
+        out = np.empty(n)
+        level = np.empty(n) if option.kind in _BARRIER_PAYS else None
+        for j, s in enumerate(spots):
+            pay = self._payoff_at(option, s, out, level)
+            means[j] = pay.mean()
             if with_se and n > 1:
-                sds[lo:lo + rows] = pay.std(axis=1, ddof=1)
+                sds[j] = pay.std(ddof=1)
         return disc * means, disc * sds / math.sqrt(n)
+
+    def _payoff_at(self, option: OptionSpec, s: float, out: np.ndarray, level) -> np.ndarray:
+        """Every path's payoff from spot s, written into ``out`` by in-place
+        ufuncs in ``payoff``'s order of operations, so each value is the
+        same to the bit.  A barrier kind builds only the extremum it
+        monitors, in ``level``, as a 1.0/0.0 factor on the payoff."""
+        np.multiply(self.terminal, s, out=out)
+        if option.kind == EUROPEAN_PUT:
+            np.subtract(option.strike, out, out=out)
+        else:
+            np.subtract(out, option.strike, out=out)
+        np.maximum(out, 0.0, out=out)
+        if level is not None:
+            extremum, pays = _BARRIER_PAYS[option.kind]
+            np.multiply(getattr(self, extremum), s, out=level)
+            pays(level, option.barrier, out=level)
+            np.multiply(out, level, out=out)
+        return out
+
+
+def _fresh_bundle(model, horizon, n_paths, steps, seed, rng, antithetic) -> PathBundle:
+    """A bundle drawn over ``horizon`` in ``steps`` equal steps."""
+    if n_paths < 1000:
+        raise ValueError("Monte Carlo pricing needs at least 1000 paths")
+    if steps < 1:
+        raise ValueError("need steps >= 1")
+    if rng is None:
+        rng = np.random.default_rng(seed)
+    factors = relative_factors(model, horizon / steps, steps, n_paths, rng, antithetic)
+    return PathBundle(factors, horizon)
 
 
 def _expired_value(option: OptionSpec, s0: float) -> float:
@@ -199,11 +225,7 @@ def mc_price(
     remaining = option.maturity - t
     if remaining <= 0:
         return _expired_value(option, s0), 0.0
-    if n_paths < 1000:
-        raise ValueError("Monte Carlo pricing needs at least 1000 paths")
-    if rng is None:
-        rng = np.random.default_rng(seed)
-    bundle = PathBundle(model, remaining, steps, n_paths, rng, antithetic)
+    bundle = _fresh_bundle(model, remaining, n_paths, steps, seed, rng, antithetic)
     return bundle.price(option, s0, r)
 
 
@@ -235,11 +257,7 @@ def price_curve(
     if remaining <= 0:
         prices = np.array([_expired_value(option, s) for s in s_values])
         return prices, np.zeros_like(prices)
-    if n_paths < 1000:
-        raise ValueError("Monte Carlo pricing needs at least 1000 paths")
-    if rng is None:
-        rng = np.random.default_rng(seed)
-    bundle = PathBundle(model, remaining, steps, n_paths, rng, antithetic)
+    bundle = _fresh_bundle(model, remaining, n_paths, steps, seed, rng, antithetic)
     return bundle.price_many(option, s_values, r)
 
 

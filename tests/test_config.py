@@ -112,6 +112,12 @@ def test_non_numeric_field_names_its_path(block, field, path):
         load_config(minimal(**{block: {field: "x"}}))
 
 
+@pytest.mark.parametrize("field", ["paths", "steps"])
+def test_path_grid_must_be_nonempty(field):
+    with pytest.raises(ConfigError, match=rf"'mc\.{field}' must be >= 1, got 0"):
+        load_config(minimal(mc={field: 0}))
+
+
 def test_non_numeric_nested_fields_name_their_paths():
     with pytest.raises(ConfigError, match=r"'scenario\.delta_s\[1\]'"):
         load_config(minimal(scenario={"delta_s": [1.0, "x"]}))

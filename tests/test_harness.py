@@ -1,12 +1,28 @@
+import importlib.util
 import logging
 import math
+import pathlib
 
 import numpy as np
 import pytest
+from scipy.stats import norm
 
+from levyhedge import harness
 from levyhedge.config import STRATEGY_NAMES, load_config
+from levyhedge.errors import ConfigError
 from levyhedge.harness import Market, run_converge, run_pnl, run_qtable
 from levyhedge.pricing import PathBundle, payoff
+from levyhedge.stencil import build_lookup_table
+
+ORACLES = pathlib.Path(__file__).resolve().parent.parent / "levybench" / "oracles.py"
+
+
+def load_oracles():
+    """The benchmark's closed-form references (they import nothing from levyhedge)."""
+    spec = importlib.util.spec_from_file_location("_levybench_oracles", ORACLES)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def base_config(**over):
@@ -60,6 +76,79 @@ class TestMarket:
             np.testing.assert_array_equal(market.values_later(opt, spots), want)
 
 
+    def test_one_draw_nests_the_later_date(self, monkeypatch):
+        draws = []
+        real = harness.relative_factors
+
+        def recording(model, dt, *args, **kwargs):
+            draws.append((dt, real(model, dt, *args, **kwargs)))
+            return draws[-1][1]
+
+        monkeypatch.setattr(harness, "relative_factors", recording)
+        raw = base_config()
+        raw["scenario"]["delta_t"] = 0.1
+        raw["mc"]["steps"] = 4
+        market = Market(load_config(raw), np.random.default_rng(2))
+        assert len(draws) == 1
+        dt, factors = draws[0]
+        np.testing.assert_allclose(dt, [0.1, 0.3, 0.3, 0.3], rtol=1e-15)
+        # the valuation-date paths are the post-move paths after the first step
+        full, later = market.bundle_full, market.bundle_later
+        assert (full.horizon, later.horizon) == (1.0, pytest.approx(0.9, rel=1e-15))
+        np.testing.assert_allclose(later.terminal, factors[:, 1:].prod(axis=1), rtol=1e-13)
+        np.testing.assert_allclose(full.terminal, factors[:, 0] * later.terminal, rtol=1e-13)
+
+    def test_mixed_maturities_name_the_field(self):
+        raw = base_config()
+        raw["options"].append({"kind": "european_put", "strike": 5000, "maturity": 0.5})
+        with pytest.raises(ConfigError, match=r"'options\[1\]\.maturity'"):
+            Market(load_config(raw), np.random.default_rng(0))
+
+    @pytest.mark.parametrize("bankrupt", [False, True])
+    def test_bankrupt_paths_are_logged(self, caplog, bankrupt):
+        raw = base_config()
+        raw["scenario"]["delta_t"] = 0.5
+        raw["mc"] = {"paths": 5000, "steps": 2, "seed": 1}
+        if bankrupt:  # a jump <= -1 has probability 2.3% per jump
+            raw["model"]["jump_law"] = {"kind": "normal", "mean": 0.0, "std": 0.5}
+        with caplog.at_level(logging.INFO, logger="levyhedge.harness"):
+            market = Market(load_config(raw), np.random.default_rng(0))
+        records = [r for r in caplog.records if r.name == "levyhedge.harness"]
+        assert [r.getMessage().split(":")[0] for r in records] == [
+            "valuation-date bundle", "post-move-date bundle"]
+        for record, bundle in zip(records, (market.bundle_full, market.bundle_later)):
+            assert (bundle.n_bankrupt > 0) == bankrupt
+            assert record.levelno == (logging.WARNING if bankrupt else logging.INFO)
+            assert f"{bundle.n_bankrupt} of 5000 paths" in record.getMessage()
+
+    def test_d1_is_not_monte_carlo_noise(self):
+        # Brownian call S = K = 5000, T = 0.25, sigma = 0.2, dt = 0.002,
+        # 1e5 paths, 50 steps: two independent bundles gave d1 a sd of 601
+        # over seeds 0..7 around a Black-Scholes dF/dt of -524
+        s0, sigma, r, t_mat, dt = 5000.0, 0.2, 0.05, 0.25, 0.002
+        raw = {
+            "model": {"kind": "brownian", "drift_b": r, "brownian_sigma": sigma},
+            "option": {"kind": "european_call", "strike": s0, "maturity": t_mat},
+            "scenario": {"s0": s0, "delta_s": [10.0], "delta_t": dt, "r": r},
+            "mc": {"paths": 100_000, "steps": 50},
+            "stencil": {"half_width": 2, "p_max": 2, "s_step": 10.0},
+        }
+        cfg = load_config(raw)
+        table = build_lookup_table(cfg.half_width, cfg.p_max)
+        d1 = np.array([
+            Market(cfg, np.random.default_rng(seed)).ladder(cfg.options[0], table)[0].d1
+            for seed in range(8)
+        ])
+        d_plus = (math.log(s0 / s0) + (r + 0.5 * sigma**2) * t_mat) / (sigma * math.sqrt(t_mat))
+        d_minus = d_plus - sigma * math.sqrt(t_mat)
+        theta = (-s0 * norm.pdf(d_plus) * sigma / (2 * math.sqrt(t_mat))
+                 - r * s0 * math.exp(-r * t_mat) * norm.cdf(d_minus))
+        assert theta == pytest.approx(-524, abs=1)
+        sd = d1.std(ddof=1)
+        assert sd <= 601 / 5
+        assert abs(d1.mean() - theta) <= 3 * sd / math.sqrt(len(d1))
+
+
 class TestConverge:
     def test_payoff_curve_rows(self):
         raw = base_config()
@@ -77,6 +166,18 @@ class TestConverge:
         raw = base_config()
         raw["scenario"]["delta_s"] = [10, 20]
         with pytest.raises(ValueError):
+            run_converge(load_config(raw))
+
+    def test_several_moves_name_the_field(self):
+        raw = base_config()
+        with pytest.raises(ConfigError, match=r"'scenario\.delta_s' holds 2 moves"):
+            run_converge(load_config(raw))
+
+    def test_several_options_name_the_field(self):
+        raw = base_config()
+        raw["scenario"]["delta_s"] = [20.0]
+        raw["options"].append({"kind": "european_put", "strike": 5000, "maturity": 1.0})
+        with pytest.raises(ConfigError, match=r"'options' holds 2 options"):
             run_converge(load_config(raw))
 
 
@@ -105,8 +206,6 @@ class TestPnl:
         # the swap ledger change IS the truncated Taylor sum, so per scenario
         # the residual obeys the remainder bound from the remaining computed
         # terms, plus a small allowance for the stencil's own truncation
-        from levyhedge.stencil import build_lookup_table
-
         rng = np.random.default_rng(cfg.seed)
         table = build_lookup_table(cfg.half_width, cfg.p_max)
         market = Market(cfg, rng)
@@ -207,6 +306,50 @@ class TestPnl:
             n_instruments = len(strikes) if "moment-neutral" in strategies else 0
             assert len(price_calls) == 1 + n_instruments
             assert len(values_calls) == 2 * (1 + n_instruments)
+
+    def test_several_options_name_the_field(self):
+        cfg = self.pnl_config(["delta"])
+        raw = dict(cfg.raw)
+        raw.pop("option")
+        raw["options"] = [{"kind": "european_call", "strike": k, "maturity": 0.25}
+                          for k in (4950, 5050)]
+        with pytest.raises(ConfigError, match=r"'options' holds 2 options; a pnl run"):
+            run_pnl(load_config(raw))
+
+    @pytest.mark.parametrize("kind", ["brownian", "compound_poisson", "variance_gamma"])
+    def test_scenario_moves_match_the_model(self, kind):
+        # closed-form one-period moments of dS = s0 (f - 1) under each model
+        oracles = load_oracles()
+        s0, dt, r, n = 5000.0, 0.01, 0.05, 4000
+        if kind == "brownian":
+            model = {"kind": "brownian", "drift_b": 0.03, "brownian_sigma": 0.12}
+            factor = oracles.cp_factor_moments(0.03, 0.12, 0.0, 0.0, 0.0, dt)
+        elif kind == "compound_poisson":
+            model = {"kind": "compound_poisson", "drift_b": 0.03, "brownian_sigma": 0.12,
+                     "intensity": 50.0,
+                     "jump_law": {"kind": "normal", "mean": -0.005, "std": 0.02}}
+            factor = oracles.cp_factor_moments(0.03, 0.12, 50.0, -0.005, 0.02, dt)
+        else:
+            model = {"kind": "variance_gamma", "theta": -0.05, "nu": 0.01, "vg_sigma": 0.2,
+                     "drift_b": "risk_neutral"}
+            b = oracles.vg_risk_neutral_drift(r, 0.0, -0.05, 0.01, 0.2)
+            factor = oracles.vg_factor_moments(b, -0.05, 0.01, 0.2, dt)
+        raw = {
+            "model": model,
+            "option": {"kind": "european_call", "strike": s0, "maturity": 0.25},
+            "scenario": {"s0": s0, "delta_s": [10.0], "delta_t": dt, "r": r},
+            "mc": {"paths": 2000, "steps": 2, "seed": 4},
+            "stencil": {"half_width": 4, "p_max": 5, "s_step": 10.0},
+            "strategies": ["delta"],
+            "pnl": {"n_scenarios": n, "q": 2},
+        }
+        _, rows, _, _ = run_pnl(load_config(raw))
+        moves = [row[2] for row in rows]
+        z_mean, z_var, _, _ = oracles.moment_z_scores(moves, *oracles.move_moments(s0, factor))
+        assert abs(z_mean) <= 4
+        assert abs(z_var) <= 4
+        if kind == "variance_gamma":  # the truncated measure's jumps are recorded
+            assert np.mean([row[4] for row in rows]) > 10
 
     def test_moves_outside_the_stencil_span_are_logged(self, caplog):
         cfg = self.pnl_config(["delta"])

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special, stats
 
 from levyhedge.errors import BankruptcyError, MissingJumpRecordsError, UnsupportedOrderError
 from levyhedge.models import (
@@ -11,7 +11,6 @@ from levyhedge.models import (
     LevyModel,
     NormalJumps,
     VarianceGamma,
-    evolve_asset,
     increment_cumulants,
     levy_moment,
     log_mean_growth,
@@ -19,9 +18,9 @@ from levyhedge.models import (
     power_jump_path,
     relative_factors,
     risk_neutral_drift,
-    simulate_increment,
     simulate_path,
 )
+from levyhedge.models import PathGrid, _truncated_vg
 
 VG_FTSE = VarianceGamma(theta=-0.2721, nu=0.3032, sigma=0.0302)
 CP_TEST = CompoundPoisson(intensity=2.0, law=NormalJumps(mean=0.0, std=0.1))
@@ -106,18 +105,30 @@ class TestMoments:
         assert mom[2] >= 0 and mom[4] >= 0
 
 
+def increments(model, dt, n, rng):
+    """n independent draws of X_{t+dt} - X_t for a product-form model, from
+    one draw of the sampler: each log-factor less the drift, with every
+    jump's log1p(J) swapped back for J."""
+    factors, jumps = relative_factors(model, dt, 1, n, rng, records=True)
+    sig = model.brownian_sigma
+    dx = np.log(factors[:, 0]) - (model.drift_b - 0.5 * sig**2) * dt
+    return dx + np.bincount(jumps.path, jumps.size - np.log1p(jumps.size), n)
+
+
 class TestIncrements:
     def test_no_randomness_sources(self):
         model = LevyModel(drift_b=0.1, brownian_sigma=0.0, jump_spec=None)
-        rng = np.random.default_rng(0)
-        dx, jumps = simulate_increment(model, 0.5, rng)
-        assert dx == 0.0 and len(jumps) == 0
+        a, jumps = relative_factors(model, 0.5, 3, 4, np.random.default_rng(0), records=True)
+        b = relative_factors(model, 0.5, 3, 4, np.random.default_rng(1))
+        np.testing.assert_array_equal(a, b)
+        assert a[0, 0] == pytest.approx(math.exp(0.05), rel=1e-15)
+        assert len(jumps.size) == 0
 
     def test_sample_mean_matches_m1(self):
         model = LevyModel(brownian_sigma=0.15, jump_spec=CompoundPoisson(2.0, NormalJumps(0.05, 0.1)))
         rng = np.random.default_rng(7)
         dt = 0.1
-        draws = np.array([simulate_increment(model, dt, rng)[0] for _ in range(20000)])
+        draws = increments(model, dt, 20000, rng)
         m1 = levy_moment(model, 1)
         se = draws.std(ddof=1) / math.sqrt(len(draws))
         assert abs(draws.mean() - m1 * dt) < 3 * se
@@ -127,12 +138,7 @@ class TestIncrements:
         rng = np.random.default_rng(11)
         dt = 0.05
         n = 1_000_000
-        z = rng.standard_normal(n) * model.brownian_sigma * math.sqrt(dt)
-        counts = rng.poisson(2.0 * dt, n)
-        sizes = CP_TEST.law.sample(rng, int(counts.sum()))
-        jsum = np.zeros(n)
-        np.add.at(jsum, np.repeat(np.arange(n), counts), sizes)
-        draws = z + jsum
+        draws = increments(model, dt, n, rng)
         kappas = increment_cumulants(model, dt, 6)
         expected = cumulants_to_raw_moments(kappas, 6)
         for k in range(1, 7):
@@ -145,7 +151,7 @@ class TestEvolve:
     def test_deterministic_exponential(self):
         model = LevyModel(drift_b=0.05)
         rng = np.random.default_rng(0)
-        s_next, _, _ = evolve_asset(model, 100.0, 1.0, rng)
+        s_next = simulate_path(model, 100.0, np.array([0.0, 1.0]), rng).asset[-1]
         assert s_next == pytest.approx(100.0 * math.exp(0.05), rel=1e-12)
 
     def test_single_jump_product_form(self):
@@ -154,13 +160,11 @@ class TestEvolve:
         model = LevyModel(drift_b=0.0, jump_spec=CompoundPoisson(5000.0, law))
         rng = np.random.default_rng(3)
         dt = 1e-4
-        for _ in range(200):
-            s_next, dx, jumps = evolve_asset(model, 100.0, dt, rng)
-            if len(jumps) == 1:
-                assert s_next == pytest.approx(100.0 * 1.1, rel=1e-10)
-                break
-        else:
+        factors, jumps = relative_factors(model, dt, 1, 200, rng, records=True)
+        single = np.flatnonzero(np.bincount(jumps.path, minlength=200) == 1)
+        if not len(single):
             pytest.fail("no single-jump step sampled")
+        assert 100.0 * factors[single[0], 0] == pytest.approx(100.0 * 1.1, rel=1e-10)
 
     def test_bankruptcy_detected(self):
         law = FixedJumps(size=-1.5)
@@ -168,7 +172,15 @@ class TestEvolve:
         rng = np.random.default_rng(1)
         with pytest.raises(BankruptcyError):
             for _ in range(100):
-                evolve_asset(model, 100.0, 0.01, rng)
+                simulate_path(model, 100.0, np.array([0.0, 0.01]), rng)
+
+    def test_nan_asset_is_bankrupt(self):
+        # a bankrupt factor is NaN, which no comparison with 0 catches
+        grid = np.linspace(0.0, 1.0, 3)
+        with pytest.raises(BankruptcyError):
+            PathGrid(times=grid, asset=np.array([100.0, np.nan, np.nan]), x=np.zeros(3),
+                     jump_times=np.empty(0), jump_sizes=np.empty(0), jumps_recorded=True,
+                     model=LevyModel())
 
     def test_mean_growth_product_form(self):
         model = LevyModel(drift_b=0.03, brownian_sigma=0.2,
@@ -199,11 +211,76 @@ class TestEvolve:
         assert log_mean_growth(model) == pytest.approx(0.0543 - 0.0351, abs=1e-12)
 
 
+class TestSampler:
+    VG_REC = LevyModel(drift_b=0.02, jump_spec=VarianceGamma(theta=-0.1, nu=0.2, sigma=0.15),
+                       jump_eps=1e-4)
+
+    @pytest.mark.parametrize("spec", [CP_TEST, VG_FTSE], ids=["cp", "vg"])
+    def test_per_step_dt_matches_scalar(self, spec):
+        model = LevyModel(drift_b=0.03, brownian_sigma=0.1, jump_spec=spec)
+        a = relative_factors(model, 0.1, 3, 500, np.random.default_rng(0))
+        b = relative_factors(model, [0.1, 0.1, 0.1], 3, 500, np.random.default_rng(0))
+        np.testing.assert_array_equal(a, b)
+
+    def test_records_lie_in_their_steps_and_make_the_factors(self):
+        model = LevyModel(jump_spec=CompoundPoisson(30.0, NormalJumps(0.01, 0.05)))
+        dts = np.array([0.1, 0.3, 0.05])
+        factors, jumps = relative_factors(model, dts, 3, 400, np.random.default_rng(1),
+                                          records=True)
+        assert len(jumps.size) > 1000
+        cells = jumps.path * 3 + jumps.step
+        assert np.all(np.diff(cells) >= 0)
+        start = np.array([0.0, 0.1, 0.4])
+        assert np.all(jumps.time > start[jumps.step])
+        assert np.all(jumps.time <= start[jumps.step] + dts[jumps.step])
+        want = np.bincount(cells, np.log1p(jumps.size), factors.size).reshape(400, 3)
+        np.testing.assert_allclose(np.log(factors), want, rtol=1e-12, atol=1e-14)
+
+    def test_vg_records_invert_the_tail(self):
+        spec, eps = self.VG_REC.jump_spec, self.VG_REC.jump_eps
+        _, g, m = spec.cgm()
+        _, jumps = relative_factors(self.VG_REC, 0.25, 1, 2000, np.random.default_rng(2),
+                                    records=True)
+        x = jumps.size
+        assert np.all(np.abs(x) >= eps)
+        # each side's tail E1(lam |x|) / E1(lam eps) is uniform
+        for side, lam in ((x > 0, m), (x < 0, g)):
+            u = special.exp1(lam * np.abs(x[side])) / special.exp1(lam * eps)
+            assert stats.kstest(u, "uniform").pvalue > 1e-3
+        down = special.exp1(g * eps) / (special.exp1(g * eps) + special.exp1(m * eps))
+        share = np.mean(x < 0)
+        assert abs(share - down) < 4 * math.sqrt(down * (1 - down) / len(x))
+
+    def test_vg_tail_inversion_is_exact(self):
+        # replay the sampler's two uniforms per jump: side, then tail level
+        spec, eps = self.VG_REC.jump_spec, self.VG_REC.jump_eps
+        _, g, m = spec.cgm()
+        _, sample, _ = _truncated_vg(spec, eps)
+        x = sample(np.random.default_rng(5), 1000)
+        replay = np.random.default_rng(5)
+        replay.random(1000)
+        u = replay.random(1000)
+        lam = np.where(x < 0, g, m)
+        np.testing.assert_allclose(special.exp1(lam * np.abs(x)),
+                                   (1.0 - u) * special.exp1(lam * eps), rtol=1e-12)
+
+    def test_vg_records_keep_the_mean_growth(self):
+        n = 4000
+        factors, _ = relative_factors(self.VG_REC, 0.25, 1, n, np.random.default_rng(3),
+                                      records=True)
+        f = factors[:, 0]
+        expected = math.exp(log_mean_growth(self.VG_REC) * 0.25)
+        assert abs(f.mean() - expected) < 3 * f.std(ddof=1) / math.sqrt(n)
+
+    def test_records_are_not_antithetic(self):
+        with pytest.raises(ValueError):
+            relative_factors(LevyModel(jump_spec=CP_TEST), 0.1, 1, 10,
+                             np.random.default_rng(0), antithetic=True, records=True)
+
+
 class TestPowerJumpPath:
     def path_with(self, jumps, times, model, horizon=1.0):
         grid = np.linspace(0.0, horizon, 5)
-        from levyhedge.models import PathGrid
-
         return PathGrid(
             times=grid,
             asset=np.ones_like(grid),

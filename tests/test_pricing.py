@@ -1,9 +1,9 @@
+import copy
 import math
 
 import numpy as np
 import pytest
 
-from levyhedge import pricing
 from levyhedge.errors import GridError, LadderOrderError, PricingFailedError
 from levyhedge.models import (
     CompoundPoisson,
@@ -11,6 +11,7 @@ from levyhedge.models import (
     LevyModel,
     NormalJumps,
     VarianceGamma,
+    relative_factors,
     risk_neutral_drift,
 )
 from levyhedge.pricing import (
@@ -33,6 +34,12 @@ def bs_model():
     return LevyModel(drift_b=BS["r"], brownian_sigma=BS["sigma"])
 
 
+def draw_bundle(model, horizon, steps, n_paths, rng, antithetic=False):
+    """A bundle over ``horizon`` in ``steps`` equal steps."""
+    factors = relative_factors(model, horizon / steps, steps, n_paths, rng, antithetic)
+    return PathBundle(factors, horizon)
+
+
 class TestMCPrice:
     def test_degenerate_deterministic(self):
         model = LevyModel(drift_b=0.05)
@@ -51,7 +58,7 @@ class TestMCPrice:
 
     def test_put_call_parity_common_randoms(self):
         rng = np.random.default_rng(5)
-        bundle = PathBundle(bs_model(), 1.0, 1, 200_000, rng, antithetic=True)
+        bundle = draw_bundle(bs_model(), 1.0, 1, 200_000, rng, antithetic=True)
         call = OptionSpec(kind="european_call", strike=100.0, maturity=1.0)
         put = OptionSpec(kind="european_put", strike=100.0, maturity=1.0)
         c, c_se = bundle.price(call, 100.0, 0.05)
@@ -63,7 +70,7 @@ class TestMCPrice:
         model = LevyModel(drift_b=0.05, brownian_sigma=0.2,
                           jump_spec=CompoundPoisson(1.0, NormalJumps(0.0, 0.05)))
         rng = np.random.default_rng(7)
-        bundle = PathBundle(model, 0.5, 26, 100_000, rng)
+        bundle = draw_bundle(model, 0.5, 26, 100_000, rng)
         eur = OptionSpec(kind="european_call", strike=100.0, maturity=0.5)
         for up, down in ((True, False), (False, True)):
             if up:
@@ -131,23 +138,20 @@ ALL_KINDS = [
 
 
 class TestBlockKernel:
-    """values, price and price_many reduce (spots x paths) payoff blocks;
-    every result must be bit-identical to the per-spot kernel."""
+    """values, price and price_many price one spot at a time in reused
+    buffers; every result must be bit-identical to the per-spot kernel."""
 
     @pytest.fixture(scope="class")
     def bundle(self):
         model = LevyModel(drift_b=0.03, brownian_sigma=0.2,
                           jump_spec=CompoundPoisson(3.0, NormalJumps(-0.02, 0.05)))
-        # 2^16 paths: a block holds four spots
-        return PathBundle(model, 0.5, 4, 2**16, np.random.default_rng(21))
+        return draw_bundle(model, 0.5, 4, 2**16, np.random.default_rng(21))
 
     def spot_sets(self, bundle):
-        rows = pricing.BLOCK_ELEMENTS // bundle.n_paths
-        assert rows == 4
         rng = np.random.default_rng(22)
-        for count in (1, rows - 1, rows, rows + 1):
+        for count in (1, 3, 4, 5):
             yield rng.uniform(90.0, 110.0, count)
-        # duplicates, unsorted, spread over two blocks
+        # duplicates, unsorted: the buffers are reused across spots
         yield np.array([104.0, 97.5, 104.0, 100.0, 97.5, 104.0, 91.0])
 
     def check(self, bundle, option, spots, r):
@@ -171,24 +175,43 @@ class TestBlockKernel:
         # zero horizon: every relative path stays at 1 and nothing is discounted
         model = LevyModel(drift_b=0.03, brownian_sigma=0.2,
                           jump_spec=CompoundPoisson(3.0, NormalJumps(-0.02, 0.05)))
-        bundle = PathBundle(model, 0.0, 1, 2000, np.random.default_rng(23))
+        bundle = draw_bundle(model, 0.0, 1, 2000, np.random.default_rng(23))
         spots = np.array([86.0, 99.0, 101.0, 99.0, 120.0])
         self.check(bundle, option, spots, 0.05)
         np.testing.assert_array_equal(bundle.values(option, spots, 0.05),
                                       payoff(option, spots))
 
+    @pytest.mark.parametrize("kind, strike, barrier, pays", [
+        ("up_and_out", 100.0, 112.0, 0.0), ("up_and_in", 100.0, 112.0, 12.0),
+        ("down_and_out", 80.0, 88.0, 0.0), ("down_and_in", 80.0, 88.0, 8.0),
+    ])
+    def test_a_spot_on_the_barrier_has_hit_it(self, kind, strike, barrier, pays):
+        option = OptionSpec(kind=kind, strike=strike, maturity=0.5, barrier=barrier)
+        bundle = draw_bundle(LevyModel(), 0.0, 1, 10, np.random.default_rng(0))
+        assert bundle.values(option, [barrier], 0.0)[0] == pays
+        assert payoff(option, np.array([barrier]))[0] == pays
+
+    @pytest.mark.parametrize("option", ALL_KINDS[2:], ids=lambda o: o.kind)
+    def test_barrier_reads_only_its_extremum(self, bundle, option):
+        spots = np.array([93.0, 100.0, 107.0])
+        want = bundle.values(option, spots, 0.05)
+        unread = "running_min" if option.kind.startswith("up") else "running_max"
+        blind = copy.copy(bundle)
+        setattr(blind, unread, np.full(bundle.n_paths, np.nan))
+        np.testing.assert_array_equal(blind.values(option, spots, 0.05), want)
+
     def test_values_prices_each_distinct_spot_once(self, bundle, monkeypatch):
         priced = []
-        real = pricing.payoff
+        real = PathBundle._payoff_at
 
-        def counting(option, s_terminal, *extrema):
-            priced.append(len(s_terminal))
-            return real(option, s_terminal, *extrema)
+        def counting(self, option, s, out, level):
+            priced.append(float(s))
+            return real(self, option, s, out, level)
 
-        monkeypatch.setattr(pricing, "payoff", counting)
+        monkeypatch.setattr(PathBundle, "_payoff_at", counting)
         spots = np.array([104.0, 97.5, 104.0, 100.0, 97.5, 104.0])
         bundle.values(ALL_KINDS[0], spots, 0.05)
-        assert sum(priced) == 3
+        assert sorted(priced) == [97.5, 100.0, 104.0]
 
 
 class TestPriceCurve:
