@@ -8,9 +8,8 @@ Taylor terms a tolerance requires.
 
 from .chaos import (
     constant_term,
-    constant_term_poly,
+    constant_terms,
     enumerate_compositions,
-    enumerate_partitions,
     multinomial,
     phi_extract,
     pi_coefficient,

@@ -3,10 +3,12 @@
 The k-th power of an increment X_{t+dt} - X_t splits into iterated
 stochastic integrals against the compensated power-jump processes Y^(j)
 plus a deterministic constant.  This module enumerates the index sets,
-evaluates the constant term C^(k) (a polynomial in dt built from the
-moments m'_q), the coefficient Pi attached to each iterated integral, and
-the first-order predictable integrands used by the minimal-variance
-portfolios.
+evaluates the constants C^(0..k) (the increment's raw moments, from one
+O(k^2) pass of the moment-from-cumulant recursion), the coefficient Pi
+attached to each iterated integral, and the first-order predictable
+integrands used by the minimal-variance portfolios.  Only the tuple set
+I_k is exponential (2^k - 1 tuples), so only ``enumerate_compositions``
+is capped at ``MAX_ORDER``.
 
 All arithmetic is generic: feeding ``Fraction`` moments and times yields
 exact rational values, floats yield floats.
@@ -20,45 +22,24 @@ from functools import lru_cache
 from .errors import UnsupportedOrderError
 
 __all__ = [
-    "enumerate_partitions",
     "enumerate_compositions",
     "multinomial",
+    "constant_terms",
     "constant_term",
-    "constant_term_poly",
     "pi_coefficient",
+    "phi_from_constants",
     "phi_extract",
 ]
 
 MAX_ORDER = 12
 
 
-def _check_order(k: int, max_order: int):
-    if not 1 <= k <= max_order:
-        raise UnsupportedOrderError(
-            f"order {k} outside supported range 1..{max_order}"
-        )
-
-
 @lru_cache(maxsize=None)
-def enumerate_partitions(k: int, max_order: int = MAX_ORDER) -> tuple[tuple[int, ...], ...]:
-    """All integer partitions of k as non-increasing tuples (the set L_k)."""
-    _check_order(k, max_order)
-
-    def gen(remaining, cap):
-        if remaining == 0:
-            yield ()
-            return
-        for first in range(min(remaining, cap), 0, -1):
-            for rest in gen(remaining - first, first):
-                yield (first,) + rest
-
-    return tuple(gen(k, k))
-
-
-@lru_cache(maxsize=None)
-def enumerate_compositions(k: int, max_order: int = MAX_ORDER) -> tuple[tuple[int, ...], ...]:
-    """Ordered tuples of positive integers with component sum <= k (the set I_k)."""
-    _check_order(k, max_order)
+def enumerate_compositions(k: int) -> tuple[tuple[int, ...], ...]:
+    """Ordered tuples of positive integers with component sum <= k (the set
+    I_k).  There are 2^k - 1 of them, so k is capped at ``MAX_ORDER``."""
+    if not 1 <= k <= MAX_ORDER:
+        raise UnsupportedOrderError(f"order {k} outside supported range 1..{MAX_ORDER}")
     out = []
 
     def gen(prefix, total):
@@ -82,76 +63,61 @@ def multinomial(parts) -> int:
     return out
 
 
-def constant_term_poly(k: int, moments, max_order: int = MAX_ORDER) -> dict:
-    """C^(k) as a polynomial in the period length: {power of t: coefficient}.
+def constant_terms(k: int, moments, t) -> list:
+    """[C^(0) = 1, C^(1), ..., C^(k)], the raw moments of an increment over
+    a period of length t, from its cumulants kappa_q = m'_q t by
+    mu_n = sum_{j<n} binom(n-1, j) kappa_{j+1} mu_{n-1-j} (Smith 1995,
+    "A recursive formulation of the old problem of obtaining moments from
+    cumulants and vice versa", The American Statistician 49(2)).
 
-    Each partition of k with l parts contributes to the t^l coefficient, so
-    the degree is at most k and C^(1) is linear.
+    ``moments`` must expose ``prime(i)`` for i = 1..k (see
+    ``MomentVector``); exact inputs give exact output.
     """
-    _check_order(k, max_order)
-    poly: dict[int, object] = {}
-    for part in enumerate_partitions(k, max_order):
-        l = len(part)
-        counts: dict[int, int] = {}
-        for q in part:
-            counts[q] = counts.get(q, 0) + 1
-        coeff = math.factorial(k)
-        for q, c in counts.items():
-            coeff //= math.factorial(q) ** c * math.factorial(c)
-        prod = 1
-        for q in part:
-            prod = prod * moments.prime(q)
-        poly[l] = poly.get(l, 0) + coeff * prod
-    return poly
+    if k < 0:
+        raise UnsupportedOrderError(f"order {k} is negative")
+    kappa = [moments.prime(q) * t for q in range(1, k + 1)]
+    mu = [1]
+    for n in range(1, k + 1):
+        mu.append(sum(math.comb(n - 1, j) * kappa[j] * mu[n - 1 - j] for j in range(n)))
+    return mu
 
 
-def constant_term(k: int, moments, t, max_order: int = MAX_ORDER):
-    """Deterministic part C^(k) of (X_{t+dt} - X_t)^k.
+def constant_term(k: int, moments, t):
+    """Deterministic part C^(k) of (X_{t+dt} - X_t)^k, the k-th raw moment
+    of the increment: the last entry of ``constant_terms``.
 
-    Sums over the partitions of k: each partition (i_1 >= ... >= i_l) with
-    multiplicities p_r contributes
+    Equivalently, C^(k) sums over the partitions of k: each partition
+    (i_1 >= ... >= i_l) with multiplicities p_r contributes
     (1/l!) (i_1..i_l)! (p_1..p_k)! prod m'_{i_q} t^l, which collapses to
-    k! / (prod i_q! prod p_r!) prod m'_{i_q} t^l.  Equivalently C^(k) is
-    the k-th raw moment of the increment.
-
-    ``moments`` must expose ``prime(i)`` (see ``MomentVector``); exact
-    inputs give exact output.
+    k! / (prod i_q! prod p_r!) prod m'_{i_q} t^l.
     """
-    if k == 0:
-        return 1
-    total = 0
-    for power, coeff in constant_term_poly(k, moments, max_order).items():
-        total = total + coeff * t**power
-    return total
+    return constant_terms(k, moments, t)[k]
 
 
-def pi_coefficient(index_tuple, k: int, moments, t, max_order: int = MAX_ORDER):
+def pi_coefficient(index_tuple, k: int, moments, t):
     """Coefficient Pi of the iterated integral indexed by ``index_tuple``
     inside (X_{t+dt} - X_t)^k: (i_1, ..., i_j, n)! C^(n) with
     n = k - sum(i_p) and C^(0) = 1."""
-    _check_order(k, max_order)
     s = sum(index_tuple)
     if s > k:
-        raise UnsupportedOrderError(
-            f"tuple {index_tuple} sums to {s} > order {k}"
-        )
-    n = k - s
-    coeff = multinomial(tuple(index_tuple) + (n,))
-    return coeff * constant_term(n, moments, t, max_order)
+        raise UnsupportedOrderError(f"tuple {index_tuple} sums to {s} > order {k}")
+    return multinomial(tuple(index_tuple) + (k - s,)) * constant_term(k - s, moments, t)
 
 
-def phi_extract(n: int, moments, dt, s_t=1.0, max_order: int = MAX_ORDER) -> dict:
+def phi_from_constants(n: int, consts, s_t=1.0) -> dict:
+    """``phi_extract`` from constants C^(0..n) already computed
+    (``constant_terms`` of order n or more): phi_j = S^n binom(n, j) C^(n-j)."""
+    return {j: s_t**n * (math.comb(n, j) * consts[n - j]) for j in range(1, n + 1)}
+
+
+def phi_extract(n: int, moments, dt, s_t=1.0) -> dict:
     """Left-endpoint predictable integrands phi_j of the single-integral
     reduction of (Delta S)^n = sum_j int phi_j dY^(j) + S^n C^(n).
 
     At the left endpoint every iterated integral of depth >= 2 starts from
     zero, so only the single-integral tuples (j) survive:
-    phi_j = S_t^n Pi_{(j)}^{(n)}.  Valid as the leading approximation for
-    negligible dt; deeper tuples feed back path-dependent corrections that
-    a one-shot ledger cannot carry.
+    phi_j = S_t^n Pi_{(j)}^{(n)} = S_t^n binom(n, j) C^(n-j).  Valid as the
+    leading approximation for negligible dt; deeper tuples feed back
+    path-dependent corrections that a one-shot ledger cannot carry.
     """
-    _check_order(n, max_order)
-    return {
-        j: s_t**n * pi_coefficient((j,), n, moments, dt, max_order)
-        for j in range(1, n + 1)
-    }
+    return phi_from_constants(n, constant_terms(n, moments, dt), s_t)

@@ -17,7 +17,7 @@ from .models import (
     VarianceGamma,
     risk_neutral_drift,
 )
-from .pricing import OptionSpec
+from .pricing import OPTION_KINDS, OptionSpec
 
 # Every key the library reads, nested as in the config.  A leaf is None; a
 # block is the dict of its keys, and also covers a list of such blocks.
@@ -53,16 +53,28 @@ STRATEGY_NAMES = ("taylor+swaps", "taylor+pja", "minvar", "minvar+varswap", "del
 _REQUIRED = object()
 
 
-def _number(block: dict, key: str, path: str, default=_REQUIRED, cast=float):
-    """``cast(block[key])``, raising ``ConfigError`` that names the dotted
-    path of a missing or non-numeric field."""
+def _number(block: dict, key: str, path: str, default=_REQUIRED, cast=float, positive=False):
+    """``block[key]`` as ``cast`` (float, int or bool), raising ``ConfigError``
+    naming the dotted path of a missing field, of a value not exactly of that
+    type (``true`` is no number, 1000.7 no integer, "false" no bool) or, with
+    ``positive``, of a value <= 0."""
     value = block.get(key, default)
     if value is _REQUIRED:
         raise ConfigError(f"config field {path + key!r} is missing")
-    try:
-        return cast(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"config field {path + key!r} must be a number, got {value!r}") from None
+    want = {bool: "true or false", int: "an integer"}.get(cast, "a number")
+    if (isinstance(value, bool) != (cast is bool) or not isinstance(value, (int, float))
+            or cast is int and not float(value).is_integer()):
+        raise ConfigError(f"config field {path + key!r} must be {want}, got {value!r}")
+    if positive and not value > 0:
+        raise ConfigError(f"config field {path + key!r} must be > 0, got {value!r}")
+    return cast(value)
+
+
+def _object(value, path: str) -> dict:
+    """A config block, naming ``path`` if it is not a JSON object."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"config field {path!r} must be an object, got {value!r}")
+    return value
 
 
 def _numbers(values, path: str) -> tuple:
@@ -87,7 +99,7 @@ def build_model(block: dict, r: float = 0.0, dividend: float = 0.0) -> LevyModel
     if kind == "brownian":
         spec = None
     elif kind == "compound_poisson":
-        law_block = block.get("jump_law", {"kind": "normal"})
+        law_block = _object(block.get("jump_law", {}), path + "jump_law")
         law_path = path + "jump_law."
         law_kind = law_block.get("kind", "normal")
         if law_kind == "normal":
@@ -117,15 +129,24 @@ def build_model(block: dict, r: float = 0.0, dividend: float = 0.0) -> LevyModel
     return LevyModel(drift_b=b, brownian_sigma=sigma, jump_spec=spec, jump_eps=eps)
 
 
-def build_option(block: dict, path: str = "option.") -> OptionSpec:
+def build_option(block, s0: float, path: str = "option.") -> OptionSpec:
+    """An OptionSpec from its config block, with a barrier on the side of
+    ``s0`` its kind monitors; ``ConfigError`` names the field at fault."""
+    block = _object(block, path[:-1])
     if "kind" not in block:
         raise ConfigError(f"config field {path + 'kind'!r} is missing")
-    return OptionSpec(
-        kind=block["kind"],
-        strike=_number(block, "strike", path),
-        maturity=_number(block, "maturity", path),
-        barrier=_number(block, "barrier", path) if block.get("barrier") is not None else None,
-    )
+    if block["kind"] not in OPTION_KINDS:
+        raise ConfigError(f"config field {path + 'kind'!r}: unknown option kind {block['kind']!r}")
+    strike = _number(block, "strike", path, positive=True)
+    maturity = _number(block, "maturity", path, positive=True)
+    barrier = block.get("barrier")
+    barrier = None if barrier is None else _number(block, "barrier", path, positive=True)
+    try:
+        option = OptionSpec(kind=block["kind"], strike=strike, maturity=maturity, barrier=barrier)
+        option.check_barrier_side(s0)
+    except ValueError as err:
+        raise ConfigError(f"config field {path + 'barrier'!r}: {err}") from None
+    return option
 
 
 @dataclass(frozen=True)
@@ -196,16 +217,19 @@ def load_config(source) -> ExperimentConfig:
     else:
         raw = dict(source)
     _check_keys(raw, _KNOWN_KEYS)
-    scen = raw.get("scenario", {})
+    scen = _object(raw.get("scenario", {}), "scenario")
     r = _number(scen, "r", "scenario.", 0.05)
     dividend = _number(scen, "dividend", "scenario.", 0.0)
-    model = build_model(raw.get("model", {}), r=r, dividend=dividend)
+    model = build_model(_object(raw.get("model", {}), "model"), r=r, dividend=dividend)
+    s0 = _number(scen, "s0", "scenario.", 100.0, positive=True)
     if "options" in raw:
+        if not isinstance(raw["options"], list):
+            raise ConfigError(f"config field 'options' must be a list, got {raw['options']!r}")
         options = tuple(
-            build_option(b, f"options[{k}].") for k, b in enumerate(raw["options"])
+            build_option(b, s0, f"options[{k}].") for k, b in enumerate(raw["options"])
         )
     elif "option" in raw:
-        options = (build_option(raw["option"]),)
+        options = (build_option(raw["option"], s0),)
     else:
         raise ConfigError("config needs an 'option' or 'options' block")
     ds = scen.get("delta_s", [10.0])
@@ -213,31 +237,31 @@ def load_config(source) -> ExperimentConfig:
         ds = [ds]
     if not ds:
         raise ConfigError("config field 'scenario.delta_s' must be a nonempty grid")
-    mc = raw.get("mc", {})
+    mc = _object(raw.get("mc", {}), "mc")
     n_paths = _number(mc, "paths", "mc.", 100_000, int)
     steps = _number(mc, "steps", "mc.", 1, int)
     for key, value in (("paths", n_paths), ("steps", steps)):
         if value < 1:
             raise ConfigError(f"config field 'mc.{key}' must be >= 1, got {value}")
-    sten = raw.get("stencil", {})
+    sten = _object(raw.get("stencil", {}), "stencil")
     half_width = _number(sten, "half_width", "stencil.", 8, int)
     p_max = _number(sten, "p_max", "stencil.", 2 * half_width - 1, int)
-    s0 = _number(scen, "s0", "scenario.", 100.0)
     default_step = max(0.5, s0 * 1e-4)
-    strategies = raw.get("strategies") or ["taylor+swaps"]
-    if not isinstance(strategies, (list, tuple)):
-        raise ConfigError(f"config field 'strategies' must be a list of names, got {strategies!r}")
+    strategies = raw.get("strategies", ["taylor+swaps"])
+    if not isinstance(strategies, (list, tuple)) or not strategies:
+        raise ConfigError(f"config field 'strategies' must be a list of names, at least one, "
+                          f"got {strategies!r}")
     for k, name in enumerate(strategies):
         if name not in STRATEGY_NAMES:
             raise ConfigError(f"config field 'strategies[{k}]': unknown strategy {name!r}")
-    pnl = raw.get("pnl", {})
+    pnl = _object(raw.get("pnl", {}), "pnl")
     n_scenarios = _number(pnl, "n_scenarios", "pnl.", 1000, int)
     if n_scenarios < 1:
         raise ConfigError(f"config field 'pnl.n_scenarios' must be >= 1, got {n_scenarios}")
     q = p_max if pnl.get("q", "max") == "max" else _number(pnl, "q", "pnl.", cast=int)
     if not 0 <= q <= p_max:
         raise ConfigError(f"config field 'pnl.q' must be 'max' or an order in 0..{p_max}, got {q}")
-    swap = pnl.get("swap", {})
+    swap = _object(pnl.get("swap", {}), "pnl.swap")
     neutral_strikes = _numbers(pnl.get("neutral_strikes", []), "pnl.neutral_strikes")
     if "moment-neutral" in strategies and not neutral_strikes:
         raise ConfigError("config field 'pnl.neutral_strikes' is missing: the "
@@ -248,22 +272,22 @@ def load_config(source) -> ExperimentConfig:
         options=options,
         s0=s0,
         delta_s=_numbers(ds, "scenario.delta_s"),
-        delta_t=_number(scen, "delta_t", "scenario.", 1.0 / 252.0),
+        delta_t=_number(scen, "delta_t", "scenario.", 1.0 / 252.0, positive=True),
         r=r,
         dividend=dividend,
-        alpha_tol=_number(scen, "alpha_tol", "scenario.", 0.01),
+        alpha_tol=_number(scen, "alpha_tol", "scenario.", 0.01, positive=True),
         n_paths=n_paths,
         steps=steps,
         seed=_number(mc, "seed", "mc.", 0, int),
-        antithetic=bool(mc.get("antithetic", False)),
+        antithetic=_number(mc, "antithetic", "mc.", False, bool),
         half_width=half_width,
         p_max=p_max,
-        s_step=_number(sten, "s_step", "stencil.", default_step),
+        s_step=_number(sten, "s_step", "stencil.", default_step, positive=True),
         strategies=tuple(strategies),
         n_scenarios=n_scenarios,
         pnl_q=q,
         swap_strike=_number(swap, "strike", "pnl.swap.", 0.04),
         swap_unit_price=_number(swap, "unit_price", "pnl.swap.", 1.0),
         neutral_strikes=neutral_strikes,
-        output_dir=raw.get("output", {}).get("dir", "."),
+        output_dir=_object(raw.get("output", {}), "output").get("dir", "."),
     )

@@ -36,7 +36,7 @@ from .pricing import (
 )
 from .stencil import StencilTable, build_lookup_table
 from .swaps import RealizedHistory, SwapSpec, moment_swap_basket
-from .taylor import HedgeScenario, assemble_ledger, find_q
+from .taylor import HedgeScenario, assemble_ledger, find_q, taylor_sums
 
 __all__ = ["run_qtable", "run_converge", "run_pnl", "write_csv"]
 
@@ -69,9 +69,7 @@ REFERENCE_Q = {
 def _fmt(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, (bool, np.bool_)):
-        return str(int(value))
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, (bool, np.bool_, int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
         return FLOAT_FMT.format(float(value))
@@ -109,7 +107,6 @@ class Market:
                     f"config field 'options[{k}].maturity' is {opt.maturity}, but all "
                     f"options in one run must share options[0]'s maturity {maturity}"
                 )
-            opt.check_barrier_side(cfg.s0)
         self.maturity = maturity
         remaining = maturity - cfg.delta_t
         if remaining > 1e-14:
@@ -157,8 +154,7 @@ def run_qtable(cfg: ExperimentConfig):
         changes = market.values_later(opt, cfg.s0 + np.asarray(cfg.delta_s)) - price_t
         for ds, exact in zip(cfg.delta_s, changes):
             scen = HedgeScenario(
-                s_t=cfg.s0, delta_s=ds, delta_t=cfg.delta_t, r=cfg.r,
-                option=opt, alpha_tol=cfg.alpha_tol,
+                s_t=cfg.s0, delta_s=ds, delta_t=cfg.delta_t, r=cfg.r, alpha_tol=cfg.alpha_tol,
             )
             ref = REFERENCE_Q.get((opt.kind, int(ds)))
             try:
@@ -187,11 +183,11 @@ def run_converge(cfg: ExperimentConfig):
     ds = cfg.delta_s[0]
     ladder, price_t, se_t = market.ladder(opt, table)
     exact = market.values_later(opt, [cfg.s0 + ds])[0] - price_t
-    rows = []
-    cumulative = ladder.d1 * cfg.delta_t
-    for i in range(1, cfg.p_max + 1):
-        cumulative += ladder.derivative(i) * ds**i / math.factorial(i)
-        rows.append((i, ladder.derivative(i), cumulative, exact, price_t, se_t, cfg.hash))
+    sums = taylor_sums(ladder, cfg.delta_t, ds, cfg.p_max)
+    rows = [
+        (i, ladder.derivative(i), sums[i], exact, price_t, se_t, cfg.hash)
+        for i in range(1, cfg.p_max + 1)
+    ]
     header = (
         "term", "d2_value", "cumulative_approx", "exact_change",
         "mc_price", "mc_se", "config_hash",
@@ -370,7 +366,7 @@ def run_pnl(cfg: ExperimentConfig):
         moments=moment_vector(cfg.model, max(q + 2, 3)),
         scenario=HedgeScenario(
             s_t=cfg.s0, delta_s=cfg.delta_s[0], delta_t=cfg.delta_t, r=cfg.r,
-            option=opt, alpha_tol=cfg.alpha_tol,
+            alpha_tol=cfg.alpha_tol,
         ),
         coeffs={i: ladder.derivative(i) / math.factorial(i) for i in range(2, q + 1)},
         outcomes=outcomes,

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chaos import MAX_ORDER, constant_term, enumerate_compositions, phi_extract
+from .chaos import constant_terms, enumerate_compositions, phi_from_constants
 from .errors import UnsupportedOrderError
 from .models import MomentVector
 
@@ -244,7 +244,6 @@ def pji_basket(
     i: int,
     moments: MomentVector,
     path_state: PathState | None = None,
-    max_order: int = MAX_ORDER,
 ) -> JumpBasket:
     """General-case basket: S_t^i Pi_theta e^{-r dt} units of the
     power-jump-integral asset U_theta for every tuple theta in I_i, plus
@@ -252,16 +251,17 @@ def pji_basket(
     any jump activity.
 
     Pi_theta = (theta, n)! C^(n) with n = i - sum(theta) (see
-    ``chaos.pi_coefficient``); the i + 1 constants C^(0..i) and the
-    factorials 0!..i! behind the multinomials are computed once for all
-    2^i - 1 tuples."""
+    ``chaos.pi_coefficient``); the i + 1 constants C^(0..i) (one
+    ``chaos.constant_terms`` pass) and the factorials 0!..i! behind the
+    multinomials are computed once for all 2^i - 1 tuples.  The tuple set
+    caps i at ``chaos.MAX_ORDER``."""
     s_t, r, dt = scenario.s_t, scenario.r, scenario.delta_t
     state = path_state if path_state is not None else PathState(t=0.0)
     disc = math.exp(-r * dt)
-    consts = [constant_term(n, moments, dt, max_order) for n in range(i + 1)]
+    consts = constant_terms(i, moments, dt)
     fact = [math.factorial(k) for k in range(i + 1)]
     units = {}
-    for theta in enumerate_compositions(i, max_order):
+    for theta in enumerate_compositions(i):
         n = i - sum(theta)
         denom = fact[n]
         for part in theta:
@@ -288,7 +288,6 @@ def phi_hedge_basket(
     n: int,
     moments: MomentVector,
     path_state: PathState,
-    max_order: int = MAX_ORDER,
 ) -> JumpBasket:
     """Single-integral reduction traded through T^(j) assets.
 
@@ -298,12 +297,13 @@ def phi_hedge_basket(
     iterated integrals make this exact only in the dt -> 0 limit.
     """
     s_t, r, dt = scenario.s_t, scenario.r, scenario.delta_t
-    phis = phi_extract(n, moments, dt, s_t, max_order)
+    consts = constant_terms(n, moments, dt)
+    phis = phi_from_constants(n, consts, s_t)
     disc = math.exp(-r * dt)
     units = {j: coefficient * phis[j] * disc for j in phis}
     cash = coefficient * (
         sum(-math.exp(-2 * r * dt) * path_state.t_asset(j, r) * phis[j] for j in phis)
-        + s_t**n * constant_term(n, moments, dt, max_order) / (math.exp(r * dt) - 1.0)
+        + s_t**n * consts[n] / (math.exp(r * dt) - 1.0)
     )
     return JumpBasket(
         coefficient=coefficient,

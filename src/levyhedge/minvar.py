@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .chaos import constant_term, phi_extract
+from .chaos import constant_terms, phi_from_constants
 from .errors import DegenerateModelError, ZeroRateError
 from .models import MomentVector
 from .swaps import ACTUAL, RealizedHistory, SwapBasket, SwapSpec, moment_swap_basket
@@ -149,7 +149,8 @@ def mvp_general(
     swap: SwapSpec | None = None,
     history: RealizedHistory | None = None,
 ) -> MinVarWeights:
-    """General-case weights via the chaos constants and phi extraction.
+    """General-case weights via the chaos constants and phi extraction,
+    all read from one ``constant_terms`` pass up to the highest order.
 
     The bank leg swaps m_i dt for the full constants C^(i).  The target's
     stochastic part aggregates to Phi_j = sum_i C_i phi_j^(i) per
@@ -160,10 +161,11 @@ def mvp_general(
     """
     items = _coeff_items(coefficients)
     growth = _growth(r, delta_t)
-    legs = sum(c * s_t**i * constant_term(i, moments, delta_t) for i, c in items)
+    consts = constant_terms(max((i for i, _ in items), default=0), moments, delta_t)
+    legs = sum(c * s_t**i * consts[i] for i, c in items)
     phi_total: dict[int, float] = {}
     for i, c in items:
-        for j, val in phi_extract(i, moments, delta_t, s_t).items():
+        for j, val in phi_from_constants(i, consts, s_t).items():
             phi_total[j] = phi_total.get(j, 0.0) + c * val
     if swap is not None:
         phi_numer = sum(val * moments[j] for j, val in phi_total.items()) / s_t**2

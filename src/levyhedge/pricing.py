@@ -52,7 +52,7 @@ UP_AND_IN = "up_and_in"
 DOWN_AND_OUT = "down_and_out"
 DOWN_AND_IN = "down_and_in"
 
-_KINDS = (EUROPEAN_CALL, EUROPEAN_PUT, UP_AND_OUT, UP_AND_IN, DOWN_AND_OUT, DOWN_AND_IN)
+OPTION_KINDS = (EUROPEAN_CALL, EUROPEAN_PUT, UP_AND_OUT, UP_AND_IN, DOWN_AND_OUT, DOWN_AND_IN)
 # Each barrier kind: the running extremum it monitors and the test on the
 # spot-scaled extremum under which the call pays (``payoff``'s complement).
 _BARRIER_PAYS = {
@@ -73,7 +73,7 @@ class OptionSpec:
     barrier: float | None = None
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        if self.kind not in OPTION_KINDS:
             raise ValueError(f"unknown option kind {self.kind!r}")
         if self.strike <= 0 or self.maturity <= 0:
             raise ValueError("strike and maturity must be > 0")

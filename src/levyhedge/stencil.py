@@ -206,13 +206,15 @@ def load_table(path) -> StencilTable:
     )
     if "N" not in header or "PMAX" not in header:
         raise TableFormatError("header must carry N=<n> PMAX=<p>", line=1)
-    if int(header.get("V", -1)) != _FILE_VERSION:
+    try:
+        n, p_max, version = (int(header.get(key, -1)) for key in ("N", "PMAX", "V"))
+    except ValueError as exc:
+        raise TableFormatError(f"header fields must be integers: {exc}", line=1) from None
+    if version != _FILE_VERSION:
         raise TableFormatError(
             f"unsupported table format version {header.get('V')!r}, expected {_FILE_VERSION}",
             line=1,
         )
-    n = int(header["N"])
-    p_max = int(header["PMAX"])
     entries: dict[tuple[int, int], Fraction] = {}
     for lineno, raw in enumerate(lines[1:], start=2):
         if not raw.strip():
@@ -230,6 +232,8 @@ def load_table(path) -> StencilTable:
             raise TableFormatError(f"order p={p} outside header PMAX={p_max}", line=lineno)
         if abs(k) > n:
             raise TableFormatError(f"offset k={k} outside header N={n}", line=lineno)
+        if (p, k) in entries:
+            raise TableFormatError(f"row p={p} k={k} appears twice", line=lineno)
         entries[(p, k)] = frac
     expected = p_max * (2 * n + 1)
     if len(entries) != expected:

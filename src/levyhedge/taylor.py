@@ -14,11 +14,12 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import IncompleteMarketError, NeedsHigherOrderError, ZeroRateError
-from .pricing import DerivativeLadder, OptionSpec
+from .pricing import DerivativeLadder
 
 __all__ = [
     "HedgeScenario",
     "HedgeLedger",
+    "taylor_sums",
     "taylor_approx",
     "find_q",
     "bank_term",
@@ -28,13 +29,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class HedgeScenario:
-    """One hedging experiment: spot, move, period, rate, option, tolerance."""
+    """One hedging experiment: spot, move, period, rate, tolerance."""
 
     s_t: float
     delta_s: float
     delta_t: float
     r: float
-    option: OptionSpec | None = None
     alpha_tol: float = 0.01
 
     def __post_init__(self):
@@ -46,15 +46,22 @@ class HedgeScenario:
             raise ValueError("spot must stay positive over the move")
 
 
+def taylor_sums(ladder: DerivativeLadder, delta_t, delta_s, p: int) -> list:
+    """Partial Taylor sums D1^1 F dt + sum_{i<=k} D2^i F (dS)^i / i!, k = 0..p."""
+    total = ladder.d1 * delta_t
+    sums = [total]
+    for i in range(1, p + 1):
+        total += ladder.derivative(i) * delta_s**i / math.factorial(i)
+        sums.append(total)
+    return sums
+
+
 def taylor_approx(ladder: DerivativeLadder, scenario: HedgeScenario, p: int) -> float:
     """D1^1 F dt + sum_{i<=p} D2^i F (dS)^i / i! (p = 0 keeps only the
     time term)."""
     if p < 0 or p > ladder.order():
         raise ValueError(f"truncation p={p} outside 0..{ladder.order()}")
-    total = ladder.d1 * scenario.delta_t
-    for i in range(1, p + 1):
-        total += ladder.derivative(i) * scenario.delta_s**i / math.factorial(i)
-    return total
+    return taylor_sums(ladder, scenario.delta_t, scenario.delta_s, p)[p]
 
 
 def find_q(ladder: DerivativeLadder, scenario: HedgeScenario, exact_change: float):
@@ -64,22 +71,17 @@ def find_q(ladder: DerivativeLadder, scenario: HedgeScenario, exact_change: floa
     Raises ``NeedsHigherOrderError`` carrying the best error seen when no
     order within the ladder qualifies.
     """
-    tol = scenario.alpha_tol
-    best_err = None
-    best_p = None
-    total = ladder.d1 * scenario.delta_t
-    for p in range(1, ladder.order() + 1):
-        total += ladder.derivative(p) * scenario.delta_s**p / math.factorial(p)
-        err = abs(exact_change - total)
-        if best_err is None or err < best_err:
-            best_err, best_p = err, p
-        if err <= tol:
-            return p, err
+    sums = taylor_sums(ladder, scenario.delta_t, scenario.delta_s, ladder.order())
+    errors = [abs(exact_change - total) for total in sums]
+    for p in range(1, len(errors)):
+        if errors[p] <= scenario.alpha_tol:
+            return p, errors[p]
+    best = min(range(1, len(errors)), key=errors.__getitem__)
     raise NeedsHigherOrderError(
-        f"tolerance {tol} unreachable within ladder of length {ladder.order()}; "
-        f"best error {best_err:.6g} at order {best_p}",
-        best_error=best_err,
-        best_order=best_p,
+        f"tolerance {scenario.alpha_tol} unreachable within ladder of length "
+        f"{ladder.order()}; best error {errors[best]:.6g} at order {best}",
+        best_error=errors[best],
+        best_order=best,
     )
 
 

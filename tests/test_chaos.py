@@ -7,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from levyhedge.chaos import (
+    MAX_ORDER,
     constant_term,
+    constant_terms,
     enumerate_compositions,
-    enumerate_partitions,
     multinomial,
     phi_extract,
     pi_coefficient,
@@ -25,6 +26,42 @@ def partition_count_oracle(k):
         for total in range(part, k + 1):
             table[total] += table[total - part]
     return table[k]
+
+
+def enumerate_partitions(k):
+    """All integer partitions of k as non-increasing tuples (the set L_k)."""
+
+    def gen(remaining, cap):
+        if remaining == 0:
+            yield ()
+            return
+        for first in range(min(remaining, cap), 0, -1):
+            for rest in gen(remaining - first, first):
+                yield (first,) + rest
+
+    return tuple(gen(k, k))
+
+
+def partition_poly_oracle(k, moments):
+    """C^(k) as a polynomial in the period length, {power of t: coefficient},
+    summed over the partitions of k: a partition with parts i_q and
+    multiplicities p_r adds k! / (prod i_q! prod p_r!) prod m'_{i_q} to the
+    coefficient of t^(number of parts)."""
+    poly = {}
+    for part in enumerate_partitions(k):
+        coeff = math.factorial(k)
+        for q in set(part):
+            coeff //= math.factorial(q) ** part.count(q) * math.factorial(part.count(q))
+        prod = 1
+        for q in part:
+            prod = prod * moments.prime(q)
+        poly[len(part)] = poly.get(len(part), 0) + coeff * prod
+    return poly
+
+
+def partition_sum_oracle(k, moments, t):
+    """C^(k) by the partition sum, independent of the recursion in ``chaos``."""
+    return sum(c * t**p for p, c in partition_poly_oracle(k, moments).items())
 
 
 def raw_moments_from_cumulants(kappas, k_max):
@@ -78,7 +115,7 @@ class TestEnumeration:
 
     def test_order_range(self):
         with pytest.raises(UnsupportedOrderError):
-            enumerate_partitions(13)
+            enumerate_compositions(13)
         with pytest.raises(UnsupportedOrderError):
             enumerate_compositions(0)
 
@@ -92,7 +129,7 @@ class TestEnumeration:
 
 class TestConstantTerm:
     # rational moments: m_i = 2 * 10^-i (compound Poisson, fixed jump 1/10)
-    M = tuple(Fraction(2, 10**i) for i in range(1, 10))
+    M = tuple(Fraction(2, 10**i) for i in range(1, 21))
 
     def test_order_one(self):
         mom = exact_moments(self.M)
@@ -106,7 +143,7 @@ class TestConstantTerm:
         expected = (self.M[1] + sigma2) * t + self.M[0] ** 2 * t**2
         assert constant_term(2, mom, t) == expected
 
-    @pytest.mark.parametrize("k", range(1, 9))
+    @pytest.mark.parametrize("k", range(1, 21))
     def test_matches_cumulant_oracle_exactly(self, k):
         sigma2 = Fraction(9, 400)
         mom = exact_moments(self.M, sigma2)
@@ -116,6 +153,27 @@ class TestConstantTerm:
         ]
         oracle = raw_moments_from_cumulants(kappas, k)
         assert constant_term(k, mom, t) == oracle[k - 1], k
+
+    @pytest.mark.parametrize("k", range(1, 11))
+    def test_matches_partition_sum_exactly(self, k):
+        mom = exact_moments(self.M, Fraction(9, 400))
+        t = Fraction(3, 17)
+        assert constant_term(k, mom, t) == partition_sum_oracle(k, mom, t), k
+
+    def test_one_pass_gives_every_order(self):
+        mom = exact_moments(self.M, Fraction(1, 25))
+        t = Fraction(1, 7)
+        consts = constant_terms(16, mom, t)
+        assert len(consts) == 17 and consts[0] == 1
+        assert consts == [constant_term(k, mom, t) for k in range(17)]
+        assert all(isinstance(c, Fraction) for c in consts[1:])
+
+    def test_no_order_cap(self):
+        # only the tuple set is capped; the constants need just the moments
+        mom = exact_moments(self.M)
+        assert constant_term(MAX_ORDER + 8, mom, Fraction(1, 3)) != 0
+        with pytest.raises(UnsupportedOrderError):
+            constant_term(-1, mom, Fraction(1, 3))
 
     def test_mc_agreement_compound_poisson(self):
         model = LevyModel(
@@ -165,6 +223,19 @@ class TestPiCoefficient:
 
 
 class TestPhiExtract:
+    def test_order_sixteen_hand_formula(self):
+        m = tuple(Fraction(1, 3**i) for i in range(1, 17))
+        mom = exact_moments(m, Fraction(1, 50))
+        t = Fraction(1, 20)
+        s = Fraction(3, 2)
+        phi = phi_extract(16, mom, t, s_t=s)
+        assert sorted(phi) == list(range(1, 17))
+        for j in range(1, 17):
+            want = s**16 * multinomial((j, 16 - j)) * constant_term(16 - j, mom, t)
+            assert phi[j] == want, j
+        assert phi[16] == s**16
+        assert phi[15] == s**16 * 16 * m[0] * t
+
     def test_linear_case(self):
         mom = exact_moments(tuple(Fraction(1, 2**i) for i in range(1, 6)))
         phi = phi_extract(1, mom, Fraction(1, 10), s_t=Fraction(50))
@@ -199,14 +270,15 @@ class TestPhiExtract:
 
 
 class TestConstantTermPoly:
-    def test_degree_and_linearity(self):
-        from levyhedge.chaos import constant_term_poly
+    """The partition oracle grouped by powers of t: C^(k) is a polynomial
+    of degree <= k in the period length, linear at k = 1."""
 
+    def test_degree_and_linearity(self):
         m = tuple(Fraction(2, 10**i) for i in range(1, 10))
         mom = exact_moments(m, Fraction(1, 25))
-        assert constant_term_poly(1, mom) == {1: m[0]}
+        assert partition_poly_oracle(1, mom) == {1: m[0]}
         for k in range(2, 9):
-            poly = constant_term_poly(k, mom)
+            poly = partition_poly_oracle(k, mom)
             assert max(poly) <= k
-            t = Fraction(3, 17)
-            assert sum(c * t**p for p, c in poly.items()) == constant_term(k, mom, t)
+            for t in (Fraction(3, 17), Fraction(5, 2)):
+                assert sum(c * t**p for p, c in poly.items()) == constant_term(k, mom, t)

@@ -187,3 +187,103 @@ def test_pnl_errors_come_before_any_draw(tmp_path, monkeypatch):
     path.write_text(json.dumps(minimal(strategies=["delta", "gamma"])))
     with pytest.raises(ConfigError, match=r"'strategies\[1\]'"):
         cli.main(["pnl", "--config", str(path), "--out", str(tmp_path / "pnl.csv")])
+
+
+@pytest.mark.parametrize("block, field", [
+    ("mc", "paths"), ("mc", "steps"), ("mc", "seed"),
+    ("stencil", "half_width"), ("stencil", "p_max"),
+    ("pnl", "n_scenarios"), ("pnl", "q"),
+])
+def test_integer_field_rejects_fraction(block, field):
+    with pytest.raises(ConfigError, match=rf"'{block}\.{field}' must be an integer, got 3\.7"):
+        load_config(minimal(**{block: {field: 3.7}}))
+
+
+@pytest.mark.parametrize("block, field, want", [
+    ("mc", "paths", "an integer"), ("mc", "seed", "an integer"),
+    ("stencil", "half_width", "an integer"), ("pnl", "q", "an integer"),
+    ("scenario", "delta_t", "a number"), ("scenario", "s0", "a number"),
+])
+def test_number_field_rejects_bool(block, field, want):
+    with pytest.raises(ConfigError, match=rf"'{block}\.{field}' must be {want}, got True"):
+        load_config(minimal(**{block: {field: True}}))
+
+
+def test_number_field_rejects_numeric_string():
+    with pytest.raises(ConfigError, match=r"'scenario\.delta_t' must be a number, got '0\.5'"):
+        load_config(minimal(scenario={"delta_t": "0.5"}))
+
+
+def test_integral_float_is_an_integer():
+    cfg = load_config(minimal(mc={"paths": 1e3, "seed": 7.0}))
+    assert (cfg.n_paths, cfg.seed) == (1000, 7)
+    assert isinstance(cfg.n_paths, int)
+
+
+@pytest.mark.parametrize("value", ["false", 0, None])
+def test_antithetic_must_be_a_bool(value):
+    with pytest.raises(ConfigError, match=r"'mc\.antithetic' must be true or false"):
+        load_config(minimal(mc={"antithetic": value}))
+
+
+def test_empty_strategy_list():
+    with pytest.raises(ConfigError, match=r"'strategies' must be a list.*at least one.*\[\]"):
+        load_config(minimal(strategies=[]))
+
+
+@pytest.mark.parametrize("block", ["model", "scenario", "mc", "stencil", "pnl", "output"])
+def test_block_must_be_an_object(block):
+    with pytest.raises(ConfigError, match=rf"'{block}' must be an object, got 5"):
+        load_config(minimal(**{block: 5}))
+
+
+def test_nested_blocks_must_be_objects():
+    with pytest.raises(ConfigError, match=r"'model\.jump_law' must be an object"):
+        load_config(minimal(model={"kind": "compound_poisson", "intensity": 1.0,
+                                   "jump_law": "normal"}))
+    with pytest.raises(ConfigError, match=r"'pnl\.swap' must be an object"):
+        load_config(minimal(pnl={"swap": 0.04}))
+
+
+def test_option_entries_must_be_objects():
+    with pytest.raises(ConfigError, match=r"'options\[0\]' must be an object, got 5"):
+        load_config(minimal(options=[5]))
+    with pytest.raises(ConfigError, match=r"'options' must be a list"):
+        load_config(minimal(options=5))
+    with pytest.raises(ConfigError, match=r"'option' must be an object"):
+        load_config(minimal(option="european_call"))
+
+
+@pytest.mark.parametrize("block, field", [
+    ("scenario", "delta_t"), ("scenario", "s0"), ("scenario", "alpha_tol"),
+    ("stencil", "s_step"),
+])
+@pytest.mark.parametrize("value", [0, -1.5])
+def test_positive_fields(block, field, value):
+    with pytest.raises(ConfigError, match=rf"'{block}\.{field}' must be > 0"):
+        load_config(minimal(**{block: {field: value}}))
+
+
+def call(**over):
+    return dict({"kind": "european_call", "strike": 100, "maturity": 1.0}, **over)
+
+
+@pytest.mark.parametrize("option, path", [
+    (call(kind="asian"), r"'options\[1\]\.kind': unknown option kind 'asian'"),
+    (call(strike=0), r"'options\[1\]\.strike' must be > 0"),
+    (call(maturity=-1.0), r"'options\[1\]\.maturity' must be > 0"),
+    (call(barrier=120), r"'options\[1\]\.barrier': european_call takes no barrier"),
+    (call(kind="up_and_out"), r"'options\[1\]\.barrier': up_and_out needs"),
+    (call(kind="up_and_out", barrier=90), r"'options\[1\]\.barrier': up barrier 90"),
+    (call(kind="down_and_in", barrier=110), r"'options\[1\]\.barrier': down barrier 110"),
+])
+def test_option_errors_name_their_field(option, path):
+    with pytest.raises(ConfigError, match=path):
+        load_config(minimal(options=[call(), option], scenario={"s0": 100}))
+
+
+def test_barrier_side_is_checked_against_s0():
+    raw = minimal(option=call(kind="up_and_out", barrier=120))
+    assert load_config(raw).options[0].barrier == 120.0
+    with pytest.raises(ConfigError, match=r"'option\.barrier': up barrier 120"):
+        load_config(dict(raw, scenario={"s0": 130}))

@@ -14,15 +14,36 @@ from levyhedge.harness import Market, run_converge, run_pnl, run_qtable
 from levyhedge.pricing import PathBundle, payoff
 from levyhedge.stencil import build_lookup_table
 
-ORACLES = pathlib.Path(__file__).resolve().parent.parent / "levybench" / "oracles.py"
+LEVYBENCH = pathlib.Path(__file__).resolve().parent.parent / "levybench"
+
+
+def load_levybench(name):
+    """A benchmark module loaded from its file, without installing it."""
+    spec = importlib.util.spec_from_file_location(f"_levybench_{name}", LEVYBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def load_oracles():
     """The benchmark's closed-form references (they import nothing from levyhedge)."""
-    spec = importlib.util.spec_from_file_location("_levybench_oracles", ORACLES)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load_levybench("oracles")
+
+
+def test_traced_names_resolve():
+    """Every function the benchmark tracer wraps still exists, so a traced
+    run survives the removal or renaming of a public name."""
+    tracer = load_levybench("tracer")
+    spans = set()
+    for target in tracer.TRACED:
+        module_name, qualname = target.split(":")
+        obj = importlib.import_module(f"{tracer.PACKAGE}.{module_name}")
+        for attr in qualname.split("."):
+            obj = getattr(obj, attr)
+        assert callable(obj), target
+        spans.add(f"{module_name}.{qualname}")
+    for metric, _, _, names in tracer.LAYER_METRICS:
+        assert set(names) <= spans, metric
 
 
 def base_config(**over):

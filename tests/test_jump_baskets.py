@@ -5,7 +5,14 @@ import numpy.polynomial.polynomial as P
 import pytest
 
 from levyhedge import jump_baskets
-from levyhedge.chaos import constant_term, enumerate_compositions, multinomial, pi_coefficient
+from levyhedge.chaos import (
+    constant_term,
+    enumerate_compositions,
+    multinomial,
+    phi_extract,
+    pi_coefficient,
+)
+from levyhedge.errors import UnsupportedOrderError
 from levyhedge.jump_baskets import (
     PathState,
     ScenarioOutcome,
@@ -384,6 +391,12 @@ class TestPJIBasket:
             want[theta] = c * s_t**order * pi * disc
         assert list(basket.pji_units.items()) == list(want.items())
 
+    def test_tuple_set_caps_the_order(self):
+        rng = np.random.default_rng(19)
+        moments, _ = make_moments(rng, order=13)
+        with pytest.raises(UnsupportedOrderError):
+            pji_basket(1.0, scen(100.0, 0.01, 0.05), 13, moments)
+
     def test_order12_mark_evaluates_the_tree_once_per_outcome(self, monkeypatch):
         rng = np.random.default_rng(18)
         moments, _ = make_moments(rng, order=12)
@@ -427,6 +440,21 @@ class TestPJIBasket:
 
 
 class TestPhiHedge:
+    def test_order_sixteen_hand_formula(self):
+        rng = np.random.default_rng(20)
+        moments, _ = make_moments(rng, order=16)
+        s_t, dt, r, c, n = 10.0, 0.01, 0.05, 0.3, 16
+        state = PathState(t=0.02, y={j: 1e-4 * j for j in range(1, n + 1)})
+        basket = phi_hedge_basket(c, scen(s_t, dt, r), n, moments, state)
+        phis = phi_extract(n, moments, dt, s_t)
+        disc = math.exp(-r * dt)
+        assert basket.pja_units == pytest.approx({j: c * phis[j] * disc for j in phis}, rel=1e-14)
+        want_cash = c * (
+            sum(-math.exp(-2 * r * dt) * state.t_asset(j, r) * phis[j] for j in phis)
+            + s_t**n * constant_term(n, moments, dt) / math.expm1(r * dt)
+        )
+        assert basket.bank_cash == pytest.approx(want_cash, rel=1e-12)
+
     def test_error_shrinks_linearly_in_dt(self):
         rng = np.random.default_rng(14)
         moments, _ = make_moments(rng)

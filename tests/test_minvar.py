@@ -277,6 +277,26 @@ class TestGeneral:
         ) / (math.exp(r * dt) - 1.0)
         assert w.bank_cash == pytest.approx(want, rel=1e-12)
 
+    def test_orders_to_sixteen_hand_formula(self):
+        from levyhedge.chaos import constant_term
+
+        model = cp_model(3.0, NormalJumps(0.01, 0.05), sigB=0.1)
+        mom = moment_vector(model, 17)
+        coeffs = {i: 10.0 ** (-i) for i in range(2, 17)}
+        dt, r, s0 = 0.01, 0.05, 20.0
+        w = mvp_general(coeffs, s0, mom, dt, r)
+        phi = {
+            j: sum(c * s0**i * math.comb(i, j) * constant_term(i - j, mom, dt)
+                   for i, c in coeffs.items() if i >= j)
+            for j in range(1, 17)
+        }
+        numer = 0.1**2 * phi[1] + sum(val * mom[j + 1] for j, val in phi.items())
+        assert w.stock_units == pytest.approx(numer / ((0.1**2 + mom[2]) * s0), rel=1e-12)
+        want_cash = sum(
+            c * s0**i * constant_term(i, mom, dt) for i, c in coeffs.items()
+        ) / math.expm1(r * dt)
+        assert w.bank_cash == pytest.approx(want_cash, rel=1e-12)
+
     def test_reduces_to_bank_stock_at_small_dt(self):
         model = cp_model(3.0, NormalJumps(0.02, 0.06), sigB=0.1)
         mom = moment_vector(model, 6)

@@ -180,3 +180,27 @@ def test_load_rejects_garbage_row(tmp_path, table_n4):
     with pytest.raises(TableFormatError) as exc:
         load_table(path)
     assert exc.value.line == 4
+
+
+def test_load_rejects_repeated_row(tmp_path):
+    # N=1, PMAX=1: the entry count still matches, so a repeat that replaced
+    # the earlier row would load d_1 as 1/3 instead of 1/2
+    path = tmp_path / "table.txt"
+    path.write_text("N=1 PMAX=1 V=1\n1 -1 -1/2\n1 0 0/1\n1 1 1/2\n1 1 1/3\n")
+    with pytest.raises(TableFormatError, match="twice") as exc:
+        load_table(path)
+    assert exc.value.line == 5
+
+
+@pytest.mark.parametrize("field", ["N=x", "PMAX=1.5", "V=one"])
+def test_load_rejects_non_integer_header(tmp_path, table_n4, field):
+    path = tmp_path / "table.txt"
+    save_table(table_n4, path)
+    lines = path.read_text().splitlines()
+    key = field.split("=")[0]
+    lines[0] = " ".join(field if item.startswith(key + "=") else item
+                        for item in lines[0].split())
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(TableFormatError, match="integer") as exc:
+        load_table(path)
+    assert exc.value.line == 1
