@@ -53,11 +53,12 @@ STRATEGY_NAMES = ("taylor+swaps", "taylor+pja", "minvar", "minvar+varswap", "del
 _REQUIRED = object()
 
 
-def _number(block: dict, key: str, path: str, default=_REQUIRED, cast=float, positive=False):
+def _number(block: dict, key: str, path: str, default=_REQUIRED, cast=float, positive=False,
+            minimum=None):
     """``block[key]`` as ``cast`` (float, int or bool), raising ``ConfigError``
     naming the dotted path of a missing field, of a value not exactly of that
-    type (``true`` is no number, 1000.7 no integer, "false" no bool) or, with
-    ``positive``, of a value <= 0."""
+    type (``true`` is no number, 1000.7 no integer, "false" no bool), with
+    ``positive`` of a value <= 0 and with ``minimum`` of a value below it."""
     value = block.get(key, default)
     if value is _REQUIRED:
         raise ConfigError(f"config field {path + key!r} is missing")
@@ -67,6 +68,8 @@ def _number(block: dict, key: str, path: str, default=_REQUIRED, cast=float, pos
         raise ConfigError(f"config field {path + key!r} must be {want}, got {value!r}")
     if positive and not value > 0:
         raise ConfigError(f"config field {path + key!r} must be > 0, got {value!r}")
+    if minimum is not None and not value >= minimum:
+        raise ConfigError(f"config field {path + key!r} must be >= {minimum}, got {value!r}")
     return cast(value)
 
 
@@ -94,8 +97,8 @@ def build_model(block: dict, r: float = 0.0, dividend: float = 0.0) -> LevyModel
     """
     path = "model."
     kind = block.get("kind", "brownian")
-    sigma = _number(block, "brownian_sigma", path, 0.0)
-    eps = _number(block, "truncation_eps", path, 1e-6)
+    sigma = _number(block, "brownian_sigma", path, 0.0, minimum=0)
+    eps = _number(block, "truncation_eps", path, 1e-6, positive=True)
     if kind == "brownian":
         spec = None
     elif kind == "compound_poisson":
@@ -105,25 +108,29 @@ def build_model(block: dict, r: float = 0.0, dividend: float = 0.0) -> LevyModel
         if law_kind == "normal":
             law = NormalJumps(
                 mean=_number(law_block, "mean", law_path, 0.0),
-                std=_number(law_block, "std", law_path, 0.1),
+                std=_number(law_block, "std", law_path, 0.1, minimum=0),
             )
         elif law_kind == "fixed":
             law = FixedJumps(size=_number(law_block, "size", law_path, 0.05))
         else:
             raise ConfigError(f"config field {law_path + 'kind'!r}: unknown jump law {law_kind!r}")
-        spec = CompoundPoisson(intensity=_number(block, "intensity", path), law=law)
+        spec = CompoundPoisson(intensity=_number(block, "intensity", path, positive=True),
+                               law=law)
     elif kind == "variance_gamma":
         sigma_key = "vg_sigma" if "vg_sigma" in block else "sigma"
         spec = VarianceGamma(
             theta=_number(block, "theta", path),
-            nu=_number(block, "nu", path),
-            sigma=_number(block, sigma_key, path, 0.0),
+            nu=_number(block, "nu", path, positive=True),
+            sigma=_number(block, sigma_key, path, 0.0, minimum=0),
         )
     else:
         raise ConfigError(f"config field {path + 'kind'!r}: unknown model kind {kind!r}")
     model = LevyModel(drift_b=0.0, brownian_sigma=sigma, jump_spec=spec, jump_eps=eps)
     if block.get("drift_b") == "risk_neutral":
-        b = risk_neutral_drift(model, r, dividend)
+        try:
+            b = risk_neutral_drift(model, r, dividend)
+        except ValueError as err:  # no exponential moment to make driftless
+            raise ConfigError(f"config field {path + 'drift_b'!r}: {err}") from None
     else:
         b = _number(block, "drift_b", path, 0.0)
     return LevyModel(drift_b=b, brownian_sigma=sigma, jump_spec=spec, jump_eps=eps)
@@ -237,15 +244,20 @@ def load_config(source) -> ExperimentConfig:
         ds = [ds]
     if not ds:
         raise ConfigError("config field 'scenario.delta_s' must be a nonempty grid")
+    delta_s = _numbers(ds, "scenario.delta_s")
+    for k, move in enumerate(delta_s):
+        if not s0 + move > 0:
+            raise ConfigError(f"config field 'scenario.delta_s[{k}]' takes the spot from "
+                              f"{s0!r} to {s0 + move!r}; it must stay > 0")
     mc = _object(raw.get("mc", {}), "mc")
-    n_paths = _number(mc, "paths", "mc.", 100_000, int)
-    steps = _number(mc, "steps", "mc.", 1, int)
-    for key, value in (("paths", n_paths), ("steps", steps)):
-        if value < 1:
-            raise ConfigError(f"config field 'mc.{key}' must be >= 1, got {value}")
+    n_paths = _number(mc, "paths", "mc.", 100_000, int, minimum=1)
+    steps = _number(mc, "steps", "mc.", 1, int, minimum=1)
     sten = _object(raw.get("stencil", {}), "stencil")
-    half_width = _number(sten, "half_width", "stencil.", 8, int)
-    p_max = _number(sten, "p_max", "stencil.", 2 * half_width - 1, int)
+    half_width = _number(sten, "half_width", "stencil.", 8, int, minimum=1)
+    p_max = _number(sten, "p_max", "stencil.", 2 * half_width - 1, int, minimum=1)
+    if p_max > 2 * half_width - 1:
+        raise ConfigError(f"config field 'stencil.p_max' must be at most 2 * half_width - 1 = "
+                          f"{2 * half_width - 1}, got {p_max}")
     default_step = max(0.5, s0 * 1e-4)
     strategies = raw.get("strategies", ["taylor+swaps"])
     if not isinstance(strategies, (list, tuple)) or not strategies:
@@ -255,9 +267,7 @@ def load_config(source) -> ExperimentConfig:
         if name not in STRATEGY_NAMES:
             raise ConfigError(f"config field 'strategies[{k}]': unknown strategy {name!r}")
     pnl = _object(raw.get("pnl", {}), "pnl")
-    n_scenarios = _number(pnl, "n_scenarios", "pnl.", 1000, int)
-    if n_scenarios < 1:
-        raise ConfigError(f"config field 'pnl.n_scenarios' must be >= 1, got {n_scenarios}")
+    n_scenarios = _number(pnl, "n_scenarios", "pnl.", 1000, int, minimum=1)
     q = p_max if pnl.get("q", "max") == "max" else _number(pnl, "q", "pnl.", cast=int)
     if not 0 <= q <= p_max:
         raise ConfigError(f"config field 'pnl.q' must be 'max' or an order in 0..{p_max}, got {q}")
@@ -271,7 +281,7 @@ def load_config(source) -> ExperimentConfig:
         model=model,
         options=options,
         s0=s0,
-        delta_s=_numbers(ds, "scenario.delta_s"),
+        delta_s=delta_s,
         delta_t=_number(scen, "delta_t", "scenario.", 1.0 / 252.0, positive=True),
         r=r,
         dividend=dividend,

@@ -12,7 +12,10 @@ supported:
   in exponential form S -> S * exp(b*dt + dX); when explicit jump records
   are required an epsilon-truncated compound-Poisson approximation of the
   VG Levy measure is used, with the truncated small-jump mass folded into
-  the drift.
+  the drift.  Its tail rates and sizes need the exponential integral E1,
+  the one use of scipy in the package: ``scipy.special`` is imported there,
+  on first use, and each size inverts its tail by a safeguarded Newton
+  iteration.
 
 ``relative_factors`` is the one sampler of the model's moves: per-step
 factors S_{k+1}/S_k on any grid of steps, with flat jump records on
@@ -30,7 +33,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
 
 from .errors import BankruptcyError, MissingJumpRecordsError, UnsupportedOrderError
 
@@ -372,27 +374,52 @@ def _truncated_vg(spec: VarianceGamma, eps: float):
     C E1(M eps) upwards and C E1(G eps) downwards; the mean of the dropped
     small jumps, the integral of x nu(dx) over |x| <= eps, becomes a drift.
     """
+    from scipy.special import exp1  # only VG jump records need E1
+
     c, g, m = spec.cgm()
-    up, down = c * special.exp1(m * eps), c * special.exp1(g * eps)
+    up, down = c * exp1(m * eps), c * exp1(g * eps)
     drift = c * ((1 - math.exp(-m * eps)) / m - (1 - math.exp(-g * eps)) / g)
 
     def sample(rng: np.random.Generator, n: int) -> np.ndarray:
         # each jump picks a side, then inverts that side's tail
-        # E1(lam x) = (1 - u) E1(lam eps) by bisection on log x, all at once;
-        # E1(z) <= exp(-z) for z >= 1 gives the upper bracket
+        # E1(lam x) = (1 - u) E1(lam eps)
         negative = rng.random(n) < down / (up + down)
         lam = np.where(negative, g, m)
-        target = (1.0 - rng.random(n)) * special.exp1(lam * eps)
-        lo = np.full(n, math.log(eps))
-        hi = np.log(np.maximum(np.maximum(1.0, -np.log(target)) / lam, eps))
-        for _ in range(64):
-            mid = 0.5 * (lo + hi)
-            above = special.exp1(lam * np.exp(mid)) > target
-            lo = np.where(above, mid, lo)
-            hi = np.where(above, hi, mid)
-        return np.where(negative, -1.0, 1.0) * np.exp(hi)
+        target = (1.0 - rng.random(n)) * exp1(lam * eps)
+        return np.where(negative, -1.0, 1.0) * _e1_tail_inverse(lam, target, eps)
 
     return up + down, sample, drift
+
+
+def _e1_tail_inverse(lam: np.ndarray, target: np.ndarray, eps: float) -> np.ndarray:
+    """x >= eps with E1(lam x) = target, elementwise, for 0 < target <= E1(lam eps).
+
+    Newton on y = ln x solves ln E1(lam e^y) = ln target, whose slope in y
+    is -e^-z / E1(z) at z = lam e^y.  It starts from the small-z asymptote
+    E1(z) ~ -gamma - ln z above a target of 1/2 and from the large-z one
+    E1(z) ~ e^-z / z below it, and keeps the bracket [ln eps, hi] from the
+    sign of E1(z) - target (E1(z) <= e^-z for z >= 1 gives hi): a step that
+    leaves the bracket falls back to its midpoint.  Six sweeps reach
+    machine precision from those starts.
+    """
+    from scipy.special import exp1
+
+    log_t = np.log(target)
+    w = np.maximum(-log_t, math.log(2.0))  # -ln target wherever the large-z start is used
+    z0 = np.where(target > 0.5, np.exp(-np.euler_gamma - target), w - np.log(w))
+    lo = np.full(len(target), math.log(eps))
+    hi = np.log(np.maximum(np.maximum(1.0, w) / lam, eps))
+    y = np.clip(np.log(z0 / lam), lo, hi)
+    for _ in range(6):
+        z = lam * np.exp(y)
+        e1 = exp1(z)
+        above = e1 > target  # the root lies above y
+        lo = np.where(above, y, lo)
+        hi = np.where(above, hi, y)
+        step = y + (np.log(e1) - log_t) * e1 * np.exp(z)
+        # inclusive: a converged step lands on the bracket end it just set
+        y = np.where((step >= lo) & (step <= hi), step, 0.5 * (lo + hi))
+    return np.exp(y)
 
 
 def one_jump_increments(

@@ -18,6 +18,10 @@ per run and shares them across strategies.
 Barrier monitoring is discrete on the simulation grid.  An expired option
 (zero remaining maturity) is valued by its payoff with the barrier checked
 against the evaluation state.
+
+The Black-Scholes closed forms (the pure-Brownian oracle) take the normal
+law from the standard library, N(x) = erfc(-x/sqrt 2)/2 and
+phi(x) = exp(-x^2/2)/sqrt(2 pi), so pricing loads nothing beyond numpy.
 """
 
 from __future__ import annotations
@@ -26,7 +30,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
 
 from .errors import GridError, LadderOrderError, PricingFailedError
 from .models import LevyModel, relative_factors
@@ -308,6 +311,15 @@ def derivative_ladder(
 # ---------------------------------------------------------------------------
 
 
+def _norm_cdf(x: float) -> float:
+    """N(x) = erfc(-x/sqrt 2)/2, accurate in both tails."""
+    return 0.5 * math.erfc(-x * math.sqrt(0.5))
+
+
+def _norm_pdf(x: float) -> float:
+    return math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+
+
 def _d1d2(s, k, t, r, sigma, dividend):
     vol = sigma * math.sqrt(t)
     d1 = (math.log(s / k) + (r - dividend + 0.5 * sigma**2) * t) / vol
@@ -320,17 +332,17 @@ def black_scholes_price(s, k, t, r, sigma, dividend=0.0, kind=EUROPEAN_CALL):
         return intrinsic
     d1, d2 = _d1d2(s, k, t, r, sigma, dividend)
     if kind == EUROPEAN_CALL:
-        return s * math.exp(-dividend * t) * norm.cdf(d1) - k * math.exp(-r * t) * norm.cdf(d2)
+        return s * math.exp(-dividend * t) * _norm_cdf(d1) - k * math.exp(-r * t) * _norm_cdf(d2)
     if kind == EUROPEAN_PUT:
-        return k * math.exp(-r * t) * norm.cdf(-d2) - s * math.exp(-dividend * t) * norm.cdf(-d1)
+        return k * math.exp(-r * t) * _norm_cdf(-d2) - s * math.exp(-dividend * t) * _norm_cdf(-d1)
     raise ValueError(f"no closed form for {kind!r}")
 
 
 def black_scholes_delta(s, k, t, r, sigma, dividend=0.0):
     d1, _ = _d1d2(s, k, t, r, sigma, dividend)
-    return math.exp(-dividend * t) * norm.cdf(d1)
+    return math.exp(-dividend * t) * _norm_cdf(d1)
 
 
 def black_scholes_gamma(s, k, t, r, sigma, dividend=0.0):
     d1, _ = _d1d2(s, k, t, r, sigma, dividend)
-    return math.exp(-dividend * t) * norm.pdf(d1) / (s * sigma * math.sqrt(t))
+    return math.exp(-dividend * t) * _norm_pdf(d1) / (s * sigma * math.sqrt(t))

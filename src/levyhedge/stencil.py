@@ -22,6 +22,7 @@ is accumulated in exact rational arithmetic.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -115,19 +116,33 @@ class StencilTable:
     p_max: int
     entries: dict[tuple[int, int], Fraction]
 
-    def coefficient(self, p: int, k: int) -> Fraction:
+    def _check_order(self, p: int) -> None:
         if not 1 <= p <= self.p_max:
             raise InsufficientNodesError(
                 f"order p={p} outside table range 1..{self.p_max}"
             )
+
+    def coefficient(self, p: int, k: int) -> Fraction:
+        self._check_order(p)
         return self.entries[(p, k)]
 
-    def row(self, p: int) -> np.ndarray:
-        """Float coefficients for offsets -N..N."""
+    @functools.cached_property
+    def _float_rows(self) -> np.ndarray:
+        """Every order's row as floats, shape (p_max, 2N+1), converted once
+        per table and read-only."""
         n = self.half_width
-        return np.array(
-            [float(self.coefficient(p, k)) for k in range(-n, n + 1)], dtype=float
+        rows = np.array(
+            [[float(self.entries[(p, k)]) for k in range(-n, n + 1)]
+             for p in range(1, self.p_max + 1)],
+            dtype=float,
         )
+        rows.flags.writeable = False
+        return rows
+
+    def row(self, p: int) -> np.ndarray:
+        """Float coefficients for offsets -N..N (a read-only view)."""
+        self._check_order(p)
+        return self._float_rows[p - 1]
 
     def row_exact(self, p: int) -> list[Fraction]:
         n = self.half_width

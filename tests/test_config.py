@@ -287,3 +287,40 @@ def test_barrier_side_is_checked_against_s0():
     assert load_config(raw).options[0].barrier == 120.0
     with pytest.raises(ConfigError, match=r"'option\.barrier': up barrier 120"):
         load_config(dict(raw, scenario={"s0": 130}))
+
+
+CP = {"kind": "compound_poisson", "intensity": 2.0}
+VG = {"kind": "variance_gamma", "theta": -0.1, "nu": 0.2, "vg_sigma": 0.1}
+
+
+@pytest.mark.parametrize("model, path", [
+    (dict(CP, intensity=-1), r"'model\.intensity' must be > 0, got -1"),
+    (dict(VG, nu=0), r"'model\.nu' must be > 0, got 0"),
+    (dict(VG, vg_sigma=-0.1), r"'model\.vg_sigma' must be >= 0, got -0\.1"),
+    (dict(CP, brownian_sigma=-0.2), r"'model\.brownian_sigma' must be >= 0, got -0\.2"),
+    (dict(CP, jump_law={"kind": "normal", "std": -0.1}),
+     r"'model\.jump_law\.std' must be >= 0, got -0\.1"),
+    (dict(CP, truncation_eps=0), r"'model\.truncation_eps' must be > 0, got 0"),
+    (dict(VG, theta=2.0, nu=1.0, drift_b="risk_neutral"),
+     r"'model\.drift_b': VG exponential moment does not exist"),
+])
+def test_model_parameter_ranges_name_their_field(model, path):
+    with pytest.raises(ConfigError, match=path):
+        load_config(minimal(model=model))
+
+
+@pytest.mark.parametrize("stencil, path", [
+    ({"half_width": 20, "p_max": 40}, r"'stencil\.p_max' must be at most .* 39, got 40"),
+    ({"half_width": 4, "p_max": 0}, r"'stencil\.p_max' must be >= 1, got 0"),
+    ({"half_width": 0}, r"'stencil\.half_width' must be >= 1, got 0"),
+])
+def test_stencil_ranges_name_their_field(stencil, path):
+    with pytest.raises(ConfigError, match=path):
+        load_config(minimal(stencil=stencil))
+
+
+@pytest.mark.parametrize("move", [-6000, -5000])
+def test_a_move_must_keep_the_spot_positive(move):
+    with pytest.raises(ConfigError, match=r"'scenario\.delta_s\[1\]' takes the spot"):
+        load_config(minimal(scenario={"s0": 5000, "delta_s": [10, move]}))
+    assert load_config(minimal(scenario={"s0": 5000, "delta_s": [10, -4999]})).delta_s[1] == -4999

@@ -1,0 +1,35 @@
+"""Importing the package loads numpy and the standard library only."""
+
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+PROBE = """
+import json, sys
+import levyhedge, levyhedge.cli, levyhedge.harness
+before = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+import numpy as np
+from levyhedge.models import LevyModel, VarianceGamma, relative_factors
+model = LevyModel(jump_spec=VarianceGamma(theta=-0.1, nu=0.2, sigma=0.15))
+factors, jumps = relative_factors(model, 0.25, 2, 50, np.random.default_rng(0), records=True)
+print(json.dumps({"scipy_at_import": before, "finite": bool(np.isfinite(factors).all()),
+                  "jumps": int(jumps.size.size), "special": "scipy.special" in sys.modules}))
+"""
+
+
+def test_import_loads_no_scipy_and_vg_records_still_draw():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    proc = subprocess.run([sys.executable, "-c", PROBE], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["scipy_at_import"] == []
+    assert result["finite"] and result["jumps"] > 0
+    assert result["special"]  # VG jump records load scipy.special on first use

@@ -20,7 +20,7 @@ from levyhedge.models import (
     risk_neutral_drift,
     simulate_path,
 )
-from levyhedge.models import PathGrid, _truncated_vg
+from levyhedge.models import PathGrid, _e1_tail_inverse, _truncated_vg
 
 VG_FTSE = VarianceGamma(theta=-0.2721, nu=0.3032, sigma=0.0302)
 CP_TEST = CompoundPoisson(intensity=2.0, law=NormalJumps(mean=0.0, std=0.1))
@@ -263,6 +263,23 @@ class TestSampler:
         lam = np.where(x < 0, g, m)
         np.testing.assert_allclose(special.exp1(lam * np.abs(x)),
                                    (1.0 - u) * special.exp1(lam * eps), rtol=1e-12)
+
+    def test_vg_tail_newton_matches_bisection(self):
+        # reference: 64 bisection sweeps on ln x inside the same bracket
+        spec, eps = self.VG_REC.jump_spec, 1e-6
+        _, g, m = spec.cgm()
+        target = np.geomspace(3e-5, 9.0, 400)
+        for lam in (g, m):
+            assert special.exp1(lam * eps) > 9.0
+            lam = np.full(len(target), lam)
+            lo = np.full(len(target), math.log(eps))
+            hi = np.log(np.maximum(np.maximum(1.0, -np.log(target)) / lam, eps))
+            for _ in range(64):
+                mid = 0.5 * (lo + hi)
+                above = special.exp1(lam * np.exp(mid)) > target
+                lo, hi = np.where(above, mid, lo), np.where(above, hi, mid)
+            np.testing.assert_allclose(_e1_tail_inverse(lam, target, eps), np.exp(hi),
+                                       rtol=1e-13)
 
     def test_vg_records_keep_the_mean_growth(self):
         n = 4000

@@ -307,3 +307,31 @@ class TestPayoffs:
             OptionSpec(kind="european_call", strike=100.0, maturity=1.0, barrier=120.0)
         with pytest.raises(ValueError):
             OptionSpec(kind="lookback", strike=100.0, maturity=1.0)
+
+
+class TestBlackScholesClosedForms:
+    """The closed forms against the same formulas on scipy's normal law."""
+
+    K, T, R, SIGMA, Q = 100.0, 0.25, 0.03, 0.2, 0.01
+
+    @pytest.mark.parametrize("d1", np.linspace(-8.0, 8.0, 33))
+    def test_match_scipy_normal(self, d1):
+        from scipy.stats import norm
+
+        k, t, r, sigma, q = self.K, self.T, self.R, self.SIGMA, self.Q
+        vol = sigma * math.sqrt(t)
+        s = k * math.exp(d1 * vol - (r - q + 0.5 * sigma**2) * t)
+        d1 = (math.log(s / k) + (r - q + 0.5 * sigma**2) * t) / vol  # as rounded from s
+        d2 = d1 - vol
+        stock, bond = s * math.exp(-q * t), k * math.exp(-r * t)
+        legs = {"european_call": (stock * norm.cdf(d1), bond * norm.cdf(d2)),
+                "european_put": (bond * norm.cdf(-d2), stock * norm.cdf(-d1))}
+        delta = math.exp(-q * t) * norm.cdf(d1)
+        gamma = math.exp(-q * t) * norm.pdf(d1) / (s * vol)
+        for kind, (long, short) in legs.items():
+            # a price is the difference of two legs, so it can only agree to
+            # 1e-14 of the larger leg: deep out of the money they cancel
+            got = black_scholes_price(s, k, t, r, sigma, q, kind=kind)
+            assert got == pytest.approx(long - short, rel=0.0, abs=1e-14 * long)
+        assert black_scholes_delta(s, k, t, r, sigma, q) == pytest.approx(delta, rel=1e-14, abs=0.0)
+        assert black_scholes_gamma(s, k, t, r, sigma, q) == pytest.approx(gamma, rel=1e-14, abs=0.0)
