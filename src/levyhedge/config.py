@@ -20,14 +20,11 @@ from .models import (
 from .pricing import OPTION_KINDS, OptionSpec
 
 # Every key the library reads, nested as in the config.  A leaf is None; a
-# block is the dict of its keys, and also covers a list of such blocks.
+# block is the dict of its keys, and also covers a list of such blocks.  The
+# model block's keys depend on its kind, so ``build_model`` checks them.
 _OPTION_KEYS = {"kind": None, "strike": None, "maturity": None, "barrier": None}
 _KNOWN_KEYS = {
-    "model": {
-        "kind": None, "drift_b": None, "brownian_sigma": None, "truncation_eps": None,
-        "intensity": None, "jump_law": {"kind": None, "mean": None, "std": None, "size": None},
-        "theta": None, "nu": None, "vg_sigma": None, "sigma": None,
-    },
+    "model": None,
     "option": _OPTION_KEYS,
     "options": _OPTION_KEYS,
     "scenario": {
@@ -49,6 +46,15 @@ __all__ = ["ExperimentConfig", "load_config", "config_hash", "build_model", "bui
 # The hedging strategies a pnl run knows, by config name.
 STRATEGY_NAMES = ("taylor+swaps", "taylor+pja", "minvar", "minvar+varswap", "delta",
                   "moment-neutral")
+
+# The keys each model kind and each jump law reads.
+_MODEL_KEYS = {"kind", "drift_b", "brownian_sigma", "truncation_eps"}
+_KIND_KEYS = {
+    "brownian": _MODEL_KEYS,
+    "compound_poisson": _MODEL_KEYS | {"intensity", "jump_law"},
+    "variance_gamma": _MODEL_KEYS | {"theta", "nu", "vg_sigma", "sigma"},
+}
+_JUMP_LAW_KEYS = {"normal": {"kind", "mean", "std"}, "fixed": {"kind", "size"}}
 
 _REQUIRED = object()
 
@@ -93,10 +99,14 @@ def build_model(block: dict, r: float = 0.0, dividend: float = 0.0) -> LevyModel
 
     ``drift_b`` may be the string "risk_neutral", in which case the drift
     that makes the dividend-adjusted discounted asset driftless is used.
-    A malformed field raises ``ConfigError`` naming its dotted path.
+    A malformed field, or a key the model's kind does not read, raises
+    ``ConfigError`` naming its dotted path.
     """
     path = "model."
     kind = block.get("kind", "brownian")
+    if not isinstance(kind, str) or kind not in _KIND_KEYS:
+        raise ConfigError(f"config field {path + 'kind'!r}: unknown model kind {kind!r}")
+    _check_keys(block, dict.fromkeys(_KIND_KEYS[kind]), path, f"model kind {kind!r}")
     sigma = _number(block, "brownian_sigma", path, 0.0, minimum=0)
     eps = _number(block, "truncation_eps", path, 1e-6, positive=True)
     if kind == "brownian":
@@ -105,26 +115,29 @@ def build_model(block: dict, r: float = 0.0, dividend: float = 0.0) -> LevyModel
         law_block = _object(block.get("jump_law", {}), path + "jump_law")
         law_path = path + "jump_law."
         law_kind = law_block.get("kind", "normal")
+        if not isinstance(law_kind, str) or law_kind not in _JUMP_LAW_KEYS:
+            raise ConfigError(f"config field {law_path + 'kind'!r}: unknown jump law {law_kind!r}")
+        _check_keys(law_block, dict.fromkeys(_JUMP_LAW_KEYS[law_kind]), law_path,
+                    f"jump law {law_kind!r}")
         if law_kind == "normal":
             law = NormalJumps(
                 mean=_number(law_block, "mean", law_path, 0.0),
                 std=_number(law_block, "std", law_path, 0.1, minimum=0),
             )
-        elif law_kind == "fixed":
-            law = FixedJumps(size=_number(law_block, "size", law_path, 0.05))
         else:
-            raise ConfigError(f"config field {law_path + 'kind'!r}: unknown jump law {law_kind!r}")
+            law = FixedJumps(size=_number(law_block, "size", law_path, 0.05))
         spec = CompoundPoisson(intensity=_number(block, "intensity", path, positive=True),
                                law=law)
-    elif kind == "variance_gamma":
+    else:
+        if "vg_sigma" in block and "sigma" in block:
+            raise ConfigError(f"config field {path + 'sigma'!r} repeats "
+                              f"{path + 'vg_sigma'!r}; give one of them")
         sigma_key = "vg_sigma" if "vg_sigma" in block else "sigma"
         spec = VarianceGamma(
             theta=_number(block, "theta", path),
             nu=_number(block, "nu", path, positive=True),
             sigma=_number(block, sigma_key, path, 0.0, minimum=0),
         )
-    else:
-        raise ConfigError(f"config field {path + 'kind'!r}: unknown model kind {kind!r}")
     model = LevyModel(drift_b=0.0, brownian_sigma=sigma, jump_spec=spec, jump_eps=eps)
     if block.get("drift_b") == "risk_neutral":
         try:
@@ -194,11 +207,13 @@ def config_hash(raw: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()[:12]
 
 
-def _check_keys(block: dict, known: dict, prefix: str = "") -> None:
+def _check_keys(block: dict, known: dict, prefix: str = "", reader: str = "the library") -> None:
+    """Raise ``ConfigError`` naming the dotted path of a key ``reader`` does
+    not read, so it never runs as if the key were absent."""
     for key, value in block.items():
         path = f"{prefix}{key}"
         if key not in known:
-            raise ConfigError(f"unknown config key {path!r}")
+            raise ConfigError(f"config key {path!r} is not read by {reader}")
         sub = known[key]
         if sub is None:
             continue
@@ -214,9 +229,10 @@ def load_config(source) -> ExperimentConfig:
     """Parse a config dict or a path to a JSON file.
 
     Raises ``ConfigError`` naming the dotted path of any key the library
-    does not read, so a typo never runs silently on defaults, and of any
-    field that is missing, non-numeric, out of range or names an unknown
-    kind or strategy.  The ``pnl`` block is checked here too, before any
+    does not read (in the model block, that its kind or jump law does not
+    read), so a typo never runs silently on defaults, and of any field
+    that is missing, non-numeric, out of range or names an unknown kind
+    or strategy.  The ``pnl`` block is checked here too, before any
     Monte Carlo draw.
     """
     if isinstance(source, (str, Path)):
@@ -229,6 +245,8 @@ def load_config(source) -> ExperimentConfig:
     dividend = _number(scen, "dividend", "scenario.", 0.0)
     model = build_model(_object(raw.get("model", {}), "model"), r=r, dividend=dividend)
     s0 = _number(scen, "s0", "scenario.", 100.0, positive=True)
+    if "option" in raw and "options" in raw:
+        raise ConfigError("config field 'option' repeats 'options'; give one of them")
     if "options" in raw:
         if not isinstance(raw["options"], list):
             raise ConfigError(f"config field 'options' must be a list, got {raw['options']!r}")
@@ -239,6 +257,15 @@ def load_config(source) -> ExperimentConfig:
         options = (build_option(raw["option"], s0),)
     else:
         raise ConfigError("config needs an 'option' or 'options' block")
+    maturity = options[0].maturity
+    for k, opt in enumerate(options):
+        if opt.maturity != maturity:
+            raise ConfigError(f"config field 'options[{k}].maturity' is {opt.maturity}, but all "
+                              f"options in one run must share options[0]'s maturity {maturity}")
+    delta_t = _number(scen, "delta_t", "scenario.", 1.0 / 252.0, positive=True)
+    if delta_t > maturity:
+        raise ConfigError(f"config field 'scenario.delta_t' is {delta_t!r}, longer than the "
+                          f"options' maturity {maturity!r}")
     ds = scen.get("delta_s", [10.0])
     if not isinstance(ds, (list, tuple)):
         ds = [ds]
@@ -282,7 +309,7 @@ def load_config(source) -> ExperimentConfig:
         options=options,
         s0=s0,
         delta_s=delta_s,
-        delta_t=_number(scen, "delta_t", "scenario.", 1.0 / 252.0, positive=True),
+        delta_t=delta_t,
         r=r,
         dividend=dividend,
         alpha_tol=_number(scen, "alpha_tol", "scenario.", 0.01, positive=True),

@@ -55,7 +55,7 @@ class NeedsHigherOrderError(LevyHedgeError, RuntimeError):
 
 
 class ZeroRateError(LevyHedgeError, ValueError):
-    """Bank-account replication formula requires r > 0."""
+    """A bank leg is sized by dividing by e^{r dt} - 1, so it needs r != 0."""
 
 
 class IncompleteMarketError(LevyHedgeError, ValueError):

@@ -36,7 +36,7 @@ from .pricing import (
 )
 from .stencil import StencilTable, build_lookup_table
 from .swaps import RealizedHistory, SwapSpec, moment_swap_basket
-from .taylor import HedgeScenario, assemble_ledger, find_q, taylor_sums
+from .taylor import HedgeScenario, assemble_ledger, bank_growth, find_q, taylor_sums
 
 __all__ = ["run_qtable", "run_converge", "run_pnl", "write_csv"]
 
@@ -48,21 +48,15 @@ FLOAT_FMT = "{:.12g}"
 # moves 10..70, up barrier 5050, down barrier 4950); emitted for reference
 # next to computed values, never asserted.
 REFERENCE_Q = {
-    ("european_call", 10): 8, ("european_call", 20): 14, ("european_call", 30): 20,
-    ("european_call", 40): 26, ("european_call", 50): 32, ("european_call", 60): 36,
-    ("european_call", 70): 38,
-    ("up_and_out", 10): 9, ("up_and_out", 20): 15, ("up_and_out", 30): 22,
-    ("up_and_out", 40): 27, ("up_and_out", 50): 32, ("up_and_out", 60): 36,
-    ("up_and_out", 70): 39,
-    ("up_and_in", 10): 9, ("up_and_in", 20): 16, ("up_and_in", 30): 22,
-    ("up_and_in", 40): 28, ("up_and_in", 50): 32, ("up_and_in", 60): 36,
-    ("up_and_in", 70): 39,
-    ("down_and_out", 10): 8, ("down_and_out", 20): 14, ("down_and_out", 30): 20,
-    ("down_and_out", 40): 26, ("down_and_out", 50): 32, ("down_and_out", 60): 36,
-    ("down_and_out", 70): 38,
-    ("down_and_in", 10): 9, ("down_and_in", 20): 16, ("down_and_in", 30): 22,
-    ("down_and_in", 40): 28, ("down_and_in", 50): 32, ("down_and_in", 60): 36,
-    ("down_and_in", 70): 39,
+    (kind, 10 * (k + 1)): q
+    for kind, qs in {
+        "european_call": (8, 14, 20, 26, 32, 36, 38),
+        "up_and_out": (9, 15, 22, 27, 32, 36, 39),
+        "up_and_in": (9, 16, 22, 28, 32, 36, 39),
+        "down_and_out": (8, 14, 20, 26, 32, 36, 38),
+        "down_and_in": (9, 16, 22, 28, 32, 36, 39),
+    }.items()
+    for k, q in enumerate(qs)
 }
 
 
@@ -100,14 +94,7 @@ class Market:
         self.cfg = cfg
         n = cfg.half_width
         self.grid = cfg.s0 + cfg.s_step * np.arange(-n, n + 1)
-        maturity = cfg.options[0].maturity
-        for k, opt in enumerate(cfg.options):
-            if opt.maturity != maturity:
-                raise ConfigError(
-                    f"config field 'options[{k}].maturity' is {opt.maturity}, but all "
-                    f"options in one run must share options[0]'s maturity {maturity}"
-                )
-        self.maturity = maturity
+        self.maturity = maturity = cfg.options[0].maturity
         remaining = maturity - cfg.delta_t
         if remaining > 1e-14:
             later = max(1, cfg.steps - 1)
@@ -265,9 +252,8 @@ def _taylor_pja(book: _Book):
 def _minvar(book: _Book):
     cfg = book.cfg
     weights = mvp_bank_stock(book.coeffs, cfg.s0, book.moments, cfg.delta_t, cfg.r)
-    growth = math.exp(cfg.r * cfg.delta_t) - 1.0
     return (
-        book.delta_leg(book.moves) + weights.bank_cash * growth
+        book.delta_leg(book.moves) + weights.bank_cash * bank_growth(cfg.r, cfg.delta_t)
         + weights.stock_units * book.moves
     )
 

@@ -3,7 +3,8 @@
 The i-th power jump asset T^(i) = e^{rt} Y^(i) marks the compensated
 power-jump process to a bank-account numeraire.  Under the one-jump
 regimes stated with each constructor, a static position in these assets
-plus stock and cash changes value by exactly C_i (Delta S)^i:
+plus stock and cash changes value by exactly C_i (Delta S)^i (the cash
+accrues by ``taylor.bank_growth``: r != 0, negative rates are fine):
 
 * ``pja_basket_general``  -- sigma = 0, at most one jump, any i >= 2,
   through the closed-form sums of the binomial coefficients c_k^(i,j);
@@ -41,6 +42,7 @@ import numpy as np
 from .chaos import constant_terms, enumerate_compositions, phi_from_constants
 from .errors import UnsupportedOrderError
 from .models import MomentVector
+from .taylor import bank_growth
 
 __all__ = [
     "PathState",
@@ -123,7 +125,7 @@ class JumpBasket:
     def change_of_value(self, outcome: ScenarioOutcome) -> float:
         t0 = self.path_state.t
         t1 = t0 + self.delta_t
-        growth = math.exp(self.r * self.delta_t) - 1.0
+        growth = bank_growth(self.r, self.delta_t)
         # fsum plus regrouped T-legs: e^{rt1}(y+dy) - e^{rt0}y is evaluated
         # as y e^{rt0}(e^{r dt}-1) + e^{rt1} dy so no term dwarfs the total
         terms = [self.bank_cash * growth, self.stock_units * outcome.delta_s]
@@ -212,7 +214,7 @@ def pja_basket_general(
         moments=moments,
         pja_units={k: scale * w * disc_mat for k, w in weights.items()},
         stock_units=coefficient * i * s_t ** (i - 1) * em1 ** (i - 1),
-        bank_cash=scale * math.fsum(cash_terms) / (math.exp(r * dt) - 1.0),
+        bank_cash=scale * math.fsum(cash_terms) / bank_growth(r, dt),
     )
 
 
@@ -268,7 +270,7 @@ def pji_basket(
             denom *= fact[part]
         pi = fact[i] // denom * consts[n]
         units[theta] = coefficient * s_t**i * pi * disc
-    cash = coefficient * s_t**i * consts[i] / (math.exp(r * dt) - 1.0)
+    cash = coefficient * s_t**i * consts[i] / bank_growth(r, dt)
     return JumpBasket(
         coefficient=coefficient,
         order=i,
@@ -303,7 +305,7 @@ def phi_hedge_basket(
     units = {j: coefficient * phis[j] * disc for j in phis}
     cash = coefficient * (
         sum(-math.exp(-2 * r * dt) * path_state.t_asset(j, r) * phis[j] for j in phis)
-        + s_t**n * consts[n] / (math.exp(r * dt) - 1.0)
+        + s_t**n * consts[n] / bank_growth(r, dt)
     )
     return JumpBasket(
         coefficient=coefficient,

@@ -6,19 +6,20 @@ replicated; the best mean-square substitute projects the jump risk onto
 the available instruments.  The simplified formulas hold in the
 negligible-dt regime and use the bare moments m_i dt; the general
 variants replace them with the chaos constants C^(i) and the
-left-endpoint predictable weights.
+left-endpoint predictable weights.  Every stock weight is one projection,
+``mvp_weight``.  The bank leg accrues by ``taylor.bank_growth``, so it
+needs r != 0; negative rates are fine.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 from .chaos import constant_terms, phi_from_constants
-from .errors import DegenerateModelError, ZeroRateError
+from .errors import DegenerateModelError
 from .models import MomentVector
 from .swaps import ACTUAL, RealizedHistory, SwapBasket, SwapSpec, moment_swap_basket
-from .taylor import HedgeScenario
+from .taylor import HedgeScenario, bank_growth
 
 __all__ = [
     "MinVarWeights",
@@ -59,12 +60,6 @@ def mvp_weight(f1_val, x_f2_integral, x2_nu_integral, sigma, s) -> float:
     return (f1_val * sigma + x_f2_integral) / denom
 
 
-def _growth(r, dt):
-    if r <= 0:
-        raise ZeroRateError("minimal-variance bank leg requires r > 0")
-    return math.exp(r * dt) - 1.0
-
-
 def _coeff_items(coefficients):
     """Normalize {order: C_i} or a sequence starting at order 2."""
     if isinstance(coefficients, dict):
@@ -76,12 +71,10 @@ def mvp_bank_stock(coefficients, s_t, moments: MomentVector, delta_t, r) -> MinV
     """Bank + stock only (negligible dt): deposit the compensator legs and
     hold sum_i C_i S^{i-1} m_{i+1} / (sigma^2 + m_2) units of stock."""
     items = _coeff_items(coefficients)
-    growth = _growth(r, delta_t)
-    bank = sum(c * s_t**i * moments[i] * delta_t for i, c in items) / growth
-    denom = moments.brownian_sigma**2 + moments[2]
-    if denom == 0:
-        raise DegenerateModelError("sigma^2 + m_2 = 0: nothing to project onto")
-    stock = sum(c * s_t ** (i - 1) * moments[i + 1] for i, c in items) / denom
+    bank = sum(c * s_t**i * moments[i] * delta_t for i, c in items) / bank_growth(r, delta_t)
+    # the target's jump integrand is f2(x) = sum_i C_i S^i x^i, with no Brownian part
+    x_f2 = sum(c * s_t**i * moments[i + 1] for i, c in items)
+    stock = mvp_weight(0.0, x_f2, moments[2], moments.brownian_sigma, s_t)
     return MinVarWeights(stock_units=stock, bank_cash=bank)
 
 
@@ -113,7 +106,7 @@ def _varswap_book(
     phi = phi_numer / m2
     scenario = HedgeScenario(s_t=s_t, delta_s=0.0, delta_t=delta_t, r=r)
     leg = moment_swap_basket(phi, scenario, swap, history)
-    bank = (legs - phi * s_t**2 * m2 * delta_t) / _growth(r, delta_t) + leg.bank_cash
+    bank = (legs - phi * s_t**2 * m2 * delta_t) / bank_growth(r, delta_t) + leg.bank_cash
     return MinVarWeights(stock_units=0.0, bank_cash=0.0, swap=replace(leg, bank_cash=bank))
 
 
@@ -160,7 +153,6 @@ def mvp_general(
     in the simplified case.
     """
     items = _coeff_items(coefficients)
-    growth = _growth(r, delta_t)
     consts = constant_terms(max((i for i, _ in items), default=0), moments, delta_t)
     legs = sum(c * s_t**i * consts[i] for i, c in items)
     phi_total: dict[int, float] = {}
@@ -170,11 +162,11 @@ def mvp_general(
     if swap is not None:
         phi_numer = sum(val * moments[j] for j, val in phi_total.items()) / s_t**2
         return _varswap_book(phi_numer, legs, s_t, moments, delta_t, r, swap, history)
+    # Brownian integrand sigma Phi_1, jump integrand f2(x) = sum_j Phi_j x^j
     sigma = moments.brownian_sigma
-    denom = (sigma**2 + moments[2]) * s_t
-    if denom == 0:
-        raise DegenerateModelError("sigma^2 + m_2 = 0: nothing to project onto")
-    numer = sigma**2 * phi_total.get(1, 0.0) + sum(
-        val * moments[j + 1] for j, val in phi_total.items()
+    stock = mvp_weight(
+        sigma * phi_total.get(1, 0.0),
+        sum(val * moments[j + 1] for j, val in phi_total.items()),
+        moments[2], sigma, s_t,
     )
-    return MinVarWeights(stock_units=numer / denom, bank_cash=legs / growth)
+    return MinVarWeights(stock_units=stock, bank_cash=legs / bank_growth(r, delta_t))

@@ -56,8 +56,9 @@ DOWN_AND_OUT = "down_and_out"
 DOWN_AND_IN = "down_and_in"
 
 OPTION_KINDS = (EUROPEAN_CALL, EUROPEAN_PUT, UP_AND_OUT, UP_AND_IN, DOWN_AND_OUT, DOWN_AND_IN)
-# Each barrier kind: the running extremum it monitors and the test on the
-# spot-scaled extremum under which the call pays (``payoff``'s complement).
+# Each barrier kind: the running extremum it monitors (a ``PathBundle``
+# attribute) and the test on that extremum under which the call pays.
+# ``payoff`` and the bundle kernel both read this table.
 _BARRIER_PAYS = {
     UP_AND_OUT: ("running_max", np.less),
     UP_AND_IN: ("running_max", np.greater_equal),
@@ -97,21 +98,15 @@ class OptionSpec:
 def payoff(option: OptionSpec, s_terminal, s_max=None, s_min=None):
     """Terminal payoff; barrier state defaults to the terminal value."""
     st = np.asarray(s_terminal, dtype=float)
-    smax = st if s_max is None else np.asarray(s_max, dtype=float)
-    smin = st if s_min is None else np.asarray(s_min, dtype=float)
     if option.kind == EUROPEAN_PUT:
         return np.maximum(option.strike - st, 0.0)
     call = np.maximum(st - option.strike, 0.0)
-    if option.kind == EUROPEAN_CALL:
+    if option.kind not in _BARRIER_PAYS:
         return call
-    h = option.barrier
-    if option.kind == UP_AND_OUT:
-        return np.where(smax >= h, 0.0, call)
-    if option.kind == UP_AND_IN:
-        return np.where(smax >= h, call, 0.0)
-    if option.kind == DOWN_AND_OUT:
-        return np.where(smin <= h, 0.0, call)
-    return np.where(smin <= h, call, 0.0)
+    extremum, pays = _BARRIER_PAYS[option.kind]
+    level = {"running_max": s_max, "running_min": s_min}[extremum]
+    level = st if level is None else np.asarray(level, dtype=float)
+    return np.where(pays(level, option.barrier), call, 0.0)
 
 
 class PathBundle:
@@ -205,10 +200,6 @@ def _fresh_bundle(model, horizon, n_paths, steps, seed, rng, antithetic) -> Path
     return PathBundle(factors, horizon)
 
 
-def _expired_value(option: OptionSpec, s0: float) -> float:
-    return float(payoff(option, np.array([s0]))[0])
-
-
 def mc_price(
     model: LevyModel,
     option: OptionSpec,
@@ -227,7 +218,7 @@ def mc_price(
     option.check_barrier_side(s0)
     remaining = option.maturity - t
     if remaining <= 0:
-        return _expired_value(option, s0), 0.0
+        return float(payoff(option, s0)), 0.0
     bundle = _fresh_bundle(model, remaining, n_paths, steps, seed, rng, antithetic)
     return bundle.price(option, s0, r)
 
@@ -258,7 +249,7 @@ def price_curve(
             raise GridError("spot grid must be uniform and increasing")
     remaining = option.maturity - t
     if remaining <= 0:
-        prices = np.array([_expired_value(option, s) for s in s_values])
+        prices = payoff(option, s_values)
         return prices, np.zeros_like(prices)
     bundle = _fresh_bundle(model, remaining, n_paths, steps, seed, rng, antithetic)
     return bundle.price_many(option, s_values, r)
@@ -267,11 +258,10 @@ def price_curve(
 @dataclass(frozen=True)
 class DerivativeLadder:
     """Spot derivatives d2[i] = D2^i F(t+dt, S_t), i = 1..p_max, plus the
-    first time derivative d1 = D1^1 F(t, S_t) and the grid step used."""
+    first time derivative d1 = D1^1 F(t, S_t)."""
 
     d2: tuple[float, ...]
     d1: float
-    s_step: float
 
     def order(self) -> int:
         return len(self.d2)
@@ -303,7 +293,7 @@ def derivative_ladder(
     if len(curve) != 2 * n + 1:
         raise GridError(f"curve must have {2 * n + 1} points for half-width {n}")
     d2 = tuple(apply_stencil(curve, p, s_step, table) for p in range(1, p_max + 1))
-    return DerivativeLadder(d2=d2, d1=d1, s_step=s_step)
+    return DerivativeLadder(d2=d2, d1=d1)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,9 @@ Hedging baskets require the actual-return convention
 R_i = (S_{i+1} - S_i)/S_i: a log-return swap responds to log(1 + dS/S)
 and cannot replicate powers of dS.  Log-return realized moments remain
 available for reporting only.
+
+The deposit accrues by ``taylor.bank_growth``, so a basket needs r != 0;
+negative rates are fine.
 """
 
 from __future__ import annotations
@@ -20,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AlignmentError, ConventionError, ZeroRateError
+from .errors import AlignmentError, ConventionError
+from .taylor import bank_growth
 
 __all__ = [
     "SwapSpec",
@@ -59,6 +63,8 @@ class SwapSpec:
             raise ValueError("sampling spacing must be > 0")
         if self.n < 3:
             raise ValueError("need at least 3 sampling points")
+        if self.notional <= 0:
+            raise ValueError(f"swap notional must be > 0, got {self.notional}")
 
     @property
     def annualizer(self) -> float:
@@ -141,7 +147,7 @@ class SwapBasket:
             [
                 self.swap_units * payoff,
                 -self.swap_units * self.spec.unit_price,
-                self.bank_cash * (math.exp(self.r * self.delta_t) - 1.0),
+                self.bank_cash * bank_growth(self.r, self.delta_t),
             ]
         )
 
@@ -156,8 +162,6 @@ def moment_swap_basket(
             "hedging baskets require actual-return swaps; log-return realized "
             "moments are reporting-only"
         )
-    if scenario.r <= 0:
-        raise ZeroRateError("swap replication requires r > 0")
     if not math.isclose(swap.delta_s, scenario.delta_t, rel_tol=1e-9, abs_tol=1e-15):
         raise AlignmentError(
             f"swap sampling spacing {swap.delta_s} must equal the hedging period "
@@ -167,7 +171,7 @@ def moment_swap_basket(
     s_t = scenario.s_t
     ann = swap.annualizer
     s_pow = s_t**k
-    growth = math.exp(scenario.r * scenario.delta_t) - 1.0
+    growth = bank_growth(scenario.r, scenario.delta_t)
     past = history.power_sum(k)
     units = coefficient * ann * s_pow / swap.notional
     cash = (units * swap.notional * (swap.strike - past / ann) + units * swap.unit_price) / growth

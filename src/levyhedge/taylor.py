@@ -6,6 +6,10 @@ The time series is replicated by one bank deposit; the linear spot term
 by stock; each higher term i by C_i = D2^i F / i! units of a basket
 P^(i) whose change of value is exactly (dS)^i.  ``find_q`` measures how
 many spot terms a tolerance demands.
+
+Every bank leg in the library accrues by ``bank_growth(r, dt)`` =
+e^{r dt} - 1 and is sized by dividing through it: it needs r != 0, and a
+negative rate finances a deposit like any other.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ __all__ = [
     "taylor_sums",
     "taylor_approx",
     "find_q",
+    "bank_growth",
     "bank_term",
     "assemble_ledger",
 ]
@@ -85,28 +90,24 @@ def find_q(ladder: DerivativeLadder, scenario: HedgeScenario, exact_change: floa
     )
 
 
-def bank_term(d1_terms, scenario: HedgeScenario, allow_zero_rate: bool = False) -> float:
-    """Deposit replicating the deterministic time series.
+def bank_growth(r: float, delta_t: float) -> float:
+    """e^{r dt} - 1, the interest on one unit of deposit; r = 0 raises."""
+    if r == 0:
+        raise ZeroRateError("a bank leg needs r != 0: it is sized by dividing by e^{r dt} - 1")
+    return math.exp(r * delta_t) - 1.0
+
+
+def bank_term(d1_terms, scenario: HedgeScenario) -> float:
+    """Deposit replicating the deterministic time series D1^1 F, D1^2 F, ...
 
     deposit * (e^{r dt} - 1) = sum_i D1^i F (dt)^i / i!, so the accrued
-    interest pays out exactly the time decay.  With r = 0 the compounding
-    formula degenerates; ``allow_zero_rate`` instead holds the required
-    sum as plain cash (consumed, not accrued).
+    interest pays out exactly the time decay.
     """
-    try:
-        iter(d1_terms)
-        terms = tuple(d1_terms)
-    except TypeError:
-        terms = (d1_terms,)
     required = sum(
         term * scenario.delta_t**i / math.factorial(i)
-        for i, term in enumerate(terms, start=1)
+        for i, term in enumerate(d1_terms, start=1)
     )
-    if scenario.r == 0:
-        if not allow_zero_rate:
-            raise ZeroRateError("bank replication needs r > 0 (or allow_zero_rate)")
-        return required
-    return required / (math.exp(scenario.r * scenario.delta_t) - 1.0)
+    return required / bank_growth(scenario.r, scenario.delta_t)
 
 
 @dataclass(frozen=True)
@@ -121,7 +122,6 @@ class HedgeLedger:
     stock_units: float
     term_positions: dict[int, tuple[float, object]] = field(default_factory=dict)
     scenario: HedgeScenario | None = None
-    zero_rate: bool = False
 
     def change_of_value(self, delta_s: float, outcome=None) -> float:
         """Mark the ledger against a realized move.
@@ -131,11 +131,7 @@ class HedgeLedger:
         accept one.
         """
         sc = self.scenario
-        if self.zero_rate:
-            bank = self.bank_cash
-        else:
-            bank = self.bank_cash * (math.exp(sc.r * sc.delta_t) - 1.0)
-        total = bank + self.stock_units * delta_s
+        total = self.bank_cash * bank_growth(sc.r, sc.delta_t) + self.stock_units * delta_s
         for _, fragment in self.term_positions.values():
             if outcome is not None and _accepts_outcome(fragment):
                 total += fragment.change_of_value(outcome)
@@ -153,7 +149,6 @@ def assemble_ledger(
     scenario: HedgeScenario,
     q: int,
     basket_provider=None,
-    allow_zero_rate: bool = False,
 ) -> HedgeLedger:
     """Build the full hedge: bank deposit for the time term, D2^1 F units
     of stock, and C_i = D2^i F / i! units of basket i for i = 2..q.
@@ -164,7 +159,7 @@ def assemble_ledger(
     """
     if q < 0 or q > ladder.order():
         raise ValueError(f"q={q} outside ladder range 0..{ladder.order()}")
-    cash = bank_term((ladder.d1,), scenario, allow_zero_rate=allow_zero_rate)
+    cash = bank_term((ladder.d1,), scenario)
     stock = ladder.derivative(1) if q >= 1 else 0.0
     positions: dict[int, tuple[float, object]] = {}
     for i in range(2, q + 1):
@@ -180,5 +175,4 @@ def assemble_ledger(
         stock_units=stock,
         term_positions=positions,
         scenario=scenario,
-        zero_rate=scenario.r == 0,
     )

@@ -1,9 +1,24 @@
 import math
+import os
+import pathlib
 from fractions import Fraction
 
 import pytest
 
 from levyhedge.stencil import build_lookup_table
+
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+
+
+def package_env() -> dict:
+    """This process's environment with the checkout's ``src`` first on
+    PYTHONPATH, so a child Python imports the package under test."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    return env
 
 
 def solve_rational(matrix, rhs):

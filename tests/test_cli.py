@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+from conftest import package_env
+
 from levyhedge.cli import main
 
 
@@ -124,7 +126,7 @@ class TestPnlCommand:
 def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "levyhedge.cli", "--help"],
-        capture_output=True, text=True,
+        env=package_env(), capture_output=True, text=True,
     )
     assert proc.returncode == 0
     assert "qtable" in proc.stdout

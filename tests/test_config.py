@@ -7,10 +7,14 @@ from levyhedge.errors import ConfigError, LevyHedgeError
 
 
 def minimal(**over):
+    """A loadable config; an ``options`` override replaces the default
+    ``option`` block, since a config may give only one of them."""
     raw = {
         "option": {"kind": "european_call", "strike": 100, "maturity": 1.0},
         "stencil": {"half_width": 4},
     }
+    if "options" in over:
+        del raw["option"]
     raw.update(over)
     return raw
 
@@ -324,3 +328,37 @@ def test_a_move_must_keep_the_spot_positive(move):
     with pytest.raises(ConfigError, match=r"'scenario\.delta_s\[1\]' takes the spot"):
         load_config(minimal(scenario={"s0": 5000, "delta_s": [10, move]}))
     assert load_config(minimal(scenario={"s0": 5000, "delta_s": [10, -4999]})).delta_s[1] == -4999
+
+
+@pytest.mark.parametrize("raw, path", [
+    (minimal(model={"kind": "brownian", "intensity": 50,
+                    "jump_law": {"kind": "normal", "std": 0.1}}),
+     r"'model\.intensity' is not read by model kind 'brownian'"),
+    (minimal(model=dict(VG, sigma=0.9, vg_sigma=0.2)),
+     r"'model\.sigma' repeats 'model\.vg_sigma'"),
+    (minimal(model=dict(CP, jump_law={"kind": "fixed", "size": 0.05, "std": 0.1})),
+     r"'model\.jump_law\.std' is not read by jump law 'fixed'"),
+    (dict(minimal(), options=[{"kind": "european_call", "strike": 100, "maturity": 1.0}]),
+     r"'option' repeats 'options'"),
+])
+def test_keys_the_parser_does_not_read_fail(raw, path):
+    with pytest.raises(ConfigError, match=path):
+        load_config(raw)
+
+
+def test_each_model_kind_reads_its_own_keys():
+    assert load_config(minimal(model=dict(VG, vg_sigma=0.2))).model.jump_spec.sigma == 0.2
+    vg = {k: v for k, v in VG.items() if k != "vg_sigma"}
+    assert load_config(minimal(model=dict(vg, sigma=0.3))).model.jump_spec.sigma == 0.3
+    with pytest.raises(ConfigError, match=r"'model\.theta' is not read by model kind "
+                                          r"'compound_poisson'"):
+        load_config(minimal(model=dict(CP, theta=0.1)))
+    with pytest.raises(ConfigError, match=r"'model\.jump_law\.size' is not read by jump law "
+                                          r"'normal'"):
+        load_config(minimal(model=dict(CP, jump_law={"kind": "normal", "size": 0.05})))
+
+
+def test_hedging_period_must_fit_the_option():
+    with pytest.raises(ConfigError, match=r"'scenario\.delta_t' is 2\.0, longer than"):
+        load_config(minimal(option=call(maturity=0.5), scenario={"delta_t": 2.0}))
+    assert load_config(minimal(option=call(maturity=0.5), scenario={"delta_t": 0.5})).delta_t == 0.5

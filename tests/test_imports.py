@@ -1,12 +1,10 @@
 """Importing the package loads numpy and the standard library only."""
 
 import json
-import os
-import pathlib
 import subprocess
 import sys
 
-ROOT = pathlib.Path(__file__).resolve().parent.parent
+from conftest import package_env
 
 PROBE = """
 import json, sys
@@ -22,12 +20,8 @@ print(json.dumps({"scipy_at_import": before, "finite": bool(np.isfinite(factors)
 
 
 def test_import_loads_no_scipy_and_vg_records_still_draw():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
-    )
-    proc = subprocess.run([sys.executable, "-c", PROBE], env=env, capture_output=True,
-                          text=True, timeout=120)
+    proc = subprocess.run([sys.executable, "-c", PROBE], env=package_env(),
+                          capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["scipy_at_import"] == []

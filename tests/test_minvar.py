@@ -45,6 +45,29 @@ class TestMvpWeight:
         with pytest.raises(DegenerateModelError):
             mvp_weight(1.0, 1.0, 0.0, 0.0, 100.0)
 
+    def test_portfolio_stock_legs_are_the_projection(self):
+        # bank + stock: f1 = 0, f2(x) = sum_i C_i S^i x^i; general: f1 =
+        # sigma Phi_1, f2(x) = sum_j Phi_j x^j with Phi_j = sum_i C_i phi_j^(i)
+        from levyhedge.chaos import constant_terms, phi_from_constants
+
+        sigma, s, dt, r = 0.15, 120.0, 0.01, 0.05
+        mom = moment_vector(cp_model(3.0, NormalJumps(0.02, 0.08), sigB=sigma), 6)
+        coeffs = {2: 0.004, 3: -2e-5, 4: 1e-7}
+        x_f2 = sum(c * s**i * mom[i + 1] for i, c in coeffs.items())
+        assert mvp_bank_stock(coeffs, s, mom, dt, r).stock_units == pytest.approx(
+            mvp_weight(0.0, x_f2, mom[2], sigma, s), rel=1e-14)
+        consts = constant_terms(4, mom, dt)
+        phi = {j: sum(c * phi_from_constants(i, consts, s).get(j, 0.0)
+                      for i, c in coeffs.items()) for j in range(1, 5)}
+        x_f2 = sum(val * mom[j + 1] for j, val in phi.items())
+        assert mvp_general(coeffs, s, mom, dt, r).stock_units == pytest.approx(
+            mvp_weight(sigma * phi[1], x_f2, mom[2], sigma, s), rel=1e-14)
+        # a model with no variance to project onto fails through mvp_weight
+        flat = moment_vector(LevyModel(drift_b=0.03), 6)
+        for build in (mvp_bank_stock, mvp_general):
+            with pytest.raises(DegenerateModelError):
+                build(coeffs, s, flat, dt, r)
+
 
 class TestBankStock:
     def test_zero_coefficients(self):

@@ -50,6 +50,13 @@ class TestRealizedMoment:
             variance_swap_basket(1.0, scen(delta_t=0.1), spec, hist)
 
 
+class TestSwapSpec:
+    @pytest.mark.parametrize("notional", [0.0, -1.0])
+    def test_notional_must_be_positive(self, notional):
+        with pytest.raises(ValueError, match="notional must be > 0"):
+            SwapSpec(order=2, delta_s=0.1, n=5, strike=0.04, unit_price=1.0, notional=notional)
+
+
 class TestVarianceSwapBasket:
     def test_zero_coefficient_empty(self):
         spec = SwapSpec(order=2, delta_s=0.1, n=5, strike=0.04, unit_price=1.0)

@@ -25,20 +25,20 @@ def scenario(**kw):
 
 class TestTaylorApprox:
     def test_time_term_only(self):
-        ladder = DerivativeLadder(d2=(0.5, 0.01), d1=-3.0, s_step=1.0)
+        ladder = DerivativeLadder(d2=(0.5, 0.01), d1=-3.0)
         sc = scenario(delta_t=0.25)
         assert taylor_approx(ladder, sc, 0) == pytest.approx(-0.75)
 
     def test_quadratic_synthetic_exact(self):
         # F(t, s) = s^2: ladder (2s, 2), change (dS)^2 + 2 s dS
         s, ds = 100.0, 7.0
-        ladder = DerivativeLadder(d2=(2 * s, 2.0), d1=0.0, s_step=1.0)
+        ladder = DerivativeLadder(d2=(2 * s, 2.0), d1=0.0)
         sc = scenario(delta_s=ds)
         got = taylor_approx(ladder, sc, 2)
         assert got == pytest.approx(2 * s * ds + ds**2, rel=1e-14)
 
     def test_orders_accumulate(self):
-        ladder = DerivativeLadder(d2=(1.0, 2.0, 6.0), d1=0.0, s_step=1.0)
+        ladder = DerivativeLadder(d2=(1.0, 2.0, 6.0), d1=0.0)
         sc = scenario(delta_s=2.0)
         assert taylor_approx(ladder, sc, 3) == pytest.approx(2.0 + 4.0 + 8.0)
 
@@ -46,7 +46,7 @@ class TestTaylorApprox:
 class TestFindQ:
     def test_polynomial_truncates_at_two(self):
         s, ds = 50.0, 3.0
-        ladder = DerivativeLadder(d2=(2 * s, 2.0, 0.0, 0.0), d1=0.0, s_step=1.0)
+        ladder = DerivativeLadder(d2=(2 * s, 2.0, 0.0, 0.0), d1=0.0)
         sc = scenario(s_t=s, delta_s=ds, alpha_tol=1e-9)
         exact = 2 * s * ds + ds**2
         q, err = find_q(ladder, sc, exact)
@@ -54,7 +54,7 @@ class TestFindQ:
         assert err <= 1e-9
 
     def test_needs_higher_order(self):
-        ladder = DerivativeLadder(d2=(1.0,), d1=0.0, s_step=1.0)
+        ladder = DerivativeLadder(d2=(1.0,), d1=0.0)
         sc = scenario(delta_s=2.0, alpha_tol=1e-6)
         with pytest.raises(NeedsHigherOrderError) as exc:
             find_q(ladder, sc, exact_change=100.0)
@@ -122,12 +122,11 @@ class TestBankTerm:
         sc = scenario(r=0.0)
         with pytest.raises(ZeroRateError):
             bank_term((-10.0,), sc)
-        assert bank_term((-10.0,), sc, allow_zero_rate=True) == pytest.approx(-1.0)
 
 
 class TestAssembleLedger:
     def test_q1_is_extended_delta_hedge(self):
-        ladder = DerivativeLadder(d2=(0.6, 0.01), d1=-5.0, s_step=1.0)
+        ladder = DerivativeLadder(d2=(0.6, 0.01), d1=-5.0)
         sc = scenario()
         ledger = assemble_ledger(ladder, sc, 1)
         assert ledger.stock_units == 0.6
@@ -137,7 +136,7 @@ class TestAssembleLedger:
         )
 
     def test_q2_three_line_ledger(self):
-        ladder = DerivativeLadder(d2=(0.6, 0.01), d1=-5.0, s_step=1.0)
+        ladder = DerivativeLadder(d2=(0.6, 0.01), d1=-5.0)
         sc = scenario(delta_t=0.1)
         hist = RealizedHistory(sums={2: 0.01})
 
@@ -152,7 +151,7 @@ class TestAssembleLedger:
         assert basket.swap_units != 0
 
     def test_missing_basket_names_order(self):
-        ladder = DerivativeLadder(d2=(0.6, 0.01, 1e-4), d1=-5.0, s_step=1.0)
+        ladder = DerivativeLadder(d2=(0.6, 0.01, 1e-4), d1=-5.0)
         with pytest.raises(IncompleteMarketError) as exc:
             assemble_ledger(ladder, scenario(), 3, lambda i, c: None)
         assert exc.value.order == 2
@@ -164,7 +163,7 @@ class TestAssembleLedger:
         for _ in range(20):
             q = int(rng.integers(2, 6))
             d2 = tuple(rng.uniform(-1, 1) / math.factorial(i) for i in range(1, q + 1))
-            ladder = DerivativeLadder(d2=d2, d1=rng.uniform(-20, 0), s_step=1.0)
+            ladder = DerivativeLadder(d2=d2, d1=rng.uniform(-20, 0))
             sc = scenario(
                 s_t=rng.uniform(50, 150),
                 delta_t=rng.uniform(0.02, 0.3),
@@ -197,7 +196,7 @@ class TestAssembleLedger:
         for _ in range(20):
             q = int(rng.integers(2, 5))
             d2 = tuple(rng.uniform(-1, 1) / math.factorial(i) for i in range(1, q + 1))
-            ladder = DerivativeLadder(d2=d2, d1=rng.uniform(-20, 0), s_step=1.0)
+            ladder = DerivativeLadder(d2=d2, d1=rng.uniform(-20, 0))
             sc = scenario(
                 s_t=rng.uniform(50, 150),
                 delta_t=rng.uniform(0.001, 0.01),
