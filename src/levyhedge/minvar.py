@@ -6,9 +6,10 @@ replicated; the best mean-square substitute projects the jump risk onto
 the available instruments.  The simplified formulas hold in the
 negligible-dt regime and use the bare moments m_i dt; the general
 variants replace them with the chaos constants C^(i) and the
-left-endpoint predictable weights.  Every stock weight is one projection,
-``mvp_weight``.  The bank leg accrues by ``taylor.bank_growth``, so it
-needs r != 0; negative rates are fine.
+left-endpoint predictable weights.  Every book takes its Taylor
+coefficients as a dict {order i: C_i}.  Every stock weight is one
+projection, ``mvp_weight``.  The bank leg accrues by
+``taylor.bank_growth``, so it needs r != 0; negative rates are fine.
 """
 
 from __future__ import annotations
@@ -60,17 +61,10 @@ def mvp_weight(f1_val, x_f2_integral, x2_nu_integral, sigma, s) -> float:
     return (f1_val * sigma + x_f2_integral) / denom
 
 
-def _coeff_items(coefficients):
-    """Normalize {order: C_i} or a sequence starting at order 2."""
-    if isinstance(coefficients, dict):
-        return sorted(coefficients.items())
-    return list(enumerate(coefficients, start=2))
-
-
 def mvp_bank_stock(coefficients, s_t, moments: MomentVector, delta_t, r) -> MinVarWeights:
     """Bank + stock only (negligible dt): deposit the compensator legs and
     hold sum_i C_i S^{i-1} m_{i+1} / (sigma^2 + m_2) units of stock."""
-    items = _coeff_items(coefficients)
+    items = sorted(coefficients.items())
     bank = sum(c * s_t**i * moments[i] * delta_t for i, c in items) / bank_growth(r, delta_t)
     # the target's jump integrand is f2(x) = sum_i C_i S^i x^i, with no Brownian part
     x_f2 = sum(c * s_t**i * moments[i + 1] for i, c in items)
@@ -125,7 +119,7 @@ def mvp_with_varswap(
     and the stock leg is zero; the bank leg funds the compensators and the
     known swap legs.
     """
-    items = _coeff_items(coefficients)
+    items = sorted(coefficients.items())
     if any(i < 3 for i, _ in items):
         raise ValueError("variance-swap minimal variance hedges orders i >= 3")
     legs = sum(c * s_t**i * moments[i] * delta_t for i, c in items)
@@ -152,7 +146,7 @@ def mvp_general(
     swap leg, when present, carries sum_j Phi_j m_j / (m_2 S^2) as printed
     in the simplified case.
     """
-    items = _coeff_items(coefficients)
+    items = sorted(coefficients.items())
     consts = constant_terms(max((i for i, _ in items), default=0), moments, delta_t)
     legs = sum(c * s_t**i * consts[i] for i, c in items)
     phi_total: dict[int, float] = {}

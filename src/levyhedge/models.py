@@ -251,13 +251,10 @@ def moment_vector(model: LevyModel, i_max: int) -> MomentVector:
 
 
 def increment_cumulants(model: LevyModel, dt: float, k_max: int) -> tuple[float, ...]:
-    """Cumulants of X_{t+dt} - X_t: kappa_1 = m_1 dt, kappa_2 = (m_2 + sigma^2) dt,
-    kappa_q = m_q dt for q >= 3."""
+    """Cumulants of X_{t+dt} - X_t: kappa_q = m'_q dt, where m'_q = m_q except
+    m'_2 = m_2 + sigma^2."""
     mom = moment_vector(model, k_max)
-    out = [mom[1] * dt, mom.m2_prime * dt] if k_max >= 2 else [mom[1] * dt]
-    for q in range(3, k_max + 1):
-        out.append(mom[q] * dt)
-    return tuple(out[:k_max])
+    return tuple(mom.prime(q) * dt for q in range(1, k_max + 1))
 
 
 # ---------------------------------------------------------------------------

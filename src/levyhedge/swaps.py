@@ -139,8 +139,9 @@ class SwapBasket:
         return self.swap_units * self.spec.unit_price + self.bank_cash
 
     def change_of_value(self, delta_s: float) -> float:
-        k = self.spec.order
-        realized = ((delta_s / self.s_t) ** k + self.history_power_sum) / self.spec.annualizer
+        k, spec = self.spec.order, self.spec
+        history = RealizedHistory({k: self.history_power_sum})
+        realized = realized_moment(history, delta_s / self.s_t, k, spec.delta_s, spec.n)
         payoff = (realized - self.spec.strike) * self.spec.notional
         # fsum: the legs are orders of magnitude above their cancelling sum
         return math.fsum(

@@ -114,14 +114,15 @@ def bank_term(d1_terms, scenario: HedgeScenario) -> float:
 class HedgeLedger:
     """Replicating positions for one hedging period.
 
+    ``scenario`` gives the rate and period the bank leg accrues over;
     ``term_positions[i]`` pairs the Taylor coefficient C_i with the basket
     fragment whose ``change_of_value`` reproduces (dS)^i per unit.
     """
 
     bank_cash: float
     stock_units: float
+    scenario: HedgeScenario
     term_positions: dict[int, tuple[float, object]] = field(default_factory=dict)
-    scenario: HedgeScenario | None = None
 
     def change_of_value(self, delta_s: float, outcome=None) -> float:
         """Mark the ledger against a realized move.

@@ -1,3 +1,4 @@
+import copy
 import json
 
 import pytest
@@ -256,6 +257,8 @@ def test_option_entries_must_be_objects():
         load_config(minimal(options=5))
     with pytest.raises(ConfigError, match=r"'option' must be an object"):
         load_config(minimal(option="european_call"))
+    with pytest.raises(ConfigError, match=r"'options' must be a list of objects, at least one"):
+        load_config(minimal(options=[]))
 
 
 @pytest.mark.parametrize("block, field", [
@@ -340,6 +343,26 @@ def test_a_move_must_keep_the_spot_positive(move):
      r"'model\.jump_law\.std' is not read by jump law 'fixed'"),
     (dict(minimal(), options=[{"kind": "european_call", "strike": 100, "maturity": 1.0}]),
      r"'option' repeats 'options'"),
+    (minimal(scenario={"s0": 100, "spot": 100}), r"'scenario\.spot' is not read by the library"),
+    (minimal(mc={"path": 10}), r"'mc\.path' is not read by the library"),
+    (minimal(stencil={"half_width": 4, "pmax": 7}),
+     r"'stencil\.pmax' is not read by the library"),
+    (minimal(pnl={"scenarios": 5}), r"'pnl\.scenarios' is not read by the library"),
+    (minimal(pnl={"swap": {"notional": 2.0}}), r"'pnl\.swap\.notional' is not read by the library"),
+    (minimal(output={"directory": "out"}), r"'output\.directory' is not read by the library"),
+    (minimal(option=call(barier=90)), r"'option\.barier' is not read by the library"),
+    (minimal(options=[call(strik=100)]), r"'options\[0\]\.strik' is not read by the library"),
+    (minimal(model={"sigma": 0.2}), r"'model\.sigma' is not read by model kind 'brownian'"),
+    (minimal(model=dict(CP, nu=0.2)),
+     r"'model\.nu' is not read by model kind 'compound_poisson'"),
+    (minimal(model=dict(VG, intensity=2.0)),
+     r"'model\.intensity' is not read by model kind 'variance_gamma'"),
+    (minimal(model=dict(CP, jump_law={"kind": "normal", "sd": 0.1})),
+     r"'model\.jump_law\.sd' is not read by jump law 'normal'"),
+    (minimal(model=dict(CP, jump_law={"size": 0.1})),
+     r"'model\.jump_law\.size' is not read by jump law 'normal'"),
+    (minimal(model=dict(CP, jump_law={"kind": "fixed", "mean": 0.1})),
+     r"'model\.jump_law\.mean' is not read by jump law 'fixed'"),
 ])
 def test_keys_the_parser_does_not_read_fail(raw, path):
     with pytest.raises(ConfigError, match=path):
@@ -362,3 +385,42 @@ def test_hedging_period_must_fit_the_option():
     with pytest.raises(ConfigError, match=r"'scenario\.delta_t' is 2\.0, longer than"):
         load_config(minimal(option=call(maturity=0.5), scenario={"delta_t": 2.0}))
     assert load_config(minimal(option=call(maturity=0.5), scenario={"delta_t": 0.5})).delta_t == 0.5
+
+
+def test_a_missing_field_is_reported_before_an_unread_key():
+    with pytest.raises(ConfigError, match=r"'model\.intensity' is missing"):
+        load_config(minimal(model={"kind": "compound_poisson", "intensty": 2}))
+
+
+def test_load_config_leaves_its_input_unchanged():
+    good = minimal(model=dict(CP, jump_law={"kind": "fixed"}), options=[call(), call(strike=90)],
+                   scenario={"delta_s": [10, 20]}, pnl={"swap": {"strike": 0.1}},
+                   output={"dir": "o"})
+    bad = minimal(pnl={"swap": {"strike": 0.1, "strke": 0.1}})
+    before = copy.deepcopy([good, bad])
+    load_config(good)
+    with pytest.raises(ConfigError, match=r"'pnl\.swap\.strke'"):
+        load_config(bad)
+    assert [good, bad] == before
+
+
+@pytest.mark.parametrize("value", [5, None, ["out"], ""])
+def test_output_dir_must_be_a_directory_name(value):
+    with pytest.raises(ConfigError, match=r"'output\.dir' must be a directory name"):
+        load_config(minimal(output={"dir": value}))
+
+
+def test_bad_output_dir_fails_before_the_experiment(tmp_path, monkeypatch):
+    from levyhedge import cli, harness
+
+    monkeypatch.setattr(harness, "run_qtable", lambda cfg: pytest.fail("run_qtable reached"))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(minimal(output={"dir": 5})))
+    with pytest.raises(ConfigError, match=r"'output\.dir'"):
+        cli.main(["qtable", "--config", str(path)])
+
+
+def test_one_move_needs_no_list():
+    assert load_config(minimal(scenario={"delta_s": 20})).delta_s == (20.0,)
+    with pytest.raises(ConfigError, match=r"'scenario\.delta_s' must be a number, got 'x'"):
+        load_config(minimal(scenario={"delta_s": "x"}))

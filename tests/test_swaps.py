@@ -50,6 +50,22 @@ class TestRealizedMoment:
             variance_swap_basket(1.0, scen(delta_t=0.1), spec, hist)
 
 
+    def test_basket_marks_by_the_realized_moment(self):
+        # the basket's payoff leg is realized_moment of the move's return, to the bit
+        rng = np.random.default_rng(4)
+        for order in (2, 3, 5):
+            spec = SwapSpec(order=order, delta_s=0.02, n=9, strike=0.003, unit_price=0.004,
+                            notional=1.7)
+            hist = RealizedHistory(sums={order: float(rng.normal(0.0, 1e-3))})
+            basket = moment_swap_basket(0.8, scen(delta_t=0.02), spec, hist)
+            for ds in rng.normal(0.0, 3.0, 20):
+                realized = realized_moment(hist, ds / 100.0, order, spec.delta_s, spec.n)
+                want = math.fsum([basket.swap_units * ((realized - spec.strike) * spec.notional),
+                                  -basket.swap_units * spec.unit_price,
+                                  basket.bank_cash * (math.exp(0.05 * 0.02) - 1.0)])
+                assert basket.change_of_value(ds) == want
+
+
 class TestSwapSpec:
     @pytest.mark.parametrize("notional", [0.0, -1.0])
     def test_notional_must_be_positive(self, notional):

@@ -9,6 +9,7 @@ from levyhedge.models import CompoundPoisson, LevyModel, NormalJumps, moment_vec
 from levyhedge.pricing import DerivativeLadder
 from levyhedge.swaps import RealizedHistory, SwapSpec, moment_swap_basket
 from levyhedge.taylor import (
+    HedgeLedger,
     HedgeScenario,
     assemble_ledger,
     bank_term,
@@ -122,6 +123,17 @@ class TestBankTerm:
         sc = scenario(r=0.0)
         with pytest.raises(ZeroRateError):
             bank_term((-10.0,), sc)
+
+
+class TestHedgeLedger:
+    def test_scenario_is_required(self):
+        with pytest.raises(TypeError, match="scenario"):
+            HedgeLedger(bank_cash=1.0, stock_units=0.5)
+
+    def test_bank_and_stock_legs(self):
+        sc = scenario()
+        ledger = HedgeLedger(bank_cash=1.0, stock_units=0.5, scenario=sc)
+        assert ledger.change_of_value(2.0) == pytest.approx(math.expm1(0.05 * 0.1) + 1.0)
 
 
 class TestAssembleLedger:
