@@ -25,7 +25,6 @@ from .errors import (
     InsufficientNodesError,
     LadderOrderError,
     LevyHedgeError,
-    MissingJumpRecordsError,
     NeedsHigherOrderError,
     PricingFailedError,
     TableFormatError,
@@ -54,16 +53,12 @@ from .models import (
     LevyModel,
     MomentVector,
     NormalJumps,
-    PathGrid,
     VarianceGamma,
     increment_cumulants,
-    levy_moment,
     log_mean_growth,
     moment_vector,
-    power_jump_path,
     relative_factors,
     risk_neutral_drift,
-    simulate_path,
 )
 from .neutral import NeutralitySystem, solve_neutrality
 from .pricing import (

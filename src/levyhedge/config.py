@@ -130,7 +130,8 @@ def _variance_gamma(block: _Block) -> VarianceGamma:
     if sigma_key == "vg_sigma" and "sigma" in block.raw:
         raise block.fail("sigma", f" repeats {block.field('vg_sigma')!r}; give one of them")
     return VarianceGamma(theta=block.number("theta"), nu=block.number("nu", positive=True),
-                         sigma=block.number(sigma_key, 0.0, minimum=0))
+                         sigma=block.number(sigma_key, 0.0, minimum=0),
+                         truncation_eps=block.number("truncation_eps", 1e-6, positive=True))
 
 
 # Each model kind's jump part, read from the model block.
@@ -145,17 +146,15 @@ def _build_model(block: _Block, r: float, dividend: float) -> LevyModel:
     kind = block.choice("kind", _MODEL_KINDS, "model kind", "brownian")
     block.reader = f"model kind {kind!r}"
     sigma = block.number("brownian_sigma", 0.0, minimum=0)
-    eps = block.number("truncation_eps", 1e-6, positive=True)
     spec = _MODEL_KINDS[kind](block)
     if block.get("drift_b", None) == "risk_neutral":
-        model = LevyModel(drift_b=0.0, brownian_sigma=sigma, jump_spec=spec, jump_eps=eps)
         try:
-            b = risk_neutral_drift(model, r, dividend)
+            b = risk_neutral_drift(LevyModel(brownian_sigma=sigma, jump_spec=spec), r, dividend)
         except ValueError as err:  # no exponential moment to make driftless
             raise block.fail("drift_b", f": {err}") from None
     else:
         b = block.number("drift_b", 0.0)
-    return LevyModel(drift_b=b, brownian_sigma=sigma, jump_spec=spec, jump_eps=eps)
+    return LevyModel(drift_b=b, brownian_sigma=sigma, jump_spec=spec)
 
 
 def _build_option(block: _Block, s0: float) -> OptionSpec:

@@ -17,10 +17,6 @@ class BankruptcyError(LevyHedgeError, RuntimeError):
     """A sampled jump of size <= -1 drove the asset to or below zero."""
 
 
-class MissingJumpRecordsError(LevyHedgeError, ValueError):
-    """Power-jump bookkeeping requested on a path without jump records."""
-
-
 class InsufficientNodesError(LevyHedgeError, ValueError):
     """Stencil order p requires 2N > p."""
 

@@ -188,8 +188,9 @@ def run_converge(cfg: ExperimentConfig):
 
 
 def _simulate_outcomes(cfg: ExperimentConfig, rng: np.random.Generator):
-    """One-period scenarios drawn from the model, with their jump records
-    in time order (log-jumps, for variance-gamma)."""
+    """One-period scenarios drawn from the model, with their jumps in time
+    order as relative jumps dS/S_- (the spec turns a variance-gamma
+    log-jump x into e^x - 1)."""
     factors, jumps = relative_factors(cfg.model, cfg.delta_t, 1, cfg.n_scenarios, rng,
                                       records=True)
     moves = cfg.s0 * (factors[:, 0] - 1.0)
@@ -198,10 +199,12 @@ def _simulate_outcomes(cfg: ExperimentConfig, rng: np.random.Generator):
         raise BankruptcyError(f"{bankrupt} of {cfg.n_scenarios} scenarios hit a jump <= -1")
     order = np.lexsort((jumps.time, jumps.path))
     cuts = np.searchsorted(jumps.path[order], np.arange(1, cfg.n_scenarios))
+    spec = cfg.model.jump_spec
+    relative = jumps.size[order] if spec is None else spec.relative_jump(jumps.size[order])
     return [
         ScenarioOutcome(delta_s=float(ds), jump_times=times, jump_sizes=sizes)
         for ds, times, sizes in zip(moves, np.split(jumps.time[order], cuts),
-                                    np.split(jumps.size[order], cuts))
+                                    np.split(relative, cuts))
     ]
 
 

@@ -78,8 +78,9 @@ class ScenarioOutcome:
     """Realized move over the hedging period [t, t + dt].
 
     ``jump_times``/``jump_sizes`` list the jumps that landed inside the
-    period; the power-jump assets are marked from them.  Baskets assuming
-    sigma = 0 regimes are evaluated on jump-only outcomes.
+    period, as relative jumps dS/S_-; the power-jump assets are marked from
+    them.  Baskets assuming sigma = 0 regimes are evaluated on jump-only
+    outcomes.
     """
 
     delta_s: float

@@ -1,40 +1,42 @@
 """Levy asset models: jump specifications, moments, and simulation.
 
 The asset follows dS = b S dt + S dX where X is a Levy process made of an
-optional Brownian part and a jump part.  Two jump specifications are
-supported:
+optional Brownian part and a jump part.  Each jump specification owns its
+law: its cell sampler, its jump-size convention, its log-drift rule and mean
+growth, and two moment families:
 
-* ``CompoundPoisson`` -- finite activity.  Paths evolve by the stochastic
-  exponential, so each jump J multiplies the price by (1 + J) and every
-  jump can be recorded for power-jump bookkeeping.
-* ``VarianceGamma`` -- infinite activity, sampled exactly through the
-  gamma time change.  Individual jumps are unobservable, so paths evolve
-  in exponential form S -> S * exp(b*dt + dX); when explicit jump records
-  are required an epsilon-truncated compound-Poisson approximation of the
-  VG Levy measure is used, with the truncated small-jump mass folded into
-  the drift.  Its tail rates and sizes need the exponential integral E1,
-  the one use of scipy in the package: ``scipy.special`` is imported there,
-  on first use, and each size inverts its tail by a safeguarded Newton
-  iteration.
+* ``nu_moment(i)``, the i-th moment of the Levy measure of X, which the
+  sampler and ``increment_cumulants`` read;
+* ``hedge_moment(i)``, the i-th moment of the relative jumps dS/S_- against
+  it.  The hedge formulas are written for dS = S_- dX, so ``moment_vector``
+  and every formula downstream read these.
+
+``CompoundPoisson`` is finite activity.  Paths evolve by the stochastic
+exponential, so a jump J multiplies the price by (1 + J) and is its own
+relative jump: both moment families agree.  ``VarianceGamma`` is infinite
+activity, sampled exactly through the gamma time change.  Paths evolve in
+exponential form S -> S exp(b dt + dX), so a jump x is a log-jump and moves
+the price by e^x - 1.  Its jump records come from the compound-Poisson
+approximation keeping the jumps with |x| > ``truncation_eps``, the small
+jumps' mean folded into the drift.  Their tail rates and sizes need the
+exponential integral E1, the one use of scipy in the package:
+``scipy.special`` is imported there, on first use.
 
 ``relative_factors`` is the one sampler of the model's moves: per-step
-factors S_{k+1}/S_k on any grid of steps, with flat jump records on
-request.  Path bundles, single paths (``simulate_path``) and the P&L's
-one-period scenarios are all drawn through it.  ``one_jump_increments``
-samples a different law on purpose: the at-most-one-jump reading of a
-short period in which the hedge weights are derived.
-
-Moments m_i = integral of x^i against the Levy measure are analytic for
-both families and are the raw inputs to every hedging formula downstream."""
+factors S_{k+1}/S_k on any grid of steps, with flat jump records on request.
+``one_jump_increments`` samples a different law on purpose: the
+at-most-one-jump reading of a short period in which the hedge weights are
+derived."""
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BankruptcyError, MissingJumpRecordsError, UnsupportedOrderError
+from .errors import UnsupportedOrderError
 
 __all__ = [
     "NormalJumps",
@@ -43,14 +45,10 @@ __all__ = [
     "VarianceGamma",
     "LevyModel",
     "MomentVector",
-    "PathGrid",
-    "levy_moment",
     "moment_vector",
     "increment_cumulants",
     "JumpRecords",
     "relative_factors",
-    "simulate_path",
-    "power_jump_path",
     "log_mean_growth",
     "risk_neutral_drift",
 ]
@@ -75,7 +73,7 @@ class NormalJumps:
         total = 0.0
         for j in range(0, i + 1, 2):
             # E[(J-mean)^j] = std^j (j-1)!!
-            central = self.std**j * _double_factorial(j - 1)
+            central = self.std**j * math.prod(range(j - 1, 0, -2))
             total += math.comb(i, j) * central * self.mean ** (i - j)
         return total
 
@@ -98,16 +96,6 @@ class FixedJumps:
         return np.full(n, self.size)
 
 
-def _double_factorial(n: int) -> int:
-    if n <= 0:
-        return 1
-    out = 1
-    while n > 1:
-        out *= n
-        n -= 2
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Jump specifications
 # ---------------------------------------------------------------------------
@@ -115,7 +103,8 @@ def _double_factorial(n: int) -> int:
 
 @dataclass(frozen=True)
 class CompoundPoisson:
-    """Jumps arrive at rate ``intensity`` per year with i.i.d. sizes."""
+    """Jumps arrive at rate ``intensity`` per year with i.i.d. sizes J, each
+    multiplying the price by (1 + J)."""
 
     intensity: float
     law: NormalJumps | FixedJumps = field(default_factory=NormalJumps)
@@ -126,7 +115,37 @@ class CompoundPoisson:
 
     def nu_moment(self, i: int) -> float:
         """m_i of the Levy measure: intensity * E[J^i]."""
+        if i < 1:
+            raise UnsupportedOrderError(f"moment order must be >= 1, got {i}")
         return self.intensity * self.law.moment(i)
+
+    def hedge_moment(self, i: int) -> float:
+        """m_i of the relative jumps, which are the jumps J themselves."""
+        return self.nu_moment(i)
+
+    @staticmethod
+    def log_jump(size: np.ndarray) -> np.ndarray:
+        """ln(1 + J), NaN for J <= -1 (a bankrupt cell)."""
+        with np.errstate(invalid="ignore", divide="ignore"):
+            return np.where(size <= -1.0, np.nan, np.log1p(size))
+
+    @staticmethod
+    def relative_jump(size: np.ndarray) -> np.ndarray:
+        return size
+
+    @staticmethod
+    def log_drift(drift_b: float, brownian_sigma: float) -> float:
+        """Stochastic exponential: the Brownian part pays its Ito term."""
+        return drift_b - 0.5 * brownian_sigma**2
+
+    def mean_growth(self, brownian_sigma: float) -> float:
+        """What the jumps add to b in ln E[S_T / S_0] / T."""
+        return self.intensity * self.law.moment(1)
+
+    def sample_cells(self, dts: np.ndarray, shape, rng: np.random.Generator, records: bool):
+        """Log-factor of each cell's jumps and, with ``records``, the jumps."""
+        return _poisson_cells(self.intensity, self.law.sample, self.log_jump, dts, shape, rng,
+                              records)
 
 
 @dataclass(frozen=True)
@@ -135,18 +154,23 @@ class VarianceGamma:
 
     Parameters follow the (theta, nu, sigma) convention: theta is the
     drift of the subordinated Brownian motion, nu the variance rate of the
-    gamma subordinator, sigma its volatility.
+    gamma subordinator, sigma its volatility.  Its jumps x are log-jumps.
+    Jump records come from the compound-Poisson approximation keeping the
+    jumps with |x| > ``truncation_eps``.
     """
 
     theta: float
     nu: float
     sigma: float
+    truncation_eps: float = 1e-6
 
     def __post_init__(self):
         if self.nu <= 0:
             raise ValueError(f"nu must be > 0, got {self.nu}")
         if self.sigma < 0:
             raise ValueError(f"sigma must be >= 0, got {self.sigma}")
+        if self.truncation_eps <= 0:
+            raise ValueError(f"truncation_eps must be > 0, got {self.truncation_eps}")
 
     def cgm(self) -> tuple[float, float, float]:
         """(C, G, M) parameters of the two-sided gamma representation."""
@@ -163,6 +187,41 @@ class VarianceGamma:
         c, g, m = self.cgm()
         return c * math.factorial(i - 1) * (m**-i + (-1) ** i * g**-i)
 
+    def hedge_moment(self, i: int) -> float:
+        """m_i of the relative jumps: the integral of (e^x - 1)^i nu(dx).
+
+        Each side is C times the integral of (1 - e^-u)^i / u e^{-a u} over
+        u > 0, with a = M - i upwards and a = G downwards (times (-1)^i);
+        t = a u makes it a 32-node Gauss-Laguerre sum.  The integrand is
+        bounded and of one sign, so no digit cancels as in the binomial sum
+        over exponential moments.  It exists for i < M only, and loses
+        digits as i nears M (3e-14 relative at M - i = 2.6, 1e-5 at 0.6).
+        """
+        c, g, m = self.cgm()
+        if not 1 <= i < m:
+            raise UnsupportedOrderError(f"moment order must be in [1, M = {m:.6g}), got {i}")
+        t, w = _laguerre_rule()
+        up, down = (w @ ((-np.expm1(-t / a)) ** i / t) for a in (m - i, g))
+        return float(c * (up + (-1) ** i * down))
+
+    @staticmethod
+    def log_jump(size: np.ndarray) -> np.ndarray:
+        return size
+
+    @staticmethod
+    def relative_jump(size: np.ndarray) -> np.ndarray:
+        """e^x - 1, the move dS/S_- of a log-jump x."""
+        return np.expm1(size)
+
+    @staticmethod
+    def log_drift(drift_b: float, brownian_sigma: float) -> float:
+        """Exponential form: S -> S exp(b dt + sigma dW + dX)."""
+        return drift_b
+
+    def mean_growth(self, brownian_sigma: float) -> float:
+        """What the Brownian and VG parts add to b in ln E[S_T / S_0] / T."""
+        return brownian_sigma**2 / 2 - self.martingale_correction()
+
     def levy_density(self, x: float) -> float:
         c, g, m = self.cgm()
         if x == 0:
@@ -177,215 +236,48 @@ class VarianceGamma:
             raise ValueError("VG exponential moment does not exist for these parameters")
         return math.log(arg) / self.nu
 
+    def sample_cells(self, dts: np.ndarray, shape, rng: np.random.Generator, records: bool):
+        """Log-factor of each cell's jumps: exact through the gamma clock, or
+        with ``records`` from the truncated measure, returning its jumps too."""
+        if not records:
+            g = rng.gamma(dts / self.nu, self.nu, shape)
+            return self.theta * g + self.sigma * np.sqrt(g) * rng.standard_normal(shape), None
+        rate, sample, drift = self._truncated()
+        jump_log, jumps = _poisson_cells(rate, sample, self.log_jump, dts, shape, rng, True)
+        return jump_log + drift * dts, jumps
 
-# ---------------------------------------------------------------------------
-# The model proper
-# ---------------------------------------------------------------------------
+    def _truncated(self):
+        """The ``truncation_eps``-truncated compound-Poisson approximation of
+        the Levy measure as (rate, size sampler, drift).
 
+        Jumps with |x| > eps arrive at the exponential-integral tail rates
+        C E1(M eps) upwards and C E1(G eps) downwards; the mean of the dropped
+        small jumps, the integral of x nu(dx) over |x| <= eps, becomes a drift.
+        """
+        from scipy.special import exp1  # only VG jump records need E1
 
-@dataclass(frozen=True)
-class LevyModel:
-    """Asset dynamics dS = b S dt + S dX.
+        eps = self.truncation_eps
+        c, g, m = self.cgm()
+        up, down = c * exp1(m * eps), c * exp1(g * eps)
+        drift = c * ((1 - math.exp(-m * eps)) / m - (1 - math.exp(-g * eps)) / g)
 
-    ``jump_eps`` is the truncation threshold below which infinite-activity
-    jumps are folded into drift when explicit jump records are requested.
-    """
+        def sample(rng: np.random.Generator, n: int) -> np.ndarray:
+            # each jump picks a side, then inverts that side's tail
+            # E1(lam x) = (1 - u) E1(lam eps)
+            negative = rng.random(n) < down / (up + down)
+            lam = np.where(negative, g, m)
+            target = (1.0 - rng.random(n)) * exp1(lam * eps)
+            return np.where(negative, -1.0, 1.0) * _e1_tail_inverse(lam, target, eps)
 
-    drift_b: float = 0.0
-    brownian_sigma: float = 0.0
-    jump_spec: CompoundPoisson | VarianceGamma | None = None
-    jump_eps: float = 1e-6
-
-    def __post_init__(self):
-        if self.brownian_sigma < 0:
-            raise ValueError("brownian_sigma must be >= 0")
-        if self.jump_eps <= 0:
-            raise ValueError("jump_eps must be > 0")
-
-    @property
-    def exponential_form(self) -> bool:
-        """True when paths evolve as S*exp(b dt + dX) rather than the
-        stochastic exponential; used for infinite-activity jumps."""
-        return isinstance(self.jump_spec, VarianceGamma)
-
-
-@dataclass(frozen=True)
-class MomentVector:
-    """Levy-measure moments m_1..m_imax plus the Brownian-adjusted m2'."""
-
-    m: tuple[float, ...]
-    brownian_sigma: float = 0.0
-
-    @property
-    def m2_prime(self) -> float:
-        return self.m[1] + self.brownian_sigma**2
-
-    def __getitem__(self, i: int) -> float:
-        if not 1 <= i <= len(self.m):
-            raise UnsupportedOrderError(f"moment m_{i} not available (have 1..{len(self.m)})")
-        return self.m[i - 1]
-
-    def prime(self, i: int) -> float:
-        """m'_i: equal to m_i except m'_2 = m_2 + sigma^2."""
-        return self.m2_prime if i == 2 else self[i]
-
-    @property
-    def order(self) -> int:
-        return len(self.m)
+        return up + down, sample, drift
 
 
-def levy_moment(model: LevyModel, i: int) -> float:
-    """m_i = int x^i nu(dx) for i >= 2; E[X_1] for i = 1."""
-    if i < 1:
-        raise UnsupportedOrderError(f"moment order must be >= 1, got {i}")
-    if model.jump_spec is None:
-        return 0.0
-    return model.jump_spec.nu_moment(i)
+@functools.cache
+def _laguerre_rule():
+    """Nodes and weights of the 32-node Gauss-Laguerre rule."""
+    from numpy.polynomial.laguerre import laggauss  # only VG hedge moments need it
 
-
-def moment_vector(model: LevyModel, i_max: int) -> MomentVector:
-    return MomentVector(
-        m=tuple(levy_moment(model, i) for i in range(1, i_max + 1)),
-        brownian_sigma=model.brownian_sigma,
-    )
-
-
-def increment_cumulants(model: LevyModel, dt: float, k_max: int) -> tuple[float, ...]:
-    """Cumulants of X_{t+dt} - X_t: kappa_q = m'_q dt, where m'_q = m_q except
-    m'_2 = m_2 + sigma^2."""
-    mom = moment_vector(model, k_max)
-    return tuple(mom.prime(q) * dt for q in range(1, k_max + 1))
-
-
-# ---------------------------------------------------------------------------
-# Sampling
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class JumpRecords:
-    """Every jump of one factor draw, ordered by path and then step: its
-    path and step index, its size (a log-jump for exponential-form models)
-    and its time from the start of the grid."""
-
-    path: np.ndarray
-    step: np.ndarray
-    size: np.ndarray
-    time: np.ndarray
-
-
-_NO_JUMPS = JumpRecords(np.empty(0, dtype=int), np.empty(0, dtype=int), np.empty(0), np.empty(0))
-
-
-def _log_drift(model: LevyModel) -> float:
-    """Deterministic log-growth rate of a factor besides the jumps."""
-    if model.exponential_form:
-        return model.drift_b
-    return model.drift_b - 0.5 * model.brownian_sigma**2
-
-
-def relative_factors(
-    model: LevyModel,
-    dt,
-    steps: int,
-    n_paths: int,
-    rng: np.random.Generator,
-    antithetic: bool = False,
-    records: bool = False,
-):
-    """Multiplicative per-step factors S_{k+1}/S_k, shape (n_paths, steps).
-
-    The library's one sampler of the model's moves; ``dt`` is one step
-    length or one per step.  Compound-Poisson factors are the stochastic
-    exponential exp((b - sigma^2/2) dt + sigma dW) prod(1 + J); exponential-
-    form factors are exp(b dt + dX), with VG exact through the gamma time
-    change.  The factors do not depend on the price level, so one draw
-    prices every initial condition (the common-random-numbers backbone).
-    Cells hit by a jump <= -1 carry NaN factors and are discarded
-    downstream.  With ``antithetic`` the Gaussian draws of the second half
-    mirror the first half (jump counts and sizes are shared pairwise).
-
-    With ``records`` the result is ``(factors, JumpRecords)``; VG jumps then
-    come from the eps-truncated compound-Poisson approximation of its Levy
-    measure (``model.jump_eps``), so that individual jumps exist.
-    """
-    if steps < 1 or n_paths < 1:
-        raise ValueError("need steps >= 1 and n_paths >= 1")
-    if records and antithetic:
-        raise ValueError("jump records are drawn without antithetic pairing")
-    dts = np.broadcast_to(np.asarray(dt, dtype=float), (steps,))
-    if np.any(dts < 0):
-        raise ValueError("dt must be >= 0")
-    rows = (n_paths + 1) // 2 if antithetic else n_paths
-    z = rng.standard_normal((rows, steps))
-    if antithetic:
-        z = np.concatenate([z, -z], axis=0)[:n_paths]
-    log_f = _log_drift(model) * dts + model.brownian_sigma * np.sqrt(dts) * z
-    jump_log, jumps = _jump_part(model, dts, (rows, steps), rng, records)
-    if jump_log is not None:
-        if antithetic:
-            jump_log = np.concatenate([jump_log, jump_log], axis=0)[:n_paths]
-        log_f += jump_log
-    factors = np.exp(log_f, out=log_f)
-    return (factors, jumps) if records else factors
-
-
-def _jump_part(model: LevyModel, dts: np.ndarray, shape, rng: np.random.Generator,
-               records: bool):
-    """Log-factor of each cell's jumps (None without a jump part) and, with
-    ``records``, the jumps themselves."""
-    spec = model.jump_spec
-    if spec is None:
-        return None, _NO_JUMPS
-    if isinstance(spec, VarianceGamma) and not records:
-        g = rng.gamma(dts / spec.nu, spec.nu, shape)
-        return spec.theta * g + spec.sigma * np.sqrt(g) * rng.standard_normal(shape), None
-    if isinstance(spec, CompoundPoisson):
-        rate, sample, small_drift = spec.intensity, spec.law.sample, 0.0
-    else:
-        rate, sample, small_drift = _truncated_vg(spec, model.jump_eps)
-    counts = rng.poisson(rate * dts, shape)
-    sizes = sample(rng, int(counts.sum()))
-    if model.exponential_form:
-        logj = sizes
-    else:
-        with np.errstate(invalid="ignore", divide="ignore"):
-            logj = np.where(sizes <= -1.0, np.nan, np.log1p(sizes))  # NaN: bankrupt
-    cells = np.repeat(np.arange(counts.size), counts.ravel())
-    jump_log = np.bincount(cells, logj, counts.size).reshape(shape)
-    if small_drift:
-        jump_log += small_drift * dts
-    if not records:
-        return jump_log, None
-    path, step = np.divmod(cells, shape[1])
-    start = np.cumsum(dts) - dts
-    times = start[step] + dts[step] * rng.random(len(sizes))
-    return jump_log, JumpRecords(path, step, sizes, times)
-
-
-def _truncated_vg(spec: VarianceGamma, eps: float):
-    """The eps-truncated compound-Poisson approximation of a VG Levy
-    measure as (rate, size sampler, drift).
-
-    Jumps with |x| > eps arrive at the exponential-integral tail rates
-    C E1(M eps) upwards and C E1(G eps) downwards; the mean of the dropped
-    small jumps, the integral of x nu(dx) over |x| <= eps, becomes a drift.
-    """
-    from scipy.special import exp1  # only VG jump records need E1
-
-    c, g, m = spec.cgm()
-    up, down = c * exp1(m * eps), c * exp1(g * eps)
-    drift = c * ((1 - math.exp(-m * eps)) / m - (1 - math.exp(-g * eps)) / g)
-
-    def sample(rng: np.random.Generator, n: int) -> np.ndarray:
-        # each jump picks a side, then inverts that side's tail
-        # E1(lam x) = (1 - u) E1(lam eps)
-        negative = rng.random(n) < down / (up + down)
-        lam = np.where(negative, g, m)
-        target = (1.0 - rng.random(n)) * exp1(lam * eps)
-        return np.where(negative, -1.0, 1.0) * _e1_tail_inverse(lam, target, eps)
-
-    return up + down, sample, drift
+    return laggauss(32)
 
 
 def _e1_tail_inverse(lam: np.ndarray, target: np.ndarray, eps: float) -> np.ndarray:
@@ -419,6 +311,175 @@ def _e1_tail_inverse(lam: np.ndarray, target: np.ndarray, eps: float) -> np.ndar
     return np.exp(y)
 
 
+# ---------------------------------------------------------------------------
+# The model proper
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class LevyModel:
+    """Asset dynamics dS = b S dt + S dX; the jump spec owns the law of X's jumps."""
+
+    drift_b: float = 0.0
+    brownian_sigma: float = 0.0
+    jump_spec: CompoundPoisson | VarianceGamma | None = None
+
+    def __post_init__(self):
+        if self.brownian_sigma < 0:
+            raise ValueError("brownian_sigma must be >= 0")
+
+
+@dataclass(frozen=True)
+class MomentVector:
+    """Hedge moments m_1..m_imax (of the relative jumps) plus the
+    Brownian-adjusted m2'."""
+
+    m: tuple[float, ...]
+    brownian_sigma: float = 0.0
+
+    @property
+    def m2_prime(self) -> float:
+        return self.m[1] + self.brownian_sigma**2
+
+    def __getitem__(self, i: int) -> float:
+        if not 1 <= i <= len(self.m):
+            raise UnsupportedOrderError(f"moment m_{i} not available (have 1..{len(self.m)})")
+        return self.m[i - 1]
+
+    def prime(self, i: int) -> float:
+        """m'_i: equal to m_i except m'_2 = m_2 + sigma^2."""
+        return self.m2_prime if i == 2 else self[i]
+
+    @property
+    def order(self) -> int:
+        return len(self.m)
+
+
+def moment_vector(model: LevyModel, i_max: int) -> MomentVector:
+    """m_i = integral of (dS/S_-)^i against the Levy measure, i = 1..i_max:
+    the jump spec's ``hedge_moment``, which every hedge formula reads."""
+    spec = model.jump_spec
+    return MomentVector(
+        m=tuple(0.0 if spec is None else spec.hedge_moment(i) for i in range(1, i_max + 1)),
+        brownian_sigma=model.brownian_sigma,
+    )
+
+
+def increment_cumulants(model: LevyModel, dt: float, k_max: int) -> tuple[float, ...]:
+    """Cumulants of X_{t+dt} - X_t for the X the sampler draws: kappa_q =
+    m'_q dt from the Levy measure of X (the spec's ``nu_moment``), where
+    m'_q = m_q except m'_2 = m_2 + sigma^2."""
+    spec = model.jump_spec
+    nu = MomentVector(
+        m=tuple(0.0 if spec is None else spec.nu_moment(q) for q in range(1, k_max + 1)),
+        brownian_sigma=model.brownian_sigma,
+    )
+    return tuple(nu.prime(q) * dt for q in range(1, k_max + 1))
+
+
+def _jump_growth(model: LevyModel) -> float:
+    spec = model.jump_spec
+    return 0.0 if spec is None else spec.mean_growth(model.brownian_sigma)
+
+
+def log_mean_growth(model: LevyModel) -> float:
+    """gamma with E[S_T] = S_0 exp(gamma T): b plus the jump spec's mean growth."""
+    return model.drift_b + _jump_growth(model)
+
+
+def risk_neutral_drift(model: LevyModel, r: float, dividend: float = 0.0) -> float:
+    """Drift b making the dividend-adjusted discounted asset driftless."""
+    return r - dividend - _jump_growth(model)
+
+
+# ---------------------------------------------------------------------------
+# Sampling
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class JumpRecords:
+    """Every jump of one factor draw, ordered by path and then step: its
+    path and step index, its size in the spec's convention (a log-jump for
+    variance-gamma; ``relative_jump`` gives dS/S_-) and its time from the
+    start of the grid."""
+
+    path: np.ndarray
+    step: np.ndarray
+    size: np.ndarray
+    time: np.ndarray
+
+
+_NO_JUMPS = JumpRecords(np.empty(0, dtype=int), np.empty(0, dtype=int), np.empty(0), np.empty(0))
+
+
+def _poisson_cells(rate: float, sample, log_jump, dts: np.ndarray, shape,
+                   rng: np.random.Generator, records: bool):
+    """Jumps arriving at ``rate`` with sizes from ``sample`` in every cell of
+    ``shape`` (paths by steps of lengths ``dts``): the log-factor of each
+    cell's jumps and, with ``records``, the jumps themselves."""
+    counts = rng.poisson(rate * dts, shape)
+    sizes = sample(rng, int(counts.sum()))
+    log_sizes = log_jump(sizes)  # before the cell index: a lower memory peak
+    cells = np.repeat(np.arange(counts.size), counts.ravel())
+    jump_log = np.bincount(cells, log_sizes, counts.size).reshape(shape)
+    if not records:
+        return jump_log, None
+    path, step = np.divmod(cells, shape[1])
+    start = np.cumsum(dts) - dts
+    times = start[step] + dts[step] * rng.random(len(sizes))
+    return jump_log, JumpRecords(path, step, sizes, times)
+
+
+def relative_factors(
+    model: LevyModel,
+    dt,
+    steps: int,
+    n_paths: int,
+    rng: np.random.Generator,
+    antithetic: bool = False,
+    records: bool = False,
+):
+    """Multiplicative per-step factors S_{k+1}/S_k, shape (n_paths, steps).
+
+    The library's one sampler of the model's moves; ``dt`` is one step
+    length or one per step.  Each factor is exp(log drift * dt + sigma dW)
+    times the jump spec's cell factor, the log drift being the spec's rule
+    (b - sigma^2/2 without jumps).  The factors do not depend on the price
+    level, so one draw prices every initial condition (the common-random-
+    numbers backbone).  Cells hit by a jump <= -1 carry NaN factors and are
+    discarded downstream.  With ``antithetic`` the Gaussian draws of the
+    second half mirror the first half (jump counts and sizes are shared
+    pairwise).
+
+    With ``records`` the result is ``(factors, JumpRecords)``; VG jumps then
+    come from the truncated compound-Poisson approximation of its Levy
+    measure, so that individual jumps exist.
+    """
+    if steps < 1 or n_paths < 1:
+        raise ValueError("need steps >= 1 and n_paths >= 1")
+    if records and antithetic:
+        raise ValueError("jump records are drawn without antithetic pairing")
+    dts = np.broadcast_to(np.asarray(dt, dtype=float), (steps,))
+    if np.any(dts < 0):
+        raise ValueError("dt must be >= 0")
+    spec, b, sigma = model.jump_spec, model.drift_b, model.brownian_sigma
+    rows = (n_paths + 1) // 2 if antithetic else n_paths
+    z = rng.standard_normal((rows, steps))
+    if antithetic:
+        z = np.concatenate([z, -z], axis=0)[:n_paths]
+    log_drift = b - 0.5 * sigma**2 if spec is None else spec.log_drift(b, sigma)
+    log_f = log_drift * dts + sigma * np.sqrt(dts) * z
+    jump_log, jumps = (None, _NO_JUMPS) if spec is None else spec.sample_cells(
+        dts, (rows, steps), rng, records)
+    if jump_log is not None:
+        if antithetic:
+            jump_log = np.concatenate([jump_log, jump_log], axis=0)[:n_paths]
+        log_f += jump_log
+    factors = np.exp(log_f, out=log_f)
+    return (factors, jumps) if records else factors
+
+
 def one_jump_increments(
     model: LevyModel, dt: float, n: int, rng: np.random.Generator
 ) -> np.ndarray:
@@ -440,119 +501,3 @@ def one_jump_increments(
     jump_on = rng.random(n) < p
     jumps = spec.law.sample(rng, n) * jump_on
     return model.brownian_sigma * math.sqrt(dt) * z + jumps
-
-
-
-# ---------------------------------------------------------------------------
-# Paths with jump records
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PathGrid:
-    """One simulated path: grid times, asset values, X values, jump records."""
-
-    times: np.ndarray
-    asset: np.ndarray
-    x: np.ndarray
-    jump_times: np.ndarray
-    jump_sizes: np.ndarray
-    jumps_recorded: bool
-    model: LevyModel
-
-    def __post_init__(self):
-        if np.any(np.diff(self.times) <= 0):
-            raise ValueError("times must be strictly increasing")
-        if not np.all(self.asset > 0):  # NaN too: a jump <= -1 on the way
-            raise BankruptcyError("asset values must stay positive")
-        if len(self.jump_times) and (
-            self.jump_times.min() <= self.times[0] or self.jump_times.max() > self.times[-1]
-        ):
-            raise ValueError("jump records must lie inside (t0, tn]")
-
-
-def simulate_path(
-    model: LevyModel,
-    s0: float,
-    times: np.ndarray,
-    rng: np.random.Generator,
-    track_jumps: bool = True,
-) -> PathGrid:
-    """Simulate one asset path on a fixed time grid: one draw of
-    ``relative_factors`` and its cumulative product.
-
-    With ``track_jumps`` a VG model is replaced by its eps-truncated
-    compound-Poisson approximation so that individual jumps exist; without
-    it VG increments are exact but unrecorded.  X excludes the drift b: it
-    is the Brownian part plus the jumps (plus, for truncated VG, the small
-    jumps' drift).  A jump <= -1 raises ``BankruptcyError``.
-    """
-    times = np.asarray(times, dtype=float)
-    dts = np.diff(times)
-    if model.exponential_form and not track_jumps:
-        factors, jumps = relative_factors(model, dts, len(dts), 1, rng), _NO_JUMPS
-    else:
-        factors, jumps = relative_factors(model, dts, len(dts), 1, rng, records=True)
-    dx = np.log(factors[0]) - _log_drift(model) * dts
-    if not model.exponential_form:
-        with np.errstate(invalid="ignore", divide="ignore"):
-            dx += np.bincount(jumps.step, jumps.size - np.log1p(jumps.size), len(dts))
-    order = np.argsort(jumps.time)
-    return PathGrid(
-        times=times,
-        asset=s0 * np.concatenate([[1.0], np.cumprod(factors[0])]),
-        x=np.concatenate([[0.0], np.cumsum(dx)]),
-        jump_times=times[0] + jumps.time[order],
-        jump_sizes=jumps.size[order],
-        jumps_recorded=track_jumps,
-        model=model,
-    )
-
-
-def power_jump_path(path: PathGrid, i: int, r: float = 0.0):
-    """Compensated power-jump series Y^(i) and the asset T^(i) = e^{rt} Y^(i).
-
-    Y_t^(i) = sum of (jump size)^i over jumps up to t minus m_i t for
-    i >= 2; the first-order series includes the continuous part, i.e.
-    Y^(1) = X - m_1 t.
-    """
-    if i < 1:
-        raise UnsupportedOrderError(f"power order must be >= 1, got {i}")
-    if not path.jumps_recorded:
-        raise MissingJumpRecordsError(
-            "path carries no jump records; simulate with track_jumps=True"
-        )
-    m_i = levy_moment(path.model, i)
-    rel = path.times - path.times[0]
-    if i == 1:
-        y = path.x - m_i * rel
-    else:
-        powers = path.jump_sizes**i
-        y = np.array(
-            [powers[path.jump_times <= t].sum() for t in path.times]
-        ) - m_i * rel
-        y[0] = 0.0
-    t_asset = np.exp(r * path.times) * y
-    return y, t_asset
-
-
-# ---------------------------------------------------------------------------
-# Drift conventions
-# ---------------------------------------------------------------------------
-
-
-def log_mean_growth(model: LevyModel) -> float:
-    """gamma with E[S_T] = S_0 exp(gamma T) under the model's convention."""
-    spec = model.jump_spec
-    if spec is None:
-        return model.drift_b
-    if isinstance(spec, CompoundPoisson):
-        return model.drift_b + spec.intensity * spec.law.moment(1)
-    growth = model.drift_b + model.brownian_sigma**2 / 2 - spec.martingale_correction()
-    return growth
-
-
-def risk_neutral_drift(model: LevyModel, r: float, dividend: float = 0.0) -> float:
-    """Drift b making the dividend-adjusted discounted asset driftless."""
-    base = log_mean_growth(LevyModel(0.0, model.brownian_sigma, model.jump_spec, model.jump_eps))
-    return r - dividend - base

@@ -23,7 +23,7 @@ def minimal(**over):
 def test_every_block_loads():
     raw = minimal(
         model={"kind": "compound_poisson", "drift_b": "risk_neutral", "brownian_sigma": 0.1,
-               "truncation_eps": 1e-6, "intensity": 2.0,
+               "intensity": 2.0,
                "jump_law": {"kind": "fixed", "size": 0.05}},
         options=[{"kind": "up_and_out", "strike": 100, "maturity": 1.0, "barrier": 120}],
         scenario={"s0": 100, "delta_s": [1.0], "delta_t": 0.01, "r": 0.05,
@@ -307,7 +307,7 @@ VG = {"kind": "variance_gamma", "theta": -0.1, "nu": 0.2, "vg_sigma": 0.1}
     (dict(CP, brownian_sigma=-0.2), r"'model\.brownian_sigma' must be >= 0, got -0\.2"),
     (dict(CP, jump_law={"kind": "normal", "std": -0.1}),
      r"'model\.jump_law\.std' must be >= 0, got -0\.1"),
-    (dict(CP, truncation_eps=0), r"'model\.truncation_eps' must be > 0, got 0"),
+    (dict(VG, truncation_eps=0), r"'model\.truncation_eps' must be > 0, got 0"),
     (dict(VG, theta=2.0, nu=1.0, drift_b="risk_neutral"),
      r"'model\.drift_b': VG exponential moment does not exist"),
 ])
@@ -363,6 +363,10 @@ def test_a_move_must_keep_the_spot_positive(move):
      r"'model\.jump_law\.size' is not read by jump law 'normal'"),
     (minimal(model=dict(CP, jump_law={"kind": "fixed", "mean": 0.1})),
      r"'model\.jump_law\.mean' is not read by jump law 'fixed'"),
+    (minimal(model={"kind": "brownian", "truncation_eps": 1e-4}),
+     r"'model\.truncation_eps' is not read by model kind 'brownian'"),
+    (minimal(model=dict(CP, truncation_eps=1e-4)),
+     r"'model\.truncation_eps' is not read by model kind 'compound_poisson'"),
 ])
 def test_keys_the_parser_does_not_read_fail(raw, path):
     with pytest.raises(ConfigError, match=path):

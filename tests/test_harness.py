@@ -11,6 +11,7 @@ from levyhedge import harness
 from levyhedge.config import STRATEGY_NAMES, load_config
 from levyhedge.errors import ConfigError
 from levyhedge.harness import Market, run_converge, run_pnl, run_qtable
+from levyhedge.models import relative_factors
 from levyhedge.pricing import PathBundle, payoff
 from levyhedge.stencil import build_lookup_table
 
@@ -216,6 +217,22 @@ class TestPnl:
                       "swap": {"strike": 0.002, "unit_price": 0.002}}
         raw["pnl"].update(over)
         return load_config(raw)
+
+    @pytest.mark.parametrize("model", [
+        {"kind": "compound_poisson", "intensity": 50.0,
+         "jump_law": {"kind": "normal", "mean": -0.005, "std": 0.02}},
+        {"kind": "variance_gamma", "theta": -0.05, "nu": 0.01, "vg_sigma": 0.2},
+    ], ids=["cp", "vg"])
+    def test_outcomes_carry_relative_jumps(self, model):
+        # the strategies see dS/S_- per jump: J itself, or e^x - 1 of a VG log-jump x
+        cfg = load_config(dict(self.pnl_config(["delta"]).raw, model=model))
+        outcomes = harness._simulate_outcomes(cfg, np.random.default_rng(3))
+        _, jumps = relative_factors(cfg.model, cfg.delta_t, 1, cfg.n_scenarios,
+                                    np.random.default_rng(3), records=True)
+        sizes = jumps.size[np.lexsort((jumps.time, jumps.path))]
+        want = np.expm1(sizes) if model["kind"] == "variance_gamma" else sizes
+        assert len(want) > 10
+        np.testing.assert_array_equal(np.concatenate([o.jump_sizes for o in outcomes]), want)
 
     def test_taylor_swaps_residual_bounded(self):
         cfg = self.pnl_config(["taylor+swaps"])

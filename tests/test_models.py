@@ -1,10 +1,12 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate, special, stats
 
-from levyhedge.errors import BankruptcyError, MissingJumpRecordsError, UnsupportedOrderError
+from levyhedge.errors import UnsupportedOrderError
+from levyhedge.jump_baskets import PathState, ScenarioOutcome
 from levyhedge.models import (
     CompoundPoisson,
     FixedJumps,
@@ -12,17 +14,15 @@ from levyhedge.models import (
     NormalJumps,
     VarianceGamma,
     increment_cumulants,
-    levy_moment,
     log_mean_growth,
     moment_vector,
-    power_jump_path,
     relative_factors,
     risk_neutral_drift,
-    simulate_path,
 )
-from levyhedge.models import PathGrid, _e1_tail_inverse, _truncated_vg
+from levyhedge.models import _e1_tail_inverse
 
 VG_FTSE = VarianceGamma(theta=-0.2721, nu=0.3032, sigma=0.0302)
+VG_BENCH = VarianceGamma(theta=-0.05, nu=0.01, sigma=0.2)  # levybench PNL_VG
 CP_TEST = CompoundPoisson(intensity=2.0, law=NormalJumps(mean=0.0, std=0.1))
 
 
@@ -41,12 +41,12 @@ def cumulants_to_raw_moments(kappas, k_max):
 class TestMoments:
     def test_compound_poisson_second(self):
         model = LevyModel(jump_spec=CP_TEST)
-        assert levy_moment(model, 2) == pytest.approx(2.0 * 0.01, rel=1e-12)
+        assert moment_vector(model, 2)[2] == pytest.approx(2.0 * 0.01, rel=1e-12)
 
     def test_compound_poisson_odd_symmetric(self):
-        model = LevyModel(jump_spec=CP_TEST)
+        mom = moment_vector(LevyModel(jump_spec=CP_TEST), 7)
         for i in (3, 5, 7):
-            assert levy_moment(model, i) == 0.0
+            assert mom[i] == 0.0
 
     def test_normal_law_moments_vs_quadrature(self):
         law = NormalJumps(mean=0.03, std=0.07)
@@ -72,30 +72,30 @@ class TestMoments:
         return pos + neg
 
     def test_vg_m2_vs_levy_density_quadrature(self):
-        model = LevyModel(jump_spec=VG_FTSE)
         quad_val = self._nu_quadrature(VG_FTSE, 2)
         assert quad_val == pytest.approx(0.023360485912, rel=1e-9)
-        assert levy_moment(model, 2) == pytest.approx(quad_val, rel=1e-9)
+        assert VG_FTSE.nu_moment(2) == pytest.approx(quad_val, rel=1e-9)
         # cumulant identity: kappa_2 = theta^2 nu + sigma^2
-        assert levy_moment(model, 2) == pytest.approx(
+        assert VG_FTSE.nu_moment(2) == pytest.approx(
             VG_FTSE.theta**2 * VG_FTSE.nu + VG_FTSE.sigma**2, rel=1e-12
         )
 
     def test_vg_higher_moments_vs_quadrature(self):
-        model = LevyModel(jump_spec=VG_FTSE)
         for i in (3, 4, 5):
-            assert levy_moment(model, i) == pytest.approx(
+            assert VG_FTSE.nu_moment(i) == pytest.approx(
                 self._nu_quadrature(VG_FTSE, i), rel=1e-8
             )
 
     def test_first_moment_is_mean_rate(self):
-        assert levy_moment(LevyModel(jump_spec=VG_FTSE), 1) == pytest.approx(VG_FTSE.theta)
+        assert VG_FTSE.nu_moment(1) == pytest.approx(VG_FTSE.theta)
         model = LevyModel(jump_spec=CompoundPoisson(3.0, NormalJumps(0.02, 0.05)))
-        assert levy_moment(model, 1) == pytest.approx(3.0 * 0.02)
+        assert moment_vector(model, 1)[1] == pytest.approx(3.0 * 0.02)
 
     def test_bad_order(self):
-        with pytest.raises(UnsupportedOrderError):
-            levy_moment(LevyModel(jump_spec=CP_TEST), 0)
+        for spec in (CP_TEST, VG_FTSE):
+            for moment in (spec.nu_moment, spec.hedge_moment):
+                with pytest.raises(UnsupportedOrderError):
+                    moment(0)
 
     def test_moment_vector_m2_prime(self):
         model = LevyModel(brownian_sigma=0.2, jump_spec=CP_TEST)
@@ -103,6 +103,50 @@ class TestMoments:
         assert mom.m2_prime == pytest.approx(mom[2] + 0.04)
         assert mom.m2_prime >= mom[2]
         assert mom[2] >= 0 and mom[4] >= 0
+
+
+class TestHedgeMoments:
+    """Moments of the relative jumps dS/S_-, which every hedge formula reads."""
+
+    @staticmethod
+    def _relative_quadrature(spec, i):
+        # mpmath oracle: the integral of (e^x - 1)^i against the Levy density
+        with mpmath.workdps(30):
+            c, g, m = (mpmath.mpf(v) for v in spec.cgm())
+            up = mpmath.quad(lambda x: mpmath.expm1(x) ** i * c * mpmath.exp(-m * x) / x,
+                             [0, mpmath.inf])
+            down = mpmath.quad(lambda x: mpmath.expm1(-x) ** i * c * mpmath.exp(-g * x) / x,
+                               [0, mpmath.inf])
+            return float(up + down)
+
+    @pytest.mark.parametrize("spec", [VG_FTSE, VG_BENCH], ids=["ftse", "bench"])
+    def test_vg_matches_mpmath_quadrature(self, spec):
+        for i in range(1, 13):
+            assert spec.hedge_moment(i) == pytest.approx(self._relative_quadrature(spec, i),
+                                                         rel=1e-12), i
+
+    @pytest.mark.parametrize("spec", [VG_FTSE, VG_BENCH], ids=["ftse", "bench"])
+    def test_vg_first_is_the_martingale_correction(self, spec):
+        # integral of (e^x - 1) nu(dx) = ln E[e^X_1] = -omega
+        assert spec.hedge_moment(1) == pytest.approx(-spec.martingale_correction(), abs=1e-13)
+
+    def test_vg_relative_moments_differ_from_log_moments(self):
+        # the FTSE values the hedge weights read: 0.01994 against 0.02336
+        assert VG_FTSE.hedge_moment(2) == pytest.approx(0.019936477666811, rel=1e-12)
+        assert moment_vector(LevyModel(jump_spec=VG_FTSE), 2)[2] == VG_FTSE.hedge_moment(2)
+
+    def test_vg_order_at_or_above_m_raises(self):
+        spec = VarianceGamma(theta=0.5, nu=0.5, sigma=0.3)
+        _, _, m = spec.cgm()
+        assert 3 < m < 4
+        assert math.isfinite(spec.hedge_moment(3))
+        for i in (4, 5):
+            with pytest.raises(UnsupportedOrderError):
+                spec.hedge_moment(i)
+
+    def test_compound_poisson_is_the_measure(self):
+        for i in range(1, 9):
+            assert CP_TEST.hedge_moment(i) == CP_TEST.nu_moment(i)
 
 
 def increments(model, dt, n, rng):
@@ -129,7 +173,7 @@ class TestIncrements:
         rng = np.random.default_rng(7)
         dt = 0.1
         draws = increments(model, dt, 20000, rng)
-        m1 = levy_moment(model, 1)
+        m1 = model.jump_spec.nu_moment(1)
         se = draws.std(ddof=1) / math.sqrt(len(draws))
         assert abs(draws.mean() - m1 * dt) < 3 * se
 
@@ -151,7 +195,7 @@ class TestEvolve:
     def test_deterministic_exponential(self):
         model = LevyModel(drift_b=0.05)
         rng = np.random.default_rng(0)
-        s_next = simulate_path(model, 100.0, np.array([0.0, 1.0]), rng).asset[-1]
+        s_next = 100.0 * relative_factors(model, 1.0, 1, 1, rng)[0, 0]
         assert s_next == pytest.approx(100.0 * math.exp(0.05), rel=1e-12)
 
     def test_single_jump_product_form(self):
@@ -167,20 +211,14 @@ class TestEvolve:
         assert 100.0 * factors[single[0], 0] == pytest.approx(100.0 * 1.1, rel=1e-10)
 
     def test_bankruptcy_detected(self):
+        # a cell with a jump <= -1 has a NaN factor; one without keeps a finite one
         law = FixedJumps(size=-1.5)
-        model = LevyModel(jump_spec=CompoundPoisson(50000.0, law))
+        model = LevyModel(jump_spec=CompoundPoisson(100.0, law))
         rng = np.random.default_rng(1)
-        with pytest.raises(BankruptcyError):
-            for _ in range(100):
-                simulate_path(model, 100.0, np.array([0.0, 0.01]), rng)
-
-    def test_nan_asset_is_bankrupt(self):
-        # a bankrupt factor is NaN, which no comparison with 0 catches
-        grid = np.linspace(0.0, 1.0, 3)
-        with pytest.raises(BankruptcyError):
-            PathGrid(times=grid, asset=np.array([100.0, np.nan, np.nan]), x=np.zeros(3),
-                     jump_times=np.empty(0), jump_sizes=np.empty(0), jumps_recorded=True,
-                     model=LevyModel())
+        factors, jumps = relative_factors(model, 0.01, 1, 200, rng, records=True)
+        hit = np.bincount(jumps.path, minlength=200) > 0
+        assert 0 < hit.sum() < 200
+        np.testing.assert_array_equal(np.isnan(factors[:, 0]), hit)
 
     def test_mean_growth_product_form(self):
         model = LevyModel(drift_b=0.03, brownian_sigma=0.2,
@@ -212,8 +250,8 @@ class TestEvolve:
 
 
 class TestSampler:
-    VG_REC = LevyModel(drift_b=0.02, jump_spec=VarianceGamma(theta=-0.1, nu=0.2, sigma=0.15),
-                       jump_eps=1e-4)
+    VG_REC = LevyModel(drift_b=0.02, jump_spec=VarianceGamma(theta=-0.1, nu=0.2, sigma=0.15,
+                                                              truncation_eps=1e-4))
 
     @pytest.mark.parametrize("spec", [CP_TEST, VG_FTSE], ids=["cp", "vg"])
     def test_per_step_dt_matches_scalar(self, spec):
@@ -237,7 +275,8 @@ class TestSampler:
         np.testing.assert_allclose(np.log(factors), want, rtol=1e-12, atol=1e-14)
 
     def test_vg_records_invert_the_tail(self):
-        spec, eps = self.VG_REC.jump_spec, self.VG_REC.jump_eps
+        spec = self.VG_REC.jump_spec
+        eps = spec.truncation_eps
         _, g, m = spec.cgm()
         _, jumps = relative_factors(self.VG_REC, 0.25, 1, 2000, np.random.default_rng(2),
                                     records=True)
@@ -253,9 +292,10 @@ class TestSampler:
 
     def test_vg_tail_inversion_is_exact(self):
         # replay the sampler's two uniforms per jump: side, then tail level
-        spec, eps = self.VG_REC.jump_spec, self.VG_REC.jump_eps
+        spec = self.VG_REC.jump_spec
+        eps = spec.truncation_eps
         _, g, m = spec.cgm()
-        _, sample, _ = _truncated_vg(spec, eps)
+        _, sample, _ = spec._truncated()
         x = sample(np.random.default_rng(5), 1000)
         replay = np.random.default_rng(5)
         replay.random(1000)
@@ -296,87 +336,69 @@ class TestSampler:
 
 
 class TestPowerJumpPath:
-    def path_with(self, jumps, times, model, horizon=1.0):
-        grid = np.linspace(0.0, horizon, 5)
-        return PathGrid(
-            times=grid,
-            asset=np.ones_like(grid),
-            x=np.zeros_like(grid),
-            jump_times=np.array(times),
-            jump_sizes=np.array(jumps),
-            jumps_recorded=True,
-            model=model,
-        )
+    """Y^(i), the compensated sum of (jump size)^i, from the increments
+    ``ScenarioOutcome.delta_y`` over the steps of one ``records`` draw."""
+
+    @staticmethod
+    def step_outcomes(jumps, n, steps):
+        """Each path's per-step outcomes, from records ordered by path and step."""
+        cuts = np.searchsorted(jumps.path * steps + jumps.step, np.arange(1, n * steps))
+        cells = zip(np.split(jumps.time, cuts), np.split(jumps.size, cuts))
+        flat = [ScenarioOutcome(delta_s=0.0, jump_times=t, jump_sizes=x) for t, x in cells]
+        return [flat[k * steps:(k + 1) * steps] for k in range(n)]
 
     def test_no_jumps_is_minus_compensator(self):
-        model = LevyModel(jump_spec=CP_TEST)
-        path = self.path_with([], [], model)
-        y, t_asset = power_jump_path(path, 2)
-        m2 = levy_moment(model, 2)
-        assert y[-1] == pytest.approx(-m2 * 1.0)
-        assert np.allclose(t_asset, y)  # r = 0
+        mom = moment_vector(LevyModel(jump_spec=CP_TEST), 2)
+        y = ScenarioOutcome(delta_s=0.0).delta_y(2, mom, 1.0)
+        assert y == pytest.approx(-mom[2] * 1.0)
 
     def test_single_jump_bookkeeping(self):
         model = LevyModel(jump_spec=CompoundPoisson(1.0, NormalJumps(0.0, math.sqrt(0.02))))
-        assert levy_moment(model, 2) == pytest.approx(0.02)
-        path = self.path_with([0.2], [0.5], model)
-        y, _ = power_jump_path(path, 2)
-        assert y[-1] == pytest.approx(0.04 - 0.02)
+        mom = moment_vector(model, 2)
+        assert mom[2] == pytest.approx(0.02)
+        outcome = ScenarioOutcome(delta_s=0.0, jump_times=np.array([0.5]),
+                                  jump_sizes=np.array([0.2]))
+        assert outcome.delta_y(2, mom, 1.0) == pytest.approx(0.04 - 0.02)
 
     def test_t_asset_accrual(self):
-        model = LevyModel(jump_spec=CP_TEST)
-        path = self.path_with([0.1], [0.3], model)
-        y, t_asset = power_jump_path(path, 3, r=0.05)
-        assert t_asset[-1] == pytest.approx(math.exp(0.05) * y[-1])
+        state = PathState(t=1.0, y={3: 0.1**3 - CP_TEST.hedge_moment(3)})
+        assert state.t_asset(3, 0.05) == pytest.approx(math.exp(0.05) * state.y_value(3))
 
     def test_bookkeeping_identity_on_simulated_path(self):
         model = LevyModel(drift_b=0.02, brownian_sigma=0.1,
                           jump_spec=CompoundPoisson(20.0, NormalJumps(0.0, 0.05)))
         rng = np.random.default_rng(21)
-        path = simulate_path(model, 100.0, np.linspace(0, 1, 13), rng)
+        times = np.linspace(0, 1, 13)
+        _, jumps = relative_factors(model, np.diff(times), 12, 1, rng, records=True)
+        assert len(jumps.size) > 5
+        mom = moment_vector(model, 4)
+        (outcomes,) = self.step_outcomes(jumps, 1, 12)
         for i in (2, 3, 4):
-            y, _ = power_jump_path(path, i)
-            raw = np.array(
-                [path.jump_sizes[path.jump_times <= t] ** i for t in path.times],
-                dtype=object,
-            )
-            m_i = levy_moment(model, i)
-            for idx, t in enumerate(path.times):
-                assert y[idx] + m_i * t == pytest.approx(float(np.sum(raw[idx])), abs=1e-12)
+            y = np.concatenate([[0.0], np.cumsum([o.delta_y(i, mom, 1 / 12) for o in outcomes])])
+            for idx, t in enumerate(times):
+                raw = float(np.sum(jumps.size[jumps.time <= t] ** i))
+                assert y[idx] + mom[i] * t == pytest.approx(raw, abs=1e-12)
 
     def test_zero_mean_martingale(self):
         model = LevyModel(jump_spec=CompoundPoisson(5.0, NormalJumps(0.02, 0.08)))
         rng = np.random.default_rng(2)
         n = 4000
-        finals = {2: [], 3: [], 4: []}
-        for _ in range(n):
-            path = simulate_path(model, 100.0, np.array([0.0, 0.5, 1.0]), rng)
-            for i in finals:
-                y, _ = power_jump_path(path, i)
-                finals[i].append(y[-1])
-        for i, vals in finals.items():
-            vals = np.array(vals)
+        _, jumps = relative_factors(model, 0.5, 2, n, rng, records=True)
+        mom = moment_vector(model, 4)
+        paths = self.step_outcomes(jumps, n, 2)
+        for i in (2, 3, 4):
+            # Y_1^(i) of each path: the sum of its two steps' increments
+            vals = np.array([sum(o.delta_y(i, mom, 0.5) for o in steps) for steps in paths])
             se = vals.std(ddof=1) / math.sqrt(n)
             assert abs(vals.mean()) < 3 * se, i
 
-    def test_missing_records_raises(self):
-        model = LevyModel(jump_spec=VG_FTSE)
-        rng = np.random.default_rng(4)
-        path = simulate_path(model, 100.0, np.array([0.0, 1.0]), rng, track_jumps=False)
-        with pytest.raises(MissingJumpRecordsError):
-            power_jump_path(path, 2)
-
     def test_vg_jump_approximation_moments(self):
         # eps-truncated VG jump records reproduce the second moment
-        model = LevyModel(jump_spec=VarianceGamma(theta=-0.1, nu=0.2, sigma=0.15),
-                          jump_eps=1e-4)
+        spec = VarianceGamma(theta=-0.1, nu=0.2, sigma=0.15, truncation_eps=1e-4)
         rng = np.random.default_rng(17)
-        sq = []
         n = 300
-        for _ in range(n):
-            path = simulate_path(model, 100.0, np.array([0.0, 1.0]), rng, track_jumps=True)
-            sq.append(np.sum(path.jump_sizes**2))
-        sq = np.array(sq)
-        m2 = levy_moment(model, 2)
+        _, jumps = relative_factors(LevyModel(jump_spec=spec), 1.0, 1, n, rng, records=True)
+        sq = np.bincount(jumps.path, jumps.size**2, n)
+        m2 = spec.nu_moment(2)
         se = sq.std(ddof=1) / math.sqrt(n)
         assert abs(sq.mean() - m2) < 4 * se + 1e-4
