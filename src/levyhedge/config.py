@@ -129,9 +129,13 @@ def _variance_gamma(block: _Block) -> VarianceGamma:
     sigma_key = "vg_sigma" if "vg_sigma" in block.raw else "sigma"
     if sigma_key == "vg_sigma" and "sigma" in block.raw:
         raise block.fail("sigma", f" repeats {block.field('vg_sigma')!r}; give one of them")
-    return VarianceGamma(theta=block.number("theta"), nu=block.number("nu", positive=True),
-                         sigma=block.number(sigma_key, 0.0, minimum=0),
-                         truncation_eps=block.number("truncation_eps", 1e-6, positive=True))
+    theta, nu = block.number("theta"), block.number("nu", positive=True)
+    sigma = block.number(sigma_key, 0.0, minimum=0)
+    eps = block.number("truncation_eps", 1e-6, positive=True)
+    try:
+        return VarianceGamma(theta=theta, nu=nu, sigma=sigma, truncation_eps=eps)
+    except ValueError as err:  # eps at or above the decay scale 1/max(G, M)
+        raise block.fail("truncation_eps", f": {err}") from None
 
 
 # Each model kind's jump part, read from the model block.

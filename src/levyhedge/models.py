@@ -16,11 +16,10 @@ exponential, so a jump J multiplies the price by (1 + J) and is its own
 relative jump: both moment families agree.  ``VarianceGamma`` is infinite
 activity, sampled exactly through the gamma time change.  Paths evolve in
 exponential form S -> S exp(b dt + dX), so a jump x is a log-jump and moves
-the price by e^x - 1.  Its jump records come from the compound-Poisson
-approximation keeping the jumps with |x| > ``truncation_eps``, the small
-jumps' mean folded into the drift.  Their tail rates and sizes need the
-exponential integral E1, the one use of scipy in the package:
-``scipy.special`` is imported there, on first use.
+the price by e^x - 1.  Its jump records come from Bondesson's series for
+a gamma process on each side of its Levy measure, cut at the scale
+``truncation_eps``: numpy draws them, and the part of the measure the cut
+leaves out has mean zero.
 
 ``relative_factors`` is the one sampler of the model's moves: per-step
 factors S_{k+1}/S_k on any grid of steps, with flat jump records on request.
@@ -155,8 +154,8 @@ class VarianceGamma:
     Parameters follow the (theta, nu, sigma) convention: theta is the
     drift of the subordinated Brownian motion, nu the variance rate of the
     gamma subordinator, sigma its volatility.  Its jumps x are log-jumps.
-    Jump records come from the compound-Poisson approximation keeping the
-    jumps with |x| > ``truncation_eps``.
+    Jump records come from Bondesson's series cut at the scale
+    ``truncation_eps``, which must stay below 1/max(G, M).
     """
 
     theta: float
@@ -171,6 +170,11 @@ class VarianceGamma:
             raise ValueError(f"sigma must be >= 0, got {self.sigma}")
         if self.truncation_eps <= 0:
             raise ValueError(f"truncation_eps must be > 0, got {self.truncation_eps}")
+        if self.sigma > 0:  # sigma = 0 leaves one side without jumps, and no (C, G, M)
+            _, g, m = self.cgm()
+            if self.truncation_eps * max(g, m) >= 1:
+                raise ValueError(f"truncation_eps must be < 1/max(G, M) = {1 / max(g, m):.6g}, "
+                                 f"got {self.truncation_eps}")
 
     def cgm(self) -> tuple[float, float, float]:
         """(C, G, M) parameters of the two-sided gamma representation."""
@@ -190,19 +194,20 @@ class VarianceGamma:
     def hedge_moment(self, i: int) -> float:
         """m_i of the relative jumps: the integral of (e^x - 1)^i nu(dx).
 
-        Each side is C times the integral of (1 - e^-u)^i / u e^{-a u} over
-        u > 0, with a = M - i upwards and a = G downwards (times (-1)^i);
-        t = a u makes it a 32-node Gauss-Laguerre sum.  The integrand is
-        bounded and of one sign, so no digit cancels as in the binomial sum
-        over exponential moments.  It exists for i < M only, and loses
-        digits as i nears M (3e-14 relative at M - i = 2.6, 1e-5 at 0.6).
+        Each side is C times I(a), the integral of (1 - e^-u)^i / u e^{-a u}
+        over u > 0, with a = M - i upwards and a = G downwards (times
+        (-1)^i); ``_gamma_gap`` sums the two for even i, and for odd i takes
+        I(M - i) - I(G) in one piece, so the sides do not cancel digits.
+        It holds 1e-13 relative while min(M - i, G) >= i / 1000; orders
+        closer to M, where the moment stops existing, raise.
         """
         c, g, m = self.cgm()
-        if not 1 <= i < m:
-            raise UnsupportedOrderError(f"moment order must be in [1, M = {m:.6g}), got {i}")
-        t, w = _laguerre_rule()
-        up, down = (w @ ((-np.expm1(-t / a)) ** i / t) for a in (m - i, g))
-        return float(c * (up + (-1) ** i * down))
+        if i < 1 or min(m - i, g) < i / 1000:
+            raise UnsupportedOrderError(f"moment order {i} needs min(M - i, G) >= i/1000, "
+                                        f"with M = {m:.6g} and G = {g:.6g}")
+        if i % 2:
+            return c * _gamma_gap(m - i, g, i)
+        return c * (_gamma_gap(m - i, math.inf, i) + _gamma_gap(g, math.inf, i))
 
     @staticmethod
     def log_jump(size: np.ndarray) -> np.ndarray:
@@ -231,84 +236,70 @@ class VarianceGamma:
 
     def martingale_correction(self) -> float:
         """omega with E[exp(X_t + omega t)] = 1 (exponential-form drift fix)."""
-        arg = 1.0 - self.theta * self.nu - self.sigma**2 * self.nu / 2
-        if arg <= 0:
+        x = self.theta * self.nu + self.sigma**2 * self.nu / 2
+        if x >= 1:
             raise ValueError("VG exponential moment does not exist for these parameters")
-        return math.log(arg) / self.nu
+        return math.log1p(-x) / self.nu  # log1p: theta nu and sigma^2 nu are often small
 
     def sample_cells(self, dts: np.ndarray, shape, rng: np.random.Generator, records: bool):
         """Log-factor of each cell's jumps: exact through the gamma clock, or
-        with ``records`` from the truncated measure, returning its jumps too."""
+        with ``records`` from the truncated series, returning its jumps too."""
         if not records:
             g = rng.gamma(dts / self.nu, self.nu, shape)
             return self.theta * g + self.sigma * np.sqrt(g) * rng.standard_normal(shape), None
-        rate, sample, drift = self._truncated()
-        jump_log, jumps = _poisson_cells(rate, sample, self.log_jump, dts, shape, rng, True)
-        return jump_log + drift * dts, jumps
+        return _poisson_cells(*self._truncated(), self.log_jump, dts, shape, rng, True)
 
     def _truncated(self):
-        """The ``truncation_eps``-truncated compound-Poisson approximation of
-        the Levy measure as (rate, size sampler, drift).
+        """Jump records as a compound Poisson: (rate, size sampler).
 
-        Jumps with |x| > eps arrive at the exponential-integral tail rates
-        C E1(M eps) upwards and C E1(G eps) downwards; the mean of the dropped
-        small jumps, the integral of x nu(dx) over |x| <= eps, becomes a drift.
+        Bondesson's series for a gamma process cut at u < lam eps: each side
+        (lam = M upwards, G downwards) makes jumps at rate C ln(1/(lam eps))
+        with sizes |x| = (lam eps)^U E / lam, U uniform and E exponential.
+        They hold exactly C (e^{-lam |x|} - e^{-|x|/eps}) / |x| of the Levy
+        measure on each side; the part dropped, C e^{-|x|/eps} / |x| on
+        both sides, has mean zero, so no drift makes up for it.
         """
-        from scipy.special import exp1  # only VG jump records need E1
-
         eps = self.truncation_eps
         c, g, m = self.cgm()
-        up, down = c * exp1(m * eps), c * exp1(g * eps)
-        drift = c * ((1 - math.exp(-m * eps)) / m - (1 - math.exp(-g * eps)) / g)
+        up, down = -c * math.log(m * eps), -c * math.log(g * eps)
 
         def sample(rng: np.random.Generator, n: int) -> np.ndarray:
-            # each jump picks a side, then inverts that side's tail
-            # E1(lam x) = (1 - u) E1(lam eps)
+            # draws: each jump's side, then all the U, then all the E
             negative = rng.random(n) < down / (up + down)
             lam = np.where(negative, g, m)
-            target = (1.0 - rng.random(n)) * exp1(lam * eps)
-            return np.where(negative, -1.0, 1.0) * _e1_tail_inverse(lam, target, eps)
+            size = (lam * eps) ** rng.random(n) * rng.standard_exponential(n) / lam
+            return np.where(negative, -size, size)
 
-        return up + down, sample, drift
+        return up + down, sample
 
 
 @functools.cache
-def _laguerre_rule():
-    """Nodes and weights of the 32-node Gauss-Laguerre rule."""
-    from numpy.polynomial.laguerre import laggauss  # only VG hedge moments need it
+def _legendre_rule():
+    """Nodes and weights of the 64-node Gauss-Legendre rule on (0, 1)."""
+    from numpy.polynomial.legendre import leggauss  # only VG hedge moments need it
 
-    return laggauss(32)
+    x, w = leggauss(64)
+    return (x + 1) / 2, w / 2
 
 
-def _e1_tail_inverse(lam: np.ndarray, target: np.ndarray, eps: float) -> np.ndarray:
-    """x >= eps with E1(lam x) = target, elementwise, for 0 < target <= E1(lam eps).
+def _gamma_gap(a: float, b: float, i: int) -> float:
+    """I(a) - I(b) for I(a) = the integral of (1 - e^-u)^i / u e^{-a u} over u > 0.
 
-    Newton on y = ln x solves ln E1(lam e^y) = ln target, whose slope in y
-    is -e^-z / E1(z) at z = lam e^y.  It starts from the small-z asymptote
-    E1(z) ~ -gamma - ln z above a target of 1/2 and from the large-z one
-    E1(z) ~ e^-z / z below it, and keeps the bracket [ln eps, hi] from the
-    sign of E1(z) - target (E1(z) <= e^-z for z >= 1 gives hi): a step that
-    leaves the bracket falls back to its midpoint.  Six sweeps reach
-    machine precision from those starts.
+    Since dI/da = -B(a, i + 1), the gap is the integral over a < s < b of
+    i! / (s (s + 1) ... (s + i)); s = a / t^2 makes it the integral over
+    sqrt(a / b) < t < 1 of 2 / t times the product over j = 1..i of
+    j t^2 / (j t^2 + a), which is positive and smooth (its nearest poles
+    sit at t^2 = -a / i), for the Gauss-Legendre rule.  ``b`` may be inf.
     """
-    from scipy.special import exp1
-
-    log_t = np.log(target)
-    w = np.maximum(-log_t, math.log(2.0))  # -ln target wherever the large-z start is used
-    z0 = np.where(target > 0.5, np.exp(-np.euler_gamma - target), w - np.log(w))
-    lo = np.full(len(target), math.log(eps))
-    hi = np.log(np.maximum(np.maximum(1.0, w) / lam, eps))
-    y = np.clip(np.log(z0 / lam), lo, hi)
-    for _ in range(6):
-        z = lam * np.exp(y)
-        e1 = exp1(z)
-        above = e1 > target  # the root lies above y
-        lo = np.where(above, y, lo)
-        hi = np.where(above, hi, y)
-        step = y + (np.log(e1) - log_t) * e1 * np.exp(z)
-        # inclusive: a converged step lands on the bracket end it just set
-        y = np.where((step >= lo) & (step <= hi), step, 0.5 * (lo + hi))
-    return np.exp(y)
+    if a > b:
+        return -_gamma_gap(b, a, i)
+    # the lower end and 1 minus it, without cancelling digits when a nears b
+    t0, width = (0.0, 1.0) if b == math.inf else (math.sqrt(a / b),
+                                                  (b - a) / (b + math.sqrt(a * b)))
+    x, w = _legendre_rule()
+    t = t0 + width * x
+    jt2 = np.outer(t * t, np.arange(1, i + 1))
+    return float(width * (w @ (2 / t * np.prod(jt2 / (jt2 + a), axis=1))))
 
 
 # ---------------------------------------------------------------------------
@@ -453,8 +444,8 @@ def relative_factors(
     pairwise).
 
     With ``records`` the result is ``(factors, JumpRecords)``; VG jumps then
-    come from the truncated compound-Poisson approximation of its Levy
-    measure, so that individual jumps exist.
+    come from the truncated series of its Levy measure, so that individual
+    jumps exist.
     """
     if steps < 1 or n_paths < 1:
         raise ValueError("need steps >= 1 and n_paths >= 1")

@@ -188,14 +188,13 @@ class PathBundle:
         return out
 
 
-def _fresh_bundle(model, horizon, n_paths, steps, seed, rng, antithetic) -> PathBundle:
-    """A bundle drawn over ``horizon`` in ``steps`` equal steps."""
+def _fresh_bundle(model, horizon, n_paths, steps, seed, antithetic) -> PathBundle:
+    """A bundle drawn over ``horizon`` in ``steps`` equal steps from ``seed``."""
     if n_paths < 1000:
         raise ValueError("Monte Carlo pricing needs at least 1000 paths")
     if steps < 1:
         raise ValueError("need steps >= 1")
-    if rng is None:
-        rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     factors = relative_factors(model, horizon / steps, steps, n_paths, rng, antithetic)
     return PathBundle(factors, horizon)
 
@@ -209,7 +208,6 @@ def mc_price(
     n_paths: int = 100_000,
     steps: int = 1,
     seed: int | None = None,
-    rng: np.random.Generator | None = None,
     antithetic: bool = False,
 ):
     """Price the option at date t and spot s0; returns (price, std_error)."""
@@ -219,7 +217,7 @@ def mc_price(
     remaining = option.maturity - t
     if remaining <= 0:
         return float(payoff(option, s0)), 0.0
-    bundle = _fresh_bundle(model, remaining, n_paths, steps, seed, rng, antithetic)
+    bundle = _fresh_bundle(model, remaining, n_paths, steps, seed, antithetic)
     return bundle.price(option, s0, r)
 
 
@@ -232,7 +230,6 @@ def price_curve(
     n_paths: int = 100_000,
     steps: int = 1,
     seed: int | None = None,
-    rng: np.random.Generator | None = None,
     antithetic: bool = False,
 ):
     """MC prices across a uniform spot grid with common random numbers.
@@ -241,6 +238,8 @@ def price_curve(
     payoff curve with zero error.
     """
     s_values = np.asarray(s_values, dtype=float)
+    if np.any(s_values <= 0):
+        raise ValueError("spot must be > 0")
     if len(s_values) > 1:
         steps_arr = np.diff(s_values)
         if np.any(steps_arr <= 0) or not np.allclose(
@@ -251,7 +250,7 @@ def price_curve(
     if remaining <= 0:
         prices = payoff(option, s_values)
         return prices, np.zeros_like(prices)
-    bundle = _fresh_bundle(model, remaining, n_paths, steps, seed, rng, antithetic)
+    bundle = _fresh_bundle(model, remaining, n_paths, steps, seed, antithetic)
     return bundle.price_many(option, s_values, r)
 
 

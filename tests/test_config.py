@@ -310,6 +310,8 @@ VG = {"kind": "variance_gamma", "theta": -0.1, "nu": 0.2, "vg_sigma": 0.1}
     (dict(VG, truncation_eps=0), r"'model\.truncation_eps' must be > 0, got 0"),
     (dict(VG, theta=2.0, nu=1.0, drift_b="risk_neutral"),
      r"'model\.drift_b': VG exponential moment does not exist"),
+    (dict(VG, truncation_eps=0.1),
+     r"'model\.truncation_eps': truncation_eps must be < 1/max\(G, M\) = 0\.02316"),
 ])
 def test_model_parameter_ranges_name_their_field(model, path):
     with pytest.raises(ConfigError, match=path):

@@ -19,10 +19,13 @@ from levyhedge.models import (
     relative_factors,
     risk_neutral_drift,
 )
-from levyhedge.models import _e1_tail_inverse
+from levyhedge.models import _gamma_gap
 
 VG_FTSE = VarianceGamma(theta=-0.2721, nu=0.3032, sigma=0.0302)
 VG_BENCH = VarianceGamma(theta=-0.05, nu=0.01, sigma=0.2)  # levybench PNL_VG
+# orders 7 and 3 sit 0.61 and 0.12 below M, where the moments stop existing
+VG_NEAR_7 = VarianceGamma(theta=0.2, nu=0.3, sigma=0.25)
+VG_NEAR_3 = VarianceGamma(theta=0.5, nu=0.5, sigma=0.3)
 CP_TEST = CompoundPoisson(intensity=2.0, law=NormalJumps(mean=0.0, std=0.1))
 
 
@@ -119,16 +122,31 @@ class TestHedgeMoments:
                                [0, mpmath.inf])
             return float(up + down)
 
-    @pytest.mark.parametrize("spec", [VG_FTSE, VG_BENCH], ids=["ftse", "bench"])
+    @pytest.mark.parametrize("spec", [VG_FTSE, VG_BENCH, VG_NEAR_7, VG_NEAR_3],
+                             ids=["ftse", "bench", "m-7=0.61", "m-3=0.12"])
     def test_vg_matches_mpmath_quadrature(self, spec):
-        for i in range(1, 13):
+        for i in range(1, min(13, math.ceil(spec.cgm()[2]))):
             assert spec.hedge_moment(i) == pytest.approx(self._relative_quadrature(spec, i),
-                                                         rel=1e-12), i
+                                                         rel=1e-12, abs=0), i
 
     @pytest.mark.parametrize("spec", [VG_FTSE, VG_BENCH], ids=["ftse", "bench"])
     def test_vg_first_is_the_martingale_correction(self, spec):
         # integral of (e^x - 1) nu(dx) = ln E[e^X_1] = -omega
         assert spec.hedge_moment(1) == pytest.approx(-spec.martingale_correction(), abs=1e-13)
+        # omega through log1p, m_1 with no digit lost between the two sides
+        assert spec.hedge_moment(1) == pytest.approx(-spec.martingale_correction(), rel=1e-15,
+                                                     abs=0)
+
+    @pytest.mark.parametrize("i", [1, 3, 5])
+    def test_vg_gap_between_near_sides_keeps_its_digits(self, i):
+        # odd orders integrate I(a) - I(b) in one piece; here b - a = 7e-5
+        a, b = 70.0, 70.00007
+        with mpmath.workdps(50):
+            want = sum((-1) ** (j + 1) * mpmath.binomial(i, j)
+                       * (mpmath.log1p(j / mpmath.mpf(a)) - mpmath.log1p(j / mpmath.mpf(b)))
+                       for j in range(1, i + 1))
+        assert _gamma_gap(a, b, i) == pytest.approx(float(want), rel=1e-13, abs=0)
+        assert _gamma_gap(b, a, i) == -_gamma_gap(a, b, i)
 
     def test_vg_relative_moments_differ_from_log_moments(self):
         # the FTSE values the hedge weights read: 0.01994 against 0.02336
@@ -143,6 +161,13 @@ class TestHedgeMoments:
         for i in (4, 5):
             with pytest.raises(UnsupportedOrderError):
                 spec.hedge_moment(i)
+        # M = 3.001: m_3 exists, but too near M for the rule to hold its digits
+        m, nu, sigma = 3.001, 0.5, 0.3
+        near = VarianceGamma(theta=(1 / m**2 - sigma**2 * nu / 2) * m / nu, nu=nu, sigma=sigma)
+        assert near.cgm()[2] == pytest.approx(m, rel=1e-12)
+        assert math.isfinite(near.hedge_moment(2))
+        with pytest.raises(UnsupportedOrderError, match="needs min"):
+            near.hedge_moment(3)
 
     def test_compound_poisson_is_the_measure(self):
         for i in range(1, 9):
@@ -274,52 +299,71 @@ class TestSampler:
         want = np.bincount(cells, np.log1p(jumps.size), factors.size).reshape(400, 3)
         np.testing.assert_allclose(np.log(factors), want, rtol=1e-12, atol=1e-14)
 
-    def test_vg_records_invert_the_tail(self):
-        spec = self.VG_REC.jump_spec
-        eps = spec.truncation_eps
-        _, g, m = spec.cgm()
-        _, jumps = relative_factors(self.VG_REC, 0.25, 1, 2000, np.random.default_rng(2),
-                                    records=True)
-        x = jumps.size
-        assert np.all(np.abs(x) >= eps)
-        # each side's tail E1(lam |x|) / E1(lam eps) is uniform
-        for side, lam in ((x > 0, m), (x < 0, g)):
-            u = special.exp1(lam * np.abs(x[side])) / special.exp1(lam * eps)
-            assert stats.kstest(u, "uniform").pvalue > 1e-3
-        down = special.exp1(g * eps) / (special.exp1(g * eps) + special.exp1(m * eps))
-        share = np.mean(x < 0)
-        assert abs(share - down) < 4 * math.sqrt(down * (1 - down) / len(x))
+    VG_PATHS, VG_YEARS = 2000, 0.25
 
-    def test_vg_tail_inversion_is_exact(self):
-        # replay the sampler's two uniforms per jump: side, then tail level
+    def vg_sides(self):
+        """The records of one draw of VG_PATHS paths over VG_YEARS, by side:
+        (lam, |x|, path) for lam = M upwards and G downwards."""
+        _, jumps = relative_factors(self.VG_REC, self.VG_YEARS, 1, self.VG_PATHS,
+                                    np.random.default_rng(2), records=True)
+        _, g, m = self.VG_REC.jump_spec.cgm()
+        x = jumps.size
+        return [(lam, np.abs(x[side]), jumps.path[side]) for lam, side in ((m, x > 0), (g, x < 0))]
+
+    def test_vg_record_counts_match_the_series_rates(self):
         spec = self.VG_REC.jump_spec
+        c, eps = 1 / spec.nu, spec.truncation_eps
+        years = self.VG_PATHS * self.VG_YEARS
+        for lam, size, _ in self.vg_sides():
+            rate = c * math.log(1 / (lam * eps))
+            # each side's count is Poisson with mean rate * years
+            assert abs(len(size) - rate * years) < 4 * math.sqrt(rate * years), lam
+
+    def test_vg_record_size_moments_match_the_series(self):
+        # sum of |x|^k per year: C (k-1)! (lam^-k - eps^k), per-path SE
+        spec = self.VG_REC.jump_spec
+        c, eps = 1 / spec.nu, spec.truncation_eps
+        n = self.VG_PATHS
+        for lam, size, path in self.vg_sides():
+            for k in range(1, 5):
+                want = c * math.factorial(k - 1) * (lam**-k - eps**k)
+                per_path = np.bincount(path, size**k, n) / self.VG_YEARS
+                se = per_path.std(ddof=1) / math.sqrt(n)
+                assert abs(per_path.mean() - want) < 4 * se, (lam, k)
+
+    def test_vg_record_sizes_follow_the_series_tail(self):
+        # P(|x| > a) = (E1(lam a) - E1(a / eps)) / ln(1 / (lam eps)) on each side
+        eps = self.VG_REC.jump_spec.truncation_eps
+        for lam, size, _ in self.vg_sides():
+            log_range = math.log(1 / (lam * eps))
+            cdf = lambda a: 1 - (special.exp1(lam * a) - special.exp1(a / eps)) / log_range
+            assert stats.kstest(size, cdf).pvalue > 1e-3, lam
+
+    def test_vg_record_sizes_replay_the_draws(self):
+        # the sampler's draws: each jump's side, then every U, then every E
+        spec = self.VG_REC.jump_spec
+        c, g, m = spec.cgm()
         eps = spec.truncation_eps
-        _, g, m = spec.cgm()
-        _, sample, _ = spec._truncated()
+        rate, sample = spec._truncated()
+        up, down = -c * math.log(m * eps), -c * math.log(g * eps)
+        assert rate == up + down
         x = sample(np.random.default_rng(5), 1000)
         replay = np.random.default_rng(5)
-        replay.random(1000)
-        u = replay.random(1000)
-        lam = np.where(x < 0, g, m)
-        np.testing.assert_allclose(special.exp1(lam * np.abs(x)),
-                                   (1.0 - u) * special.exp1(lam * eps), rtol=1e-12)
+        negative = replay.random(1000) < down / (up + down)
+        lam = np.where(negative, g, m)
+        size = (lam * eps) ** replay.random(1000) * replay.standard_exponential(1000) / lam
+        np.testing.assert_array_equal(x, np.where(negative, -size, size))
 
-    def test_vg_tail_newton_matches_bisection(self):
-        # reference: 64 bisection sweeps on ln x inside the same bracket
-        spec, eps = self.VG_REC.jump_spec, 1e-6
-        _, g, m = spec.cgm()
-        target = np.geomspace(3e-5, 9.0, 400)
-        for lam in (g, m):
-            assert special.exp1(lam * eps) > 9.0
-            lam = np.full(len(target), lam)
-            lo = np.full(len(target), math.log(eps))
-            hi = np.log(np.maximum(np.maximum(1.0, -np.log(target)) / lam, eps))
-            for _ in range(64):
-                mid = 0.5 * (lo + hi)
-                above = special.exp1(lam * np.exp(mid)) > target
-                lo, hi = np.where(above, mid, lo), np.where(above, hi, mid)
-            np.testing.assert_allclose(_e1_tail_inverse(lam, target, eps), np.exp(hi),
-                                       rtol=1e-13)
+    def test_vg_truncation_must_stay_below_the_decay_scales(self):
+        theta, nu, sigma = VG_FTSE.theta, VG_FTSE.nu, VG_FTSE.sigma
+        scale = 1 / max(VG_FTSE.cgm()[1:])
+        VarianceGamma(theta, nu, sigma, truncation_eps=0.99 * scale)
+        with pytest.raises(ValueError, match=r"truncation_eps must be < 1/max\(G, M\)"):
+            VarianceGamma(theta, nu, sigma, truncation_eps=1.01 * scale)
+        # sigma = 0 has one side only and no (C, G, M); its gamma clock still draws
+        one_sided = LevyModel(jump_spec=VarianceGamma(theta, nu, 0.0))
+        factors = relative_factors(one_sided, 0.25, 2, 10, np.random.default_rng(0))
+        assert np.isfinite(factors).all()
 
     def test_vg_records_keep_the_mean_growth(self):
         n = 4000

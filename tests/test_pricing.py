@@ -243,6 +243,14 @@ class TestPriceCurve:
         with pytest.raises(GridError):
             price_curve(bs_model(), opt, [90.0, 100.0, 105.0], r=0.05, n_paths=10)
 
+    @pytest.mark.parametrize("t", [0.0, 1.0], ids=["live", "expired"])
+    def test_non_positive_spot_rejected(self, t):
+        # as mc_price: a put at spots [-20, 0, 20] has no price
+        opt = OptionSpec(kind="european_put", strike=100.0, maturity=1.0)
+        for grid in ([-20.0, 0.0, 20.0], [0.0]):
+            with pytest.raises(ValueError, match="spot must be > 0"):
+                price_curve(bs_model(), opt, grid, r=0.05, t=t, n_paths=1000, seed=1)
+
 
 class TestDerivativeLadder:
     def test_quadratic_synthetic_exact(self, table_n4):
