@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ExperimentConfig
-from .errors import BankruptcyError, ConfigError, NeedsHigherOrderError
+from .errors import BankruptcyError, ConfigError, DegenerateModelError, NeedsHigherOrderError
 from .jump_baskets import PathState, ScenarioOutcome, pja_basket_general
 from .minvar import mvp_bank_stock, mvp_with_varswap
 from .models import MomentVector, moment_vector, relative_factors
@@ -60,7 +60,7 @@ REFERENCE_Q = {
 }
 
 
-def _fmt(value) -> str:
+def _fmt_any(value) -> str:
     if value is None:
         return ""
     if isinstance(value, (bool, np.bool_, int, np.integer)):
@@ -70,11 +70,31 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _fmt_int(value) -> str:
+    return str(int(value))
+
+
+def _fmt_float(value) -> str:
+    return FLOAT_FMT.format(float(value))
+
+
+# The CSV cell of each exact type a row holds; ``_fmt_any`` takes the rest.
+_FORMATS = {
+    type(None): _fmt_any, str: str, bool: _fmt_int, np.bool_: _fmt_int,
+    **{t: _fmt_int for t in (int, *(np.dtype(c).type for c in np.typecodes["AllInteger"]))},
+    **{t: _fmt_float for t in (float, *(np.dtype(c).type for c in np.typecodes["Float"]))},
+}
+
+
+def _fmt(value) -> str:
+    return _FORMATS.get(type(value), _fmt_any)(value)
+
+
 def write_csv(path, header, rows) -> None:
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+            fh.write(",".join(map(_fmt, row)) + "\n")
 
 
 class Market:
@@ -333,6 +353,12 @@ def run_pnl(cfg: ExperimentConfig):
     if len(cfg.options) != 1:
         raise ConfigError(f"config field 'options' holds {len(cfg.options)} options; "
                           "a pnl run uses one")
+    q = cfg.pnl_q
+    try:  # the hedges need a two-sided measure, which a sigma = 0 variance gamma lacks
+        moments = moment_vector(cfg.model, max(q + 2, 3))
+    except DegenerateModelError as err:
+        raise ConfigError(f"config field 'model.vg_sigma' must be > 0 for a pnl run: "
+                          f"{err}") from None
     n_scenarios = cfg.n_scenarios
     rng = np.random.default_rng(cfg.seed)
     table = build_lookup_table(cfg.half_width, cfg.p_max)
@@ -349,10 +375,8 @@ def run_pnl(cfg: ExperimentConfig):
             "their hedges extrapolate the derivative ladder",
             outside, n_scenarios, span,
         )
-    q = cfg.pnl_q
     book = _Book(
-        cfg=cfg, market=market, table=table, ladder=ladder,
-        moments=moment_vector(cfg.model, max(q + 2, 3)),
+        cfg=cfg, market=market, table=table, ladder=ladder, moments=moments,
         scenario=HedgeScenario(
             s_t=cfg.s0, delta_s=cfg.delta_s[0], delta_t=cfg.delta_t, r=cfg.r,
             alpha_tol=cfg.alpha_tol,

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import UnsupportedOrderError
+from .errors import DegenerateModelError, UnsupportedOrderError
 
 __all__ = [
     "NormalJumps",
@@ -177,7 +177,14 @@ class VarianceGamma:
                                  f"got {self.truncation_eps}")
 
     def cgm(self) -> tuple[float, float, float]:
-        """(C, G, M) parameters of the two-sided gamma representation."""
+        """(C, G, M) parameters of the two-sided gamma representation.
+
+        Raises ``DegenerateModelError`` for sigma = 0: one side of the Levy
+        measure is then empty, and its decay rate infinite.
+        """
+        if self.sigma == 0:
+            raise DegenerateModelError("variance gamma with sigma = 0 leaves a side of its "
+                                       "Levy measure empty: no (C, G, M)")
         root = math.sqrt(self.theta**2 * self.nu**2 / 4 + self.sigma**2 * self.nu / 2)
         half = self.theta * self.nu / 2
         return 1.0 / self.nu, 1.0 / (root - half), 1.0 / (root + half)

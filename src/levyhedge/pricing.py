@@ -8,12 +8,20 @@ whole spot grid (and repricing at an arbitrary bumped spot) share the same
 draws -- common random numbers by construction, which is what keeps the
 high-order differences alive.
 
-Many spots are priced in one pass: ``PathBundle.values`` prices each
-distinct spot once, and ``price`` and ``price_many`` share its kernel,
-which prices one spot at a time through reused one-float-per-path buffers
-with in-place ufuncs; a barrier kind builds only the running extremum it
-monitors.  The P&L harness reprices all its scenario spots this way once
-per run and shares them across strategies.
+Many spots are priced in one call: ``PathBundle.values``, ``price`` and
+``price_many`` price each distinct spot once, and the call's own spots
+choose the kernel.  A European call or put at more than one spot is priced
+from the bundle's terminal factors R sorted once and cached: at spot s a
+call pays on the paths with s R > K, a suffix of the sorted R, so its mean
+payoff is (s sum R - K c)/n over that suffix, and a put reads the matching
+prefix.  The sums come from exact fixed-point prefix sums, so a price is
+within about an ulp of disc s mean(R) of the exactly rounded mean payoff,
+and each spot costs one binary search.  A lone spot and every barrier kind
+(whose pay region is two-dimensional) take the per-path kernel: one payoff
+vector per spot, the lone European spot through ``payoff`` bit for bit,
+a barrier kind through reused one-float-per-path buffers, building only
+the running extremum it monitors.  The P&L harness reprices all its
+scenario spots this way once per run and shares them across strategies.
 
 Barrier monitoring is discrete on the simulation grid.  An expired option
 (zero remaining maturity) is valued by its payoff with the barrier checked
@@ -26,6 +34,7 @@ phi(x) = exp(-x^2/2)/sqrt(2 pi), so pricing loads nothing beyond numpy.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -128,64 +137,173 @@ class PathBundle:
         if not alive.any():
             raise PricingFailedError("every simulated path went bankrupt")
         self.terminal = rel[alive, -1]
-        self.running_max = np.maximum(rel.max(axis=1)[alive], 1.0)
-        self.running_min = np.minimum(rel.min(axis=1)[alive], 1.0)
+        # column by column, a pass over every path per step rather than a
+        # reduction per short row; a bankrupt row's NaN stays in its own row
+        self.running_max = np.maximum(functools.reduce(np.maximum, rel.T)[alive], 1.0)
+        self.running_min = np.minimum(functools.reduce(np.minimum, rel.T)[alive], 1.0)
         self.horizon = horizon
 
     @property
     def n_paths(self) -> int:
         return len(self.terminal)
 
+    @functools.cached_property
+    def _ranked(self) -> _RankedLevels:
+        """The terminal factors sorted once, for every European spot set."""
+        return _RankedLevels(self.terminal)
+
     def values(self, option: OptionSpec, spots, r: float) -> np.ndarray:
         """Discounted expected payoff at every spot, each distinct spot
-        priced once; no standard error."""
-        unique, inverse = np.unique(np.asarray(spots, dtype=float), return_inverse=True)
-        prices, _ = self._reduce(option, unique, r, with_se=False)
-        return prices[inverse]
+        priced once (see ``_reduce``); no standard error."""
+        return self._reduce(option, spots, r, with_se=False)[0]
 
     def price(self, option: OptionSpec, s0: float, r: float):
         """Discounted expected payoff started at s0; returns (price, se)."""
-        prices, ses = self._reduce(option, np.array([s0], dtype=float), r, with_se=True)
+        prices, ses = self._reduce(option, [s0], r, with_se=True)
         return prices[0], ses[0]
 
     def price_many(self, option: OptionSpec, spots, r: float):
         """(prices, standard errors) at every spot, in the order given."""
-        return self._reduce(option, np.asarray(spots, dtype=float), r, with_se=True)
+        return self._reduce(option, spots, r, with_se=True)
 
-    def _reduce(self, option: OptionSpec, spots: np.ndarray, r: float, with_se: bool):
+    def _reduce(self, option: OptionSpec, spots, r: float, with_se: bool):
         """Discounted mean payoff per spot and, with ``with_se``, its
-        standard error (zeros otherwise), one spot at a time through
-        buffers of one float per path that every spot reuses."""
+        standard error (zeros otherwise), each distinct spot priced once.
+
+        A European kind at more than one distinct spot is priced from the
+        sorted terminal factors (``_sorted_moments``); a lone spot and every
+        barrier kind from one payoff vector per spot (``_path_moments``).
+        """
+        unique, inverse = np.unique(np.asarray(spots, dtype=float), return_inverse=True)
+        if option.kind in _BARRIER_PAYS or len(unique) == 1:
+            means, sds = self._path_moments(option, unique, with_se)
+        else:
+            means, sds = self._sorted_moments(option, unique, with_se)
         disc = math.exp(-r * self.horizon)
+        return (disc * means)[inverse], (disc * sds / math.sqrt(self.n_paths))[inverse]
+
+    def _path_moments(self, option: OptionSpec, spots: np.ndarray, with_se: bool):
+        """Mean and sample sd of every path's payoff, one spot at a time; a
+        barrier kind reuses buffers of one float per path across spots."""
         n = self.n_paths
         means = np.empty(len(spots))
         sds = np.zeros(len(spots))
-        out = np.empty(n)
-        level = np.empty(n) if option.kind in _BARRIER_PAYS else None
-        for j, s in enumerate(spots):
-            pay = self._payoff_at(option, s, out, level)
+        if option.kind in _BARRIER_PAYS:
+            out, level = np.empty(n), np.empty(n)
+            pays = (self._payoff_at(option, s, out, level) for s in spots)
+        else:
+            pays = (payoff(option, self.terminal * s) for s in spots)
+        for j, pay in enumerate(pays):
             means[j] = pay.mean()
             if with_se and n > 1:
                 sds[j] = pay.std(ddof=1)
-        return disc * means, disc * sds / math.sqrt(n)
+        return means, sds
 
     def _payoff_at(self, option: OptionSpec, s: float, out: np.ndarray, level) -> np.ndarray:
-        """Every path's payoff from spot s, written into ``out`` by in-place
-        ufuncs in ``payoff``'s order of operations, so each value is the
-        same to the bit.  A barrier kind builds only the extremum it
-        monitors, in ``level``, as a 1.0/0.0 factor on the payoff."""
+        """Every path's barrier-call payoff from spot s, written into ``out``
+        by in-place ufuncs in ``payoff``'s order of operations, so each
+        value is the same to the bit.  Only the extremum the barrier
+        monitors is built, in ``level``, as a 1.0/0.0 factor on the payoff."""
         np.multiply(self.terminal, s, out=out)
-        if option.kind == EUROPEAN_PUT:
-            np.subtract(option.strike, out, out=out)
-        else:
-            np.subtract(out, option.strike, out=out)
+        np.subtract(out, option.strike, out=out)
         np.maximum(out, 0.0, out=out)
-        if level is not None:
-            extremum, pays = _BARRIER_PAYS[option.kind]
-            np.multiply(getattr(self, extremum), s, out=level)
-            pays(level, option.barrier, out=level)
-            np.multiply(out, level, out=out)
-        return out
+        extremum, pays = _BARRIER_PAYS[option.kind]
+        np.multiply(getattr(self, extremum), s, out=level)
+        pays(level, option.barrier, out=level)
+        return np.multiply(out, level, out=out)
+
+    def _sorted_moments(self, option: OptionSpec, spots: np.ndarray, with_se: bool):
+        """Mean and sample sd of a European payoff at every spot from the
+        sorted terminal factors R.
+
+        At spot s the paying paths are a run [a, b) of the sorted R (a
+        suffix for a call, a prefix for a put), the same paths on which
+        ``payoff`` is positive.  With c = b - a paths, S their sum of R and
+        Q their sum of R^2, the payoff sum is P = +-(s S - K c), and the
+        payoffs' sum of squared deviations splits into the spread of R
+        inside the run and the gap between the run's mean payoff and the
+        zeros outside it: s^2 (Q - S^2/c) + P^2 (n - c)/(n c).
+        """
+        ranked = self._ranked
+        n, k = self.n_paths, option.strike
+        call = option.kind == EUROPEAN_CALL
+        split = ranked.split(spots, k, call)
+        a, b = (split, np.full_like(split, n)) if call else (np.zeros_like(split), split)
+        c = b - a
+        total = ranked.sums.between(a, b)
+        pay = spots * total - k * c if call else k * c - spots * total
+        # every path in the run pays > 0, so only rounding can make the sum negative
+        pay = np.maximum(pay, 0.0)
+        sds = np.zeros(len(spots))
+        if with_se and n > 1:
+            runs = np.maximum(c, 1)  # an empty run has S = Q = P = 0
+            spread = np.maximum(ranked.square_sums.between(a, b) - total * (total / runs), 0.0)
+            # a run of one tied level has no spread, which rounding would hide
+            tied = ranked.levels[np.minimum(a, n - 1)] == ranked.levels[np.maximum(b - 1, 0)]
+            spread[tied] = 0.0
+            squares = spots**2 * spread + pay**2 * ((n - c) / (n * runs))
+            sds = np.sqrt(squares / (n - 1))
+        return pay / n, sds
+
+
+class _RankedLevels:
+    """Terminal factors in ascending order with exact prefix sums of R and,
+    built on first use by a standard error, of R^2."""
+
+    def __init__(self, terminal: np.ndarray):
+        self.levels = np.sort(terminal)
+        self.sums = _PrefixSums(self.levels)
+
+    @functools.cached_property
+    def square_sums(self) -> _PrefixSums:
+        return _PrefixSums(self.levels * self.levels)
+
+    def split(self, spots: np.ndarray, strike: float, call: bool) -> np.ndarray:
+        """Per spot s, the number of paths with s R <= K (call) or s R < K
+        (put), as floats compare them: where a call's paying suffix or a
+        put's paying prefix ends.
+
+        A binary search for K/s can land an ulp off that comparison, so
+        the split then steps over whole runs of tied levels until the
+        level below it is on the low side and the level at it is not.
+        """
+        r = self.levels
+        n = len(r)
+        low = np.less_equal if call else np.less
+        j = np.searchsorted(r, strike / spots, side="right" if call else "left")
+        while True:
+            down = (j > 0) & ~low(spots * r[np.maximum(j - 1, 0)], strike)
+            up = (j < n) & low(spots * r[np.minimum(j, n - 1)], strike)
+            if not (down.any() or up.any()):
+                return j
+            j = np.where(down, np.searchsorted(r, r[np.maximum(j - 1, 0)], side="left"), j)
+            j = np.where(up, np.searchsorted(r, r[np.minimum(j, n - 1)], side="right"), j)
+
+
+class _PrefixSums:
+    """Sums of any run x[a:b] of a float array to within about an ulp.
+
+    Each x splits exactly into a high part on the grid 2^-exp, summed
+    exactly as int64 prefix sums, and the float remainder below the grid.
+    The scale keeps every prefix sum below 2^62 (n max|x| 2^exp < 2^62),
+    and the remainders then add up to at most n 2^-exp <= n^2 max|x| 2^-60,
+    so their plain float cumsum loses no digit that counts.
+    """
+
+    def __init__(self, x: np.ndarray):
+        n = len(x)
+        _, k = math.frexp(float(np.abs(x).max()))  # max|x| < 2^k
+        self.exp = 62 - n.bit_length() - k
+        high = np.floor(np.ldexp(x, self.exp))
+        self.high = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(high.astype(np.int64), out=self.high[1:])
+        self.low = np.zeros(n + 1)
+        np.cumsum(x - np.ldexp(high, -self.exp), out=self.low[1:])
+
+    def between(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """The sum of x[a:b] for every pair of indices a <= b."""
+        high = (self.high[b] - self.high[a]).astype(float)
+        return np.ldexp(high, -self.exp) + (self.low[b] - self.low[a])
 
 
 def _fresh_bundle(model, horizon, n_paths, steps, seed, antithetic) -> PathBundle:

@@ -2,9 +2,11 @@ import json
 import subprocess
 import sys
 
+import pytest
 from conftest import package_env
 
 from levyhedge.cli import main
+from levyhedge.errors import ConfigError
 
 
 def write_config(tmp_path, **over):
@@ -121,6 +123,23 @@ class TestPnlCommand:
         summary = (tmp_path / "pnl.csv.summary").read_text().splitlines()
         assert summary[0] == "strategy,mean,sd,regime_violations,n_scenarios,config_hash"
         assert len(summary) == 3
+
+    def test_sigma_zero_variance_gamma_names_its_field(self, tmp_path):
+        # one side of the Levy measure is empty: the gamma clock still draws
+        # for converge, but pnl hedges need (C, G, M) and must say which field
+        model = {"kind": "variance_gamma", "theta": -0.05, "nu": 0.01}
+        cfg = write_config(
+            tmp_path, model=model,
+            options=[{"kind": "european_call", "strike": 5000, "maturity": 0.25}],
+            scenario={"s0": 5000, "delta_s": [10.0], "delta_t": 0.01,
+                      "r": 0.05, "alpha_tol": 0.01},
+            stencil={"half_width": 4, "p_max": 5, "s_step": 10.0},
+            strategies=["delta"],
+            pnl={"n_scenarios": 50, "q": 3},
+        )
+        assert main(["converge", "--config", str(cfg), "--out", str(tmp_path / "c.csv")]) == 0
+        with pytest.raises(ConfigError, match=r"'model\.vg_sigma' must be > 0"):
+            main(["pnl", "--config", str(cfg), "--out", str(tmp_path / "p.csv")])
 
 
 def test_console_entry_point():

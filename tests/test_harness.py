@@ -413,3 +413,29 @@ class TestPnl:
         with caplog.at_level(logging.WARNING, logger="levyhedge.harness"):
             run_pnl(load_config(raw))
         assert not [r for r in caplog.records if r.name == "levyhedge.harness"]
+
+
+def _reference_fmt(value) -> str:
+    """The isinstance chain the CSV cells were formatted by before the type table."""
+    if value is None:
+        return ""
+    if isinstance(value, (bool, np.bool_, int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return harness.FLOAT_FMT.format(float(value))
+    return str(value)
+
+
+def test_csv_cells_match_the_reference_format(tmp_path):
+    class Label(str):
+        pass
+
+    row = (-0.0, float("nan"), float("inf"), -float("inf"), 1e-300, 5e-324, 0.1 + 0.2,
+           np.float64(-2.5e-7), np.float32(1.1), np.float16(0.5), np.int64(-7), np.uint8(200),
+           np.int32(3), 12345678901234567890, True, False, np.bool_(True), np.bool_(False),
+           None, "european_call", Label("taylor+pja"), 7)
+    assert [harness._fmt(v) for v in row] == [_reference_fmt(v) for v in row]
+    path = tmp_path / "row.csv"
+    harness.write_csv(path, [f"c{k}" for k in range(len(row))], [row, row[::-1]])
+    body = path.read_text().splitlines()[1:]
+    assert body == [",".join(map(_reference_fmt, r)) for r in (row, row[::-1])]

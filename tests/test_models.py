@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import integrate, special, stats
 
-from levyhedge.errors import UnsupportedOrderError
+from levyhedge.errors import DegenerateModelError, UnsupportedOrderError
 from levyhedge.jump_baskets import PathState, ScenarioOutcome
 from levyhedge.models import (
     CompoundPoisson,
@@ -364,6 +364,8 @@ class TestSampler:
         one_sided = LevyModel(jump_spec=VarianceGamma(theta, nu, 0.0))
         factors = relative_factors(one_sided, 0.25, 2, 10, np.random.default_rng(0))
         assert np.isfinite(factors).all()
+        with pytest.raises(DegenerateModelError, match="sigma = 0"):
+            one_sided.jump_spec.cgm()
 
     def test_vg_records_keep_the_mean_growth(self):
         n = 4000

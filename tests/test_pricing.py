@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from levyhedge import pricing
 from levyhedge.errors import GridError, LadderOrderError, PricingFailedError
 from levyhedge.models import (
     CompoundPoisson,
@@ -138,8 +139,10 @@ ALL_KINDS = [
 
 
 class TestBlockKernel:
-    """values, price and price_many price one spot at a time in reused
-    buffers; every result must be bit-identical to the per-spot kernel."""
+    """values, price and price_many price each distinct spot once.  A barrier
+    kind and a lone spot must be bit-identical to the per-spot kernel; a
+    European spot set, priced from the sorted terminal factors, must match
+    the exactly rounded mean payoff."""
 
     @pytest.fixture(scope="class")
     def bundle(self):
@@ -155,6 +158,8 @@ class TestBlockKernel:
         yield np.array([104.0, 97.5, 104.0, 100.0, 97.5, 104.0, 91.0])
 
     def check(self, bundle, option, spots, r):
+        if option.kind in ("european_call", "european_put") and len(set(spots)) > 1:
+            return self.check_exact_mean(bundle, option, spots, r)
         want = [reference_price(bundle, option, float(s), r) for s in spots]
         want_p = np.array([p for p, _ in want])
         want_se = np.array([se for _, se in want])
@@ -165,10 +170,128 @@ class TestBlockKernel:
         for s, (p, se) in zip(spots, want):
             assert bundle.price(option, float(s), r) == (p, se)
 
-    @pytest.mark.parametrize("option", ALL_KINDS, ids=lambda o: o.kind)
+    def check_exact_mean(self, bundle, option, spots, r):
+        """Prices within 1e-15 disc s mean(R_T) of disc fsum(payoff)/n, SEs
+        within 1e-9 of the per-path sample SE and exactly 0 where no path pays."""
+        disc = math.exp(-r * bundle.horizon)
+        n = bundle.n_paths
+        got_p, got_se = bundle.price_many(option, spots, r)
+        np.testing.assert_array_equal(bundle.values(option, spots, r), got_p)
+        for s, p, se in zip(spots, got_p, got_se):
+            pay = payoff(option, s * bundle.terminal)
+            assert abs(p - disc * math.fsum(pay) / n) <= 1e-15 * disc * s * bundle.terminal.mean()
+            want_se = disc * pay.std(ddof=1) / math.sqrt(n)
+            if not pay.any():
+                assert se == 0.0 and p == 0.0
+            else:
+                assert se == pytest.approx(want_se, rel=1e-9, abs=0)
+
+    @pytest.mark.parametrize("option", ALL_KINDS[2:], ids=lambda o: o.kind)
     def test_bit_identical_to_per_spot_kernel(self, bundle, option):
         for spots in self.spot_sets(bundle):
             self.check(bundle, option, spots, 0.05)
+
+    @pytest.mark.parametrize("option", ALL_KINDS[:2], ids=lambda o: o.kind)
+    def test_european_spot_sets_match_the_exact_mean(self, bundle, option):
+        # spots where no path pays: calls far below the strike, puts far above
+        far = [1.0, 2.0, 100.0] if option.kind == "european_call" else [100.0, 1e4, 2e4]
+        for spots in [*self.spot_sets(bundle), np.array(far)]:
+            self.check(bundle, option, spots, 0.05)
+        # a lone spot keeps the per-path kernel, bit for bit
+        want = reference_price(bundle, option, 97.5, 0.05)
+        assert bundle.price(option, 97.5, 0.05) == want
+        assert bundle.values(option, [97.5, 97.5], 0.05)[1] == want[0]
+
+    @staticmethod
+    def boundary_cases():
+        """(s, R) pairs where a binary search for K/s = 100/s lands an ulp
+        off the payoff's own test s R > K (s R < K for a put)."""
+        rng = np.random.default_rng(1)
+        cases = []
+        while len(cases) < 12:
+            s = rng.uniform(80.0, 120.0)
+            edge = 100.0 / s
+            for level in (np.nextafter(edge, 0), edge, np.nextafter(edge, 2)):
+                if (level > edge) != (s * level > 100.0) or (level < edge) != (s * level < 100.0):
+                    cases.append((s, level))
+        return cases
+
+    def test_european_split_follows_the_payoff_comparison(self):
+        # the one path at such a level R is the only one that can pay near s
+        for s, level in self.boundary_cases():
+            spots = np.array([0.75 * s, s, 1.5 * s])
+            for kind, others in (("european_call", 0.5), ("european_put", 2.0)):
+                levels = np.append(np.full(999, others), level)
+                bundle = PathBundle(levels[:, None], 0.5)
+                option = OptionSpec(kind=kind, strike=100.0, maturity=0.5)
+                self.check_exact_mean(bundle, option, spots, 0.05)
+
+    def test_tied_levels_have_no_spread(self):
+        # every path at one level, or at two adjacent floats: the payoffs are
+        # equal or an ulp apart, so the SE is 0 or below rounding (never NaN),
+        # and no price falls below 0
+        disc = math.exp(-0.05 * 0.5)
+        # the last case: 616 puts whose s R - K sum rounds to -7e-12
+        cases = [(s, level, 1000) for s, level in self.boundary_cases()]
+        for s, level, n in cases + [(118.10613345555339, 0.8466960781307159, 616)]:
+            spots = np.array([0.75 * s, s, 1.5 * s])
+            for levels in (np.full(n, level), np.resize([level, np.nextafter(level, 2)], n)):
+                bundle = PathBundle(levels[:, None], 0.5)
+                for kind in ("european_call", "european_put"):
+                    option = OptionSpec(kind=kind, strike=100.0, maturity=0.5)
+                    prices, ses = bundle.price_many(option, spots, 0.05)
+                    want = [disc * math.fsum(payoff(option, x * levels)) / n for x in spots]
+                    np.testing.assert_allclose(prices, want, rtol=0, atol=1e-15 * disc * 1.5 * s)
+                    assert np.all(prices >= 0)
+                    if levels[0] == levels[1]:
+                        np.testing.assert_array_equal(ses, 0.0)
+                    else:  # rounding in the spread leaves about s R sqrt(eps / n)
+                        assert np.all(ses <= 1e-7 * spots * level / math.sqrt(n))
+
+    def test_three_strikes_sort_the_bundle_once(self, monkeypatch):
+        model = LevyModel(drift_b=0.03, brownian_sigma=0.2)
+        bundle = draw_bundle(model, 0.5, 2, 5000, np.random.default_rng(4))
+        built = []
+        real = pricing._RankedLevels
+
+        def counting(terminal):
+            built.append(len(terminal))
+            return real(terminal)
+
+        monkeypatch.setattr(pricing, "_RankedLevels", counting)
+        spots = np.array([95.0, 100.0, 105.0])
+        for strike in (95.0, 100.0, 105.0):
+            for kind in ("european_call", "european_put"):
+                bundle.price_many(OptionSpec(kind=kind, strike=strike, maturity=0.5), spots, 0.05)
+        assert built == [5000]
+
+    def test_prefix_sums_do_not_overflow(self):
+        # 2^20 paths at levels up to 50: the int64 sums of R and of R^2 stay exact
+        n = 2**20
+        levels = np.random.default_rng(8).uniform(49.0, 50.0, n)
+        levels[0] = 50.0
+        bundle = PathBundle(levels[:, None], 1.0)
+        ranked = bundle._ranked
+        for sums, x in ((ranked.sums, ranked.levels), (ranked.square_sums, ranked.levels**2)):
+            a, b = np.array([0, 0, n // 2, n - 1]), np.array([n, n // 2, n, n])
+            for i, j, got in zip(a, b, sums.between(a, b)):
+                assert got == pytest.approx(math.fsum(x[i:j]), rel=2.3e-16, abs=0)
+        option = OptionSpec(kind="european_call", strike=4000.0, maturity=1.0)
+        self.check_exact_mean(bundle, option, np.array([80.0, 81.0, 82.0]), 0.0)
+
+    def test_extrema_match_the_row_reduction(self):
+        # the column-by-column extrema are bit-identical to a max/min along each path
+        rng = np.random.default_rng(9)
+        factors = relative_factors(LevyModel(brownian_sigma=0.3, jump_spec=CompoundPoisson(
+            20.0, FixedJumps(-1.5))), 0.05, 5, 4000, rng)
+        rel = np.cumprod(factors, axis=1)
+        alive = ~np.isnan(rel[:, -1])
+        assert 0 < alive.sum() < len(alive)
+        built = PathBundle(factors, 0.25)
+        np.testing.assert_array_equal(built.running_max,
+                                      np.maximum(rel.max(axis=1)[alive], 1.0))
+        np.testing.assert_array_equal(built.running_min,
+                                      np.minimum(rel.min(axis=1)[alive], 1.0))
 
     @pytest.mark.parametrize("option", ALL_KINDS, ids=lambda o: o.kind)
     def test_expired_bundle_is_the_payoff(self, option):
@@ -201,6 +324,7 @@ class TestBlockKernel:
         np.testing.assert_array_equal(blind.values(option, spots, 0.05), want)
 
     def test_values_prices_each_distinct_spot_once(self, bundle, monkeypatch):
+        # the barrier kinds, which keep a payoff pass per spot
         priced = []
         real = PathBundle._payoff_at
 
@@ -210,8 +334,11 @@ class TestBlockKernel:
 
         monkeypatch.setattr(PathBundle, "_payoff_at", counting)
         spots = np.array([104.0, 97.5, 104.0, 100.0, 97.5, 104.0])
-        bundle.values(ALL_KINDS[0], spots, 0.05)
-        assert sorted(priced) == [97.5, 100.0, 104.0]
+        for option in ALL_KINDS[2:]:
+            priced.clear()
+            bundle.values(option, spots, 0.05)
+            bundle.price_many(option, spots, 0.05)
+            assert sorted(priced) == [97.5, 97.5, 100.0, 100.0, 104.0, 104.0]
 
 
 class TestPriceCurve:
