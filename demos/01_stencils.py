@@ -2,9 +2,10 @@
 # Arbitrary-order central-difference stencils and the precomputed table.
 #
 # A p-th derivative is estimated from 2N+1 equally spaced samples.  The
-# coefficients are exact rationals built from elementary symmetric sums of
-# {1/y^2}, one forward pass plus a deflation per offset, so even wide
-# tables build in a fraction of a second.
+# coefficients are exact rationals over one denominator (2N)!: their
+# numerators are integers built from the elementary symmetric sums of the
+# squared offsets {y^2}, one polynomial product plus a deflation per offset,
+# so even wide tables build in milliseconds.
 
 from fractions import Fraction
 import math

@@ -1,23 +1,25 @@
 """Central-difference stencils of arbitrary order and their lookup table.
 
 A derivative of order p is approximated from 2N+1 equally spaced samples
-as f^(p) ~ (1/T^p) * sum_k d_k^(p) f_k.  Off-center coefficients come from
+as f^(p) ~ (1/T^p) * sum_k d_k^(p) f_k.  Off-center coefficients are
 
-    d_k^(p) = (-1)^(k+c1) * p!/k^(1+c2) * C_{N,k} * e_c({1/y^2 : y = 1..N, y != |k|})
+    d_k^(p) = (-1)^(k+c1) * p! * k^(1-c2) * C(2N, N+k) * G_{N-1-c}(k) / (2N)!
 
-where C_{N,k} = N!^2 / ((N-k)! (N+k)!), c = floor((p-1)/2), c1 = 1 iff c
-is even, c2 = 1 iff p is even, and e_c is the elementary symmetric
-polynomial of degree c: the sum, over every length-c combination of the
-other offsets, of 1/(product)^2.  The center coefficient is 0 for odd p
-and -2 * sum_{k>0} d_k^(p) for even p.
+where c = floor((p-1)/2), c1 = 1 iff c is even, c2 = 1 iff p is even, and
+G_j(k) = e_j({y^2 : y = 1..N, y != k}) is the elementary symmetric
+polynomial of degree j in the squares of the other offsets.  This is the
+classic form (-1)^(k+c1) * p!/k^(1+c2) * N!^2/((N-k)!(N+k)!) * e_c({1/y^2 :
+y != k}) rewritten through e_c(1/y^2) = e_{N-1-c}(y^2) / prod y^2, so every
+coefficient is an integer over the one denominator (2N)!.  The center
+coefficient is 0 for odd p and -2 * sum_{k>0} d_k^(p) for even p.
 
-The e_c never enumerate combinations.  One forward pass over y = 1..N
-builds e_c of the whole set, e_c <- e_c + e_{c-1}/y^2, and each offset's
-sums follow by deflation, e_c(not k) = e_c - e_{c-1}(not k)/k^2, so a table
-of N offsets and orders up to 2N-1 costs O(N^2) exact rational operations.
-Fornberg (1988), "Generation of finite difference formulas on arbitrarily
-spaced grids", Math. Comp. 51, gives an equivalent recursion.  Everything
-is accumulated in exact rational arithmetic.
+The G_j never enumerate combinations.  The coefficients E_j of
+prod_y (1 + y^2 t) give e_j over all of 1..N, and each offset's sums
+follow by deflation, G_j(k) = E_j - k^2 G_{j-1}(k), so a table of N
+offsets and orders up to 2N-1 costs O(N^2) integer operations and one
+``Fraction`` per entry.  Fornberg (1988), "Generation of finite difference
+formulas on arbitrarily spaced grids", Math. Comp. 51, gives an equivalent
+recursion.
 """
 
 from __future__ import annotations
@@ -43,69 +45,46 @@ __all__ = [
 _FILE_VERSION = 1
 
 
-def _c_params(p: int) -> tuple[int, int, int]:
-    c = (p - 1) // 2
-    c1 = 1 if c % 2 == 0 else 0
-    c2 = 1 if p % 2 == 0 else 0
-    return c, c1, c2
-
-
-def _cnk(n: int, k: int) -> Fraction:
-    return Fraction(math.factorial(n) ** 2, math.factorial(n - k) * math.factorial(n + k))
-
-
-def _excluded_sums(n: int, c_max: int) -> list[list[Fraction]]:
-    """sums[k][c] = e_c({1/y^2 : y = 1..n, y != k}) for k = 1..n, c = 0..c_max.
-
-    Row 0 is unused.  Needs c_max <= n - 1, the size of each excluded set.
-    """
-    total = [Fraction(1)] + [Fraction(0)] * c_max
+def _scaled_rows(n: int, orders) -> list[list[int]]:
+    """(2N)! * d_k^(p) for k = -n..n, one integer row per order p; p <= 2n."""
+    total = [1] + [0] * n  # E_j, the coefficients of prod_y (1 + y^2 t)
     for y in range(1, n + 1):
-        inv = Fraction(1, y * y)
-        for c in range(c_max, 0, -1):
-            total[c] += total[c - 1] * inv
-    sums: list[list[Fraction]] = [[]]
+        for j in range(y, 0, -1):
+            total[j] += y * y * total[j - 1]
+    excluded = [[]]  # excluded[k][j] = C(2N, N+k) * G_j(k), j = 0..n-1
     for k in range(1, n + 1):
-        inv = Fraction(1, k * k)
-        row = [Fraction(1)]
-        for c in range(1, c_max + 1):
-            row.append(total[c] - row[c - 1] * inv)
-        sums.append(row)
-    return sums
-
-
-def _stencil_row(p: int, n: int, sums: list[list[Fraction]]) -> dict[int, Fraction]:
-    """d_k^(p) for k = -n..n from the excluded-offset sums."""
-    c, c1, c2 = _c_params(p)
-    row: dict[int, Fraction] = {}
-    total = Fraction(0)
-    for k in range(1, n + 1):
-        d = (
-            (-1) ** (k + c1)
-            * Fraction(math.factorial(p), k ** (1 + c2))
-            * _cnk(n, k)
-            * sums[k][c]
-        )
-        row[k] = d
-        row[-k] = -d if p % 2 == 1 else d
-        total += d
-    row[0] = Fraction(0) if p % 2 == 1 else -2 * total
-    return row
+        g = [1]
+        for j in range(1, n):
+            g.append(total[j] - k * k * g[-1])
+        binom = math.comb(2 * n, n + k)
+        excluded.append([binom * x for x in g])
+    rows = []
+    for p in orders:
+        c = (p - 1) // 2
+        c1, c2 = 1 - c % 2, 1 - p % 2
+        fact = math.factorial(p)
+        half = [(-1) ** (k + c1) * fact * k ** (1 - c2) * excluded[k][n - 1 - c]
+                for k in range(1, n + 1)]
+        if c2:
+            rows.append(half[::-1] + [-2 * sum(half)] + half)
+        else:
+            rows.append([-d for d in reversed(half)] + [0] + half)
+    return rows
 
 
 def stencil_coefficient(p: int, half_width: int, k: int) -> Fraction:
     """Exact d_k^(p) for a single offset.
 
-    Requires 2N >= p; at p = 2N the leading error order degenerates but the
-    coefficients are still the classic ones (the three-point second
+    Requires 1 <= p <= 2N; at p = 2N the leading error order degenerates but
+    the coefficients are still the classic ones (the three-point second
     derivative is the p = 2, N = 1 case).
     """
     n = half_width
-    if 2 * n < p:
-        raise InsufficientNodesError(f"order p={p} needs 2N >= p, got N={n}")
+    if not 1 <= p <= 2 * n:
+        raise InsufficientNodesError(f"order p={p} needs 1 <= p <= 2N, got N={n}")
     if not -n <= k <= n:
         raise ValueError(f"offset k={k} outside [-{n}, {n}]")
-    return _stencil_row(p, n, _excluded_sums(n, _c_params(p)[0]))[k]
+    return Fraction(_scaled_rows(n, [p])[0][k + n], math.factorial(2 * n))
 
 
 @dataclass(frozen=True)
@@ -129,13 +108,14 @@ class StencilTable:
     @functools.cached_property
     def _float_rows(self) -> np.ndarray:
         """Every order's row as floats, shape (p_max, 2N+1), converted once
-        per table and read-only."""
+        per table and read-only.  Each entry is the correctly rounded int
+        quotient numerator/denominator, which is what ``float(Fraction)``
+        computes, without its ``numbers.Rational`` dispatch."""
         n = self.half_width
-        rows = np.array(
-            [[float(self.entries[(p, k)]) for k in range(-n, n + 1)]
-             for p in range(1, self.p_max + 1)],
-            dtype=float,
-        )
+        fracs = (self.entries[(p, k)]
+                 for p in range(1, self.p_max + 1) for k in range(-n, n + 1))
+        rows = np.fromiter((f.numerator / f.denominator for f in fracs), dtype=float,
+                           count=self.p_max * (2 * n + 1)).reshape(self.p_max, 2 * n + 1)
         rows.flags.writeable = False
         return rows
 
@@ -152,12 +132,12 @@ class StencilTable:
 def build_lookup_table(half_width: int, p_max: int | None = None) -> StencilTable:
     """Build the full coefficient table for p = 1..p_max.
 
-    Every order p needs the degree-c elementary symmetric sums e_c of
-    {1/y^2} with each offset k left out in turn, c = floor((p-1)/2).  They
-    are built once for every c <= floor((p_max-1)/2): a forward pass gives
-    e_c over all of 1..N, and deflation, e_c(not k) = e_c - e_{c-1}(not k)/k^2,
-    gives each offset's row, so the cost is polynomial in N (Fornberg 1988
-    reaches the same weights by an equivalent recursion).
+    Every coefficient is an integer over (2N)!: the product
+    prod_y (1 + y^2 t) gives the elementary symmetric sums E_j of the
+    squared offsets once, deflation G_j = E_j - k^2 G_{j-1} leaves each
+    offset k out in turn, and order p reads G_{N-1-floor((p-1)/2)}.  The
+    cost is O(N^2) integer operations plus one ``Fraction`` per entry
+    (Fornberg 1988 reaches the same weights by an equivalent recursion).
     """
     n = half_width
     if n < 1:
@@ -168,11 +148,11 @@ def build_lookup_table(half_width: int, p_max: int | None = None) -> StencilTabl
         raise InsufficientNodesError(
             f"p_max={p_max} outside 1..{2 * n - 1} for half_width {n}"
         )
-    sums = _excluded_sums(n, _c_params(p_max)[0])
-    entries: dict[tuple[int, int], Fraction] = {}
-    for p in range(1, p_max + 1):
-        for k, d in _stencil_row(p, n, sums).items():
-            entries[(p, k)] = d
+    den = math.factorial(2 * n)
+    rows = _scaled_rows(n, range(1, p_max + 1))
+    entries = {(p, k): Fraction(num, den)
+               for p, row in enumerate(rows, start=1)
+               for k, num in enumerate(row, start=-n)}
     return StencilTable(half_width=n, p_max=p_max, entries=entries)
 
 
@@ -180,14 +160,17 @@ def apply_stencil(samples, p: int, period: float, table: StencilTable):
     """(1/T^p) sum_k d_k^(p) f_k over samples f at t0 + k*T, k = -N..N.
 
     Accepts floats (returns float) or exact ``Fraction`` samples (returns
-    ``Fraction``, with ``period`` coerced to an exact rational).
+    ``Fraction``, with ``period`` coerced to an exact rational).  A numeric
+    array cannot hold a ``Fraction``, so only sequences and object arrays are
+    scanned for one.
     """
     n = table.half_width
     if len(samples) != 2 * n + 1:
         raise ValueError(f"need {2 * n + 1} samples for half_width {n}, got {len(samples)}")
     if not period > 0:
         raise ValueError("sampling period must be > 0")
-    exact = any(isinstance(s, Fraction) for s in samples)
+    exact = (not isinstance(samples, np.ndarray) or samples.dtype == object) and any(
+        isinstance(s, Fraction) for s in samples)
     if exact:
         per = period if isinstance(period, Fraction) else Fraction(period)
         row = table.row_exact(p)

@@ -1,6 +1,8 @@
+import hashlib
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -47,6 +49,12 @@ def test_insufficient_nodes():
     assert stencil_coefficient(4, 2, 1) == vandermonde_stencil(4, 2)[1]
 
 
+@pytest.mark.parametrize("p,k", [(0, 1), (0, 0), (-1, 1)])
+def test_order_below_one_is_rejected(p, k):
+    with pytest.raises(InsufficientNodesError):
+        stencil_coefficient(p, 2, k)
+
+
 def test_table_agrees_with_single_coefficients(table_n4):
     for p in range(1, table_n4.p_max + 1):
         for k in range(-4, 5):
@@ -76,16 +84,23 @@ def test_build_idempotent():
 
 
 def _moment_violations(table, orders):
-    """Orders p whose row breaks sum_k d_k k^j = p! delta_{jp}, j = 0..2N."""
+    """Orders p whose row breaks sum_k d_k k^j = p! delta_{jp}, j = 0..2N.
+
+    The sums run in integers over (2N)!, which must clear every denominator.
+    """
     n = table.half_width
+    scale = math.factorial(2 * n)
+    offsets = range(-n, n + 1)
     bad = []
     for p in orders:
-        row = table.row_exact(p)
+        scaled = [d * scale for d in table.row_exact(p)]
+        assert all(v.denominator == 1 for v in scaled), p
+        terms = [v.numerator for v in scaled]  # d_k k^j (2N)!, from j = 0
         for j in range(2 * n + 1):
-            moment = sum(d * k**j for d, k in zip(row, range(-n, n + 1)))
-            if moment != (math.factorial(p) if j == p else 0):
+            if sum(terms) != (math.factorial(p) * scale if j == p else 0):
                 bad.append(p)
                 break
+            terms = [t * k for t, k in zip(terms, offsets)]
     return bad
 
 
@@ -96,9 +111,34 @@ def test_every_row_meets_moment_conditions(n):
 
 
 def test_wide_table_meets_moment_conditions():
-    # the end rows; checking all 79 rows exactly takes seconds
     table = build_lookup_table(40)
-    assert _moment_violations(table, [1, 2, 78, 79]) == []
+    assert _moment_violations(table, range(1, 80)) == []
+
+
+# sha256 of save_table(build_lookup_table(n)), p_max = 2n - 1
+_TABLE_DIGESTS = {
+    20: "1eb7f07dee9db0d2cfaf5b1aaebe03af008e18fc6630552ad81012ff7ce061be",
+    40: "597341219807e6a206d7c942ad4de2adc2c677dc9a96cc00c99a38a0c35431a8",
+}
+
+
+@pytest.mark.parametrize("n", sorted(_TABLE_DIGESTS))
+def test_saved_table_is_pinned(tmp_path, n):
+    path = tmp_path / "table.txt"
+    save_table(build_lookup_table(n), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == _TABLE_DIGESTS[n]
+
+
+@pytest.mark.parametrize("n", [1, 7, 20, 40])
+def test_float_rows_round_each_entry_once(tmp_path, n):
+    built = build_lookup_table(n)
+    path = tmp_path / "table.txt"
+    save_table(built, path)
+    loaded = load_table(path)
+    for table in (built, loaded):
+        for p in range(1, table.p_max + 1):
+            expected = [float(d) for d in table.row_exact(p)]
+            assert table.row(p).tolist() == expected, (n, p)
 
 
 @given(
@@ -133,6 +173,22 @@ def test_apply_stencil_constant_is_zero(table_n4):
     samples = [3.7] * 9
     for p in range(1, 8):
         assert apply_stencil(samples, p, 0.5, table_n4) == pytest.approx(0.0, abs=1e-9)
+
+
+def test_apply_stencil_object_array_stays_exact(table_n4):
+    period = Fraction(1, 10)
+    samples = [(Fraction(k) * period) ** 3 for k in range(-4, 5)]
+    got = apply_stencil(np.array(samples, dtype=object), 3, period, table_n4)
+    assert type(got) is Fraction
+    assert got == apply_stencil(samples, 3, period, table_n4) == 6
+
+
+def test_apply_stencil_float_array_matches_list(table_n4):
+    samples = [math.exp(0.03 * k) for k in range(-4, 5)]
+    for p in range(1, 8):
+        got = apply_stencil(np.array(samples), p, 0.03, table_n4)
+        assert type(got) is float
+        assert got == apply_stencil(samples, p, 0.03, table_n4)
 
 
 def test_apply_stencil_length_mismatch(table_n4):
