@@ -1,7 +1,9 @@
 """Batch experiments: q tables, term-by-term convergence, hedging P&L.
 
 Every run is a pure function of (config, seed): paths derive from one
-seeded generator, accumulation is single-threaded and ordered, and CSV
+seeded generator and its spawned streams, one per chunk of a factor draw
+(the chunks are fixed, whatever the worker count), accumulation is
+single-threaded and ordered, and CSV
 floats are printed through one fixed format, so identical inputs yield
 byte-identical outputs.  Each row carries the config hash.
 

@@ -23,6 +23,9 @@ leaves out has mean zero.
 
 ``relative_factors`` is the one sampler of the model's moves: per-step
 factors S_{k+1}/S_k on any grid of steps, with flat jump records on request.
+It draws the paths in chunks of about ``CHUNK_CELLS`` cells, each from its
+own stream spawned off the caller's generator, on a thread pool; the result
+depends on the seed and the draw's shape, not on the worker count.
 ``one_jump_increments`` samples a different law on purpose: the
 at-most-one-jump reading of a short period in which the hedge weights are
 derived."""
@@ -31,6 +34,8 @@ from __future__ import annotations
 
 import functools
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -410,6 +415,15 @@ class JumpRecords:
 
 _NO_JUMPS = JumpRecords(np.empty(0, dtype=int), np.empty(0, dtype=int), np.empty(0), np.empty(0))
 
+# Cells (paths x steps) per chunk of a factor draw.  A constant, so that a
+# draw's chunks and streams do not depend on the machine.  Measured on the
+# benchmark's draws: 2^14 cells fault fresh memory into the workers on every
+# chunk of a 5-jumps-per-cell draw and lose to a serial draw on one core;
+# 2^13 cells do not, and cost about 0.1 ms per chunk in spawning and handoff.
+CHUNK_CELLS = 2**13
+_POOL = None  # see _pool
+_POOL_LOCK = threading.Lock()
+
 
 def _poisson_cells(rate: float, sample, log_jump, dts: np.ndarray, shape,
                    rng: np.random.Generator, records: bool):
@@ -446,9 +460,17 @@ def relative_factors(
     (b - sigma^2/2 without jumps).  The factors do not depend on the price
     level, so one draw prices every initial condition (the common-random-
     numbers backbone).  Cells hit by a jump <= -1 carry NaN factors and are
-    discarded downstream.  With ``antithetic`` the Gaussian draws of the
-    second half mirror the first half (jump counts and sizes are shared
-    pairwise).
+    discarded downstream.
+
+    The paths are drawn in chunks of an even number of rows, about
+    ``CHUNK_CELLS`` cells each: chunk 0 from ``rng`` itself, chunk k >= 1
+    from ``rng.spawn(n_chunks - 1)[k - 1]``.  A draw of one chunk runs
+    inline and makes exactly the calls of an unchunked draw on ``rng``;
+    larger ones run on a thread pool, and are a pure function of rng's
+    seed and the arguments, whatever the worker count.  With
+    ``antithetic`` the Gaussian draws of the second half of each chunk
+    mirror its first half (jump counts and sizes are shared pairwise);
+    an odd last chunk drops the mirror of its last row.
 
     With ``records`` the result is ``(factors, JumpRecords)``; VG jumps then
     come from the truncated series of its Levy measure, so that individual
@@ -459,8 +481,29 @@ def relative_factors(
     if records and antithetic:
         raise ValueError("jump records are drawn without antithetic pairing")
     dts = np.broadcast_to(np.asarray(dt, dtype=float), (steps,))
-    if np.any(dts < 0):
-        raise ValueError("dt must be >= 0")
+    if not np.all(np.isfinite(dts) & (dts >= 0)):
+        raise ValueError("dt must be finite and >= 0")
+    rows = max(2, CHUNK_CELLS // (2 * steps) * 2)
+    starts = range(0, n_paths, rows)
+    rngs = [rng, *rng.spawn(len(starts) - 1)] if len(starts) > 1 else [rng]
+    factors = np.empty((n_paths, steps))
+
+    def draw(k: int) -> JumpRecords:
+        out = factors[starts[k]:starts[k] + rows]
+        return _draw_chunk(model, dts, out, rngs[k], antithetic, records)
+
+    jumps = [draw(0)] if len(starts) == 1 else list(_pool().map(draw, range(len(starts))))
+    if not records:
+        return factors
+    fields = zip(*((j.path + start, j.step, j.size, j.time) for j, start in zip(jumps, starts)))
+    return factors, JumpRecords(*map(np.concatenate, fields))
+
+
+def _draw_chunk(model: LevyModel, dts: np.ndarray, out: np.ndarray, rng: np.random.Generator,
+                antithetic: bool, records: bool) -> JumpRecords:
+    """One chunk of ``relative_factors``: writes the factors of the rows of
+    ``out`` and returns their jumps, with paths counted from its first row."""
+    n_paths, steps = out.shape
     spec, b, sigma = model.jump_spec, model.drift_b, model.brownian_sigma
     rows = (n_paths + 1) // 2 if antithetic else n_paths
     z = rng.standard_normal((rows, steps))
@@ -474,8 +517,33 @@ def relative_factors(
         if antithetic:
             jump_log = np.concatenate([jump_log, jump_log], axis=0)[:n_paths]
         log_f += jump_log
-    factors = np.exp(log_f, out=log_f)
-    return (factors, jumps) if records else factors
+    np.exp(log_f, out=out)
+    return jumps
+
+
+def _pool():
+    """The thread pool of multi-chunk draws, one worker per usable core,
+    made on the first such draw."""
+    global _POOL
+    with _POOL_LOCK:
+        if _POOL is None:
+            from concurrent.futures import ThreadPoolExecutor  # single-chunk draws never load it
+
+            cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                     else os.cpu_count())
+            _POOL = ThreadPoolExecutor(max_workers=cores or 1)
+        return _POOL
+
+
+def _forget_pool():
+    """A forked child has none of its parent's threads: neither the pool's
+    workers nor one that may have held the lock."""
+    global _POOL, _POOL_LOCK
+    _POOL, _POOL_LOCK = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
 
 
 def one_jump_increments(

@@ -1,10 +1,18 @@
+import hashlib
 import math
+import os
+import subprocess
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import mpmath
 import numpy as np
 import pytest
+from conftest import package_env
 from scipy import integrate, special, stats
 
+from levyhedge import models
 from levyhedge.errors import DegenerateModelError, UnsupportedOrderError
 from levyhedge.jump_baskets import PathState, ScenarioOutcome
 from levyhedge.models import (
@@ -379,6 +387,206 @@ class TestSampler:
         with pytest.raises(ValueError):
             relative_factors(LevyModel(jump_spec=CP_TEST), 0.1, 1, 10,
                              np.random.default_rng(0), antithetic=True, records=True)
+
+
+class _ReversedPool:
+    """A stand-in pool that runs the chunks one by one, last first."""
+
+    def map(self, fn, items):
+        items = list(items)
+        return reversed([fn(k) for k in reversed(items)])
+
+
+def chunk_rows(steps):
+    """Rows per chunk of a draw of ``steps`` steps."""
+    return max(2, models.CHUNK_CELLS // (2 * steps) * 2)
+
+
+def draw_bytes(result):
+    """The bytes of a draw: its factors and, with records, every record field."""
+    arrays = (result[0], *vars(result[1]).values()) if isinstance(result, tuple) else (result,)
+    return b"".join(np.ascontiguousarray(a).tobytes() for a in arrays)
+
+
+CHUNK_MODELS = {
+    "brownian": LevyModel(drift_b=0.03, brownian_sigma=0.2),
+    "cp": LevyModel(drift_b=0.01, brownian_sigma=0.1,
+                    jump_spec=CompoundPoisson(30.0, NormalJumps(-0.01, 0.05))),
+    "vg": LevyModel(drift_b=0.02, brownian_sigma=0.05, jump_spec=VG_FTSE),
+}
+
+
+class TestChunkedDraw:
+    STEPS = 6  # CHUNK_CELLS // 6 is odd: the rows per chunk round down to even
+    # three full chunks and an odd, short fourth one
+    N_PATHS = 3 * chunk_rows(STEPS) + 5
+    DTS = np.array([0.1, 0.05, 0.2, 0.01, 0.1, 0.03])
+
+    @pytest.mark.parametrize("antithetic, records", [(False, False), (True, False),
+                                                     (False, True)],
+                             ids=["plain", "antithetic", "records"])
+    @pytest.mark.parametrize("kind", CHUNK_MODELS)
+    def test_same_bits_on_any_pool(self, monkeypatch, kind, antithetic, records):
+        def draw():
+            return draw_bytes(relative_factors(CHUNK_MODELS[kind], self.DTS, self.STEPS,
+                                               self.N_PATHS, np.random.default_rng(7),
+                                               antithetic, records))
+
+        results = []
+        for pool in (ThreadPoolExecutor(1), ThreadPoolExecutor(2), ThreadPoolExecutor(4),
+                     _ReversedPool()):
+            monkeypatch.setattr(models, "_POOL", pool)
+            results.append(draw())
+            if isinstance(pool, ThreadPoolExecutor):
+                pool.shutdown()
+        assert results[1:] == results[:-1]
+        assert draw() == results[0]  # the module's own pool, and a rerun
+
+    # sha256 of the bytes of draws of at most one chunk, taken before the
+    # draw was chunked: (model, dt, steps, n_paths, antithetic, records)
+    PINNED = {
+        "brownian_antithetic_odd": (
+            (LevyModel(drift_b=0.03, brownian_sigma=0.2), [0.1, 0.2, 0.05], 3, 1001, True, False),
+            "49502efb8e46272bf9d740ed7da99e600fe77396429a8a78b8c878dac84fd455"),
+        "cp_records": (
+            (CHUNK_MODELS["cp"], 0.1, 4, 999, False, True),
+            "69cc38b3d721f9387a68f180f946db87cfb097998866067a49800187fc53052b"),
+        "cp_antithetic": (
+            (LevyModel(brownian_sigma=0.12, jump_spec=CompoundPoisson(5.0, FixedJumps(-0.03))),
+             1.0, 1, 8191, True, False),
+            "779c044ea9f490e872ce3979a1c07f01b7b83975ad57fef88c5b0370f07a4534"),
+        "vg_clock": (
+            (CHUNK_MODELS["vg"], 0.25, 2, 2048, False, False),
+            "b2727f4331718be36d8111688071db9a30014aefe714a75001b1343979b84503"),
+        "vg_records": (
+            (LevyModel(jump_spec=VG_BENCH), 0.01, 1, 200, False, True),
+            "20a7824ae368ebaecddd8e933061f64b1bb978ad10dfeadc6453fffd5c73557a"),
+    }
+
+    @pytest.mark.parametrize("case", PINNED)
+    def test_single_chunk_draw_is_pinned(self, case):
+        (model, dt, steps, n_paths, antithetic, records), digest = self.PINNED[case]
+        assert n_paths <= chunk_rows(steps)
+        result = relative_factors(model, dt, steps, n_paths, np.random.default_rng(20260),
+                                  antithetic, records)
+        assert hashlib.sha256(draw_bytes(result)).hexdigest() == digest
+
+    def test_chunks_draw_from_the_caller_then_its_spawned_streams(self):
+        # chunk 0 from rng, chunk k from rng.spawn(n_chunks - 1)[k - 1]; its
+        # records keep their order with paths shifted by the chunk's first row
+        model = LevyModel(jump_spec=CompoundPoisson(30.0, NormalJumps(0.01, 0.05)))
+        rows = chunk_rows(self.STEPS)
+        factors, jumps = relative_factors(model, self.DTS, self.STEPS, self.N_PATHS,
+                                          np.random.default_rng(11), records=True)
+        rng = np.random.default_rng(11)
+        streams = [rng, *rng.spawn(3)]
+        cuts = np.searchsorted(jumps.path, np.arange(rows, self.N_PATHS, rows))
+        parts = zip(*(np.split(a, cuts) for a in vars(jumps).values()))
+        for k, (stream, (path, step, size, time)) in enumerate(zip(streams, parts)):
+            start = k * rows
+            want_f, want = relative_factors(model, self.DTS, self.STEPS,
+                                            min(rows, self.N_PATHS - start), stream,
+                                            records=True)
+            np.testing.assert_array_equal(factors[start:start + rows], want_f)
+            np.testing.assert_array_equal(path, want.path + start)
+            for got, expected in ((step, want.step), (size, want.size), (time, want.time)):
+                np.testing.assert_array_equal(got, expected)
+        cells = jumps.path * self.STEPS + jumps.step
+        assert np.all(np.diff(cells) >= 0) and jumps.path[-1] >= 3 * rows
+        # sigma = b = 0: each cell's factor is the product of its (1 + J)
+        log_jumps = np.bincount(cells, np.log1p(jumps.size), factors.size)
+        np.testing.assert_allclose(np.log(factors).ravel(), log_jumps, rtol=1e-12, atol=1e-14)
+
+    def test_antithetic_pairs_mirror_inside_each_chunk(self):
+        sigma = 0.2
+        model = LevyModel(brownian_sigma=sigma)
+        rows = chunk_rows(self.STEPS)
+        factors = relative_factors(model, self.DTS, self.STEPS, self.N_PATHS,
+                                   np.random.default_rng(3), antithetic=True)
+        z = (np.log(factors) + 0.5 * sigma**2 * self.DTS) / (sigma * np.sqrt(self.DTS))
+        for start in range(0, self.N_PATHS, rows):
+            chunk = z[start:start + rows]
+            half = (len(chunk) + 1) // 2
+            np.testing.assert_allclose(chunk[half:], -chunk[:len(chunk) - half], atol=1e-12)
+        assert len(chunk) % 2 == 1  # the last chunk is odd and drops one mirror
+        assert models.CHUNK_CELLS // self.STEPS % 2 == 1  # so odd chunks would show
+        # jumps are shared pairwise: with sigma = 0 the mirrored rows repeat
+        jumpy = LevyModel(jump_spec=CompoundPoisson(30.0, NormalJumps(0.0, 0.05)))
+        factors = relative_factors(jumpy, self.DTS, self.STEPS, self.N_PATHS,
+                                   np.random.default_rng(3), antithetic=True)
+        for start in range(0, self.N_PATHS, rows):
+            chunk = factors[start:start + rows]
+            half = (len(chunk) + 1) // 2
+            np.testing.assert_array_equal(chunk[half:], chunk[:len(chunk) - half])
+
+    def test_concurrent_callers_share_one_pool(self, monkeypatch):
+        # callers on more threads than cores race to make the pool and
+        # interleave their chunks on it; each still gets its serial draw
+        model = CHUNK_MODELS["cp"]
+        draw = lambda seed: relative_factors(model, self.DTS, self.STEPS, self.N_PATHS,
+                                             np.random.default_rng(seed), records=True)
+        monkeypatch.setattr(models, "_POOL", None)
+        before = set(threading.enumerate())
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(6, thread_name_prefix="caller") as callers:
+                futures = [callers.submit(draw, seed) for seed in range(6)]
+                got = [draw_bytes(f.result(timeout=120)) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        pool = models._POOL
+        made = {t.name.rsplit("_", 1)[0] for t in set(threading.enumerate()) - before
+                if not t.name.startswith("caller")}
+        assert len(made) == 1  # one pool, however the callers raced
+        monkeypatch.setattr(models, "_POOL", _ReversedPool())
+        assert got == [draw_bytes(draw(seed)) for seed in range(6)]
+        pool.shutdown()
+
+    def test_worker_exception_reaches_the_caller(self, monkeypatch):
+        draw_chunk = models._draw_chunk
+        caller = np.random.default_rng(0)
+
+        def failing(model, dts, out, rng, antithetic, records):
+            if rng is not caller:
+                raise RuntimeError("chunk failed")
+            return draw_chunk(model, dts, out, rng, antithetic, records)
+
+        monkeypatch.setattr(models, "_draw_chunk", failing)
+        with pytest.raises(RuntimeError, match="chunk failed"):
+            relative_factors(CHUNK_MODELS["cp"], self.DTS, self.STEPS, self.N_PATHS, caller)
+
+    FORK_PROBE = """
+import os, signal
+import numpy as np
+from levyhedge.models import LevyModel, relative_factors
+model = LevyModel(brownian_sigma=0.1)
+before = relative_factors(model, 0.1, 1, 100_000, np.random.default_rng(1))
+pid = os.fork()
+if pid == 0:
+    signal.alarm(30)  # a child left with its parent's dead pool would hang
+    after = relative_factors(model, 0.1, 1, 100_000, np.random.default_rng(1))
+    os._exit(0 if np.array_equal(before, after) else 1)
+print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+"""
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_draws_on_its_own_pool(self):
+        proc = subprocess.run([sys.executable, "-c", self.FORK_PROBE], env=package_env(),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert proc.stdout.split() == ["0"]
+
+    @pytest.mark.parametrize("dt", [math.nan, math.inf, -math.inf, [0.1, math.nan]],
+                             ids=["nan", "inf", "-inf", "nan_step"])
+    @pytest.mark.parametrize("kind", CHUNK_MODELS)
+    def test_non_finite_dt_is_rejected_before_any_draw(self, kind, dt):
+        rng = np.random.default_rng(4)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=r"^dt must be finite and >= 0$"):
+            relative_factors(CHUNK_MODELS[kind], dt, 2, self.N_PATHS, rng)
+        assert rng.bit_generator.state == state
+        assert rng.bit_generator.seed_seq.n_children_spawned == 0
 
 
 class TestPowerJumpPath:
