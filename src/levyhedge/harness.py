@@ -9,9 +9,10 @@ byte-identical outputs.  Each row carries the config hash.
 
 All randomness goes through ``models.relative_factors``: ``Market`` makes
 one factor draw whose columns after the first are the post-move paths
-(nested dates), and the P&L scenarios are one more draw of one period
-with jump records.  A malformed run raises ``ConfigError`` naming the
-config field.
+(nested dates), on the ``mc.steps`` barrier monitoring grid when an
+option monitors a barrier and one cell per date otherwise, and the P&L
+scenarios are one more draw of one period with jump records.  A
+malformed run raises ``ConfigError`` naming the config field.
 """
 
 from __future__ import annotations
@@ -108,8 +109,13 @@ class Market:
     and the post-move bundle its columns after the first, so both dates
     share draws and barrier dates and d1 sees only the period's move.  A
     period reaching maturity draws ``steps`` equal steps and values the
-    post-move date by payoffs.  Each bundle's bankrupt (discarded) path
-    count is logged, at WARNING when it is not zero.
+    post-move date by payoffs.  ``steps`` is ``mc.steps`` when an option
+    monitors a barrier, and 1 otherwise: a European reads only the factor
+    over each date's cell, and every sampler is exact over a cell of any
+    length, so the draw is then [delta_t, maturity - delta_t] (or
+    [maturity]) and its law does not depend on ``mc.steps``; a larger
+    ``mc.steps`` is logged at INFO as unused.  Each bundle's bankrupt
+    (discarded) path count is logged, at WARNING when it is not zero.
     """
 
     def __init__(self, cfg: ExperimentConfig, rng: np.random.Generator):
@@ -117,12 +123,17 @@ class Market:
         n = cfg.half_width
         self.grid = cfg.s0 + cfg.s_step * np.arange(-n, n + 1)
         self.maturity = maturity = cfg.options[0].maturity
+        # an option holds a barrier exactly when its kind monitors one
+        steps = cfg.steps if any(o.barrier is not None for o in cfg.options) else 1
         remaining = maturity - cfg.delta_t
         if remaining > 1e-14:
-            later = max(1, cfg.steps - 1)
+            later = max(1, steps - 1)
             dts = np.array([cfg.delta_t] + [remaining / later] * later)
         else:
-            dts = np.full(cfg.steps, maturity / cfg.steps)
+            dts = np.full(steps, maturity / steps)
+        if cfg.steps > len(dts):
+            _log.info("mc.steps = %d is not used: no option monitors a barrier, "
+                      "so each date draws one cell", cfg.steps)
         factors = relative_factors(cfg.model, dts, len(dts), cfg.n_paths, rng, cfg.antithetic)
         self.bundle_full = PathBundle(factors, maturity)
         self.bundle_later = PathBundle(factors[:, 1:], remaining) if remaining > 1e-14 else None

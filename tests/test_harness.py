@@ -11,8 +11,8 @@ from levyhedge import harness
 from levyhedge.config import STRATEGY_NAMES, load_config
 from levyhedge.errors import ConfigError
 from levyhedge.harness import Market, run_converge, run_pnl, run_qtable
-from levyhedge.models import moment_vector, relative_factors
-from levyhedge.pricing import PathBundle, payoff
+from levyhedge.models import log_mean_growth, moment_vector, relative_factors
+from levyhedge.pricing import PathBundle, black_scholes_price, payoff
 from levyhedge.stencil import build_lookup_table
 
 LEVYBENCH = pathlib.Path(__file__).resolve().parent.parent / "levybench"
@@ -61,6 +61,9 @@ def base_config(**over):
     return raw
 
 
+UP_AND_OUT = {"kind": "up_and_out", "strike": 5000, "maturity": 1.0, "barrier": 5050}
+
+
 class TestQTable:
     def test_static_kink_profile(self):
         cfg = load_config(base_config())
@@ -98,7 +101,11 @@ class TestMarket:
             np.testing.assert_array_equal(market.values_later(opt, spots), want)
 
 
-    def test_one_draw_nests_the_later_date(self, monkeypatch):
+    @pytest.mark.parametrize("barrier, cells", [
+        (False, [0.1, 0.9]),  # a European reads one cell per date
+        (True, [0.1, 0.3, 0.3, 0.3]),  # mc.steps is the barrier monitoring grid
+    ], ids=["european", "up_and_out"])
+    def test_one_draw_nests_the_later_date(self, monkeypatch, barrier, cells):
         draws = []
         real = harness.relative_factors
 
@@ -110,10 +117,12 @@ class TestMarket:
         raw = base_config()
         raw["scenario"]["delta_t"] = 0.1
         raw["mc"]["steps"] = 4
+        if barrier:
+            raw["options"].append(dict(UP_AND_OUT))
         market = Market(load_config(raw), np.random.default_rng(2))
         assert len(draws) == 1
         dt, factors = draws[0]
-        np.testing.assert_allclose(dt, [0.1, 0.3, 0.3, 0.3], rtol=1e-15)
+        np.testing.assert_allclose(dt, cells, rtol=1e-15)
         # the valuation-date paths are the post-move paths after the first step
         full, later = market.bundle_full, market.bundle_later
         assert (full.horizon, later.horizon) == (1.0, pytest.approx(0.9, rel=1e-15))
@@ -145,8 +154,9 @@ class TestMarket:
 
     def test_d1_is_not_monte_carlo_noise(self):
         # Brownian call S = K = 5000, T = 0.25, sigma = 0.2, dt = 0.002,
-        # 1e5 paths, 50 steps: two independent bundles gave d1 a sd of 601
-        # over seeds 0..7 around a Black-Scholes dF/dt of -524
+        # 1e5 paths: two independent 50-step bundles gave d1 a sd of 601
+        # over seeds 0..7 around a Black-Scholes dF/dt of -524 (the shared
+        # draw of a European market is one cell per date)
         s0, sigma, r, t_mat, dt = 5000.0, 0.2, 0.05, 0.25, 0.002
         raw = {
             "model": {"kind": "brownian", "drift_b": r, "brownian_sigma": sigma},
@@ -169,6 +179,116 @@ class TestMarket:
         sd = d1.std(ddof=1)
         assert sd <= 601 / 5
         assert abs(d1.mean() - theta) <= 3 * sd / math.sqrt(len(d1))
+
+
+class TestStepsGrid:
+    """``mc.steps`` is the barrier monitoring grid: a European market draws
+    one cell per date, so its runs do not depend on it."""
+
+    @staticmethod
+    def csv_text(tmp_path, name, cfg, header, rows):
+        """The CSV a run writes, with its config hash (which names mc.steps) masked."""
+        path = tmp_path / name
+        harness.write_csv(path, header, rows)
+        return path.read_text().replace(cfg.hash, "<hash>")
+
+    def qtable_csv(self, tmp_path, steps, delta_t=0.1, barrier=False):
+        raw = base_config()
+        raw["scenario"]["delta_t"] = delta_t
+        raw["mc"]["steps"] = steps
+        if barrier:
+            raw["options"].append(dict(UP_AND_OUT))
+        cfg = load_config(raw)
+        header, rows, _ = run_qtable(cfg)
+        return self.csv_text(tmp_path, f"q{steps}.csv", cfg, header, rows)
+
+    @pytest.mark.parametrize("delta_t", [0.1, 1.0])  # cells [dt, T - dt], or [T]
+    def test_european_qtable_ignores_steps(self, tmp_path, delta_t):
+        csv = [self.qtable_csv(tmp_path, steps, delta_t) for steps in (1, 5, 50)]
+        assert csv[0] == csv[1] == csv[2]
+
+    def test_barrier_qtable_reads_steps(self, tmp_path):
+        assert self.qtable_csv(tmp_path, 1, barrier=True) != \
+            self.qtable_csv(tmp_path, 5, barrier=True)
+
+    def test_european_pnl_ignores_steps(self, tmp_path):
+        texts = []
+        for steps in (1, 5, 50):
+            raw = base_config()
+            raw["options"] = [{"kind": "european_call", "strike": 5000, "maturity": 0.25}]
+            raw["scenario"] = {"s0": 5000, "delta_s": [10.0], "delta_t": 0.01,
+                               "r": 0.05, "alpha_tol": 0.01}
+            raw["mc"] = {"paths": 20000, "steps": steps, "seed": 5}
+            raw["stencil"] = {"half_width": 4, "p_max": 5, "s_step": 10.0}
+            raw["strategies"] = ["taylor+swaps", "minvar", "delta", "moment-neutral"]
+            raw["pnl"] = {"n_scenarios": 50, "q": 3, "neutral_strikes": [4900, 5100],
+                          "swap": {"strike": 0.002, "unit_price": 0.002}}
+            cfg = load_config(raw)
+            header, rows, sum_header, summaries = run_pnl(cfg)
+            texts.append((self.csv_text(tmp_path, "pnl.csv", cfg, header, rows),
+                          self.csv_text(tmp_path, "pnl.csv.summary", cfg, sum_header,
+                                        summaries)))
+        assert texts[0] == texts[1] == texts[2]
+
+    @pytest.mark.parametrize("delta_t", [0.1, 0.4])
+    def test_two_cell_prices_match_black_scholes(self, delta_t):
+        s0, sigma, r, t_mat = 5000.0, 0.2, 0.05, 0.5
+        raw = {
+            "model": {"kind": "brownian", "drift_b": r, "brownian_sigma": sigma},
+            "options": [{"kind": "european_call", "strike": 5000, "maturity": t_mat},
+                        {"kind": "european_put", "strike": 5200, "maturity": t_mat}],
+            "scenario": {"s0": s0, "delta_s": [10.0], "delta_t": delta_t, "r": r},
+            "mc": {"paths": 50_000, "steps": 20, "seed": 8},
+            "stencil": {"half_width": 2, "p_max": 2, "s_step": 10.0},
+        }
+        cfg = load_config(raw)
+        market = Market(cfg, np.random.default_rng(cfg.seed))
+        for opt in cfg.options:
+            for bundle in (market.bundle_full, market.bundle_later):
+                price, se = bundle.price(opt, s0, r)
+                want = black_scholes_price(s0, opt.strike, bundle.horizon, r, sigma,
+                                           kind=opt.kind)
+                assert abs(price - want) <= 3 * se
+
+    @pytest.mark.parametrize("model", [
+        {"kind": "compound_poisson", "drift_b": 0.03, "brownian_sigma": 0.12,
+         "intensity": 50.0, "jump_law": {"kind": "normal", "mean": -0.005, "std": 0.02}},
+        {"kind": "variance_gamma", "theta": -0.05, "nu": 0.01, "vg_sigma": 0.2,
+         "drift_b": "risk_neutral"},
+    ], ids=["cp", "vg"])
+    def test_two_cell_terminal_mean_matches_the_model(self, model):
+        raw = {
+            "model": model,
+            "option": {"kind": "european_call", "strike": 5000, "maturity": 0.25},
+            "scenario": {"s0": 5000, "delta_s": [10.0], "delta_t": 0.01, "r": 0.05},
+            "mc": {"paths": 50_000, "steps": 5, "seed": 9},
+            "stencil": {"half_width": 4, "p_max": 7, "s_step": 10.0},
+        }
+        cfg = load_config(raw)
+        market = Market(cfg, np.random.default_rng(cfg.seed))
+        growth = log_mean_growth(cfg.model)
+        for bundle in (market.bundle_full, market.bundle_later):
+            f = bundle.terminal
+            se = f.std(ddof=1) / math.sqrt(len(f))
+            assert abs(f.mean() - math.exp(growth * bundle.horizon)) <= 4 * se
+
+    @pytest.mark.parametrize("barrier", [False, True])
+    def test_unused_steps_are_logged(self, caplog, barrier):
+        raw = base_config()
+        raw["scenario"]["delta_t"] = 0.1
+        raw["mc"]["steps"] = 5
+        if barrier:
+            raw["options"].append(dict(UP_AND_OUT))
+        with caplog.at_level(logging.INFO, logger="levyhedge.harness"):
+            Market(load_config(raw), np.random.default_rng(0))
+        records = [r for r in caplog.records
+                   if r.name == "levyhedge.harness" and "mc.steps" in r.getMessage()]
+        if barrier:
+            assert not records
+        else:
+            assert len(records) == 1
+            assert records[0].levelno == logging.INFO
+            assert "no option monitors a barrier" in records[0].getMessage()
 
 
 class TestConverge:
