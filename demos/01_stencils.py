@@ -9,11 +9,9 @@
 
 from fractions import Fraction
 import math
-import os
-import tempfile
 import time
 
-from levyhedge import apply_stencil, build_lookup_table, load_table, save_table
+from levyhedge import apply_stencil, build_lookup_table
 from levyhedge.stencil import stencil_coefficient
 
 # %%
@@ -22,13 +20,13 @@ print("3-point second derivative:", [stencil_coefficient(2, 1, k) for k in (-1, 
 print("5-point first derivative: ", [stencil_coefficient(1, 2, k) for k in range(-2, 3)])
 
 # %%
-# Build a table once, save it, reload it bit-exactly.
+# A table holds integer rows over (2N)!; its exact entries match the
+# single-coefficient formula.
 table = build_lookup_table(6)
-with tempfile.TemporaryDirectory() as tmp:
-    path = os.path.join(tmp, "table.txt")
-    save_table(table, path)
-    assert load_table(path).entries == table.entries
-print(f"table: N={table.half_width}, orders 1..{table.p_max}")
+assert all(table.coefficient(p, k) == stencil_coefficient(p, 6, k)
+           for p in range(1, table.p_max + 1) for k in range(-6, 7))
+print(f"table: N={table.half_width}, orders 1..{table.p_max}, "
+      f"denominator (2N)! = {table.denominator}")
 
 start = time.perf_counter()
 wide = build_lookup_table(40)

@@ -27,7 +27,6 @@ from .errors import (
     LevyHedgeError,
     NeedsHigherOrderError,
     PricingFailedError,
-    TableFormatError,
     UnhedgeableSetError,
     UnsupportedOrderError,
     ZeroRateError,
@@ -77,8 +76,6 @@ from .stencil import (
     StencilTable,
     apply_stencil,
     build_lookup_table,
-    load_table,
-    save_table,
     stencil_coefficient,
 )
 from .swaps import (

@@ -1,7 +1,6 @@
 """Batch command-line interface.
 
 Subcommands:
-  table build   precompute a stencil coefficient table and write it to disk
   qtable        q versus move size per option (CSV)
   converge      term-by-term convergence report for one option (CSV)
   pnl           per-scenario hedge residuals per strategy (CSV + summary)
@@ -13,23 +12,20 @@ Exit code is 0 only if every requested row computed cleanly.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
 from . import harness
-from .config import load_config
-from .stencil import build_lookup_table, save_table
+from .config import load_config, read_config_file
 
 
 def _apply_overrides(raw: dict, args) -> dict:
-    """Fill config fields from flags; the config file wins where both set one."""
-    if getattr(args, "seed", None) is not None:
-        raw.setdefault("mc", {}).setdefault("seed", args.seed)
-    if getattr(args, "paths", None) is not None:
-        raw.setdefault("mc", {}).setdefault("paths", args.paths)
-    if getattr(args, "alpha_tol", None) is not None:
-        raw.setdefault("scenario", {}).setdefault("alpha_tol", args.alpha_tol)
+    """Fill config fields from flags; the config file wins where both set one.
+    A block that is not an object is left for ``load_config`` to report."""
+    for block, key, value in (("mc", "seed", args.seed), ("mc", "paths", args.paths),
+                              ("scenario", "alpha_tol", args.alpha_tol)):
+        if value is not None and isinstance(raw.setdefault(block, {}), dict):
+            raw[block].setdefault(key, value)
     return raw
 
 
@@ -44,13 +40,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="levyhedge", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_table = sub.add_parser("table", help="stencil table utilities")
-    table_sub = p_table.add_subparsers(dest="table_command", required=True)
-    p_build = table_sub.add_parser("build", help="build and save a coefficient table")
-    p_build.add_argument("--half-width", type=int, required=True)
-    p_build.add_argument("--p-max", type=int, default=None)
-    p_build.add_argument("--out", required=True)
-
     for name in ("qtable", "converge", "pnl"):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
@@ -61,14 +50,7 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
 
-    if args.command == "table":
-        table = build_lookup_table(args.half_width, args.p_max)
-        save_table(table, args.out)
-        print(f"wrote table N={table.half_width} PMAX={table.p_max} to {args.out}")
-        return 0
-
-    raw = _apply_overrides(json.loads(open(args.config).read()), args)
-    cfg = load_config(raw)
+    cfg = load_config(_apply_overrides(read_config_file(args.config), args))
 
     if args.command == "qtable":
         header, rows, ok = harness.run_qtable(cfg)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -21,7 +22,7 @@ from .models import (CompoundPoisson, FixedJumps, LevyModel, NormalJumps, Varian
                      risk_neutral_drift)
 from .pricing import OPTION_KINDS, OptionSpec
 
-__all__ = ["ExperimentConfig", "load_config", "config_hash"]
+__all__ = ["ExperimentConfig", "load_config", "read_config_file", "config_hash"]
 
 # The hedging strategies a pnl run knows, by config name.
 STRATEGY_NAMES = ("taylor+swaps", "taylor+pja", "minvar", "minvar+varswap", "delta",
@@ -214,6 +215,29 @@ def config_hash(raw: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()[:12]
 
 
+def _object(value, where: str = "") -> dict:
+    """A copy of the config's top level, which must be a JSON object."""
+    if not isinstance(value, Mapping):
+        raise ConfigError(f"{where}config must be a JSON object, got {type(value).__name__}")
+    return dict(value)
+
+
+def read_config_file(path) -> dict:
+    """The JSON object in the file at ``path``.  A file that is not JSON
+    text, or whose top level is not an object, raises ``ConfigError``
+    naming the file (and where the JSON breaks, its line and column)."""
+    with open(path, "rb") as fh:
+        try:
+            raw = json.load(fh)
+        except json.JSONDecodeError as err:
+            raise ConfigError(f"config file {str(path)!r} is not valid JSON: {err.msg} "
+                              f"at line {err.lineno}, column {err.colno}") from None
+        except UnicodeDecodeError as err:
+            raise ConfigError(f"config file {str(path)!r} is not valid JSON: {err.reason} "
+                              f"at byte {err.start}") from None
+    return _object(raw, f"config file {str(path)!r}: ")
+
+
 def load_config(source) -> ExperimentConfig:
     """Parse a config dict or a path to a JSON file.
 
@@ -223,10 +247,7 @@ def load_config(source) -> ExperimentConfig:
     its kind or jump law does not read).  The ``pnl`` block is checked
     here too, before any Monte Carlo draw.  ``source`` is not changed.
     """
-    if isinstance(source, (str, Path)):
-        raw = json.loads(Path(source).read_text())
-    else:
-        raw = dict(source)
+    raw = read_config_file(source) if isinstance(source, (str, Path)) else _object(source)
     top = _Block(raw)
     scen = top.block("scenario")
     r = scen.number("r", 0.05)

@@ -21,14 +21,6 @@ class InsufficientNodesError(LevyHedgeError, ValueError):
     """Stencil order p requires 2N > p."""
 
 
-class TableFormatError(LevyHedgeError, ValueError):
-    """Stencil table file is malformed; carries the offending line number."""
-
-    def __init__(self, message, line=None):
-        super().__init__(message if line is None else f"line {line}: {message}")
-        self.line = line
-
-
 class GridError(LevyHedgeError, ValueError):
     """Price-curve grid is not uniform or otherwise unusable."""
 

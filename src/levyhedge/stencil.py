@@ -16,10 +16,10 @@ coefficient is 0 for odd p and -2 * sum_{k>0} d_k^(p) for even p.
 The G_j never enumerate combinations.  The coefficients E_j of
 prod_y (1 + y^2 t) give e_j over all of 1..N, and each offset's sums
 follow by deflation, G_j(k) = E_j - k^2 G_{j-1}(k), so a table of N
-offsets and orders up to 2N-1 costs O(N^2) integer operations and one
-``Fraction`` per entry.  Fornberg (1988), "Generation of finite difference
-formulas on arbitrarily spaced grids", Math. Comp. 51, gives an equivalent
-recursion.
+offsets and orders up to 2N-1 costs O(N^2) integer operations.  The table
+keeps those integer rows; a ``Fraction`` is made only when an exact caller
+asks for one.  Fornberg (1988), "Generation of finite difference formulas
+on arbitrarily spaced grids", Math. Comp. 51, gives an equivalent recursion.
 """
 
 from __future__ import annotations
@@ -31,18 +31,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import InsufficientNodesError, TableFormatError
+from .errors import InsufficientNodesError
 
 __all__ = [
     "StencilTable",
     "stencil_coefficient",
     "build_lookup_table",
     "apply_stencil",
-    "save_table",
-    "load_table",
 ]
-
-_FILE_VERSION = 1
 
 
 def _scaled_rows(n: int, orders) -> list[list[int]]:
@@ -89,11 +85,17 @@ def stencil_coefficient(p: int, half_width: int, k: int) -> Fraction:
 
 @dataclass(frozen=True)
 class StencilTable:
-    """Precomputed d_k^(p) for p = 1..p_max, k = -N..N, exact rationals."""
+    """d_k^(p) for p = 1..p_max, k = -N..N, held exactly as integer rows
+    over the one denominator (2N)!: ``numerators[p - 1][k + N]`` is
+    (2N)! * d_k^(p).  Floats and ``Fraction``s are made on demand."""
 
     half_width: int
     p_max: int
-    entries: dict[tuple[int, int], Fraction]
+    numerators: tuple[tuple[int, ...], ...]
+
+    @property
+    def denominator(self) -> int:
+        return math.factorial(2 * self.half_width)
 
     def _check_order(self, p: int) -> None:
         if not 1 <= p <= self.p_max:
@@ -103,19 +105,25 @@ class StencilTable:
 
     def coefficient(self, p: int, k: int) -> Fraction:
         self._check_order(p)
-        return self.entries[(p, k)]
+        n = self.half_width
+        if not -n <= k <= n:
+            raise ValueError(f"offset k={k} outside [-{n}, {n}]")
+        return Fraction(self.numerators[p - 1][k + n], self.denominator)
+
+    @functools.cached_property
+    def entries(self) -> dict[tuple[int, int], Fraction]:
+        """Every exact d_k^(p) keyed by (p, k), made on first access."""
+        return {(p, k): d for p in range(1, self.p_max + 1)
+                for k, d in enumerate(self.row_exact(p), start=-self.half_width)}
 
     @functools.cached_property
     def _float_rows(self) -> np.ndarray:
         """Every order's row as floats, shape (p_max, 2N+1), converted once
         per table and read-only.  Each entry is the correctly rounded int
-        quotient numerator/denominator, which is what ``float(Fraction)``
-        computes, without its ``numbers.Rational`` dispatch."""
-        n = self.half_width
-        fracs = (self.entries[(p, k)]
-                 for p in range(1, self.p_max + 1) for k in range(-n, n + 1))
-        rows = np.fromiter((f.numerator / f.denominator for f in fracs), dtype=float,
-                           count=self.p_max * (2 * n + 1)).reshape(self.p_max, 2 * n + 1)
+        quotient numerator/(2N)!, which is what ``float(Fraction)`` computes."""
+        den, width = self.denominator, 2 * self.half_width + 1
+        rows = np.fromiter((num / den for row in self.numerators for num in row), dtype=float,
+                           count=self.p_max * width).reshape(self.p_max, width)
         rows.flags.writeable = False
         return rows
 
@@ -125,8 +133,9 @@ class StencilTable:
         return self._float_rows[p - 1]
 
     def row_exact(self, p: int) -> list[Fraction]:
-        n = self.half_width
-        return [self.coefficient(p, k) for k in range(-n, n + 1)]
+        self._check_order(p)
+        den = self.denominator
+        return [Fraction(num, den) for num in self.numerators[p - 1]]
 
 
 def build_lookup_table(half_width: int, p_max: int | None = None) -> StencilTable:
@@ -136,8 +145,8 @@ def build_lookup_table(half_width: int, p_max: int | None = None) -> StencilTabl
     prod_y (1 + y^2 t) gives the elementary symmetric sums E_j of the
     squared offsets once, deflation G_j = E_j - k^2 G_{j-1} leaves each
     offset k out in turn, and order p reads G_{N-1-floor((p-1)/2)}.  The
-    cost is O(N^2) integer operations plus one ``Fraction`` per entry
-    (Fornberg 1988 reaches the same weights by an equivalent recursion).
+    cost is O(N^2) integer operations and no ``Fraction`` (Fornberg 1988
+    reaches the same weights by an equivalent recursion).
     """
     n = half_width
     if n < 1:
@@ -148,12 +157,8 @@ def build_lookup_table(half_width: int, p_max: int | None = None) -> StencilTabl
         raise InsufficientNodesError(
             f"p_max={p_max} outside 1..{2 * n - 1} for half_width {n}"
         )
-    den = math.factorial(2 * n)
     rows = _scaled_rows(n, range(1, p_max + 1))
-    entries = {(p, k): Fraction(num, den)
-               for p, row in enumerate(rows, start=1)
-               for k, num in enumerate(row, start=-n)}
-    return StencilTable(half_width=n, p_max=p_max, entries=entries)
+    return StencilTable(half_width=n, p_max=p_max, numerators=tuple(map(tuple, rows)))
 
 
 def apply_stencil(samples, p: int, period: float, table: StencilTable):
@@ -178,64 +183,3 @@ def apply_stencil(samples, p: int, period: float, table: StencilTable):
     vals = np.asarray(samples, dtype=float)
     return float(table.row(p) @ vals) / period**p
 
-
-# ---------------------------------------------------------------------------
-# Persistence: plain text, exact rationals
-# ---------------------------------------------------------------------------
-
-
-def save_table(table: StencilTable, path) -> None:
-    n = table.half_width
-    with open(path, "w") as fh:
-        fh.write(f"N={n} PMAX={table.p_max} V={_FILE_VERSION}\n")
-        for p in range(1, table.p_max + 1):
-            for k in range(-n, n + 1):
-                frac = table.entries[(p, k)]
-                fh.write(f"{p} {k} {frac.numerator}/{frac.denominator}\n")
-
-
-def load_table(path) -> StencilTable:
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise TableFormatError("empty table file", line=1)
-    header = dict(
-        item.split("=", 1) for item in lines[0].split() if "=" in item
-    )
-    if "N" not in header or "PMAX" not in header:
-        raise TableFormatError("header must carry N=<n> PMAX=<p>", line=1)
-    try:
-        n, p_max, version = (int(header.get(key, -1)) for key in ("N", "PMAX", "V"))
-    except ValueError as exc:
-        raise TableFormatError(f"header fields must be integers: {exc}", line=1) from None
-    if version != _FILE_VERSION:
-        raise TableFormatError(
-            f"unsupported table format version {header.get('V')!r}, expected {_FILE_VERSION}",
-            line=1,
-        )
-    entries: dict[tuple[int, int], Fraction] = {}
-    for lineno, raw in enumerate(lines[1:], start=2):
-        if not raw.strip():
-            continue
-        parts = raw.split()
-        if len(parts) != 3:
-            raise TableFormatError(f"expected 'p k num/den', got {raw!r}", line=lineno)
-        try:
-            p, k = int(parts[0]), int(parts[1])
-            num, den = parts[2].split("/")
-            frac = Fraction(int(num), int(den))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise TableFormatError(f"cannot parse row {raw!r}: {exc}", line=lineno) from None
-        if not 1 <= p <= p_max:
-            raise TableFormatError(f"order p={p} outside header PMAX={p_max}", line=lineno)
-        if abs(k) > n:
-            raise TableFormatError(f"offset k={k} outside header N={n}", line=lineno)
-        if (p, k) in entries:
-            raise TableFormatError(f"row p={p} k={k} appears twice", line=lineno)
-        entries[(p, k)] = frac
-    expected = p_max * (2 * n + 1)
-    if len(entries) != expected:
-        raise TableFormatError(
-            f"table has {len(entries)} entries, expected {expected}", line=len(lines)
-        )
-    return StencilTable(half_width=n, p_max=p_max, entries=entries)

@@ -29,13 +29,28 @@ def write_config(tmp_path, **over):
     return path
 
 
-class TestTableBuild:
-    def test_build_writes_table(self, tmp_path):
-        out = tmp_path / "table.txt"
-        rc = main(["table", "build", "--half-width", "3", "--out", str(out)])
-        assert rc == 0
-        text = out.read_text()
-        assert text.startswith("N=3 PMAX=5")
+class TestMalformedConfigFile:
+    def test_text_that_is_not_json(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text('{"mc": {"paths": 10,}\n}')
+        with pytest.raises(ConfigError, match=r"bad\.json.*not valid JSON.*line 1, column 21"):
+            main(["qtable", "--config", str(path)])
+
+    def test_top_level_array(self, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]")
+        with pytest.raises(ConfigError, match=r"list\.json.*config must be a JSON object"):
+            main(["qtable", "--config", str(path), "--seed", "4"])
+
+    def test_flag_into_a_block_that_is_not_an_object(self, tmp_path):
+        cfg = write_config(tmp_path, mc=5)
+        with pytest.raises(ConfigError, match=r"config field 'mc' must be an object, got 5"):
+            main(["qtable", "--config", str(cfg), "--seed", "4"])
+
+    def test_table_subcommand_is_gone(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["table", "build", "--half-width", "3", "--out", "t.txt"])
+        assert "invalid choice: 'table'" in capsys.readouterr().err
 
 
 class TestQTableCommand:

@@ -73,6 +73,34 @@ def test_config_file_is_checked(tmp_path):
         load_config(path)
 
 
+def test_config_file_that_is_not_json(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text('{\n  "option": {"kind": "european_call" "strike": 100}\n}')
+    with pytest.raises(ConfigError, match=r"bad\.json.*not valid JSON.*line 2, column 38"):
+        load_config(path)
+
+
+def test_config_file_that_is_not_text(tmp_path):
+    path = tmp_path / "bin.json"
+    path.write_bytes(b'{"option": "\xff"}')
+    with pytest.raises(ConfigError, match=r"bin\.json.*not valid JSON.*at byte 12"):
+        load_config(path)
+
+
+@pytest.mark.parametrize("text", ["[]", "[1, 2]", "3", '"option"', "null"])
+def test_config_file_must_hold_an_object(tmp_path, text):
+    path = tmp_path / "top.json"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=r"top\.json.*config must be a JSON object") as exc:
+        load_config(path)
+    assert "field" not in str(exc.value)
+
+
+def test_config_must_be_an_object():
+    with pytest.raises(ConfigError, match="config must be a JSON object, got list"):
+        load_config([("option", {})])
+
+
 def test_hash_is_computed_once(monkeypatch):
     import levyhedge.config as config
 

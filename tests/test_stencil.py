@@ -7,14 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from levyhedge.errors import InsufficientNodesError, TableFormatError
-from levyhedge.stencil import (
-    apply_stencil,
-    build_lookup_table,
-    load_table,
-    save_table,
-    stencil_coefficient,
-)
+from levyhedge.errors import InsufficientNodesError
+from levyhedge.stencil import apply_stencil, build_lookup_table, stencil_coefficient
 
 from conftest import vandermonde_stencil
 
@@ -59,6 +53,13 @@ def test_table_agrees_with_single_coefficients(table_n4):
     for p in range(1, table_n4.p_max + 1):
         for k in range(-4, 5):
             assert table_n4.coefficient(p, k) == stencil_coefficient(p, 4, k)
+
+
+@pytest.mark.parametrize("k", [4, -4, 9, -9])
+def test_table_rejects_offset_outside_half_width(k):
+    # k = -N-1 would index the last entry of a row and read a wrong value
+    with pytest.raises(ValueError, match=rf"offset k={k} outside \[-3, 3\]"):
+        build_lookup_table(3).coefficient(1, k)
 
 
 def test_table_parity_invariants(table_n6):
@@ -115,30 +116,48 @@ def test_wide_table_meets_moment_conditions():
     assert _moment_violations(table, range(1, 80)) == []
 
 
-# sha256 of save_table(build_lookup_table(n)), p_max = 2n - 1
-_TABLE_DIGESTS = {
-    20: "1eb7f07dee9db0d2cfaf5b1aaebe03af008e18fc6630552ad81012ff7ce061be",
-    40: "597341219807e6a206d7c942ad4de2adc2c677dc9a96cc00c99a38a0c35431a8",
+def _rows_digest(table):
+    """sha256 of the integer rows, one line of space-separated numerators per order."""
+    text = "".join(" ".join(map(str, row)) + "\n" for row in table.numerators)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# p_max = 2n - 1.  These rows, each entry over (2n)!, wrote the text table files
+# pinned before the file format went (sha256 1eb7f07d... at n = 20, 59734121...
+# at n = 40).
+_ROW_DIGESTS = {
+    20: "2995720826f1bb553df27e697ce8993cd089d7686adebd155fcbe8da2047cd66",
+    40: "77866750d74175597188a4606a5d2e1553eac42e391092d23cd113b0b82f4785",
 }
 
 
-@pytest.mark.parametrize("n", sorted(_TABLE_DIGESTS))
-def test_saved_table_is_pinned(tmp_path, n):
-    path = tmp_path / "table.txt"
-    save_table(build_lookup_table(n), path)
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == _TABLE_DIGESTS[n]
+@pytest.mark.parametrize("n", sorted(_ROW_DIGESTS))
+def test_integer_rows_are_pinned(n):
+    table = build_lookup_table(n)
+    assert table.denominator == math.factorial(2 * n)
+    assert _rows_digest(table) == _ROW_DIGESTS[n]
 
 
 @pytest.mark.parametrize("n", [1, 7, 20, 40])
-def test_float_rows_round_each_entry_once(tmp_path, n):
-    built = build_lookup_table(n)
-    path = tmp_path / "table.txt"
-    save_table(built, path)
-    loaded = load_table(path)
-    for table in (built, loaded):
-        for p in range(1, table.p_max + 1):
-            expected = [float(d) for d in table.row_exact(p)]
-            assert table.row(p).tolist() == expected, (n, p)
+def test_float_rows_round_each_entry_once(n):
+    table = build_lookup_table(n)
+    for p in range(1, table.p_max + 1):
+        expected = [float(d) for d in table.row_exact(p)]
+        assert table.row(p).tolist() == expected, (n, p)
+
+
+def test_entries_is_the_exact_view():
+    table = build_lookup_table(20)
+    assert len(table.entries) == table.p_max * 41
+    for (p, k), d in table.entries.items():
+        assert d == table.coefficient(p, k), (p, k)
+
+
+def test_float_rows_leave_entries_unmade():
+    table = build_lookup_table(20)
+    for p in range(1, table.p_max + 1):
+        table.row(p)
+    assert "entries" not in table.__dict__
 
 
 @given(
@@ -194,69 +213,3 @@ def test_apply_stencil_float_array_matches_list(table_n4):
 def test_apply_stencil_length_mismatch(table_n4):
     with pytest.raises(ValueError):
         apply_stencil([1.0] * 7, 2, 0.1, table_n4)
-
-
-def test_save_load_round_trip(tmp_path, table_n4):
-    path = tmp_path / "table.txt"
-    save_table(table_n4, path)
-    loaded = load_table(path)
-    assert loaded.half_width == table_n4.half_width
-    assert loaded.p_max == table_n4.p_max
-    assert loaded.entries == table_n4.entries
-
-
-def test_load_rejects_out_of_range_offset(tmp_path, table_n4):
-    path = tmp_path / "table.txt"
-    save_table(table_n4, path)
-    lines = path.read_text().splitlines()
-    lines[1] = "1 5 1/2"
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(TableFormatError) as exc:
-        load_table(path)
-    assert exc.value.line == 2
-
-
-def test_load_rejects_version_mismatch(tmp_path, table_n4):
-    path = tmp_path / "table.txt"
-    save_table(table_n4, path)
-    lines = path.read_text().splitlines()
-    lines[0] = lines[0].replace("V=1", "V=99")
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(TableFormatError) as exc:
-        load_table(path)
-    assert "version" in str(exc.value)
-
-
-def test_load_rejects_garbage_row(tmp_path, table_n4):
-    path = tmp_path / "table.txt"
-    save_table(table_n4, path)
-    lines = path.read_text().splitlines()
-    lines[3] = "1 0 not-a-fraction"
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(TableFormatError) as exc:
-        load_table(path)
-    assert exc.value.line == 4
-
-
-def test_load_rejects_repeated_row(tmp_path):
-    # N=1, PMAX=1: the entry count still matches, so a repeat that replaced
-    # the earlier row would load d_1 as 1/3 instead of 1/2
-    path = tmp_path / "table.txt"
-    path.write_text("N=1 PMAX=1 V=1\n1 -1 -1/2\n1 0 0/1\n1 1 1/2\n1 1 1/3\n")
-    with pytest.raises(TableFormatError, match="twice") as exc:
-        load_table(path)
-    assert exc.value.line == 5
-
-
-@pytest.mark.parametrize("field", ["N=x", "PMAX=1.5", "V=one"])
-def test_load_rejects_non_integer_header(tmp_path, table_n4, field):
-    path = tmp_path / "table.txt"
-    save_table(table_n4, path)
-    lines = path.read_text().splitlines()
-    key = field.split("=")[0]
-    lines[0] = " ".join(field if item.startswith(key + "=") else item
-                        for item in lines[0].split())
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(TableFormatError, match="integer") as exc:
-        load_table(path)
-    assert exc.value.line == 1
