@@ -10,15 +10,12 @@ from .chaos import (
     constant_term,
     constant_terms,
     enumerate_compositions,
-    multinomial,
-    phi_extract,
     pi_coefficient,
 )
 from .errors import (
     AlignmentError,
     BankruptcyError,
     ConfigError,
-    ConventionError,
     DegenerateModelError,
     GridError,
     IncompleteMarketError,
@@ -86,6 +83,6 @@ from .swaps import (
     realized_moment,
     variance_swap_basket,
 )
-from .taylor import HedgeLedger, HedgeScenario, assemble_ledger, bank_term, find_q, taylor_approx
+from .taylor import HedgeLedger, HedgeScenario, assemble_ledger, bank_term, find_q
 
 __version__ = "0.1.0"

@@ -23,12 +23,10 @@ from .errors import UnsupportedOrderError
 
 __all__ = [
     "enumerate_compositions",
-    "multinomial",
     "constant_terms",
     "constant_term",
     "pi_coefficient",
     "phi_from_constants",
-    "phi_extract",
 ]
 
 MAX_ORDER = 12
@@ -52,15 +50,6 @@ def enumerate_compositions(k: int) -> tuple[tuple[int, ...], ...]:
 
     gen([], 0)
     return tuple(out)
-
-
-def multinomial(parts) -> int:
-    """(i_1, ..., i_l)! = (sum i_j)! / prod i_j!"""
-    total = sum(parts)
-    out = math.factorial(total)
-    for p in parts:
-        out //= math.factorial(p)
-    return out
 
 
 def constant_terms(k: int, moments, t) -> list:
@@ -97,22 +86,22 @@ def constant_term(k: int, moments, t):
 def pi_coefficient(index_tuple, k: int, moments, t):
     """Coefficient Pi of the iterated integral indexed by ``index_tuple``
     inside (X_{t+dt} - X_t)^k: (i_1, ..., i_j, n)! C^(n) with
-    n = k - sum(i_p) and C^(0) = 1."""
+    n = k - sum(i_p) and C^(0) = 1, where the multinomial
+    (i_1, ..., i_j, n)! = k! / (i_1! ... i_j! n!)."""
     s = sum(index_tuple)
     if s > k:
         raise UnsupportedOrderError(f"tuple {index_tuple} sums to {s} > order {k}")
-    return multinomial(tuple(index_tuple) + (k - s,)) * constant_term(k - s, moments, t)
+    multinomial = math.factorial(k)
+    for i in (*index_tuple, k - s):
+        multinomial //= math.factorial(i)
+    return multinomial * constant_term(k - s, moments, t)
 
 
 def phi_from_constants(n: int, consts, s_t=1.0) -> dict:
-    """``phi_extract`` from constants C^(0..n) already computed
-    (``constant_terms`` of order n or more): phi_j = S^n binom(n, j) C^(n-j)."""
-    return {j: s_t**n * (math.comb(n, j) * consts[n - j]) for j in range(1, n + 1)}
-
-
-def phi_extract(n: int, moments, dt, s_t=1.0) -> dict:
     """Left-endpoint predictable integrands phi_j of the single-integral
-    reduction of (Delta S)^n = sum_j int phi_j dY^(j) + S^n C^(n).
+    reduction of (Delta S)^n = sum_j int phi_j dY^(j) + S^n C^(n), from the
+    constants C^(0..n) (``constant_terms`` of order n or more over the
+    period dt).
 
     At the left endpoint every iterated integral of depth >= 2 starts from
     zero, so only the single-integral tuples (j) survive:
@@ -120,4 +109,4 @@ def phi_extract(n: int, moments, dt, s_t=1.0) -> dict:
     leading approximation for negligible dt; deeper tuples feed back
     path-dependent corrections that a one-shot ledger cannot carry.
     """
-    return phi_from_constants(n, constant_terms(n, moments, dt), s_t)
+    return {j: s_t**n * (math.comb(n, j) * consts[n - j]) for j in range(1, n + 1)}

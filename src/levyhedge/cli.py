@@ -5,7 +5,8 @@ Subcommands:
   converge      term-by-term convergence report for one option (CSV)
   pnl           per-scenario hedge residuals per strategy (CSV + summary)
 
-Experiments read a JSON config; a handful of flags override config fields.
+Each subcommand takes two flags: ``--config``, the JSON config every
+input is read from, and ``--out``, the CSV path (default: ``output.dir``).
 Exit code is 0 only if every requested row computed cleanly.
 """
 
@@ -16,17 +17,7 @@ import os
 import sys
 
 from . import harness
-from .config import load_config, read_config_file
-
-
-def _apply_overrides(raw: dict, args) -> dict:
-    """Fill config fields from flags; the config file wins where both set one.
-    A block that is not an object is left for ``load_config`` to report."""
-    for block, key, value in (("mc", "seed", args.seed), ("mc", "paths", args.paths),
-                              ("scenario", "alpha_tol", args.alpha_tol)):
-        if value is not None and isinstance(raw.setdefault(block, {}), dict):
-            raw[block].setdefault(key, value)
-    return raw
+from .config import load_config
 
 
 def _out_path(cfg, args, default_name):
@@ -44,13 +35,10 @@ def main(argv=None) -> int:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         p.add_argument("--out", default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--paths", type=int, default=None)
-        p.add_argument("--alpha-tol", type=float, dest="alpha_tol", default=None)
 
     args = parser.parse_args(argv)
 
-    cfg = load_config(_apply_overrides(read_config_file(args.config), args))
+    cfg = load_config(args.config)
 
     if args.command == "qtable":
         header, rows, ok = harness.run_qtable(cfg)

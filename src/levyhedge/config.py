@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import sys
 from collections.abc import Mapping
 from dataclasses import dataclass
 from pathlib import Path
@@ -34,11 +35,15 @@ _REQUIRED = object()
 def _number(value, path: str, cast=float, positive=False, minimum=None):
     """``value`` as ``cast`` (float, int or bool), raising ``ConfigError`` naming
     ``path`` for a value not exactly of that type (``true`` is no number, 1000.7 no
-    integer, "false" no bool), for one <= 0 if ``positive`` and below ``minimum``."""
+    integer, "false" no bool), for ``NaN``, an infinity or an integer beyond the float
+    range (JSON lets all three through), for one <= 0 if ``positive`` and below
+    ``minimum``."""
     want = {bool: "true or false", int: "an integer"}.get(cast, "a number")
     if (isinstance(value, bool) != (cast is bool) or not isinstance(value, (int, float))
-            or cast is int and not float(value).is_integer()):
+            or cast is int and isinstance(value, float) and not value.is_integer()):
         raise ConfigError(f"config field {path!r} must be {want}, got {value!r}")
+    if not -sys.float_info.max <= value <= sys.float_info.max:
+        raise ConfigError(f"config field {path!r} must be a finite number, got {value!r}")
     if positive and not value > 0:
         raise ConfigError(f"config field {path!r} must be > 0, got {value!r}")
     if minimum is not None and not value >= minimum:
@@ -77,12 +82,14 @@ class _Block:
     def number(self, key: str, default=_REQUIRED, cast=float, positive=False, minimum=None):
         return _number(self.get(key, default), self.field(key), cast, positive, minimum)
 
-    def numbers(self, key: str, default=()) -> tuple:
-        """Every entry of a list as a float, naming ``key[k]`` if one is not."""
+    def numbers(self, key: str, default=(), positive=False) -> tuple:
+        """Every entry of a list as a float, naming ``key[k]`` if one is not (or,
+        if ``positive``, is <= 0)."""
         values = self.get(key, default)
         if not isinstance(values, (list, tuple)):
             raise self.fail(key, f" must be a list, got {values!r}")
-        return tuple(_number(x, self.field(f"{key}[{k}]")) for k, x in enumerate(values))
+        return tuple(_number(x, self.field(f"{key}[{k}]"), positive=positive)
+                     for k, x in enumerate(values))
 
     def choice(self, key: str, choices, what: str, default=_REQUIRED) -> str:
         """A name from ``choices``, naming ``key`` if it is anything else."""
@@ -127,11 +134,8 @@ def _compound_poisson(block: _Block) -> CompoundPoisson:
 
 
 def _variance_gamma(block: _Block) -> VarianceGamma:
-    sigma_key = "vg_sigma" if "vg_sigma" in block.raw else "sigma"
-    if sigma_key == "vg_sigma" and "sigma" in block.raw:
-        raise block.fail("sigma", f" repeats {block.field('vg_sigma')!r}; give one of them")
     theta, nu = block.number("theta"), block.number("nu", positive=True)
-    sigma = block.number(sigma_key, 0.0, minimum=0)
+    sigma = block.number("vg_sigma", 0.0, minimum=0)
     eps = block.number("truncation_eps", 1e-6, positive=True)
     try:
         return VarianceGamma(theta=theta, nu=nu, sigma=sigma, truncation_eps=eps)
@@ -269,10 +273,7 @@ def load_config(source) -> ExperimentConfig:
     if delta_t > maturity:
         raise scen.fail("delta_t", f" is {delta_t!r}, longer than the options' maturity "
                                    f"{maturity!r}")
-    if isinstance(scen.get("delta_s", []), (list, tuple)):
-        delta_s = scen.numbers("delta_s", [10.0])
-    else:  # one move needs no list
-        delta_s = (scen.number("delta_s"),)
+    delta_s = scen.numbers("delta_s", [10.0])
     if not delta_s:
         raise scen.fail("delta_s", " must be a nonempty grid")
     for k, move in enumerate(delta_s):
@@ -300,7 +301,7 @@ def load_config(source) -> ExperimentConfig:
     if not 0 <= q <= p_max:
         raise pnl.fail("q", f" must be 'max' or an order in 0..{p_max}, got {q}")
     swap = pnl.block("swap")
-    neutral_strikes = pnl.numbers("neutral_strikes")
+    neutral_strikes = pnl.numbers("neutral_strikes", positive=True)
     if "moment-neutral" in strategies and not neutral_strikes:
         raise pnl.fail("neutral_strikes", " is missing: the moment-neutral strategy needs "
                                           "at least one strike")
@@ -311,7 +312,7 @@ def load_config(source) -> ExperimentConfig:
     cfg = ExperimentConfig(
         raw=raw, model=model, options=options, s0=s0, delta_s=delta_s, delta_t=delta_t, r=r,
         dividend=dividend, alpha_tol=scen.number("alpha_tol", 0.01, positive=True),
-        n_paths=n_paths, steps=steps, seed=mc.number("seed", 0, int),
+        n_paths=n_paths, steps=steps, seed=mc.number("seed", 0, int, minimum=0),
         antithetic=mc.number("antithetic", False, bool), half_width=half_width, p_max=p_max,
         s_step=sten.number("s_step", max(0.5, s0 * 1e-4), positive=True),
         strategies=tuple(strategies), n_scenarios=n_scenarios, pnl_q=q,

@@ -58,10 +58,6 @@ class AlignmentError(LevyHedgeError, ValueError):
     """Swap sampling points do not bracket the hedging period."""
 
 
-class ConventionError(LevyHedgeError, ValueError):
-    """Log-return realized moments cannot back a hedging basket."""
-
-
 class DegenerateModelError(LevyHedgeError, ValueError):
     """Model has no risk in the direction a formula divides by."""
 

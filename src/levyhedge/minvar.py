@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 from .chaos import constant_terms, phi_from_constants
 from .errors import DegenerateModelError
 from .models import MomentVector
-from .swaps import ACTUAL, RealizedHistory, SwapBasket, SwapSpec, moment_swap_basket
+from .swaps import RealizedHistory, SwapBasket, SwapSpec, moment_swap_basket
 from .taylor import HedgeScenario, bank_growth
 
 __all__ = [
@@ -92,8 +92,8 @@ def _varswap_book(
     """
     if swap.order != 2:
         raise ValueError(f"variance-swap leg needs an order-2 swap, got order {swap.order}")
-    if history is None or history.convention != ACTUAL:
-        raise DegenerateModelError("variance-swap leg needs actual-return history")
+    if history is None:
+        raise DegenerateModelError("variance-swap leg needs a realized history")
     m2 = moments[2]
     if m2 == 0:
         raise DegenerateModelError("m_2 = 0: variance swap carries no jump variance")

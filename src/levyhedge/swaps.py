@@ -7,10 +7,8 @@ s_n = t + dt) a static position in the swap plus a bank deposit changes
 value by exactly C_k (Delta S)^k, whatever Delta S turns out to be.  The
 baskets here implement those positions; k = 2 is the variance swap.
 
-Hedging baskets require the actual-return convention
-R_i = (S_{i+1} - S_i)/S_i: a log-return swap responds to log(1 + dS/S)
-and cannot replicate powers of dS.  Log-return realized moments remain
-available for reporting only.
+Returns are actual returns R_i = (S_{i+1} - S_i)/S_i: only a swap on
+them pays a power of dS (a log-return swap responds to log(1 + dS/S)).
 
 The deposit accrues by ``taylor.bank_growth``, so a basket needs r != 0;
 negative rates are fine.
@@ -23,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AlignmentError, ConventionError
+from .errors import AlignmentError
 from .taylor import bank_growth
 
 __all__ = [
@@ -34,9 +32,6 @@ __all__ = [
     "variance_swap_basket",
     "moment_swap_basket",
 ]
-
-ACTUAL = "actual"
-LOG = "log"
 
 
 @dataclass(frozen=True)
@@ -79,26 +74,20 @@ class SwapSpec:
 
 @dataclass(frozen=True)
 class RealizedHistory:
-    """Running sums of past return powers, known at the hedge date.
+    """Running sums of past actual-return powers, known at the hedge date.
 
     ``sums[k]`` holds sum_{i=1..n-2} R_i^k for each order in use.
     """
 
     sums: dict[int, float]
-    convention: str = ACTUAL
 
     @classmethod
-    def from_prices(cls, prices, orders, convention: str = ACTUAL) -> "RealizedHistory":
+    def from_prices(cls, prices, orders) -> "RealizedHistory":
         prices = np.asarray(prices, dtype=float)
         if np.any(prices <= 0):
             raise ValueError("prices must be positive")
-        if convention == ACTUAL:
-            rets = np.diff(prices) / prices[:-1]
-        elif convention == LOG:
-            rets = np.diff(np.log(prices))
-        else:
-            raise ValueError(f"unknown return convention {convention!r}")
-        return cls(sums={k: float(np.sum(rets**k)) for k in orders}, convention=convention)
+        rets = np.diff(prices) / prices[:-1]
+        return cls(sums={k: float(np.sum(rets**k)) for k in orders})
 
     def power_sum(self, k: int) -> float:
         try:
@@ -158,11 +147,6 @@ def moment_swap_basket(
 ) -> SwapBasket:
     """Moment-swap basket: ds(n-2) S_t^k swap units per unit coefficient
     plus the bank deposit that cancels the known legs of the payoff."""
-    if history.convention != ACTUAL:
-        raise ConventionError(
-            "hedging baskets require actual-return swaps; log-return realized "
-            "moments are reporting-only"
-        )
     if not math.isclose(swap.delta_s, scenario.delta_t, rel_tol=1e-9, abs_tol=1e-15):
         raise AlignmentError(
             f"swap sampling spacing {swap.delta_s} must equal the hedging period "

@@ -24,7 +24,6 @@ __all__ = [
     "HedgeScenario",
     "HedgeLedger",
     "taylor_sums",
-    "taylor_approx",
     "find_q",
     "bank_growth",
     "bank_term",
@@ -59,14 +58,6 @@ def taylor_sums(ladder: DerivativeLadder, delta_t, delta_s, p: int) -> list:
         total += ladder.derivative(i) * delta_s**i / math.factorial(i)
         sums.append(total)
     return sums
-
-
-def taylor_approx(ladder: DerivativeLadder, scenario: HedgeScenario, p: int) -> float:
-    """D1^1 F dt + sum_{i<=p} D2^i F (dS)^i / i! (p = 0 keeps only the
-    time term)."""
-    if p < 0 or p > ladder.order():
-        raise ValueError(f"truncation p={p} outside 0..{ladder.order()}")
-    return taylor_sums(ladder, scenario.delta_t, scenario.delta_s, p)[p]
 
 
 def find_q(ladder: DerivativeLadder, scenario: HedgeScenario, exact_change: float):

@@ -11,8 +11,7 @@ from levyhedge.chaos import (
     constant_term,
     constant_terms,
     enumerate_compositions,
-    multinomial,
-    phi_extract,
+    phi_from_constants,
     pi_coefficient,
 )
 from levyhedge.errors import UnsupportedOrderError
@@ -76,6 +75,11 @@ def raw_moments_from_cumulants(kappas, k_max):
             total += math.comb(n - 1, j) * kappas[j] * mu[n - 1 - j]
         mu.append(total)
     return mu[1:]
+
+
+def multinomial(parts):
+    """(i_1, ..., i_l)! = (sum i_j)! / prod i_j!, the factorial reference."""
+    return math.factorial(sum(parts)) // math.prod(math.factorial(p) for p in parts)
 
 
 def exact_moments(m_values, sigma2=Fraction(0)):
@@ -220,6 +224,14 @@ class TestPiCoefficient:
         assert multinomial((1, 1)) == 2
         assert multinomial((2, 1, 0)) == 3
         assert multinomial((3, 2)) == 10
+        # pi_coefficient's factor is the factorial reference, tuple by tuple
+        mom = exact_moments(self.M)
+        t = Fraction(2, 9)
+        for k in range(1, 8):
+            for theta in enumerate_compositions(k):
+                n = k - sum(theta)
+                want = multinomial(theta + (n,)) * constant_term(n, mom, t)
+                assert pi_coefficient(theta, k, mom, t) == want, theta
 
 
 class TestPhiExtract:
@@ -228,7 +240,7 @@ class TestPhiExtract:
         mom = exact_moments(m, Fraction(1, 50))
         t = Fraction(1, 20)
         s = Fraction(3, 2)
-        phi = phi_extract(16, mom, t, s_t=s)
+        phi = phi_from_constants(16, constant_terms(16, mom, t), s)
         assert sorted(phi) == list(range(1, 17))
         for j in range(1, 17):
             want = s**16 * multinomial((j, 16 - j)) * constant_term(16 - j, mom, t)
@@ -238,7 +250,7 @@ class TestPhiExtract:
 
     def test_linear_case(self):
         mom = exact_moments(tuple(Fraction(1, 2**i) for i in range(1, 6)))
-        phi = phi_extract(1, mom, Fraction(1, 10), s_t=Fraction(50))
+        phi = phi_from_constants(1, constant_terms(1, mom, Fraction(1, 10)), Fraction(50))
         assert phi == {1: Fraction(50)}
 
     def test_second_order_terms(self):
@@ -246,7 +258,7 @@ class TestPhiExtract:
         mom = exact_moments(m)
         t = Fraction(1, 20)
         s = Fraction(10)
-        phi = phi_extract(2, mom, t, s_t=s)
+        phi = phi_from_constants(2, constant_terms(2, mom, t), s)
         assert phi[2] == s**2
         assert phi[1] == s**2 * 2 * m[0] * t
 
@@ -257,7 +269,7 @@ class TestPhiExtract:
 
         mom = moment_vector(model, 6)
         dt = 0.02
-        phi = phi_extract(3, mom, dt, s_t=1.0)
+        phi = phi_from_constants(3, constant_terms(3, mom, dt))
         rng = np.random.default_rng(5)
         n = 400_000
         counts = rng.poisson(3.0 * dt, n)

@@ -40,12 +40,15 @@ class TestMalformedConfigFile:
         path = tmp_path / "list.json"
         path.write_text("[1, 2]")
         with pytest.raises(ConfigError, match=r"list\.json.*config must be a JSON object"):
-            main(["qtable", "--config", str(path), "--seed", "4"])
+            main(["qtable", "--config", str(path)])
 
-    def test_flag_into_a_block_that_is_not_an_object(self, tmp_path):
-        cfg = write_config(tmp_path, mc=5)
-        with pytest.raises(ConfigError, match=r"config field 'mc' must be an object, got 5"):
-            main(["qtable", "--config", str(cfg), "--seed", "4"])
+    def test_non_finite_number(self, tmp_path):
+        # Python's json reads the bare token NaN; load_config must reject it
+        path = write_config(tmp_path)
+        path.write_text(path.read_text().replace('"r": 0.05', '"r": NaN'))
+        with pytest.raises(ConfigError, match=r"'scenario\.r' must be a finite number, got nan"):
+            main(["pnl", "--config", str(path), "--out", str(tmp_path / "p.csv")])
+        assert not (tmp_path / "p.csv").exists()
 
     def test_table_subcommand_is_gone(self, capsys):
         with pytest.raises(SystemExit):
@@ -73,26 +76,15 @@ class TestQTableCommand:
         assert first[0] == "european_call"
         assert first[2] == "8" and first[4] == "8"
 
-    def test_flag_fills_missing_field_but_config_wins(self, tmp_path):
-        raw_cfg = write_config(tmp_path)
-        # config carries seed=3: the flag must NOT displace it
-        out1 = tmp_path / "a.csv"
-        out2 = tmp_path / "b.csv"
-        main(["qtable", "--config", str(raw_cfg), "--out", str(out1)])
-        main(["qtable", "--config", str(raw_cfg), "--out", str(out2), "--seed", "99"])
-        assert out1.read_bytes() == out2.read_bytes()
-        # drop the seed from the config: now the flag supplies it
-        raw = json.loads(raw_cfg.read_text())
-        del raw["mc"]["seed"]
-        cfg2 = tmp_path / "config2.json"
-        cfg2.write_text(json.dumps(raw))
-        out3 = tmp_path / "c.csv"
-        out4 = tmp_path / "d.csv"
-        main(["qtable", "--config", str(cfg2), "--out", str(out3), "--seed", "99"])
-        main(["qtable", "--config", str(cfg2), "--out", str(out4), "--seed", "3"])
-        h3 = out3.read_text().splitlines()[1].split(",")[-1]
-        h4 = out4.read_text().splitlines()[1].split(",")[-1]
-        assert h3 != h4
+    def test_inputs_come_from_the_config_alone(self, tmp_path, capsys):
+        # mc.seed, mc.paths and scenario.alpha_tol have no second spelling as flags
+        cfg = write_config(tmp_path)
+        for flag, value in (("--seed", "99"), ("--paths", "10"), ("--alpha-tol", "0.1")):
+            with pytest.raises(SystemExit) as exc:
+                main(["qtable", "--config", str(cfg), flag, value])
+            assert exc.value.code == 2
+            assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+        assert not (tmp_path / "qtable.csv").exists()
 
     def test_unreachable_rows_exit_nonzero(self, tmp_path):
         cfg = write_config(tmp_path)

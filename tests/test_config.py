@@ -151,6 +151,13 @@ def test_path_grid_must_be_nonempty(field):
         load_config(minimal(mc={field: 0}))
 
 
+def test_seed_must_be_non_negative():
+    # numpy's generator takes no negative seed; it would fail only once a run starts
+    with pytest.raises(ConfigError, match=r"'mc\.seed' must be >= 0, got -1"):
+        load_config(minimal(mc={"seed": -1}))
+    assert load_config(minimal(mc={"seed": 0})).seed == 0
+
+
 def test_non_numeric_nested_fields_name_their_paths():
     with pytest.raises(ConfigError, match=r"'scenario\.delta_s\[1\]'"):
         load_config(minimal(scenario={"delta_s": [1.0, "x"]}))
@@ -368,7 +375,7 @@ def test_a_move_must_keep_the_spot_positive(move):
                     "jump_law": {"kind": "normal", "std": 0.1}}),
      r"'model\.intensity' is not read by model kind 'brownian'"),
     (minimal(model=dict(VG, sigma=0.9, vg_sigma=0.2)),
-     r"'model\.sigma' repeats 'model\.vg_sigma'"),
+     r"'model\.sigma' is not read by model kind 'variance_gamma'"),
     (minimal(model=dict(CP, jump_law={"kind": "fixed", "size": 0.05, "std": 0.1})),
      r"'model\.jump_law\.std' is not read by jump law 'fixed'"),
     (dict(minimal(), options=[{"kind": "european_call", "strike": 100, "maturity": 1.0}]),
@@ -406,7 +413,9 @@ def test_keys_the_parser_does_not_read_fail(raw, path):
 def test_each_model_kind_reads_its_own_keys():
     assert load_config(minimal(model=dict(VG, vg_sigma=0.2))).model.jump_spec.sigma == 0.2
     vg = {k: v for k, v in VG.items() if k != "vg_sigma"}
-    assert load_config(minimal(model=dict(vg, sigma=0.3))).model.jump_spec.sigma == 0.3
+    with pytest.raises(ConfigError, match=r"'model\.sigma' is not read by model kind "
+                                          r"'variance_gamma'"):
+        load_config(minimal(model=dict(vg, sigma=0.3)))
     with pytest.raises(ConfigError, match=r"'model\.theta' is not read by model kind "
                                           r"'compound_poisson'"):
         load_config(minimal(model=dict(CP, theta=0.1)))
@@ -454,7 +463,32 @@ def test_bad_output_dir_fails_before_the_experiment(tmp_path, monkeypatch):
         cli.main(["qtable", "--config", str(path)])
 
 
-def test_one_move_needs_no_list():
-    assert load_config(minimal(scenario={"delta_s": 20})).delta_s == (20.0,)
-    with pytest.raises(ConfigError, match=r"'scenario\.delta_s' must be a number, got 'x'"):
+def test_delta_s_must_be_a_list():
+    assert load_config(minimal(scenario={"delta_s": [20]})).delta_s == (20.0,)
+    with pytest.raises(ConfigError, match=r"'scenario\.delta_s' must be a list, got 20"):
+        load_config(minimal(scenario={"delta_s": 20}))
+    with pytest.raises(ConfigError, match=r"'scenario\.delta_s' must be a list, got 'x'"):
         load_config(minimal(scenario={"delta_s": "x"}))
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), -10**400],
+                         ids=["nan", "inf", "-inf", "-10**400"])
+@pytest.mark.parametrize("over, path", [
+    (lambda v: {"scenario": {"r": v}}, r"scenario\.r"),
+    (lambda v: {"model": {"drift_b": v}}, r"model\.drift_b"),
+    (lambda v: {"model": dict(CP, jump_law={"kind": "normal", "mean": v})},
+     r"model\.jump_law\.mean"),
+    (lambda v: {"scenario": {"delta_s": [10, v]}}, r"scenario\.delta_s\[1\]"),
+], ids=["scenario.r", "model.drift_b", "model.jump_law.mean", "scenario.delta_s[1]"])
+def test_non_finite_numbers_name_their_path(over, path, value):
+    with pytest.raises(ConfigError, match=rf"'{path}' must be a finite number, got {value!r}"):
+        load_config(minimal(**over(value)))
+
+
+@pytest.mark.parametrize("strikes, path", [
+    ([0.0, 95, 105], r"pnl\.neutral_strikes\[0\]' must be > 0, got 0\.0"),
+    ([95, -105], r"pnl\.neutral_strikes\[1\]' must be > 0, got -105"),
+])
+def test_neutral_strikes_must_be_positive(strikes, path):
+    with pytest.raises(ConfigError, match=path):
+        load_config(minimal(strategies=["moment-neutral"], pnl={"neutral_strikes": strikes}))

@@ -2,6 +2,7 @@ import importlib.util
 import logging
 import math
 import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from scipy.stats import norm
 
 from levyhedge import harness
 from levyhedge.config import STRATEGY_NAMES, load_config
-from levyhedge.errors import ConfigError
+from levyhedge.errors import BankruptcyError, ConfigError
 from levyhedge.harness import Market, run_converge, run_pnl, run_qtable
 from levyhedge.models import log_mean_growth, moment_vector, relative_factors
 from levyhedge.pricing import PathBundle, black_scholes_price, payoff
@@ -480,6 +481,21 @@ class TestPnl:
             n_instruments = len(strikes) if "moment-neutral" in strategies else 0
             assert len(price_calls) == 1 + n_instruments
             assert len(values_calls) == 2 * (1 + n_instruments)
+
+    def test_bankrupt_scenarios_raise(self):
+        # every jump is -1: the 61% of the market's paths that see no jump by maturity are
+        # kept, while about 18% of the scenarios jump within delta_t = 0.1
+        raw = dict(self.pnl_config(["delta"]).raw,
+                   model={"kind": "compound_poisson", "intensity": 2.0,
+                          "jump_law": {"kind": "fixed", "size": -1.0}},
+                   mc={"paths": 2000, "seed": 5})
+        raw["scenario"] = dict(raw["scenario"], delta_t=0.1)
+        with pytest.raises(BankruptcyError) as exc:
+            run_pnl(load_config(raw))
+        match = re.fullmatch(r"(\d+) of 400 scenarios hit a jump <= -1", str(exc.value))
+        assert match, str(exc.value)
+        p = 1 - math.exp(-2.0 * 0.1)
+        assert abs(int(match[1]) - 400 * p) < 5 * math.sqrt(400 * p * (1 - p))
 
     def test_several_options_name_the_field(self):
         cfg = self.pnl_config(["delta"])

@@ -1,13 +1,17 @@
 """Importing the package loads numpy and the standard library only: no
 scipy, numpy.polynomial or concurrent.futures module.  No scipy module loads
 later either, through VG jump records or VG hedge moments, and a factor draw
-of one chunk loads no thread pool."""
+of one chunk loads no thread pool.  Every name a module exports exists."""
 
+import importlib
 import json
+import pkgutil
 import subprocess
 import sys
 
 from conftest import package_env
+
+import levyhedge
 
 PROBE = """
 import json, sys
@@ -39,3 +43,12 @@ def test_import_loads_no_scipy_and_vg_records_still_draw():
     assert result["finite"] and result["jumps"] > 0
     assert result["m2"] > 0 and result["legendre"]  # VG hedge moments load the rule
     assert result["scipy"] == []
+
+
+def test_every_exported_name_resolves():
+    """Each ``levyhedge.*`` module's ``__all__`` names only what it defines,
+    so a deleted function cannot stay on an export list."""
+    for info in pkgutil.iter_modules(levyhedge.__path__):
+        module = importlib.import_module(f"levyhedge.{info.name}")
+        missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+        assert missing == [], (info.name, missing)

@@ -7,9 +7,9 @@ import pytest
 from levyhedge import jump_baskets
 from levyhedge.chaos import (
     constant_term,
+    constant_terms,
     enumerate_compositions,
-    multinomial,
-    phi_extract,
+    phi_from_constants,
     pi_coefficient,
 )
 from levyhedge.errors import UnsupportedOrderError
@@ -387,7 +387,9 @@ class TestPJIBasket:
         want = {}
         for theta in enumerate_compositions(order):
             n = order - sum(theta)
-            pi = multinomial(theta + (n,)) * consts[n]
+            multinomial = math.factorial(order) // math.prod(
+                math.factorial(i) for i in theta + (n,))
+            pi = multinomial * consts[n]
             want[theta] = c * s_t**order * pi * disc
         assert list(basket.pji_units.items()) == list(want.items())
 
@@ -446,7 +448,7 @@ class TestPhiHedge:
         s_t, dt, r, c, n = 10.0, 0.01, 0.05, 0.3, 16
         state = PathState(t=0.02, y={j: 1e-4 * j for j in range(1, n + 1)})
         basket = phi_hedge_basket(c, scen(s_t, dt, r), n, moments, state)
-        phis = phi_extract(n, moments, dt, s_t)
+        phis = phi_from_constants(n, constant_terms(n, moments, dt), s_t)
         disc = math.exp(-r * dt)
         assert basket.pja_units == pytest.approx({j: c * phis[j] * disc for j in phis}, rel=1e-14)
         want_cash = c * (

@@ -194,6 +194,11 @@ class TestWithVarswap:
         with pytest.raises(ValueError, match="order-2 swap"):
             mvp_general({3: 1.0}, 100.0, mom, 2e-4, 0.05, swap=spec, history=hist)
 
+    def test_swap_leg_needs_a_history(self):
+        mom = moment_vector(cp_model(5.0, FixedJumps(0.08)), 5)
+        with pytest.raises(DegenerateModelError, match="variance-swap leg needs a realized"):
+            mvp_general({3: 1.0}, 100.0, mom, 2e-4, 0.05, swap=self.swap(2e-4))
+
     def test_no_jump_variance(self):
         model = LevyModel(brownian_sigma=0.2)
         mom = moment_vector(model, 5)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from levyhedge.errors import AlignmentError, ConventionError, ZeroRateError
+from levyhedge.errors import AlignmentError, ZeroRateError
 from levyhedge.swaps import (
     RealizedHistory,
     SwapSpec,
@@ -39,16 +39,6 @@ class TestRealizedMoment:
         rets = np.diff(prices) / prices[:-1]
         manual = (np.sum(rets**2) + new_r**2) / ((1.0 / 252) * (len(prices) + 1 - 2))
         assert var_leg == pytest.approx(manual, rel=1e-12)
-
-    def test_log_convention_reported_not_hedged(self):
-        prices = np.array([100.0, 101.0, 99.5])
-        hist = RealizedHistory.from_prices(prices, orders=(2,), convention="log")
-        # reporting works
-        assert realized_moment(hist, 0.01, 2, 0.5, 4) > 0
-        spec = SwapSpec(order=2, delta_s=0.1, n=4, strike=0.04, unit_price=1.0)
-        with pytest.raises(ConventionError):
-            variance_swap_basket(1.0, scen(delta_t=0.1), spec, hist)
-
 
     def test_basket_marks_by_the_realized_moment(self):
         # the basket's payoff leg is realized_moment of the move's return, to the bit
