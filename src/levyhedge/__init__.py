@@ -23,7 +23,6 @@ from .errors import (
     LadderOrderError,
     LevyHedgeError,
     NeedsHigherOrderError,
-    PricingFailedError,
     UnhedgeableSetError,
     UnsupportedOrderError,
     ZeroRateError,

@@ -25,10 +25,6 @@ class GridError(LevyHedgeError, ValueError):
     """Price-curve grid is not uniform or otherwise unusable."""
 
 
-class PricingFailedError(LevyHedgeError, RuntimeError):
-    """Every simulated path was discarded (e.g. all bankrupt)."""
-
-
 class LadderOrderError(LevyHedgeError, ValueError):
     """Requested derivative order exceeds what the stencil table supports."""
 

@@ -114,8 +114,8 @@ class Market:
     over each date's cell, and every sampler is exact over a cell of any
     length, so the draw is then [delta_t, maturity - delta_t] (or
     [maturity]) and its law does not depend on ``mc.steps``; a larger
-    ``mc.steps`` is logged at INFO as unused.  Each bundle's bankrupt
-    (discarded) path count is logged, at WARNING when it is not zero.
+    ``mc.steps`` is logged at INFO as unused.  Each bundle's count of
+    paths absorbed at zero is logged, at WARNING when it is not zero.
     """
 
     def __init__(self, cfg: ExperimentConfig, rng: np.random.Generator):
@@ -140,8 +140,8 @@ class Market:
         for date, bundle in (("valuation", self.bundle_full), ("post-move", self.bundle_later)):
             if bundle is not None:
                 _log.log(logging.WARNING if bundle.n_bankrupt else logging.INFO,
-                         "%s-date bundle: %d of %d paths bankrupt and discarded",
-                         date, bundle.n_bankrupt, bundle.n_requested)
+                         "%s-date bundle: %d of %d paths absorbed at zero",
+                         date, bundle.n_bankrupt, bundle.n_paths)
 
     def values_later(self, option: OptionSpec, spots) -> np.ndarray:
         """Prices after the hedging period at every spot (payoffs once the
@@ -223,11 +223,12 @@ def run_converge(cfg: ExperimentConfig):
 def _simulate_outcomes(cfg: ExperimentConfig, rng: np.random.Generator):
     """One-period scenarios drawn from the model, with their jumps in time
     order as relative jumps dS/S_- (the spec turns a variance-gamma
-    log-jump x into e^x - 1)."""
+    log-jump x into e^x - 1).  A scenario absorbed at zero raises
+    ``BankruptcyError``: no hedge is defined past default."""
     factors, jumps = relative_factors(cfg.model, cfg.delta_t, 1, cfg.n_scenarios, rng,
                                       records=True)
     moves = cfg.s0 * (factors[:, 0] - 1.0)
-    bankrupt = int(np.count_nonzero(np.isnan(moves)))
+    bankrupt = int(np.count_nonzero(factors[:, 0] == 0.0))
     if bankrupt:
         raise BankruptcyError(f"{bankrupt} of {cfg.n_scenarios} scenarios hit a jump <= -1")
     order = np.lexsort((jumps.time, jumps.path))

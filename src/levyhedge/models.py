@@ -13,7 +13,8 @@ growth, and two moment families:
 
 ``CompoundPoisson`` is finite activity.  Paths evolve by the stochastic
 exponential, so a jump J multiplies the price by (1 + J) and is its own
-relative jump: both moment families agree.  ``VarianceGamma`` is infinite
+relative jump: both moment families agree.  A jump J <= -1 absorbs the
+price at zero: its cell factor is 0.  ``VarianceGamma`` is infinite
 activity, sampled exactly through the gamma time change.  Paths evolve in
 exponential form S -> S exp(b dt + dX), so a jump x is a log-jump and moves
 the price by e^x - 1.  Its jump records come from Bondesson's series for
@@ -70,6 +71,12 @@ class NormalJumps:
     mean: float = 0.0
     std: float = 0.1
 
+    def __post_init__(self):
+        if not math.isfinite(self.mean):
+            raise ValueError(f"jump mean must be finite, got {self.mean}")
+        if not self.std >= 0:
+            raise ValueError(f"jump std must be >= 0, got {self.std}")
+
     def moment(self, i: int) -> float:
         """Raw moment E[J^i], via the binomial expansion over central moments."""
         if i < 0:
@@ -90,6 +97,10 @@ class FixedJumps:
     """Degenerate jump law: every jump has the same size."""
 
     size: float = 0.05
+
+    def __post_init__(self):
+        if not math.isfinite(self.size):
+            raise ValueError(f"jump size must be finite, got {self.size}")
 
     def moment(self, i: int) -> float:
         if i < 0:
@@ -114,7 +125,7 @@ class CompoundPoisson:
     law: NormalJumps | FixedJumps = field(default_factory=NormalJumps)
 
     def __post_init__(self):
-        if self.intensity <= 0:
+        if not self.intensity > 0:
             raise ValueError(f"intensity must be > 0, got {self.intensity}")
 
     def nu_moment(self, i: int) -> float:
@@ -129,9 +140,9 @@ class CompoundPoisson:
 
     @staticmethod
     def log_jump(size: np.ndarray) -> np.ndarray:
-        """ln(1 + J), NaN for J <= -1 (a bankrupt cell)."""
-        with np.errstate(invalid="ignore", divide="ignore"):
-            return np.where(size <= -1.0, np.nan, np.log1p(size))
+        """ln(1 + max(J, -1)): -inf for J <= -1, which absorbs the price at 0."""
+        with np.errstate(divide="ignore"):
+            return np.log1p(np.maximum(size, -1.0))
 
     @staticmethod
     def relative_jump(size: np.ndarray) -> np.ndarray:
@@ -143,7 +154,8 @@ class CompoundPoisson:
         return drift_b - 0.5 * brownian_sigma**2
 
     def mean_growth(self, brownian_sigma: float) -> float:
-        """What the jumps add to b in ln E[S_T / S_0] / T."""
+        """What the jumps add to b in ln E[S_T / S_0] / T: intensity E[J],
+        exact when J >= -1 (a jump below -1 leaves a factor 0, not 1 + J)."""
         return self.intensity * self.law.moment(1)
 
     def sample_cells(self, dts: np.ndarray, shape, rng: np.random.Generator, records: bool):
@@ -169,11 +181,13 @@ class VarianceGamma:
     truncation_eps: float = 1e-6
 
     def __post_init__(self):
-        if self.nu <= 0:
+        if not math.isfinite(self.theta):
+            raise ValueError(f"theta must be finite, got {self.theta}")
+        if not self.nu > 0:
             raise ValueError(f"nu must be > 0, got {self.nu}")
-        if self.sigma < 0:
+        if not self.sigma >= 0:
             raise ValueError(f"sigma must be >= 0, got {self.sigma}")
-        if self.truncation_eps <= 0:
+        if not self.truncation_eps > 0:
             raise ValueError(f"truncation_eps must be > 0, got {self.truncation_eps}")
         if self.sigma > 0:  # sigma = 0 leaves one side without jumps, and no (C, G, M)
             _, g, m = self.cgm()
@@ -328,8 +342,10 @@ class LevyModel:
     jump_spec: CompoundPoisson | VarianceGamma | None = None
 
     def __post_init__(self):
-        if self.brownian_sigma < 0:
-            raise ValueError("brownian_sigma must be >= 0")
+        if not math.isfinite(self.drift_b):
+            raise ValueError(f"drift_b must be finite, got {self.drift_b}")
+        if not self.brownian_sigma >= 0:
+            raise ValueError(f"brownian_sigma must be >= 0, got {self.brownian_sigma}")
 
 
 @dataclass(frozen=True)
@@ -459,8 +475,8 @@ def relative_factors(
     times the jump spec's cell factor, the log drift being the spec's rule
     (b - sigma^2/2 without jumps).  The factors do not depend on the price
     level, so one draw prices every initial condition (the common-random-
-    numbers backbone).  Cells hit by a jump <= -1 carry NaN factors and are
-    discarded downstream.
+    numbers backbone).  A cell hit by a jump <= -1 has factor 0: the price
+    is absorbed at zero and every later product keeps it there.
 
     The paths are drawn in chunks of an even number of rows, about
     ``CHUNK_CELLS`` cells each: chunk 0 from ``rng`` itself, chunk k >= 1

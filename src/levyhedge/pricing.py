@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridError, LadderOrderError, PricingFailedError
+from .errors import GridError, LadderOrderError
 from .models import LevyModel, relative_factors
 from .stencil import StencilTable, apply_stencil
 
@@ -88,10 +88,10 @@ class OptionSpec:
     def __post_init__(self):
         if self.kind not in OPTION_KINDS:
             raise ValueError(f"unknown option kind {self.kind!r}")
-        if self.strike <= 0 or self.maturity <= 0:
+        if not (self.strike > 0 and self.maturity > 0):
             raise ValueError("strike and maturity must be > 0")
         if self.kind in _BARRIER_PAYS:
-            if self.barrier is None or self.barrier <= 0:
+            if self.barrier is None or not self.barrier > 0:
                 raise ValueError(f"{self.kind} needs a positive barrier")
         elif self.barrier is not None:
             raise ValueError(f"{self.kind} takes no barrier")
@@ -125,22 +125,20 @@ class PathBundle:
     ``relative_factors``) over ``horizon``.  Holds, per path, the terminal
     relative level R_T and the running max/min of the relative path (both
     clipped to include the start level 1), so any spot s prices as
-    payoff(s*R_T, s*Rmax, s*Rmin).  Paths bankrupted by a jump <= -1 (NaN
-    factors) are dropped and counted.
+    payoff(s*R_T, s*Rmax, s*Rmin).  A path absorbed at zero by a jump
+    <= -1 prices at S_T = 0 like any other; ``n_bankrupt`` counts them.
     """
 
     def __init__(self, factors: np.ndarray, horizon: float):
-        rel = np.cumprod(factors, axis=1)
-        alive = ~np.isnan(rel[:, -1])
-        self.n_requested = len(factors)
-        self.n_bankrupt = int(self.n_requested - alive.sum())
-        if not alive.any():
-            raise PricingFailedError("every simulated path went bankrupt")
-        self.terminal = rel[alive, -1]
-        # column by column, a pass over every path per step rather than a
-        # reduction per short row; a bankrupt row's NaN stays in its own row
-        self.running_max = np.maximum(functools.reduce(np.maximum, rel.T)[alive], 1.0)
-        self.running_min = np.minimum(functools.reduce(np.minimum, rel.T)[alive], 1.0)
+        with np.errstate(invalid="ignore"):  # 0 * inf: a NaN for the check below
+            rel = np.cumprod(factors, axis=1)
+        self.terminal = rel[:, -1].copy()  # a view would keep all of rel alive
+        if not np.isfinite(self.terminal).all():  # a NaN or inf factor carries to the end
+            raise ValueError("path factors must be finite")
+        self.n_bankrupt = int(np.count_nonzero(self.terminal == 0.0))
+        # column by column: a pass over every path per step, not a reduction per short row
+        self.running_max = np.maximum(functools.reduce(np.maximum, rel.T), 1.0)
+        self.running_min = np.minimum(functools.reduce(np.minimum, rel.T), 1.0)
         self.horizon = horizon
 
     @property

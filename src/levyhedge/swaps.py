@@ -54,11 +54,14 @@ class SwapSpec:
     def __post_init__(self):
         if self.order < 2:
             raise ValueError(f"swap order must be >= 2, got {self.order}")
-        if self.delta_s <= 0:
+        if not self.delta_s > 0:
             raise ValueError("sampling spacing must be > 0")
         if self.n < 3:
             raise ValueError("need at least 3 sampling points")
-        if self.notional <= 0:
+        if not (math.isfinite(self.strike) and math.isfinite(self.unit_price)):
+            raise ValueError(f"swap strike and unit price must be finite, got {self.strike} "
+                             f"and {self.unit_price}")
+        if not self.notional > 0:
             raise ValueError(f"swap notional must be > 0, got {self.notional}")
 
     @property
@@ -128,15 +131,14 @@ class SwapBasket:
         return self.swap_units * self.spec.unit_price + self.bank_cash
 
     def change_of_value(self, delta_s: float) -> float:
-        k, spec = self.spec.order, self.spec
-        history = RealizedHistory({k: self.history_power_sum})
-        realized = realized_moment(history, delta_s / self.s_t, k, spec.delta_s, spec.n)
-        payoff = (realized - self.spec.strike) * self.spec.notional
+        spec = self.spec
+        realized = ((delta_s / self.s_t) ** spec.order + self.history_power_sum) / spec.annualizer
+        payoff = (realized - spec.strike) * spec.notional
         # fsum: the legs are orders of magnitude above their cancelling sum
         return math.fsum(
             [
                 self.swap_units * payoff,
-                -self.swap_units * self.spec.unit_price,
+                -self.swap_units * spec.unit_price,
                 self.bank_cash * bank_growth(self.r, self.delta_t),
             ]
         )

@@ -483,8 +483,9 @@ class TestPnl:
             assert len(values_calls) == 2 * (1 + n_instruments)
 
     def test_bankrupt_scenarios_raise(self):
-        # every jump is -1: the 61% of the market's paths that see no jump by maturity are
-        # kept, while about 18% of the scenarios jump within delta_t = 0.1
+        # every jump is -1: the market prices the 39% of its paths that jump by maturity
+        # at zero, while about 18% of the scenarios jump within delta_t = 0.1, and no
+        # hedge is defined past default
         raw = dict(self.pnl_config(["delta"]).raw,
                    model={"kind": "compound_poisson", "intensity": 2.0,
                           "jump_law": {"kind": "fixed", "size": -1.0}},

@@ -244,14 +244,15 @@ class TestEvolve:
         assert 100.0 * factors[single[0], 0] == pytest.approx(100.0 * 1.1, rel=1e-10)
 
     def test_bankruptcy_detected(self):
-        # a cell with a jump <= -1 has a NaN factor; one without keeps a finite one
+        # a cell with a jump <= -1 has factor 0; one without keeps a positive one
         law = FixedJumps(size=-1.5)
         model = LevyModel(jump_spec=CompoundPoisson(100.0, law))
         rng = np.random.default_rng(1)
         factors, jumps = relative_factors(model, 0.01, 1, 200, rng, records=True)
         hit = np.bincount(jumps.path, minlength=200) > 0
         assert 0 < hit.sum() < 200
-        np.testing.assert_array_equal(np.isnan(factors[:, 0]), hit)
+        np.testing.assert_array_equal(factors[:, 0] == 0.0, hit)
+        assert np.all(factors[~hit, 0] > 0)
 
     def test_mean_growth_product_form(self):
         model = LevyModel(drift_b=0.03, brownian_sigma=0.2,

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from levyhedge import pricing
-from levyhedge.errors import GridError, LadderOrderError, PricingFailedError
+from levyhedge.errors import GridError, LadderOrderError
 from levyhedge.models import (
     CompoundPoisson,
     FixedJumps,
@@ -86,11 +86,72 @@ class TestMCPrice:
             # same paths: the identity is exact up to float accumulation
             assert va + vb == pytest.approx(ve, rel=1e-12)
 
-    def test_all_bankrupt_raises(self):
+    def test_all_bankrupt_prices_at_zero(self):
+        # every path meets a jump of -1.2 (none does with chance e^-5000), so S_T = 0 on
+        # each: the call is worth 0 and the put K e^{-rT}, both without error
         model = LevyModel(jump_spec=CompoundPoisson(5000.0, FixedJumps(-1.2)))
-        opt = OptionSpec(kind="european_call", strike=100.0, maturity=1.0)
-        with pytest.raises(PricingFailedError):
-            mc_price(model, opt, 100.0, r=0.05, n_paths=1000, steps=10, seed=1)
+        call = OptionSpec(kind="european_call", strike=100.0, maturity=1.0)
+        put = OptionSpec(kind="european_put", strike=100.0, maturity=1.0)
+        run = dict(r=0.05, n_paths=1000, steps=10, seed=1)
+        assert mc_price(model, call, 100.0, **run) == (0.0, 0.0)
+        assert mc_price(model, put, 100.0, **run) == (100.0 * math.exp(-0.05), 0.0)
+        spots = [90.0, 100.0, 110.0]  # the sorted kernel
+        for option, want in ((call, 0.0), (put, 100.0 * math.exp(-0.05))):
+            prices, ses = price_curve(model, option, spots, **run)
+            np.testing.assert_array_equal(prices, [want] * 3)
+            np.testing.assert_array_equal(ses, [0.0] * 3)
+
+    @staticmethod
+    def absorbing_model(drift_b):
+        """sigma = 0.2 and jumps of -1 at rate 2: a path that jumps is absorbed at zero."""
+        return LevyModel(drift_b=drift_b, brownian_sigma=0.2,
+                         jump_spec=CompoundPoisson(2.0, FixedJumps(-1.0)))
+
+    def test_put_call_parity_with_absorbing_jumps(self):
+        # at the risk-neutral drift E[S_T] = S_0 e^{rT} counts the absorbed paths
+        # (39% by T = 0.25) at zero, so parity holds within the SE of the mean
+        # discounted forward, the per-path C - P
+        r, t = 0.05, 0.25
+        model = self.absorbing_model(risk_neutral_drift(self.absorbing_model(0.0), r))
+        bundle = draw_bundle(model, t, 1, 200_000, np.random.default_rng(11))
+        assert 0.35 < bundle.n_bankrupt / bundle.n_paths < 0.43
+        c, _ = bundle.price(OptionSpec(kind="european_call", strike=100.0, maturity=t), 100.0, r)
+        p, _ = bundle.price(OptionSpec(kind="european_put", strike=100.0, maturity=t), 100.0, r)
+        se = math.exp(-r * t) * 100.0 * bundle.terminal.std(ddof=1) / math.sqrt(bundle.n_paths)
+        assert abs((c - p) - (100.0 - 100.0 * math.exp(-r * t))) < 3 * se
+
+    def test_absorbing_jumps_match_the_unconditional_price(self):
+        # b = r: a path with no jump by T is a Black-Scholes path, one with a jump ends
+        # at zero, where a put pays K and a call nothing
+        r, t, lam = 0.05, 0.25, 2.0
+        bundle = draw_bundle(self.absorbing_model(r), t, 1, 200_000, np.random.default_rng(12))
+        survive = math.exp(-lam * t)
+        for kind in ("european_put", "european_call"):
+            price, se = bundle.price(OptionSpec(kind=kind, strike=100.0, maturity=t), 100.0, r)
+            want = survive * black_scholes_price(100.0, 100.0, t, r, 0.2, kind=kind)
+            if kind == "european_put":
+                want += (1 - survive) * 100.0 * math.exp(-r * t)
+            assert abs(price - want) < 3 * se, kind
+
+    @pytest.mark.parametrize("kinds, barrier", [
+        (("up_and_out", "up_and_in"), 115.0), (("down_and_out", "down_and_in"), 85.0)],
+        ids=["up", "down"])
+    def test_in_out_parity_per_path_with_absorbing_jumps(self, kinds, barrier):
+        # every path, absorbed or not, pays its European payoff split between the
+        # knock-out and the knock-in
+        factors = relative_factors(self.absorbing_model(0.05), 0.5 / 26, 26, 20_000,
+                                   np.random.default_rng(13))
+        bundle = PathBundle(factors, 0.5)
+        assert 0 < bundle.n_bankrupt < len(factors)
+        eur = OptionSpec(kind="european_call", strike=100.0, maturity=0.5)
+        want = payoff(eur, 100.0 * np.cumprod(factors, axis=1)[:, -1])
+        legs = [OptionSpec(kind=kind, strike=100.0, maturity=0.5, barrier=barrier)
+                for kind in kinds]
+        paid = [payoff(leg, 100.0 * bundle.terminal, 100.0 * bundle.running_max,
+                       100.0 * bundle.running_min) for leg in legs]
+        np.testing.assert_array_equal(paid[0] + paid[1], want)
+        prices = [bundle.values(leg, [100.0], 0.05)[0] for leg in legs]
+        assert sum(prices) == pytest.approx(math.exp(-0.025) * want.mean(), rel=1e-12)
 
     def test_too_few_paths_rejected(self):
         opt = OptionSpec(kind="european_call", strike=100.0, maturity=1.0)
@@ -285,13 +346,21 @@ class TestBlockKernel:
         factors = relative_factors(LevyModel(brownian_sigma=0.3, jump_spec=CompoundPoisson(
             20.0, FixedJumps(-1.5))), 0.05, 5, 4000, rng)
         rel = np.cumprod(factors, axis=1)
-        alive = ~np.isnan(rel[:, -1])
-        assert 0 < alive.sum() < len(alive)
+        absorbed = rel[:, -1] == 0.0
+        assert 0 < absorbed.sum() < len(absorbed)
         built = PathBundle(factors, 0.25)
-        np.testing.assert_array_equal(built.running_max,
-                                      np.maximum(rel.max(axis=1)[alive], 1.0))
-        np.testing.assert_array_equal(built.running_min,
-                                      np.minimum(rel.min(axis=1)[alive], 1.0))
+        assert built.n_bankrupt == absorbed.sum()
+        np.testing.assert_array_equal(built.running_max, np.maximum(rel.max(axis=1), 1.0))
+        np.testing.assert_array_equal(built.running_min, np.minimum(rel.min(axis=1), 1.0))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_factors_raise(self, bad):
+        # a bad factor mid-path reaches the terminal column, even across an absorbed step
+        factors = np.ones((4, 3))
+        factors[1, 1] = bad
+        factors[2, 0], factors[2, 2] = 0.0, bad
+        with pytest.raises(ValueError, match="path factors must be finite"):
+            PathBundle(factors, 1.0)
 
     @pytest.mark.parametrize("option", ALL_KINDS, ids=lambda o: o.kind)
     def test_expired_bundle_is_the_payoff(self, option):
