@@ -11,14 +11,18 @@ All randomness goes through ``models.relative_factors``: ``Market`` makes
 one factor draw whose columns after the first are the post-move paths
 (nested dates), on the ``mc.steps`` barrier monitoring grid when an
 option monitors a barrier and one cell per date otherwise, and the P&L
-scenarios are one more draw of one period with jump records.  A
-malformed run raises ``ConfigError`` naming the config field.
+scenarios are one more draw of one period with jump records, held as one
+scenario set (``ScenarioOutcome``).  Every P&L strategy marks the whole
+set in one call, and ``write_csv`` formats column by column, each
+per-scenario column once for every strategy's rows.  A malformed run
+raises ``ConfigError`` naming the config field.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,11 +97,63 @@ def _fmt(value) -> str:
     return _FORMATS.get(type(value), _fmt_any)(value)
 
 
+def _cells(values) -> list:
+    """The CSV cell of each value; a float or an integer array is formatted
+    in one pass."""
+    kind = values.dtype.kind if isinstance(values, np.ndarray) else None
+    if kind == "f":
+        return list(map(FLOAT_FMT.format, values.tolist()))
+    if kind in ("i", "u"):
+        return list(map(str, values.tolist()))
+    return list(map(_fmt, values))
+
+
+@dataclass(frozen=True)
+class Column:
+    """One CSV column held compactly: each of ``values`` repeated ``repeat``
+    times in a row, and that run written ``tile`` times over."""
+
+    values: Sequence
+    repeat: int = 1
+    tile: int = 1
+
+    def __len__(self) -> int:
+        return len(self.values) * self.repeat * self.tile
+
+    def __getitem__(self, row: int):
+        return self.values[row // self.repeat % len(self.values)]
+
+    def cells(self) -> list:
+        """Every row's cell, each distinct value formatted once."""
+        cells = _cells(self.values)
+        if self.repeat > 1:
+            cells = [cell for cell in cells for _ in range(self.repeat)]
+        return cells * self.tile
+
+
+class Table(Sequence):
+    """Rows held as ``Column``s of equal length; indexing and iterating give
+    row tuples, and ``write_csv`` formats it column by column."""
+
+    def __init__(self, columns: list):
+        self.columns = columns
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+    def __getitem__(self, row: int) -> tuple:
+        row = range(len(self))[row]
+        return tuple(column[row] for column in self.columns)
+
+
 def write_csv(path, header, rows) -> None:
+    """Write ``header`` and ``rows``, a sequence of row tuples or a
+    ``Table``, formatting one column at a time: a ``Table`` column formats
+    each of its values once, and a float or integer array in one pass."""
+    columns = rows.columns if isinstance(rows, Table) else [Column(c) for c in zip(*rows)]
+    lines = [",".join(header), *map(",".join, zip(*(c.cells() for c in columns)))]
     with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(map(_fmt, row)) + "\n")
+        fh.write("\n".join(lines) + "\n")
 
 
 class Market:
@@ -220,10 +276,11 @@ def run_converge(cfg: ExperimentConfig):
 # ---------------------------------------------------------------------------
 
 
-def _simulate_outcomes(cfg: ExperimentConfig, rng: np.random.Generator):
-    """One-period scenarios drawn from the model, with their jumps in time
-    order as relative jumps dS/S_- (the spec turns a variance-gamma
-    log-jump x into e^x - 1).  A scenario absorbed at zero raises
+def _simulate_outcomes(cfg: ExperimentConfig, rng: np.random.Generator) -> ScenarioOutcome:
+    """One-period scenarios drawn from the model, as one scenario set: the
+    moves, each scenario's jump count, and the jumps as relative jumps
+    dS/S_- (the spec turns a variance-gamma log-jump x into e^x - 1),
+    listed by scenario and then time.  A scenario absorbed at zero raises
     ``BankruptcyError``: no hedge is defined past default."""
     factors, jumps = relative_factors(cfg.model, cfg.delta_t, 1, cfg.n_scenarios, rng,
                                       records=True)
@@ -232,21 +289,17 @@ def _simulate_outcomes(cfg: ExperimentConfig, rng: np.random.Generator):
     if bankrupt:
         raise BankruptcyError(f"{bankrupt} of {cfg.n_scenarios} scenarios hit a jump <= -1")
     order = np.lexsort((jumps.time, jumps.path))
-    cuts = np.searchsorted(jumps.path[order], np.arange(1, cfg.n_scenarios))
     spec = cfg.model.jump_spec
-    relative = jumps.size[order] if spec is None else spec.relative_jump(jumps.size[order])
-    return [
-        ScenarioOutcome(delta_s=float(ds), jump_times=times, jump_sizes=sizes)
-        for ds, times, sizes in zip(moves, np.split(jumps.time[order], cuts),
-                                    np.split(relative, cuts))
-    ]
+    sizes = jumps.size[order] if spec is None else spec.relative_jump(jumps.size[order])
+    return ScenarioOutcome(delta_s=moves, jump_times=jumps.time[order], jump_sizes=sizes,
+                           n_jumps=np.bincount(jumps.path, minlength=cfg.n_scenarios))
 
 
 @dataclass(frozen=True)
 class _Book:
     """What every strategy hedges: the option's ladder on the shared market,
     its Taylor coefficients C_i for i = 2..q, the run's settings and the
-    scenario outcomes with their moves."""
+    scenario set."""
 
     cfg: ExperimentConfig
     market: Market
@@ -255,8 +308,11 @@ class _Book:
     moments: MomentVector
     scenario: HedgeScenario
     coeffs: dict
-    outcomes: list
-    moves: np.ndarray
+    outcomes: ScenarioOutcome
+
+    @property
+    def moves(self) -> np.ndarray:
+        return self.outcomes.delta_s
 
     def delta_leg(self, delta_s):
         """Bank and stock: the time decay d1 dt plus the linear term D1 dS."""
@@ -271,7 +327,7 @@ class _Book:
 def _ledger(book: _Book, basket):
     """The Taylor ledger to order q with ``basket(i, c_i)`` for each term."""
     ledger = assemble_ledger(book.ladder, book.scenario, book.cfg.pnl_q, basket)
-    return np.array([ledger.change_of_value(o.delta_s, o) for o in book.outcomes])
+    return ledger.change_of_value(book.moves, book.outcomes)
 
 
 def _taylor_swaps(book: _Book):
@@ -308,10 +364,7 @@ def _minvar_varswap(book: _Book):
         weights = mvp_with_varswap(higher, cfg.s0, book.moments, cfg.delta_t, cfg.r, spec,
                                    history)
         legs.append(weights.swap)
-    return np.array([
-        book.delta_leg(o.delta_s) + sum(leg.change_of_value(o.delta_s) for leg in legs)
-        for o in book.outcomes
-    ])
+    return book.delta_leg(book.moves) + sum(leg.change_of_value(book.moves) for leg in legs)
 
 
 def _delta(book: _Book):
@@ -333,16 +386,16 @@ def _moment_neutral(book: _Book):
     )
     # realized change of the hedge side: -sum w_i dF_i plus the
     # deterministic decay the weights cannot remove
-    total = np.full(len(book.moves), book.ladder.d1 * cfg.delta_t)
+    total = book.ladder.d1 * cfg.delta_t
     spots = cfg.s0 + book.moves
     for w, (opt, lad, p_t) in zip(system.weights, instruments):
         d_inst = market.values_later(opt, spots) - p_t
-        total += -w * d_inst + w * lad.d1 * cfg.delta_t
+        total = total + (-w * d_inst + w * lad.d1 * cfg.delta_t)
     return total
 
 
-# Each strategy maps the scenario outcomes to the hedge side's change of
-# value, one entry per outcome; config.STRATEGY_NAMES lists the same names.
+# Each strategy maps the scenario set to the hedge side's change of value,
+# one entry per scenario; config.STRATEGY_NAMES lists the same names.
 _STRATEGIES = {
     "taylor+swaps": _taylor_swaps,
     "taylor+pja": _taylor_pja,
@@ -380,7 +433,7 @@ def run_pnl(cfg: ExperimentConfig):
     opt = cfg.options[0]
     ladder, price_t, _ = market.ladder(opt, table)
     outcomes = _simulate_outcomes(cfg, rng)
-    moves = np.array([o.delta_s for o in outcomes])
+    moves = outcomes.delta_s
     span = cfg.half_width * cfg.s_step
     outside = int(np.count_nonzero(np.abs(moves) > span))
     if outside:
@@ -397,29 +450,33 @@ def run_pnl(cfg: ExperimentConfig):
         ),
         coeffs={i: ladder.derivative(i) / math.factorial(i) for i in range(2, q + 1)},
         outcomes=outcomes,
-        moves=moves,
     )
     exact = market.values_later(opt, cfg.s0 + moves) - price_t
-    multi_jump = sum(1 for o in outcomes if o.n_jumps > 1)
+    multi_jump = int(np.count_nonzero(outcomes.n_jumps > 1))
 
-    rows = []
-    summaries = []
-    for name in cfg.strategies:
-        residuals = exact - _STRATEGIES[name](book)
-        rows.extend(
-            (idx, name, o.delta_s, residuals[idx], o.n_jumps, cfg.hash)
-            for idx, o in enumerate(outcomes)
+    names = list(cfg.strategies)
+    residuals = [exact - _STRATEGIES[name](book) for name in names]
+    summaries = [
+        (
+            name,
+            float(res.mean()),
+            float(res.std(ddof=1)) if n_scenarios > 1 else 0.0,
+            multi_jump if name in _ONE_JUMP else 0,
+            n_scenarios,
+            cfg.hash,
         )
-        summaries.append(
-            (
-                name,
-                float(residuals.mean()),
-                float(residuals.std(ddof=1)) if n_scenarios > 1 else 0.0,
-                multi_jump if name in _ONE_JUMP else 0,
-                n_scenarios,
-                cfg.hash,
-            )
-        )
+        for name, res in zip(names, residuals)
+    ]
+    # the scenario columns are shared by every strategy's block of rows
+    each = len(names)
+    rows = Table([
+        Column(np.arange(n_scenarios), tile=each),
+        Column(names, repeat=n_scenarios),
+        Column(moves, tile=each),
+        Column(np.concatenate(residuals)),
+        Column(outcomes.n_jumps, tile=each),
+        Column([cfg.hash], repeat=n_scenarios * each),
+    ])
     header = ("scenario", "strategy", "delta_s", "residual", "n_jumps", "config_hash")
     sum_header = ("strategy", "mean", "sd", "regime_violations", "n_scenarios", "config_hash")
     return header, rows, sum_header, summaries

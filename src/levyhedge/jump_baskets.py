@@ -19,7 +19,8 @@ accrues by ``taylor.bank_growth``: r != 0, negative rates are fine):
   approximation by construction.
 
 These are imaginary book entries: they are marked to the recorded jump
-list of a simulated path, never to market quotes.  Regime violations are
+list of a simulated path, or of a whole ``ScenarioOutcome`` set at once,
+never to market quotes.  Regime violations are
 measured by ``replication_report``, not silently ignored.
 
 A ``pji_basket`` is marked through the iterated integrals S'_theta of all
@@ -75,25 +76,72 @@ class PathState:
 
 @dataclass(frozen=True)
 class ScenarioOutcome:
-    """Realized move over the hedging period [t, t + dt].
+    """Realized moves over the hedging period [t, t + dt]: one scenario, or
+    a set of them marked at once.
 
-    ``jump_times``/``jump_sizes`` list the jumps that landed inside the
-    period, as relative jumps dS/S_-; the power-jump assets are marked from
-    them.  Baskets assuming sigma = 0 regimes are evaluated on jump-only
-    outcomes.
+    One scenario has a float ``delta_s`` and lists its jumps in
+    ``jump_times``/``jump_sizes``.  A set has an array of moves, one per
+    scenario, and ``n_jumps`` gives each scenario's jump count; its jumps
+    are listed flat, scenario by scenario.  Jumps are relative jumps dS/S_-,
+    and the power-jump assets are marked from them.  Every mark treats one
+    scenario as a set of one and returns a float for it, an array with one
+    value per scenario for a set.  Baskets assuming sigma = 0 regimes are
+    evaluated on jump-only outcomes.
     """
 
-    delta_s: float
+    delta_s: float | np.ndarray
     jump_times: np.ndarray = field(default_factory=lambda: np.empty(0))
     jump_sizes: np.ndarray = field(default_factory=lambda: np.empty(0))
+    n_jumps: int | np.ndarray | None = None
+    _power_sums: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    @property
-    def n_jumps(self) -> int:
-        return len(self.jump_sizes)
+    def __post_init__(self):
+        if np.ndim(self.delta_s) == 0:
+            if self.n_jumps not in (None, len(self.jump_sizes)):
+                raise ValueError(f"one scenario lists {len(self.jump_sizes)} jumps, "
+                                 f"not n_jumps = {self.n_jumps}")
+            object.__setattr__(self, "n_jumps", len(self.jump_sizes))
+            return
+        counts = None if self.n_jumps is None else np.asarray(self.n_jumps)
+        if (counts is None or counts.shape != np.shape(self.delta_s)
+                or counts.sum() != len(self.jump_sizes)):
+            raise ValueError("a scenario set needs one jump count per move, adding up to "
+                             "the jumps listed")
+        object.__setattr__(self, "delta_s", np.asarray(self.delta_s, dtype=float))
+        object.__setattr__(self, "n_jumps", counts)
 
-    def delta_y(self, i: int, moments: MomentVector, delta_t: float) -> float:
+    def per_scenario(self, values):
+        """``values``, one per scenario, as a mark returns them: a float for
+        one scenario, an array for a set."""
+        return np.asarray(values) if isinstance(self.n_jumps, np.ndarray) else float(values[0])
+
+    @functools.cached_property
+    def _bounds(self) -> list:
+        """The end of each scenario's run of jumps in the flat lists."""
+        counts = self.n_jumps
+        return np.cumsum(counts).tolist() if isinstance(counts, np.ndarray) else [counts]
+
+    def power_sums(self, i: int) -> np.ndarray:
+        """sum x^i over each scenario's jumps, one per scenario; computed
+        once per order and kept, so every basket marked on this outcome
+        reads the same sums.  The sums run in list order (``bincount``),
+        as ``np.sum`` adds fewer than 8 terms."""
+        sums = self._power_sums.get(i)
+        if sums is None:
+            n = len(self._bounds)
+            scenario = np.repeat(np.arange(n), self.n_jumps)
+            sums = self._power_sums[i] = np.bincount(scenario, self.jump_sizes**i, n)
+        return sums
+
+    def paths(self) -> list:
+        """Each scenario's (jump_times, jump_sizes)."""
+        starts = [0, *self._bounds[:-1]]
+        return [(self.jump_times[a:b], self.jump_sizes[a:b])
+                for a, b in zip(starts, self._bounds)]
+
+    def delta_y(self, i: int, moments: MomentVector, delta_t: float):
         """Realized increment of Y^(i) over the period (jump part only)."""
-        return float(np.sum(self.jump_sizes**i)) - moments[i] * delta_t
+        return self.per_scenario(self.power_sums(i) - moments[i] * delta_t)
 
 
 @dataclass(frozen=True)
@@ -123,27 +171,50 @@ class JumpBasket:
         # power-jump integrals start at zero value at the hedge date
         return t_leg + self.stock_units * self.s_t + self.bank_cash
 
-    def change_of_value(self, outcome: ScenarioOutcome) -> float:
-        t0 = self.path_state.t
-        t1 = t0 + self.delta_t
-        growth = bank_growth(self.r, self.delta_t)
-        # fsum plus regrouped T-legs: e^{rt1}(y+dy) - e^{rt0}y is evaluated
-        # as y e^{rt0}(e^{r dt}-1) + e^{rt1} dy so no term dwarfs the total
-        terms = [self.bank_cash * growth, self.stock_units * outcome.delta_s]
-        for i, units in self.pja_units.items():
-            y_t = self.path_state.y_value(i)
-            dy = outcome.delta_y(i, self.moments, self.delta_t)
-            terms.append(units * y_t * math.exp(self.r * t0) * growth)
-            terms.append(units * math.exp(self.r * t1) * dy)
+    def change_of_value(self, outcome: ScenarioOutcome):
+        """Mark the basket against ``outcome``: a float for one scenario, one
+        mark per scenario for a set.
+
+        Each leg is an array over the scenarios, and each scenario's legs
+        are added exactly (``math.fsum``), with the T-legs regrouped:
+        e^{rt1}(y+dy) - e^{rt0}y is evaluated as y e^{rt0}(e^{r dt}-1) +
+        e^{rt1} dy so no term dwarfs the total.  The power-jump-integral
+        legs step each scenario's jump path through ``iterated_integrals``.
+        """
+        shared, units, offsets, pji_units = self._mark_terms
+        # the stock leg and one dy leg per T^(i) asset, as columns
+        columns = [outcome.delta_s, *map(outcome.power_sums, self.pja_units)]
+        legs = units * (np.column_stack(columns) - offsets)
         if self.pji_units:
-            growth_full = math.exp(self.r * self.delta_t)
-            s_vals = iterated_integrals(
-                tuple(self.pji_units), outcome.jump_times, outcome.jump_sizes,
-                self.moments, t0, t1,
-            )
-            units = np.fromiter(self.pji_units.values(), float, len(self.pji_units))
-            terms += (units * growth_full * s_vals).tolist()
-        return math.fsum(terms)
+            t0 = self.path_state.t
+            thetas = tuple(self.pji_units)
+            s_vals = np.array([
+                iterated_integrals(thetas, times, sizes, self.moments, t0, t0 + self.delta_t)
+                for times, sizes in outcome.paths()
+            ])
+            legs = np.concatenate([legs, pji_units * s_vals], axis=1)
+        marks = []
+        for row in legs.tolist():
+            row += shared
+            marks.append(math.fsum(row))
+        return outcome.per_scenario(marks)
+
+    @functools.cached_property
+    def _mark_terms(self) -> tuple:
+        """What every mark shares: the bank leg and the T-legs' frozen
+        values (floats); the units of the stock and e^{rt1} times those of
+        each T^(i), with the offsets 0 and m_i dt taken off the move and
+        the power sums; and e^{r dt} times the units of each U_theta."""
+        t0, dt, r = self.path_state.t, self.delta_t, self.r
+        growth = bank_growth(r, dt)
+        shared = [self.bank_cash * growth]
+        units, offsets = [self.stock_units], [0.0]
+        for i, n in self.pja_units.items():
+            shared.append(n * self.path_state.y_value(i) * math.exp(r * t0) * growth)
+            units.append(n * math.exp(r * (t0 + dt)))
+            offsets.append(self.moments[i] * dt)
+        pji_units = np.fromiter(self.pji_units.values(), float, len(self.pji_units))
+        return shared, np.array(units), np.array(offsets), pji_units * math.exp(r * dt)
 
 
 def replication_report(basket: JumpBasket, outcome: ScenarioOutcome) -> dict:

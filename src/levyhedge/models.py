@@ -88,6 +88,16 @@ class NormalJumps:
             total += math.comb(i, j) * central * self.mean ** (i - j)
         return total
 
+    def absorbed_mean(self) -> float:
+        """E[max(J, -1)]: E[J] + (c - mean) Phi(z) + std phi(z), z = (c - mean)/std,
+        c = -1.  A jump below -1 moves the price by -1, to zero."""
+        if self.std == 0:
+            return max(self.mean, -1.0)
+        z = (-1.0 - self.mean) / self.std
+        cdf = 0.5 * math.erfc(-z / math.sqrt(2.0))
+        pdf = math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+        return self.mean + (-1.0 - self.mean) * cdf + self.std * pdf
+
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return rng.normal(self.mean, self.std, n)
 
@@ -106,6 +116,10 @@ class FixedJumps:
         if i < 0:
             raise UnsupportedOrderError(f"moment order must be >= 0, got {i}")
         return self.size**i
+
+    def absorbed_mean(self) -> float:
+        """E[max(J, -1)]: a jump below -1 moves the price by -1, to zero."""
+        return max(self.size, -1.0)
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return np.full(n, self.size)
@@ -154,9 +168,10 @@ class CompoundPoisson:
         return drift_b - 0.5 * brownian_sigma**2
 
     def mean_growth(self, brownian_sigma: float) -> float:
-        """What the jumps add to b in ln E[S_T / S_0] / T: intensity E[J],
-        exact when J >= -1 (a jump below -1 leaves a factor 0, not 1 + J)."""
-        return self.intensity * self.law.moment(1)
+        """What the jumps add to b in ln E[S_T / S_0] / T: intensity
+        E[max(J, -1)], since a jump J <= -1 absorbs the price at zero (its
+        factor is 0, not 1 + J).  It is intensity E[J] when J >= -1."""
+        return self.intensity * self.law.absorbed_mean()
 
     def sample_cells(self, dts: np.ndarray, shape, rng: np.random.Generator, records: bool):
         """Log-factor of each cell's jumps and, with ``records``, the jumps."""

@@ -130,18 +130,22 @@ class SwapBasket:
     def initial_cost(self) -> float:
         return self.swap_units * self.spec.unit_price + self.bank_cash
 
-    def change_of_value(self, delta_s: float) -> float:
+    def change_of_value(self, delta_s):
+        """Mark the basket against one move (a float) or an array of moves
+        (one mark per move).  Each mark adds its three legs exactly
+        (``math.fsum``): they are orders of magnitude above their sum.
+
+        The power of the return is libm's ``pow`` (``np.float_power``),
+        as for a float move; numpy's ``**`` on an array rounds differently."""
         spec = self.spec
-        realized = ((delta_s / self.s_t) ** spec.order + self.history_power_sum) / spec.annualizer
+        realized = (np.float_power(delta_s / self.s_t, spec.order)
+                    + self.history_power_sum) / spec.annualizer
         payoff = (realized - spec.strike) * spec.notional
-        # fsum: the legs are orders of magnitude above their cancelling sum
-        return math.fsum(
-            [
-                self.swap_units * payoff,
-                -self.swap_units * spec.unit_price,
-                self.bank_cash * bank_growth(self.r, self.delta_t),
-            ]
-        )
+        cost = -self.swap_units * spec.unit_price
+        interest = self.bank_cash * bank_growth(self.r, self.delta_t)
+        marks = [math.fsum((leg, cost, interest))
+                 for leg in (self.swap_units * payoff).reshape(-1).tolist()]
+        return np.array(marks) if payoff.ndim else marks[0]
 
 
 def moment_swap_basket(

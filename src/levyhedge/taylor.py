@@ -117,12 +117,15 @@ class HedgeLedger:
     scenario: HedgeScenario
     term_positions: dict[int, tuple[float, object]] = field(default_factory=dict)
 
-    def change_of_value(self, delta_s: float, outcome=None) -> float:
-        """Mark the ledger against a realized move.
+    def change_of_value(self, delta_s, outcome=None):
+        """Mark the ledger against a realized move, or against a whole set
+        of scenarios at once.
 
-        Swap fragments only need the move; jump baskets need the full
-        ``outcome`` (jump records).  Fragments see ``outcome`` when they
-        accept one.
+        ``delta_s`` is one move (the mark is a float) or an array of moves
+        (one mark per move).  Swap fragments only need the moves; jump
+        baskets need the full ``outcome`` (jump records), a
+        ``ScenarioOutcome`` of the same scenarios.  Fragments see
+        ``outcome`` when they accept one.
         """
         sc = self.scenario
         total = self.bank_cash * bank_growth(sc.r, sc.delta_t) + self.stock_units * delta_s

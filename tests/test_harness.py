@@ -1,20 +1,28 @@
+import copy
+import dataclasses
 import importlib.util
+import json
 import logging
 import math
 import pathlib
 import re
+import sys
 
 import numpy as np
 import pytest
 from scipy.stats import norm
 
 from levyhedge import harness
+from levyhedge.cli import main as cli_main
 from levyhedge.config import STRATEGY_NAMES, load_config
 from levyhedge.errors import BankruptcyError, ConfigError
 from levyhedge.harness import Market, run_converge, run_pnl, run_qtable
+from levyhedge.jump_baskets import PathState, ScenarioOutcome, pja_basket_general
 from levyhedge.models import log_mean_growth, moment_vector, relative_factors
-from levyhedge.pricing import PathBundle, black_scholes_price, payoff
+from levyhedge.pricing import DerivativeLadder, PathBundle, black_scholes_price, payoff
 from levyhedge.stencil import build_lookup_table
+from levyhedge.swaps import RealizedHistory, SwapSpec, moment_swap_basket
+from levyhedge.taylor import HedgeScenario, assemble_ledger
 
 LEVYBENCH = pathlib.Path(__file__).resolve().parent.parent / "levybench"
 
@@ -23,6 +31,7 @@ def load_levybench(name):
     """A benchmark module loaded from its file, without installing it."""
     spec = importlib.util.spec_from_file_location(f"_levybench_{name}", LEVYBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
     spec.loader.exec_module(module)
     return module
 
@@ -350,10 +359,14 @@ class TestPnl:
         outcomes = harness._simulate_outcomes(cfg, np.random.default_rng(3))
         _, jumps = relative_factors(cfg.model, cfg.delta_t, 1, cfg.n_scenarios,
                                     np.random.default_rng(3), records=True)
-        sizes = jumps.size[np.lexsort((jumps.time, jumps.path))]
+        order = np.lexsort((jumps.time, jumps.path))
+        sizes = jumps.size[order]
         want = np.expm1(sizes) if model["kind"] == "variance_gamma" else sizes
         assert len(want) > 10
-        np.testing.assert_array_equal(np.concatenate([o.jump_sizes for o in outcomes]), want)
+        np.testing.assert_array_equal(outcomes.jump_sizes, want)
+        np.testing.assert_array_equal(outcomes.jump_times, jumps.time[order])
+        np.testing.assert_array_equal(outcomes.n_jumps, np.bincount(jumps.path, minlength=400))
+        assert outcomes.delta_s.shape == (400,)
 
     def test_taylor_swaps_residual_bounded(self):
         cfg = self.pnl_config(["taylor+swaps"])
@@ -404,7 +417,8 @@ class TestPnl:
         exact = market.values_later(opt, cfg.s0 + moves) - price_t
         book = harness._Book(cfg=cfg, market=market, table=table, ladder=ladder,
                              moments=moment_vector(cfg.model, 4), scenario=None,
-                             coeffs={2: ladder.derivative(2) / 2}, outcomes=(), moves=moves)
+                             coeffs={2: ladder.derivative(2) / 2},
+                             outcomes=ScenarioOutcome(moves, n_jumps=np.zeros(n, int)))
         minvar, delta = (exact - harness._STRATEGIES[name](book) for name in ("minvar", "delta"))
         gain = (delta - delta.mean()) ** 2 - (minvar - minvar.mean()) ** 2
         assert gain.mean() > 3 * gain.std(ddof=1) / math.sqrt(n)
@@ -566,6 +580,143 @@ class TestPnl:
         with caplog.at_level(logging.WARNING, logger="levyhedge.harness"):
             run_pnl(load_config(raw))
         assert not [r for r in caplog.records if r.name == "levyhedge.harness"]
+
+
+def load_workloads(monkeypatch):
+    """The benchmark's workloads module (it imports ``oracles`` by name)."""
+    monkeypatch.syspath_prepend(str(LEVYBENCH))
+    return load_levybench("workloads")
+
+
+def bench_pnl_config(workloads, model):
+    """levybench ``PNL_CONFIG`` with the model and seed of one of its operations."""
+    raw = copy.deepcopy(workloads.PNL_CONFIG)
+    raw["mc"]["seed"] = 31
+    if model == "variance_gamma":
+        raw["model"] = dict(workloads.PNL_VG_MODEL)
+        raw["mc"]["seed"] = workloads.PNL_VG_SEED
+    return load_config(raw)
+
+
+class _SetPrices:
+    """The run's market, pricing each option at every scenario spot in one
+    call as ``run_pnl`` does; a strategy marked on one scenario then reads
+    the same option values as on the whole set (a lone spot is priced by
+    another kernel, see ``PathBundle._reduce``)."""
+
+    def __init__(self, market, spots):
+        self.market, self.spots = market, spots
+
+    def __getattr__(self, name):
+        return getattr(self.market, name)
+
+    def values_later(self, option, spot):
+        return float(self.market.values_later(option, self.spots)[self.spots.tolist().index(spot)])
+
+
+class TestBatchedMarks:
+    """Every strategy marks the whole scenario set at once; each scenario's
+    hedge change must be what marking that scenario alone gives."""
+
+    # variance-gamma scenarios carry about 19 jumps: their power sums run in
+    # list order, where marking one scenario's jumps used to take numpy's
+    # pairwise order from 8 terms on, so a mark may move by a few ulps of its
+    # largest leg
+    VG_REL_TOL = 1e-12
+
+    @pytest.mark.parametrize("model", ["compound_poisson", "variance_gamma"])
+    def test_set_marks_equal_one_scenario_marks(self, monkeypatch, model):
+        workloads = load_workloads(monkeypatch)
+        cfg = bench_pnl_config(workloads, model)
+        strategies = dict(harness._STRATEGIES)
+        marked, baskets, running = {}, {}, [None]
+
+        def recording(name):
+            def run(book):
+                running[0] = name
+                marked[name] = (book, strategies[name](book))
+                return marked[name][1]
+            return run
+
+        def keeping(build):
+            def run(*args, **kwargs):
+                basket = build(*args, **kwargs)
+                baskets.setdefault(running[0], []).append(basket)
+                return basket
+            return run
+
+        for name in strategies:
+            monkeypatch.setitem(harness._STRATEGIES, name, recording(name))
+        for name in ("pja_basket_general", "moment_swap_basket"):
+            monkeypatch.setattr(harness, name, keeping(getattr(harness, name)))
+        run_pnl(cfg)
+        built = {name: list(b) for name, b in baskets.items()}
+        assert sorted(marked) == sorted(STRATEGY_NAMES)
+        book = marked["delta"][0]
+        outcomes = book.outcomes
+        singles = [ScenarioOutcome(float(ds), times, sizes)
+                   for ds, (times, sizes) in zip(outcomes.delta_s, outcomes.paths())]
+        assert max(o.n_jumps for o in singles) > 1
+        one_book = dataclasses.replace(
+            book, market=_SetPrices(book.market, cfg.s0 + outcomes.delta_s))
+        for name, (_, batched) in marked.items():
+            alone = [strategies[name](dataclasses.replace(one_book, outcomes=o))
+                     for o in singles]
+            if model == "compound_poisson":
+                np.testing.assert_array_equal(batched, alone, err_msg=name)
+                continue
+            # the largest leg of the strategy's baskets in each scenario (0 without baskets)
+            largest = np.array([
+                max((max(workloads._basket_legs(b, o)) for b in built.get(name, ())), default=0.0)
+                for o in singles])
+            assert np.all(np.abs(batched - alone) <= self.VG_REL_TOL * largest), name
+
+    def test_one_scenario_marks_are_floats(self, monkeypatch):
+        cfg = bench_pnl_config(load_workloads(monkeypatch), "compound_poisson")
+        rng = np.random.default_rng(cfg.seed)
+        outcomes = harness._simulate_outcomes(cfg, rng)
+        ladder = DerivativeLadder(d2=(0.6, 1e-3, 1e-6, 1e-9), d1=-300.0)
+        scen = HedgeScenario(s_t=cfg.s0, delta_s=10.0, delta_t=cfg.delta_t, r=cfg.r)
+        moments = moment_vector(cfg.model, 6)
+        swap = SwapSpec(order=2, delta_s=cfg.delta_t, n=3, strike=0.002, unit_price=0.002)
+        pja = assemble_ledger(ladder, scen, 4, lambda i, c: pja_basket_general(
+            c, scen, i, PathState(t=0.0), moments))
+        basket = moment_swap_basket(0.3, scen, swap, RealizedHistory(sums={2: 0.0}))
+        (times, sizes), *_ = outcomes.paths()
+        one = ScenarioOutcome(float(outcomes.delta_s[0]), times, sizes)
+        for mark, batched in ((pja.change_of_value(one.delta_s, one),
+                               pja.change_of_value(outcomes.delta_s, outcomes)),
+                              (pja.term_positions[3][1].change_of_value(one),
+                               pja.term_positions[3][1].change_of_value(outcomes)),
+                              (basket.change_of_value(one.delta_s),
+                               basket.change_of_value(outcomes.delta_s))):
+            assert type(mark) is float
+            assert batched.shape == outcomes.delta_s.shape and batched[0] == mark
+
+
+def test_traced_pnl_sees_the_marks_and_the_writer(monkeypatch, tmp_path):
+    """The benchmark's per-layer trace of one small pnl operation still
+    counts the ledger, jump-basket and swap marks and the CSV writer."""
+    workloads = load_workloads(monkeypatch)
+    raw = copy.deepcopy(workloads.PNL_CONFIG)
+    raw["mc"].update(paths=4000, seed=31)
+    raw["pnl"]["n_scenarios"] = 40
+    config = tmp_path / "pnl.json"
+    config.write_text(json.dumps(raw))
+    tracing = load_levybench("tracer")
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        tracer.begin_op()
+        assert cli_main(["pnl", "--config", str(config), "--out", str(tmp_path / "pnl.csv")]) == 0
+        tracer.end_op()
+    finally:
+        tracer.uninstall()
+    metrics = {name: m["value"] for name, m in tracer.layer_metrics().items()}
+    assert metrics["harness.csv_s"] > 0
+    assert metrics["taylor.ledger_marks"] >= 1
+    assert metrics["jump_baskets.marks"] >= 1
+    assert metrics["swaps.marks_s"] > 0
 
 
 def _reference_fmt(value) -> str:

@@ -50,6 +50,23 @@ def cumulants_to_raw_moments(kappas, k_max):
 
 
 class TestMoments:
+    @pytest.mark.parametrize("mean, std", [(0.0, 0.5), (-0.8, 0.3), (0.4, 2.0), (-1.5, 0.1)])
+    def test_absorbed_mean_of_normal_jumps(self, mean, std):
+        # E[max(J, -1)] by quadrature on each side of -1
+        pdf = stats.norm(mean, std).pdf
+        below = stats.norm.cdf(-1.0, mean, std)
+        above, _ = integrate.quad(lambda x: x * pdf(x), -1.0, np.inf, epsabs=1e-13)
+        assert NormalJumps(mean, std).absorbed_mean() == pytest.approx(above - below, abs=1e-10)
+
+    @pytest.mark.parametrize("size, want", [(0.05, 0.05), (-1.0, -1.0), (-1.2, -1.0)])
+    def test_absorbed_mean_of_fixed_jumps(self, size, want):
+        assert FixedJumps(size).absorbed_mean() == want
+
+    def test_mean_growth_is_exact_for_laws_above_minus_one(self):
+        # the acceptance and benchmark laws put no float mass below -1
+        for law in (NormalJumps(-0.01, 0.04), NormalJumps(-0.005, 0.02), NormalJumps(0.0, 0.0)):
+            assert CompoundPoisson(5.0, law).mean_growth(0.12) == 5.0 * law.moment(1)
+
     def test_compound_poisson_second(self):
         model = LevyModel(jump_spec=CP_TEST)
         assert moment_vector(model, 2)[2] == pytest.approx(2.0 * 0.01, rel=1e-12)

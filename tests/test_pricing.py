@@ -120,6 +120,22 @@ class TestMCPrice:
         se = math.exp(-r * t) * 100.0 * bundle.terminal.std(ddof=1) / math.sqrt(bundle.n_paths)
         assert abs((c - p) - (100.0 - 100.0 * math.exp(-r * t))) < 3 * se
 
+    def test_risk_neutral_drift_counts_jumps_below_minus_one(self):
+        # N(0, 0.5^2) jumps fall below -1 with chance 2.3%; absorbed at zero they move
+        # the price by -1, not by J, so the drift must compensate lambda E[max(J, -1)]
+        r, t = 0.05, 1.0
+        base = LevyModel(brownian_sigma=0.2, jump_spec=CompoundPoisson(2.0, NormalJumps(0.0, 0.5)))
+        model = LevyModel(drift_b=risk_neutral_drift(base, r), brownian_sigma=0.2,
+                          jump_spec=base.jump_spec)
+        bundle = draw_bundle(model, t, 1, 400_000, np.random.default_rng(14))
+        assert bundle.n_bankrupt > 0
+        disc = math.exp(-r * t)
+        se = disc * 100.0 * bundle.terminal.std(ddof=1) / math.sqrt(bundle.n_paths)
+        assert abs(disc * 100.0 * bundle.terminal.mean() - 100.0) < 3 * se
+        c, _ = bundle.price(OptionSpec(kind="european_call", strike=100.0, maturity=t), 100.0, r)
+        p, _ = bundle.price(OptionSpec(kind="european_put", strike=100.0, maturity=t), 100.0, r)
+        assert abs((c - p) - (100.0 - 100.0 * disc)) < 3 * se
+
     def test_absorbing_jumps_match_the_unconditional_price(self):
         # b = r: a path with no jump by T is a Black-Scholes path, one with a jump ends
         # at zero, where a put pays K and a call nothing
