@@ -29,18 +29,29 @@ tree: S'_theta integrates S'_parent, its prefix, against the compensated
 power-jump process Y^(l) of its last entry l.  Between jumps the whole tree
 moves by a nilpotent linear drift step, solved exactly by a finite power
 series of gathers through the parent index; at each jump time every node
-gains the jump powers times its parent's left limit.
+gains the jump powers times its parent's left limit.  The n-th term of that
+series is zero on the nodes shallower than n, so it is taken over the
+deeper ones only, and jumps that share a time are found as runs of the
+stably sorted times.
+
+Everything a basket of order i reads about I_i is one table per order,
+built on first use (``_order_table``): the tuples, each one's multinomial
+i!/(theta! n!) and rest n, and the prefix tree with the node offset where
+each depth starts.  A ``pji_basket``'s units are one array expression over
+it, and its marks reach the tree by order, without hashing the tuples.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .chaos import constant_terms, enumerate_compositions, phi_from_constants
+from .chaos import MAX_ORDER, constant_terms, enumerate_compositions, phi_from_constants
 from .errors import UnsupportedOrderError
 from .models import MomentVector
 from .taylor import bank_growth
@@ -187,7 +198,7 @@ class JumpBasket:
         legs = units * (np.column_stack(columns) - offsets)
         if self.pji_units:
             t0 = self.path_state.t
-            thetas = tuple(self.pji_units)
+            thetas = self._pji_thetas
             s_vals = np.array([
                 iterated_integrals(thetas, times, sizes, self.moments, t0, t0 + self.delta_t)
                 for times, sizes in outcome.paths()
@@ -215,6 +226,14 @@ class JumpBasket:
             offsets.append(self.moments[i] * dt)
         pji_units = np.fromiter(self.pji_units.values(), float, len(self.pji_units))
         return shared, np.array(units), np.array(offsets), pji_units * math.exp(r * dt)
+
+    @functools.cached_property
+    def _pji_thetas(self) -> tuple:
+        """The tuples of ``pji_units``: ``enumerate_compositions(i)`` itself
+        when they are I_i, so each mark finds their tree by identity."""
+        thetas = tuple(self.pji_units)
+        i = _order_of(thetas)
+        return enumerate_compositions(i) if i else thetas
 
 
 def replication_report(basket: JumpBasket, outcome: ScenarioOutcome) -> dict:
@@ -325,23 +344,18 @@ def pji_basket(
     any jump activity.
 
     Pi_theta = (theta, n)! C^(n) with n = i - sum(theta) (see
-    ``chaos.pi_coefficient``); the i + 1 constants C^(0..i) (one
-    ``chaos.constant_terms`` pass) and the factorials 0!..i! behind the
-    multinomials are computed once for all 2^i - 1 tuples.  The tuple set
-    caps i at ``chaos.MAX_ORDER``."""
+    ``chaos.pi_coefficient``).  The i + 1 constants C^(0..i) come from one
+    ``chaos.constant_terms`` pass, and each tuple's multinomial
+    i!/(theta! n!) and rest n from the per-order table of I_i
+    (``_order_table``), so the units are one array expression over the
+    2^i - 1 tuples.  The tuple set caps i at ``chaos.MAX_ORDER``."""
     s_t, r, dt = scenario.s_t, scenario.r, scenario.delta_t
     state = path_state if path_state is not None else PathState(t=0.0)
     disc = math.exp(-r * dt)
     consts = constant_terms(i, moments, dt)
-    fact = [math.factorial(k) for k in range(i + 1)]
-    units = {}
-    for theta in enumerate_compositions(i):
-        n = i - sum(theta)
-        denom = fact[n]
-        for part in theta:
-            denom *= fact[part]
-        pi = fact[i] // denom * consts[n]
-        units[theta] = coefficient * s_t**i * pi * disc
+    table = _order_table(i)
+    pi = table.multinomial * np.array(consts, dtype=float)[table.rest]
+    units = (coefficient * s_t**i) * pi * disc
     cash = coefficient * s_t**i * consts[i] / bank_growth(r, dt)
     return JumpBasket(
         coefficient=coefficient,
@@ -351,7 +365,7 @@ def pji_basket(
         delta_t=dt,
         path_state=state,
         moments=moments,
-        pji_units=units,
+        pji_units=dict(zip(table.thetas, units.tolist())),
         bank_cash=cash,
     )
 
@@ -397,35 +411,127 @@ def phi_hedge_basket(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _PrefixTree:
-    """A tuple set closed under prefixes, one node per tuple.
+    """A tuple set closed under prefixes, one node per tuple, in order of
+    depth.
 
     Node 0 is the empty tuple; every other node's ``parent`` is its prefix
     and ``level`` its last entry (0 for the root).  ``index[k]`` is the node
-    of the k-th requested tuple.
+    of the k-th requested tuple.  The nodes of depth d start at
+    ``starts[d]``; ``starts[-1]`` is the node count.  ``gathers[n - 1]``
+    holds the parents of the nodes of depth >= n, counted from
+    ``starts[n - 1]``, and ``top`` is the largest level.  Trees compare
+    by identity.
     """
 
     parent: np.ndarray
     level: np.ndarray
     index: np.ndarray
-    depth: int
+    starts: tuple
+    gathers: tuple
+    top: int
 
 
-@functools.lru_cache(maxsize=16)
-def _prefix_tree(thetas: tuple) -> _PrefixTree:
+def _build_prefix_tree(thetas: tuple) -> _PrefixTree:
+    nodes = sorted({th[:d] for th in thetas for d in range(1, len(th) + 1)}, key=len)
     node_of = {(): 0}
     parent, level = [0], [0]
-    for theta in sorted({th[:d] for th in thetas for d in range(1, len(th) + 1)}, key=len):
+    for theta in nodes:
         node_of[theta] = len(parent)
         parent.append(node_of[theta[:-1]])
         level.append(theta[-1])
+    depths = [0, *map(len, nodes)]
+    starts = tuple(bisect.bisect_left(depths, d) for d in range(depths[-1] + 2))
+    parent = np.array(parent, dtype=np.intp)
     return _PrefixTree(
-        parent=np.array(parent, dtype=np.intp),
+        parent=parent,
         level=np.array(level, dtype=np.intp),
         index=np.array([node_of[th] for th in thetas], dtype=np.intp),
-        depth=max(map(len, thetas), default=0),
+        starts=starts,
+        gathers=tuple(parent[starts[n]:] - starts[n - 1] for n in range(1, len(starts) - 1)),
+        top=max(level),
     )
+
+
+class _OrderTable(NamedTuple):
+    """What every pji basket of order i reads about I_i: the tuples
+    (``enumerate_compositions(i)`` itself), the multinomial i!/(theta! n!)
+    of each as a float, its rest n = i - sum(theta), and the prefix tree."""
+
+    thetas: tuple
+    multinomial: np.ndarray
+    rest: np.ndarray
+    tree: _PrefixTree
+
+
+@functools.lru_cache(maxsize=None)
+def _order_table(i: int) -> _OrderTable:
+    thetas = enumerate_compositions(i)
+    fact = [math.factorial(k) for k in range(i + 1)]
+    rest = [i - sum(theta) for theta in thetas]
+    multinomial = []
+    for theta, n in zip(thetas, rest):
+        denom = fact[n]
+        for part in theta:
+            denom *= fact[part]
+        multinomial.append(fact[i] // denom)
+    return _OrderTable(
+        thetas=thetas,
+        multinomial=np.array(multinomial, dtype=float),
+        rest=np.array(rest, dtype=np.intp),
+        tree=_build_prefix_tree(thetas),
+    )
+
+
+def _order_of(thetas: tuple) -> int:
+    """i when ``thetas`` is I_i in ``enumerate_compositions`` order, else 0.
+    The cached tuple itself is recognized by identity, without a pass."""
+    i = len(thetas).bit_length()   # |I_i| = 2^i - 1
+    if not 1 <= i <= MAX_ORDER:
+        return 0
+    table = enumerate_compositions(i)
+    return i if thetas is table or thetas == table else 0
+
+
+_any_prefix_tree = functools.lru_cache(maxsize=16)(_build_prefix_tree)
+
+
+def _prefix_tree(thetas: tuple) -> _PrefixTree:
+    """The tree of I_i from its order table, found without hashing the
+    tuples; any other tuple set's tree is built and the last few kept."""
+    i = _order_of(thetas)
+    return _order_table(i).tree if i else _any_prefix_tree(thetas)
+
+
+@functools.lru_cache(maxsize=32)
+def _drift_steps(tree: _PrefixTree, moments: MomentVector) -> tuple:
+    """(n, start, gather, drift) for each drift step n = 1..depth: the
+    nodes of depth >= n start at ``start``, ``gather`` finds their parents
+    in the previous step's nodes, and ``drift`` holds their -m_l (l the
+    last entry)."""
+    drift = -np.array([0.0] + [moments[k] for k in range(1, tree.top + 1)])[tree.level]
+    return tuple((n, start, gather, drift[start:]) for n, (start, gather)
+                 in enumerate(zip(tree.starts[1:-1], tree.gathers), 1))
+
+
+def _jump_events(jump_times, jump_sizes, top: int) -> list:
+    """(tau, p) for each distinct jump time tau, in time order, where p[l]
+    sums x^l over the jumps at tau for l = 1..top and p[0] = 0.  Jumps that
+    share a time are runs of the stably sorted times; their rows are added
+    in list order."""
+    if not len(jump_times):
+        return []
+    powers = jump_sizes[:, None] ** np.arange(top + 1)
+    powers[:, 0] = 0.0
+    times = jump_times.tolist()
+    events = []
+    for k in sorted(range(len(times)), key=times.__getitem__):
+        if events and times[k] == events[-1][0]:
+            events[-1][1] = events[-1][1] + powers[k]
+        else:
+            events.append([times[k], powers[k]])
+    return events
 
 
 def iterated_integrals(
@@ -448,44 +554,43 @@ def iterated_integrals(
     * between jumps dV_theta/ds = -m_l V_parent, a nilpotent linear system,
       so a width w advances V by exp(wA) V = sum_{n <= depth} (w^n/n!) A^n V
       exactly; each A^n term is one gather of the previous term through the
-      parent index;
+      parent index, taken over the nodes of depth >= n only (A^n V is 0 on
+      shallower nodes, as the root's drift is 0);
     * at a jump time V_theta gains (sum of x^l over the jumps at that time)
       times the left limit V_parent(tau-), so jumps that share a time do not
       see each other.
 
-    Jumps must lie in (t0, t1]; a jump at t1 counts.  The result is exact up
-    to float rounding and follows the order of ``thetas`` (tuples of ints).
+    Jumps must lie in (t0, t1], in any order; a jump at t1 counts.  The
+    result is exact up to float rounding and follows the order of
+    ``thetas`` (tuples of ints).
     """
     tree = _prefix_tree(tuple(thetas))
     jump_times = np.asarray(jump_times, dtype=float)
     jump_sizes = np.asarray(jump_sizes, dtype=float)
-    if len(jump_times) and (jump_times.min() <= t0 or jump_times.max() > t1):
+    if not all(t0 < tau <= t1 for tau in jump_times.tolist()):
         raise ValueError("jumps must lie inside (t0, t1]")
-    top = int(tree.level.max())
-    drift = -np.array([0.0] + [moments[k] for k in range(1, top + 1)])[tree.level]
-    # power sums sum x^l of the jumps at each distinct time; l = 0 adds nothing
-    times, group = np.unique(jump_times, return_inverse=True)
-    powers = np.zeros((len(times), top + 1))
-    np.add.at(powers, group, jump_sizes[:, None] ** np.arange(top + 1))
-    powers[:, 0] = 0.0
-
-    parent = tree.parent
-
-    def advance(value, width):
-        term = value
-        for n in range(1, tree.depth + 1):
-            term = (width / n) * drift * term[parent]
-            value = value + term
-        return value
-
+    parent, level = tree.parent, tree.level
     value = np.zeros(len(parent))
     value[0] = 1.0
+    # each step adds its term in place to the nodes it reaches; on the
+    # shallower ones the term is +-0.0, which leaves every value's bits as
+    # they are (no value is ever -0.0)
+    steps = [(n, value[start:], gather, drift)
+             for n, start, gather, drift in _drift_steps(tree, moments)]
+
+    def advance(width):
+        term = value
+        for n, tail, gather, drift in steps:
+            term = (width / n) * drift * term[gather]
+            tail += term
+
     now = t0
-    for tau, power in zip(times, powers):
-        value = advance(value, tau - now)
-        value = value + power[tree.level] * value[parent]
+    for tau, power in _jump_events(jump_times, jump_sizes, tree.top):
+        advance(tau - now)
+        value += power[level] * value[parent]
         now = tau
-    return advance(value, t1 - now)[tree.index]
+    advance(t1 - now)
+    return value[tree.index]
 
 
 def iterated_integral(

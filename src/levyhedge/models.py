@@ -268,13 +268,6 @@ class VarianceGamma:
         """What the Brownian and VG parts add to b in ln E[S_T / S_0] / T."""
         return brownian_sigma**2 / 2 - self.martingale_correction()
 
-    def levy_density(self, x: float) -> float:
-        c, g, m = self.cgm()
-        if x == 0:
-            return math.inf
-        rate = m if x > 0 else g
-        return c / abs(x) * math.exp(-rate * abs(x))
-
     def martingale_correction(self) -> float:
         """omega with E[exp(X_t + omega t)] = 1 (exponential-form drift fix)."""
         x = self.theta * self.nu + self.sigma**2 * self.nu / 2

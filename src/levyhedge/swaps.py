@@ -135,17 +135,20 @@ class SwapBasket:
         (one mark per move).  Each mark adds its three legs exactly
         (``math.fsum``): they are orders of magnitude above their sum.
 
-        The power of the return is libm's ``pow`` (``np.float_power``),
-        as for a float move; numpy's ``**`` on an array rounds differently."""
+        The power of the return is libm's ``pow``: ``math.pow`` on a float
+        move, ``np.float_power`` on an array, so a move marks to the same
+        bits either way (numpy's ``**`` on an array rounds differently)."""
         spec = self.spec
-        realized = (np.float_power(delta_s / self.s_t, spec.order)
-                    + self.history_power_sum) / spec.annualizer
-        payoff = (realized - spec.strike) * spec.notional
+        scalar = getattr(delta_s, "ndim", 0) == 0
+        ret = delta_s / self.s_t
+        power = math.pow(ret, spec.order) if scalar else np.float_power(ret, spec.order)
+        realized = (power + self.history_power_sum) / spec.annualizer
+        swap_leg = self.swap_units * ((realized - spec.strike) * spec.notional)
         cost = -self.swap_units * spec.unit_price
         interest = self.bank_cash * bank_growth(self.r, self.delta_t)
-        marks = [math.fsum((leg, cost, interest))
-                 for leg in (self.swap_units * payoff).reshape(-1).tolist()]
-        return np.array(marks) if payoff.ndim else marks[0]
+        if scalar:
+            return math.fsum((swap_leg, cost, interest))
+        return np.array([math.fsum((leg, cost, interest)) for leg in swap_leg.reshape(-1).tolist()])
 
 
 def moment_swap_basket(

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -53,6 +54,49 @@ def reference_iterated_integral(theta, times, sizes, moments, t0, t1):
             antis.append(anti)
         integrand, value = antis, acc
     return value
+
+
+def stepper_reference(thetas, jump_times, jump_sizes, moments, t0, t1):
+    """The tree stepper as first written, kept as a bit-for-bit oracle: jump
+    times grouped by ``np.unique`` with their powers summed by ``np.add.at``,
+    and every drift step taken over the whole tree."""
+    node_of = {(): 0}
+    parent, level = [0], [0]
+    for theta in sorted({th[:d] for th in thetas for d in range(1, len(th) + 1)}, key=len):
+        node_of[theta] = len(parent)
+        parent.append(node_of[theta[:-1]])
+        level.append(theta[-1])
+    parent, level = np.array(parent), np.array(level)
+    depth = max(map(len, thetas), default=0)
+    jump_times = np.asarray(jump_times, dtype=float)
+    jump_sizes = np.asarray(jump_sizes, dtype=float)
+    top = int(level.max())
+    drift = -np.array([0.0] + [moments[k] for k in range(1, top + 1)])[level]
+    times, group = np.unique(jump_times, return_inverse=True)
+    powers = np.zeros((len(times), top + 1))
+    np.add.at(powers, group, jump_sizes[:, None] ** np.arange(top + 1))
+    powers[:, 0] = 0.0
+
+    def advance(value, width):
+        term = value
+        for n in range(1, depth + 1):
+            term = (width / n) * drift * term[parent]
+            value = value + term
+        return value
+
+    value = np.zeros(len(parent))
+    value[0] = 1.0
+    now = t0
+    for tau, power in zip(times, powers):
+        value = advance(value, tau - now)
+        value = value + power[level] * value[parent]
+        now = tau
+    return advance(value, t1 - now)[[node_of[th] for th in thetas]]
+
+
+def same_bits(got, want):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    return got.shape == want.shape and np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def scen(s_t, dt, r):
@@ -331,6 +375,41 @@ class TestIteratedIntegral:
             assert iterated_integral(theta, times, sizes, moments, 0.1, 0.9) == value
 
 
+    @pytest.mark.parametrize("order", [2, 4, 7, 12])
+    def test_stepper_matches_reference_bit_for_bit(self, order):
+        rng = np.random.default_rng(300 + order)
+        moments, _ = make_moments(rng, order=12)
+        thetas = enumerate_compositions(order)
+        t0 = rng.uniform(0.0, 1.0)
+        t1 = t0 + rng.uniform(0.01, 0.5)
+        for n_jumps in range(21):
+            times = np.sort(t0 + (t1 - t0) * (1.0 - rng.random(n_jumps)))
+            sizes = rng.normal(0.0, 0.2, n_jumps)
+            got = iterated_integrals(thetas, times, sizes, moments, t0, t1)
+            want = stepper_reference(thetas, times, sizes, moments, t0, t1)
+            assert same_bits(got, want), n_jumps
+
+    @pytest.mark.parametrize("order", [2, 4, 7, 12])
+    def test_tied_and_unsorted_jumps_match_reference_bit_for_bit(self, order):
+        rng = np.random.default_rng(320 + order)
+        moments, _ = make_moments(rng, order=12)
+        thetas = enumerate_compositions(order)
+        t0, t1 = 0.1, 0.6
+        cases = [
+            [0.2, 0.2, 0.4],                # two-way tie
+            [0.15, 0.3, 0.3, 0.3],          # three-way tie
+            [0.15, 0.6, 0.6, 0.6],          # three-way tie at t1
+            [0.5, 0.2, 0.35],               # unsorted
+            [0.6, 0.25, 0.6, 0.25, 0.25],   # unsorted ties, one at t1
+        ]
+        for times in cases:
+            for _ in range(8):
+                sizes = rng.normal(0.0, 0.3, len(times))
+                got = iterated_integrals(thetas, times, sizes, moments, t0, t1)
+                want = stepper_reference(thetas, times, sizes, moments, t0, t1)
+                assert same_bits(got, want), times
+
+
 class TestPJIBasket:
     def test_first_order_structure(self):
         rng = np.random.default_rng(10)
@@ -418,6 +497,43 @@ class TestPJIBasket:
             outcome = ScenarioOutcome(100.0 * sizes.sum(), times, sizes)
             basket.change_of_value(outcome)
         assert calls == [2**12 - 1] * 4
+
+    def test_marks_find_the_tree_of_their_order_without_building_one(self, monkeypatch):
+        rng = np.random.default_rng(21)
+        moments, _ = make_moments(rng, order=12)
+        basket = pji_basket(0.7, scen(100.0, 0.05, 0.05), 12, moments)
+
+        def refuse(thetas):
+            raise AssertionError("a tree was built for the tuples of I_12")
+
+        monkeypatch.setattr(jump_baskets, "_any_prefix_tree", refuse)
+        outcome = ScenarioOutcome(1.0, np.array([0.01, 0.04]), np.array([0.03, -0.02]))
+        basket.change_of_value(outcome)
+        iterated_integrals(enumerate_compositions(5), [0.02], [0.1], moments, 0.0, 0.05)
+
+    def test_units_and_marks_keep_their_bits(self):
+        """Every unit, the cash and every mark of orders 2..12 on seeded
+        inputs with 0-3 jumps, hashed.  The digest was computed with the
+        stepper as first written (``stepper_reference``) and the per-tuple
+        loop that built the units before the order tables; it holds on
+        x86-64 with numpy 2.4, whose ``default_rng`` streams it reads."""
+        rng = np.random.default_rng(2121)
+        model = LevyModel(jump_spec=CompoundPoisson(3.0, NormalJumps(mean=-0.02, std=0.08)))
+        moments = moment_vector(model, 12)
+        digest = hashlib.sha256()
+        for order in range(2, 13):
+            s_t, dt, r = rng.uniform(20.0, 200.0), rng.uniform(0.01, 0.2), rng.uniform(0.01, 0.1)
+            c = rng.uniform(0.1, 2.0) * rng.choice([-1.0, 1.0])
+            sc = HedgeScenario(s_t=s_t, delta_s=1.0, delta_t=dt, r=r)
+            basket = pji_basket(c, sc, order, moments)
+            digest.update(np.array([*basket.pji_units.values(), basket.bank_cash]).tobytes())
+            for n_jumps in range(4):
+                times = np.sort(dt * (1.0 - rng.random(n_jumps)))
+                sizes = rng.normal(-0.02, 0.08, n_jumps)
+                mark = basket.change_of_value(ScenarioOutcome(s_t * sizes.sum(), times, sizes))
+                digest.update(np.array([mark]).tobytes())
+        assert digest.hexdigest() == (
+            "f08e0cc6b1022b4312e375897f973b01961897f56e760ea870be7ff809310f49")
 
     def test_expected_change_matches_constant_mc(self):
         model = LevyModel(jump_spec=CompoundPoisson(4.0, FixedJumps(0.06)))

@@ -88,14 +88,23 @@ class TestMoments:
             assert law.moment(i) == pytest.approx(num, rel=1e-8, abs=1e-12)
 
     @staticmethod
-    def _nu_quadrature(spec, i):
+    def _levy_density(spec, x):
+        """The VG Levy density C e^{-G|x|}/|x| below zero, C e^{-Mx}/x above."""
+        c, g, m = spec.cgm()
+        if x == 0:
+            return math.inf
+        rate = m if x > 0 else g
+        return c / abs(x) * math.exp(-rate * abs(x))
+
+    @classmethod
+    def _nu_quadrature(cls, spec, i):
         # integrate each side out to ~60 decay lengths of the density
         _, g, m = spec.cgm()
         pos, _ = integrate.quad(
-            lambda x: x**i * spec.levy_density(x), 0, 60.0 / m, limit=200
+            lambda x: x**i * cls._levy_density(spec, x), 0, 60.0 / m, limit=200
         )
         neg, _ = integrate.quad(
-            lambda x: x**i * spec.levy_density(x), -60.0 / g, 0, limit=200
+            lambda x: x**i * cls._levy_density(spec, x), -60.0 / g, 0, limit=200
         )
         return pos + neg
 

@@ -56,6 +56,22 @@ class TestRealizedMoment:
                 assert basket.change_of_value(ds) == want
 
 
+    def test_float_move_marks_like_a_one_element_array(self):
+        # no history and no strike, so the power of the return sets the
+        # mark's last bits
+        rng = np.random.default_rng(6)
+        for order in range(2, 13):
+            spec = SwapSpec(order=order, delta_s=0.02, n=5, strike=0.0,
+                            unit_price=0.03**order)
+            basket = moment_swap_basket(0.8, scen(delta_t=0.02), spec,
+                                        RealizedHistory(sums={order: 0.0}))
+            for ds in rng.normal(0.0, 3.0, 50).tolist():
+                one = basket.change_of_value(ds)
+                batch = basket.change_of_value(np.array([ds]))
+                assert type(one) is float and batch.shape == (1,)
+                assert np.array([one]).view(np.int64) == batch.view(np.int64)
+
+
 class TestSwapSpec:
     @pytest.mark.parametrize("notional", [0.0, -1.0])
     def test_notional_must_be_positive(self, notional):
