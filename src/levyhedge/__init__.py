@@ -79,7 +79,6 @@ from .swaps import (
     SwapBasket,
     SwapSpec,
     moment_swap_basket,
-    realized_moment,
     variance_swap_basket,
 )
 from .taylor import HedgeLedger, HedgeScenario, assemble_ledger, bank_term, find_q

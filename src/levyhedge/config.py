@@ -148,17 +148,18 @@ _MODEL_KINDS = {"brownian": lambda block: None, "compound_poisson": _compound_po
                 "variance_gamma": _variance_gamma}
 
 
-def _build_model(block: _Block, r: float, dividend: float) -> LevyModel:
+def _build_model(block: _Block, scen: _Block, r: float) -> LevyModel:
     """A LevyModel from its config block, read by its kind.  ``drift_b`` may be
-    "risk_neutral": the drift that makes the dividend-adjusted discounted asset
-    driftless."""
+    "risk_neutral": the drift that makes the discounted asset, adjusted by
+    ``scenario.dividend``, driftless; no other drift reads the dividend."""
     kind = block.choice("kind", _MODEL_KINDS, "model kind", "brownian")
     block.reader = f"model kind {kind!r}"
     sigma = block.number("brownian_sigma", 0.0, minimum=0)
     spec = _MODEL_KINDS[kind](block)
     if block.get("drift_b", None) == "risk_neutral":
         try:
-            b = risk_neutral_drift(LevyModel(brownian_sigma=sigma, jump_spec=spec), r, dividend)
+            b = risk_neutral_drift(LevyModel(brownian_sigma=sigma, jump_spec=spec), r,
+                                   scen.number("dividend", 0.0))
         except ValueError as err:  # no exponential moment to make driftless
             raise block.fail("drift_b", f": {err}") from None
     else:
@@ -192,7 +193,6 @@ class ExperimentConfig:
     delta_s: tuple[float, ...]
     delta_t: float
     r: float
-    dividend: float
     alpha_tol: float
     n_paths: int
     steps: int
@@ -255,8 +255,7 @@ def load_config(source) -> ExperimentConfig:
     top = _Block(raw)
     scen = top.block("scenario")
     r = scen.number("r", 0.05)
-    dividend = scen.number("dividend", 0.0)
-    model = _build_model(top.block("model"), r, dividend)
+    model = _build_model(top.block("model"), scen, r)
     s0 = scen.number("s0", 100.0, positive=True)
     if "option" in raw and "options" in raw:
         raise top.fail("option", f" repeats {top.field('options')!r}; give one of them")
@@ -311,7 +310,7 @@ def load_config(source) -> ExperimentConfig:
         raise output.fail("dir", f" must be a directory name, got {output_dir!r}")
     cfg = ExperimentConfig(
         raw=raw, model=model, options=options, s0=s0, delta_s=delta_s, delta_t=delta_t, r=r,
-        dividend=dividend, alpha_tol=scen.number("alpha_tol", 0.01, positive=True),
+        alpha_tol=scen.number("alpha_tol", 0.01, positive=True),
         n_paths=n_paths, steps=steps, seed=mc.number("seed", 0, int, minimum=0),
         antithetic=mc.number("antithetic", False, bool), half_width=half_width, p_max=p_max,
         s_step=sten.number("s_step", max(0.5, s0 * 1e-4), positive=True),

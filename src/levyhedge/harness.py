@@ -67,7 +67,8 @@ REFERENCE_Q = {
 }
 
 
-def _fmt_any(value) -> str:
+def _fmt(value) -> str:
+    """The CSV cell of one value."""
     if value is None:
         return ""
     if isinstance(value, (bool, np.bool_, int, np.integer)):
@@ -75,26 +76,6 @@ def _fmt_any(value) -> str:
     if isinstance(value, (float, np.floating)):
         return FLOAT_FMT.format(float(value))
     return str(value)
-
-
-def _fmt_int(value) -> str:
-    return str(int(value))
-
-
-def _fmt_float(value) -> str:
-    return FLOAT_FMT.format(float(value))
-
-
-# The CSV cell of each exact type a row holds; ``_fmt_any`` takes the rest.
-_FORMATS = {
-    type(None): _fmt_any, str: str, bool: _fmt_int, np.bool_: _fmt_int,
-    **{t: _fmt_int for t in (int, *(np.dtype(c).type for c in np.typecodes["AllInteger"]))},
-    **{t: _fmt_float for t in (float, *(np.dtype(c).type for c in np.typecodes["Float"]))},
-}
-
-
-def _fmt(value) -> str:
-    return _FORMATS.get(type(value), _fmt_any)(value)
 
 
 def _cells(values) -> list:

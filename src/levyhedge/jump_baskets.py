@@ -23,22 +23,24 @@ list of a simulated path, or of a whole ``ScenarioOutcome`` set at once,
 never to market quotes.  Regime violations are
 measured by ``replication_report``, not silently ignored.
 
-A ``pji_basket`` is marked through the iterated integrals S'_theta of all
-its tuples in one pass (``iterated_integrals``).  The tuples form a prefix
-tree: S'_theta integrates S'_parent, its prefix, against the compensated
-power-jump process Y^(l) of its last entry l.  Between jumps the whole tree
-moves by a nilpotent linear drift step, solved exactly by a finite power
-series of gathers through the parent index; at each jump time every node
-gains the jump powers times its parent's left limit.  The n-th term of that
-series is zero on the nodes shallower than n, so it is taken over the
-deeper ones only, and jumps that share a time are found as runs of the
-stably sorted times.
+A ``pji_basket`` of order i is marked through the iterated integrals
+S'_theta of all the tuples of I_i in one pass (``iterated_integrals(i, ...)``).
+The tuples form a prefix tree: S'_theta integrates S'_parent, its prefix,
+against the compensated power-jump process Y^(l) of its last entry l.
+Between jumps the whole tree moves by a nilpotent linear drift step, solved
+exactly by a finite power series of gathers through the parent index; at
+each jump time every node gains the jump powers times its parent's left
+limit.  The n-th term of that series is zero on the nodes shallower than n,
+so it is taken over the deeper ones only, and jumps that share a time are
+found as runs of the stably sorted times.
 
 Everything a basket of order i reads about I_i is one table per order,
 built on first use (``_order_table``): the tuples, each one's multinomial
 i!/(theta! n!) and rest n, and the prefix tree with the node offset where
 each depth starts.  A ``pji_basket``'s units are one array expression over
-it, and its marks reach the tree by order, without hashing the tuples.
+it, and every tree of I_i comes from it, by order.  A single tuple
+(``iterated_integral``) is stepped the same way on the chain of its own
+prefixes, so it is not capped at ``chaos.MAX_ORDER``.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .chaos import MAX_ORDER, constant_terms, enumerate_compositions, phi_from_constants
+from .chaos import constant_terms, enumerate_compositions, phi_from_constants
 from .errors import UnsupportedOrderError
 from .models import MomentVector
 from .taylor import bank_growth
@@ -107,7 +109,8 @@ class ScenarioOutcome:
     _power_sums: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if np.ndim(self.delta_s) == 0:
+        move = self.delta_s   # a number or a 0-d array is one scenario, a list a set
+        if isinstance(move, (int, float)) or getattr(move, "ndim", 1) == 0:
             if self.n_jumps not in (None, len(self.jump_sizes)):
                 raise ValueError(f"one scenario lists {len(self.jump_sizes)} jumps, "
                                  f"not n_jumps = {self.n_jumps}")
@@ -197,12 +200,9 @@ class JumpBasket:
         columns = [outcome.delta_s, *map(outcome.power_sums, self.pja_units)]
         legs = units * (np.column_stack(columns) - offsets)
         if self.pji_units:
-            t0 = self.path_state.t
-            thetas = self._pji_thetas
-            s_vals = np.array([
-                iterated_integrals(thetas, times, sizes, self.moments, t0, t0 + self.delta_t)
-                for times, sizes in outcome.paths()
-            ])
+            t0, t1 = self.path_state.t, self.path_state.t + self.delta_t
+            s_vals = np.array([iterated_integrals(self.order, times, sizes, self.moments, t0, t1)
+                               for times, sizes in outcome.paths()])
             legs = np.concatenate([legs, pji_units * s_vals], axis=1)
         marks = []
         for row in legs.tolist():
@@ -215,7 +215,11 @@ class JumpBasket:
         """What every mark shares: the bank leg and the T-legs' frozen
         values (floats); the units of the stock and e^{rt1} times those of
         each T^(i), with the offsets 0 and m_i dt taken off the move and
-        the power sums; and e^{r dt} times the units of each U_theta."""
+        the power sums; and e^{r dt} times the units of each U_theta, which
+        must be held on the tuples of I_i in ``enumerate_compositions`` order."""
+        if self.pji_units and tuple(self.pji_units) != _order_table(self.order).thetas:
+            raise ValueError(f"pji_units must list the tuples of I_{self.order} in "
+                             f"enumerate_compositions order")
         t0, dt, r = self.path_state.t, self.delta_t, self.r
         growth = bank_growth(r, dt)
         shared = [self.bank_cash * growth]
@@ -226,14 +230,6 @@ class JumpBasket:
             offsets.append(self.moments[i] * dt)
         pji_units = np.fromiter(self.pji_units.values(), float, len(self.pji_units))
         return shared, np.array(units), np.array(offsets), pji_units * math.exp(r * dt)
-
-    @functools.cached_property
-    def _pji_thetas(self) -> tuple:
-        """The tuples of ``pji_units``: ``enumerate_compositions(i)`` itself
-        when they are I_i, so each mark finds their tree by identity."""
-        thetas = tuple(self.pji_units)
-        i = _order_of(thetas)
-        return enumerate_compositions(i) if i else thetas
 
 
 def replication_report(basket: JumpBasket, outcome: ScenarioOutcome) -> dict:
@@ -421,8 +417,7 @@ class _PrefixTree:
     of the k-th requested tuple.  The nodes of depth d start at
     ``starts[d]``; ``starts[-1]`` is the node count.  ``gathers[n - 1]``
     holds the parents of the nodes of depth >= n, counted from
-    ``starts[n - 1]``, and ``top`` is the largest level.  Trees compare
-    by identity.
+    ``starts[n - 1]``, and ``top`` is the largest level.
     """
 
     parent: np.ndarray
@@ -484,27 +479,6 @@ def _order_table(i: int) -> _OrderTable:
     )
 
 
-def _order_of(thetas: tuple) -> int:
-    """i when ``thetas`` is I_i in ``enumerate_compositions`` order, else 0.
-    The cached tuple itself is recognized by identity, without a pass."""
-    i = len(thetas).bit_length()   # |I_i| = 2^i - 1
-    if not 1 <= i <= MAX_ORDER:
-        return 0
-    table = enumerate_compositions(i)
-    return i if thetas is table or thetas == table else 0
-
-
-_any_prefix_tree = functools.lru_cache(maxsize=16)(_build_prefix_tree)
-
-
-def _prefix_tree(thetas: tuple) -> _PrefixTree:
-    """The tree of I_i from its order table, found without hashing the
-    tuples; any other tuple set's tree is built and the last few kept."""
-    i = _order_of(thetas)
-    return _order_table(i).tree if i else _any_prefix_tree(thetas)
-
-
-@functools.lru_cache(maxsize=32)
 def _drift_steps(tree: _PrefixTree, moments: MomentVector) -> tuple:
     """(n, start, gather, drift) for each drift step n = 1..depth: the
     nodes of depth >= n start at ``start``, ``gather`` finds their parents
@@ -513,6 +487,13 @@ def _drift_steps(tree: _PrefixTree, moments: MomentVector) -> tuple:
     drift = -np.array([0.0] + [moments[k] for k in range(1, tree.top + 1)])[tree.level]
     return tuple((n, start, gather, drift[start:]) for n, (start, gather)
                  in enumerate(zip(tree.starts[1:-1], tree.gathers), 1))
+
+
+@functools.lru_cache(maxsize=32)
+def _order_steps(k: int, moments: MomentVector) -> tuple:
+    """The tree of I_k and its drift steps, kept per order and moment vector."""
+    tree = _order_table(k).tree
+    return tree, _drift_steps(tree, moments)
 
 
 def _jump_events(jump_times, jump_sizes, top: int) -> list:
@@ -534,37 +515,12 @@ def _jump_events(jump_times, jump_sizes, top: int) -> list:
     return events
 
 
-def iterated_integrals(
-    thetas,
-    jump_times,
-    jump_sizes,
-    moments: MomentVector,
-    t0: float,
-    t1: float,
-) -> np.ndarray:
-    """S'_theta for every tuple of ``thetas`` at once, on a finite-activity
-    jump path with no Brownian part.
-
-    S'_theta is the iterated integral of dY^(i_1) ... dY^(i_j) over
-    t0 < s_j < ... < s_1 <= t1, so S'_theta = int S'_parent(s-) dY^(l)(s)
-    with parent the prefix (i_1, ..., i_{j-1}) and l = i_j.  The tuples are
-    closed under prefixes into a tree whose root, the empty tuple, is 1,
-    and the whole family V is stepped along the path:
-
-    * between jumps dV_theta/ds = -m_l V_parent, a nilpotent linear system,
-      so a width w advances V by exp(wA) V = sum_{n <= depth} (w^n/n!) A^n V
-      exactly; each A^n term is one gather of the previous term through the
-      parent index, taken over the nodes of depth >= n only (A^n V is 0 on
-      shallower nodes, as the root's drift is 0);
-    * at a jump time V_theta gains (sum of x^l over the jumps at that time)
-      times the left limit V_parent(tau-), so jumps that share a time do not
-      see each other.
-
-    Jumps must lie in (t0, t1], in any order; a jump at t1 counts.  The
-    result is exact up to float rounding and follows the order of
-    ``thetas`` (tuples of ints).
-    """
-    tree = _prefix_tree(tuple(thetas))
+def _stepped(tree: _PrefixTree, drift_steps: tuple, jump_times, jump_sizes, t0, t1):
+    """S' on every node of ``tree`` at t1, from 1 at the root at t0, with
+    ``drift_steps`` the tree's ``_drift_steps`` (the method is given at
+    ``iterated_integrals``)."""
+    if not t1 >= t0:
+        raise ValueError(f"the period ({t0}, {t1}] must not end before it starts")
     jump_times = np.asarray(jump_times, dtype=float)
     jump_sizes = np.asarray(jump_sizes, dtype=float)
     if not all(t0 < tau <= t1 for tau in jump_times.tolist()):
@@ -575,8 +531,7 @@ def iterated_integrals(
     # each step adds its term in place to the nodes it reaches; on the
     # shallower ones the term is +-0.0, which leaves every value's bits as
     # they are (no value is ever -0.0)
-    steps = [(n, value[start:], gather, drift)
-             for n, start, gather, drift in _drift_steps(tree, moments)]
+    steps = [(n, value[start:], gather, drift) for n, start, gather, drift in drift_steps]
 
     def advance(width):
         term = value
@@ -590,19 +545,42 @@ def iterated_integrals(
         value += power[level] * value[parent]
         now = tau
     advance(t1 - now)
-    return value[tree.index]
+    return value
 
 
-def iterated_integral(
-    theta,
-    jump_times,
-    jump_sizes,
-    moments: MomentVector,
-    t0: float,
-    t1: float,
-) -> float:
-    """S'_theta for one tuple: ``iterated_integrals`` on the tree of theta's
-    prefixes (see there for the method and the conventions)."""
-    return float(
-        iterated_integrals((tuple(theta),), jump_times, jump_sizes, moments, t0, t1)[0]
-    )
+def iterated_integrals(k: int, jump_times, jump_sizes, moments: MomentVector,
+                       t0: float, t1: float) -> np.ndarray:
+    """S'_theta for every theta in I_k at once, in ``enumerate_compositions(k)``
+    order, on a finite-activity jump path with no Brownian part.
+
+    S'_theta is the iterated integral of dY^(i_1) ... dY^(i_j) over
+    t0 < s_j < ... < s_1 <= t1, so S'_theta = int S'_parent(s-) dY^(l)(s)
+    with parent the prefix (i_1, ..., i_{j-1}) and l = i_j.  I_k is closed
+    under prefixes into the tree of its order table, whose root, the empty
+    tuple, is 1, and the whole family V is stepped along the path:
+
+    * between jumps dV_theta/ds = -m_l V_parent, a nilpotent linear system,
+      so a width w advances V by exp(wA) V = sum_{n <= depth} (w^n/n!) A^n V
+      exactly; each A^n term is one gather of the previous term through the
+      parent index, taken over the nodes of depth >= n only (A^n V is 0 on
+      shallower nodes, as the root's drift is 0);
+    * at a jump time V_theta gains (sum of x^l over the jumps at that time)
+      times the left limit V_parent(tau-), so jumps that share a time do not
+      see each other.
+
+    Jumps must lie in (t0, t1], in any order; a jump at t1 counts.  The
+    period must not run backwards; t1 = t0 gives zeros.  The result is
+    exact up to float rounding.
+    """
+    tree, steps = _order_steps(k, moments)
+    return _stepped(tree, steps, jump_times, jump_sizes, t0, t1)[tree.index]
+
+
+def iterated_integral(theta, jump_times, jump_sizes, moments: MomentVector,
+                      t0: float, t1: float) -> float:
+    """S'_theta for one tuple, stepped on the chain of theta's own prefixes
+    as ``iterated_integrals`` steps the tree of I_k (see there for the
+    method and the conventions), so theta is not capped at ``MAX_ORDER``."""
+    tree = _build_prefix_tree((tuple(theta),))
+    values = _stepped(tree, _drift_steps(tree, moments), jump_times, jump_sizes, t0, t1)
+    return float(values[tree.index[0]])

@@ -27,7 +27,6 @@ from .taylor import bank_growth
 __all__ = [
     "SwapSpec",
     "RealizedHistory",
-    "realized_moment",
     "SwapBasket",
     "variance_swap_basket",
     "moment_swap_basket",
@@ -97,16 +96,6 @@ class RealizedHistory:
             return self.sums[k]
         except KeyError:
             raise KeyError(f"history carries no order-{k} power sum") from None
-
-
-def realized_moment(
-    history: RealizedHistory, new_return: float, k: int, delta_s: float, n: int
-) -> float:
-    """Annualised realized k-th moment once ``new_return`` completes the
-    sampling schedule: (new_return^k + past power sum) / (ds (n - 2))."""
-    if n < 3 or delta_s <= 0:
-        raise ValueError("need n >= 3 and delta_s > 0")
-    return (new_return**k + history.power_sum(k)) / (delta_s * (n - 2))
 
 
 @dataclass(frozen=True)

@@ -1,17 +1,20 @@
-"""Every entry point the benchmark tracer wraps still exists in the library.
+"""The benchmark still runs against the library.
 
 ``levybench/tracer.py`` resolves each ``module:qualname`` in ``TRACED``
-when a traced benchmark run starts; a library change that deletes or
-renames one of them would otherwise surface only there.
+when a traced benchmark run starts, and ``levybench/workloads.py`` calls
+the library's baskets, outcomes and CLI; a library change that deletes,
+renames or reshapes one of them would otherwise surface only there.
 """
 
 import importlib
 import importlib.util
 import pathlib
+import sys
 
 import pytest
 
-TRACER = pathlib.Path(__file__).resolve().parent.parent / "levybench" / "tracer.py"
+LEVYBENCH = pathlib.Path(__file__).resolve().parent.parent / "levybench"
+TRACER = LEVYBENCH / "tracer.py"
 
 
 def traced_targets():
@@ -32,3 +35,24 @@ def test_traced_target_resolves(target):
         assert hasattr(owner, attr), f"{target}: {attr!r} is missing"
         owner = getattr(owner, attr)
     assert callable(owner)
+
+
+def test_one_round_of_every_workload_checks_clean(monkeypatch, tmp_path):
+    """Each operation of one round of every workload is prepared, run and
+    checked as ``levybench/run.py`` does; the only failure allowed is the
+    operation's own known fault."""
+    monkeypatch.syspath_prepend(str(LEVYBENCH))
+    spec = importlib.util.spec_from_file_location("_levybench_workloads",
+                                                  LEVYBENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
+    spec.loader.exec_module(workloads)
+    for name, workload_cls in workloads.WORKLOADS.items():
+        workdir = tmp_path / name
+        workdir.mkdir()
+        for op in workload_cls(7, workdir).next_round():
+            chk = workloads.Check()
+            op.prepare()
+            rows = op.check(op.run(), chk)
+            assert rows > 0, (name, op.kind)
+            assert {fault for fault, _ in chk.failures} <= {op.known_fault}, chk.failures

@@ -492,3 +492,11 @@ def test_non_finite_numbers_name_their_path(over, path, value):
 def test_neutral_strikes_must_be_positive(strikes, path):
     with pytest.raises(ConfigError, match=path):
         load_config(minimal(strategies=["moment-neutral"], pnl={"neutral_strikes": strikes}))
+
+
+def test_dividend_is_read_only_by_the_risk_neutral_drift():
+    raw = minimal(model={"drift_b": 0.01}, scenario={"dividend": 0.03})
+    with pytest.raises(ConfigError, match=r"'scenario\.dividend'"):
+        load_config(raw)
+    raw["model"]["drift_b"] = "risk_neutral"
+    assert load_config(raw).model.drift_b == pytest.approx(0.05 - 0.03, rel=1e-12)

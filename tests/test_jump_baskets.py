@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 
@@ -101,6 +102,26 @@ def same_bits(got, want):
 
 def scen(s_t, dt, r):
     return HedgeScenario(s_t=s_t, delta_s=1.0, delta_t=dt, r=r, alpha_tol=0.01)
+
+
+class TestScenarioOutcome:
+    def test_a_number_or_a_0d_array_is_one_scenario_and_a_list_a_set(self):
+        moments, _ = make_moments(np.random.default_rng(26))
+        basket = pja_basket_simple(1.2, scen(100.0, 0.01, 0.05), 3, PathState(t=0.3), moments)
+        times, sizes = np.array([0.31]), np.array([0.02])
+        marks = []
+        for move in (2.0, np.float64(2.0), np.array(2.0)):
+            one = ScenarioOutcome(move, times, sizes)
+            assert one.n_jumps == 1
+            marks.append(basket.change_of_value(one))
+            assert type(marks[-1]) is float
+        assert marks[0] == marks[1] == marks[2]
+        group = ScenarioOutcome([2.0, -1.0], np.array([0.31, 0.305]), np.array([0.02, -0.01]),
+                                n_jumps=[1, 1])
+        assert group.delta_s.shape == (2,) and list(group.n_jumps) == [1, 1]
+        assert basket.change_of_value(group)[0] == marks[0]
+        with pytest.raises(ValueError, match="one jump count per move"):
+            ScenarioOutcome([2.0], times, sizes)
 
 
 class TestSimpleBasket:
@@ -310,7 +331,7 @@ class TestIteratedIntegral:
             sizes = rng.uniform(-0.3, 0.3, n_jumps)
             # X increment for sigma=0 pure-jump CP: sum of jumps
             dx = sizes.sum()
-            s_vals = iterated_integrals(thetas, times, sizes, moments, t0, t0 + dt)
+            s_vals = iterated_integrals(n, times, sizes, moments, t0, t0 + dt)
             terms = [constant_term(n, moments, dt)] + [
                 pi_coefficient(theta, n, moments, dt) * s_val
                 for theta, s_val in zip(thetas, s_vals)
@@ -346,7 +367,7 @@ class TestIteratedIntegral:
         rng = np.random.default_rng(16)
         moments, _ = make_moments(rng)
         with pytest.raises(ValueError):
-            iterated_integrals([(1,), (2, 1)], [0.5, time], [0.1, 0.1], moments, 0.2, 0.7)
+            iterated_integrals(3, [0.5, time], [0.1, 0.1], moments, 0.2, 0.7)
 
     def test_batch_matches_per_tuple_reference(self):
         rng = np.random.default_rng(19)
@@ -354,7 +375,7 @@ class TestIteratedIntegral:
         for times in ([], [0.3], [0.25, 0.25, 0.6], [0.12, 0.5, 0.9]):
             moments, _ = make_moments(rng)
             sizes = rng.uniform(-0.3, 0.3, len(times))
-            batch = iterated_integrals(thetas, times, sizes, moments, 0.1, 0.9)
+            batch = iterated_integrals(7, times, sizes, moments, 0.1, 0.9)
             for theta, value in zip(thetas, batch):
                 want = reference_iterated_integral(theta, times, sizes, moments, 0.1, 0.9)
                 # |S'_theta| is at most the product of its integrators' total variations
@@ -369,10 +390,30 @@ class TestIteratedIntegral:
         thetas = enumerate_compositions(8)
         times = np.array([0.15, 0.4, 0.4, 0.9])
         sizes = np.array([0.1, -0.2, 0.05, 0.3])
-        batch = iterated_integrals(thetas, times, sizes, moments, 0.1, 0.9)
+        batch = iterated_integrals(8, times, sizes, moments, 0.1, 0.9)
         assert batch.shape == (len(thetas),)
         for theta, value in zip(thetas, batch):
             assert iterated_integral(theta, times, sizes, moments, 0.1, 0.9) == value
+
+    def test_a_reversed_period_raises(self):
+        moments, _ = make_moments(np.random.default_rng(22))
+        with pytest.raises(ValueError, match="must not end before it starts"):
+            iterated_integral((1,), [], [], moments, 1.0, 0.5)
+        with pytest.raises(ValueError, match="must not end before it starts"):
+            iterated_integrals(3, [], [], moments, 1.0, 0.5)
+
+    def test_an_empty_period_gives_zeros(self):
+        moments, _ = make_moments(np.random.default_rng(23))
+        assert same_bits(iterated_integrals(4, [], [], moments, 0.3, 0.3), np.zeros(15))
+        assert same_bits(iterated_integral((2, 1), [], [], moments, 0.3, 0.3), 0.0)
+
+    def test_a_tuple_past_max_order_is_stepped_on_its_own_chain(self):
+        moments, _ = make_moments(np.random.default_rng(24))
+        m1, T = moments[1], 0.7
+        # no jumps: S'_(1,...,1) over n levels is (-m1 T)^n / n!
+        want = (-m1 * T) ** 14 / math.factorial(14)
+        got = iterated_integral((1,) * 14, [], [], moments, 0.0, T)
+        assert abs(got - want) <= math.ulp(want)
 
 
     @pytest.mark.parametrize("order", [2, 4, 7, 12])
@@ -385,7 +426,7 @@ class TestIteratedIntegral:
         for n_jumps in range(21):
             times = np.sort(t0 + (t1 - t0) * (1.0 - rng.random(n_jumps)))
             sizes = rng.normal(0.0, 0.2, n_jumps)
-            got = iterated_integrals(thetas, times, sizes, moments, t0, t1)
+            got = iterated_integrals(order, times, sizes, moments, t0, t1)
             want = stepper_reference(thetas, times, sizes, moments, t0, t1)
             assert same_bits(got, want), n_jumps
 
@@ -405,7 +446,7 @@ class TestIteratedIntegral:
         for times in cases:
             for _ in range(8):
                 sizes = rng.normal(0.0, 0.3, len(times))
-                got = iterated_integrals(thetas, times, sizes, moments, t0, t1)
+                got = iterated_integrals(order, times, sizes, moments, t0, t1)
                 want = stepper_reference(thetas, times, sizes, moments, t0, t1)
                 assert same_bits(got, want), times
 
@@ -486,9 +527,9 @@ class TestPJIBasket:
         calls = []
         real = jump_baskets.iterated_integrals
 
-        def counting(thetas, *args):
-            calls.append(len(thetas))
-            return real(thetas, *args)
+        def counting(k, *args):
+            calls.append(k)
+            return real(k, *args)
 
         monkeypatch.setattr(jump_baskets, "iterated_integrals", counting)
         for n_jumps in range(4):
@@ -496,7 +537,7 @@ class TestPJIBasket:
             sizes = rng.normal(0.0, 0.1, n_jumps)
             outcome = ScenarioOutcome(100.0 * sizes.sum(), times, sizes)
             basket.change_of_value(outcome)
-        assert calls == [2**12 - 1] * 4
+        assert calls == [12] * 4
 
     def test_marks_find_the_tree_of_their_order_without_building_one(self, monkeypatch):
         rng = np.random.default_rng(21)
@@ -506,10 +547,18 @@ class TestPJIBasket:
         def refuse(thetas):
             raise AssertionError("a tree was built for the tuples of I_12")
 
-        monkeypatch.setattr(jump_baskets, "_any_prefix_tree", refuse)
+        monkeypatch.setattr(jump_baskets, "_build_prefix_tree", refuse)
         outcome = ScenarioOutcome(1.0, np.array([0.01, 0.04]), np.array([0.03, -0.02]))
         basket.change_of_value(outcome)
-        iterated_integrals(enumerate_compositions(5), [0.02], [0.1], moments, 0.0, 0.05)
+        iterated_integrals(12, [0.02], [0.1], moments, 0.0, 0.05)
+
+    def test_units_off_the_tuples_of_their_order_raise(self):
+        moments, _ = make_moments(np.random.default_rng(25))
+        basket = pji_basket(1.0, scen(100.0, 0.01, 0.05), 3, moments)
+        for units in (dict(reversed(basket.pji_units.items())), {(1,): 1.0}):
+            other = dataclasses.replace(basket, pji_units=units)
+            with pytest.raises(ValueError, match="tuples of I_3"):
+                other.change_of_value(ScenarioOutcome(0.0))
 
     def test_units_and_marks_keep_their_bits(self):
         """Every unit, the cash and every mark of orders 2..12 on seeded

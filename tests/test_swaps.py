@@ -8,10 +8,19 @@ from levyhedge.swaps import (
     RealizedHistory,
     SwapSpec,
     moment_swap_basket,
-    realized_moment,
     variance_swap_basket,
 )
 from levyhedge.taylor import HedgeScenario
+
+
+def realized_moment(
+    history: RealizedHistory, new_return: float, k: int, delta_s: float, n: int
+) -> float:
+    """Annualised realized k-th moment once ``new_return`` completes the
+    sampling schedule: (new_return^k + past power sum) / (ds (n - 2))."""
+    if n < 3 or delta_s <= 0:
+        raise ValueError("need n >= 3 and delta_s > 0")
+    return (new_return**k + history.power_sum(k)) / (delta_s * (n - 2))
 
 
 def scen(s_t=100.0, delta_t=0.1, r=0.05, **kw):
