@@ -151,7 +151,8 @@ _MODEL_KINDS = {"brownian": lambda block: None, "compound_poisson": _compound_po
 def _build_model(block: _Block, scen: _Block, r: float) -> LevyModel:
     """A LevyModel from its config block, read by its kind.  ``drift_b`` may be
     "risk_neutral": the drift that makes the discounted asset, adjusted by
-    ``scenario.dividend``, driftless; no other drift reads the dividend."""
+    ``scenario.dividend``, driftless.  No other drift reads the dividend, so
+    with any other drift a dividend raises ``ConfigError`` saying so."""
     kind = block.choice("kind", _MODEL_KINDS, "model kind", "brownian")
     block.reader = f"model kind {kind!r}"
     sigma = block.number("brownian_sigma", 0.0, minimum=0)
@@ -164,6 +165,9 @@ def _build_model(block: _Block, scen: _Block, r: float) -> LevyModel:
             raise block.fail("drift_b", f": {err}") from None
     else:
         b = block.number("drift_b", 0.0)
+        if "dividend" in scen.raw:
+            raise scen.fail("dividend", f" is read only when {block.field('drift_b')!r} is "
+                                        f"'risk_neutral'")
     return LevyModel(drift_b=b, brownian_sigma=sigma, jump_spec=spec)
 
 

@@ -38,9 +38,18 @@ Everything a basket of order i reads about I_i is one table per order,
 built on first use (``_order_table``): the tuples, each one's multinomial
 i!/(theta! n!) and rest n, and the prefix tree with the node offset where
 each depth starts.  A ``pji_basket``'s units are one array expression over
-it, and every tree of I_i comes from it, by order.  A single tuple
-(``iterated_integral``) is stepped the same way on the chain of its own
-prefixes, so it is not capped at ``chaos.MAX_ORDER``.
+it, held as one read-only array in its tuple order (``pji_units`` gives
+them by tuple, built when first read), and every tree of I_i comes from
+it, by order.  A single tuple (``iterated_integral``) is stepped the same
+way on the chain of its own prefixes, so it is not capped at
+``chaos.MAX_ORDER``.
+
+A mark adds each scenario's legs exactly, to the float ``math.fsum`` gives.
+A leg array of 2048 entries or more (scenarios x legs), at 32 legs or more
+per scenario, is first reduced to a few floats per scenario with the same
+real sum, by error-free extraction in a few vectorised passes (Rump, Ogita
+& Oishi 2008, *Accurate floating-point summation part I*, SIAM J. Sci.
+Comput. 31(1)).
 """
 
 from __future__ import annotations
@@ -48,7 +57,9 @@ from __future__ import annotations
 import bisect
 import functools
 import math
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass, field, fields
+from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
@@ -162,8 +173,11 @@ class ScenarioOutcome:
 class JumpBasket:
     """Positions replicating one Taylor term out of jump assets.
 
-    ``pja_units[i]`` are units of T^(i), ``pji_units[theta]`` units of
-    U_theta, plus stock and bank cash.
+    ``pja_units[i]`` are units of T^(i); ``pji_unit_array`` holds the units
+    of U_theta, one per tuple theta of I_i in ``enumerate_compositions(i)``
+    order (empty when the basket holds none), read-only.  ``pji_units`` is
+    the same units as a read-only mapping by tuple.  Plus stock and bank
+    cash.
     """
 
     coefficient: float
@@ -174,9 +188,32 @@ class JumpBasket:
     path_state: PathState
     moments: MomentVector
     pja_units: dict[int, float] = field(default_factory=dict)
-    pji_units: dict[tuple, float] = field(default_factory=dict)
+    pji_unit_array: np.ndarray = field(default_factory=lambda: np.empty(0), compare=False)
     stock_units: float = 0.0
     bank_cash: float = 0.0
+
+    def __post_init__(self):
+        units = np.array(self.pji_unit_array, dtype=float)
+        if units.shape not in ((0,), (2**self.order - 1,)):
+            raise ValueError(f"pji units must be held on the {2**self.order - 1} tuples of "
+                             f"I_{self.order}, got an array of shape {units.shape}")
+        units.flags.writeable = False
+        object.__setattr__(self, "pji_unit_array", units)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (all(getattr(self, f.name) == getattr(other, f.name)
+                    for f in fields(self) if f.compare)
+                and np.array_equal(self.pji_unit_array, other.pji_unit_array))
+
+    @functools.cached_property
+    def pji_units(self) -> Mapping[tuple, float]:
+        """Units of U_theta by tuple theta of I_i, in table order."""
+        if not len(self.pji_unit_array):
+            return MappingProxyType({})
+        thetas = _order_table(self.order).thetas
+        return MappingProxyType(dict(zip(thetas, self.pji_unit_array.tolist())))
 
     def initial_cost(self) -> float:
         t_leg = sum(
@@ -190,7 +227,9 @@ class JumpBasket:
         mark per scenario for a set.
 
         Each leg is an array over the scenarios, and each scenario's legs
-        are added exactly (``math.fsum``), with the T-legs regrouped:
+        are added exactly, to the float ``math.fsum`` gives (by error-free
+        extraction first when the legs are many, see the module docstring
+        and ``_extracted_row_sums``), with the T-legs regrouped:
         e^{rt1}(y+dy) - e^{rt0}y is evaluated as y e^{rt0}(e^{r dt}-1) +
         e^{rt1} dy so no term dwarfs the total.  The power-jump-integral
         legs step each scenario's jump path through ``iterated_integrals``.
@@ -199,27 +238,19 @@ class JumpBasket:
         # the stock leg and one dy leg per T^(i) asset, as columns
         columns = [outcome.delta_s, *map(outcome.power_sums, self.pja_units)]
         legs = units * (np.column_stack(columns) - offsets)
-        if self.pji_units:
+        if len(pji_units):
             t0, t1 = self.path_state.t, self.path_state.t + self.delta_t
             s_vals = np.array([iterated_integrals(self.order, times, sizes, self.moments, t0, t1)
                                for times, sizes in outcome.paths()])
             legs = np.concatenate([legs, pji_units * s_vals], axis=1)
-        marks = []
-        for row in legs.tolist():
-            row += shared
-            marks.append(math.fsum(row))
-        return outcome.per_scenario(marks)
+        return outcome.per_scenario(_row_sums(legs, shared))
 
     @functools.cached_property
     def _mark_terms(self) -> tuple:
         """What every mark shares: the bank leg and the T-legs' frozen
         values (floats); the units of the stock and e^{rt1} times those of
         each T^(i), with the offsets 0 and m_i dt taken off the move and
-        the power sums; and e^{r dt} times the units of each U_theta, which
-        must be held on the tuples of I_i in ``enumerate_compositions`` order."""
-        if self.pji_units and tuple(self.pji_units) != _order_table(self.order).thetas:
-            raise ValueError(f"pji_units must list the tuples of I_{self.order} in "
-                             f"enumerate_compositions order")
+        the power sums; and e^{r dt} times the units of each U_theta."""
         t0, dt, r = self.path_state.t, self.delta_t, self.r
         growth = bank_growth(r, dt)
         shared = [self.bank_cash * growth]
@@ -228,8 +259,69 @@ class JumpBasket:
             shared.append(n * self.path_state.y_value(i) * math.exp(r * t0) * growth)
             units.append(n * math.exp(r * (t0 + dt)))
             offsets.append(self.moments[i] * dt)
-        pji_units = np.fromiter(self.pji_units.values(), float, len(self.pji_units))
-        return shared, np.array(units), np.array(offsets), pji_units * math.exp(r * dt)
+        return shared, np.array(units), np.array(offsets), self.pji_unit_array * math.exp(r * dt)
+
+
+# Leg arrays of at least this many entries (rows x legs), in rows of at
+# least this many legs, are summed after an error-free extraction.  Below
+# either, ``tolist`` and ``math.fsum`` are faster: one row of 1024 legs takes
+# about 80 us by fsum and 100 us by extraction, one of 2048 about 160 and
+# 115, and numpy's reductions along rows of a few legs cost more than the
+# fsum they save (300 rows of 8: 230 us by fsum, 400 by extraction).
+_EXTRACTION_MIN_LEGS = 2048
+_EXTRACTION_MIN_ROW = 32
+# Extraction passes at most; what is left after them goes to ``math.fsum``.
+_EXTRACTION_PASSES = 6
+
+
+def _row_sums(legs: np.ndarray, shared: list) -> list:
+    """``math.fsum`` of each row of ``legs`` followed by ``shared``, as a
+    list of floats; a large array of long rows goes through
+    ``_extracted_row_sums``."""
+    if legs.size < _EXTRACTION_MIN_LEGS or legs.shape[1] < _EXTRACTION_MIN_ROW:
+        return [math.fsum(row + shared) for row in legs.tolist()]
+    return _extracted_row_sums(legs, shared)
+
+
+def _extracted_row_sums(legs: np.ndarray, shared: list) -> list:
+    """``math.fsum`` of each row of ``legs`` followed by ``shared``, bit for
+    bit, with each row first reduced to a few floats of the same real sum
+    by error-free extraction (Rump, Ogita & Oishi 2008, *Accurate
+    floating-point summation part I*, SIAM J. Sci. Comput. 31(1)).
+
+    With n legs per row and 2^e bounding a row's largest |leg|, sigma =
+    2^(ceil(log2(n + 2)) + e) splits each leg x into q = (sigma + x) - sigma,
+    a multiple of ulp(sigma)/2, and the remainder x - q, both exactly; a
+    row's q then add up exactly in any order.  Each pass repeats this on the
+    remainders, and ``fsum`` of the pass sums, any remainder still nonzero
+    after the last pass and ``shared`` is the same correctly rounded float.
+    A row with a non-finite leg, or one so large that sigma would overflow,
+    is summed from its legs, so infinities and NaN come out as ``fsum``
+    gives them; ``fsum`` gives +0.0 for every sum that is exactly zero.
+    """
+    left = np.array(legs, dtype=float)
+    spread = math.ceil(math.log2(left.shape[1] + 2))
+    top = np.abs(left).max(axis=1)
+    # a row whose sigma would not be finite keeps all its legs for fsum
+    direct = ~(top < 2.0 ** (1023 - spread))
+    left[direct] = top[direct] = 0.0
+    parts = []
+    for _ in range(_EXTRACTION_PASSES):
+        sigma = np.ldexp(1.0, np.frexp(top)[1] + spread)[:, None]
+        high = sigma + left
+        high -= sigma
+        left -= high
+        parts.append(high.sum(axis=1))
+        top = np.abs(left, out=high).max(axis=1)
+        if not top.any():
+            break
+    parts = np.array(parts).T
+    sums = [math.fsum(row + shared) for row in parts.tolist()]
+    for k in np.flatnonzero(top).tolist():
+        sums[k] = math.fsum(parts[k].tolist() + left[k][left[k] != 0].tolist() + shared)
+    for k in np.flatnonzero(direct).tolist():
+        sums[k] = math.fsum(legs[k].tolist() + shared)
+    return sums
 
 
 def replication_report(basket: JumpBasket, outcome: ScenarioOutcome) -> dict:
@@ -241,7 +333,7 @@ def replication_report(basket: JumpBasket, outcome: ScenarioOutcome) -> dict:
     """
     target = basket.coefficient * outcome.delta_s**basket.order
     achieved = basket.change_of_value(outcome)
-    one_jump_basket = not basket.pji_units
+    one_jump_basket = not len(basket.pji_unit_array)
     return {
         "target": target,
         "achieved": achieved,
@@ -361,7 +453,7 @@ def pji_basket(
         delta_t=dt,
         path_state=state,
         moments=moments,
-        pji_units=dict(zip(table.thetas, units.tolist())),
+        pji_unit_array=units,
         bank_cash=cash,
     )
 

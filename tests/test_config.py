@@ -496,7 +496,8 @@ def test_neutral_strikes_must_be_positive(strikes, path):
 
 def test_dividend_is_read_only_by_the_risk_neutral_drift():
     raw = minimal(model={"drift_b": 0.01}, scenario={"dividend": 0.03})
-    with pytest.raises(ConfigError, match=r"'scenario\.dividend'"):
+    with pytest.raises(ConfigError, match=r"^config field 'scenario\.dividend' is read only "
+                                          r"when 'model\.drift_b' is 'risk_neutral'$"):
         load_config(raw)
     raw["model"]["drift_b"] = "risk_neutral"
     assert load_config(raw).model.drift_b == pytest.approx(0.05 - 0.03, rel=1e-12)

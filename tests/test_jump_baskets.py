@@ -5,6 +5,8 @@ import math
 import numpy as np
 import numpy.polynomial.polynomial as P
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from levyhedge import jump_baskets
 from levyhedge.chaos import (
@@ -553,12 +555,50 @@ class TestPJIBasket:
         iterated_integrals(12, [0.02], [0.1], moments, 0.0, 0.05)
 
     def test_units_off_the_tuples_of_their_order_raise(self):
+        """The units are one array over the tuples of I_i, in table order by
+        construction, so an array of any other length is refused when the
+        basket is built."""
         moments, _ = make_moments(np.random.default_rng(25))
         basket = pji_basket(1.0, scen(100.0, 0.01, 0.05), 3, moments)
-        for units in (dict(reversed(basket.pji_units.items())), {(1,): 1.0}):
-            other = dataclasses.replace(basket, pji_units=units)
+        units = basket.pji_unit_array
+        for wrong in (units[:-1], np.append(units, 1.0), [1.0], units[None, :]):
             with pytest.raises(ValueError, match="tuples of I_3"):
-                other.change_of_value(ScenarioOutcome(0.0))
+                dataclasses.replace(basket, pji_unit_array=wrong)
+
+    def test_units_are_read_only_and_compared_by_value(self):
+        moments, _ = make_moments(np.random.default_rng(27))
+        basket = pji_basket(1.0, scen(100.0, 0.01, 0.05), 3, moments)
+        with pytest.raises(ValueError, match="read-only"):
+            basket.pji_unit_array[0] = 1.0
+        with pytest.raises(TypeError):
+            basket.pji_units[(1,)] = 1.0
+        assert list(basket.pji_units) == list(enumerate_compositions(3))
+        assert dataclasses.replace(basket) == basket
+        assert dataclasses.replace(basket, pji_unit_array=2 * basket.pji_unit_array) != basket
+        assert not pja_basket_simple(1.0, scen(100.0, 0.01, 0.05), 3, PathState(t=0.0),
+                                     moments).pji_units
+
+    @pytest.mark.parametrize("order", range(2, 13))
+    def test_set_marks_match_single_marks(self, order):
+        """A mark on a scenario set equals the per-scenario marks bit for bit,
+        on both sides of the leg array size at which the sum switches to
+        extraction (one row from order 11 on, four from order 9, three
+        hundred from order 5)."""
+        rng = np.random.default_rng(90 + order)
+        model = LevyModel(jump_spec=CompoundPoisson(3.0, NormalJumps(mean=-0.02, std=0.08)))
+        moments = moment_vector(model, order)
+        dt = 0.05
+        basket = pji_basket(rng.uniform(0.1, 2.0), scen(rng.uniform(20.0, 200.0), dt, 0.04),
+                            order, moments)
+        for n_scenarios in (1, 4, 300):
+            counts = rng.integers(0, 6, n_scenarios)
+            times = np.concatenate([np.sort(dt * (1.0 - rng.random(n))) for n in counts])
+            sizes = rng.normal(-0.02, 0.08, counts.sum())
+            moves = rng.normal(0.0, 5.0, n_scenarios)
+            group = ScenarioOutcome(moves, times, sizes, n_jumps=counts)
+            singles = [basket.change_of_value(ScenarioOutcome(move, t, x))
+                       for move, (t, x) in zip(moves.tolist(), group.paths())]
+            assert same_bits(basket.change_of_value(group), singles), n_scenarios
 
     def test_units_and_marks_keep_their_bits(self):
         """Every unit, the cash and every mark of orders 2..12 on seeded
@@ -604,6 +644,80 @@ class TestPJIBasket:
         want = 10.0**i * constant_term(i, moments, dt)
         se = changes.std(ddof=1) / math.sqrt(n)
         assert abs(changes.mean() - want) < 4 * se
+
+
+# finite floats whose exponents span about 2000 bits, subnormals and zeros included
+finite_legs = st.builds(math.ldexp, st.floats(-1.0, 1.0), st.integers(-1074, 1000))
+
+
+@st.composite
+def leg_rows(draw):
+    """An array of rows of legs, each row one of: legs spread over the whole
+    exponent range, a mirrored row that cancels to exactly zero, legs within
+    60 bits of a row scale of their own, or a row holding inf or NaN."""
+    n_rows, n = draw(st.integers(1, 5)), draw(st.integers(1, 40))
+    rows = []
+    for _ in range(n_rows):
+        kind = draw(st.sampled_from(["spread", "mirrored", "scaled", "special"]))
+        if kind == "mirrored":
+            half = draw(st.lists(finite_legs, min_size=n // 2, max_size=n // 2))
+            row = draw(st.permutations(half + [-x for x in half]
+                                       + draw(st.sampled_from([[0.0], [-0.0]]))[:n % 2]))
+        elif kind == "scaled":
+            scale = draw(st.integers(-1074, 940))
+            row = [math.ldexp(f, scale + e) for f, e in draw(st.lists(
+                st.tuples(st.floats(-1.0, 1.0), st.integers(0, 60)), min_size=n, max_size=n))]
+        else:
+            row = draw(st.lists(finite_legs, min_size=n, max_size=n))
+            if kind == "special":
+                for k in draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2)):
+                    row[k] = draw(st.sampled_from([math.inf, -math.inf, math.nan]))
+        rows.append(row)
+    return np.array(rows, dtype=float)
+
+
+def check_row_sums(sums, legs, shared):
+    """``sums`` gives each row's ``math.fsum`` with ``shared``, bit for bit,
+    or raises what ``math.fsum`` raises."""
+    want = []
+    for row in legs.tolist():
+        try:
+            want.append(math.fsum(row + shared))
+        except ValueError:   # inf and -inf in one row
+            with pytest.raises(ValueError):
+                sums(legs, shared)
+            return
+    assert same_bits(sums(legs, shared), want)
+
+
+class TestExactRowSums:
+    """The sum behind every mark: each row's ``math.fsum``, through
+    error-free extraction when the leg array is large."""
+
+    @given(leg_rows(), st.lists(finite_legs, max_size=3))
+    @settings(max_examples=100, deadline=None)
+    def test_extraction_matches_fsum(self, legs, shared):
+        check_row_sums(jump_baskets._extracted_row_sums, legs, shared)
+
+    def test_seeded_arrays_on_both_sides_of_the_size_rule(self):
+        rng = np.random.default_rng(2323)
+        wide = np.ldexp(rng.uniform(-1.0, 1.0, (3, 700)), rng.integers(-1074, 1000, (3, 700)))
+        mirrored = np.concatenate([wide[:1], -wide[:1, ::-1]], axis=1)
+        scales = np.ldexp(1.0, np.array([[-1000], [-300], [0], [300], [900]]))
+        cases = [
+            wide, wide[:1], mirrored, np.column_stack([wide[0], wide[1]]),
+            rng.normal(size=(5, 300)) * scales,
+            np.full((2, 600), -0.0), np.zeros((1, 1500)),
+            np.concatenate([[[1e308, -1e308, 3.0, math.ldexp(1.0, -1074)]], wide[:1, :1000]], 1),
+            np.concatenate([[[math.nan, math.inf]], wide[:1, :1100]], 1),
+            np.concatenate([[[math.inf, 2.0]], wide[1:2, :1100]], 1),
+        ]
+        for legs in cases:
+            for shared in ([], [-0.0], [1.0, -1e-300], [math.inf]):
+                check_row_sums(jump_baskets._row_sums, legs, shared)
+                check_row_sums(jump_baskets._extracted_row_sums, legs, shared)
+        with pytest.raises(ValueError):
+            jump_baskets._row_sums(np.concatenate([[[math.inf, -math.inf]], wide[:1]], 1), [])
 
 
 class TestPhiHedge:
