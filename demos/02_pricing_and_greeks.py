@@ -17,15 +17,16 @@ from levyhedge import (
     black_scholes_price,
     build_lookup_table,
     derivative_ladder,
-    mc_price,
     price_curve,
 )
 
 # %%
-# Pure-Brownian sanity: the MC price straddles Black-Scholes.
+# Pure-Brownian sanity: the MC price straddles Black-Scholes.  A lone spot
+# is priced as a price curve of one.
 model = LevyModel(drift_b=0.05, brownian_sigma=0.2)
 call = OptionSpec(kind="european_call", strike=100.0, maturity=1.0)
-price, se = mc_price(model, call, 100.0, r=0.05, n_paths=200_000, seed=1, antithetic=True)
+(price,), (se,) = price_curve(model, call, [100.0], r=0.05, n_paths=200_000, seed=1,
+                              antithetic=True)
 print(f"MC {price:.4f} +/- {se:.4f}   closed form {black_scholes_price(100, 100, 1, 0.05, 0.2):.4f}")
 
 # %%

@@ -64,7 +64,6 @@ from .pricing import (
     black_scholes_gamma,
     black_scholes_price,
     derivative_ladder,
-    mc_price,
     payoff,
     price_curve,
 )

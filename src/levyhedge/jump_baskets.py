@@ -120,6 +120,8 @@ class ScenarioOutcome:
     _power_sums: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if len(self.jump_times) != len(self.jump_sizes):
+            raise ValueError(f"{len(self.jump_times)} jump times for {len(self.jump_sizes)} sizes")
         move = self.delta_s   # a number or a 0-d array is one scenario, a list a set
         if isinstance(move, (int, float)) or getattr(move, "ndim", 1) == 0:
             if self.n_jumps not in (None, len(self.jump_sizes)):

@@ -59,6 +59,16 @@ __all__ = [
 ]
 
 
+def norm_cdf(x: float) -> float:
+    """The standard normal law N(x), accurate in both tails."""
+    return 0.5 * math.erfc(-x * math.sqrt(0.5))
+
+
+def norm_pdf(x: float) -> float:
+    """Its density phi(x) = exp(-x^2/2)/sqrt(2 pi)."""
+    return math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+
+
 # ---------------------------------------------------------------------------
 # Jump-size laws for compound-Poisson models
 # ---------------------------------------------------------------------------
@@ -94,9 +104,7 @@ class NormalJumps:
         if self.std == 0:
             return max(self.mean, -1.0)
         z = (-1.0 - self.mean) / self.std
-        cdf = 0.5 * math.erfc(-z / math.sqrt(2.0))
-        pdf = math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
-        return self.mean + (-1.0 - self.mean) * cdf + self.std * pdf
+        return self.mean + (-1.0 - self.mean) * norm_cdf(z) + self.std * norm_pdf(z)
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return rng.normal(self.mean, self.std, n)

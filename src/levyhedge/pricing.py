@@ -27,9 +27,10 @@ Barrier monitoring is discrete on the simulation grid.  An expired option
 (zero remaining maturity) is valued by its payoff with the barrier checked
 against the evaluation state.
 
-The Black-Scholes closed forms (the pure-Brownian oracle) take the normal
-law from the standard library, N(x) = erfc(-x/sqrt 2)/2 and
-phi(x) = exp(-x^2/2)/sqrt(2 pi), so pricing loads nothing beyond numpy.
+``price_curve`` is the one call that draws a fresh bundle and prices it,
+a lone spot as a grid of one.  The Black-Scholes closed forms (the
+pure-Brownian oracle) read the normal law from ``models``, as the normal
+jump law's absorbed mean does, so pricing loads nothing beyond numpy.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridError, LadderOrderError
-from .models import LevyModel, relative_factors
+from .models import LevyModel, norm_cdf, norm_pdf, relative_factors
 from .stencil import StencilTable, apply_stencil
 
 __all__ = [
@@ -49,7 +50,6 @@ __all__ = [
     "PathBundle",
     "DerivativeLadder",
     "payoff",
-    "mc_price",
     "price_curve",
     "derivative_ladder",
     "black_scholes_price",
@@ -304,39 +304,6 @@ class _PrefixSums:
         return np.ldexp(high, -self.exp) + (self.low[b] - self.low[a])
 
 
-def _fresh_bundle(model, horizon, n_paths, steps, seed, antithetic) -> PathBundle:
-    """A bundle drawn over ``horizon`` in ``steps`` equal steps from ``seed``."""
-    if n_paths < 1000:
-        raise ValueError("Monte Carlo pricing needs at least 1000 paths")
-    if steps < 1:
-        raise ValueError("need steps >= 1")
-    rng = np.random.default_rng(seed)
-    factors = relative_factors(model, horizon / steps, steps, n_paths, rng, antithetic)
-    return PathBundle(factors, horizon)
-
-
-def mc_price(
-    model: LevyModel,
-    option: OptionSpec,
-    s0: float,
-    r: float,
-    t: float = 0.0,
-    n_paths: int = 100_000,
-    steps: int = 1,
-    seed: int | None = None,
-    antithetic: bool = False,
-):
-    """Price the option at date t and spot s0; returns (price, std_error)."""
-    if s0 <= 0:
-        raise ValueError("spot must be > 0")
-    option.check_barrier_side(s0)
-    remaining = option.maturity - t
-    if remaining <= 0:
-        return float(payoff(option, s0)), 0.0
-    bundle = _fresh_bundle(model, remaining, n_paths, steps, seed, antithetic)
-    return bundle.price(option, s0, r)
-
-
 def price_curve(
     model: LevyModel,
     option: OptionSpec,
@@ -348,26 +315,33 @@ def price_curve(
     seed: int | None = None,
     antithetic: bool = False,
 ):
-    """MC prices across a uniform spot grid with common random numbers.
+    """MC prices at date t across a uniform spot grid (a lone spot s0 is
+    ``[s0]``), with common random numbers drawn in ``steps`` equal steps.
 
     Returns (prices, standard_errors).  Expired options yield the exact
     payoff curve with zero error.
     """
     s_values = np.asarray(s_values, dtype=float)
+    if s_values.ndim != 1:
+        raise ValueError(f"spots must be a 1-D grid, got shape {s_values.shape}")
     if np.any(s_values <= 0):
         raise ValueError("spot must be > 0")
-    if len(s_values) > 1:
-        steps_arr = np.diff(s_values)
-        if np.any(steps_arr <= 0) or not np.allclose(
-            steps_arr, steps_arr[0], rtol=1e-9, atol=1e-9
-        ):
-            raise GridError("spot grid must be uniform and increasing")
+    for s in s_values:
+        option.check_barrier_side(s)
+    gaps = np.diff(s_values)  # none for a lone spot
+    if np.any(gaps <= 0) or not np.allclose(gaps, gaps[:1], rtol=1e-9, atol=1e-9):
+        raise GridError("spot grid must be uniform and increasing")
     remaining = option.maturity - t
     if remaining <= 0:
         prices = payoff(option, s_values)
         return prices, np.zeros_like(prices)
-    bundle = _fresh_bundle(model, remaining, n_paths, steps, seed, antithetic)
-    return bundle.price_many(option, s_values, r)
+    if n_paths < 1000:
+        raise ValueError("Monte Carlo pricing needs at least 1000 paths")
+    if steps < 1:
+        raise ValueError("need steps >= 1")
+    rng = np.random.default_rng(seed)
+    factors = relative_factors(model, remaining / steps, steps, n_paths, rng, antithetic)
+    return PathBundle(factors, remaining).price_many(option, s_values, r)
 
 
 @dataclass(frozen=True)
@@ -416,15 +390,6 @@ def derivative_ladder(
 # ---------------------------------------------------------------------------
 
 
-def _norm_cdf(x: float) -> float:
-    """N(x) = erfc(-x/sqrt 2)/2, accurate in both tails."""
-    return 0.5 * math.erfc(-x * math.sqrt(0.5))
-
-
-def _norm_pdf(x: float) -> float:
-    return math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-
-
 def _d1d2(s, k, t, r, sigma, dividend):
     vol = sigma * math.sqrt(t)
     d1 = (math.log(s / k) + (r - dividend + 0.5 * sigma**2) * t) / vol
@@ -437,17 +402,17 @@ def black_scholes_price(s, k, t, r, sigma, dividend=0.0, kind=EUROPEAN_CALL):
         return intrinsic
     d1, d2 = _d1d2(s, k, t, r, sigma, dividend)
     if kind == EUROPEAN_CALL:
-        return s * math.exp(-dividend * t) * _norm_cdf(d1) - k * math.exp(-r * t) * _norm_cdf(d2)
+        return s * math.exp(-dividend * t) * norm_cdf(d1) - k * math.exp(-r * t) * norm_cdf(d2)
     if kind == EUROPEAN_PUT:
-        return k * math.exp(-r * t) * _norm_cdf(-d2) - s * math.exp(-dividend * t) * _norm_cdf(-d1)
+        return k * math.exp(-r * t) * norm_cdf(-d2) - s * math.exp(-dividend * t) * norm_cdf(-d1)
     raise ValueError(f"no closed form for {kind!r}")
 
 
 def black_scholes_delta(s, k, t, r, sigma, dividend=0.0):
     d1, _ = _d1d2(s, k, t, r, sigma, dividend)
-    return math.exp(-dividend * t) * _norm_cdf(d1)
+    return math.exp(-dividend * t) * norm_cdf(d1)
 
 
 def black_scholes_gamma(s, k, t, r, sigma, dividend=0.0):
     d1, _ = _d1d2(s, k, t, r, sigma, dividend)
-    return math.exp(-dividend * t) * _norm_pdf(d1) / (s * sigma * math.sqrt(t))
+    return math.exp(-dividend * t) * norm_pdf(d1) / (s * sigma * math.sqrt(t))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -147,6 +148,61 @@ class TestPnlCommand:
         assert main(["converge", "--config", str(cfg), "--out", str(tmp_path / "c.csv")]) == 0
         with pytest.raises(ConfigError, match=r"'model\.vg_sigma' must be > 0"):
             main(["pnl", "--config", str(cfg), "--out", str(tmp_path / "p.csv")])
+
+
+class TestOutputBytes:
+    """The SHA-256 of every file small seeded ``qtable``, ``converge`` and
+    ``pnl`` runs write, pinned, so a change that moves one output byte is
+    seen, not only a rerun that differs within one tree.  The qtable and
+    converge runs price barrier options on a live post-move date; the pnl
+    runs mark all six strategies on compound-Poisson and variance-gamma.
+    The digests hold on x86-64 with numpy 2.4, whose ``default_rng``
+    streams they read."""
+
+    LIVE = {"s0": 5000, "delta_s": [10.0, 20.0], "delta_t": 0.1, "r": 0.05, "alpha_tol": 0.01}
+    PNL = {"options": [{"kind": "european_call", "strike": 5000, "maturity": 0.25}],
+           "scenario": {"s0": 5000, "delta_s": [10.0], "delta_t": 0.002,
+                        "r": 0.05, "alpha_tol": 0.01},
+           "stencil": {"half_width": 4, "p_max": 7, "s_step": 10.0},
+           "strategies": ["taylor+swaps", "taylor+pja", "minvar", "minvar+varswap", "delta",
+                          "moment-neutral"],
+           "pnl": {"n_scenarios": 60, "q": 4, "neutral_strikes": [4950.0, 5050.0],
+                   "swap": {"strike": 0.002, "unit_price": 0.002}}}
+    VG = {"kind": "variance_gamma", "theta": -0.05, "nu": 0.01, "vg_sigma": 0.2,
+          "drift_b": "risk_neutral"}
+    RUNS = {
+        "qtable": ("qtable", dict(
+            options=[{"kind": "up_and_out", "strike": 5000, "maturity": 1.0, "barrier": 5100},
+                     {"kind": "down_and_in", "strike": 5000, "maturity": 1.0, "barrier": 4900},
+                     {"kind": "european_put", "strike": 5000, "maturity": 1.0}],
+            scenario=LIVE, mc={"paths": 4000, "steps": 4, "seed": 7},
+            stencil={"half_width": 6, "p_max": 11, "s_step": 10.0})),
+        "converge": ("converge", dict(
+            options=[{"kind": "up_and_in", "strike": 5000, "maturity": 1.0, "barrier": 5100}],
+            scenario=dict(LIVE, delta_s=[20.0]), mc={"paths": 4000, "steps": 4, "seed": 8},
+            stencil={"half_width": 4, "p_max": 7, "s_step": 10.0})),
+        "pnl_cp": ("pnl", dict(PNL, mc={"paths": 5000, "steps": 2, "seed": 9})),
+        "pnl_vg": ("pnl", dict(PNL, model=VG, mc={"paths": 5000, "steps": 2, "seed": 10})),
+    }
+    DIGESTS = {
+        "qtable.csv": "b653dbeb5a791d256acbb511597eb8ba4e683a3a9954e0c188f417826c06e479",
+        "converge.csv": "aa729757589cd829191797284eaccb1a5395d4e3a10b5e033b4cc440eebfd6cd",
+        "pnl_cp.csv": "806fa3e3e2f54198de169dae2e8587d07ad00d9a2ac27f737faa637a35f68831",
+        "pnl_cp.csv.summary": "ed96f3c5e3bb686ed3f8a70e493f000896a91fde00d9f8f0bb9f3d32d6a3e5b9",
+        "pnl_vg.csv": "1664e354d671f681e141f154e7c5756edda6452cf970099ba985a7a0766f97e4",
+        "pnl_vg.csv.summary": "207696ae587599902102c8e23507edae94b15d55f95273016b66ccc7bb2d57ba",
+    }
+
+    def test_outputs_keep_their_bytes(self, tmp_path):
+        digests = {}
+        for name, (command, over) in self.RUNS.items():
+            # a fixed output dir keeps the config hash, a CSV column, off tmp_path
+            cfg = write_config(tmp_path, output={}, **over)
+            out = tmp_path / f"{name}.csv"
+            assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+            for path in sorted(tmp_path.glob(f"{name}.csv*")):
+                digests[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digests == self.DIGESTS
 
 
 def test_console_entry_point():

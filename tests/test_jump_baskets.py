@@ -125,6 +125,17 @@ class TestScenarioOutcome:
         with pytest.raises(ValueError, match="one jump count per move"):
             ScenarioOutcome([2.0], times, sizes)
 
+    def test_jump_times_and_sizes_pair_up(self):
+        # an unmatched size would count in n_jumps and the power sums but drop
+        # out of the pji legs: the order-3 mark read 27 = C (S x_1)^3, not 343
+        moments, _ = make_moments(np.random.default_rng(26))
+        basket = pji_basket(1.0, scen(100.0, 0.05, 0.04), 3, moments)
+        times, sizes = np.array([0.01, 0.02]), np.array([0.03, 0.04])
+        assert basket.change_of_value(ScenarioOutcome(7.0, times, sizes)) == pytest.approx(343.0)
+        for outcome in ({"delta_s": 7.0}, {"delta_s": [7.0], "n_jumps": [2]}):
+            with pytest.raises(ValueError, match="1 jump times for 2 sizes"):
+                ScenarioOutcome(jump_times=times[:1], jump_sizes=sizes, **outcome)
+
 
 class TestSimpleBasket:
     def test_no_jump_no_move_consistency(self):

@@ -22,7 +22,6 @@ from levyhedge.pricing import (
     black_scholes_gamma,
     black_scholes_price,
     derivative_ladder,
-    mc_price,
     payoff,
     price_curve,
 )
@@ -45,15 +44,15 @@ class TestMCPrice:
     def test_degenerate_deterministic(self):
         model = LevyModel(drift_b=0.05)
         opt = OptionSpec(kind="european_call", strike=90.0, maturity=1.0)
-        price, se = mc_price(model, opt, 100.0, r=0.05, n_paths=1000, seed=0)
+        (price,), (se,) = price_curve(model, opt, [100.0], r=0.05, n_paths=1000, seed=0)
         want = max(100.0 * math.exp(0.05) - 90.0, 0.0) * math.exp(-0.05)
         assert se == pytest.approx(0.0, abs=1e-12)
         assert price == pytest.approx(want, rel=1e-12)
 
     def test_black_scholes_within_3se(self):
         opt = OptionSpec(kind="european_call", strike=BS["k"], maturity=BS["t"])
-        price, se = mc_price(bs_model(), opt, BS["s"], r=BS["r"],
-                             n_paths=400_000, seed=3, antithetic=True)
+        (price,), (se,) = price_curve(bs_model(), opt, [BS["s"]], r=BS["r"],
+                                      n_paths=400_000, seed=3, antithetic=True)
         want = black_scholes_price(**BS)
         assert abs(price - want) < 3 * se
 
@@ -93,13 +92,12 @@ class TestMCPrice:
         call = OptionSpec(kind="european_call", strike=100.0, maturity=1.0)
         put = OptionSpec(kind="european_put", strike=100.0, maturity=1.0)
         run = dict(r=0.05, n_paths=1000, steps=10, seed=1)
-        assert mc_price(model, call, 100.0, **run) == (0.0, 0.0)
-        assert mc_price(model, put, 100.0, **run) == (100.0 * math.exp(-0.05), 0.0)
-        spots = [90.0, 100.0, 110.0]  # the sorted kernel
-        for option, want in ((call, 0.0), (put, 100.0 * math.exp(-0.05))):
-            prices, ses = price_curve(model, option, spots, **run)
-            np.testing.assert_array_equal(prices, [want] * 3)
-            np.testing.assert_array_equal(ses, [0.0] * 3)
+        # a lone spot takes the per-path kernel, a grid the sorted one
+        for spots in ([100.0], [90.0, 100.0, 110.0]):
+            for option, want in ((call, 0.0), (put, 100.0 * math.exp(-0.05))):
+                prices, ses = price_curve(model, option, spots, **run)
+                np.testing.assert_array_equal(prices, [want] * len(spots))
+                np.testing.assert_array_equal(ses, [0.0] * len(spots))
 
     @staticmethod
     def absorbing_model(drift_b):
@@ -172,17 +170,21 @@ class TestMCPrice:
     def test_too_few_paths_rejected(self):
         opt = OptionSpec(kind="european_call", strike=100.0, maturity=1.0)
         with pytest.raises(ValueError):
-            mc_price(bs_model(), opt, 100.0, r=0.05, n_paths=100, seed=1)
+            price_curve(bs_model(), opt, [100.0], r=0.05, n_paths=100, seed=1)
 
     def test_barrier_side_checked_at_pricing(self):
         opt = OptionSpec(kind="up_and_out", strike=100.0, maturity=1.0, barrier=95.0)
         with pytest.raises(ValueError):
-            mc_price(bs_model(), opt, 100.0, r=0.05, n_paths=2000, seed=1)
+            price_curve(bs_model(), opt, [100.0], r=0.05, n_paths=2000, seed=1)
+        # every spot of a grid is checked: here only the top one reaches the barrier
+        opt = OptionSpec(kind="up_and_out", strike=100.0, maturity=1.0, barrier=110.0)
+        with pytest.raises(ValueError, match="up barrier 110.0 must exceed spot 110.0"):
+            price_curve(bs_model(), opt, [100.0, 105.0, 110.0], r=0.05, n_paths=2000, seed=1)
 
     def test_expired_is_payoff(self):
         opt = OptionSpec(kind="european_call", strike=90.0, maturity=1.0)
-        price, se = mc_price(bs_model(), opt, 100.0, r=0.05, t=1.0, n_paths=10)
-        assert (price, se) == (10.0, 0.0)
+        prices, ses = price_curve(bs_model(), opt, [100.0], r=0.05, t=1.0, n_paths=10)
+        assert (prices.tolist(), ses.tolist()) == ([10.0], [0.0])
 
     def test_ftse_vg_reference_price(self):
         # one-year at-the-money index call under the fitted VG dynamics
@@ -191,7 +193,7 @@ class TestMCPrice:
         b = risk_neutral_drift(base, r=0.0543, dividend=0.0351)
         model = LevyModel(drift_b=b, jump_spec=vg)
         opt = OptionSpec(kind="european_call", strike=6287.0, maturity=1.0)
-        price, se = mc_price(model, opt, 6287.0, r=0.0543, n_paths=100_000, seed=11)
+        (price,), (se,) = price_curve(model, opt, [6287.0], r=0.0543, n_paths=100_000, seed=11)
         assert abs(price - 410.914) < 2 * se
 
 
@@ -435,11 +437,25 @@ class TestPriceCurve:
         diffs = np.diff(prices)
         assert np.all(diffs > -3 * np.hypot(ses[1:], ses[:-1]))
 
-    def test_singleton_matches_mc_price(self):
+    @pytest.mark.parametrize("option", ALL_KINDS, ids=lambda o: o.kind)
+    @pytest.mark.parametrize("jumps", [None, CompoundPoisson(3.0, NormalJumps(-0.02, 0.08))],
+                             ids=["brownian", "compound_poisson"])
+    @pytest.mark.parametrize("antithetic, steps", [(True, 1), (False, 4)],
+                             ids=["antithetic", "4_steps"])
+    def test_lone_spot_matches_bundle_price(self, option, jumps, antithetic, steps):
+        # the same draw as a bundle built from the same seed: the same bits
+        model = LevyModel(drift_b=0.05, brownian_sigma=0.2, jump_spec=jumps)
+        horizon = option.maturity - 0.25
+        bundle = draw_bundle(model, horizon, steps, 50_000, np.random.default_rng(9), antithetic)
+        (price,), (se,) = price_curve(model, option, [100.0], r=0.05, t=0.25, n_paths=50_000,
+                                      steps=steps, seed=9, antithetic=antithetic)
+        assert (price, se) == bundle.price(option, 100.0, 0.05)
+
+    @pytest.mark.parametrize("spots", [100.0, [[95.0, 100.0, 105.0]]], ids=["0-d", "2-d"])
+    def test_spots_must_be_one_dimensional(self, spots):
         opt = OptionSpec(kind="european_call", strike=100.0, maturity=1.0)
-        a, _ = price_curve(bs_model(), opt, [100.0], r=0.05, n_paths=50_000, seed=9)
-        b, _ = mc_price(bs_model(), opt, 100.0, r=0.05, n_paths=50_000, seed=9)
-        assert a[0] == pytest.approx(b, rel=1e-12)
+        with pytest.raises(ValueError, match="1-D grid"):
+            price_curve(bs_model(), opt, spots, r=0.05, n_paths=1000, seed=1)
 
     def test_curve_vs_black_scholes_pointwise(self):
         opt = OptionSpec(kind="european_call", strike=100.0, maturity=1.0)
@@ -457,7 +473,7 @@ class TestPriceCurve:
 
     @pytest.mark.parametrize("t", [0.0, 1.0], ids=["live", "expired"])
     def test_non_positive_spot_rejected(self, t):
-        # as mc_price: a put at spots [-20, 0, 20] has no price
+        # a put at spots [-20, 0, 20] has no price
         opt = OptionSpec(kind="european_put", strike=100.0, maturity=1.0)
         for grid in ([-20.0, 0.0, 20.0], [0.0]):
             with pytest.raises(ValueError, match="spot must be > 0"):
