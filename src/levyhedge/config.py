@@ -308,6 +308,9 @@ def load_config(source) -> ExperimentConfig:
     if "moment-neutral" in strategies and not neutral_strikes:
         raise pnl.fail("neutral_strikes", " is missing: the moment-neutral strategy needs "
                                           "at least one strike")
+    if "moment-neutral" in strategies and len(neutral_strikes) > p_max:
+        raise pnl.fail("neutral_strikes", f" holds {len(neutral_strikes)} strikes, one per "
+                                          f"order neutralized, beyond p_max = {p_max}")
     output = top.block("output")
     output_dir = output.get("dir", ".")
     if not isinstance(output_dir, str) or not output_dir:

@@ -41,7 +41,7 @@ from .pricing import (
     derivative_ladder,
     payoff,
 )
-from .stencil import StencilTable, build_lookup_table
+from .stencil import build_lookup_table
 from .swaps import RealizedHistory, SwapSpec, moment_swap_basket
 from .taylor import HedgeScenario, assemble_ledger, bank_growth, find_q, taylor_sums
 
@@ -152,18 +152,20 @@ class Market:
     length, so the draw is then [delta_t, maturity - delta_t] (or
     [maturity]) and its law does not depend on ``mc.steps``; a larger
     ``mc.steps`` is logged at INFO as unused.  Each bundle's count of
-    paths absorbed at zero is logged, at WARNING when it is not zero.
+    paths absorbed at zero is logged, at WARNING when it is not zero.  The
+    stencil table, of the grid's ``half_width`` and ``p_max``, is built here.
     """
 
     def __init__(self, cfg: ExperimentConfig, rng: np.random.Generator):
         self.cfg = cfg
         n = cfg.half_width
         self.grid = cfg.s0 + cfg.s_step * np.arange(-n, n + 1)
+        self.table = build_lookup_table(n, cfg.p_max)
         self.maturity = maturity = cfg.options[0].maturity
         # an option holds a barrier exactly when its kind monitors one
         steps = cfg.steps if any(o.barrier is not None for o in cfg.options) else 1
         remaining = maturity - cfg.delta_t
-        if remaining > 1e-14:
+        if remaining > 0:
             later = max(1, steps - 1)
             dts = np.array([cfg.delta_t] + [remaining / later] * later)
         else:
@@ -173,7 +175,7 @@ class Market:
                       "so each date draws one cell", cfg.steps)
         factors = relative_factors(cfg.model, dts, len(dts), cfg.n_paths, rng, cfg.antithetic)
         self.bundle_full = PathBundle(factors, maturity)
-        self.bundle_later = PathBundle(factors[:, 1:], remaining) if remaining > 1e-14 else None
+        self.bundle_later = PathBundle(factors[:, 1:], remaining) if remaining > 0 else None
         for date, bundle in (("valuation", self.bundle_full), ("post-move", self.bundle_later)):
             if bundle is not None:
                 _log.log(logging.WARNING if bundle.n_bankrupt else logging.INFO,
@@ -188,26 +190,24 @@ class Market:
             return np.asarray(payoff(option, spots), dtype=float)
         return self.bundle_later.values(option, spots, self.cfg.r)
 
-    def ladder(self, option: OptionSpec, table: StencilTable) -> tuple[DerivativeLadder, float, float]:
+    def ladder(self, option: OptionSpec) -> tuple[DerivativeLadder, float, float]:
         """(ladder, price_t, price_t_se) with d1 from the forward difference
         over the hedging period."""
         cfg = self.cfg
         price_t, se_t = self.bundle_full.price(option, cfg.s0, cfg.r)
         curve = self.values_later(option, self.grid)
         d1 = (curve[cfg.half_width] - price_t) / cfg.delta_t
-        return derivative_ladder(curve, table, cfg.p_max, cfg.s_step, d1), price_t, se_t
+        return derivative_ladder(curve, self.table, cfg.p_max, cfg.s_step, d1), price_t, se_t
 
 
 def run_qtable(cfg: ExperimentConfig):
     """One row per (option, delta_s): the truncation order q meeting the
     tolerance and the error it achieved.  Returns (header, rows, ok)."""
-    rng = np.random.default_rng(cfg.seed)
-    table = build_lookup_table(cfg.half_width, cfg.p_max)
-    market = Market(cfg, rng)
+    market = Market(cfg, np.random.default_rng(cfg.seed))
     rows = []
     ok = True
     for opt in cfg.options:
-        ladder, price_t, _ = market.ladder(opt, table)
+        ladder, price_t, _ = market.ladder(opt)
         changes = market.values_later(opt, cfg.s0 + np.asarray(cfg.delta_s)) - price_t
         for ds, exact in zip(cfg.delta_s, changes):
             scen = HedgeScenario(
@@ -224,21 +224,24 @@ def run_qtable(cfg: ExperimentConfig):
     return header, rows, ok
 
 
+def _lone_option(cfg: ExperimentConfig, run: str) -> OptionSpec:
+    """The config's one option; ``ConfigError`` when a ``run`` run gets more."""
+    if len(cfg.options) != 1:
+        raise ConfigError(f"config field 'options' holds {len(cfg.options)} options; "
+                          f"a {run} run uses one")
+    return cfg.options[0]
+
+
 def run_converge(cfg: ExperimentConfig):
     """Term-by-term convergence for a single option and a single move:
     rows (i, D2^i, cumulative approximation), Table-style."""
-    if len(cfg.options) != 1:
-        raise ConfigError(f"config field 'options' holds {len(cfg.options)} options; "
-                          "a convergence run uses one")
+    opt = _lone_option(cfg, "convergence")
     if len(cfg.delta_s) != 1:
         raise ConfigError(f"config field 'scenario.delta_s' holds {len(cfg.delta_s)} moves; "
                           "a convergence run uses one")
-    rng = np.random.default_rng(cfg.seed)
-    table = build_lookup_table(cfg.half_width, cfg.p_max)
-    market = Market(cfg, rng)
-    opt = cfg.options[0]
+    market = Market(cfg, np.random.default_rng(cfg.seed))
     ds = cfg.delta_s[0]
-    ladder, price_t, se_t = market.ladder(opt, table)
+    ladder, price_t, se_t = market.ladder(opt)
     exact = market.values_later(opt, [cfg.s0 + ds])[0] - price_t
     sums = taylor_sums(ladder, cfg.delta_t, ds, cfg.p_max)
     rows = [
@@ -284,7 +287,6 @@ class _Book:
 
     cfg: ExperimentConfig
     market: Market
-    table: StencilTable
     ladder: DerivativeLadder
     moments: MomentVector
     scenario: HedgeScenario
@@ -305,22 +307,18 @@ class _Book:
                         unit_price=cfg.swap_unit_price)
 
 
-def _ledger(book: _Book, basket):
-    """The Taylor ledger to order q with ``basket(i, c_i)`` for each term."""
-    ledger = assemble_ledger(book.ladder, book.scenario, book.cfg.pnl_q, basket)
-    return ledger.change_of_value(book.moves, book.outcomes)
-
-
 def _taylor_swaps(book: _Book):
     history = RealizedHistory(sums={k: 0.0 for k in book.coeffs})
-    return _ledger(book, lambda i, c_i: moment_swap_basket(
-        c_i, book.scenario, book.swap_spec(i), history))
+    ledger = assemble_ledger(book.ladder, book.scenario, book.cfg.pnl_q, lambda i, c_i:
+                             moment_swap_basket(c_i, book.scenario, book.swap_spec(i), history))
+    return ledger.change_of_value(book.moves)
 
 
 def _taylor_pja(book: _Book):
     state = PathState(t=0.0)
-    return _ledger(book, lambda i, c_i: pja_basket_general(
-        c_i, book.scenario, i, state, book.moments))
+    ledger = assemble_ledger(book.ladder, book.scenario, book.cfg.pnl_q, lambda i, c_i:
+                             pja_basket_general(c_i, book.scenario, i, state, book.moments))
+    return ledger.change_of_value(book.moves, book.outcomes)
 
 
 def _minvar(book: _Book):
@@ -358,7 +356,7 @@ def _moment_neutral(book: _Book):
     instruments = []
     for strike in cfg.neutral_strikes:
         opt = OptionSpec(kind=EUROPEAN_CALL, strike=strike, maturity=market.maturity)
-        ladder, price_t, _ = market.ladder(opt, book.table)
+        ladder, price_t, _ = market.ladder(opt)
         instruments.append((opt, ladder, price_t))
     orders = range(1, len(instruments) + 1)
     system = solve_neutrality(
@@ -398,9 +396,7 @@ def run_pnl(cfg: ExperimentConfig):
     never dropped, and moves beyond the stencil span are logged.  Returns
     (header, rows, summary_header, summary_rows).
     """
-    if len(cfg.options) != 1:
-        raise ConfigError(f"config field 'options' holds {len(cfg.options)} options; "
-                          "a pnl run uses one")
+    opt = _lone_option(cfg, "pnl")
     q = cfg.pnl_q
     try:  # the hedges need a two-sided measure, which a sigma = 0 variance gamma lacks
         moments = moment_vector(cfg.model, max(q + 2, 3))
@@ -409,10 +405,8 @@ def run_pnl(cfg: ExperimentConfig):
                           f"{err}") from None
     n_scenarios = cfg.n_scenarios
     rng = np.random.default_rng(cfg.seed)
-    table = build_lookup_table(cfg.half_width, cfg.p_max)
     market = Market(cfg, rng)
-    opt = cfg.options[0]
-    ladder, price_t, _ = market.ladder(opt, table)
+    ladder, price_t, _ = market.ladder(opt)
     outcomes = _simulate_outcomes(cfg, rng)
     moves = outcomes.delta_s
     span = cfg.half_width * cfg.s_step
@@ -424,7 +418,7 @@ def run_pnl(cfg: ExperimentConfig):
             outside, n_scenarios, span,
         )
     book = _Book(
-        cfg=cfg, market=market, table=table, ladder=ladder, moments=moments,
+        cfg=cfg, market=market, ladder=ladder, moments=moments,
         scenario=HedgeScenario(
             s_t=cfg.s0, delta_s=cfg.delta_s[0], delta_t=cfg.delta_t, r=cfg.r,
             alpha_tol=cfg.alpha_tol,

@@ -104,13 +104,13 @@ class ScenarioOutcome:
     a set of them marked at once.
 
     One scenario has a float ``delta_s`` and lists its jumps in
-    ``jump_times``/``jump_sizes``.  A set has an array of moves, one per
-    scenario, and ``n_jumps`` gives each scenario's jump count; its jumps
-    are listed flat, scenario by scenario.  Jumps are relative jumps dS/S_-,
-    and the power-jump assets are marked from them.  Every mark treats one
-    scenario as a set of one and returns a float for it, an array with one
-    value per scenario for a set.  Baskets assuming sigma = 0 regimes are
-    evaluated on jump-only outcomes.
+    ``jump_times``/``jump_sizes``.  A set has a 1-D array of moves, and
+    ``n_jumps`` gives each scenario's jump count, a non-negative integer;
+    its jumps are listed flat, scenario by scenario (else ``ValueError``).
+    Jumps are relative jumps dS/S_-; the power-jump assets are marked from
+    them.  Every mark treats one scenario as a set of one and returns a float
+    for it, an array with one value per scenario for a set.  Baskets assuming
+    sigma = 0 regimes are evaluated on jump-only outcomes.
     """
 
     delta_s: float | np.ndarray
@@ -129,13 +129,15 @@ class ScenarioOutcome:
                                  f"not n_jumps = {self.n_jumps}")
             object.__setattr__(self, "n_jumps", len(self.jump_sizes))
             return
-        counts = None if self.n_jumps is None else np.asarray(self.n_jumps)
-        if (counts is None or counts.shape != np.shape(self.delta_s)
+        moves = np.asarray(move, dtype=float)
+        counts = np.asarray([] if self.n_jumps is None else self.n_jumps)
+        if (moves.ndim != 1 or counts.shape != moves.shape
+                or (counts.size and counts.dtype.kind not in "iu") or np.any(counts < 0)
                 or counts.sum() != len(self.jump_sizes)):
-            raise ValueError("a scenario set needs one jump count per move, adding up to "
-                             "the jumps listed")
-        object.__setattr__(self, "delta_s", np.asarray(self.delta_s, dtype=float))
-        object.__setattr__(self, "n_jumps", counts)
+            raise ValueError("a scenario set needs a 1-D array of moves and one jump count per "
+                             "move, a non-negative integer, adding up to the jumps listed")
+        object.__setattr__(self, "delta_s", moves)
+        object.__setattr__(self, "n_jumps", counts.astype(np.int64, copy=False))
 
     def per_scenario(self, values):
         """``values``, one per scenario, as a mark returns them: a float for
@@ -243,7 +245,7 @@ class JumpBasket:
         if len(pji_units):
             t0, t1 = self.path_state.t, self.path_state.t + self.delta_t
             s_vals = np.array([iterated_integrals(self.order, times, sizes, self.moments, t0, t1)
-                               for times, sizes in outcome.paths()])
+                               for times, sizes in outcome.paths()]).reshape(-1, len(pji_units))
             legs = np.concatenate([legs, pji_units * s_vals], axis=1)
         return outcome.per_scenario(_row_sums(legs, shared))
 

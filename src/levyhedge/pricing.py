@@ -332,7 +332,7 @@ def price_curve(
     if np.any(gaps <= 0) or not np.allclose(gaps, gaps[:1], rtol=1e-9, atol=1e-9):
         raise GridError("spot grid must be uniform and increasing")
     remaining = option.maturity - t
-    if remaining <= 0:
+    if not remaining > 0:
         prices = payoff(option, s_values)
         return prices, np.zeros_like(prices)
     if n_paths < 1000:

@@ -5,7 +5,8 @@ time series D1^i F (dt)^i / i! and a spot series D2^i F (dS)^i / i!.
 The time series is replicated by one bank deposit; the linear spot term
 by stock; each higher term i by C_i = D2^i F / i! units of a basket
 P^(i) whose change of value is exactly (dS)^i.  ``find_q`` measures how
-many spot terms a tolerance demands.
+many spot terms a tolerance demands; a ``HedgeLedger`` marks them all on
+one input, the moves or a ``ScenarioOutcome``.
 
 Every bank leg in the library accrues by ``bank_growth(r, dt)`` =
 e^{r dt} - 1 and is sized by dividing through it: it needs r != 0, and a
@@ -109,7 +110,8 @@ class HedgeLedger:
 
     ``scenario`` gives the rate and period the bank leg accrues over;
     ``term_positions[i]`` pairs the Taylor coefficient C_i with the basket
-    fragment whose ``change_of_value`` reproduces (dS)^i per unit.
+    fragment whose ``change_of_value`` reproduces (dS)^i per unit; every
+    fragment reads the same input, so swap and jump baskets do not mix.
     """
 
     bank_cash: float
@@ -122,23 +124,17 @@ class HedgeLedger:
         of scenarios at once.
 
         ``delta_s`` is one move (the mark is a float) or an array of moves
-        (one mark per move).  Swap fragments only need the moves; jump
-        baskets need the full ``outcome`` (jump records), a
-        ``ScenarioOutcome`` of the same scenarios.  Fragments see
-        ``outcome`` when they accept one.
+        (one mark per move); the stock leg reads it.  Every fragment is
+        marked on ``outcome``, a ``ScenarioOutcome`` of the same scenarios,
+        when one is given (jump baskets read the jump records), and on
+        ``delta_s`` otherwise (swap baskets read the moves).
         """
         sc = self.scenario
+        marked = delta_s if outcome is None else outcome
         total = self.bank_cash * bank_growth(sc.r, sc.delta_t) + self.stock_units * delta_s
         for _, fragment in self.term_positions.values():
-            if outcome is not None and _accepts_outcome(fragment):
-                total += fragment.change_of_value(outcome)
-            else:
-                total += fragment.change_of_value(delta_s)
+            total += fragment.change_of_value(marked)
         return total
-
-
-def _accepts_outcome(fragment) -> bool:
-    return hasattr(fragment, "pja_units") or hasattr(fragment, "pji_units")
 
 
 def assemble_ledger(

@@ -219,6 +219,18 @@ def test_moment_neutral_needs_strikes():
         load_config(minimal(strategies=["moment-neutral"], pnl={"neutral_strikes": []}))
 
 
+def test_neutral_strikes_fit_the_ladder():
+    # four strikes neutralize orders 1..4, which a p_max = 3 ladder lacks:
+    # the load fails, before any draw, rather than the run after every draw
+    strikes = {"neutral_strikes": [90, 95, 105, 110]}
+    with pytest.raises(ConfigError, match=r"'pnl\.neutral_strikes' holds 4 strikes.*p_max = 3"):
+        load_config(minimal(strategies=["moment-neutral"], pnl=strikes,
+                            stencil={"half_width": 4, "p_max": 3}))
+    cfg = load_config(minimal(strategies=["moment-neutral"], pnl=strikes,
+                              stencil={"half_width": 4, "p_max": 4}))
+    assert cfg.neutral_strikes == (90.0, 95.0, 105.0, 110.0)
+
+
 def test_pnl_errors_come_before_any_draw(tmp_path, monkeypatch):
     from levyhedge import cli, harness
 

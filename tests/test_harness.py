@@ -19,8 +19,13 @@ from levyhedge.errors import BankruptcyError, ConfigError
 from levyhedge.harness import Market, run_converge, run_pnl, run_qtable
 from levyhedge.jump_baskets import PathState, ScenarioOutcome, pja_basket_general
 from levyhedge.models import log_mean_growth, moment_vector, relative_factors
-from levyhedge.pricing import DerivativeLadder, PathBundle, black_scholes_price, payoff
-from levyhedge.stencil import build_lookup_table
+from levyhedge.pricing import (
+    DerivativeLadder,
+    PathBundle,
+    black_scholes_price,
+    payoff,
+    price_curve,
+)
 from levyhedge.swaps import RealizedHistory, SwapSpec, moment_swap_basket
 from levyhedge.taylor import HedgeScenario, assemble_ledger
 
@@ -110,6 +115,21 @@ class TestMarket:
             want = [float(payoff(opt, np.array([s]))[0]) for s in spots]
             np.testing.assert_array_equal(market.values_later(opt, spots), want)
 
+    def test_one_expiry_rule(self):
+        # any remaining maturity > 0 is live, for Market as for price_curve:
+        # an at-the-money call 1e-15 before expiry is worth more than its
+        # payoff of 0
+        raw = base_config()
+        raw["scenario"]["delta_t"] = 1.0 - 1e-15
+        cfg = load_config(raw)
+        opt = cfg.options[0]
+        market = Market(cfg, np.random.default_rng(1))
+        assert market.bundle_later is not None
+        assert market.values_later(opt, [cfg.s0])[0] > 0.0
+        prices, _ = price_curve(cfg.model, opt, [cfg.s0], cfg.r, t=cfg.delta_t, n_paths=5000,
+                                seed=1)
+        assert prices[0] > 0.0
+        assert payoff(opt, np.array([cfg.s0]))[0] == 0.0
 
     @pytest.mark.parametrize("barrier, cells", [
         (False, [0.1, 0.9]),  # a European reads one cell per date
@@ -176,9 +196,8 @@ class TestMarket:
             "stencil": {"half_width": 2, "p_max": 2, "s_step": 10.0},
         }
         cfg = load_config(raw)
-        table = build_lookup_table(cfg.half_width, cfg.p_max)
         d1 = np.array([
-            Market(cfg, np.random.default_rng(seed)).ladder(cfg.options[0], table)[0].d1
+            Market(cfg, np.random.default_rng(seed)).ladder(cfg.options[0])[0].d1
             for seed in range(8)
         ])
         d_plus = (math.log(s0 / s0) + (r + 0.5 * sigma**2) * t_mat) / (sigma * math.sqrt(t_mat))
@@ -378,10 +397,8 @@ class TestPnl:
         # the swap ledger change IS the truncated Taylor sum, so per scenario
         # the residual obeys the remainder bound from the remaining computed
         # terms, plus a small allowance for the stencil's own truncation
-        rng = np.random.default_rng(cfg.seed)
-        table = build_lookup_table(cfg.half_width, cfg.p_max)
-        market = Market(cfg, rng)
-        ladder, _, _ = market.ladder(cfg.options[0], table)
+        market = Market(cfg, np.random.default_rng(cfg.seed))
+        ladder, _, _ = market.ladder(cfg.options[0])
         q = 4
         # the remainder argument holds in the interpolation interior; near
         # the span edge (and beyond it) the ladder cannot see the curve
@@ -408,14 +425,13 @@ class TestPnl:
         # than 3.9 SE for every mc seed 0..19.
         cfg = self.pnl_config(["minvar", "delta"], q=2)
         rng = np.random.default_rng(cfg.seed)
-        table = build_lookup_table(cfg.half_width, cfg.p_max)
         market = Market(cfg, rng)
         opt = cfg.options[0]
-        ladder, price_t, _ = market.ladder(opt, table)
+        ladder, price_t, _ = market.ladder(opt)
         n = 400_000
         moves = cfg.s0 * (relative_factors(cfg.model, cfg.delta_t, 1, n, rng)[:, 0] - 1.0)
         exact = market.values_later(opt, cfg.s0 + moves) - price_t
-        book = harness._Book(cfg=cfg, market=market, table=table, ladder=ladder,
+        book = harness._Book(cfg=cfg, market=market, ladder=ladder,
                              moments=moment_vector(cfg.model, 4), scenario=None,
                              coeffs={2: ladder.derivative(2) / 2},
                              outcomes=ScenarioOutcome(moves, n_jumps=np.zeros(n, int)))
@@ -717,6 +733,32 @@ def test_traced_pnl_sees_the_marks_and_the_writer(monkeypatch, tmp_path):
     assert metrics["taylor.ledger_marks"] >= 1
     assert metrics["jump_baskets.marks"] >= 1
     assert metrics["swaps.marks_s"] > 0
+
+
+def test_traced_qtable_builds_one_stencil_table(monkeypatch, tmp_path):
+    """A traced qtable operation builds one stencil table, the config's, and
+    the tracer captures it for the benchmark's moment-condition check."""
+    workloads = load_workloads(monkeypatch)
+    raw = copy.deepcopy(workloads.QTABLE_CONFIG)
+    raw["mc"].update(paths=4000, seed=31)
+    config = tmp_path / "qtable.json"
+    config.write_text(json.dumps(raw))
+    tracing = load_levybench("tracer")
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        tracer.begin_op()
+        cli_main(["qtable", "--config", str(config), "--out", str(tmp_path / "qtable.csv")])
+        tracer.end_op()
+    finally:
+        tracer.uninstall()
+    builds = [span for span in tracer.spans if span[2] == "stencil.build_lookup_table"]
+    assert len(builds) == tracer.n_ops == 1
+    table = tracer.first_table
+    assert (table.half_width, table.p_max) == (raw["stencil"]["half_width"],
+                                               raw["stencil"]["p_max"])
+    assert load_oracles().stencil_moment_violations(table.entries, table.half_width,
+                                                    table.p_max) == []
 
 
 def _reference_fmt(value) -> str:

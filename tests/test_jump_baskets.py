@@ -136,6 +136,38 @@ class TestScenarioOutcome:
             with pytest.raises(ValueError, match="1 jump times for 2 sizes"):
                 ScenarioOutcome(jump_times=times[:1], jump_sizes=sizes, **outcome)
 
+    @staticmethod
+    def baskets():
+        """A basket of each kind that marks a scenario set."""
+        moments, _ = make_moments(np.random.default_rng(27))
+        sc = scen(100.0, 0.05, 0.04)
+        return [pja_basket_general(1.1, sc, 3, PathState(t=0.0), moments),
+                pji_basket(1.1, sc, 3, moments),
+                phi_hedge_basket(1.1, sc, 3, moments, PathState(t=0.0))]
+
+    def test_negative_counts_are_refused(self):
+        # [-1, 2] adds up to the one jump listed, but placed it in scenario 1
+        # for a pji mark and broke numpy's repeat in a pja mark
+        with pytest.raises(ValueError, match="non-negative integer"):
+            ScenarioOutcome([1.0, 2.0], np.array([0.01]), np.array([0.02]), n_jumps=[-1, 2])
+
+    def test_fractional_counts_are_refused(self):
+        with pytest.raises(ValueError, match="non-negative integer"):
+            ScenarioOutcome([1.0, 2.0], np.array([0.01]), np.array([0.02]),
+                            n_jumps=[0.5, 0.5])
+
+    def test_moves_of_a_set_are_one_dimensional(self):
+        # 2-D moves with 2-D counts marked through pji_basket alone
+        with pytest.raises(ValueError, match="1-D array of moves"):
+            ScenarioOutcome(np.array([[1.0], [2.0]]), np.array([0.01]), np.array([0.02]),
+                            n_jumps=[[1], [0]])
+
+    def test_an_empty_set_marks_to_an_empty_array(self):
+        empty = ScenarioOutcome(np.empty(0), n_jumps=np.empty(0, dtype=int))
+        for basket in self.baskets():
+            marks = basket.change_of_value(empty)
+            assert isinstance(marks, np.ndarray) and marks.shape == (0,), basket.pji_units
+
 
 class TestSimpleBasket:
     def test_no_jump_no_move_consistency(self):

@@ -136,6 +136,28 @@ class TestHedgeLedger:
         ledger = HedgeLedger(bank_cash=1.0, stock_units=0.5, scenario=sc)
         assert ledger.change_of_value(2.0) == pytest.approx(math.expm1(0.05 * 0.1) + 1.0)
 
+    def test_every_fragment_is_marked_on_one_input(self):
+        """With an outcome every fragment receives that very object, whatever
+        it holds; without one, every fragment receives the moves."""
+
+        class Recording:
+            def __init__(self):
+                self.seen = []
+
+            def change_of_value(self, marked):
+                self.seen.append(marked)
+                return 0.0
+
+        fragments = {2: Recording(), 3: Recording()}
+        ledger = HedgeLedger(bank_cash=0.0, stock_units=1.0, scenario=scenario(),
+                             term_positions={i: (1.0, f) for i, f in fragments.items()})
+        moves = np.array([2.0, -3.0])
+        outcomes = ScenarioOutcome(moves, np.array([0.01]), np.array([0.02]), n_jumps=[1, 0])
+        np.testing.assert_array_equal(ledger.change_of_value(moves, outcomes), moves)
+        np.testing.assert_array_equal(ledger.change_of_value(moves), moves)
+        for fragment in fragments.values():
+            assert fragment.seen[0] is outcomes and fragment.seen[1] is moves
+
 
 class TestAssembleLedger:
     def test_q1_is_extended_delta_hedge(self):
