@@ -219,7 +219,10 @@ class ExperimentConfig:
 
 
 def config_hash(raw: dict) -> str:
-    canon = json.dumps(raw, sort_keys=True, separators=(",", ":"))
+    """Twelve hex digits of the SHA-256 of ``raw`` as canonical JSON, without
+    its ``output`` block: where a run is written does not decide its numbers."""
+    decided = {key: value for key, value in raw.items() if key != "output"}
+    canon = json.dumps(decided, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode()).hexdigest()[:12]
 
 

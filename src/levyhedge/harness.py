@@ -8,14 +8,17 @@ floats are printed through one fixed format, so identical inputs yield
 byte-identical outputs.  Each row carries the config hash.
 
 All randomness goes through ``models.relative_factors``: ``Market`` makes
-one factor draw whose columns after the first are the post-move paths
-(nested dates), on the ``mc.steps`` barrier monitoring grid when an
-option monitors a barrier and one cell per date otherwise, and the P&L
-scenarios are one more draw of one period with jump records, held as one
-scenario set (``ScenarioOutcome``).  Every P&L strategy marks the whole
-set in one call, and ``write_csv`` formats column by column, each
-per-scenario column once for every strategy's rows.  A malformed run
-raises ``ConfigError`` naming the config field.
+at most one factor draw whose columns after the first are the post-move
+paths (nested dates), on the ``mc.steps`` barrier monitoring grid when an
+option monitors a barrier and one cell per date otherwise.  When the
+period reaches maturity the post-move curve is the payoff, and the draw
+is made only when the valuation date is first asked for, so a q table,
+which reads the post-move curve alone, draws nothing.  The P&L scenarios
+are one more draw of one period with jump records, held as one scenario
+set (``ScenarioOutcome``).  Every P&L strategy marks the whole set in one
+call, and ``write_csv`` formats column by column, each per-scenario
+column once for every strategy's rows.  A malformed run raises
+``ConfigError`` naming the config field.
 """
 
 from __future__ import annotations
@@ -52,8 +55,9 @@ _log = logging.getLogger(__name__)
 FLOAT_FMT = "{:.12g}"
 
 # Benchmark q values for the canonical S0 = K = 5000 grid (tolerance 0.01,
-# moves 10..70, up barrier 5050, down barrier 4950); emitted for reference
-# next to computed values, never asserted.
+# moves 10..70, up barrier 5050, down barrier 4950), emitted next to the
+# computed values.  With delta_t = T (the criterion-6 config) the curve is
+# the payoff, and every q it computes equals its reference, whatever the seed.
 REFERENCE_Q = {
     (kind, 10 * (k + 1)): q
     for kind, qs in {
@@ -145,42 +149,69 @@ class Market:
     max(1, steps - 1) equal steps]: the valuation-date bundle is all of it
     and the post-move bundle its columns after the first, so both dates
     share draws and barrier dates and d1 sees only the period's move.  A
-    period reaching maturity draws ``steps`` equal steps and values the
-    post-move date by payoffs.  ``steps`` is ``mc.steps`` when an option
-    monitors a barrier, and 1 otherwise: a European reads only the factor
-    over each date's cell, and every sampler is exact over a cell of any
-    length, so the draw is then [delta_t, maturity - delta_t] (or
-    [maturity]) and its law does not depend on ``mc.steps``; a larger
-    ``mc.steps`` is logged at INFO as unused.  Each bundle's count of
-    paths absorbed at zero is logged, at WARNING when it is not zero.  The
-    stencil table, of the grid's ``half_width`` and ``p_max``, is built here.
+    live post-move date draws at construction.  A period reaching maturity
+    values the post-move date by payoffs, so construction draws nothing
+    and logs so at INFO; the valuation-date bundle, ``steps`` equal steps,
+    is drawn when ``ladder`` or ``bundle_full`` first asks for it, from
+    ``rng`` as it then stands.  A caller that draws from ``rng`` itself
+    asks first (``run_pnl`` does), so the stream is that of a draw at
+    construction.  The factor matrix is never kept.  ``steps`` is
+    ``mc.steps`` when an option monitors a barrier, and 1 otherwise: a
+    European reads only the factor over each date's cell, and every
+    sampler is exact over a cell of any length, so the draw is then
+    [delta_t, maturity - delta_t] (or [maturity]) and its law does not
+    depend on ``mc.steps``; a larger ``mc.steps`` is logged at INFO as
+    unused.  Each bundle's count of paths absorbed at zero is logged, at
+    WARNING when it is not zero.  The stencil table, of the grid's
+    ``half_width`` and ``p_max``, is built here.
     """
 
     def __init__(self, cfg: ExperimentConfig, rng: np.random.Generator):
         self.cfg = cfg
+        self._rng = rng
         n = cfg.half_width
         self.grid = cfg.s0 + cfg.s_step * np.arange(-n, n + 1)
         self.table = build_lookup_table(n, cfg.p_max)
         self.maturity = maturity = cfg.options[0].maturity
         # an option holds a barrier exactly when its kind monitors one
         steps = cfg.steps if any(o.barrier is not None for o in cfg.options) else 1
-        remaining = maturity - cfg.delta_t
+        self._remaining = remaining = maturity - cfg.delta_t
         if remaining > 0:
             later = max(1, steps - 1)
-            dts = np.array([cfg.delta_t] + [remaining / later] * later)
+            self._dts = np.array([cfg.delta_t] + [remaining / later] * later)
         else:
-            dts = np.full(steps, maturity / steps)
-        if cfg.steps > len(dts):
+            self._dts = np.full(steps, maturity / steps)
+        if cfg.steps > len(self._dts):
             _log.info("mc.steps = %d is not used: no option monitors a barrier, "
                       "so each date draws one cell", cfg.steps)
-        factors = relative_factors(cfg.model, dts, len(dts), cfg.n_paths, rng, cfg.antithetic)
-        self.bundle_full = PathBundle(factors, maturity)
-        self.bundle_later = PathBundle(factors[:, 1:], remaining) if remaining > 0 else None
-        for date, bundle in (("valuation", self.bundle_full), ("post-move", self.bundle_later)):
+        self._bundle_full = self.bundle_later = None
+        if remaining > 0:
+            self._draw()
+        else:
+            _log.info("post-move date is expiry: its curve is the payoff, and no paths "
+                      "were drawn for it")
+
+    def _draw(self) -> None:
+        """Draw the factors once and reduce them to the date bundles."""
+        cfg = self.cfg
+        factors = relative_factors(cfg.model, self._dts, len(self._dts), cfg.n_paths, self._rng,
+                                   cfg.antithetic)
+        self._bundle_full = PathBundle(factors, self.maturity)
+        if self._remaining > 0:
+            self.bundle_later = PathBundle(factors[:, 1:], self._remaining)
+        for date, bundle in (("valuation", self._bundle_full), ("post-move", self.bundle_later)):
             if bundle is not None:
                 _log.log(logging.WARNING if bundle.n_bankrupt else logging.INFO,
                          "%s-date bundle: %d of %d paths absorbed at zero",
                          date, bundle.n_bankrupt, bundle.n_paths)
+
+    @property
+    def bundle_full(self) -> PathBundle:
+        """The valuation-date bundle, drawn on first request at an expired
+        post-move date."""
+        if self._bundle_full is None:
+            self._draw()
+        return self._bundle_full
 
     def values_later(self, option: OptionSpec, spots) -> np.ndarray:
         """Prices after the hedging period at every spot (payoffs once the
@@ -202,13 +233,22 @@ class Market:
 
 def run_qtable(cfg: ExperimentConfig):
     """One row per (option, delta_s): the truncation order q meeting the
-    tolerance and the error it achieved.  Returns (header, rows, ok)."""
+    tolerance and the error it achieved.  Returns (header, rows, ok).
+
+    Each error reads the post-move curve alone: the ladder differentiates
+    it with d1 = 0, and the exact change is V_later(s0 + dS) - V_later(s0).
+    The valuation-date price would enter both the change and d1 dt and
+    cancel, so the run never prices it; at an expired post-move date the
+    curve is the payoff and the run draws no paths.
+    """
     market = Market(cfg, np.random.default_rng(cfg.seed))
     rows = []
     ok = True
     for opt in cfg.options:
-        ladder, price_t, _ = market.ladder(opt)
-        changes = market.values_later(opt, cfg.s0 + np.asarray(cfg.delta_s)) - price_t
+        curve = market.values_later(opt, market.grid)
+        ladder = derivative_ladder(curve, market.table, cfg.p_max, cfg.s_step)
+        moved = market.values_later(opt, cfg.s0 + np.asarray(cfg.delta_s))
+        changes = moved - curve[cfg.half_width]
         for ds, exact in zip(cfg.delta_s, changes):
             scen = HedgeScenario(
                 s_t=cfg.s0, delta_s=ds, delta_t=cfg.delta_t, r=cfg.r, alpha_tol=cfg.alpha_tol,

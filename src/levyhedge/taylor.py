@@ -67,6 +67,11 @@ def find_q(ladder: DerivativeLadder, scenario: HedgeScenario, exact_change: floa
     """Smallest truncation order q >= 1 whose Taylor sum lands within
     alpha_tol of the repriced change; returns (q, achieved_error).
 
+    The change and the ladder's d1 must share one base price: the time
+    term d1 dt is part of every sum.  ``run_qtable`` passes the post-move
+    curve's own change V(s0 + dS) - V(s0) and a ladder with d1 = 0, so no
+    valuation-date price enters the error.
+
     Raises ``NeedsHigherOrderError`` carrying the best error seen when no
     order within the ladder qualifies.
     """

@@ -5,6 +5,7 @@ criterion.
 """
 
 import json
+import logging
 import math
 import time
 from fractions import Fraction
@@ -12,6 +13,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from levyhedge import harness
 from levyhedge.chaos import constant_term
 from levyhedge.cli import main as cli_main
 from levyhedge.config import load_config
@@ -292,7 +294,34 @@ def test_criterion_06_qtable_reproduction():
     assert elapsed < 1800
     report(6, f"q rows {eu} (european) non-decreasing, in bands, barrier >= "
               f"european; matches the reference table {refs['european_call']} "
-              f"({elapsed:.1f}s at 1e5 paths)")
+              f"({elapsed:.1f}s)")
+
+
+def test_criterion_06_expired_qtable_draws_nothing(monkeypatch, tmp_path, caplog):
+    # delta_t = T: the post-move curve is the payoff, so no seed can move a q row
+    draws = []
+    monkeypatch.setattr(harness, "relative_factors", lambda *a, **k: draws.append(a))
+    texts = []
+    for seed in (7, 8):
+        raw = json.loads(json.dumps(QTABLE_CONFIG))
+        raw["mc"]["seed"] = seed
+        cfg = load_config(raw)
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="levyhedge.harness"):
+            header, rows, ok = run_qtable(cfg)
+        assert ok
+        assert draws == []
+        assert [r.getMessage() for r in caplog.records] == [
+            "post-move date is expiry: its curve is the payoff, and no paths were drawn for it"]
+        for kind, ds, q, err, ref, _ in rows:
+            assert q == ref == harness.REFERENCE_Q[(kind, int(ds))], (kind, ds)
+            assert err <= cfg.alpha_tol
+        path = tmp_path / f"q{seed}.csv"
+        harness.write_csv(path, header, rows)
+        texts.append(path.read_text().replace(cfg.hash, "<hash>"))
+    assert texts[0] == texts[1]
+    report(6, f"expired post-move date: no paths drawn, {len(rows)} q rows equal the "
+              "reference table at seeds 7 and 8, byte for byte")
 
 
 FTSE_CONFIG = {

@@ -153,11 +153,13 @@ class TestPnlCommand:
 class TestOutputBytes:
     """The SHA-256 of every file small seeded ``qtable``, ``converge`` and
     ``pnl`` runs write, pinned, so a change that moves one output byte is
-    seen, not only a rerun that differs within one tree.  The qtable and
-    converge runs price barrier options on a live post-move date; the pnl
-    runs mark all six strategies on compound-Poisson and variance-gamma.
-    The digests hold on x86-64 with numpy 2.4, whose ``default_rng``
-    streams they read."""
+    seen, not only a rerun that differs within one tree.  The ``qtable``
+    and ``converge`` runs price barrier options on a live post-move date;
+    the ``_expired`` ones have the period reach maturity, the converge run
+    on the FTSE variance-gamma call of criterion 10.  The pnl runs mark all
+    six strategies on compound-Poisson and variance-gamma.  The digests
+    hold on x86-64 with numpy 2.4, whose ``default_rng`` streams they
+    read."""
 
     LIVE = {"s0": 5000, "delta_s": [10.0, 20.0], "delta_t": 0.1, "r": 0.05, "alpha_tol": 0.01}
     PNL = {"options": [{"kind": "european_call", "strike": 5000, "maturity": 0.25}],
@@ -170,6 +172,12 @@ class TestOutputBytes:
                    "swap": {"strike": 0.002, "unit_price": 0.002}}}
     VG = {"kind": "variance_gamma", "theta": -0.05, "nu": 0.01, "vg_sigma": 0.2,
           "drift_b": "risk_neutral"}
+    FTSE = {"model": {"kind": "variance_gamma", "theta": -0.2721, "nu": 0.3032,
+                      "vg_sigma": 0.0302, "drift_b": "risk_neutral"},
+            "options": [{"kind": "european_call", "strike": 6287, "maturity": 1.0}],
+            "scenario": {"s0": 6287, "delta_s": [61.5], "delta_t": 1.0, "r": 0.0543,
+                         "dividend": 0.0351, "alpha_tol": 0.01},
+            "stencil": {"half_width": 8, "p_max": 15, "s_step": 61.5}}
     RUNS = {
         "qtable": ("qtable", dict(
             options=[{"kind": "up_and_out", "strike": 5000, "maturity": 1.0, "barrier": 5100},
@@ -181,23 +189,30 @@ class TestOutputBytes:
             options=[{"kind": "up_and_in", "strike": 5000, "maturity": 1.0, "barrier": 5100}],
             scenario=dict(LIVE, delta_s=[20.0]), mc={"paths": 4000, "steps": 4, "seed": 8},
             stencil={"half_width": 4, "p_max": 7, "s_step": 10.0})),
+        "qtable_expired": ("qtable", dict(
+            options=[{"kind": "up_and_in", "strike": 5000, "maturity": 1.0, "barrier": 5050},
+                     {"kind": "down_and_out", "strike": 5000, "maturity": 1.0, "barrier": 4950},
+                     {"kind": "european_put", "strike": 5000, "maturity": 1.0}],
+            scenario=dict(LIVE, delta_t=1.0), mc={"paths": 4000, "steps": 4, "seed": 7})),
+        "converge_expired": ("converge", dict(FTSE, mc={"paths": 20000, "steps": 1, "seed": 11})),
         "pnl_cp": ("pnl", dict(PNL, mc={"paths": 5000, "steps": 2, "seed": 9})),
         "pnl_vg": ("pnl", dict(PNL, model=VG, mc={"paths": 5000, "steps": 2, "seed": 10})),
     }
     DIGESTS = {
-        "qtable.csv": "b653dbeb5a791d256acbb511597eb8ba4e683a3a9954e0c188f417826c06e479",
-        "converge.csv": "aa729757589cd829191797284eaccb1a5395d4e3a10b5e033b4cc440eebfd6cd",
-        "pnl_cp.csv": "806fa3e3e2f54198de169dae2e8587d07ad00d9a2ac27f737faa637a35f68831",
-        "pnl_cp.csv.summary": "ed96f3c5e3bb686ed3f8a70e493f000896a91fde00d9f8f0bb9f3d32d6a3e5b9",
-        "pnl_vg.csv": "1664e354d671f681e141f154e7c5756edda6452cf970099ba985a7a0766f97e4",
-        "pnl_vg.csv.summary": "207696ae587599902102c8e23507edae94b15d55f95273016b66ccc7bb2d57ba",
+        "qtable.csv": "8e3e53444da53a9b9b33af9854b751569b7b89facdd8527ddecf70b6ed46283b",
+        "qtable_expired.csv": "0e5237738bc3301d09e40bffcd2212797a784bcf7a9ebe64843f4e0feb28732a",
+        "converge.csv": "0492db0d739cecb5c18182c0b41d0b8457e9316c28d220af32aa922e856393f0",
+        "converge_expired.csv": "1a79eb9ac45e7512d7e25610902faf78891d95bdca8f28809f943f3bfacb2068",
+        "pnl_cp.csv": "baef73b2e7aad5267d4aead1fc4473c402d931058ae60cb85618c9e0131d668d",
+        "pnl_cp.csv.summary": "caf2d108d443d6472a4888c9034799f21389dc9df08e706373ef00a4f142c92a",
+        "pnl_vg.csv": "54f13100e0ed3e88fa2034328c67c76073ba379c83ae7a461f112b76b5d1f061",
+        "pnl_vg.csv.summary": "d9219624e6a2e64a42941cc1097611c1c2b4df033dfc451d0bdf81d22a72522f",
     }
 
     def test_outputs_keep_their_bytes(self, tmp_path):
         digests = {}
         for name, (command, over) in self.RUNS.items():
-            # a fixed output dir keeps the config hash, a CSV column, off tmp_path
-            cfg = write_config(tmp_path, output={}, **over)
+            cfg = write_config(tmp_path, **over)
             out = tmp_path / f"{name}.csv"
             assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
             for path in sorted(tmp_path.glob(f"{name}.csv*")):

@@ -113,6 +113,17 @@ def test_hash_is_computed_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_hash_ignores_where_the_run_is_written():
+    # one experiment written to two directories is one experiment
+    here = load_config(minimal(output={"dir": "runs/a"}))
+    there = load_config(minimal(output={"dir": "runs/b"}))
+    assert here.output_dir != there.output_dir
+    assert here.hash == there.hash == load_config(minimal()).hash
+    reseeded = load_config(minimal(output={"dir": "runs/a"}, mc={"seed": 1}))
+    assert reseeded.seed != here.seed
+    assert reseeded.hash != here.hash
+
+
 def test_unknown_jump_law_names_its_path():
     raw = minimal(model={"kind": "compound_poisson", "intensity": 2.0,
                          "jump_law": {"kind": "cauchy"}})

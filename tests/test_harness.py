@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import hashlib
 import importlib.util
 import json
 import logging
@@ -208,6 +209,77 @@ class TestMarket:
         sd = d1.std(ddof=1)
         assert sd <= 601 / 5
         assert abs(d1.mean() - theta) <= 3 * sd / math.sqrt(len(d1))
+
+
+class TestExpiredPostMoveDate:
+    """With delta_t = T the post-move curve is the payoff: construction
+    draws nothing, and the market draw comes only when the valuation date
+    is asked for, from the same stream as a draw at construction."""
+
+    @pytest.fixture
+    def draws(self, monkeypatch):
+        """The ``records`` flag of every factor draw the harness makes."""
+        calls = []
+        real = harness.relative_factors
+
+        def recording(*args, **kwargs):
+            calls.append(kwargs.get("records", False))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "relative_factors", recording)
+        return calls
+
+    def test_the_valuation_date_is_drawn_once_on_request(self, draws, caplog):
+        cfg = load_config(base_config())
+        with caplog.at_level(logging.INFO, logger="levyhedge.harness"):
+            market = Market(cfg, np.random.default_rng(4))
+        assert draws == []
+        assert [r.getMessage() for r in caplog.records] == [
+            "post-move date is expiry: its curve is the payoff, and no paths were drawn for it"]
+        bundle = market.bundle_full
+        assert draws == [False]
+        assert market.bundle_full is bundle and market.bundle_later is None
+        assert draws == [False]
+        # the same paths a draw at construction would have made
+        factors = relative_factors(cfg.model, np.array([1.0]), 1, cfg.n_paths,
+                                   np.random.default_rng(4), cfg.antithetic)
+        np.testing.assert_array_equal(bundle.terminal, factors[:, 0])
+
+    def test_converge_draws_once(self, draws):
+        raw = base_config()
+        raw["scenario"]["delta_s"] = [20.0]
+        header, rows = run_converge(load_config(raw))
+        assert draws == [False]
+        assert rows[0][4] > 0.0  # the valuation-date price
+
+    # sha256 of the pnl CSV and summary below, config hash masked, as written
+    # when Market drew at construction: a draw on request keeps the stream
+    PNL_EXPIRED_DIGESTS = (
+        "49f018341e1dc44bbc66366ac27ca258fd1577ef14e3722b013bf795a94a7a02",
+        "92a698bcf0eeaa4753e920c9cf959413df3aa7f661213b0b2ca97b417cb063a0",
+    )
+
+    def test_pnl_draws_the_market_once_and_keeps_its_output(self, draws, tmp_path):
+        raw = {
+            "model": base_config()["model"],
+            "option": {"kind": "european_call", "strike": 5000, "maturity": 0.01},
+            "scenario": {"s0": 5000, "delta_s": [10.0], "delta_t": 0.01, "r": 0.05,
+                         "alpha_tol": 0.01},
+            "mc": {"paths": 4000, "steps": 2, "seed": 4},
+            "stencil": {"half_width": 4, "p_max": 7, "s_step": 20.0},
+            "strategies": ["taylor+swaps", "taylor+pja", "minvar", "minvar+varswap", "delta"],
+            "pnl": {"n_scenarios": 40, "q": 4, "swap": {"strike": 0.002, "unit_price": 0.002}},
+        }
+        cfg = load_config(raw)
+        header, rows, sum_header, summaries = run_pnl(cfg)
+        assert draws == [False, True]  # the market, then the scenarios
+        digests = []
+        for name, head, body in (("p.csv", header, rows), ("p.csv.summary", sum_header,
+                                                           summaries)):
+            harness.write_csv(tmp_path / name, head, body)
+            text = (tmp_path / name).read_text().replace(cfg.hash, "<hash>")
+            digests.append(hashlib.sha256(text.encode()).hexdigest())
+        assert tuple(digests) == self.PNL_EXPIRED_DIGESTS
 
 
 class TestStepsGrid:
