@@ -314,6 +314,10 @@ def load_config(source) -> ExperimentConfig:
     if "moment-neutral" in strategies and len(neutral_strikes) > p_max:
         raise pnl.fail("neutral_strikes", f" holds {len(neutral_strikes)} strikes, one per "
                                           f"order neutralized, beyond p_max = {p_max}")
+    if "moment-neutral" in strategies and not maturity - delta_t > 0:
+        raise scen.fail("delta_t", f" is {delta_t!r}, the options' maturity: the moment-neutral "
+                                   "strategy's calls would expire at the post-move date, where "
+                                   "their curves are payoffs")
     output = top.block("output")
     output_dir = output.get("dir", ".")
     if not isinstance(output_dir, str) or not output_dir:

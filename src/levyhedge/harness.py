@@ -8,21 +8,23 @@ floats are printed through one fixed format, so identical inputs yield
 byte-identical outputs.  Each row carries the config hash.
 
 All randomness goes through ``models.relative_factors``: ``Market`` makes
-at most one factor draw whose columns after the first are the post-move
-paths (nested dates), on the ``mc.steps`` barrier monitoring grid when an
-option monitors a barrier and one cell per date otherwise.  When the
-period reaches maturity the post-move curve is the payoff, and the draw
-is made only when the valuation date is first asked for, so a q table,
-which reads the post-move curve alone, draws nothing.  The P&L scenarios
-are one more draw of one period with jump records, held as one scenario
-set (``ScenarioOutcome``).  Every P&L strategy marks the whole set in one
-call, and ``write_csv`` formats column by column, each per-scenario
-column once for every strategy's rows.  A malformed run raises
-``ConfigError`` naming the config field.
+at most one factor draw, on the ``mc.steps`` barrier monitoring grid when
+an option monitors a barrier and one cell per date otherwise.  Its columns
+are the post-move paths, preceded by the period's own cell only for
+``converge``, the one run that reports the valuation-date price.  A q
+error and a P&L residual each read the post-move curve alone, since that
+price cancels from both, so ``qtable`` and ``pnl`` draw only the post-move
+cells, and nothing when the period reaches maturity and the post-move
+curve is the payoff.  The P&L scenarios are one more draw of one period
+with jump records, held as one scenario set (``ScenarioOutcome``).  Every
+P&L strategy marks the whole set in one call, and ``write_csv`` formats
+column by column, each per-scenario column once for every strategy's
+rows.  A malformed run raises ``ConfigError`` naming the config field.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import logging
 import math
 from collections.abc import Sequence
@@ -145,73 +147,61 @@ class Market:
     """Shared paths for one experiment, so every option and every spot is
     priced with common random numbers.
 
-    One factor draw covers the option's life on the grid [delta_t, then
-    max(1, steps - 1) equal steps]: the valuation-date bundle is all of it
-    and the post-move bundle its columns after the first, so both dates
-    share draws and barrier dates and d1 sees only the period's move.  A
-    live post-move date draws at construction.  A period reaching maturity
-    values the post-move date by payoffs, so construction draws nothing
-    and logs so at INFO; the valuation-date bundle, ``steps`` equal steps,
-    is drawn when ``ladder`` or ``bundle_full`` first asks for it, from
-    ``rng`` as it then stands.  A caller that draws from ``rng`` itself
-    asks first (``run_pnl`` does), so the stream is that of a draw at
-    construction.  The factor matrix is never kept.  ``steps`` is
-    ``mc.steps`` when an option monitors a barrier, and 1 otherwise: a
-    European reads only the factor over each date's cell, and every
-    sampler is exact over a cell of any length, so the draw is then
-    [delta_t, maturity - delta_t] (or [maturity]) and its law does not
-    depend on ``mc.steps``; a larger ``mc.steps`` is logged at INFO as
-    unused.  Each bundle's count of paths absorbed at zero is logged, at
-    WARNING when it is not zero.  The stencil table, of the grid's
-    ``half_width`` and ``p_max``, is built here.
+    The post-move date's cells are max(1, steps - 1) equal steps over the
+    remaining life maturity - delta_t.  A market asked at construction for
+    the valuation date (``valuation_date``; only ``run_converge`` asks)
+    makes one draw on [delta_t, then the post-move cells]: the
+    valuation-date bundle is all of it and the post-move bundle its columns
+    after the first, so both dates share draws and barrier dates and d1
+    sees only the period's move.  Any other market draws the post-move
+    cells alone.  A period reaching maturity values the post-move date by
+    payoffs and logs so at INFO: the valuation date is then ``steps``
+    equal steps, and a market that does not ask for it draws nothing.  The
+    factor matrix is never kept.  ``steps`` is ``mc.steps`` when an option
+    monitors a barrier, and 1 otherwise: a European reads only the factor
+    over each date's cell, and every sampler is exact over a cell of any
+    length, so the draw does not depend on ``mc.steps``; a larger
+    ``mc.steps`` is logged at INFO as unused.  Each bundle's count of
+    paths absorbed at zero is logged, at WARNING when it is not zero.  The
+    stencil table, of the grid's ``half_width`` and ``p_max``, is built
+    here.
     """
 
-    def __init__(self, cfg: ExperimentConfig, rng: np.random.Generator):
+    def __init__(self, cfg: ExperimentConfig, rng: np.random.Generator,
+                 valuation_date: bool = False):
         self.cfg = cfg
-        self._rng = rng
         n = cfg.half_width
         self.grid = cfg.s0 + cfg.s_step * np.arange(-n, n + 1)
         self.table = build_lookup_table(n, cfg.p_max)
         self.maturity = maturity = cfg.options[0].maturity
         # an option holds a barrier exactly when its kind monitors one
         steps = cfg.steps if any(o.barrier is not None for o in cfg.options) else 1
-        self._remaining = remaining = maturity - cfg.delta_t
+        remaining = maturity - cfg.delta_t
         if remaining > 0:
             later = max(1, steps - 1)
-            self._dts = np.array([cfg.delta_t] + [remaining / later] * later)
-        else:
-            self._dts = np.full(steps, maturity / steps)
-        if cfg.steps > len(self._dts):
-            _log.info("mc.steps = %d is not used: no option monitors a barrier, "
-                      "so each date draws one cell", cfg.steps)
-        self._bundle_full = self.bundle_later = None
-        if remaining > 0:
-            self._draw()
+            dts = [cfg.delta_t] + [remaining / later] * later
         else:
             _log.info("post-move date is expiry: its curve is the payoff, and no paths "
                       "were drawn for it")
-
-    def _draw(self) -> None:
-        """Draw the factors once and reduce them to the date bundles."""
-        cfg = self.cfg
-        factors = relative_factors(cfg.model, self._dts, len(self._dts), cfg.n_paths, self._rng,
-                                   cfg.antithetic)
-        self._bundle_full = PathBundle(factors, self.maturity)
-        if self._remaining > 0:
-            self.bundle_later = PathBundle(factors[:, 1:], self._remaining)
-        for date, bundle in (("valuation", self._bundle_full), ("post-move", self.bundle_later)):
+            dts = [maturity / steps] * steps
+        if cfg.steps > len(dts):
+            _log.info("mc.steps = %d is not used: no option monitors a barrier, "
+                      "so each date draws one cell", cfg.steps)
+        if not valuation_date:  # the post-move cells alone
+            dts = dts[1:] if remaining > 0 else []
+        self.bundle_full = self.bundle_later = None
+        if dts:
+            factors = relative_factors(cfg.model, np.array(dts), len(dts), cfg.n_paths, rng,
+                                       cfg.antithetic)
+            if valuation_date:
+                self.bundle_full = PathBundle(factors, maturity)
+            if remaining > 0:
+                self.bundle_later = PathBundle(factors[:, -later:], remaining)
+        for date, bundle in (("valuation", self.bundle_full), ("post-move", self.bundle_later)):
             if bundle is not None:
                 _log.log(logging.WARNING if bundle.n_bankrupt else logging.INFO,
                          "%s-date bundle: %d of %d paths absorbed at zero",
                          date, bundle.n_bankrupt, bundle.n_paths)
-
-    @property
-    def bundle_full(self) -> PathBundle:
-        """The valuation-date bundle, drawn on first request at an expired
-        post-move date."""
-        if self._bundle_full is None:
-            self._draw()
-        return self._bundle_full
 
     def values_later(self, option: OptionSpec, spots) -> np.ndarray:
         """Prices after the hedging period at every spot (payoffs once the
@@ -221,34 +211,33 @@ class Market:
             return np.asarray(payoff(option, spots), dtype=float)
         return self.bundle_later.values(option, spots, self.cfg.r)
 
-    def ladder(self, option: OptionSpec) -> tuple[DerivativeLadder, float, float]:
-        """(ladder, price_t, price_t_se) with d1 from the forward difference
-        over the hedging period."""
+    def ladder(self, option: OptionSpec) -> tuple[DerivativeLadder, float]:
+        """(ladder, V_later(s0)): the stencil ladder of the post-move curve
+        on ``grid``, with d1 = 0, and the curve's centre cell.  A change
+        measured from that cell, V_later(s0 + dS) - V_later(s0), is what the
+        ladder's Taylor sums approximate: the valuation-date price would
+        enter both the change and d1 dt, and cancel."""
         cfg = self.cfg
-        price_t, se_t = self.bundle_full.price(option, cfg.s0, cfg.r)
         curve = self.values_later(option, self.grid)
-        d1 = (curve[cfg.half_width] - price_t) / cfg.delta_t
-        return derivative_ladder(curve, self.table, cfg.p_max, cfg.s_step, d1), price_t, se_t
+        return (derivative_ladder(curve, self.table, cfg.p_max, cfg.s_step),
+                float(curve[cfg.half_width]))
 
 
 def run_qtable(cfg: ExperimentConfig):
     """One row per (option, delta_s): the truncation order q meeting the
     tolerance and the error it achieved.  Returns (header, rows, ok).
 
-    Each error reads the post-move curve alone: the ladder differentiates
-    it with d1 = 0, and the exact change is V_later(s0 + dS) - V_later(s0).
-    The valuation-date price would enter both the change and d1 dt and
-    cancel, so the run never prices it; at an expired post-move date the
-    curve is the payoff and the run draws no paths.
+    Each error reads the post-move curve alone (``Market.ladder``): the
+    exact change is V_later(s0 + dS) - V_later(s0).  The run never prices
+    the valuation date; at an expired post-move date the curve is the
+    payoff and the run draws no paths.
     """
     market = Market(cfg, np.random.default_rng(cfg.seed))
     rows = []
     ok = True
     for opt in cfg.options:
-        curve = market.values_later(opt, market.grid)
-        ladder = derivative_ladder(curve, market.table, cfg.p_max, cfg.s_step)
-        moved = market.values_later(opt, cfg.s0 + np.asarray(cfg.delta_s))
-        changes = moved - curve[cfg.half_width]
+        ladder, base = market.ladder(opt)
+        changes = market.values_later(opt, cfg.s0 + np.asarray(cfg.delta_s)) - base
         for ds, exact in zip(cfg.delta_s, changes):
             scen = HedgeScenario(
                 s_t=cfg.s0, delta_s=ds, delta_t=cfg.delta_t, r=cfg.r, alpha_tol=cfg.alpha_tol,
@@ -274,14 +263,20 @@ def _lone_option(cfg: ExperimentConfig, run: str) -> OptionSpec:
 
 def run_converge(cfg: ExperimentConfig):
     """Term-by-term convergence for a single option and a single move:
-    rows (i, D2^i, cumulative approximation), Table-style."""
+    rows (i, D2^i, cumulative approximation), Table-style.
+
+    The only run that reports the valuation-date price: its exact change is
+    V_later(s0 + dS) - price_t and d1 the forward difference
+    (V_later(s0) - price_t) / dt over the period."""
     opt = _lone_option(cfg, "convergence")
     if len(cfg.delta_s) != 1:
         raise ConfigError(f"config field 'scenario.delta_s' holds {len(cfg.delta_s)} moves; "
                           "a convergence run uses one")
-    market = Market(cfg, np.random.default_rng(cfg.seed))
+    market = Market(cfg, np.random.default_rng(cfg.seed), valuation_date=True)
     ds = cfg.delta_s[0]
-    ladder, price_t, se_t = market.ladder(opt)
+    price_t, se_t = market.bundle_full.price(opt, cfg.s0, cfg.r)
+    ladder, base = market.ladder(opt)
+    ladder = dataclasses.replace(ladder, d1=(base - price_t) / cfg.delta_t)
     exact = market.values_later(opt, [cfg.s0 + ds])[0] - price_t
     sums = taylor_sums(ladder, cfg.delta_t, ds, cfg.p_max)
     rows = [
@@ -392,24 +387,22 @@ def _delta(book: _Book):
 
 
 def _moment_neutral(book: _Book):
-    cfg, market = book.cfg, book.market
+    market = book.market
     instruments = []
-    for strike in cfg.neutral_strikes:
+    for strike in book.cfg.neutral_strikes:
         opt = OptionSpec(kind=EUROPEAN_CALL, strike=strike, maturity=market.maturity)
-        ladder, price_t, _ = market.ladder(opt)
-        instruments.append((opt, ladder, price_t))
+        instruments.append((opt, *market.ladder(opt)))
     orders = range(1, len(instruments) + 1)
     system = solve_neutrality(
         np.array([book.ladder.derivative(j) for j in orders]),
         [np.array([lad.derivative(j) for j in orders]) for _, lad, _ in instruments],
     )
-    # realized change of the hedge side: -sum w_i dF_i plus the
-    # deterministic decay the weights cannot remove
-    total = book.ladder.d1 * cfg.delta_t
-    spots = cfg.s0 + book.moves
-    for w, (opt, lad, p_t) in zip(system.weights, instruments):
-        d_inst = market.values_later(opt, spots) - p_t
-        total = total + (-w * d_inst + w * lad.d1 * cfg.delta_t)
+    # realized change of the hedge side: -sum w_i dF_i, each instrument's
+    # change read off its post-move curve as the option's is
+    spots = book.cfg.s0 + book.moves
+    total = 0.0
+    for w, (opt, _, base) in zip(system.weights, instruments):
+        total = total - w * (market.values_later(opt, spots) - base)
     return total
 
 
@@ -430,9 +423,13 @@ _ONE_JUMP = {"taylor+pja"}
 def run_pnl(cfg: ExperimentConfig):
     """Per-scenario hedge residuals per strategy.
 
-    residual = (option change) - (hedge change); the option change depends
-    on the scenario alone, so every scenario spot is repriced once per run
-    and shared by every strategy.  One-jump-regime violations are counted,
+    residual = (option change) - (hedge change); the option change
+    V_later(s0 + dS) - V_later(s0) depends on the scenario alone, so every
+    scenario spot is repriced once per run and shared by every strategy.
+    Every hedge is built on ``Market.ladder``, with d1 = 0: a bank leg
+    paying d1 dt = V_later(s0) - price_t would only add back the
+    valuation-date price the change leaves out, so the run never draws or
+    prices the valuation date.  One-jump-regime violations are counted,
     never dropped, and moves beyond the stencil span are logged.  Returns
     (header, rows, summary_header, summary_rows).
     """
@@ -446,7 +443,7 @@ def run_pnl(cfg: ExperimentConfig):
     n_scenarios = cfg.n_scenarios
     rng = np.random.default_rng(cfg.seed)
     market = Market(cfg, rng)
-    ladder, price_t, _ = market.ladder(opt)
+    ladder, base = market.ladder(opt)
     outcomes = _simulate_outcomes(cfg, rng)
     moves = outcomes.delta_s
     span = cfg.half_width * cfg.s_step
@@ -466,7 +463,7 @@ def run_pnl(cfg: ExperimentConfig):
         coeffs={i: ladder.derivative(i) / math.factorial(i) for i in range(2, q + 1)},
         outcomes=outcomes,
     )
-    exact = market.values_later(opt, cfg.s0 + moves) - price_t
+    exact = market.values_later(opt, cfg.s0 + moves) - base
     multi_jump = int(np.count_nonzero(outcomes.n_jumps > 1))
 
     names = list(cfg.strategies)

@@ -69,8 +69,9 @@ def find_q(ladder: DerivativeLadder, scenario: HedgeScenario, exact_change: floa
 
     The change and the ladder's d1 must share one base price: the time
     term d1 dt is part of every sum.  ``run_qtable`` passes the post-move
-    curve's own change V(s0 + dS) - V(s0) and a ladder with d1 = 0, so no
-    valuation-date price enters the error.
+    curve's own change V(s0 + dS) - V(s0) and its ``Market.ladder``, whose
+    d1 is 0, so no valuation-date price enters the error; ``run_pnl``
+    measures every residual against the same change and ladder.
 
     Raises ``NeedsHigherOrderError`` carrying the best error seen when no
     order within the ladder qualifies.

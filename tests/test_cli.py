@@ -199,14 +199,14 @@ class TestOutputBytes:
         "pnl_vg": ("pnl", dict(PNL, model=VG, mc={"paths": 5000, "steps": 2, "seed": 10})),
     }
     DIGESTS = {
-        "qtable.csv": "8e3e53444da53a9b9b33af9854b751569b7b89facdd8527ddecf70b6ed46283b",
+        "qtable.csv": "fd07e0e57f6d61ed2a2b9b4b74e8d42e909b0d61e1453d71d7bf3df37cdae1b4",
         "qtable_expired.csv": "0e5237738bc3301d09e40bffcd2212797a784bcf7a9ebe64843f4e0feb28732a",
         "converge.csv": "0492db0d739cecb5c18182c0b41d0b8457e9316c28d220af32aa922e856393f0",
         "converge_expired.csv": "1a79eb9ac45e7512d7e25610902faf78891d95bdca8f28809f943f3bfacb2068",
-        "pnl_cp.csv": "baef73b2e7aad5267d4aead1fc4473c402d931058ae60cb85618c9e0131d668d",
-        "pnl_cp.csv.summary": "caf2d108d443d6472a4888c9034799f21389dc9df08e706373ef00a4f142c92a",
-        "pnl_vg.csv": "54f13100e0ed3e88fa2034328c67c76073ba379c83ae7a461f112b76b5d1f061",
-        "pnl_vg.csv.summary": "d9219624e6a2e64a42941cc1097611c1c2b4df033dfc451d0bdf81d22a72522f",
+        "pnl_cp.csv": "cd9c7f4b3b7f48120dbbcfe746948618f92831cab151d078b8edb59fcf23ccdd",
+        "pnl_cp.csv.summary": "17f34c25b2153c286c214ee6972523d581ca7c86a87d2fd966179b858f1586c3",
+        "pnl_vg.csv": "69a8a0a873bf77acc133b2236478f7b9d276419eaa79b469a23821cabddd08f2",
+        "pnl_vg.csv.summary": "70deac886c5ce412cd9d585e8d8f84b18bdd366539490f7c8a78f2bbe1ee00ce",
     }
 
     def test_outputs_keep_their_bytes(self, tmp_path):

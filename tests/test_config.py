@@ -242,6 +242,28 @@ def test_neutral_strikes_fit_the_ladder():
     assert cfg.neutral_strikes == (90.0, 95.0, 105.0, 110.0)
 
 
+def test_moment_neutral_needs_calls_alive_after_the_period():
+    # a period reaching maturity leaves the neutral calls only their payoffs,
+    # whose ladders on a grid clear of the strikes span no order: the load
+    # fails, rather than the run after every draw
+    raw = {
+        "model": {"kind": "compound_poisson", "drift_b": 0.03, "brownian_sigma": 0.12,
+                  "intensity": 5.0, "jump_law": {"kind": "normal", "mean": -0.01, "std": 0.04}},
+        "option": {"kind": "european_call", "strike": 5000, "maturity": 0.01},
+        "scenario": {"s0": 5000, "delta_s": [10.0], "delta_t": 0.01, "r": 0.05},
+        "mc": {"paths": 4000, "steps": 2, "seed": 4},
+        "stencil": {"half_width": 4, "p_max": 7, "s_step": 10.0},
+        "strategies": ["delta", "moment-neutral"],
+        "pnl": {"n_scenarios": 40, "q": 4, "neutral_strikes": [4950, 5050]},
+    }
+    with pytest.raises(ConfigError, match=r"'scenario\.delta_t' is 0\.01, the options' "
+                                          r"maturity: the moment-neutral"):
+        load_config(raw)
+    assert load_config(dict(raw, strategies=["delta"])).delta_t == 0.01
+    raw["scenario"]["delta_t"] = 0.005
+    assert load_config(raw).delta_t == 0.005
+
+
 def test_pnl_errors_come_before_any_draw(tmp_path, monkeypatch):
     from levyhedge import cli, harness
 

@@ -8,6 +8,7 @@ import math
 import pathlib
 import re
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -27,8 +28,9 @@ from levyhedge.pricing import (
     payoff,
     price_curve,
 )
+from levyhedge.stencil import stencil_coefficient
 from levyhedge.swaps import RealizedHistory, SwapSpec, moment_swap_basket
-from levyhedge.taylor import HedgeScenario, assemble_ledger
+from levyhedge.taylor import HedgeScenario, assemble_ledger, taylor_sums
 
 LEVYBENCH = pathlib.Path(__file__).resolve().parent.parent / "levybench"
 
@@ -132,11 +134,13 @@ class TestMarket:
         assert prices[0] > 0.0
         assert payoff(opt, np.array([cfg.s0]))[0] == 0.0
 
-    @pytest.mark.parametrize("barrier, cells", [
-        (False, [0.1, 0.9]),  # a European reads one cell per date
-        (True, [0.1, 0.3, 0.3, 0.3]),  # mc.steps is the barrier monitoring grid
-    ], ids=["european", "up_and_out"])
-    def test_one_draw_nests_the_later_date(self, monkeypatch, barrier, cells):
+    @pytest.mark.parametrize("barrier, valuation_date, cells", [
+        (False, True, [0.1, 0.9]),  # a European reads one cell per date
+        (True, True, [0.1, 0.3, 0.3, 0.3]),  # mc.steps is the barrier monitoring grid
+        (False, False, [0.9]),  # pnl and qtable markets draw the post-move cells alone
+        (True, False, [0.3, 0.3, 0.3]),
+    ], ids=["european", "up_and_out", "european_post_move", "up_and_out_post_move"])
+    def test_one_draw_nests_the_later_date(self, monkeypatch, barrier, valuation_date, cells):
         draws = []
         real = harness.relative_factors
 
@@ -150,14 +154,20 @@ class TestMarket:
         raw["mc"]["steps"] = 4
         if barrier:
             raw["options"].append(dict(UP_AND_OUT))
-        market = Market(load_config(raw), np.random.default_rng(2))
+        market = Market(load_config(raw), np.random.default_rng(2), valuation_date)
         assert len(draws) == 1
         dt, factors = draws[0]
         np.testing.assert_allclose(dt, cells, rtol=1e-15)
+        later = market.bundle_later
+        assert later.horizon == pytest.approx(0.9, rel=1e-15)
+        np.testing.assert_allclose(later.terminal, factors[:, int(valuation_date):].prod(axis=1),
+                                   rtol=1e-13)
+        if not valuation_date:
+            assert market.bundle_full is None
+            return
         # the valuation-date paths are the post-move paths after the first step
-        full, later = market.bundle_full, market.bundle_later
-        assert (full.horizon, later.horizon) == (1.0, pytest.approx(0.9, rel=1e-15))
-        np.testing.assert_allclose(later.terminal, factors[:, 1:].prod(axis=1), rtol=1e-13)
+        full = market.bundle_full
+        assert full.horizon == 1.0
         np.testing.assert_allclose(full.terminal, factors[:, 0] * later.terminal, rtol=1e-13)
 
     def test_mixed_maturities_name_the_field(self):
@@ -173,17 +183,24 @@ class TestMarket:
         raw["mc"] = {"paths": 5000, "steps": 2, "seed": 1}
         if bankrupt:  # a jump <= -1 has probability 2.3% per jump
             raw["model"]["jump_law"] = {"kind": "normal", "mean": 0.0, "std": 0.5}
-        with caplog.at_level(logging.INFO, logger="levyhedge.harness"):
-            market = Market(load_config(raw), np.random.default_rng(0))
-        records = [r for r in caplog.records if r.name == "levyhedge.harness"]
-        assert [r.getMessage().split(":")[0] for r in records] == [
-            "valuation-date bundle", "post-move-date bundle"]
-        for record, bundle in zip(records, (market.bundle_full, market.bundle_later)):
-            assert (bundle.n_bankrupt > 0) == bankrupt
-            assert record.levelno == (logging.WARNING if bankrupt else logging.INFO)
-            assert f"{bundle.n_bankrupt} of 5000 paths" in record.getMessage()
+        cfg = load_config(raw)
+        # a pnl or qtable market logs its post-move bundle alone, a converge
+        # market both dates
+        for valuation_date, dates in ((False, ["post-move-date bundle"]),
+                                      (True, ["valuation-date bundle", "post-move-date bundle"])):
+            caplog.clear()
+            with caplog.at_level(logging.INFO, logger="levyhedge.harness"):
+                market = Market(cfg, np.random.default_rng(0), valuation_date)
+            records = [r for r in caplog.records if r.name == "levyhedge.harness"]
+            assert [r.getMessage().split(":")[0] for r in records] == dates
+            bundles = [b for b in (market.bundle_full, market.bundle_later) if b is not None]
+            assert len(bundles) == len(dates)
+            for record, bundle in zip(records, bundles):
+                assert (bundle.n_bankrupt > 0) == bankrupt
+                assert record.levelno == (logging.WARNING if bankrupt else logging.INFO)
+                assert f"{bundle.n_bankrupt} of 5000 paths" in record.getMessage()
 
-    def test_d1_is_not_monte_carlo_noise(self):
+    def test_d1_is_not_monte_carlo_noise(self, monkeypatch):
         # Brownian call S = K = 5000, T = 0.25, sigma = 0.2, dt = 0.002,
         # 1e5 paths: two independent 50-step bundles gave d1 a sd of 601
         # over seeds 0..7 around a Black-Scholes dF/dt of -524 (the shared
@@ -196,11 +213,13 @@ class TestMarket:
             "mc": {"paths": 100_000, "steps": 50},
             "stencil": {"half_width": 2, "p_max": 2, "s_step": 10.0},
         }
-        cfg = load_config(raw)
-        d1 = np.array([
-            Market(cfg, np.random.default_rng(seed)).ladder(cfg.options[0])[0].d1
-            for seed in range(8)
-        ])
+        d1 = []  # the d1 of the ladder each converge run sums
+        real = harness.taylor_sums
+        monkeypatch.setattr(harness, "taylor_sums",
+                            lambda ladder, *args: d1.append(ladder.d1) or real(ladder, *args))
+        for seed in range(8):
+            run_converge(load_config(dict(raw, mc=dict(raw["mc"], seed=seed))))
+        d1 = np.array(d1)
         d_plus = (math.log(s0 / s0) + (r + 0.5 * sigma**2) * t_mat) / (sigma * math.sqrt(t_mat))
         d_minus = d_plus - sigma * math.sqrt(t_mat)
         theta = (-s0 * norm.pdf(d_plus) * sigma / (2 * math.sqrt(t_mat))
@@ -212,9 +231,9 @@ class TestMarket:
 
 
 class TestExpiredPostMoveDate:
-    """With delta_t = T the post-move curve is the payoff: construction
-    draws nothing, and the market draw comes only when the valuation date
-    is asked for, from the same stream as a draw at construction."""
+    """With delta_t = T the post-move curve is the payoff: a market draws
+    nothing unless asked at construction for the valuation date, which only
+    converge asks for."""
 
     @pytest.fixture
     def draws(self, monkeypatch):
@@ -236,14 +255,13 @@ class TestExpiredPostMoveDate:
         assert draws == []
         assert [r.getMessage() for r in caplog.records] == [
             "post-move date is expiry: its curve is the payoff, and no paths were drawn for it"]
-        bundle = market.bundle_full
+        assert market.bundle_full is None and market.bundle_later is None
+        market = Market(cfg, np.random.default_rng(4), valuation_date=True)
         assert draws == [False]
-        assert market.bundle_full is bundle and market.bundle_later is None
-        assert draws == [False]
-        # the same paths a draw at construction would have made
+        assert market.bundle_later is None
         factors = relative_factors(cfg.model, np.array([1.0]), 1, cfg.n_paths,
                                    np.random.default_rng(4), cfg.antithetic)
-        np.testing.assert_array_equal(bundle.terminal, factors[:, 0])
+        np.testing.assert_array_equal(market.bundle_full.terminal, factors[:, 0])
 
     def test_converge_draws_once(self, draws):
         raw = base_config()
@@ -252,14 +270,13 @@ class TestExpiredPostMoveDate:
         assert draws == [False]
         assert rows[0][4] > 0.0  # the valuation-date price
 
-    # sha256 of the pnl CSV and summary below, config hash masked, as written
-    # when Market drew at construction: a draw on request keeps the stream
+    # sha256 of the pnl CSV and summary below, config hash masked
     PNL_EXPIRED_DIGESTS = (
-        "49f018341e1dc44bbc66366ac27ca258fd1577ef14e3722b013bf795a94a7a02",
-        "92a698bcf0eeaa4753e920c9cf959413df3aa7f661213b0b2ca97b417cb063a0",
+        "d62e74780f6177a97ab69b0247cd51dab4f77c9fd9155a6de87e197b374d18f5",
+        "c363c7302fd81f6782754271953b79537bd4e44f2ae922667f1fbbfd7a9ec4b8",
     )
 
-    def test_pnl_draws_the_market_once_and_keeps_its_output(self, draws, tmp_path):
+    def test_pnl_draws_only_the_scenarios(self, draws, tmp_path):
         raw = {
             "model": base_config()["model"],
             "option": {"kind": "european_call", "strike": 5000, "maturity": 0.01},
@@ -272,7 +289,7 @@ class TestExpiredPostMoveDate:
         }
         cfg = load_config(raw)
         header, rows, sum_header, summaries = run_pnl(cfg)
-        assert draws == [False, True]  # the market, then the scenarios
+        assert draws == [True]
         digests = []
         for name, head, body in (("p.csv", header, rows), ("p.csv.summary", sum_header,
                                                            summaries)):
@@ -343,9 +360,10 @@ class TestStepsGrid:
             "stencil": {"half_width": 2, "p_max": 2, "s_step": 10.0},
         }
         cfg = load_config(raw)
-        market = Market(cfg, np.random.default_rng(cfg.seed))
+        converge = Market(cfg, np.random.default_rng(cfg.seed), valuation_date=True)
+        later_only = Market(cfg, np.random.default_rng(cfg.seed))
         for opt in cfg.options:
-            for bundle in (market.bundle_full, market.bundle_later):
+            for bundle in (converge.bundle_full, converge.bundle_later, later_only.bundle_later):
                 price, se = bundle.price(opt, s0, r)
                 want = black_scholes_price(s0, opt.strike, bundle.horizon, r, sigma,
                                            kind=opt.kind)
@@ -366,9 +384,10 @@ class TestStepsGrid:
             "stencil": {"half_width": 4, "p_max": 7, "s_step": 10.0},
         }
         cfg = load_config(raw)
-        market = Market(cfg, np.random.default_rng(cfg.seed))
+        converge = Market(cfg, np.random.default_rng(cfg.seed), valuation_date=True)
+        later_only = Market(cfg, np.random.default_rng(cfg.seed))
         growth = log_mean_growth(cfg.model)
-        for bundle in (market.bundle_full, market.bundle_later):
+        for bundle in (converge.bundle_full, converge.bundle_later, later_only.bundle_later):
             f = bundle.terminal
             se = f.std(ddof=1) / math.sqrt(len(f))
             assert abs(f.mean() - math.exp(growth * bundle.horizon)) <= 4 * se
@@ -459,33 +478,58 @@ class TestPnl:
         np.testing.assert_array_equal(outcomes.n_jumps, np.bincount(jumps.path, minlength=400))
         assert outcomes.delta_s.shape == (400,)
 
-    def test_taylor_swaps_residual_bounded(self):
+    def test_taylor_swaps_residual_bounded(self, monkeypatch):
+        # Two identities on the run's own post-move curve, each to rounding
+        # and so for every seed: the taylor+swaps hedge is the run's Taylor
+        # sum of degree 1..q (plus the time term d1 dt), and at a move onto
+        # the stencil grid the residual is the curve's remaining Taylor
+        # terms q+1..2N, since the stencils differentiate the degree-2N
+        # polynomial through the 2N + 1 grid values.  Off the grid the curve
+        # departs from that polynomial, so no bound there holds for every
+        # seed.
         cfg = self.pnl_config(["taylor+swaps"])
-        header, rows, sum_header, summaries = run_pnl(cfg)
+        marked = []
+        strategy = harness._STRATEGIES["taylor+swaps"]
+
+        def recording(book):
+            marked.append((book, strategy(book)))
+            return marked[-1][1]
+
+        monkeypatch.setitem(harness._STRATEGIES, "taylor+swaps", recording)
+        _, rows, _, _ = run_pnl(cfg)
+        ((book, hedge),) = marked
         assert len(rows) == 400
-        resid = np.array([r[3] for r in rows])
         ds = np.array([r[2] for r in rows])
-        assert np.all(np.isfinite(resid))
-        # the swap ledger change IS the truncated Taylor sum, so per scenario
-        # the residual obeys the remainder bound from the remaining computed
-        # terms, plus a small allowance for the stencil's own truncation
-        market = Market(cfg, np.random.default_rng(cfg.seed))
-        ladder, _, _ = market.ladder(cfg.options[0])
-        q = 4
-        # the remainder argument holds in the interpolation interior; near
-        # the span edge (and beyond it) the ladder cannot see the curve
-        span = 0.75 * cfg.half_width * cfg.s_step
-        checked = 0
-        for d, r_val in zip(ds, resid):
-            if abs(d) > span:
-                continue
-            bound = sum(
-                abs(ladder.derivative(i)) * abs(d) ** i / math.factorial(i)
-                for i in range(q + 1, cfg.p_max + 1)
-            )
-            assert abs(r_val) <= bound + 0.05, (d, r_val, bound)
-            checked += 1
-        assert checked > 250
+        resid = np.array([r[3] for r in rows])
+        ladder, q, n, h = book.ladder, cfg.pnl_q, cfg.half_width, cfg.s_step
+        market, opt = book.market, cfg.options[0]
+        curve = market.values_later(opt, market.grid)
+        # the curve's derivatives, orders past p_max from the exact stencils
+        d = {i: ladder.derivative(i) for i in range(1, cfg.p_max + 1)}
+        d.update({i: float(sum(stencil_coefficient(i, n, k) * Fraction(f)
+                               for k, f in enumerate(curve.tolist(), start=-n))) / h**i
+                  for i in range(cfg.p_max + 1, 2 * n + 1)})
+
+        def terms(moves, orders):
+            return sum(d[i] * moves**i / math.factorial(i) for i in orders)
+
+        time_term = ladder.d1 * cfg.delta_t
+        spot_terms = terms(ds, range(1, q + 1))
+        scale = np.abs(hedge).max()
+        np.testing.assert_allclose(hedge, taylor_sums(ladder, cfg.delta_t, ds, q)[q],
+                                   rtol=0, atol=1e-12 * scale)
+        # each row's residual is the exact change less those spot terms
+        exact = market.values_later(opt, cfg.s0 + ds) - curve[n]
+        np.testing.assert_allclose(resid, exact - spot_terms, rtol=0,
+                                   atol=1e-12 * max(scale, curve.max()))
+        # the hedge marked at every grid move leaves the terms q+1..2N
+        moves = market.grid - cfg.s0
+        on_grid = strategy(dataclasses.replace(
+            book, outcomes=ScenarioOutcome(moves, n_jumps=np.zeros(len(moves), int))))
+        left = (curve - curve[n]) - (on_grid - time_term)
+        np.testing.assert_allclose(left, terms(moves, range(q + 1, 2 * n + 1)), rtol=0,
+                                   atol=1e-12 * curve.max())
+        assert np.abs(left).max() > 1e-3  # the remainder is not rounding
 
     def test_minvar_beats_naive_delta(self):
         # q = 2: the S^{i-1} scaling in the weights makes orders past the
@@ -494,15 +538,15 @@ class TestPnl:
         # the time, as their sample Cov(dS^2, dS) is noisy; so both
         # strategies are marked on 400000 moves drawn after the run's
         # market, where the variance minvar removes is positive by more
-        # than 3.9 SE for every mc seed 0..19.
+        # than 3.8 SE for every mc seed 0..19.
         cfg = self.pnl_config(["minvar", "delta"], q=2)
         rng = np.random.default_rng(cfg.seed)
         market = Market(cfg, rng)
         opt = cfg.options[0]
-        ladder, price_t, _ = market.ladder(opt)
+        ladder, base = market.ladder(opt)
         n = 400_000
         moves = cfg.s0 * (relative_factors(cfg.model, cfg.delta_t, 1, n, rng)[:, 0] - 1.0)
-        exact = market.values_later(opt, cfg.s0 + moves) - price_t
+        exact = market.values_later(opt, cfg.s0 + moves) - base
         book = harness._Book(cfg=cfg, market=market, ladder=ladder,
                              moments=moment_vector(cfg.model, 4), scenario=None,
                              coeffs={2: ladder.derivative(2) / 2},
@@ -579,10 +623,41 @@ class TestPnl:
             # the main option: its stencil curve, then every scenario spot at once
             assert [n for opt, n in values_calls if opt is main] == [
                 2 * cfg.half_width + 1, cfg.n_scenarios]
-            # one valuation-date price per option hedged or traded, none per scenario
+            # so too each option traded; and no valuation-date price at all
             n_instruments = len(strikes) if "moment-neutral" in strategies else 0
-            assert len(price_calls) == 1 + n_instruments
             assert len(values_calls) == 2 * (1 + n_instruments)
+            assert price_calls == []
+
+    @pytest.mark.parametrize("barrier", [False, True], ids=["european", "up_and_out"])
+    def test_pnl_and_qtable_never_price_the_valuation_date(self, monkeypatch, barrier):
+        # both draw the post-move cells alone and read no valuation-date price
+        draws = []
+        real = harness.relative_factors
+
+        def recording(model, dt, *args, **kwargs):
+            draws.append(np.atleast_1d(dt).tolist())
+            return real(model, dt, *args, **kwargs)
+
+        def refusing(self, option, s0, r):
+            raise AssertionError("PathBundle.price called")
+
+        monkeypatch.setattr(harness, "relative_factors", recording)
+        monkeypatch.setattr(PathBundle, "price", refusing)
+        option = dict(UP_AND_OUT, maturity=0.25) if barrier else {
+            "kind": "european_call", "strike": 5000, "maturity": 0.25}
+        cfg = load_config(dict(self.pnl_config(list(STRATEGY_NAMES),
+                                               neutral_strikes=[4950.0, 5050.0]).raw,
+                               option=option))
+        cells = [0.248 / 4] * 4 if barrier else [0.248]  # mc.steps = 5 monitors a barrier
+        _, _, _, summaries = run_pnl(cfg)
+        assert len(summaries) == len(STRATEGY_NAMES)
+        np.testing.assert_allclose(draws[0], cells, rtol=1e-14)
+        assert draws[1:] == [[cfg.delta_t]]  # the scenarios
+        draws.clear()
+        _, rows, _ = run_qtable(cfg)
+        assert len(rows) == 1
+        assert len(draws) == 1
+        np.testing.assert_allclose(draws[0], cells, rtol=1e-14)
 
     def test_bankrupt_scenarios_raise(self):
         # every jump is -1: the market prices the 39% of its paths that jump by maturity
