@@ -50,7 +50,6 @@ from .models import (
     NormalJumps,
     VarianceGamma,
     increment_cumulants,
-    log_mean_growth,
     moment_vector,
     relative_factors,
     risk_neutral_drift,

@@ -26,7 +26,10 @@ leaves out has mean zero.
 factors S_{k+1}/S_k on any grid of steps, with flat jump records on request.
 It draws the paths in chunks of about ``CHUNK_CELLS`` cells, each from its
 own stream spawned off the caller's generator, on a thread pool; the result
-depends on the seed and the draw's shape, not on the worker count.
+depends on the seed and the draw's shape, not on the worker count.  Without
+records a chunk's compound-Poisson jumps are drawn in blocks of whole cells,
+at most ``JUMP_BLOCK`` jumps each, so its memory does not grow with the jumps
+per cell; the blocks move no bit of the factors.
 ``one_jump_increments`` samples a different law on purpose: the
 at-most-one-jump reading of a short period in which the hedge weights are
 derived."""
@@ -54,7 +57,6 @@ __all__ = [
     "increment_cumulants",
     "JumpRecords",
     "relative_factors",
-    "log_mean_growth",
     "risk_neutral_drift",
 ]
 
@@ -161,10 +163,11 @@ class CompoundPoisson:
         return self.nu_moment(i)
 
     @staticmethod
-    def log_jump(size: np.ndarray) -> np.ndarray:
-        """ln(1 + max(J, -1)): -inf for J <= -1, which absorbs the price at 0."""
+    def log_jump(size: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """ln(1 + max(J, -1)): -inf for J <= -1, which absorbs the price at 0.
+        ``out=size`` takes it in place."""
         with np.errstate(divide="ignore"):
-            return np.log1p(np.maximum(size, -1.0))
+            return np.log1p(np.maximum(size, -1.0, out=out), out=out)
 
     @staticmethod
     def relative_jump(size: np.ndarray) -> np.ndarray:
@@ -259,7 +262,7 @@ class VarianceGamma:
         return c * (_gamma_gap(m - i, math.inf, i) + _gamma_gap(g, math.inf, i))
 
     @staticmethod
-    def log_jump(size: np.ndarray) -> np.ndarray:
+    def log_jump(size: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         return size
 
     @staticmethod
@@ -412,19 +415,11 @@ def increment_cumulants(model: LevyModel, dt: float, k_max: int) -> tuple[float,
     return tuple(nu.prime(q) * dt for q in range(1, k_max + 1))
 
 
-def _jump_growth(model: LevyModel) -> float:
-    spec = model.jump_spec
-    return 0.0 if spec is None else spec.mean_growth(model.brownian_sigma)
-
-
-def log_mean_growth(model: LevyModel) -> float:
-    """gamma with E[S_T] = S_0 exp(gamma T): b plus the jump spec's mean growth."""
-    return model.drift_b + _jump_growth(model)
-
-
 def risk_neutral_drift(model: LevyModel, r: float, dividend: float = 0.0) -> float:
-    """Drift b making the dividend-adjusted discounted asset driftless."""
-    return r - dividend - _jump_growth(model)
+    """Drift b making the dividend-adjusted discounted asset driftless: r -
+    dividend less the jump spec's mean growth."""
+    spec = model.jump_spec
+    return r - dividend - (0.0 if spec is None else spec.mean_growth(model.brownian_sigma))
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +447,12 @@ _NO_JUMPS = JumpRecords(np.empty(0, dtype=int), np.empty(0, dtype=int), np.empty
 # benchmark's draws: 2^14 cells fault fresh memory into the workers on every
 # chunk of a 5-jumps-per-cell draw and lose to a serial draw on one core;
 # 2^13 cells do not, and cost about 0.1 ms per chunk in spawning and handoff.
+# A chunk's count of jumps is not bounded by its cells, so without records its
+# compound-Poisson jumps are drawn in blocks of whole cells, each of at most
+# JUMP_BLOCK jumps unless one cell holds more: a chunk's memory then does not
+# grow with the jumps per cell, and the blocks move no bit of its factors.
 CHUNK_CELLS = 2**13
+JUMP_BLOCK = 2**14
 _POOL = None  # see _pool
 _POOL_LOCK = threading.Lock()
 
@@ -461,18 +461,37 @@ def _poisson_cells(rate: float, sample, log_jump, dts: np.ndarray, shape,
                    rng: np.random.Generator, records: bool):
     """Jumps arriving at ``rate`` with sizes from ``sample`` in every cell of
     ``shape`` (paths by steps of lengths ``dts``): the log-factor of each
-    cell's jumps and, with ``records``, the jumps themselves."""
+    cell's jumps and, with ``records``, the jumps themselves.
+
+    Without records the cells are taken in blocks of consecutive cells,
+    cut on the cumulative counts so that a block holds at most
+    ``JUMP_BLOCK`` jumps unless one cell holds more.  Each block draws its
+    sizes, takes their logs in place and sums them into its cells.  The
+    draws follow one another as in a single call, and each cell adds its
+    jumps in the same order, so the blocks move no bit."""
     counts = rng.poisson(rate * dts, shape)
-    sizes = sample(rng, int(counts.sum()))
-    log_sizes = log_jump(sizes)  # before the cell index: a lower memory peak
-    cells = np.repeat(np.arange(counts.size), counts.ravel())
-    jump_log = np.bincount(cells, log_sizes, counts.size).reshape(shape)
-    if not records:
-        return jump_log, None
-    path, step = np.divmod(cells, shape[1])
-    start = np.cumsum(dts) - dts
-    times = start[step] + dts[step] * rng.random(len(sizes))
-    return jump_log, JumpRecords(path, step, sizes, times)
+    if records:
+        sizes = sample(rng, int(counts.sum()))
+        log_sizes = log_jump(sizes)  # before the cell index: a lower memory peak
+        cells = np.repeat(np.arange(counts.size), counts.ravel())
+        jump_log = np.bincount(cells, log_sizes, counts.size).reshape(shape)
+        path, step = np.divmod(cells, shape[1])
+        start = np.cumsum(dts) - dts
+        times = start[step] + dts[step] * rng.random(len(sizes))
+        return jump_log, JumpRecords(path, step, sizes, times)
+    counts = counts.ravel()
+    ends = np.cumsum(counts)  # jumps up to and including each cell
+    jump_log = np.zeros(counts.size)
+    first, done = 0, 0  # the block's first cell, and the jumps before it
+    while done < ends[-1]:
+        stop = max(first + 1, int(np.searchsorted(ends, done + JUMP_BLOCK, side="right")))
+        block = counts[first:stop]
+        sizes = sample(rng, int(ends[stop - 1]) - done)
+        log_sizes = log_jump(sizes, out=sizes)
+        cells = np.repeat(np.arange(block.size), block)
+        jump_log[first:stop] = np.bincount(cells, log_sizes, block.size)
+        first, done = stop, int(ends[stop - 1])
+    return jump_log.reshape(shape), None
 
 
 def relative_factors(
@@ -538,18 +557,19 @@ def _draw_chunk(model: LevyModel, dts: np.ndarray, out: np.ndarray, rng: np.rand
     n_paths, steps = out.shape
     spec, b, sigma = model.jump_spec, model.drift_b, model.brownian_sigma
     rows = (n_paths + 1) // 2 if antithetic else n_paths
-    z = rng.standard_normal((rows, steps))
-    if antithetic:
-        z = np.concatenate([z, -z], axis=0)[:n_paths]
+    # the log-factors sigma sqrt(dt) z + log drift * dt + jumps, built in place
+    # in ``out``: the same operations on the same operands as in fresh arrays
+    rng.standard_normal(out=out[:rows])
+    np.negative(out[:n_paths - rows], out=out[rows:])  # empty unless antithetic
     log_drift = b - 0.5 * sigma**2 if spec is None else spec.log_drift(b, sigma)
-    log_f = log_drift * dts + sigma * np.sqrt(dts) * z
+    out *= sigma * np.sqrt(dts)
+    out += log_drift * dts
     jump_log, jumps = (None, _NO_JUMPS) if spec is None else spec.sample_cells(
         dts, (rows, steps), rng, records)
     if jump_log is not None:
-        if antithetic:
-            jump_log = np.concatenate([jump_log, jump_log], axis=0)[:n_paths]
-        log_f += jump_log
-    np.exp(log_f, out=out)
+        out[:rows] += jump_log
+        out[rows:] += jump_log[:n_paths - rows]
+    np.exp(out, out=out)
     return jumps
 
 

@@ -54,11 +54,13 @@ class HedgeScenario:
 
 
 def taylor_sums(ladder: DerivativeLadder, delta_t, delta_s, p: int) -> list:
-    """Partial Taylor sums D1^1 F dt + sum_{i<=k} D2^i F (dS)^i / i!, k = 0..p."""
+    """Partial Taylor sums D1^1 F dt + sum_{i<=k} D2^i F (dS)^i / i!, k = 0..p.
+
+    ``delta_s`` is one move or an array of moves; each sum is a new object."""
     total = ladder.d1 * delta_t
     sums = [total]
     for i in range(1, p + 1):
-        total += ladder.derivative(i) * delta_s**i / math.factorial(i)
+        total = total + ladder.derivative(i) * delta_s**i / math.factorial(i)
         sums.append(total)
     return sums
 

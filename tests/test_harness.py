@@ -20,7 +20,7 @@ from levyhedge.config import STRATEGY_NAMES, load_config
 from levyhedge.errors import BankruptcyError, ConfigError
 from levyhedge.harness import Market, run_converge, run_pnl, run_qtable
 from levyhedge.jump_baskets import PathState, ScenarioOutcome, pja_basket_general
-from levyhedge.models import log_mean_growth, moment_vector, relative_factors
+from levyhedge.models import moment_vector, relative_factors
 from levyhedge.pricing import (
     DerivativeLadder,
     PathBundle,
@@ -386,7 +386,7 @@ class TestStepsGrid:
         cfg = load_config(raw)
         converge = Market(cfg, np.random.default_rng(cfg.seed), valuation_date=True)
         later_only = Market(cfg, np.random.default_rng(cfg.seed))
-        growth = log_mean_growth(cfg.model)
+        growth = cfg.model.drift_b + cfg.model.jump_spec.mean_growth(cfg.model.brownian_sigma)
         for bundle in (converge.bundle_full, converge.bundle_later, later_only.bundle_later):
             f = bundle.terminal
             se = f.std(ddof=1) / math.sqrt(len(f))

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import mpmath
@@ -22,7 +23,6 @@ from levyhedge.models import (
     NormalJumps,
     VarianceGamma,
     increment_cumulants,
-    log_mean_growth,
     moment_vector,
     relative_factors,
     risk_neutral_drift,
@@ -35,6 +35,11 @@ VG_BENCH = VarianceGamma(theta=-0.05, nu=0.01, sigma=0.2)  # levybench PNL_VG
 VG_NEAR_7 = VarianceGamma(theta=0.2, nu=0.3, sigma=0.25)
 VG_NEAR_3 = VarianceGamma(theta=0.5, nu=0.5, sigma=0.3)
 CP_TEST = CompoundPoisson(intensity=2.0, law=NormalJumps(mean=0.0, std=0.1))
+
+
+def log_mean_growth(model):
+    """gamma with E[S_T] = S_0 exp(gamma T): b plus the jump spec's mean growth."""
+    return model.drift_b + model.jump_spec.mean_growth(model.brownian_sigma)
 
 
 def cumulants_to_raw_moments(kappas, k_max):
@@ -614,6 +619,72 @@ print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
             relative_factors(CHUNK_MODELS[kind], dt, 2, self.N_PATHS, rng)
         assert rng.bit_generator.state == state
         assert rng.bit_generator.seed_seq.n_children_spawned == 0
+
+
+class TestJumpBlocks:
+    """Without records a chunk's compound-Poisson jumps are drawn in blocks
+    of whole cells, at most ``JUMP_BLOCK`` jumps each: the same bits as one
+    draw of the chunk's jumps, and a memory peak that does not grow with
+    them."""
+
+    @pytest.mark.parametrize("law", [NormalJumps(-0.005, 0.02), FixedJumps(-0.03)],
+                             ids=["normal", "fixed"])
+    def test_split_draw_is_one_call(self, law):
+        pieces = [7, 0, 1000, 1, 0, 2**14 + 3]
+        one, split = np.random.default_rng(5), np.random.default_rng(5)
+        whole = law.sample(one, sum(pieces))
+        parts = [law.sample(split, n) for n in pieces]
+        assert [len(p) for p in parts] == pieces
+        assert np.concatenate(parts).tobytes() == whole.tobytes()
+        assert split.bit_generator.state == one.bit_generator.state
+
+    @pytest.mark.parametrize("block", [None, 3], ids=["default_block", "block_of_3"])
+    @pytest.mark.parametrize("law", [NormalJumps(-0.01, 0.05), NormalJumps(-0.5, 0.4),
+                                     FixedJumps(0.02)], ids=["normal", "absorbing", "fixed"])
+    @pytest.mark.parametrize("steps, dt", [(1, 0.05), (6, [0.1, 0.05, 0.2, 0.01, 0.1, 0.0])],
+                             ids=["one_step", "six_steps"])
+    def test_factors_match_the_records_draw(self, monkeypatch, steps, dt, law, block):
+        # a block of 3 leaves most cells alone in a block larger than the cap
+        if block is not None:
+            monkeypatch.setattr(models, "JUMP_BLOCK", block)
+        model = LevyModel(drift_b=0.02, brownian_sigma=0.1, jump_spec=CompoundPoisson(100.0, law))
+        rows = chunk_rows(steps)
+        n_paths = 2 * rows + 5
+        plain = relative_factors(model, dt, steps, n_paths, np.random.default_rng(17))
+        factors, jumps = relative_factors(model, dt, steps, n_paths, np.random.default_rng(17),
+                                          records=True)
+        assert plain.tobytes() == factors.tobytes()
+        per_chunk = np.bincount(jumps.path // rows)
+        assert per_chunk[:2].min() > 2 * models.JUMP_BLOCK  # each full chunk spans 3+ blocks
+        cells = np.bincount(jumps.path * steps + jumps.step, minlength=n_paths * steps)
+        assert (cells == 0).sum() > 50  # with cells that hold no jump
+        assert (plain == 0).any() == (law == NormalJumps(-0.5, 0.4))  # cells absorbed at zero
+
+    def test_benchmark_shaped_draw_is_pinned(self):
+        # the pnl_repricing draw: one cell of T - dt = 0.24 per path, about 12
+        # jumps each; seven chunks of several blocks.  sha256 taken before the
+        # jumps were drawn in blocks
+        model = LevyModel(drift_b=0.03, brownian_sigma=0.12,
+                          jump_spec=CompoundPoisson(50.0, NormalJumps(-0.005, 0.02)))
+        n_paths = 50_000
+        assert n_paths > 6 * chunk_rows(1) and chunk_rows(1) * 12 > 5 * models.JUMP_BLOCK
+        factors = relative_factors(model, [0.24], 1, n_paths, np.random.default_rng(20260))
+        assert hashlib.sha256(factors.tobytes()).hexdigest() == (
+            "a06d61524b46c1bacc66156a49e3dc808513dea41c851aa631dfba8ac744170e")
+
+    def test_one_chunk_peak_does_not_grow_with_the_jumps(self):
+        # 8192 rows of 48 jumps each: about 393k jumps, 3 MB of sizes alone
+        # in one draw; the blocks keep the draw's peak below 1 MB
+        model = LevyModel(jump_spec=CompoundPoisson(48.0, NormalJumps(-0.005, 0.02)))
+        n_paths = chunk_rows(1)
+        relative_factors(model, 1.0, 1, n_paths, np.random.default_rng(1))
+        tracemalloc.start()
+        try:
+            relative_factors(model, 1.0, 1, n_paths, np.random.default_rng(1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6
 
 
 class TestPowerJumpPath:

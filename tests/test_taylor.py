@@ -43,6 +43,15 @@ class TestTaylorApprox:
         sc = scenario(delta_s=2.0)
         assert taylor_sums(ladder, sc.delta_t, sc.delta_s, 3)[3] == pytest.approx(2.0 + 4.0 + 8.0)
 
+    def test_array_of_moves_gives_each_move_its_own_sums(self):
+        ladder = DerivativeLadder(d2=(1.0, 1.0, 1.0), d1=0.5)
+        moves = np.array([1.0, 2.0, -0.25])
+        sums = taylor_sums(ladder, 0.01, moves, 3)
+        for j, ds in enumerate(moves):
+            want = taylor_sums(ladder, 0.01, float(ds), 3)
+            assert [float(np.broadcast_to(total, moves.shape)[j]) for total in sums] == want
+        assert len({id(total) for total in sums}) == len(sums)  # no two alias one array
+
 
 class TestFindQ:
     def test_polynomial_truncates_at_two(self):
