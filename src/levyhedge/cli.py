@@ -13,6 +13,7 @@ Exit code is 0 only if every requested row computed cleanly.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -27,7 +28,10 @@ def _out_path(cfg, args, default_name):
     return os.path.join(cfg.output_dir, default_name)
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    as it was, so every ``main`` call reads the same one."""
     parser = argparse.ArgumentParser(prog="levyhedge", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -35,8 +39,11 @@ def main(argv=None) -> int:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         p.add_argument("--out", default=None)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     cfg = load_config(args.config)
 

@@ -71,6 +71,27 @@ REFERENCE_Q = {
     }.items()
     for k, q in enumerate(qs)
 }
+# The contract REFERENCE_Q describes, per kind its barrier, and the stencil
+# (half_width, p_max, s_step) its q values were computed on.
+_REFERENCE_BARRIER = {"european_call": None, "up_and_out": 5050.0, "up_and_in": 5050.0,
+                      "down_and_out": 4950.0, "down_and_in": 4950.0}
+_REFERENCE_STENCIL = (20, 39, 10.0)
+
+
+def _reference_q(cfg: ExperimentConfig, option: OptionSpec, delta_s: float):
+    """REFERENCE_Q's q for one row, or None unless the row is the canonical
+    contract on its stencil: S0 = K = 5000, the kind's barrier, tolerance
+    0.01, a period reaching maturity, and a move of exactly 10, 20, .., 70."""
+    canonical = (
+        cfg.s0 == option.strike == 5000.0
+        and option.kind in _REFERENCE_BARRIER
+        and option.barrier == _REFERENCE_BARRIER[option.kind]
+        and cfg.alpha_tol == 0.01
+        and cfg.delta_t == option.maturity
+        and (cfg.half_width, cfg.p_max, cfg.s_step) == _REFERENCE_STENCIL
+        and delta_s == int(delta_s)
+    )
+    return REFERENCE_Q.get((option.kind, int(delta_s))) if canonical else None
 
 
 def _fmt(value) -> str:
@@ -238,17 +259,15 @@ def run_qtable(cfg: ExperimentConfig):
     for opt in cfg.options:
         ladder, base = market.ladder(opt)
         changes = market.values_later(opt, cfg.s0 + np.asarray(cfg.delta_s)) - base
-        for ds, exact in zip(cfg.delta_s, changes):
-            scen = HedgeScenario(
-                s_t=cfg.s0, delta_s=ds, delta_t=cfg.delta_t, r=cfg.r, alpha_tol=cfg.alpha_tol,
-            )
-            ref = REFERENCE_Q.get((opt.kind, int(ds)))
-            try:
-                q, err = find_q(ladder, scen, exact)
-                rows.append((opt.kind, ds, q, err, ref, cfg.hash))
-            except NeedsHigherOrderError as exc:
-                ok = False
-                rows.append((opt.kind, ds, None, exc.best_error, ref, cfg.hash))
+        try:
+            qs, errors = find_q(ladder, cfg.delta_t, cfg.delta_s, changes, cfg.alpha_tol)
+        except NeedsHigherOrderError as exc:
+            ok = False
+            qs, errors = exc.best_order, exc.best_error
+        for ds, q, err in zip(cfg.delta_s, qs.tolist(), errors.tolist()):
+            met = err <= cfg.alpha_tol  # an unmet move's order is its least error's
+            rows.append((opt.kind, ds, q if met else None, err, _reference_q(cfg, opt, ds),
+                         cfg.hash))
     header = ("option", "delta_s", "q", "achieved_error", "q_reference", "config_hash")
     return header, rows, ok
 

@@ -43,7 +43,7 @@ import numpy as np
 
 from .errors import GridError, LadderOrderError
 from .models import LevyModel, norm_cdf, norm_pdf, relative_factors
-from .stencil import StencilTable, apply_stencil
+from .stencil import StencilTable, apply_stencils
 
 __all__ = [
     "OptionSpec",
@@ -372,17 +372,19 @@ def derivative_ladder(
 
     ``curve`` must hold 2N+1 prices centred on the evaluation spot with
     spacing ``s_step``; ``d1`` is the externally supplied time derivative
-    (a two-point forward difference upstream).
+    (a two-point forward difference upstream).  Every order 1..p_max comes
+    from one product of the table's rows with the curve
+    (``apply_stencils``), each entry equal to ``apply_stencil`` at its order.
     """
-    if p_max > table.p_max:
+    if not 1 <= p_max <= table.p_max:
         raise LadderOrderError(
-            f"p_max={p_max} exceeds table orders 1..{table.p_max}"
+            f"p_max={p_max} outside table orders 1..{table.p_max}"
         )
     n = table.half_width
     if len(curve) != 2 * n + 1:
         raise GridError(f"curve must have {2 * n + 1} points for half-width {n}")
-    d2 = tuple(apply_stencil(curve, p, s_step, table) for p in range(1, p_max + 1))
-    return DerivativeLadder(d2=d2, d1=d1)
+    d2 = apply_stencils(curve, range(1, p_max + 1), s_step, table)
+    return DerivativeLadder(d2=tuple(d2), d1=d1)
 
 
 # ---------------------------------------------------------------------------

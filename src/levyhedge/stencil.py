@@ -20,6 +20,11 @@ offsets and orders up to 2N-1 costs O(N^2) integer operations.  The table
 keeps those integer rows; a ``Fraction`` is made only when an exact caller
 asks for one.  Fornberg (1988), "Generation of finite difference formulas
 on arbitrarily spaced grids", Math. Comp. 51, gives an equivalent recursion.
+
+A stencil is a weight matrix applied to samples, so float estimates of a
+whole range of orders are one product of the table's float rows with the
+samples (``apply_stencils``, the one float kernel); ``apply_stencil`` is
+its one-order case, and keeps the exact ``Fraction`` arithmetic.
 """
 
 from __future__ import annotations
@@ -38,6 +43,7 @@ __all__ = [
     "stencil_coefficient",
     "build_lookup_table",
     "apply_stencil",
+    "apply_stencils",
 ]
 
 
@@ -167,19 +173,41 @@ def apply_stencil(samples, p: int, period: float, table: StencilTable):
     Accepts floats (returns float) or exact ``Fraction`` samples (returns
     ``Fraction``, with ``period`` coerced to an exact rational).  A numeric
     array cannot hold a ``Fraction``, so only sequences and object arrays are
-    scanned for one.
+    scanned for one.  Float samples go through ``apply_stencils``, the one
+    float kernel, as the range of orders p..p.
     """
+    exact = (not isinstance(samples, np.ndarray) or samples.dtype == object) and any(
+        isinstance(s, Fraction) for s in samples)
+    if not exact:
+        return apply_stencils(samples, range(p, p + 1), period, table)[0]
+    _check_samples(samples, period, table)
+    per = period if isinstance(period, Fraction) else Fraction(period)
+    row = table.row_exact(p)
+    return sum(d * s for d, s in zip(row, samples)) / per**p
+
+
+def apply_stencils(samples, orders: range, period: float, table: StencilTable) -> list[float]:
+    """Float (1/T^p) sum_k d_k^(p) f_k for every order p of ``orders``, a
+    nonempty range within the table's 1..p_max, from one product of the
+    table's float rows with the samples.
+
+    ``np.vecdot`` adds each row's products as a lone ``row @ samples``
+    does, bit for bit (numpy 2.4 on x86-64; the pricing tests check it); a
+    matrix-vector product does not, and the high orders cancel enough for
+    that to move a q table's errors.  Each T^p is Python's ``float ** int``,
+    so every estimate equals ``float(row @ samples) / period**p``.
+    """
+    _check_samples(samples, period, table)
+    table._check_order(orders[0])
+    table._check_order(orders[-1])
+    sums = np.vecdot(table._float_rows[orders[0] - 1:orders[-1]],
+                     np.asarray(samples, dtype=float))
+    return [s / float(period**p) for s, p in zip(sums.tolist(), orders)]
+
+
+def _check_samples(samples, period, table: StencilTable) -> None:
     n = table.half_width
     if len(samples) != 2 * n + 1:
         raise ValueError(f"need {2 * n + 1} samples for half_width {n}, got {len(samples)}")
     if not period > 0:
         raise ValueError("sampling period must be > 0")
-    exact = (not isinstance(samples, np.ndarray) or samples.dtype == object) and any(
-        isinstance(s, Fraction) for s in samples)
-    if exact:
-        per = period if isinstance(period, Fraction) else Fraction(period)
-        row = table.row_exact(p)
-        return sum(d * s for d, s in zip(row, samples)) / per**p
-    vals = np.asarray(samples, dtype=float)
-    return float(table.row(p) @ vals) / period**p
-

@@ -5,8 +5,10 @@ time series D1^i F (dt)^i / i! and a spot series D2^i F (dS)^i / i!.
 The time series is replicated by one bank deposit; the linear spot term
 by stock; each higher term i by C_i = D2^i F / i! units of a basket
 P^(i) whose change of value is exactly (dS)^i.  ``find_q`` measures how
-many spot terms a tolerance demands; a ``HedgeLedger`` marks them all on
-one input, the moves or a ``ScenarioOutcome``.
+many spot terms a tolerance demands, for a whole set of moves in one
+pass over an (orders x moves) array of partial sums, the array
+``taylor_sums`` reads too; a ``HedgeLedger`` marks the terms on one
+input, the moves or a ``ScenarioOutcome``.
 
 Every bank leg in the library accrues by ``bank_growth(r, dt)`` =
 e^{r dt} - 1 and is sized by dividing through it: it needs r != 0, and a
@@ -18,7 +20,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import IncompleteMarketError, NeedsHigherOrderError, ZeroRateError
+import numpy as np
+
+from .errors import IncompleteMarketError, LadderOrderError, NeedsHigherOrderError, ZeroRateError
 from .pricing import DerivativeLadder
 
 __all__ = [
@@ -53,42 +57,76 @@ class HedgeScenario:
             raise ValueError("spot must stay positive over the move")
 
 
+def _partial_sums(ladder: DerivativeLadder, delta_t, moves, p: int) -> np.ndarray:
+    """The (p + 1) x len(moves) array of partial sums: row k holds
+    D1^1 F dt + sum_{i<=k} D2^i F (dS)^i / i! for every move.
+
+    Each term is (D2^i F * dS^i) / i!, with dS^i Python's ``float ** int``
+    (numpy's power rounds some of them differently), and ``np.cumsum``
+    adds the orders one at a time, so every sum equals a loop over the
+    orders of one move, bit for bit."""
+    if p > ladder.order():
+        raise LadderOrderError(f"ladder carries orders 1..{ladder.order()}, asked {p}")
+    moves = [float(ds) for ds in moves]
+    orders = range(1, p + 1)
+    terms = np.empty((p + 1, len(moves)))
+    terms[0] = ladder.d1 * delta_t
+    if p:
+        powers = np.array([ds**i for i in orders for ds in moves]).reshape(p, len(moves))
+        factorials = np.array([float(math.factorial(i)) for i in orders])
+        terms[1:] = np.array(ladder.d2[:p])[:, None] * powers / factorials[:, None]
+    return np.cumsum(terms, axis=0)
+
+
 def taylor_sums(ladder: DerivativeLadder, delta_t, delta_s, p: int) -> list:
     """Partial Taylor sums D1^1 F dt + sum_{i<=k} D2^i F (dS)^i / i!, k = 0..p.
 
-    ``delta_s`` is one move or an array of moves; each sum is a new object."""
-    total = ladder.d1 * delta_t
-    sums = [total]
-    for i in range(1, p + 1):
-        total = total + ladder.derivative(i) * delta_s**i / math.factorial(i)
-        sums.append(total)
-    return sums
+    ``delta_s`` is one move (each sum a float) or an array of moves (each
+    sum an array of its own, one entry per move)."""
+    if np.ndim(delta_s) == 0:
+        return _partial_sums(ladder, delta_t, [delta_s], p)[:, 0].tolist()
+    return list(_partial_sums(ladder, delta_t, delta_s, p))
 
 
-def find_q(ladder: DerivativeLadder, scenario: HedgeScenario, exact_change: float):
-    """Smallest truncation order q >= 1 whose Taylor sum lands within
-    alpha_tol of the repriced change; returns (q, achieved_error).
+def find_q(ladder: DerivativeLadder, delta_t: float, moves, exact_changes, alpha_tol: float):
+    """Per move, the smallest truncation order q >= 1 whose Taylor sum lands
+    within ``alpha_tol`` of that move's repriced change; returns the arrays
+    (q, achieved_error), one entry per move.
 
-    The change and the ladder's d1 must share one base price: the time
+    The moves are searched together: one (orders x moves) array of partial
+    sums (``_partial_sums``), one comparison with the tolerance and one
+    first-met order per column.  A lone move is a set of one.
+
+    The changes and the ladder's d1 must share one base price: the time
     term d1 dt is part of every sum.  ``run_qtable`` passes the post-move
-    curve's own change V(s0 + dS) - V(s0) and its ``Market.ladder``, whose
+    curve's own changes V(s0 + dS) - V(s0) and its ``Market.ladder``, whose
     d1 is 0, so no valuation-date price enters the error; ``run_pnl``
     measures every residual against the same change and ladder.
 
-    Raises ``NeedsHigherOrderError`` carrying the best error seen when no
-    order within the ladder qualifies.
+    Raises ``NeedsHigherOrderError`` when some move meets the tolerance at
+    no order of the ladder.  Its ``best_order`` and ``best_error`` hold,
+    per move, q and its error where the tolerance is met and the order of
+    least error and that error where it is not; a move is met exactly when
+    its ``best_error`` is within ``alpha_tol``.  A ladder with no orders
+    raises ``LadderOrderError``.
     """
-    sums = taylor_sums(ladder, scenario.delta_t, scenario.delta_s, ladder.order())
-    errors = [abs(exact_change - total) for total in sums]
-    for p in range(1, len(errors)):
-        if errors[p] <= scenario.alpha_tol:
-            return p, errors[p]
-    best = min(range(1, len(errors)), key=errors.__getitem__)
+    p = ladder.order()
+    if p < 1:
+        raise LadderOrderError("a q search needs a ladder of order 1 or more")
+    changes = np.asarray(exact_changes, dtype=float)
+    errors = np.abs(changes - _partial_sums(ladder, delta_t, moves, p)[1:])
+    within = errors <= alpha_tol
+    met = within.any(axis=0)
+    order = np.where(met, within.argmax(axis=0), errors.argmin(axis=0))
+    error = errors[order, np.arange(errors.shape[1])]
+    if met.all():
+        return order + 1, error
     raise NeedsHigherOrderError(
-        f"tolerance {scenario.alpha_tol} unreachable within ladder of length "
-        f"{ladder.order()}; best error {errors[best]:.6g} at order {best}",
-        best_error=errors[best],
-        best_order=best,
+        f"tolerance {alpha_tol} unreachable within ladder of length {p} for moves "
+        f"{np.asarray(moves)[~met].tolist()}; best errors {error[~met].tolist()} at orders "
+        f"{(order[~met] + 1).tolist()}",
+        best_error=error,
+        best_order=order + 1,
     )
 
 

@@ -17,14 +17,26 @@ LEVYBENCH = pathlib.Path(__file__).resolve().parent.parent / "levybench"
 TRACER = LEVYBENCH / "tracer.py"
 
 
-def traced_targets():
-    spec = importlib.util.spec_from_file_location("_levybench_tracer", TRACER)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
-    return tracer.PACKAGE, tracer.TRACED
+def _load(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
-PACKAGE, TRACED = traced_targets()
+TRACING = _load("_levybench_tracer", TRACER)
+PACKAGE, TRACED = TRACING.PACKAGE, TRACING.TRACED
+
+
+@pytest.fixture
+def workloads(monkeypatch):
+    monkeypatch.syspath_prepend(str(LEVYBENCH))
+    spec = importlib.util.spec_from_file_location("_levybench_workloads",
+                                                  LEVYBENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.mark.parametrize("target", TRACED)
@@ -37,17 +49,11 @@ def test_traced_target_resolves(target):
     assert callable(owner)
 
 
-def test_one_round_of_every_workload_checks_clean(monkeypatch, tmp_path):
+def test_one_round_of_every_workload_checks_clean(workloads, tmp_path):
     """Each operation of one round of every workload is prepared, run and
     checked as ``levybench/run.py`` does, and no check fails: not even the
     variance-gamma pnl operation's listed ``known_fault``, which its fixed
     seed has not shown since its scenarios began to draw jumps."""
-    monkeypatch.syspath_prepend(str(LEVYBENCH))
-    spec = importlib.util.spec_from_file_location("_levybench_workloads",
-                                                  LEVYBENCH / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
-    spec.loader.exec_module(workloads)
     for name, workload_cls in workloads.WORKLOADS.items():
         workdir = tmp_path / name
         workdir.mkdir()
@@ -57,3 +63,24 @@ def test_one_round_of_every_workload_checks_clean(monkeypatch, tmp_path):
             rows = op.check(op.run(), chk)
             assert rows > 0, (name, op.kind)
             assert chk.failures == [], (name, op.kind)
+
+
+def test_traced_qtable_op_searches_once_per_option(workloads, tmp_path):
+    """A traced ``qtable_cold`` operation (the criterion-6 config) builds
+    the stencil table once and makes one q search per option, over all of
+    its moves."""
+    (op,) = workloads.WORKLOADS["qtable_cold"](7, tmp_path).next_round()
+    op.prepare()
+    tracer = TRACING.Tracer()
+    tracer.install()
+    try:
+        tracer.begin_op()
+        returned = op.run()
+        tracer.end_op()
+    finally:
+        tracer.uninstall()
+    chk = workloads.Check()
+    assert op.check(returned, chk) > 0 and chk.failures == []
+    metrics = tracer.layer_metrics()
+    assert metrics["taylor.find_q_calls"]["value"] == len(workloads.QTABLE_CONFIG["options"])
+    assert metrics["stencil.build_calls"]["value"] == 1

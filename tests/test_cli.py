@@ -6,6 +6,7 @@ import sys
 import pytest
 from conftest import package_env
 
+from levyhedge import cli
 from levyhedge.cli import main
 from levyhedge.errors import ConfigError
 
@@ -67,7 +68,8 @@ class TestQTableCommand:
         assert out1.read_bytes() == out2.read_bytes()
 
     def test_header_and_reference_column(self, tmp_path):
-        cfg = write_config(tmp_path)
+        # the reference describes the criterion-6 stencil, so the run is made on it
+        cfg = write_config(tmp_path, stencil={"half_width": 20, "p_max": 39, "s_step": 10.0})
         out = tmp_path / "q.csv"
         main(["qtable", "--config", str(cfg), "--out", str(out)])
         lines = out.read_text().splitlines()
@@ -86,6 +88,13 @@ class TestQTableCommand:
             assert exc.value.code == 2
             assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
         assert not (tmp_path / "qtable.csv").exists()
+
+    def test_one_parser_keeps_no_state_between_calls(self, tmp_path):
+        cfg = write_config(tmp_path)
+        assert cli._parser() is cli._parser()
+        assert main(["qtable", "--config", str(cfg), "--out", str(tmp_path / "a.csv")]) == 0
+        assert main(["qtable", "--config", str(cfg)]) == 0  # no --out left from the last call
+        assert (tmp_path / "qtable.csv").read_bytes() == (tmp_path / "a.csv").read_bytes()
 
     def test_unreachable_rows_exit_nonzero(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -199,8 +208,8 @@ class TestOutputBytes:
         "pnl_vg": ("pnl", dict(PNL, model=VG, mc={"paths": 5000, "steps": 2, "seed": 10})),
     }
     DIGESTS = {
-        "qtable.csv": "fd07e0e57f6d61ed2a2b9b4b74e8d42e909b0d61e1453d71d7bf3df37cdae1b4",
-        "qtable_expired.csv": "0e5237738bc3301d09e40bffcd2212797a784bcf7a9ebe64843f4e0feb28732a",
+        "qtable.csv": "39b47c971e91d9e535dd6ca7c53380563a3bc3f5603c8b67e9d87cd2ea6b6f8d",
+        "qtable_expired.csv": "eb179b61ed39ed69844576765f22eb34b593e7dd31afdf282a77d01723ed86cc",
         "converge.csv": "0492db0d739cecb5c18182c0b41d0b8457e9316c28d220af32aa922e856393f0",
         "converge_expired.csv": "1a79eb9ac45e7512d7e25610902faf78891d95bdca8f28809f943f3bfacb2068",
         "pnl_cp.csv": "cd9c7f4b3b7f48120dbbcfe746948618f92831cab151d078b8edb59fcf23ccdd",

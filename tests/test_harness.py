@@ -105,6 +105,54 @@ class TestQTable:
         assert rows[1][3] > 0.01
 
 
+class TestReferenceColumn:
+    """``q_reference`` is filled only on the contract and stencil the
+    reference table describes, and only for moves of exactly 10..70."""
+
+    CANONICAL = dict(
+        options=[{"kind": "european_call", "strike": 5000, "maturity": 1.0},
+                 {"kind": "up_and_out", "strike": 5000, "maturity": 1.0, "barrier": 5050},
+                 {"kind": "down_and_in", "strike": 5000, "maturity": 1.0, "barrier": 4950}],
+        scenario={"s0": 5000, "delta_s": [10, 20, 20.5, 70, 80], "delta_t": 1.0,
+                  "r": 0.05, "alpha_tol": 0.01},
+        stencil={"half_width": 20, "p_max": 39, "s_step": 10.0},
+    )
+
+    def refs(self, **over):
+        raw = base_config(**copy.deepcopy(self.CANONICAL))
+        for block, values in over.items():
+            if isinstance(raw[block], dict):
+                raw[block].update(values)
+            else:
+                raw[block] = values
+        _, rows, _ = run_qtable(load_config(raw))
+        return [(kind, ds, ref) for kind, ds, _, _, ref, _ in rows]
+
+    def test_canonical_rows_carry_the_reference(self):
+        got = self.refs()
+        want = [(kind, ds, harness.REFERENCE_Q[(kind, int(ds))] if ds in (10, 20, 70) else None)
+                for kind in ("european_call", "up_and_out", "down_and_in")
+                for ds in (10, 20, 20.5, 70, 80)]
+        assert got == want
+
+    @pytest.mark.parametrize("over", [
+        {"scenario": {"delta_t": 0.1}, "mc": {"paths": 1000}},
+        {"scenario": {"alpha_tol": 0.02}},
+        {"scenario": {"s0": 5001}},
+        {"stencil": {"half_width": 6, "p_max": 11}},
+        {"stencil": {"p_max": 38}},
+        {"stencil": {"s_step": 5.0}},
+    ], ids=["live", "tolerance", "spot", "half_width", "p_max", "s_step"])
+    def test_another_contract_or_stencil_gets_none(self, over):
+        assert [ref for *_, ref in self.refs(**over)] == [None] * 15
+
+    def test_another_strike_or_barrier_gets_none(self):
+        options = [{"kind": "european_call", "strike": 4000, "maturity": 1.0},
+                   {"kind": "up_and_out", "strike": 5000, "maturity": 1.0, "barrier": 5100},
+                   {"kind": "down_and_in", "strike": 5000, "maturity": 1.0, "barrier": 4900}]
+        assert [ref for *_, ref in self.refs(options=options)] == [None] * 15
+
+
 class TestMarket:
     def test_expired_values_are_payoffs(self):
         raw = base_config()

@@ -25,7 +25,7 @@ from levyhedge.pricing import (
     payoff,
     price_curve,
 )
-from levyhedge.stencil import build_lookup_table
+from levyhedge.stencil import apply_stencil, build_lookup_table
 
 BS = dict(s=100.0, k=100.0, t=1.0, r=0.05, sigma=0.2)
 
@@ -509,6 +509,33 @@ class TestDerivativeLadder:
         curve = np.ones(9)
         with pytest.raises(LadderOrderError):
             derivative_ladder(curve, table_n4, 9, 1.0)
+
+    @pytest.mark.parametrize("p_max", [0, -1])
+    def test_ladder_with_no_orders_is_refused(self, table_n4, p_max):
+        with pytest.raises(LadderOrderError):
+            derivative_ladder(np.ones(9), table_n4, p_max, 1.0)
+
+    def test_grid_and_step_errors(self, table_n4):
+        with pytest.raises(GridError):
+            derivative_ladder(np.ones(7), table_n4, 3, 1.0)
+        for s_step in (0.0, -1.0):
+            with pytest.raises(ValueError, match="sampling period must be > 0"):
+                derivative_ladder(np.ones(9), table_n4, 3, s_step)
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 8, 20])
+    def test_one_product_equals_each_order_alone(self, n):
+        # every order of a ladder is its own apply_stencil, and the row-times-curve
+        # product each order took before the ladder became one product, bit for bit
+        table = build_lookup_table(n)
+        rng = np.random.default_rng(n)
+        for h in (0.3, 7.3, 10.0 / 3.0):
+            curve = rng.normal(size=2 * n + 1) * 10.0 ** rng.uniform(-2, 4)
+            for p_max in range(1, table.p_max + 1):
+                ladder = derivative_ladder(curve, table, p_max, h)
+                for p in range(1, p_max + 1):
+                    want = float(table.row(p) @ curve) / h**p
+                    assert ladder.derivative(p) == apply_stencil(curve, p, h, table) == want, \
+                        (n, h, p_max, p)
 
     def test_ftse_payoff_first_entry_half(self, table_n4):
         # at-the-money payoff curve: the symmetric stencil sees slope 1/2

@@ -3,10 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from levyhedge.errors import IncompleteMarketError, NeedsHigherOrderError, ZeroRateError
+from levyhedge.errors import (
+    IncompleteMarketError,
+    LadderOrderError,
+    NeedsHigherOrderError,
+    ZeroRateError,
+)
+from levyhedge.harness import REFERENCE_Q
 from levyhedge.jump_baskets import PathState, ScenarioOutcome, pja_basket_simple
 from levyhedge.models import CompoundPoisson, LevyModel, NormalJumps, moment_vector
-from levyhedge.pricing import DerivativeLadder
+from levyhedge.pricing import DerivativeLadder, OptionSpec, derivative_ladder, payoff
+from levyhedge.stencil import build_lookup_table
 from levyhedge.swaps import RealizedHistory, SwapSpec, moment_swap_basket
 from levyhedge.taylor import (
     HedgeLedger,
@@ -57,18 +64,17 @@ class TestFindQ:
     def test_polynomial_truncates_at_two(self):
         s, ds = 50.0, 3.0
         ladder = DerivativeLadder(d2=(2 * s, 2.0, 0.0, 0.0), d1=0.0)
-        sc = scenario(s_t=s, delta_s=ds, alpha_tol=1e-9)
         exact = 2 * s * ds + ds**2
-        q, err = find_q(ladder, sc, exact)
+        (q,), (err,) = find_q(ladder, 0.1, [ds], [exact], 1e-9)
         assert q <= 2
         assert err <= 1e-9
 
     def test_needs_higher_order(self):
         ladder = DerivativeLadder(d2=(1.0,), d1=0.0)
-        sc = scenario(delta_s=2.0, alpha_tol=1e-6)
         with pytest.raises(NeedsHigherOrderError) as exc:
-            find_q(ladder, sc, exact_change=100.0)
-        assert exc.value.best_error is not None
+            find_q(ladder, 0.1, [2.0], [100.0], 1e-6)
+        assert exc.value.best_error.tolist() == [98.0]
+        assert exc.value.best_order.tolist() == [1]
 
     def test_monotone_in_move_size(self, table_n8):
         # on a payoff-kink ladder q cannot shrink when the move grows
@@ -78,15 +84,12 @@ class TestFindQ:
         grid = 5000.0 + h * np.arange(-8, 9)
         curve = np.maximum(grid - 5000.0, 0.0)
         ladder = pricing.derivative_ladder(curve, table_n8, 15, h)
-        qs = []
-        for ds in (10.0, 20.0, 30.0):
-            sc = scenario(s_t=5000.0, delta_s=ds, alpha_tol=0.01)
-            try:
-                q, _ = find_q(ladder, sc, exact_change=max(ds, 0.0))
-            except NeedsHigherOrderError:
-                q = 99
-            qs.append(q)
-        assert qs == sorted(qs)
+        moves = [10.0, 20.0, 30.0]
+        try:
+            qs, _ = find_q(ladder, 0.1, moves, moves, 0.01)
+        except NeedsHigherOrderError as exc:
+            qs = np.where(exc.best_error <= 0.01, exc.best_order, 99)
+        assert qs.tolist() == sorted(qs.tolist())
         assert qs[0] == 8 and qs[1] == 12
 
     def test_error_settles_past_q(self, table_n8):
@@ -100,12 +103,126 @@ class TestFindQ:
         curve = np.maximum(grid - 5000.0, 0.0)
         ladder = pricing.derivative_ladder(curve, table_n8, 15, h)
         ds = 10.0
-        sc = scenario(s_t=5000.0, delta_s=ds, alpha_tol=0.01)
-        q, err_q = find_q(ladder, sc, exact_change=ds)
-        sums = taylor_sums(ladder, sc.delta_t, ds, ladder.order())
+        (q,), (err_q,) = find_q(ladder, 0.1, [ds], [ds], 0.01)
+        sums = taylor_sums(ladder, 0.1, ds, ladder.order())
         for p in range(q, ladder.order() + 1):
-            err_p = abs(ds - (sums[p] - ladder.d1 * sc.delta_t))
+            err_p = abs(ds - (sums[p] - ladder.d1 * 0.1))
             assert err_p <= err_q + 1e-9
+
+
+def scalar_find_q(ladder, delta_t, ds, exact, alpha_tol):
+    """Oracle: one move's q search as a loop over the orders.  Returns
+    (order, error, met): q and its error, or the order of least error."""
+    total = ladder.d1 * delta_t
+    errors = [abs(exact - total)]
+    for i in range(1, ladder.order() + 1):
+        total = total + ladder.derivative(i) * ds**i / math.factorial(i)
+        errors.append(abs(exact - total))
+    for p in range(1, len(errors)):
+        if errors[p] <= alpha_tol:
+            return p, errors[p], True
+    best = min(range(1, len(errors)), key=errors.__getitem__)
+    return best, errors[best], False
+
+
+def set_find_q(ladder, delta_t, moves, changes, alpha_tol):
+    """(order, error, met) per move from one q search over the set."""
+    try:
+        q, err = find_q(ladder, delta_t, moves, changes, alpha_tol)
+        return [(int(o), float(e), True) for o, e in zip(q, err)]
+    except NeedsHigherOrderError as exc:
+        met = exc.best_error <= alpha_tol
+        return [(int(o), float(e), bool(m))
+                for o, e, m in zip(exc.best_order, exc.best_error, met)]
+
+
+class TestFindQSet:
+    """One q search over a set of moves equals the loop over the orders of
+    each move, bit for bit, in q and in error."""
+
+    C6_OPTIONS = [
+        OptionSpec(kind="european_call", strike=5000.0, maturity=1.0),
+        OptionSpec(kind="up_and_out", strike=5000.0, maturity=1.0, barrier=5050.0),
+        OptionSpec(kind="up_and_in", strike=5000.0, maturity=1.0, barrier=5050.0),
+        OptionSpec(kind="down_and_out", strike=5000.0, maturity=1.0, barrier=4950.0),
+    ]
+    C6_MOVES = [10.0, 20.0, 30.0, 40.0, 50.0, 60.0, 70.0]
+
+    @pytest.fixture(scope="class")
+    def c6_ladders(self):
+        # criterion 6: the post-move curve is the payoff on the N = 20, step-10 grid
+        table = build_lookup_table(20, 39)
+        grid = 5000.0 + 10.0 * np.arange(-20, 21)
+        out = []
+        for opt in self.C6_OPTIONS:
+            curve = np.asarray(payoff(opt, grid), dtype=float)
+            base = float(curve[20])
+            out.append((opt, derivative_ladder(curve, table, 39, 10.0), base))
+        return out
+
+    def changes(self, opt, base, moves):
+        return np.asarray(payoff(opt, 5000.0 + np.asarray(moves)), dtype=float) - base
+
+    def test_criterion_6_ladders_match_the_oracle_and_the_reference(self, c6_ladders):
+        for opt, ladder, base in c6_ladders:
+            changes = self.changes(opt, base, self.C6_MOVES)
+            got = set_find_q(ladder, 1.0, self.C6_MOVES, changes, 0.01)
+            want = [scalar_find_q(ladder, 1.0, ds, c, 0.01)
+                    for ds, c in zip(self.C6_MOVES, changes)]
+            assert got == want, opt.kind
+            assert [q for q, _, _ in got] == [REFERENCE_Q[(opt.kind, int(ds))]
+                                             for ds in self.C6_MOVES]
+
+    def test_unmet_moves_report_their_best_error(self, c6_ladders):
+        moves = [-30.0, -7.5, 10.0, 20.5, 70.0, 400.0]
+        for opt, ladder, base in c6_ladders:
+            changes = self.changes(opt, base, moves)
+            got = set_find_q(ladder, 1.0, moves, changes, 1e-9)
+            want = [scalar_find_q(ladder, 1.0, ds, c, 1e-9) for ds, c in zip(moves, changes)]
+            assert got == want, opt.kind
+            assert any(met for *_, met in got) and not all(met for *_, met in got)
+
+    def test_error_exactly_at_the_tolerance_is_met(self, c6_ladders):
+        _, ladder, base = c6_ladders[0]
+        opt = self.C6_OPTIONS[0]
+        moves = [10.0, 30.0, 50.0]
+        changes = self.changes(opt, base, moves)
+        for ds, change in zip(moves, changes):
+            order, tol, _ = scalar_find_q(ladder, 1.0, ds, change, 1e-3)
+            assert tol > 0
+            got = set_find_q(ladder, 1.0, moves, changes, tol)
+            want = [scalar_find_q(ladder, 1.0, m, c, tol) for m, c in zip(moves, changes)]
+            assert got == want
+            assert got[moves.index(ds)][:2] == (order, tol)
+            # a tolerance one ulp tighter no longer holds that order
+            tighter = np.nextafter(tol, 0.0)
+            assert set_find_q(ladder, 1.0, [ds], [change], tighter)[0][:2] != (order, tol)
+
+    def test_a_lone_move_is_a_set_of_one(self, c6_ladders):
+        _, ladder, base = c6_ladders[1]
+        opt = self.C6_OPTIONS[1]
+        changes = self.changes(opt, base, self.C6_MOVES)
+        together = set_find_q(ladder, 1.0, self.C6_MOVES, changes, 0.01)
+        alone = [set_find_q(ladder, 1.0, [ds], [c], 0.01)[0]
+                 for ds, c in zip(self.C6_MOVES, changes)]
+        assert together == alone
+
+    def test_live_ladder_with_a_time_term(self):
+        # a nonzero d1 dt enters every sum of every move
+        rng = np.random.default_rng(3)
+        table = build_lookup_table(6)
+        curve = np.cumsum(rng.uniform(0.0, 1.0, size=13)) ** 1.5
+        ladder = derivative_ladder(curve, table, 11, 7.3, d1=-2.5)
+        moves = [-20.0, -3.3, 4.1, 15.0, 33.3]
+        changes = rng.normal(size=len(moves)) * 10.0
+        for tol in (1e-6, 0.05, 1.0):
+            got = set_find_q(ladder, 0.1, moves, changes, tol)
+            assert got == [scalar_find_q(ladder, 0.1, ds, c, tol)
+                           for ds, c in zip(moves, changes)]
+
+    def test_ladder_with_no_orders_is_refused(self):
+        with pytest.raises(LadderOrderError):
+            find_q(DerivativeLadder(d2=(), d1=0.0), 0.1, [10.0], [1.0], 0.01)
 
 
 class TestBankTerm:
