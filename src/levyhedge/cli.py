@@ -13,6 +13,7 @@ Exit code is 0 only if every requested row computed cleanly.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import functools
 import os
 import sys
@@ -42,7 +43,38 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
+# glibc's mallopt parameters (malloc.h).
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+# The ceiling glibc's own adaptive rule can raise the mmap threshold to on
+# 64-bit systems; the trim threshold is twice it, as that rule sets it.
+_MMAP_THRESHOLD = 32 * 2**20
+
+
+@functools.cache
+def _keep_freed_heap() -> None:
+    """Keep freed path-sized arrays in the heap, once per process.
+
+    glibc serves a block above its mmap threshold by a fresh mapping and
+    returns the top of the heap to the system once more than twice that
+    threshold lies free there.  The threshold starts at 128 KiB and rises
+    only to the largest mapped block freed so far, so a run whose largest
+    arrays are one path-sized column (5e4 paths: 400 KB) keeps it near one
+    column: a pair of such temporaries freed together is handed back, and
+    the next pair faults fresh pages, or not, as the heap's holes happen to
+    fall.  Fixing both thresholds at the values the adaptive rule reaches
+    after a 32 MiB array makes every run take the no-fault path.  Elsewhere
+    than glibc this does nothing."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, 2 * _MMAP_THRESHOLD)
+
+
 def main(argv=None) -> int:
+    _keep_freed_heap()
     args = _parser().parse_args(argv)
 
     cfg = load_config(args.config)

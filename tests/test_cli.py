@@ -1,5 +1,6 @@
 import hashlib
 import json
+import platform
 import subprocess
 import sys
 
@@ -227,6 +228,29 @@ class TestOutputBytes:
             for path in sorted(tmp_path.glob(f"{name}.csv*")):
                 digests[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
         assert digests == self.DIGESTS
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc malloc thresholds")
+def test_freed_path_columns_fault_no_fresh_pages():
+    # In a fresh interpreter glibc's dynamic thresholds hand a freed pair of
+    # 400 KB temporaries back to the system, and the next pair faults about
+    # 3,260 pages per 20 pairs; once main has run, none.
+    child = (
+        "import resource, numpy\n"
+        "from levyhedge import cli\n"
+        "cli._keep_freed_heap()\n"
+        "a = numpy.random.default_rng(0).random(50_000)\n"
+        "def pairs():\n"
+        "    for _ in range(20):\n"
+        "        numpy.maximum(a * 1.01 - 0.5, 0.0).mean()\n"
+        "pairs()\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "pairs()\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", child], env=package_env(),
+                          capture_output=True, text=True, check=True)
+    assert int(proc.stdout) < 98  # the pages of one 400 KB column
 
 
 def test_console_entry_point():
