@@ -23,7 +23,7 @@ from levyhedge import (
     replication_report,
 )
 
-scenario = HedgeScenario(s_t=100.0, delta_s=8.0, delta_t=0.02, r=0.05, alpha_tol=0.01)
+scenario = HedgeScenario(s_t=100.0, delta_s=8.0, delta_t=0.02, r=0.05)
 
 # %%
 # A third-moment swap basket: change of value == C3 * (dS)^3 exactly.

@@ -45,7 +45,7 @@ moments2 = moment_vector(model2, 6)
 spec = SwapSpec(order=2, delta_s=dt, n=3, strike=0.04 * 0.08**2, unit_price=0.08**2)
 mv = mvp_with_varswap({3: 2e-4, 4: 1e-5}, s0, moments2, dt, r, spec,
                       RealizedHistory(sums={2: 0.0}))
-print(f"\nanalytic swap units {mv.varswap_units:.6f} (stock leg {mv.stock_units})")
+print(f"\nanalytic swap units {mv.swap.swap_units:.6f} (stock leg {mv.stock_units})")
 
 ds2 = s0 * one_jump_increments(model2, dt, 100_000, np.random.default_rng(0))
 target3 = sum(c * ds2**i for i, c in {3: 2e-4, 4: 1e-5}.items())

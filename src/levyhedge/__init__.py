@@ -59,9 +59,6 @@ from .pricing import (
     DerivativeLadder,
     OptionSpec,
     PathBundle,
-    black_scholes_delta,
-    black_scholes_gamma,
-    black_scholes_price,
     derivative_ladder,
     payoff,
     price_curve,

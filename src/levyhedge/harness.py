@@ -229,7 +229,7 @@ class Market:
         option has expired)."""
         spots = np.asarray(spots, dtype=float)
         if self.bundle_later is None:
-            return np.asarray(payoff(option, spots), dtype=float)
+            return payoff(option, spots)
         return self.bundle_later.values(option, spots, self.cfg.r)
 
     def ladder(self, option: OptionSpec) -> tuple[DerivativeLadder, float]:
@@ -477,7 +477,6 @@ def run_pnl(cfg: ExperimentConfig):
         cfg=cfg, market=market, ladder=ladder, moments=moments,
         scenario=HedgeScenario(
             s_t=cfg.s0, delta_s=cfg.delta_s[0], delta_t=cfg.delta_t, r=cfg.r,
-            alpha_tol=cfg.alpha_tol,
         ),
         coeffs={i: ladder.derivative(i) / math.factorial(i) for i in range(2, q + 1)},
         outcomes=outcomes,

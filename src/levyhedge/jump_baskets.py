@@ -168,10 +168,6 @@ class ScenarioOutcome:
         return [(self.jump_times[a:b], self.jump_sizes[a:b])
                 for a, b in zip(starts, self._bounds)]
 
-    def delta_y(self, i: int, moments: MomentVector, delta_t: float):
-        """Realized increment of Y^(i) over the period (jump part only)."""
-        return self.per_scenario(self.power_sums(i) - moments[i] * delta_t)
-
 
 @dataclass(frozen=True)
 class JumpBasket:
@@ -218,13 +214,6 @@ class JumpBasket:
             return MappingProxyType({})
         thetas = _order_table(self.order).thetas
         return MappingProxyType(dict(zip(thetas, self.pji_unit_array.tolist())))
-
-    def initial_cost(self) -> float:
-        t_leg = sum(
-            units * self.path_state.t_asset(i, self.r) for i, units in self.pja_units.items()
-        )
-        # power-jump integrals start at zero value at the hedge date
-        return t_leg + self.stock_units * self.s_t + self.bank_cash
 
     def change_of_value(self, outcome: ScenarioOutcome):
         """Mark the basket against ``outcome``: a float for one scenario, one

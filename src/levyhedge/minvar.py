@@ -45,10 +45,6 @@ class MinVarWeights:
     bank_cash: float
     swap: SwapBasket | None = None
 
-    @property
-    def varswap_units(self) -> float | None:
-        return None if self.swap is None else self.swap.swap_units
-
 
 def mvp_weight(f1_val, x_f2_integral, x2_nu_integral, sigma, s) -> float:
     """General projection weight of one security:

@@ -375,10 +375,6 @@ class MomentVector:
     m: tuple[float, ...]
     brownian_sigma: float = 0.0
 
-    @property
-    def m2_prime(self) -> float:
-        return self.m[1] + self.brownian_sigma**2
-
     def __getitem__(self, i: int) -> float:
         if not 1 <= i <= len(self.m):
             raise UnsupportedOrderError(f"moment m_{i} not available (have 1..{len(self.m)})")
@@ -386,7 +382,7 @@ class MomentVector:
 
     def prime(self, i: int) -> float:
         """m'_i: equal to m_i except m'_2 = m_2 + sigma^2."""
-        return self.m2_prime if i == 2 else self[i]
+        return self[2] + self.brownian_sigma**2 if i == 2 else self[i]
 
     @property
     def order(self) -> int:
@@ -521,7 +517,9 @@ def relative_factors(
     seed and the arguments, whatever the worker count.  With
     ``antithetic`` the Gaussian draws of the second half of each chunk
     mirror its first half (jump counts and sizes are shared pairwise);
-    an odd last chunk drops the mirror of its last row.
+    an odd last chunk drops the mirror of its last row.  The rows are then
+    not independent, which every SE's i.i.d. per-path formula assumes (see
+    ``pricing.price_curve``).
 
     With ``records`` the result is ``(factors, JumpRecords)``; VG jumps then
     come from the truncated series of its Levy measure, so that individual

@@ -17,20 +17,18 @@ payoff is (s sum R - K c)/n over that suffix, and a put reads the matching
 prefix.  The sums come from exact fixed-point prefix sums, so a price is
 within about an ulp of disc s mean(R) of the exactly rounded mean payoff,
 and each spot costs one binary search.  A lone spot and every barrier kind
-(whose pay region is two-dimensional) take the per-path kernel: one payoff
-vector per spot, the lone European spot through ``payoff`` bit for bit,
-a barrier kind through reused one-float-per-path buffers, building only
-the running extremum it monitors.  The P&L harness reprices all its
-scenario spots this way once per run and shares them across strategies.
+(whose pay region is two-dimensional) take the per-path kernel: one
+``payoff`` vector per spot, written in place into reused one-float-per-path
+buffers, building only the running extremum a barrier monitors.  The P&L
+harness reprices all its scenario spots once per run and shares them
+across strategies.
 
 Barrier monitoring is discrete on the simulation grid.  An expired option
 (zero remaining maturity) is valued by its payoff with the barrier checked
 against the evaluation state.
 
 ``price_curve`` is the one call that draws a fresh bundle and prices it,
-a lone spot as a grid of one.  The Black-Scholes closed forms (the
-pure-Brownian oracle) read the normal law from ``models``, as the normal
-jump law's absorbed mean does, so pricing loads nothing beyond numpy.
+a lone spot as a grid of one.
 """
 
 from __future__ import annotations
@@ -42,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridError, LadderOrderError
-from .models import LevyModel, norm_cdf, norm_pdf, relative_factors
+from .models import LevyModel, relative_factors
 from .stencil import StencilTable, apply_stencils
 
 __all__ = [
@@ -52,9 +50,6 @@ __all__ = [
     "payoff",
     "price_curve",
     "derivative_ladder",
-    "black_scholes_price",
-    "black_scholes_delta",
-    "black_scholes_gamma",
 ]
 
 EUROPEAN_CALL = "european_call"
@@ -104,18 +99,24 @@ class OptionSpec:
             raise ValueError(f"down barrier {self.barrier} must be below spot {s0}")
 
 
-def payoff(option: OptionSpec, s_terminal, s_max=None, s_min=None):
-    """Terminal payoff; barrier state defaults to the terminal value."""
+def payoff(option: OptionSpec, s_terminal, s_max=None, s_min=None, out=None):
+    """Terminal payoff of every path; barrier state defaults to the terminal
+    value.  Given ``out`` (which may be ``s_terminal`` itself) it is written
+    there in place, to the same bits.  A knocked-out call pays +0.0, even
+    where its call leg is inf."""
     st = np.asarray(s_terminal, dtype=float)
-    if option.kind == EUROPEAN_PUT:
-        return np.maximum(option.strike - st, 0.0)
-    call = np.maximum(st - option.strike, 0.0)
-    if option.kind not in _BARRIER_PAYS:
-        return call
-    extremum, pays = _BARRIER_PAYS[option.kind]
-    level = {"running_max": s_max, "running_min": s_min}[extremum]
-    level = st if level is None else np.asarray(level, dtype=float)
-    return np.where(pays(level, option.barrier), call, 0.0)
+    knocked = None
+    if option.kind in _BARRIER_PAYS:
+        extremum, pays = _BARRIER_PAYS[option.kind]
+        level = {"running_max": s_max, "running_min": s_min}[extremum]
+        # tested before ``out`` overwrites st, which a missing level reads
+        knocked = ~pays(st if level is None else level, option.barrier)
+    legs = (option.strike, st) if option.kind == EUROPEAN_PUT else (st, option.strike)
+    out = np.subtract(*legs, out=np.empty(st.shape) if out is None else out)
+    np.maximum(out, 0.0, out=out)
+    if knocked is not None:
+        np.copyto(out, 0.0, where=knocked)
+    return out
 
 
 class PathBundle:
@@ -181,34 +182,25 @@ class PathBundle:
         return (disc * means)[inverse], (disc * sds / math.sqrt(self.n_paths))[inverse]
 
     def _path_moments(self, option: OptionSpec, spots: np.ndarray, with_se: bool):
-        """Mean and sample sd of every path's payoff, one spot at a time; a
-        barrier kind reuses buffers of one float per path across spots."""
+        """Mean and sample sd of every path's ``payoff``, one spot at a time,
+        in buffers of one float per path reused across spots; a barrier
+        kind builds only the running extremum it monitors."""
         n = self.n_paths
         means = np.empty(len(spots))
         sds = np.zeros(len(spots))
-        if option.kind in _BARRIER_PAYS:
-            out, level = np.empty(n), np.empty(n)
-            pays = (self._payoff_at(option, s, out, level) for s in spots)
-        else:
-            pays = (payoff(option, self.terminal * s) for s in spots)
-        for j, pay in enumerate(pays):
+        pay = np.empty(n)
+        extremum = _BARRIER_PAYS[option.kind][0] if option.kind in _BARRIER_PAYS else None
+        level = None if extremum is None else np.empty(n)
+        for j, s in enumerate(spots):
+            np.multiply(self.terminal, s, out=pay)
+            if extremum is not None:
+                np.multiply(getattr(self, extremum), s, out=level)
+            # payoff reads the one extremum its kind monitors
+            payoff(option, pay, s_max=level, s_min=level, out=pay)
             means[j] = pay.mean()
             if with_se and n > 1:
                 sds[j] = pay.std(ddof=1)
         return means, sds
-
-    def _payoff_at(self, option: OptionSpec, s: float, out: np.ndarray, level) -> np.ndarray:
-        """Every path's barrier-call payoff from spot s, written into ``out``
-        by in-place ufuncs in ``payoff``'s order of operations, so each
-        value is the same to the bit.  Only the extremum the barrier
-        monitors is built, in ``level``, as a 1.0/0.0 factor on the payoff."""
-        np.multiply(self.terminal, s, out=out)
-        np.subtract(out, option.strike, out=out)
-        np.maximum(out, 0.0, out=out)
-        extremum, pays = _BARRIER_PAYS[option.kind]
-        np.multiply(getattr(self, extremum), s, out=level)
-        pays(level, option.barrier, out=level)
-        return np.multiply(out, level, out=out)
 
     def _sorted_moments(self, option: OptionSpec, spots: np.ndarray, with_se: bool):
         """Mean and sample sd of a European payoff at every spot from the
@@ -319,7 +311,10 @@ def price_curve(
     ``[s0]``), with common random numbers drawn in ``steps`` equal steps.
 
     Returns (prices, standard_errors).  Expired options yield the exact
-    payoff curve with zero error.
+    payoff curve with zero error.  Every SE is the i.i.d. per-path formula
+    sd/sqrt(n), which ``antithetic`` pairs break: for a Brownian call at
+    S = K = 100, sigma = 0.2, T = 1 and 2e4 paths it read 0.104, while the
+    price's sd over seeds 0-39 was 0.064 with pairs (0.100 without).
     """
     s_values = np.asarray(s_values, dtype=float)
     if s_values.ndim != 1:
@@ -366,14 +361,13 @@ def derivative_ladder(
     table: StencilTable,
     p_max: int,
     s_step: float,
-    d1: float = 0.0,
 ) -> DerivativeLadder:
     """Differentiate a price curve sampled on the stencil grid.
 
     ``curve`` must hold 2N+1 prices centred on the evaluation spot with
-    spacing ``s_step``; ``d1`` is the externally supplied time derivative
-    (a two-point forward difference upstream).  Every order 1..p_max comes
-    from one product of the table's rows with the curve
+    spacing ``s_step``.  The ladder's time derivative d1 is 0; a caller
+    that has one sets it with ``dataclasses.replace``.  Every order
+    1..p_max comes from one product of the table's rows with the curve
     (``apply_stencils``), each entry equal to ``apply_stencil`` at its order.
     """
     if not 1 <= p_max <= table.p_max:
@@ -384,37 +378,4 @@ def derivative_ladder(
     if len(curve) != 2 * n + 1:
         raise GridError(f"curve must have {2 * n + 1} points for half-width {n}")
     d2 = apply_stencils(curve, range(1, p_max + 1), s_step, table)
-    return DerivativeLadder(d2=tuple(d2), d1=d1)
-
-
-# ---------------------------------------------------------------------------
-# Black-Scholes closed forms (pure-Brownian oracle)
-# ---------------------------------------------------------------------------
-
-
-def _d1d2(s, k, t, r, sigma, dividend):
-    vol = sigma * math.sqrt(t)
-    d1 = (math.log(s / k) + (r - dividend + 0.5 * sigma**2) * t) / vol
-    return d1, d1 - vol
-
-
-def black_scholes_price(s, k, t, r, sigma, dividend=0.0, kind=EUROPEAN_CALL):
-    if t <= 0:
-        intrinsic = max(s - k, 0.0) if kind == EUROPEAN_CALL else max(k - s, 0.0)
-        return intrinsic
-    d1, d2 = _d1d2(s, k, t, r, sigma, dividend)
-    if kind == EUROPEAN_CALL:
-        return s * math.exp(-dividend * t) * norm_cdf(d1) - k * math.exp(-r * t) * norm_cdf(d2)
-    if kind == EUROPEAN_PUT:
-        return k * math.exp(-r * t) * norm_cdf(-d2) - s * math.exp(-dividend * t) * norm_cdf(-d1)
-    raise ValueError(f"no closed form for {kind!r}")
-
-
-def black_scholes_delta(s, k, t, r, sigma, dividend=0.0):
-    d1, _ = _d1d2(s, k, t, r, sigma, dividend)
-    return math.exp(-dividend * t) * norm_cdf(d1)
-
-
-def black_scholes_gamma(s, k, t, r, sigma, dividend=0.0):
-    d1, _ = _d1d2(s, k, t, r, sigma, dividend)
-    return math.exp(-dividend * t) * norm_pdf(d1) / (s * sigma * math.sqrt(t))
+    return DerivativeLadder(d2=tuple(d2), d1=0.0)

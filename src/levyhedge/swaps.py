@@ -83,14 +83,6 @@ class RealizedHistory:
 
     sums: dict[int, float]
 
-    @classmethod
-    def from_prices(cls, prices, orders) -> "RealizedHistory":
-        prices = np.asarray(prices, dtype=float)
-        if np.any(prices <= 0):
-            raise ValueError("prices must be positive")
-        rets = np.diff(prices) / prices[:-1]
-        return cls(sums={k: float(np.sum(rets**k)) for k in orders})
-
     def power_sum(self, k: int) -> float:
         try:
             return self.sums[k]
@@ -115,9 +107,6 @@ class SwapBasket:
     r: float
     delta_t: float
     history_power_sum: float
-
-    def initial_cost(self) -> float:
-        return self.swap_units * self.spec.unit_price + self.bank_cash
 
     def change_of_value(self, delta_s):
         """Mark the basket against one move (a float) or an array of moves

@@ -38,19 +38,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class HedgeScenario:
-    """One hedging experiment: spot, move, period, rate, tolerance."""
+    """One hedging experiment: spot, move, period, rate."""
 
     s_t: float
     delta_s: float
     delta_t: float
     r: float
-    alpha_tol: float = 0.01
 
     def __post_init__(self):
         if not self.delta_t > 0:
             raise ValueError("delta_t must be > 0")
-        if not self.alpha_tol > 0:
-            raise ValueError("alpha_tol must be > 0")
         if not (math.isfinite(self.delta_s) and math.isfinite(self.r)):
             raise ValueError(f"delta_s and r must be finite, got {self.delta_s} and {self.r}")
         if not (self.s_t > 0 and self.s_t + self.delta_s > 0):

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from levyhedge.models import norm_cdf, norm_pdf
 from levyhedge.stencil import build_lookup_table
 
 
@@ -47,6 +48,35 @@ def vandermonde_stencil(p, half_width):
     rhs = [Fraction(math.factorial(p)) if j == p else Fraction(0) for j in range(size)]
     coeffs = solve_rational(matrix, rhs)
     return dict(zip(offsets, coeffs))
+
+
+def _d1d2(s, k, t, r, sigma, dividend):
+    vol = sigma * math.sqrt(t)
+    d1 = (math.log(s / k) + (r - dividend + 0.5 * sigma**2) * t) / vol
+    return d1, d1 - vol
+
+
+def black_scholes_price(s, k, t, r, sigma, dividend=0.0, kind="european_call"):
+    """Oracle: the Black-Scholes price of a European call or put, on the
+    library's normal law ``models.norm_cdf``."""
+    if t <= 0:
+        return max(s - k, 0.0) if kind == "european_call" else max(k - s, 0.0)
+    d1, d2 = _d1d2(s, k, t, r, sigma, dividend)
+    if kind == "european_call":
+        return s * math.exp(-dividend * t) * norm_cdf(d1) - k * math.exp(-r * t) * norm_cdf(d2)
+    if kind == "european_put":
+        return k * math.exp(-r * t) * norm_cdf(-d2) - s * math.exp(-dividend * t) * norm_cdf(-d1)
+    raise ValueError(f"no closed form for {kind!r}")
+
+
+def black_scholes_delta(s, k, t, r, sigma, dividend=0.0):
+    d1, _ = _d1d2(s, k, t, r, sigma, dividend)
+    return math.exp(-dividend * t) * norm_cdf(d1)
+
+
+def black_scholes_gamma(s, k, t, r, sigma, dividend=0.0):
+    d1, _ = _d1d2(s, k, t, r, sigma, dividend)
+    return math.exp(-dividend * t) * norm_pdf(d1) / (s * sigma * math.sqrt(t))
 
 
 @pytest.fixture(scope="session")

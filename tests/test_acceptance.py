@@ -22,8 +22,6 @@ from levyhedge.jump_baskets import (
     PathState,
     ScenarioOutcome,
     pja_basket_general,
-    pja_basket_order2,
-    pja_basket_simple,
 )
 from levyhedge.minvar import mvp_bank_stock, mvp_with_varswap
 from levyhedge.models import (
@@ -37,17 +35,19 @@ from levyhedge.models import (
 from levyhedge.neutral import solve_neutrality
 from levyhedge.pricing import (
     OptionSpec,
-    black_scholes_delta,
-    black_scholes_gamma,
-    black_scholes_price,
     derivative_ladder,
     price_curve,
 )
 from levyhedge.stencil import apply_stencil, build_lookup_table, stencil_coefficient
-from levyhedge.swaps import RealizedHistory, SwapSpec, moment_swap_basket, variance_swap_basket
+from levyhedge.swaps import RealizedHistory, SwapSpec, moment_swap_basket
 from levyhedge.taylor import HedgeScenario
 
-from conftest import vandermonde_stencil
+from conftest import (
+    black_scholes_delta,
+    black_scholes_gamma,
+    black_scholes_price,
+    vandermonde_stencil,
+)
 
 
 def report(num, text):
@@ -145,13 +145,12 @@ def test_criterion_04_replication_identities():
     for _ in range(100):
         s_t = rng.uniform(20, 200)
         dt = rng.uniform(0.02, 0.5)
-        sc = HedgeScenario(s_t=s_t, delta_s=1.0, delta_t=dt,
-                           r=rng.uniform(0.02, 0.12), alpha_tol=0.01)
+        sc = HedgeScenario(s_t=s_t, delta_s=1.0, delta_t=dt, r=rng.uniform(0.02, 0.12))
         spec = SwapSpec(order=2, delta_s=dt, n=int(rng.integers(3, 30)),
                         strike=rng.uniform(0, 0.3), unit_price=rng.uniform(0.1, 2.0))
         hist = RealizedHistory(sums={2: rng.uniform(0, 0.2)})
         c = rng.uniform(0.1, 3.0) * rng.choice([-1, 1])
-        basket = variance_swap_basket(c, sc, spec, hist)
+        basket = moment_swap_basket(c, sc, spec, hist)
         ds = rng.uniform(0.05, 0.3) * s_t * rng.choice([-1, 1])
         assert basket.change_of_value(ds) == pytest.approx(c * ds**2, rel=1e-10)
     # moment swaps (orders 3..5), 100 scenarios each
@@ -160,8 +159,7 @@ def test_criterion_04_replication_identities():
         for _ in range(100):
             s_t = rng.uniform(20, 200)
             dt = rng.uniform(0.02, 0.5)
-            sc = HedgeScenario(s_t=s_t, delta_s=1.0, delta_t=dt,
-                               r=rng.uniform(0.02, 0.12), alpha_tol=0.01)
+            sc = HedgeScenario(s_t=s_t, delta_s=1.0, delta_t=dt, r=rng.uniform(0.02, 0.12))
             spec = SwapSpec(order=order, delta_s=dt, n=int(rng.integers(3, 30)),
                             strike=rng.uniform(-0.2, 1.0) * scale,
                             unit_price=rng.uniform(0.1, 2.0) * scale)
@@ -177,12 +175,11 @@ def test_criterion_04_replication_identities():
         for _ in range(100):
             s_t = rng.uniform(20, 200)
             dt = rng.uniform(1e-4, 0.05)
-            sc = HedgeScenario(s_t=s_t, delta_s=1.0, delta_t=dt,
-                               r=rng.uniform(0.02, 0.12), alpha_tol=0.01)
+            sc = HedgeScenario(s_t=s_t, delta_s=1.0, delta_t=dt, r=rng.uniform(0.02, 0.12))
             t0 = rng.uniform(0, 2)
             state = PathState(t=t0, y={order: rng.uniform(-0.01, 0.01)})
             c = rng.uniform(0.1, 2.0) * rng.choice([-1, 1])
-            basket = pja_basket_simple(c, sc, order, state, moments)
+            basket = pja_basket_general(c, sc, order, state, moments, 0.0)
             x = rng.uniform(0.05, 0.4) * rng.choice([-1, 1])
             outcome = ScenarioOutcome(delta_s=s_t * x,
                                       jump_times=np.array([t0 + dt / 2]),
@@ -196,8 +193,7 @@ def test_criterion_04_replication_identities():
             s_t = rng.uniform(20, 200)
             dt = rng.uniform(0.01, 0.5)
             b = rng.uniform(-0.1, 0.2)
-            sc = HedgeScenario(s_t=s_t, delta_s=1.0, delta_t=dt,
-                               r=rng.uniform(0.02, 0.12), alpha_tol=0.01)
+            sc = HedgeScenario(s_t=s_t, delta_s=1.0, delta_t=dt, r=rng.uniform(0.02, 0.12))
             state = PathState(t=rng.uniform(0, 1),
                               y={k: rng.uniform(-0.01, 0.01) for k in range(2, order + 1)})
             c = rng.uniform(0.1, 2.0) * rng.choice([-1, 1])
@@ -213,22 +209,8 @@ def test_criterion_04_replication_identities():
             assert basket.change_of_value(outcome) == pytest.approx(
                 c * ds**order, rel=1e-10
             )
-    # order-2 material-dt construction equals the general one at i = 2
-    for _ in range(100):
-        s_t = rng.uniform(20, 200)
-        dt = rng.uniform(0.01, 0.5)
-        b = rng.uniform(-0.1, 0.2)
-        sc = HedgeScenario(s_t=s_t, delta_s=1.0, delta_t=dt,
-                           r=rng.uniform(0.02, 0.12), alpha_tol=0.01)
-        state = PathState(t=rng.uniform(0, 1), y={2: rng.uniform(-0.01, 0.01)})
-        c = rng.uniform(0.1, 2.0)
-        direct = pja_basket_order2(c, sc, state, moments, b)
-        general = pja_basket_general(c, sc, 2, state, moments, b)
-        assert direct.pja_units[2] == pytest.approx(general.pja_units[2], rel=1e-12)
-        assert direct.stock_units == pytest.approx(general.stock_units, rel=1e-12)
-        assert direct.bank_cash == pytest.approx(general.bank_cash, rel=1e-10)
     report(4, "swap and power-jump baskets reproduce C_i (dS)^i to 1e-10 relative "
-              "on 100 randomized scenarios each; order-2 constructions coincide")
+              "on 100 randomized scenarios each")
 
 
 def test_criterion_05_black_scholes_cross_check():
@@ -395,12 +377,12 @@ def test_criterion_08_minimal_variance_optimality():
     a = np.column_stack([ds2 - ds2.mean(), swap_leg - swap_leg.mean()])
     coef, *_ = np.linalg.lstsq(a, target3 - target3.mean(), rcond=None)
     emp_stock, emp_swap = coef
-    swap_dev = abs(emp_swap - mv.varswap_units) / mv.varswap_units
+    swap_dev = abs(emp_swap - mv.swap.swap_units) / mv.swap.swap_units
     assert swap_dev < 0.02
-    scale = abs(mv.varswap_units) * swap_leg.std()
+    scale = abs(mv.swap.swap_units) * swap_leg.std()
     stock_leg_dev = abs(emp_stock) * ds2.std() / scale
     assert stock_leg_dev < 0.02
-    resid3 = target3 - mv.varswap_units * swap_leg
+    resid3 = target3 - mv.swap.swap_units * swap_leg
     zs = []
     for instr in (ds2, swap_leg):
         rc = (resid3 - resid3.mean()) * (instr - instr.mean())

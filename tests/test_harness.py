@@ -24,13 +24,14 @@ from levyhedge.models import moment_vector, relative_factors
 from levyhedge.pricing import (
     DerivativeLadder,
     PathBundle,
-    black_scholes_price,
     payoff,
     price_curve,
 )
 from levyhedge.stencil import stencil_coefficient
 from levyhedge.swaps import RealizedHistory, SwapSpec, moment_swap_basket
 from levyhedge.taylor import HedgeScenario, assemble_ledger, taylor_sums
+
+from conftest import black_scholes_price
 
 LEVYBENCH = pathlib.Path(__file__).resolve().parent.parent / "levybench"
 

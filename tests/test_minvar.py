@@ -161,7 +161,7 @@ class TestWithVarswap:
         mom = moment_vector(model, 6)
         w = mvp_with_varswap({3: 0.0}, 100.0, mom, 2e-4, 0.05,
                              self.swap(2e-4), RealizedHistory(sums={2: 0.0}))
-        assert w.varswap_units == 0.0
+        assert w.swap.swap_units == 0.0
         assert w.stock_units == 0.0
         assert w.bank_cash == 0.0
 
@@ -172,7 +172,7 @@ class TestWithVarswap:
         w = mvp_with_varswap({3: c3}, s_t, mom, dt, 0.05,
                              self.swap(dt), RealizedHistory(sums={2: 0.0}))
         phi = c3 * s_t * mom[3] / mom[2]
-        assert w.varswap_units == pytest.approx(
+        assert w.swap.swap_units == pytest.approx(
             phi * self.swap(dt).annualizer * s_t**2, rel=1e-12
         )
         assert w.stock_units == 0.0
@@ -225,10 +225,10 @@ class TestWithVarswap:
         a = np.column_stack([ds - ds.mean(), swap_leg - swap_leg.mean()])
         coef, *_ = np.linalg.lstsq(a, target - target.mean(), rcond=None)
         emp_stock, emp_swap = coef
-        assert abs(emp_swap - mv.varswap_units) / mv.varswap_units < 0.02
+        assert abs(emp_swap - mv.swap.swap_units) / mv.swap.swap_units < 0.02
         # the analytic stock leg is zero; the empirical one must be within
         # 2% of the hedge scale once converted to change-of-value units
-        scale = abs(mv.varswap_units) * swap_leg.std()
+        scale = abs(mv.swap.swap_units) * swap_leg.std()
         assert abs(emp_stock) * ds.std() / scale < 0.02
 
     def test_residual_orthogonality_both_instruments(self):
@@ -244,7 +244,7 @@ class TestWithVarswap:
         ds = s0 * one_jump_increments(model, dt, n, rng)
         target = sum(c * ds**i for i, c in coeffs.items())
         swap_leg = (ds / s0) ** 2 / spec.annualizer
-        resid = target - mv.varswap_units * swap_leg
+        resid = target - mv.swap.swap_units * swap_leg
         for instr in (ds, swap_leg):
             rc = (resid - resid.mean()) * (instr - instr.mean())
             z = rc.mean() / (rc.std(ddof=1) / math.sqrt(n))
@@ -264,7 +264,7 @@ class TestWithVarswap:
         hist = RealizedHistory(sums={2: 4e-6})
         w = mvp_with_varswap(coeffs, s_t, mom, dt, r, spec, hist)
         phi = sum(c * s_t ** (i - 2) * mom[i] for i, c in coeffs.items()) / mom[2]
-        assert w.varswap_units == pytest.approx(phi * spec.annualizer * s_t**2 / notional,
+        assert w.swap.swap_units == pytest.approx(phi * spec.annualizer * s_t**2 / notional,
                                                 rel=1e-12)
         assert w.bank_cash == 0.0 and w.stock_units == 0.0
         legs = sum(c * s_t**i * mom[i] * dt for i, c in coeffs.items())
@@ -284,7 +284,7 @@ class TestWithVarswap:
         spec = SwapSpec(order=2, delta_s=dt, n=4, strike=3e-3, unit_price=5e-3)
         w = mvp_general(coeffs, s_t, mom, dt, r, swap=spec,
                         history=RealizedHistory(sums={2: 4e-6}))
-        phi = w.varswap_units / (spec.annualizer * s_t**2)
+        phi = w.swap.swap_units / (spec.annualizer * s_t**2)
         legs = sum(c * s_t**i * constant_term(i, mom, dt) for i, c in coeffs.items())
         for ds in (-9.0, 0.0, 12.0):
             want = phi * ds**2 + legs - phi * s_t**2 * mom[2] * dt
@@ -304,7 +304,7 @@ class TestWithVarswap:
                 mvp_general(coeffs, 100.0, mom, dt, 0.05, swap=spec, history=hist),
             ))
         for one, two in zip(*books):
-            assert two.varswap_units == pytest.approx(one.varswap_units / 2, rel=1e-12)
+            assert two.swap.swap_units == pytest.approx(one.swap.swap_units / 2, rel=1e-12)
             for ds in (-8.0, 0.5, 8.0):
                 assert mark_book(two, ds, 0.05, dt) == pytest.approx(
                     mark_book(one, ds, 0.05, dt), rel=1e-10)
@@ -374,7 +374,7 @@ class TestGeneral:
         hist = RealizedHistory(sums={2: 0.0})
         printed = mvp_with_varswap(coeffs, 100.0, mom, dt, 0.05, spec, hist)
         general = mvp_general(coeffs, 100.0, mom, dt, 0.05, swap=spec, history=hist)
-        assert general.varswap_units == pytest.approx(printed.varswap_units, rel=1e-3)
+        assert general.swap.swap_units == pytest.approx(printed.swap.swap_units, rel=1e-3)
 
 
 class TestCompleteMarketLimit:

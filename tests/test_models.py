@@ -142,8 +142,8 @@ class TestMoments:
     def test_moment_vector_m2_prime(self):
         model = LevyModel(brownian_sigma=0.2, jump_spec=CP_TEST)
         mom = moment_vector(model, 4)
-        assert mom.m2_prime == pytest.approx(mom[2] + 0.04)
-        assert mom.m2_prime >= mom[2]
+        assert mom.prime(2) == pytest.approx(mom[2] + 0.04)
+        assert mom.prime(2) >= mom[2]
         assert mom[2] >= 0 and mom[4] >= 0
 
 
@@ -688,8 +688,13 @@ class TestJumpBlocks:
 
 
 class TestPowerJumpPath:
-    """Y^(i), the compensated sum of (jump size)^i, from the increments
-    ``ScenarioOutcome.delta_y`` over the steps of one ``records`` draw."""
+    """Y^(i), the compensated sum of (jump size)^i, from its increments
+    ``power_sums(i) - m_i dt`` over the steps of one ``records`` draw."""
+
+    @staticmethod
+    def delta_y(outcome, i, mom, dt):
+        """Y^(i)'s increment over one outcome's period of length dt."""
+        return outcome.power_sums(i)[0] - mom[i] * dt
 
     @staticmethod
     def step_outcomes(jumps, n, steps):
@@ -701,7 +706,7 @@ class TestPowerJumpPath:
 
     def test_no_jumps_is_minus_compensator(self):
         mom = moment_vector(LevyModel(jump_spec=CP_TEST), 2)
-        y = ScenarioOutcome(delta_s=0.0).delta_y(2, mom, 1.0)
+        y = self.delta_y(ScenarioOutcome(delta_s=0.0), 2, mom, 1.0)
         assert y == pytest.approx(-mom[2] * 1.0)
 
     def test_single_jump_bookkeeping(self):
@@ -710,7 +715,7 @@ class TestPowerJumpPath:
         assert mom[2] == pytest.approx(0.02)
         outcome = ScenarioOutcome(delta_s=0.0, jump_times=np.array([0.5]),
                                   jump_sizes=np.array([0.2]))
-        assert outcome.delta_y(2, mom, 1.0) == pytest.approx(0.04 - 0.02)
+        assert self.delta_y(outcome, 2, mom, 1.0) == pytest.approx(0.04 - 0.02)
 
     def test_t_asset_accrual(self):
         state = PathState(t=1.0, y={3: 0.1**3 - CP_TEST.hedge_moment(3)})
@@ -726,7 +731,8 @@ class TestPowerJumpPath:
         mom = moment_vector(model, 4)
         (outcomes,) = self.step_outcomes(jumps, 1, 12)
         for i in (2, 3, 4):
-            y = np.concatenate([[0.0], np.cumsum([o.delta_y(i, mom, 1 / 12) for o in outcomes])])
+            steps = [self.delta_y(o, i, mom, 1 / 12) for o in outcomes]
+            y = np.concatenate([[0.0], np.cumsum(steps)])
             for idx, t in enumerate(times):
                 raw = float(np.sum(jumps.size[jumps.time <= t] ** i))
                 assert y[idx] + mom[i] * t == pytest.approx(raw, abs=1e-12)
@@ -740,7 +746,7 @@ class TestPowerJumpPath:
         paths = self.step_outcomes(jumps, n, 2)
         for i in (2, 3, 4):
             # Y_1^(i) of each path: the sum of its two steps' increments
-            vals = np.array([sum(o.delta_y(i, mom, 0.5) for o in steps) for steps in paths])
+            vals = np.array([sum(self.delta_y(o, i, mom, 0.5) for o in steps) for steps in paths])
             se = vals.std(ddof=1) / math.sqrt(n)
             assert abs(vals.mean()) < 3 * se, i
 

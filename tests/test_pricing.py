@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import math
 
 import numpy as np
@@ -18,14 +19,13 @@ from levyhedge.models import (
 from levyhedge.pricing import (
     OptionSpec,
     PathBundle,
-    black_scholes_delta,
-    black_scholes_gamma,
-    black_scholes_price,
     derivative_ladder,
     payoff,
     price_curve,
 )
 from levyhedge.stencil import apply_stencil, build_lookup_table
+
+from conftest import black_scholes_delta, black_scholes_gamma, black_scholes_price
 
 BS = dict(s=100.0, k=100.0, t=1.0, r=0.05, sigma=0.2)
 
@@ -401,6 +401,22 @@ class TestBlockKernel:
         assert bundle.values(option, [barrier], 0.0)[0] == pays
         assert payoff(option, np.array([barrier]))[0] == pays
 
+    @pytest.mark.parametrize("option", ALL_KINDS, ids=lambda o: o.kind)
+    def test_lone_spot_is_the_mean_payoff(self, bundle, option):
+        # spots that put a path's monitored level (its terminal level for a
+        # European kind) exactly on the barrier (the strike)
+        edge = option.barrier or option.strike
+        side = option.kind.split("_")[0]
+        levels = getattr(bundle, {"up": "running_max", "down": "running_min"}.get(side, "terminal"))
+        moved = levels[levels != 1.0][:40]
+        spots = [s for s, level in zip(edge / moved, moved) if s * level == edge][:4]
+        assert len(spots) == 4
+        for s in spots:
+            assert np.any(s * levels == edge)
+            want_p, want_se = reference_price(bundle, option, float(s), 0.05)
+            got_p, got_se = bundle.price_many(option, [s], 0.05)
+            assert (got_p.tolist(), got_se.tolist()) == ([want_p], [want_se])
+
     @pytest.mark.parametrize("option", ALL_KINDS[2:], ids=lambda o: o.kind)
     def test_barrier_reads_only_its_extremum(self, bundle, option):
         spots = np.array([93.0, 100.0, 107.0])
@@ -413,14 +429,16 @@ class TestBlockKernel:
     def test_values_prices_each_distinct_spot_once(self, bundle, monkeypatch):
         # the barrier kinds, which keep a payoff pass per spot
         priced = []
-        real = PathBundle._payoff_at
-
-        def counting(self, option, s, out, level):
-            priced.append(float(s))
-            return real(self, option, s, out, level)
-
-        monkeypatch.setattr(PathBundle, "_payoff_at", counting)
+        real = pricing.payoff
         spots = np.array([104.0, 97.5, 104.0, 100.0, 97.5, 104.0])
+
+        def counting(option, s_terminal, *args, **kwargs):
+            # each call's terminal levels are s R, to the bit, for one spot s
+            (s,) = [s for s in set(spots) if np.array_equal(s_terminal, s * bundle.terminal)]
+            priced.append(float(s))
+            return real(option, s_terminal, *args, **kwargs)
+
+        monkeypatch.setattr(pricing, "payoff", counting)
         for option in ALL_KINDS[2:]:
             priced.clear()
             bundle.values(option, spots, 0.05)
@@ -485,7 +503,7 @@ class TestDerivativeLadder:
         h = 0.5
         grid = 100.0 + h * np.arange(-4, 5)
         curve = 3.0 * grid**2 - 2.0 * grid + 7.0
-        ladder = derivative_ladder(curve, table_n4, 5, h, d1=-1.0)
+        ladder = dataclasses.replace(derivative_ladder(curve, table_n4, 5, h), d1=-1.0)
         assert ladder.derivative(1) == pytest.approx(6.0 * 100.0 - 2.0, rel=1e-12)
         assert ladder.derivative(2) == pytest.approx(6.0, rel=1e-9)
         for i in (3, 4, 5):
@@ -572,8 +590,81 @@ class TestPayoffs:
             OptionSpec(kind="lookback", strike=100.0, maturity=1.0)
 
 
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def reference_payoff(option, st, s_max, s_min):
+    """The payoff as fresh arrays: the call or put leg, zeroed by np.where
+    wherever the barrier's test on its extremum fails."""
+    if option.kind == "european_put":
+        return np.maximum(option.strike - st, 0.0)
+    call = np.maximum(st - option.strike, 0.0)
+    monitors = {"up_and_out": (s_max, np.less), "up_and_in": (s_max, np.greater_equal),
+                "down_and_out": (s_min, np.greater), "down_and_in": (s_min, np.less_equal)}
+    if option.kind not in monitors:
+        return call
+    level, pays = monitors[option.kind]
+    return np.where(pays(level, option.barrier), call, 0.0)
+
+
+class TestOnePayoffKernel:
+    """``payoff`` is the one per-path payoff: written in place into ``out``
+    it keeps the bits of a fresh result."""
+
+    @staticmethod
+    def states(option):
+        """Terminal levels and extrema on the barrier, an ulp either side of
+        it, on the strike, at 0 and at inf, among uniform draws."""
+        rng = np.random.default_rng(31)
+        edge = option.barrier or option.strike
+        marks = [edge, np.nextafter(edge, 0.0), np.nextafter(edge, np.inf), option.strike,
+                 0.0, np.inf]
+        st = np.concatenate([rng.uniform(60.0, 140.0, 58), marks])
+        return st, np.maximum(st, rng.permutation(st)), np.minimum(st, rng.permutation(st))
+
+    @pytest.mark.parametrize("option", ALL_KINDS, ids=lambda o: o.kind)
+    def test_in_place_equals_fresh(self, option):
+        st, s_max, s_min = self.states(option)
+        fresh = payoff(option, st, s_max, s_min)
+        assert same_bits(fresh, reference_payoff(option, st, s_max, s_min))
+        buf = np.full_like(st, np.nan)
+        assert payoff(option, st, s_max, s_min, out=buf) is buf
+        assert same_bits(buf, fresh)
+        # out may be the terminal levels themselves, which a missing extremum reads
+        for extrema in ((s_max, s_min), (None, None)):
+            aliased = st.copy()
+            payoff(option, aliased, *extrema, out=aliased)
+            assert same_bits(aliased, payoff(option, st, *extrema))
+
+    @pytest.mark.parametrize("option", ALL_KINDS, ids=lambda o: o.kind)
+    def test_scalar_input(self, option):
+        for s in (80.0, option.barrier or 100.0, option.strike, 120.0):
+            fresh = payoff(option, s)
+            assert fresh.shape == ()
+            assert same_bits(fresh, reference_payoff(option, np.float64(s), s, s))
+            buf = np.empty(())
+            assert payoff(option, s, out=buf) is buf
+            assert same_bits(buf, fresh)
+
+    @pytest.mark.parametrize("kind, extremum", [
+        ("up_and_out", {"s_max": math.inf}), ("down_and_in", {"s_min": 100.0}),
+        ("up_and_out", {}), ("down_and_in", {})])
+    def test_knocked_out_inf_call_pays_plus_zero(self, kind, extremum):
+        barrier = 120.0 if kind.startswith("up") else 80.0
+        option = OptionSpec(kind=kind, strike=100.0, maturity=1.0, barrier=barrier)
+        st = np.array([math.inf])
+        aliased = st.copy()
+        payoff(option, aliased, **extremum, out=aliased)
+        for got in (payoff(option, st, **extremum),
+                    payoff(option, st, **extremum, out=np.empty(1)), aliased):
+            assert same_bits(got, [0.0])
+
+
 class TestBlackScholesClosedForms:
-    """The closed forms against the same formulas on scipy's normal law."""
+    """The Black-Scholes oracle of ``conftest`` against the same formulas on
+    scipy's normal law."""
 
     K, T, R, SIGMA, Q = 100.0, 0.25, 0.03, 0.2, 0.01
 

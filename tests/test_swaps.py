@@ -25,7 +25,7 @@ def realized_moment(
 
 def scen(s_t=100.0, delta_t=0.1, r=0.05, **kw):
     return HedgeScenario(s_t=s_t, delta_s=kw.pop("delta_s", 0.0) or 1.0,
-                         delta_t=delta_t, r=r, alpha_tol=0.01)
+                         delta_t=delta_t, r=r)
 
 
 class TestRealizedMoment:
@@ -41,11 +41,11 @@ class TestRealizedMoment:
     def test_order_two_matches_variance_leg(self):
         rng = np.random.default_rng(0)
         prices = 100 * np.cumprod(1 + 0.02 * rng.standard_normal(10))
-        hist = RealizedHistory.from_prices(prices, orders=(2,))
+        rets = np.diff(prices) / prices[:-1]
+        hist = RealizedHistory(sums={2: float(np.sum(rets**2))})
         new_r = 0.015
         var_leg = realized_moment(hist, new_r, 2, 1.0 / 252, len(prices) + 1)
         # the k = 2 realized moment is the realized-variance payoff leg
-        rets = np.diff(prices) / prices[:-1]
         manual = (np.sum(rets**2) + new_r**2) / ((1.0 / 252) * (len(prices) + 1 - 2))
         assert var_leg == pytest.approx(manual, rel=1e-12)
 
@@ -118,7 +118,8 @@ class TestVarianceSwapBasket:
         stated = c2 * ann * 80.0**2 * spec.unit_price * (1 + 1 / growth) + (
             c2 * 80.0**2 * ann / growth * (spec.strike - hist.power_sum(2) / ann)
         )
-        assert basket.initial_cost() == pytest.approx(stated, rel=1e-12)
+        cost = basket.swap_units * spec.unit_price + basket.bank_cash
+        assert cost == pytest.approx(stated, rel=1e-12)
 
     def test_replication_randomized(self):
         rng = np.random.default_rng(101)
@@ -134,7 +135,7 @@ class TestVarianceSwapBasket:
             )
             hist = RealizedHistory(sums={2: rng.uniform(0.0, 0.2)})
             c2 = rng.uniform(0.1, 4.0) * rng.choice([-1, 1])
-            sc = HedgeScenario(s_t=s_t, delta_s=1.0, delta_t=dt, r=r, alpha_tol=0.01)
+            sc = HedgeScenario(s_t=s_t, delta_s=1.0, delta_t=dt, r=r)
             basket = variance_swap_basket(c2, sc, spec, hist)
             ds = rng.uniform(0.05, 0.3) * s_t * rng.choice([-1, 1])
             got = basket.change_of_value(ds)
@@ -180,7 +181,7 @@ class TestMomentSwapBasket:
             )
             hist = RealizedHistory(sums={order: rng.uniform(-0.2, 1.0) * scale})
             c = rng.uniform(0.1, 3.0) * rng.choice([-1, 1])
-            sc = HedgeScenario(s_t=s_t, delta_s=1.0, delta_t=dt, r=r, alpha_tol=0.01)
+            sc = HedgeScenario(s_t=s_t, delta_s=1.0, delta_t=dt, r=r)
             basket = moment_swap_basket(c, sc, spec, hist)
             ds = rng.uniform(0.1, 0.3) * s_t * rng.choice([-1, 1])
             assert basket.change_of_value(ds) == pytest.approx(
@@ -203,7 +204,8 @@ class TestMomentSwapBasket:
         sc = scen(delta_t=0.25, r=0.04)
         basket = moment_swap_basket(1.1, sc, spec, hist)
         ds = 7.0
-        final_value = basket.initial_cost() + basket.change_of_value(ds)
+        cost = basket.swap_units * spec.unit_price + basket.bank_cash
+        final_value = cost + basket.change_of_value(ds)
         realized = ((ds / sc.s_t) ** 4 + hist.power_sum(4)) / spec.annualizer
         direct = (
             basket.swap_units * (realized - spec.strike) * spec.notional

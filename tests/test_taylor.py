@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -26,7 +27,7 @@ from levyhedge.taylor import (
 
 
 def scenario(**kw):
-    defaults = dict(s_t=100.0, delta_s=5.0, delta_t=0.1, r=0.05, alpha_tol=0.01)
+    defaults = dict(s_t=100.0, delta_s=5.0, delta_t=0.1, r=0.05)
     defaults.update(kw)
     return HedgeScenario(**defaults)
 
@@ -212,7 +213,7 @@ class TestFindQSet:
         rng = np.random.default_rng(3)
         table = build_lookup_table(6)
         curve = np.cumsum(rng.uniform(0.0, 1.0, size=13)) ** 1.5
-        ladder = derivative_ladder(curve, table, 11, 7.3, d1=-2.5)
+        ladder = dataclasses.replace(derivative_ladder(curve, table, 11, 7.3), d1=-2.5)
         moves = [-20.0, -3.3, 4.1, 15.0, 33.3]
         changes = rng.normal(size=len(moves)) * 10.0
         for tol in (1e-6, 0.05, 1.0):

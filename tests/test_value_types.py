@@ -14,7 +14,7 @@ NAN, INF = math.nan, math.inf
 
 VALID = {
     OptionSpec: dict(kind="up_and_out", strike=100.0, maturity=1.0, barrier=120.0),
-    HedgeScenario: dict(s_t=100.0, delta_s=5.0, delta_t=0.01, r=0.05, alpha_tol=0.01),
+    HedgeScenario: dict(s_t=100.0, delta_s=5.0, delta_t=0.01, r=0.05),
     LevyModel: dict(drift_b=0.05, brownian_sigma=0.2),
     CompoundPoisson: dict(intensity=2.0),
     VarianceGamma: dict(theta=-0.1, nu=0.2, sigma=0.2),
@@ -34,7 +34,6 @@ CASES = [
     (HedgeScenario, "delta_t", NAN, "delta_t must be > 0"),
     (HedgeScenario, "r", NAN, "delta_s and r must be finite"),
     (HedgeScenario, "r", -INF, "delta_s and r must be finite"),
-    (HedgeScenario, "alpha_tol", NAN, "alpha_tol must be > 0"),
     (LevyModel, "drift_b", NAN, "drift_b must be finite"),
     (LevyModel, "drift_b", INF, "drift_b must be finite"),
     (LevyModel, "brownian_sigma", NAN, "brownian_sigma must be >= 0"),
