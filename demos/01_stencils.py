@@ -20,8 +20,8 @@ print("3-point second derivative:", [stencil_coefficient(2, 1, k) for k in (-1, 
 print("5-point first derivative: ", [stencil_coefficient(1, 2, k) for k in range(-2, 3)])
 
 # %%
-# A table holds integer rows over (2N)!; its exact entries match the
-# single-coefficient formula.
+# A table holds half rows over (2N)!, offsets 0..N, since d_{-k} = (-1)^p d_k;
+# its exact entries match the single-coefficient formula.
 table = build_lookup_table(6)
 assert all(table.coefficient(p, k) == stencil_coefficient(p, 6, k)
            for p in range(1, table.p_max + 1) for k in range(-6, 7))

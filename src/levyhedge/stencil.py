@@ -11,15 +11,18 @@ polynomial of degree j in the squares of the other offsets.  This is the
 classic form (-1)^(k+c1) * p!/k^(1+c2) * N!^2/((N-k)!(N+k)!) * e_c({1/y^2 :
 y != k}) rewritten through e_c(1/y^2) = e_{N-1-c}(y^2) / prod y^2, so every
 coefficient is an integer over the one denominator (2N)!.  The center
-coefficient is 0 for odd p and -2 * sum_{k>0} d_k^(p) for even p.
+coefficient is 0 for odd p and -2 * sum_{k>0} d_k^(p) for even p, and
+d_{-k}^(p) = (-1)^p d_k^(p), so each row is known from offsets 0..N.
 
 The G_j never enumerate combinations.  The coefficients E_j of
 prod_y (1 + y^2 t) give e_j over all of 1..N, and each offset's sums
-follow by deflation, G_j(k) = E_j - k^2 G_{j-1}(k), so a table of N
-offsets and orders up to 2N-1 costs O(N^2) integer operations.  The table
-keeps those integer rows; a ``Fraction`` is made only when an exact caller
-asks for one.  Fornberg (1988), "Generation of finite difference formulas
-on arbitrarily spaced grids", Math. Comp. 51, gives an equivalent recursion.
+follow by deflation, G_j(k) = E_j - k^2 G_{j-1}(k); orders 2c+1 and 2c+2
+read the same G_{N-1-c}.  A table of orders up to 2N-1 costs O(N^2)
+integer operations and keeps only those half rows.  Its float rows are
+the half entries rounded once each and mirrored; the full integer rows
+and ``Fraction``s are made only when an exact caller asks for them.
+Fornberg (1988), "Generation of finite difference formulas on arbitrarily
+spaced grids", Math. Comp. 51, gives an equivalent recursion.
 
 A stencil is a weight matrix applied to samples, so float estimates of a
 whole range of orders are one product of the table's float rows with the
@@ -47,31 +50,36 @@ __all__ = [
 ]
 
 
-def _scaled_rows(n: int, orders) -> list[list[int]]:
-    """(2N)! * d_k^(p) for k = -n..n, one integer row per order p; p <= 2n."""
-    total = [1] + [0] * n  # E_j, the coefficients of prod_y (1 + y^2 t)
+def _scaled_rows(n: int, p_max: int) -> list[tuple[int, ...]]:
+    """(2N)! * d_k^(p) at offsets k = 0..n for p = 1..p_max <= 2n.  Orders 2c+1 and
+    2c+2 share col[k-1] = (-1)^(k+c1) C(2N, N+k) G_j(k) at j = N-1-c; its sign is
+    (-1)^(k+N+j), which ``signed`` and ``alt`` carry, so the deflation adds."""
+    alt = [1] + [0] * n  # (-1)^j E_j, the coefficients of prod_y (1 - y^2 t)
     for y in range(1, n + 1):
         for j in range(y, 0, -1):
-            total[j] += y * y * total[j - 1]
-    excluded = [[]]  # excluded[k][j] = C(2N, N+k) * G_j(k), j = 0..n-1
-    for k in range(1, n + 1):
-        g = [1]
-        for j in range(1, n):
-            g.append(total[j] - k * k * g[-1])
-        binom = math.comb(2 * n, n + k)
-        excluded.append([binom * x for x in g])
-    rows = []
-    for p in orders:
-        c = (p - 1) // 2
-        c1, c2 = 1 - c % 2, 1 - p % 2
-        fact = math.factorial(p)
-        half = [(-1) ** (k + c1) * fact * k ** (1 - c2) * excluded[k][n - 1 - c]
-                for k in range(1, n + 1)]
-        if c2:
-            rows.append(half[::-1] + [-2 * sum(half)] + half)
-        else:
-            rows.append([-d for d in reversed(half)] + [0] + half)
-    return rows
+            alt[j] -= y * y * alt[j - 1]
+    offsets = range(1, n + 1)
+    signed = [(-1 if (k + n) % 2 else 1) * math.comb(2 * n, n + k) for k in offsets]
+    halves, col = [None] * p_max, signed
+    for j in range(n):
+        if j:  # G_j(k) = E_j - k^2 G_{j-1}(k), times (-1)^(k+N+j)
+            col = [b * alt[j] + k * k * x for k, b, x in zip(offsets, signed, col)]
+        c = n - 1 - j
+        if 2 * c + 1 > p_max:
+            continue
+        fact = math.factorial(2 * c + 1)
+        scaled = [fact * x for x in col]
+        halves[2 * c] = (0, *[k * x for k, x in zip(offsets, scaled)])
+        if 2 * c + 2 <= p_max:
+            even = [(2 * c + 2) * x for x in scaled]
+            halves[2 * c + 1] = (-2 * sum(even), *even)
+    return halves
+
+
+def _mirror(half, p: int) -> tuple[int, ...]:
+    """The row at offsets -N..N from its half at 0..N: d_{-k} = (-1)^p d_k."""
+    left = half[:0:-1]
+    return (*(left if p % 2 == 0 else [-x for x in left]), *half)
 
 
 def stencil_coefficient(p: int, half_width: int, k: int) -> Fraction:
@@ -86,28 +94,32 @@ def stencil_coefficient(p: int, half_width: int, k: int) -> Fraction:
         raise InsufficientNodesError(f"order p={p} needs 1 <= p <= 2N, got N={n}")
     if not -n <= k <= n:
         raise ValueError(f"offset k={k} outside [-{n}, {n}]")
-    return Fraction(_scaled_rows(n, [p])[0][k + n], math.factorial(2 * n))
+    return Fraction(_mirror(_scaled_rows(n, p)[-1], p)[k + n], math.factorial(2 * n))
 
 
 @dataclass(frozen=True)
 class StencilTable:
-    """d_k^(p) for p = 1..p_max, k = -N..N, held exactly as integer rows
-    over the one denominator (2N)!: ``numerators[p - 1][k + N]`` is
-    (2N)! * d_k^(p).  Floats and ``Fraction``s are made on demand."""
+    """d_k^(p) for p = 1..p_max, k = -N..N, held exactly as half rows over
+    the one denominator (2N)!: ``halves[p - 1][k]`` is (2N)! * d_k^(p) for
+    k = 0..N, and d_{-k}^(p) = (-1)^p d_k^(p).  The full integer rows
+    (``numerators``), floats and ``Fraction``s are made on demand."""
 
     half_width: int
     p_max: int
-    numerators: tuple[tuple[int, ...], ...]
+    halves: tuple[tuple[int, ...], ...]
 
     @property
     def denominator(self) -> int:
         return math.factorial(2 * self.half_width)
 
+    @functools.cached_property
+    def numerators(self) -> tuple[tuple[int, ...], ...]:
+        """``numerators[p - 1][k + N]`` is (2N)! * d_k^(p), for exact callers."""
+        return tuple(_mirror(half, p) for p, half in enumerate(self.halves, start=1))
+
     def _check_order(self, p: int) -> None:
         if not 1 <= p <= self.p_max:
-            raise InsufficientNodesError(
-                f"order p={p} outside table range 1..{self.p_max}"
-            )
+            raise InsufficientNodesError(f"order p={p} outside table range 1..{self.p_max}")
 
     def coefficient(self, p: int, k: int) -> Fraction:
         self._check_order(p)
@@ -125,11 +137,14 @@ class StencilTable:
     @functools.cached_property
     def _float_rows(self) -> np.ndarray:
         """Every order's row as floats, shape (p_max, 2N+1), converted once
-        per table and read-only.  Each entry is the correctly rounded int
-        quotient numerator/(2N)!, which is what ``float(Fraction)`` computes."""
-        den, width = self.denominator, 2 * self.half_width + 1
-        rows = np.fromiter((num / den for row in self.numerators for num in row), dtype=float,
-                           count=self.p_max * width).reshape(self.p_max, width)
+        per table and read-only.  Each entry at offsets 0..N is the correctly
+        rounded quotient numerator/(2N)! (what ``float(Fraction)`` computes);
+        offset -k is that float times (-1)^p, as rounding commutes with negation."""
+        n, den = self.half_width, self.denominator
+        half = np.fromiter((num / den for row in self.halves for num in row), dtype=float,
+                           count=self.p_max * (n + 1)).reshape(self.p_max, n + 1)
+        rows = np.concatenate((half[:, :0:-1], half), axis=1)
+        np.negative(rows[::2, :n], out=rows[::2, :n])  # odd orders
         rows.flags.writeable = False
         return rows
 
@@ -145,26 +160,17 @@ class StencilTable:
 
 
 def build_lookup_table(half_width: int, p_max: int | None = None) -> StencilTable:
-    """Build the full coefficient table for p = 1..p_max.
-
-    Every coefficient is an integer over (2N)!: the product
-    prod_y (1 + y^2 t) gives the elementary symmetric sums E_j of the
-    squared offsets once, deflation G_j = E_j - k^2 G_{j-1} leaves each
-    offset k out in turn, and order p reads G_{N-1-floor((p-1)/2)}.  The
-    cost is O(N^2) integer operations and no ``Fraction`` (Fornberg 1988
-    reaches the same weights by an equivalent recursion).
-    """
+    """Build the table for p = 1..p_max (default 2N-1) from the half rows
+    of ``_scaled_rows``: O(N^2) integer operations and no ``Fraction``."""
     n = half_width
     if n < 1:
         raise ValueError("half_width must be >= 1")
     if p_max is None:
         p_max = 2 * n - 1
     if not 1 <= p_max <= 2 * n - 1:
-        raise InsufficientNodesError(
-            f"p_max={p_max} outside 1..{2 * n - 1} for half_width {n}"
-        )
-    rows = _scaled_rows(n, range(1, p_max + 1))
-    return StencilTable(half_width=n, p_max=p_max, numerators=tuple(map(tuple, rows)))
+        raise InsufficientNodesError(f"p_max={p_max} outside 1..{2 * n - 1} "
+                                     f"for half_width {n}")
+    return StencilTable(half_width=n, p_max=p_max, halves=tuple(_scaled_rows(n, p_max)))
 
 
 def apply_stencil(samples, p: int, period: float, table: StencilTable):

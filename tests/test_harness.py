@@ -167,6 +167,15 @@ class TestMarket:
             want = [float(payoff(opt, np.array([s]))[0]) for s in spots]
             np.testing.assert_array_equal(market.values_later(opt, spots), want)
 
+    def test_ladders_leave_full_integer_rows_unmade(self):
+        # a float-only run reads the table's float rows, made from its half rows
+        cfg = load_config(base_config())
+        market = Market(cfg, np.random.default_rng(1))
+        for opt in cfg.options:
+            assert market.ladder(opt)[0].order() == cfg.p_max
+        assert "numerators" not in market.table.__dict__
+        assert "entries" not in market.table.__dict__
+
     def test_one_expiry_rule(self):
         # any remaining maturity > 0 is live, for Market as for price_curve:
         # an at-the-money call 1e-15 before expiry is worth more than its

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from levyhedge.errors import InsufficientNodesError
+from levyhedge.pricing import derivative_ladder
 from levyhedge.stencil import apply_stencil, build_lookup_table, stencil_coefficient
 
 from conftest import vandermonde_stencil
@@ -28,7 +29,8 @@ def test_fourth_order_first_derivative():
 
 
 @pytest.mark.parametrize(
-    "p,n", [(1, 2), (2, 2), (3, 2), (4, 3), (5, 3), (7, 4), (6, 6), (2, 1), (6, 3), (8, 4)]
+    "p,n", [(1, 2), (2, 2), (3, 2), (4, 3), (5, 3), (7, 4), (6, 6), (2, 1), (6, 3), (8, 4),
+            (4, 2), (10, 5), (16, 8)]
 )
 def test_matches_vandermonde_oracle(p, n):
     oracle = vandermonde_stencil(p, n)
@@ -146,6 +148,17 @@ def test_float_rows_round_each_entry_once(n):
         assert table.row(p).tolist() == expected, (n, p)
 
 
+@pytest.mark.parametrize("n,p_max", [(n, 2 * n - 1) for n in range(1, 41)]
+                         + [(1, 1), (7, 6), (20, 1), (20, 2), (20, 20), (40, 39)])
+def test_float_rows_are_each_fraction_bit_for_bit(n, p_max):
+    # by bytes, so that the sign of a zero counts
+    table = build_lookup_table(n, p_max)
+    den = math.factorial(2 * n)
+    for p in range(1, p_max + 1):
+        want = np.array([float(Fraction(num, den)) for num in table.numerators[p - 1]])
+        assert table.row(p).tobytes() == want.tobytes(), (n, p)
+
+
 def test_entries_is_the_exact_view():
     table = build_lookup_table(20)
     assert len(table.entries) == table.p_max * 41
@@ -158,6 +171,21 @@ def test_float_rows_leave_entries_unmade():
     for p in range(1, table.p_max + 1):
         table.row(p)
     assert "entries" not in table.__dict__
+
+
+def test_ladders_leave_full_integer_rows_unmade():
+    table = build_lookup_table(20)
+    ladder = derivative_ladder(np.exp(0.01 * np.arange(-20, 21)), table, table.p_max, 0.01)
+    assert len(ladder.d2) == table.p_max
+    assert "numerators" not in table.__dict__ and "entries" not in table.__dict__
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+def test_single_coefficient_mirrors_up_to_p_2n(n):
+    # p = 2N is beyond any table; the oracle test above checks its values
+    for p in (2 * n - 1, 2 * n):
+        for k in range(1, n + 1):
+            assert stencil_coefficient(p, n, -k) == (-1) ** p * stencil_coefficient(p, n, k)
 
 
 @given(

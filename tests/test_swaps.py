@@ -29,14 +29,28 @@ def scen(s_t=100.0, delta_t=0.1, r=0.05, **kw):
 
 
 class TestRealizedMoment:
+    """A basket's swap leg pays units * notional * (realized - strike), with
+    the realized moment (R^k + past power sum) / (ds (n - 2)) written out by
+    hand here; the deposit earns bank_cash * (e^{r dt} - 1)."""
+
     def test_zero_history_zero_return(self):
-        hist = RealizedHistory(sums={2: 0.0})
-        assert realized_moment(hist, 0.0, 2, 1.0 / 252, 3) == 0.0
+        spec = SwapSpec(order=2, delta_s=1.0 / 252, n=3, strike=0.03, unit_price=0.002,
+                        notional=1.5)
+        basket = moment_swap_basket(0.8, scen(delta_t=1.0 / 252), spec,
+                                    RealizedHistory(sums={2: 0.0}))
+        units, growth = basket.swap_units, math.exp(0.05 * (1.0 / 252)) - 1.0
+        want = math.fsum([units * ((0.0 - 0.03) * 1.5), -units * 0.002,
+                          basket.bank_cash * growth])
+        assert basket.change_of_value(0.0) == want
 
     def test_single_return_annualization(self):
-        hist = RealizedHistory(sums={2: 0.1**2})
-        got = realized_moment(hist, 0.0, 2, 1.0 / 252, 3)
-        assert got == pytest.approx(0.01 * 252)
+        # one return of 0.1 over a three-point schedule: realized 0.1^2 / ds
+        spec = SwapSpec(order=2, delta_s=1.0 / 252, n=3, strike=0.0, unit_price=0.0)
+        basket = moment_swap_basket(0.8, scen(delta_t=1.0 / 252), spec,
+                                    RealizedHistory(sums={2: 0.0}))
+        assert basket.bank_cash == 0.0
+        got = basket.change_of_value(10.0)  # R = 10 / 100
+        assert got == pytest.approx(basket.swap_units * 0.01 * 252, rel=1e-12)
 
     def test_order_two_matches_variance_leg(self):
         rng = np.random.default_rng(0)
@@ -44,10 +58,16 @@ class TestRealizedMoment:
         rets = np.diff(prices) / prices[:-1]
         hist = RealizedHistory(sums={2: float(np.sum(rets**2))})
         new_r = 0.015
-        var_leg = realized_moment(hist, new_r, 2, 1.0 / 252, len(prices) + 1)
+        spec = SwapSpec(order=2, delta_s=1.0 / 252, n=len(prices) + 1, strike=0.04,
+                        unit_price=0.002, notional=1.3)
+        s_t = float(prices[-1])
+        basket = moment_swap_basket(0.8, scen(s_t=s_t, delta_t=1.0 / 252), spec, hist)
         # the k = 2 realized moment is the realized-variance payoff leg
         manual = (np.sum(rets**2) + new_r**2) / ((1.0 / 252) * (len(prices) + 1 - 2))
-        assert var_leg == pytest.approx(manual, rel=1e-12)
+        units = basket.swap_units
+        want = math.fsum([units * ((manual - 0.04) * 1.3), -units * 0.002,
+                          basket.bank_cash * (math.exp(0.05 * (1.0 / 252)) - 1.0)])
+        assert basket.change_of_value(new_r * s_t) == pytest.approx(want, rel=1e-12)
 
     def test_basket_marks_by_the_realized_moment(self):
         # the basket's payoff leg is realized_moment of the move's return, to the bit
