@@ -24,25 +24,28 @@ never to market quotes.  Regime violations are
 measured by ``replication_report``, not silently ignored.
 
 A ``pji_basket`` of order i is marked through the iterated integrals
-S'_theta of all the tuples of I_i in one pass (``iterated_integrals(i, ...)``).
-The tuples form a prefix tree: S'_theta integrates S'_parent, its prefix,
-against the compensated power-jump process Y^(l) of its last entry l.
-Between jumps the whole tree moves by a nilpotent linear drift step, solved
-exactly by a finite power series of gathers through the parent index; at
-each jump time every node gains the jump powers times its parent's left
-limit.  The n-th term of that series is zero on the nodes shallower than n,
-so it is taken over the deeper ones only, and jumps that share a time are
-found as runs of the stably sorted times.
+S'_theta of the tuples of I_i, which form a prefix tree: S'_theta
+integrates S'_parent, its prefix, against the compensated power-jump
+process Y^(l) of its last entry l.  Between jumps the whole tree moves by
+a nilpotent linear drift step, solved exactly by a finite power series of
+gathers through the parent index, taken at step n over the nodes of depth
+>= n only; at each jump time (runs of the stably sorted times) every node
+gains the jump powers times its parent's left limit.  One kernel
+(``_stepped``) steps every tree.
 
 Everything a basket of order i reads about I_i is one table per order,
 built on first use (``_order_table``): the tuples, each one's multinomial
 i!/(theta! n!) and rest n, and the prefix tree with the node offset where
 each depth starts.  A ``pji_basket``'s units are one array expression over
-it, held as one read-only array in its tuple order (``pji_units`` gives
-them by tuple, built when first read), and every tree of I_i comes from
-it, by order.  A single tuple (``iterated_integral``) is stepped the same
-way on the chain of its own prefixes, so it is not capped at
-``chaos.MAX_ORDER``.
+it, held as one read-only array in tuple order (``pji_units`` gives them
+by tuple, built when first read).  I_i lies inside I_K for i <= K, and a
+node's value depends only on the chain of its own prefixes, so one
+stepping of the tree of I_K gives every lower order's S'_theta to the bit.
+A ``ScenarioOutcome`` keeps one such pass per scenario, with
+K = min(moments.order, ``chaos.MAX_ORDER``), for each moment vector and
+period, and every pji mark on it reads that pass.  ``iterated_integrals``
+steps one path through the tree of I_k, and ``iterated_integral`` through
+the chain of one tuple's prefixes, with no order cap.
 
 A mark adds each scenario's legs exactly, to the float ``math.fsum`` gives.
 A leg array of 2048 entries or more (scenarios x legs), at 32 legs or more
@@ -64,7 +67,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .chaos import constant_terms, enumerate_compositions, phi_from_constants
+from .chaos import MAX_ORDER, constant_terms, enumerate_compositions, phi_from_constants
 from .errors import UnsupportedOrderError
 from .models import MomentVector
 from .taylor import bank_growth
@@ -111,6 +114,10 @@ class ScenarioOutcome:
     them.  Every mark treats one scenario as a set of one and returns a float
     for it, an array with one value per scenario for a set.  Baskets assuming
     sigma = 0 regimes are evaluated on jump-only outcomes.
+
+    An outcome keeps what its marks read: each order's power sums, and one
+    stepping of each scenario's path per moment vector and period
+    (``iterated_integrals``).  Its jumps must not change after a mark.
     """
 
     delta_s: float | np.ndarray
@@ -118,6 +125,7 @@ class ScenarioOutcome:
     jump_sizes: np.ndarray = field(default_factory=lambda: np.empty(0))
     n_jumps: int | np.ndarray | None = None
     _power_sums: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _integrals: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.jump_times) != len(self.jump_sizes):
@@ -161,6 +169,22 @@ class ScenarioOutcome:
             scenario = np.repeat(np.arange(n), self.n_jumps)
             sums = self._power_sums[i] = np.bincount(scenario, self.jump_sizes**i, n)
         return sums
+
+    def iterated_integrals(self, k: int, moments: MomentVector, t0: float, t1: float) -> np.ndarray:
+        """S'_theta over (t0, t1] for every theta of I_k, one row per scenario
+        in table order, with the bits of ``iterated_integrals(k, ...)``.  Each
+        scenario's path is stepped once through the tree of I_K, K =
+        min(moments.order, ``MAX_ORDER``), kept per (moments, t0, t1) and read
+        by every order up to K, so a lone order-2 read at K = 12 steps 4095
+        tuples, not 3.  A jump outside (t0, t1] raises on every read."""
+        top = max(k, min(moments.order, MAX_ORDER))   # k > K raises in the stepping
+        key = (moments, t0, t1)
+        values = self._integrals.get(key)
+        if values is None:
+            tree, steps = _order_steps(top, moments)
+            rows = [_stepped(tree, steps, times, sizes, t0, t1) for times, sizes in self.paths()]
+            values = self._integrals[key] = np.array(rows).reshape(-1, len(tree.parent))
+        return values[:, _tree_nodes(k, top)]
 
     def paths(self) -> list:
         """Each scenario's (jump_times, jump_sizes)."""
@@ -225,16 +249,17 @@ class JumpBasket:
         and ``_extracted_row_sums``), with the T-legs regrouped:
         e^{rt1}(y+dy) - e^{rt0}y is evaluated as y e^{rt0}(e^{r dt}-1) +
         e^{rt1} dy so no term dwarfs the total.  The power-jump-integral
-        legs step each scenario's jump path through ``iterated_integrals``.
+        legs read S'_theta from ``outcome.iterated_integrals``: a first pji
+        mark steps the tree of I_K, K = min(moments.order, ``MAX_ORDER``),
+        whatever its order, and the other orders' marks step nothing.
         """
         shared, units, offsets, pji_units = self._mark_terms
         # the stock leg and one dy leg per T^(i) asset, as columns
         columns = [outcome.delta_s, *map(outcome.power_sums, self.pja_units)]
         legs = units * (np.column_stack(columns) - offsets)
         if len(pji_units):
-            t0, t1 = self.path_state.t, self.path_state.t + self.delta_t
-            s_vals = np.array([iterated_integrals(self.order, times, sizes, self.moments, t0, t1)
-                               for times, sizes in outcome.paths()]).reshape(-1, len(pji_units))
+            t0 = self.path_state.t
+            s_vals = outcome.iterated_integrals(self.order, self.moments, t0, t0 + self.delta_t)
             legs = np.concatenate([legs, pji_units * s_vals], axis=1)
         return outcome.per_scenario(_row_sums(legs, shared))
 
@@ -279,8 +304,7 @@ def _row_sums(legs: np.ndarray, shared: list) -> list:
 def _extracted_row_sums(legs: np.ndarray, shared: list) -> list:
     """``math.fsum`` of each row of ``legs`` followed by ``shared``, bit for
     bit, with each row first reduced to a few floats of the same real sum
-    by error-free extraction (Rump, Ogita & Oishi 2008, *Accurate
-    floating-point summation part I*, SIAM J. Sci. Comput. 31(1)).
+    by error-free extraction (Rump, Ogita & Oishi 2008; see the module).
 
     With n legs per row and 2^e bounding a row's largest |leg|, sigma =
     2^(ceil(log2(n + 2)) + e) splits each leg x into q = (sigma + x) - sigma,
@@ -318,11 +342,9 @@ def _extracted_row_sums(legs: np.ndarray, shared: list) -> list:
 
 
 def replication_report(basket: JumpBasket, outcome: ScenarioOutcome) -> dict:
-    """Realized replication error of the basket against C_i (Delta S)^i.
-
-    Regime violations (more than one jump in the period for the one-jump
-    baskets) are flagged here so the harness can quantify rather than hide
-    them.
+    """Realized replication error of the basket against C_i (Delta S)^i,
+    with regime violations (more than one jump in the period for the
+    one-jump baskets) flagged so the harness can count rather than hide them.
     """
     target = basket.coefficient * outcome.delta_s**basket.order
     achieved = basket.change_of_value(outcome)
@@ -564,6 +586,14 @@ def _order_table(i: int) -> _OrderTable:
     )
 
 
+@functools.lru_cache(maxsize=None)
+def _tree_nodes(k: int, top: int) -> np.ndarray:
+    """The node of each tuple of I_k, in table order, in the tree of I_top."""
+    table = _order_table(top)
+    node_of = dict(zip(table.thetas, table.tree.index.tolist()))
+    return np.array([node_of[theta] for theta in _order_table(k).thetas], dtype=np.intp)
+
+
 def _drift_steps(tree: _PrefixTree, moments: MomentVector) -> tuple:
     """(n, start, gather, drift) for each drift step n = 1..depth: the
     nodes of depth >= n start at ``start``, ``gather`` finds their parents
@@ -640,9 +670,9 @@ def iterated_integrals(k: int, jump_times, jump_sizes, moments: MomentVector,
 
     S'_theta is the iterated integral of dY^(i_1) ... dY^(i_j) over
     t0 < s_j < ... < s_1 <= t1, so S'_theta = int S'_parent(s-) dY^(l)(s)
-    with parent the prefix (i_1, ..., i_{j-1}) and l = i_j.  I_k is closed
-    under prefixes into the tree of its order table, whose root, the empty
-    tuple, is 1, and the whole family V is stepped along the path:
+    with parent the prefix (i_1, ..., i_{j-1}) and l = i_j.  The whole
+    family V on the tree of I_k (the root, the empty tuple, is 1) is stepped
+    along the path:
 
     * between jumps dV_theta/ds = -m_l V_parent, a nilpotent linear system,
       so a width w advances V by exp(wA) V = sum_{n <= depth} (w^n/n!) A^n V
@@ -654,8 +684,7 @@ def iterated_integrals(k: int, jump_times, jump_sizes, moments: MomentVector,
       see each other.
 
     Jumps must lie in (t0, t1], in any order; a jump at t1 counts.  The
-    period must not run backwards; t1 = t0 gives zeros.  The result is
-    exact up to float rounding.
+    period must not run backwards; t1 = t0 gives zeros.
     """
     tree, steps = _order_steps(k, moments)
     return _stepped(tree, steps, jump_times, jump_sizes, t0, t1)[tree.index]

@@ -84,3 +84,24 @@ def test_traced_qtable_op_searches_once_per_option(workloads, tmp_path):
     metrics = tracer.layer_metrics()
     assert metrics["taylor.find_q_calls"]["value"] == len(workloads.QTABLE_CONFIG["options"])
     assert metrics["stencil.build_calls"]["value"] == 1
+
+
+def test_baskets_op_steps_each_outcome_once(workloads, tmp_path, monkeypatch):
+    """A seeded ``baskets_exact`` operation marks pji baskets of orders
+    2..12 on 4 shared outcomes and steps each outcome's path once; its pja
+    marks step none."""
+    jump_baskets = importlib.import_module(f"{PACKAGE}.jump_baskets")
+    (op,) = workloads.WORKLOADS["baskets_exact"](7, tmp_path).next_round()
+    passes = []
+    real = jump_baskets._stepped
+
+    def counting(*args):
+        passes.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(jump_baskets, "_stepped", counting)
+    op.prepare()
+    returned = op.run()
+    assert len(passes) == len(workloads.BASKET_JUMP_COUNTS) == 4
+    chk = workloads.Check()
+    assert op.check(returned, chk) > 0 and chk.failures == []

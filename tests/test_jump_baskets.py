@@ -97,6 +97,19 @@ def stepper_reference(thetas, jump_times, jump_sizes, moments, t0, t1):
     return advance(value, t1 - now)[[node_of[th] for th in thetas]]
 
 
+def own_tree_mark(basket, outcome):
+    """``basket.change_of_value(outcome)`` with each scenario's path stepped
+    through the tree of the basket's own order, one
+    ``iterated_integrals(order, ...)`` call per scenario."""
+    shared, units, offsets, pji_units = basket._mark_terms
+    t0, t1 = basket.path_state.t, basket.path_state.t + basket.delta_t
+    s_vals = np.array([iterated_integrals(basket.order, t, x, basket.moments, t0, t1)
+                       for t, x in outcome.paths()]).reshape(-1, len(pji_units))
+    moves = np.atleast_1d(outcome.delta_s)[:, None]
+    legs = np.concatenate([units * (moves - offsets), pji_units * s_vals], axis=1)
+    return outcome.per_scenario(jump_baskets._row_sums(legs, shared))
+
+
 def same_bits(got, want):
     got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
     return got.shape == want.shape and np.array_equal(got.view(np.int64), want.view(np.int64))
@@ -565,24 +578,36 @@ class TestPJIBasket:
             pji_basket(1.0, scen(100.0, 0.01, 0.05), 13, moments)
 
     def test_order12_mark_evaluates_the_tree_once_per_outcome(self, monkeypatch):
+        """A ladder of orders 2..12 marked on one outcome steps each of its
+        scenarios once, through the tree of I_12, whether the outcome is one
+        scenario or a set."""
         rng = np.random.default_rng(18)
         moments, _ = make_moments(rng, order=12)
         dt = 0.05
-        basket = pji_basket(0.7, scen(100.0, dt, 0.05), 12, moments)
-        calls = []
-        real = jump_baskets.iterated_integrals
+        baskets = [pji_basket(0.7, scen(100.0, dt, 0.05), i, moments) for i in range(2, 13)]
+        passes = []
+        real = jump_baskets._stepped
 
-        def counting(k, *args):
-            calls.append(k)
-            return real(k, *args)
+        def counting(tree, *args):
+            passes.append(len(tree.parent))
+            return real(tree, *args)
 
-        monkeypatch.setattr(jump_baskets, "iterated_integrals", counting)
+        monkeypatch.setattr(jump_baskets, "_stepped", counting)
         for n_jumps in range(4):
             times = np.sort(dt * (1.0 - rng.random(n_jumps)))
             sizes = rng.normal(0.0, 0.1, n_jumps)
             outcome = ScenarioOutcome(100.0 * sizes.sum(), times, sizes)
-            basket.change_of_value(outcome)
-        assert calls == [12] * 4
+            for basket in baskets:
+                basket.change_of_value(outcome)
+        assert passes == [2**12] * 4
+        passes.clear()
+        counts = np.array([0, 3, 1, 2, 0])
+        times = np.concatenate([np.sort(dt * (1.0 - rng.random(n))) for n in counts])
+        sizes = rng.normal(0.0, 0.1, counts.sum())
+        group = ScenarioOutcome(rng.normal(0.0, 5.0, len(counts)), times, sizes, n_jumps=counts)
+        for basket in reversed(baskets):
+            basket.change_of_value(group)
+        assert passes == [2**12] * len(counts)
 
     def test_marks_find_the_tree_of_their_order_without_building_one(self, monkeypatch):
         rng = np.random.default_rng(21)
@@ -642,6 +667,68 @@ class TestPJIBasket:
             singles = [basket.change_of_value(ScenarioOutcome(move, t, x))
                        for move, (t, x) in zip(moves.tolist(), group.paths())]
             assert same_bits(basket.change_of_value(group), singles), n_scenarios
+
+    @pytest.mark.parametrize("n_scenarios", [None, 300, 0])
+    def test_ladder_marks_keep_their_bits_in_any_order(self, n_scenarios):
+        """Orders 1..12 marked on one outcome, ascending, descending and
+        shuffled, each equal by bytes to ``own_tree_mark``, which steps each
+        scenario through the tree of the basket's own order; the same for
+        moment vectors of order 7 and 4, where the outcome steps the tree of
+        I_7 or I_4 and the top order reads it whole.  ``None`` is a single
+        scenario, 0 the empty set."""
+        rng = np.random.default_rng(3300 + (n_scenarios or 1))
+        model = LevyModel(jump_spec=CompoundPoisson(3.0, NormalJumps(mean=-0.02, std=0.08)))
+        dt = 0.05
+        counts = rng.integers(0, 6, n_scenarios or 1)
+        times = np.concatenate([np.sort(dt * (1.0 - rng.random(n))) for n in counts])
+        sizes = rng.normal(-0.02, 0.08, counts.sum())
+        moves = rng.normal(0.0, 5.0, len(counts))
+
+        def outcome():
+            if n_scenarios is None:
+                return ScenarioOutcome(float(moves[0]), times, sizes)
+            return ScenarioOutcome(moves, times, sizes, n_jumps=counts)
+
+        for top in (12, 7, 4):
+            moments = moment_vector(model, top)
+            orders = list(range(1, top + 1))
+            baskets = {i: pji_basket(rng.uniform(0.1, 2.0), scen(100.0, dt, 0.04), i, moments)
+                       for i in orders}
+            want = {i: own_tree_mark(b, outcome()) for i, b in baskets.items()}
+            for ladder in (orders, orders[::-1], rng.permutation(orders).tolist()):
+                shared = outcome()
+                for i in ladder:
+                    assert same_bits(baskets[i].change_of_value(shared), want[i]), (top, i)
+
+    def test_reuse_is_keyed_by_moments_state_and_period(self):
+        """Baskets that differ in moment vector, path-state time or period,
+        marked one after another on one outcome, each mark as on a fresh
+        outcome; a jump outside a basket's period raises on every mark."""
+        rng = np.random.default_rng(3301)
+        low, _ = make_moments(rng, order=12)
+        high, _ = make_moments(rng, order=12)
+        times, sizes = np.array([0.31, 0.33, 0.345]), np.array([0.04, -0.06, 0.05])
+        cut = dataclasses.replace(low, m=low.m[:8])
+        baskets = [
+            pji_basket(0.8, scen(100.0, dt, 0.05), order, moments, PathState(t=t0))
+            for order in (3, 6)
+            for moments, t0, dt in ((low, 0.3, 0.05), (high, 0.3, 0.05), (low, 0.29, 0.06),
+                                    (low, 0.3, 0.08), (cut, 0.3, 0.05))]
+        shared = ScenarioOutcome(2.0, times, sizes)
+        marks = []
+        for basket in baskets + baskets[::-1]:
+            marks.append(basket.change_of_value(shared))
+            assert same_bits(marks[-1], basket.change_of_value(ScenarioOutcome(2.0, times, sizes)))
+        # the moment vector cut to order 8 has its own pass, with the same bits
+        first = marks[:len(baskets)]
+        assert first[4] == first[0] and first[9] == first[5]
+        assert len(set(first)) == len(baskets) - 2
+        short = pji_basket(0.8, scen(100.0, 0.02, 0.05), 3, low, PathState(t=0.3))
+        for outcome in (shared, ScenarioOutcome(2.0, times, sizes)):
+            for _ in range(3):
+                with pytest.raises(ValueError):
+                    short.change_of_value(outcome)
+        assert same_bits(baskets[0].change_of_value(shared), marks[0])
 
     def test_units_and_marks_keep_their_bits(self):
         """Every unit, the cash and every mark of orders 2..12 on seeded
