@@ -29,9 +29,10 @@ integrates S'_parent, its prefix, against the compensated power-jump
 process Y^(l) of its last entry l.  Between jumps the whole tree moves by
 a nilpotent linear drift step, solved exactly by a finite power series of
 gathers through the parent index, taken at step n over the nodes of depth
->= n only; at each jump time (runs of the stably sorted times) every node
-gains the jump powers times its parent's left limit.  One kernel
-(``_stepped``) steps every tree.
+>= n only, and up to the first jump, where the root alone is nonzero, over
+those of depth n; at each jump time (runs of the stably sorted times)
+every node gains the jump powers times its parent's left limit.  One
+kernel (``_stepped``) steps every tree.
 
 Everything a basket of order i reads about I_i is one table per order,
 built on first use (``_order_table``): the tuples, each one's multinomial
@@ -47,11 +48,14 @@ period, and every pji mark on it reads that pass.  ``iterated_integrals``
 steps one path through the tree of I_k, and ``iterated_integral`` through
 the chain of one tuple's prefixes, with no order cap.
 
-A mark adds each scenario's legs exactly, to the float ``math.fsum`` gives.
-A leg array of 2048 entries or more (scenarios x legs), at 32 legs or more
-per scenario, is first reduced to a few floats per scenario with the same
-real sum, by error-free extraction in a few vectorised passes (Rump, Ogita
-& Oishi 2008, *Accurate floating-point summation part I*, SIAM J. Sci.
+A mark assembles only the legs its basket holds: the stock and T-legs
+from one table of the outcome's moves and power sums, the U-legs from its
+S'_theta.  It adds each scenario's legs exactly, to the float
+``math.fsum`` gives.  A leg array of 512 entries or more (scenarios x
+legs), at 8 legs or more per scenario, is first reduced to a few floats
+per scenario with the same real sum, by error-free extraction in a few
+vectorised passes with one sigma each for the whole array (Rump, Ogita &
+Oishi 2008, *Accurate floating-point summation part I*, SIAM J. Sci.
 Comput. 31(1)).
 """
 
@@ -115,16 +119,18 @@ class ScenarioOutcome:
     for it, an array with one value per scenario for a set.  Baskets assuming
     sigma = 0 regimes are evaluated on jump-only outcomes.
 
-    An outcome keeps what its marks read: each order's power sums, and one
-    stepping of each scenario's path per moment vector and period
-    (``iterated_integrals``).  Its jumps must not change after a mark.
+    An outcome keeps what its marks read: its moves and power sums as one
+    table (``_sum_rows``), and one stepping of each scenario's path per
+    moment vector and period (``iterated_integrals``).  Its jumps must not
+    change after a mark.
     """
 
     delta_s: float | np.ndarray
     jump_times: np.ndarray = field(default_factory=lambda: np.empty(0))
     jump_sizes: np.ndarray = field(default_factory=lambda: np.empty(0))
     n_jumps: int | np.ndarray | None = None
-    _power_sums: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _sums: np.ndarray | tuple = field(default=(), init=False, repr=False, compare=False)
+    _summed: set = field(default_factory=set, init=False, repr=False, compare=False)
     _integrals: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -158,17 +164,37 @@ class ScenarioOutcome:
         counts = self.n_jumps
         return np.cumsum(counts).tolist() if isinstance(counts, np.ndarray) else [counts]
 
+    @functools.cached_property
+    def _scenario(self) -> np.ndarray:
+        """The scenario of each jump in the flat lists."""
+        return np.repeat(np.arange(len(self._bounds)), self.n_jumps)
+
     def power_sums(self, i: int) -> np.ndarray:
-        """sum x^i over each scenario's jumps, one per scenario; computed
-        once per order and kept, so every basket marked on this outcome
-        reads the same sums.  The sums run in list order (``bincount``),
-        as ``np.sum`` adds fewer than 8 terms."""
-        sums = self._power_sums.get(i)
-        if sums is None:
-            n = len(self._bounds)
-            scenario = np.repeat(np.arange(n), self.n_jumps)
-            sums = self._power_sums[i] = np.bincount(scenario, self.jump_sizes**i, n)
-        return sums
+        """sum x^i over each scenario's jumps for i >= 1, one per scenario:
+        row i of ``_sum_rows``."""
+        if i < 1:
+            raise ValueError(f"power sums are kept for orders i >= 1, not {i}")
+        return self._sum_rows((i,), i)[i]
+
+    def _sum_rows(self, orders, top: int) -> np.ndarray:
+        """A table of rows 0..top or more, one column per scenario: the
+        moves in row 0 and, in row i for each order i in ``orders``, each
+        scenario's sum of x^i over its jumps.  A row is summed when first
+        read and kept, so every basket marked on this outcome reads the
+        same sums; rows never read hold zeros.  The sums run in list order
+        (``bincount``), as ``np.sum`` adds fewer than 8 terms."""
+        n = len(self._bounds)
+        if len(self._sums) <= top:
+            table = np.zeros((top + 1, n))
+            table[0] = self.delta_s
+            for i in self._summed:
+                table[i] = self._sums[i]
+            object.__setattr__(self, "_sums", table)
+        for i in orders:
+            if i not in self._summed:
+                self._sums[i] = np.bincount(self._scenario, self.jump_sizes**i, n)
+                self._summed.add(i)
+        return self._sums
 
     def iterated_integrals(self, k: int, moments: MomentVector, t0: float, t1: float) -> np.ndarray:
         """S'_theta over (t0, t1] for every theta of I_k, one row per scenario
@@ -243,32 +269,40 @@ class JumpBasket:
         """Mark the basket against ``outcome``: a float for one scenario, one
         mark per scenario for a set.
 
-        Each leg is an array over the scenarios, and each scenario's legs
-        are added exactly, to the float ``math.fsum`` gives (by error-free
-        extraction first when the legs are many, see the module docstring
-        and ``_extracted_row_sums``), with the T-legs regrouped:
-        e^{rt1}(y+dy) - e^{rt0}y is evaluated as y e^{rt0}(e^{r dt}-1) +
-        e^{rt1} dy so no term dwarfs the total.  The power-jump-integral
-        legs read S'_theta from ``outcome.iterated_integrals``: a first pji
-        mark steps the tree of I_K, K = min(moments.order, ``MAX_ORDER``),
-        whatever its order, and the other orders' marks step nothing.
+        Only the legs the basket holds are assembled.  The stock leg and one
+        dy leg per T^(i) asset are one array over the outcome's moves and
+        power sums (``ScenarioOutcome._sum_rows``), with the T-legs
+        regrouped: e^{rt1}(y+dy) - e^{rt0}y is evaluated as y e^{rt0}(e^{r
+        dt}-1) + e^{rt1} dy so no term dwarfs the total.  A basket holding
+        U_theta units alone has no stock leg.  The power-jump-integral legs
+        read S'_theta from ``outcome.iterated_integrals``: a first pji mark
+        steps the tree of I_K, K = min(moments.order, ``MAX_ORDER``),
+        whatever its order, and the other orders' marks step nothing.  Each
+        scenario's legs are added exactly, to the float ``math.fsum`` gives
+        (by error-free extraction first when the legs are many, see the
+        module docstring and ``_extracted_row_sums``).
         """
-        shared, units, offsets, pji_units = self._mark_terms
-        # the stock leg and one dy leg per T^(i) asset, as columns
-        columns = [outcome.delta_s, *map(outcome.power_sums, self.pja_units)]
-        legs = units * (np.column_stack(columns) - offsets)
+        shared, rows, units, offsets, pji_units = self._mark_terms
+        legs = []
+        if rows is not None:
+            moved = outcome._sum_rows(self.pja_units, self.moments.order)[rows]
+            legs.append((units * (moved - offsets)).T)
         if len(pji_units):
             t0 = self.path_state.t
             s_vals = outcome.iterated_integrals(self.order, self.moments, t0, t0 + self.delta_t)
-            legs = np.concatenate([legs, pji_units * s_vals], axis=1)
+            legs.append(pji_units * s_vals)
+        legs = legs[0] if len(legs) == 1 else np.concatenate(legs, axis=1)
         return outcome.per_scenario(_row_sums(legs, shared))
 
     @functools.cached_property
     def _mark_terms(self) -> tuple:
         """What every mark shares: the bank leg and the T-legs' frozen
-        values (floats); the units of the stock and e^{rt1} times those of
-        each T^(i), with the offsets 0 and m_i dt taken off the move and
-        the power sums; and e^{r dt} times the units of each U_theta."""
+        values (floats); the rows of the stock and T-legs in
+        ``ScenarioOutcome._sum_rows`` (the moves, then each T^(i)'s power
+        sums; None for a basket holding U_theta units alone), the units of
+        the stock and e^{rt1} times those of each T^(i), and the offsets 0
+        and m_i dt taken off the move and the power sums, as columns; and
+        e^{r dt} times the units of each U_theta."""
         t0, dt, r = self.path_state.t, self.delta_t, self.r
         growth = bank_growth(r, dt)
         shared = [self.bank_cash * growth]
@@ -277,17 +311,22 @@ class JumpBasket:
             shared.append(n * self.path_state.y_value(i) * math.exp(r * t0) * growth)
             units.append(n * math.exp(r * (t0 + dt)))
             offsets.append(self.moments[i] * dt)
-        return shared, np.array(units), np.array(offsets), self.pji_unit_array * math.exp(r * dt)
+        pji_units = self.pji_unit_array * math.exp(r * dt)
+        held = self.pja_units or self.stock_units or not len(pji_units)
+        rows = np.array([0, *self.pja_units], dtype=np.intp) if held else None
+        return shared, rows, np.array(units)[:, None], np.array(offsets)[:, None], pji_units
 
 
 # Leg arrays of at least this many entries (rows x legs), in rows of at
 # least this many legs, are summed after an error-free extraction.  Below
-# either, ``tolist`` and ``math.fsum`` are faster: one row of 1024 legs takes
-# about 80 us by fsum and 100 us by extraction, one of 2048 about 160 and
-# 115, and numpy's reductions along rows of a few legs cost more than the
-# fsum they save (300 rows of 8: 230 us by fsum, 400 by extraction).
-_EXTRACTION_MIN_LEGS = 2048
-_EXTRACTION_MIN_ROW = 32
+# either, ``tolist`` and ``math.fsum`` are faster.  An extraction costs about
+# 13 us a call and fsum about 0.035 us a leg: a lone row of 256 legs takes
+# 9 us by fsum and 15 by extraction, one of 512 17 by either, one of 4096
+# 162 and 36.  Short rows gain little, as each row's pass sums still go to
+# fsum: 200 rows of 4 legs take 64 us by fsum and 79 by extraction, of 8
+# 97 and 90, and 64 rows of 8 take 28 and 38.
+_EXTRACTION_MIN_LEGS = 512
+_EXTRACTION_MIN_ROW = 8
 # Extraction passes at most; what is left after them goes to ``math.fsum``.
 _EXTRACTION_PASSES = 6
 
@@ -306,37 +345,48 @@ def _extracted_row_sums(legs: np.ndarray, shared: list) -> list:
     bit, with each row first reduced to a few floats of the same real sum
     by error-free extraction (Rump, Ogita & Oishi 2008; see the module).
 
-    With n legs per row and 2^e bounding a row's largest |leg|, sigma =
+    With n legs per row and 2^e bounding the array's largest |leg|, sigma =
     2^(ceil(log2(n + 2)) + e) splits each leg x into q = (sigma + x) - sigma,
     a multiple of ulp(sigma)/2, and the remainder x - q, both exactly; a
-    row's q then add up exactly in any order.  Each pass repeats this on the
-    remainders, and ``fsum`` of the pass sums, any remainder still nonzero
-    after the last pass and ``shared`` is the same correctly rounded float.
-    A row with a non-finite leg, or one so large that sigma would overflow,
-    is summed from its legs, so infinities and NaN come out as ``fsum``
-    gives them; ``fsum`` gives +0.0 for every sum that is exactly zero.
+    row's q then add up exactly in any order.  Each remainder is at most
+    2^-53 sigma, so the next pass repeats this on the remainders with sigma
+    scaled by 2^(ceil(log2(n + 2)) - 53), one sigma per pass for the whole
+    array.  ``fsum`` of a row's pass sums, any remainder still nonzero after
+    the last pass and ``shared`` is the same correctly rounded float.  A row
+    with a non-finite leg, or one so large that sigma would overflow, is
+    summed from its legs, so infinities and NaN come out as ``fsum`` gives
+    them; ``fsum`` gives +0.0 for every sum that is exactly zero.
     """
     left = np.array(legs, dtype=float)
     spread = math.ceil(math.log2(left.shape[1] + 2))
-    top = np.abs(left).max(axis=1)
-    # a row whose sigma would not be finite keeps all its legs for fsum
-    direct = ~(top < 2.0 ** (1023 - spread))
-    left[direct] = top[direct] = 0.0
-    parts = []
-    for _ in range(_EXTRACTION_PASSES):
-        sigma = np.ldexp(1.0, np.frexp(top)[1] + spread)[:, None]
-        high = sigma + left
-        high -= sigma
-        left -= high
-        parts.append(high.sum(axis=1))
-        top = np.abs(left, out=high).max(axis=1)
-        if not top.any():
-            break
-    parts = np.array(parts).T
-    sums = [math.fsum(row + shared) for row in parts.tolist()]
-    for k in np.flatnonzero(top).tolist():
-        sums[k] = math.fsum(parts[k].tolist() + left[k][left[k] != 0].tolist() + shared)
-    for k in np.flatnonzero(direct).tolist():
+    limit = 2.0 ** (1023 - spread)
+    high = np.abs(left)
+    top = np.maximum.reduce(high, None)
+    direct = []
+    if not top < limit:   # rows whose sigma would not be finite keep all their legs for fsum
+        wide = ~(np.maximum.reduce(high, 1) < limit)
+        direct = np.flatnonzero(wide).tolist()
+        left[wide] = 0.0
+        top = np.maximum.reduce(np.abs(left, high), None)
+    parts = np.empty((_EXTRACTION_PASSES, len(left)))
+    sigma = math.ldexp(1.0, math.frexp(top)[1] + spread)
+    shrink = math.ldexp(1.0, spread - 53)
+    passes, rest = 0, top != 0
+    while rest and passes < _EXTRACTION_PASSES:
+        np.add(left, sigma, high)
+        np.subtract(high, sigma, high)
+        np.subtract(left, high, left)
+        np.add.reduce(high, 1, out=parts[passes])
+        passes += 1
+        rest = np.count_nonzero(left)
+        sigma *= shrink
+    pass_sums = parts[:passes].T.tolist()
+    sums = [math.fsum(row + shared) for row in pass_sums]
+    if rest:
+        for k in np.flatnonzero(left.any(1)).tolist():
+            row = left[k]
+            sums[k] = math.fsum(pass_sums[k] + row[row != 0].tolist() + shared)
+    for k in direct:
         sums[k] = math.fsum(legs[k].tolist() + shared)
     return sums
 
@@ -353,7 +403,7 @@ def replication_report(basket: JumpBasket, outcome: ScenarioOutcome) -> dict:
         "target": target,
         "achieved": achieved,
         "error": achieved - target,
-        "regime_violated": one_jump_basket and outcome.n_jumps > 1,
+        "regime_violated": (outcome.n_jumps > 1) & one_jump_basket,
     }
 
 
@@ -595,13 +645,18 @@ def _tree_nodes(k: int, top: int) -> np.ndarray:
 
 
 def _drift_steps(tree: _PrefixTree, moments: MomentVector) -> tuple:
-    """(n, start, gather, drift) for each drift step n = 1..depth: the
-    nodes of depth >= n start at ``start``, ``gather`` finds their parents
-    in the previous step's nodes, and ``drift`` holds their -m_l (l the
-    last entry)."""
+    """Two tuples of (n, start, stop, gather, drift), one per drift step n =
+    1..depth: in the first, nodes start..stop are those of depth >= n; in
+    the second, those of depth n alone.  ``gather`` finds their parents in
+    the previous step's nodes, and ``drift`` holds their -m_l (l the last
+    entry)."""
     drift = -np.array([0.0] + [moments[k] for k in range(1, tree.top + 1)])[tree.level]
-    return tuple((n, start, gather, drift[start:]) for n, (start, gather)
-                 in enumerate(zip(tree.starts[1:-1], tree.gathers), 1))
+    starts, deep, first = tree.starts, [], []
+    for n, gather in enumerate(tree.gathers, 1):
+        start, stop = starts[n], starts[n + 1]
+        deep.append((n, start, starts[-1], gather, drift[start:]))
+        first.append((n, start, stop, gather[:stop - start], drift[start:stop]))
+    return tuple(deep), tuple(first)
 
 
 @functools.lru_cache(maxsize=32)
@@ -643,23 +698,25 @@ def _stepped(tree: _PrefixTree, drift_steps: tuple, jump_times, jump_sizes, t0, 
     parent, level = tree.parent, tree.level
     value = np.zeros(len(parent))
     value[0] = 1.0
-    # each step adds its term in place to the nodes it reaches; on the
-    # shallower ones the term is +-0.0, which leaves every value's bits as
-    # they are (no value is ever -0.0)
-    steps = [(n, value[start:], gather, drift) for n, start, gather, drift in drift_steps]
+    # step n adds its term in place to the nodes of depth >= n.  Up to the
+    # first jump V = e_0, so A^n V is nonzero at depth n alone, and the
+    # first interval steps those nodes only: the terms it skips are +-0.0
+    # on values of 0.0, so every value keeps its bits (none is ever -0.0)
+    deep, first = ([(n, value[start:stop], gather, drift)
+                    for n, start, stop, gather, drift in steps] for steps in drift_steps)
 
-    def advance(width):
+    def advance(width, steps):
         term = value
-        for n, tail, gather, drift in steps:
+        for n, reached, gather, drift in steps:
             term = (width / n) * drift * term[gather]
-            tail += term
+            reached += term
 
-    now = t0
+    now, steps = t0, first
     for tau, power in _jump_events(jump_times, jump_sizes, tree.top):
-        advance(tau - now)
+        advance(tau - now, steps)
         value += power[level] * value[parent]
-        now = tau
-    advance(t1 - now)
+        now, steps = tau, deep
+    advance(t1 - now, steps)
     return value
 
 

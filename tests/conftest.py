@@ -3,10 +3,13 @@ import os
 import pathlib
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from levyhedge.jump_baskets import iterated_integrals
 from levyhedge.models import norm_cdf, norm_pdf
 from levyhedge.stencil import build_lookup_table
+from levyhedge.taylor import bank_growth
 
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
@@ -77,6 +80,37 @@ def black_scholes_delta(s, k, t, r, sigma, dividend=0.0):
 def black_scholes_gamma(s, k, t, r, sigma, dividend=0.0):
     d1, _ = _d1d2(s, k, t, r, sigma, dividend)
     return math.exp(-dividend * t) * norm_pdf(d1) / (s * sigma * math.sqrt(t))
+
+
+def reference_mark(basket, outcome):
+    """Oracle: ``basket.change_of_value(outcome)`` assembled column by
+    column from the basket's public fields.  The stock leg (always, at
+    offset 0) and one leg per T^(i), e^{rt1} units at offset m_i dt, are
+    ``np.column_stack``ed over the move and each order's power sums
+    (``bincount`` in list order); e^{r dt} times the U_theta units are
+    joined by ``np.concatenate``, with S'_theta from each scenario's path
+    stepped through the tree of the basket's own order
+    (``iterated_integrals``); each scenario's legs, then the bank leg and
+    the T-legs' frozen values, are added by ``math.fsum``."""
+    t0, dt, r = basket.path_state.t, basket.delta_t, basket.r
+    growth = bank_growth(r, dt)
+    shared = [basket.bank_cash * growth]
+    units, offsets = [basket.stock_units], [0.0]
+    for i, n in basket.pja_units.items():
+        shared.append(n * basket.path_state.y_value(i) * math.exp(r * t0) * growth)
+        units.append(n * math.exp(r * (t0 + dt)))
+        offsets.append(basket.moments[i] * dt)
+    counts = np.atleast_1d(outcome.n_jumps)
+    scenario = np.repeat(np.arange(len(counts)), counts)
+    columns = [outcome.delta_s, *(np.bincount(scenario, outcome.jump_sizes**i, len(counts))
+                                  for i in basket.pja_units)]
+    legs = np.array(units) * (np.column_stack(columns) - np.array(offsets))
+    pji_units = basket.pji_unit_array * math.exp(r * dt)
+    if len(pji_units):
+        s_vals = [iterated_integrals(basket.order, t, x, basket.moments, t0, t0 + dt)
+                  for t, x in outcome.paths()]
+        legs = np.concatenate([legs, pji_units * np.reshape(s_vals, (-1, len(pji_units)))], axis=1)
+    return outcome.per_scenario([math.fsum(row + shared) for row in legs.tolist()])
 
 
 @pytest.fixture(scope="session")

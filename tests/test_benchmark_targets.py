@@ -11,7 +11,10 @@ import importlib.util
 import pathlib
 import sys
 
+import numpy as np
 import pytest
+
+from conftest import reference_mark
 
 LEVYBENCH = pathlib.Path(__file__).resolve().parent.parent / "levybench"
 TRACER = LEVYBENCH / "tracer.py"
@@ -105,3 +108,20 @@ def test_baskets_op_steps_each_outcome_once(workloads, tmp_path, monkeypatch):
     assert len(passes) == len(workloads.BASKET_JUMP_COUNTS) == 4
     chk = workloads.Check()
     assert op.check(returned, chk) > 0 and chk.failures == []
+
+
+def test_baskets_op_marks_match_the_reference(workloads, tmp_path):
+    """Every pji and pja mark of a seeded ``baskets_exact`` operation equals
+    ``conftest.reference_mark`` by bytes: the legs assembled column by
+    column, each scenario stepped through its basket's own tree, and added
+    by ``math.fsum``."""
+    (op,) = workloads.WORKLOADS["baskets_exact"](11, tmp_path).next_round()
+    op.prepare()
+    marked = 0
+    for spec, (basket, marks) in zip(op.baskets, op.run()):
+        if spec.marks_by_move:   # the swap baskets
+            continue
+        want = [reference_mark(basket, outcome) for outcome in spec.outcomes]
+        assert np.array(marks).tobytes() == np.array(want).tobytes(), (spec.name, spec.order)
+        marked += len(marks)
+    assert marked == 2 * len(workloads.BASKET_ORDERS) * len(workloads.BASKET_JUMP_COUNTS)

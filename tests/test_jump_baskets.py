@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import reference_mark
 from levyhedge import jump_baskets
 from levyhedge.chaos import (
     constant_term,
@@ -95,19 +96,6 @@ def stepper_reference(thetas, jump_times, jump_sizes, moments, t0, t1):
         value = value + power[level] * value[parent]
         now = tau
     return advance(value, t1 - now)[[node_of[th] for th in thetas]]
-
-
-def own_tree_mark(basket, outcome):
-    """``basket.change_of_value(outcome)`` with each scenario's path stepped
-    through the tree of the basket's own order, one
-    ``iterated_integrals(order, ...)`` call per scenario."""
-    shared, units, offsets, pji_units = basket._mark_terms
-    t0, t1 = basket.path_state.t, basket.path_state.t + basket.delta_t
-    s_vals = np.array([iterated_integrals(basket.order, t, x, basket.moments, t0, t1)
-                       for t, x in outcome.paths()]).reshape(-1, len(pji_units))
-    moves = np.atleast_1d(outcome.delta_s)[:, None]
-    legs = np.concatenate([units * (moves - offsets), pji_units * s_vals], axis=1)
-    return outcome.per_scenario(jump_baskets._row_sums(legs, shared))
 
 
 def same_bits(got, want):
@@ -271,6 +259,22 @@ class TestSimpleBasket:
         assert report["regime_violated"]
         assert abs(report["error"]) > 0
 
+    def test_regime_flags_one_per_scenario(self):
+        """On a scenario set every basket flags each scenario: a one-jump
+        basket those with more than one jump, a pji basket none."""
+        rng = np.random.default_rng(4)
+        moments, _ = make_moments(rng, order=3)
+        sc = scen(100.0, 0.01, 0.05)
+        group = ScenarioOutcome(np.array([2.0, 15.5]), np.array([0.004, 0.002, 0.008]),
+                                np.array([0.02, 0.1, 0.05]), n_jumps=np.array([1, 2]))
+        pja = pja_basket_general(1.0, sc, 2, PathState(t=0.0), moments)
+        pji = pji_basket(1.0, sc, 2, moments)
+        for basket, flags in ((pja, [False, True]), (pji, [False, False])):
+            violated = replication_report(basket, group)["regime_violated"]
+            assert isinstance(violated, np.ndarray) and violated.tolist() == flags
+            lone = ScenarioOutcome(15.5, *group.paths()[1])
+            assert replication_report(basket, lone)["regime_violated"] is flags[1]
+
 
 class TestMaterialDtBaskets:
     @pytest.mark.parametrize("order", [2, 3, 4, 5])
@@ -343,6 +347,73 @@ class TestMaterialDtBaskets:
             rel = abs(material.pja_units[2] - simple.pja_units[2]) / simple.pja_units[2]
             assert rel < 3 * b * dt
             assert abs(material.stock_units) < 3 * s_t * b * dt
+
+
+def one_jump_outcomes(rng, n_scenarios, t0, dt, s_t, b):
+    """A set of ``n_scenarios`` sigma = 0 outcomes with 0 or 1 jump each
+    (and the same as single outcomes), dS = S (e^{b dt}(1 + x) - 1)."""
+    counts = rng.integers(0, 2, n_scenarios)
+    times = t0 + dt * (1.0 - rng.random(counts.sum()))
+    sizes = rng.normal(-0.01, 0.08, counts.sum())
+    moves = s_t * (math.exp(b * dt) * (1.0 + np.bincount(np.repeat(np.arange(n_scenarios), counts),
+                                                         sizes, n_scenarios)) - 1.0)
+    group = ScenarioOutcome(moves, times, sizes, n_jumps=counts)
+    singles = [ScenarioOutcome(move, t, x) for move, (t, x) in zip(moves.tolist(), group.paths())]
+    return group, singles
+
+
+class TestMarkAssembly:
+    """Every mark equals ``reference_mark``, the column-by-column assembly
+    summed by ``math.fsum``, by bytes, and a set's marks are its
+    scenarios' single marks."""
+
+    def test_pja_marks_match_the_reference(self):
+        rng = np.random.default_rng(3400)
+        moments, _ = make_moments(rng, order=12)
+        s_t, dt, r, t0 = 80.0, 0.05, 0.04, 0.3
+        state = PathState(t=t0, y={k: rng.uniform(-0.01, 0.01) for k in range(2, 13)})
+        group, singles = one_jump_outcomes(rng, 300, t0, dt, s_t, 0.03)
+        for order in range(2, 13):
+            for b in (0.0, 0.03):
+                c = rng.uniform(0.1, 2.0) * rng.choice([-1.0, 1.0])
+                basket = pja_basket_general(c, scen(s_t, dt, r), order, state, moments, b)
+                marks = basket.change_of_value(group)
+                assert same_bits(marks, reference_mark(basket, group)), (order, b)
+                lone = [basket.change_of_value(single) for single in singles]
+                assert same_bits(marks, lone), (order, b)
+                for single, mark in zip(singles[:8], lone):
+                    assert same_bits(mark, reference_mark(basket, single)), (order, b)
+        # the kept power sums are each order's own, and row 0 stays the moves
+        scenario = np.repeat(np.arange(300), group.n_jumps)
+        for i in (1, 7, 13):
+            assert same_bits(group.power_sums(i), np.bincount(scenario, group.jump_sizes**i, 300))
+        with pytest.raises(ValueError):
+            group.power_sums(0)
+
+    def test_a_basket_of_both_kinds_matches_the_reference(self):
+        """A basket holding stock, T^(i) and U_theta units marks as the
+        reference does; one holding U_theta units alone does not read the
+        move."""
+        rng = np.random.default_rng(3401)
+        model = LevyModel(jump_spec=CompoundPoisson(3.0, NormalJumps(mean=-0.02, std=0.08)))
+        moments = moment_vector(model, 12)
+        dt, t0 = 0.05, 0.2
+        state = PathState(t=t0, y={2: 0.004, 3: -0.001})
+        for order in (3, 7, 11):
+            pji = pji_basket(0.6, scen(100.0, dt, 0.04), order, moments, state)
+            both = dataclasses.replace(pji, pja_units={2: 3.5, 3: -40.0}, stock_units=0.25)
+            counts = rng.integers(0, 4, 300)
+            times = np.concatenate([np.sort(t0 + dt * (1.0 - rng.random(n))) for n in counts])
+            sizes = rng.normal(-0.02, 0.08, counts.sum())
+            group = ScenarioOutcome(rng.normal(0.0, 5.0, 300), times, sizes, n_jumps=counts)
+            marks = both.change_of_value(group)
+            assert same_bits(marks, reference_mark(both, group)), order
+            for k in range(4):
+                single = ScenarioOutcome(float(group.delta_s[k]), *group.paths()[k])
+                assert same_bits(both.change_of_value(single), marks[k]), order
+                assert same_bits(both.change_of_value(single), reference_mark(both, single))
+                unmoved = ScenarioOutcome(math.nan, *group.paths()[k])
+                assert same_bits(pji.change_of_value(unmoved), pji.change_of_value(single))
 
 
 class TestIteratedIntegral:
@@ -500,6 +571,8 @@ class TestIteratedIntegral:
             [0.15, 0.6, 0.6, 0.6],          # three-way tie at t1
             [0.5, 0.2, 0.35],               # unsorted
             [0.6, 0.25, 0.6, 0.25, 0.25],   # unsorted ties, one at t1
+            [0.6],                          # the first interval ends in a jump at t1
+            [0.6, 0.6, 0.6],                # ... in a tie at t1
         ]
         for times in cases:
             for _ in range(8):
@@ -507,6 +580,25 @@ class TestIteratedIntegral:
                 got = iterated_integrals(order, times, sizes, moments, t0, t1)
                 want = stepper_reference(thetas, times, sizes, moments, t0, t1)
                 assert same_bits(got, want), times
+
+
+    def test_outcome_passes_match_reference_bit_for_bit(self):
+        """A set's stepping of I_12 (``ScenarioOutcome.iterated_integrals``),
+        scenario by scenario as ``stepper_reference`` steps it: no jump,
+        the first interval ending in a jump at t1 or in a tie there, and
+        jumps before it."""
+        rng = np.random.default_rng(340)
+        moments, _ = make_moments(rng, order=12)
+        t0, t1 = 0.1, 0.6
+        paths = [[], [0.6], [0.6, 0.6, 0.6], [0.35, 0.6], [0.2, 0.2, 0.45]]
+        times = np.concatenate([np.array(p, dtype=float) for p in paths])
+        sizes = rng.normal(0.0, 0.3, len(times))
+        group = ScenarioOutcome(rng.normal(0.0, 5.0, len(paths)), times, sizes,
+                                n_jumps=np.array([len(p) for p in paths]))
+        got = group.iterated_integrals(12, moments, t0, t1)
+        thetas = enumerate_compositions(12)
+        for row, (t, x) in zip(got, group.paths()):
+            assert same_bits(row, stepper_reference(thetas, t, x, moments, t0, t1)), t
 
 
 class TestPJIBasket:
@@ -671,7 +763,7 @@ class TestPJIBasket:
     @pytest.mark.parametrize("n_scenarios", [None, 300, 0])
     def test_ladder_marks_keep_their_bits_in_any_order(self, n_scenarios):
         """Orders 1..12 marked on one outcome, ascending, descending and
-        shuffled, each equal by bytes to ``own_tree_mark``, which steps each
+        shuffled, each equal by bytes to ``reference_mark``, which steps each
         scenario through the tree of the basket's own order; the same for
         moment vectors of order 7 and 4, where the outcome steps the tree of
         I_7 or I_4 and the top order reads it whole.  ``None`` is a single
@@ -694,7 +786,7 @@ class TestPJIBasket:
             orders = list(range(1, top + 1))
             baskets = {i: pji_basket(rng.uniform(0.1, 2.0), scen(100.0, dt, 0.04), i, moments)
                        for i in orders}
-            want = {i: own_tree_mark(b, outcome()) for i, b in baskets.items()}
+            want = {i: reference_mark(b, outcome()) for i, b in baskets.items()}
             for ladder in (orders, orders[::-1], rng.permutation(orders).tolist()):
                 shared = outcome()
                 for i in ladder:
@@ -842,6 +934,21 @@ class TestExactRowSums:
             np.concatenate([[[math.nan, math.inf]], wide[:1, :1100]], 1),
             np.concatenate([[[math.inf, 2.0]], wide[1:2, :1100]], 1),
         ]
+        # lone rows on both sides of the entry count, and long ones
+        lone = np.ldexp(rng.uniform(-1.0, 1.0, (1, 4096)), rng.integers(-60, 60, (1, 4096)))
+        least = jump_baskets._EXTRACTION_MIN_LEGS
+        cases += [lone[:, :n] for n in (least - 1, least, 2047, 2048, 4096)]
+        # sets of rows on both sides of the row length, with non-finite legs and +-0
+        short = jump_baskets._EXTRACTION_MIN_ROW
+        for n_rows in (1, 4, 300):
+            for n in (short - 1, short, 4 * short):
+                legs = np.ldexp(rng.uniform(-1.0, 1.0, (n_rows, n)),
+                                rng.integers(-300, 300, (n_rows, n)))
+                legs[::3, 0], legs[1::3, -1] = 0.0, -0.0
+                legs[2::5] = np.where(rng.random((len(legs[2::5]), n)) < 0.5, 0.0, -0.0)
+                cases.append(legs.copy())
+                legs[-1, n // 2], legs[n_rows // 2, 0] = math.nan, math.inf
+                cases.append(legs)
         for legs in cases:
             for shared in ([], [-0.0], [1.0, -1e-300], [math.inf]):
                 check_row_sums(jump_baskets._row_sums, legs, shared)
