@@ -23,7 +23,7 @@ print("5-point first derivative: ", [stencil_coefficient(1, 2, k) for k in range
 # A table holds half rows over (2N)!, offsets 0..N, since d_{-k} = (-1)^p d_k;
 # its exact entries match the single-coefficient formula.
 table = build_lookup_table(6)
-assert all(table.coefficient(p, k) == stencil_coefficient(p, 6, k)
+assert all(table.entries[(p, k)] == stencil_coefficient(p, 6, k)
            for p in range(1, table.p_max + 1) for k in range(-6, 7))
 print(f"table: N={table.half_width}, orders 1..{table.p_max}, "
       f"denominator (2N)! = {table.denominator}")

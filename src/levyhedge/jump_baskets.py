@@ -111,7 +111,8 @@ class ScenarioOutcome:
     a set of them marked at once.
 
     One scenario has a float ``delta_s`` and lists its jumps in
-    ``jump_times``/``jump_sizes``.  A set has a 1-D array of moves, and
+    ``jump_times``/``jump_sizes``, held as 1-D float arrays of one length
+    (else ``ValueError``).  A set has a 1-D array of moves, and
     ``n_jumps`` gives each scenario's jump count, a non-negative integer;
     its jumps are listed flat, scenario by scenario (else ``ValueError``).
     Jumps are relative jumps dS/S_-; the power-jump assets are marked from
@@ -134,8 +135,12 @@ class ScenarioOutcome:
     _integrals: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if len(self.jump_times) != len(self.jump_sizes):
-            raise ValueError(f"{len(self.jump_times)} jump times for {len(self.jump_sizes)} sizes")
+        times, sizes = (np.asarray(x, dtype=float) for x in (self.jump_times, self.jump_sizes))
+        if times.ndim != 1 or times.shape != sizes.shape:
+            raise ValueError(f"{times.size} jump times for {sizes.size} sizes: both must be "
+                             f"1-D, of one length")
+        object.__setattr__(self, "jump_times", times)
+        object.__setattr__(self, "jump_sizes", sizes)
         move = self.delta_s   # a number or a 0-d array is one scenario, a list a set
         if isinstance(move, (int, float)) or getattr(move, "ndim", 1) == 0:
             if self.n_jumps not in (None, len(self.jump_sizes)):

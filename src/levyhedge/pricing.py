@@ -368,14 +368,8 @@ def derivative_ladder(
     spacing ``s_step``.  The ladder's time derivative d1 is 0; a caller
     that has one sets it with ``dataclasses.replace``.  Every order
     1..p_max comes from one product of the table's rows with the curve
-    (``apply_stencils``), each entry equal to ``apply_stencil`` at its order.
+    (``apply_stencils``), each entry equal to ``apply_stencil`` at its order;
+    that kernel's checks are the ladder's (``GridError`` for a curve of the
+    wrong length, ``LadderOrderError`` for a p_max the table lacks).
     """
-    if not 1 <= p_max <= table.p_max:
-        raise LadderOrderError(
-            f"p_max={p_max} outside table orders 1..{table.p_max}"
-        )
-    n = table.half_width
-    if len(curve) != 2 * n + 1:
-        raise GridError(f"curve must have {2 * n + 1} points for half-width {n}")
-    d2 = apply_stencils(curve, range(1, p_max + 1), s_step, table)
-    return DerivativeLadder(d2=tuple(d2), d1=0.0)
+    return DerivativeLadder(d2=tuple(apply_stencils(curve, p_max, s_step, table)), d1=0.0)

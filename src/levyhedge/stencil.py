@@ -18,16 +18,16 @@ The G_j never enumerate combinations.  The coefficients E_j of
 prod_y (1 + y^2 t) give e_j over all of 1..N, and each offset's sums
 follow by deflation, G_j(k) = E_j - k^2 G_{j-1}(k); orders 2c+1 and 2c+2
 read the same G_{N-1-c}.  A table of orders up to 2N-1 costs O(N^2)
-integer operations and keeps only those half rows.  Its float rows are
-the half entries rounded once each and mirrored; the full integer rows
-and ``Fraction``s are made only when an exact caller asks for them.
+integer operations and keeps only those half rows, its one exact form.
+Its float rows are the half entries rounded once each and mirrored; an
+exact caller's ``Fraction``s are a half row mirrored through ``_mirror``.
 Fornberg (1988), "Generation of finite difference formulas on arbitrarily
 spaced grids", Math. Comp. 51, gives an equivalent recursion.
 
-A stencil is a weight matrix applied to samples, so float estimates of a
-whole range of orders are one product of the table's float rows with the
-samples (``apply_stencils``, the one float kernel); ``apply_stencil`` is
-its one-order case, and keeps the exact ``Fraction`` arithmetic.
+A stencil is a weight matrix applied to samples, so float estimates of
+orders 1..p are one product of the table's first p float rows with the
+samples (``apply_stencils``, the one float kernel); ``apply_stencil`` reads
+its order p from that product, and keeps the exact ``Fraction`` arithmetic.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import InsufficientNodesError
+from .errors import GridError, InsufficientNodesError, LadderOrderError
 
 __all__ = [
     "StencilTable",
@@ -101,8 +101,8 @@ def stencil_coefficient(p: int, half_width: int, k: int) -> Fraction:
 class StencilTable:
     """d_k^(p) for p = 1..p_max, k = -N..N, held exactly as half rows over
     the one denominator (2N)!: ``halves[p - 1][k]`` is (2N)! * d_k^(p) for
-    k = 0..N, and d_{-k}^(p) = (-1)^p d_k^(p).  The full integer rows
-    (``numerators``), floats and ``Fraction``s are made on demand."""
+    k = 0..N, and d_{-k}^(p) = (-1)^p d_k^(p).  The half rows are the one
+    exact form; floats and ``Fraction``s are made from them on demand."""
 
     half_width: int
     p_max: int
@@ -112,21 +112,9 @@ class StencilTable:
     def denominator(self) -> int:
         return math.factorial(2 * self.half_width)
 
-    @functools.cached_property
-    def numerators(self) -> tuple[tuple[int, ...], ...]:
-        """``numerators[p - 1][k + N]`` is (2N)! * d_k^(p), for exact callers."""
-        return tuple(_mirror(half, p) for p, half in enumerate(self.halves, start=1))
-
     def _check_order(self, p: int) -> None:
         if not 1 <= p <= self.p_max:
-            raise InsufficientNodesError(f"order p={p} outside table range 1..{self.p_max}")
-
-    def coefficient(self, p: int, k: int) -> Fraction:
-        self._check_order(p)
-        n = self.half_width
-        if not -n <= k <= n:
-            raise ValueError(f"offset k={k} outside [-{n}, {n}]")
-        return Fraction(self.numerators[p - 1][k + n], self.denominator)
+            raise LadderOrderError(f"order p={p} outside table range 1..{self.p_max}")
 
     @functools.cached_property
     def entries(self) -> dict[tuple[int, int], Fraction]:
@@ -156,7 +144,7 @@ class StencilTable:
     def row_exact(self, p: int) -> list[Fraction]:
         self._check_order(p)
         den = self.denominator
-        return [Fraction(num, den) for num in self.numerators[p - 1]]
+        return [Fraction(num, den) for num in _mirror(self.halves[p - 1], p)]
 
 
 def build_lookup_table(half_width: int, p_max: int | None = None) -> StencilTable:
@@ -180,40 +168,40 @@ def apply_stencil(samples, p: int, period: float, table: StencilTable):
     ``Fraction``, with ``period`` coerced to an exact rational).  A numeric
     array cannot hold a ``Fraction``, so only sequences and object arrays are
     scanned for one.  Float samples go through ``apply_stencils``, the one
-    float kernel, as the range of orders p..p.
+    float kernel: the estimate is entry p of its orders 1..p.
     """
     exact = (not isinstance(samples, np.ndarray) or samples.dtype == object) and any(
         isinstance(s, Fraction) for s in samples)
     if not exact:
-        return apply_stencils(samples, range(p, p + 1), period, table)[0]
+        return apply_stencils(samples, p, period, table)[p - 1]
     _check_samples(samples, period, table)
     per = period if isinstance(period, Fraction) else Fraction(period)
     row = table.row_exact(p)
     return sum(d * s for d, s in zip(row, samples)) / per**p
 
 
-def apply_stencils(samples, orders: range, period: float, table: StencilTable) -> list[float]:
-    """Float (1/T^p) sum_k d_k^(p) f_k for every order p of ``orders``, a
-    nonempty range within the table's 1..p_max, from one product of the
-    table's float rows with the samples.
+def apply_stencils(samples, p_max: int, period: float, table: StencilTable) -> list[float]:
+    """Float (1/T^p) sum_k d_k^(p) f_k for every order p = 1..p_max, from
+    one product of the table's first p_max float rows with the samples.
+    A sample count other than 2N+1 raises ``GridError``, and a p_max
+    outside the table's 1..p_max raises ``LadderOrderError``.
 
     ``np.vecdot`` adds each row's products as a lone ``row @ samples``
-    does, bit for bit (numpy 2.4 on x86-64; the pricing tests check it); a
-    matrix-vector product does not, and the high orders cancel enough for
-    that to move a q table's errors.  Each T^p is Python's ``float ** int``,
-    so every estimate equals ``float(row @ samples) / period**p``.
+    does, bit for bit (numpy 2.4 on x86-64; the pricing tests check it), so
+    order p does not depend on p_max; a matrix-vector product does not, and
+    the high orders cancel enough for that to move a q table's errors.  Each
+    T^p is Python's ``float ** int``, so every estimate equals
+    ``float(row @ samples) / period**p``.
     """
     _check_samples(samples, period, table)
-    table._check_order(orders[0])
-    table._check_order(orders[-1])
-    sums = np.vecdot(table._float_rows[orders[0] - 1:orders[-1]],
-                     np.asarray(samples, dtype=float))
-    return [s / float(period**p) for s, p in zip(sums.tolist(), orders)]
+    table._check_order(p_max)
+    sums = np.vecdot(table._float_rows[:p_max], np.asarray(samples, dtype=float))
+    return [s / float(period**p) for p, s in enumerate(sums.tolist(), start=1)]
 
 
 def _check_samples(samples, period, table: StencilTable) -> None:
     n = table.half_width
     if len(samples) != 2 * n + 1:
-        raise ValueError(f"need {2 * n + 1} samples for half_width {n}, got {len(samples)}")
+        raise GridError(f"need {2 * n + 1} samples for half_width {n}, got {len(samples)}")
     if not period > 0:
         raise ValueError("sampling period must be > 0")

@@ -105,12 +105,16 @@ def find_q(ladder: DerivativeLadder, delta_t: float, moves, exact_changes, alpha
     per move, q and its error where the tolerance is met and the order of
     least error and that error where it is not; a move is met exactly when
     its ``best_error`` is within ``alpha_tol``.  A ladder with no orders
-    raises ``LadderOrderError``.
+    raises ``LadderOrderError``, and changes that are not one per move
+    raise ``ValueError``.
     """
     p = ladder.order()
     if p < 1:
         raise LadderOrderError("a q search needs a ladder of order 1 or more")
     changes = np.asarray(exact_changes, dtype=float)
+    if changes.shape != (len(moves),):
+        raise ValueError(f"find_q needs one change per move: {len(moves)} moves, "
+                         f"changes of shape {changes.shape}")
     errors = np.abs(changes - _partial_sums(ladder, delta_t, moves, p)[1:])
     within = errors <= alpha_tol
     met = within.any(axis=0)

@@ -173,7 +173,6 @@ class TestMarket:
         market = Market(cfg, np.random.default_rng(1))
         for opt in cfg.options:
             assert market.ladder(opt)[0].order() == cfg.p_max
-        assert "numerators" not in market.table.__dict__
         assert "entries" not in market.table.__dict__
 
     def test_one_expiry_rule(self):

@@ -137,10 +137,29 @@ class TestScenarioOutcome:
             with pytest.raises(ValueError, match="1 jump times for 2 sizes"):
                 ScenarioOutcome(jump_times=times[:1], jump_sizes=sizes, **outcome)
 
+    def test_jump_lists_mark_as_arrays(self):
+        # a list of jumps marked through pji alone: pja raised TypeError in
+        # its power sums
+        moments, _ = make_moments(np.random.default_rng(28), order=12)
+        times, sizes = [0.01, 0.03], [0.02, -0.05]
+        for basket in self.baskets(moments):
+            one = [basket.change_of_value(ScenarioOutcome(1.0, t, x))
+                   for t, x in ((times, sizes), (np.array(times), np.array(sizes)))]
+            group = [basket.change_of_value(ScenarioOutcome([1.0, -2.0], t, x, n_jumps=[1, 1]))
+                     for t, x in ((times, sizes), (np.array(times), np.array(sizes)))]
+            assert same_bits(one[0], one[1]) and same_bits(group[0], group[1]), basket.order
+
+    @pytest.mark.parametrize("n_jumps", [None, [1, 0]])
+    def test_jumps_of_two_dimensions_are_refused(self, n_jumps):
+        move = 1.0 if n_jumps is None else [1.0, 2.0]
+        with pytest.raises(ValueError, match="both must be 1-D, of one length"):
+            ScenarioOutcome(move, np.array([[0.01]]), np.array([[0.02]]), n_jumps=n_jumps)
+
     @staticmethod
-    def baskets():
+    def baskets(moments=None):
         """A basket of each kind that marks a scenario set."""
-        moments, _ = make_moments(np.random.default_rng(27))
+        if moments is None:
+            moments, _ = make_moments(np.random.default_rng(27))
         sc = scen(100.0, 0.05, 0.04)
         return [pja_basket_general(1.1, sc, 3, PathState(t=0.0), moments),
                 pji_basket(1.1, sc, 3, moments),

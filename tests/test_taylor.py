@@ -77,6 +77,18 @@ class TestFindQ:
         assert exc.value.best_error.tolist() == [98.0]
         assert exc.value.best_order.tolist() == [1]
 
+    @pytest.mark.parametrize("moves,changes", [([10.0, 20.0, 30.0], [5.0]),
+                                               ([10.0, 20.0, 30.0], [5.0, 6.0]),
+                                               ([10.0], [5.0, 6.0, 7.0])],
+                             ids=["3-moves-1-change", "3-moves-2-changes", "1-move-3-changes"])
+    def test_one_change_per_move(self, moves, changes):
+        # 1 change was compared with every move, 2 broke numpy's broadcast and
+        # 3 for 1 move indexed past the errors
+        ladder = DerivativeLadder(d2=(1.0, 0.0), d1=0.0)
+        with pytest.raises(ValueError, match=rf"one change per move: {len(moves)} moves, "
+                                             rf"changes of shape \({len(changes)},\)"):
+            find_q(ladder, 0.1, moves, changes, 1e-6)
+
     def test_monotone_in_move_size(self, table_n8):
         # on a payoff-kink ladder q cannot shrink when the move grows
         import levyhedge.pricing as pricing
