@@ -34,6 +34,12 @@ those of depth n; at each jump time (runs of the stably sorted times)
 every node gains the jump powers times its parent's left limit.  One
 kernel (``_stepped``) steps every tree.
 
+Every jump power x^l in the module, in a T-leg's power sums and in a
+tree's jump events alike, is an entry of one ``_jump_powers`` table: the
+left-to-right product x^l = x^(l-1) x.  Multiplication rounds alike on
+every CPU, so these bits do not depend on the vector units numpy
+dispatches to.  A ``ScenarioOutcome`` builds the table once for its jumps.
+
 Everything a basket of order i reads about I_i is one table per order,
 built on first use (``_order_table``): the tuples, each one's multinomial
 i!/(theta! n!) and rest n, and the prefix tree with the node offset where
@@ -49,9 +55,9 @@ steps one path through the tree of I_k, and ``iterated_integral`` through
 the chain of one tuple's prefixes, with no order cap.
 
 A mark assembles only the legs its basket holds: the stock and T-legs
-from one table of the outcome's moves and power sums, the U-legs from its
-S'_theta.  It adds each scenario's legs exactly, to the float
-``math.fsum`` gives.  A leg array of 512 entries or more (scenarios x
+from one table of the outcome's moves and power sums (the power table's
+columns added per scenario), the U-legs from its S'_theta.  It adds each
+scenario's legs exactly, to the float ``math.fsum`` gives.  A leg array of 512 entries or more (scenarios x
 legs), at 8 legs or more per scenario, is first reduced to a few floats
 per scenario with the same real sum, by error-free extraction in a few
 vectorised passes with one sigma each for the whole array (Rump, Ogita &
@@ -120,18 +126,21 @@ class ScenarioOutcome:
     for it, an array with one value per scenario for a set.  Baskets assuming
     sigma = 0 regimes are evaluated on jump-only outcomes.
 
-    An outcome keeps what its marks read: its moves and power sums as one
-    table (``_sum_rows``), and one stepping of each scenario's path per
-    moment vector and period (``iterated_integrals``).  Its jumps must not
-    change after a mark.
+    An outcome keeps what its marks read: one table of its jumps' powers
+    x^l (``_jump_powers``, built to the highest level read, never for an
+    outcome with no jumps), its moves and power sums as one table
+    (``_sum_rows``), and one stepping of each scenario's path per moment
+    vector and period (``iterated_integrals``), both from that power table.
+    Its jumps must not change after a mark.
     """
 
     delta_s: float | np.ndarray
     jump_times: np.ndarray = field(default_factory=lambda: np.empty(0))
     jump_sizes: np.ndarray = field(default_factory=lambda: np.empty(0))
     n_jumps: int | np.ndarray | None = None
+    _powers: np.ndarray = field(default_factory=lambda: np.empty((0, 0)), init=False,
+                                repr=False, compare=False)
     _sums: np.ndarray | tuple = field(default=(), init=False, repr=False, compare=False)
-    _summed: set = field(default_factory=set, init=False, repr=False, compare=False)
     _integrals: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -164,41 +173,43 @@ class ScenarioOutcome:
         return np.asarray(values) if isinstance(self.n_jumps, np.ndarray) else float(values[0])
 
     @functools.cached_property
-    def _bounds(self) -> list:
-        """The end of each scenario's run of jumps in the flat lists."""
+    def _runs(self) -> list:
+        """The slice of each scenario's run of jumps in the flat lists."""
         counts = self.n_jumps
-        return np.cumsum(counts).tolist() if isinstance(counts, np.ndarray) else [counts]
-
-    @functools.cached_property
-    def _scenario(self) -> np.ndarray:
-        """The scenario of each jump in the flat lists."""
-        return np.repeat(np.arange(len(self._bounds)), self.n_jumps)
+        stops = np.cumsum(counts).tolist() if isinstance(counts, np.ndarray) else [counts]
+        return [slice(a, b) for a, b in zip([0, *stops[:-1]], stops)]
 
     def power_sums(self, i: int) -> np.ndarray:
         """sum x^i over each scenario's jumps for i >= 1, one per scenario:
         row i of ``_sum_rows``."""
         if i < 1:
             raise ValueError(f"power sums are kept for orders i >= 1, not {i}")
-        return self._sum_rows((i,), i)[i]
+        return self._sum_rows(i)[i]
 
-    def _sum_rows(self, orders, top: int) -> np.ndarray:
+    def _power_table(self, top: int) -> np.ndarray:
+        """``_jump_powers`` of the flat jump list, levels 0..top or more:
+        built on the first read, rebuilt only when a higher level is read,
+        and never for an outcome with no jumps."""
+        if self._powers.shape[1] <= top and len(self.jump_sizes):
+            object.__setattr__(self, "_powers", _jump_powers(self.jump_sizes, top))
+        return self._powers
+
+    def _sum_rows(self, top: int) -> np.ndarray:
         """A table of rows 0..top or more, one column per scenario: the
-        moves in row 0 and, in row i for each order i in ``orders``, each
-        scenario's sum of x^i over its jumps.  A row is summed when first
-        read and kept, so every basket marked on this outcome reads the
-        same sums; rows never read hold zeros.  The sums run in list order
-        (``bincount``), as ``np.sum`` adds fewer than 8 terms."""
-        n = len(self._bounds)
+        moves in row 0 and in row i each scenario's sum of x^i over its
+        jumps, from column i of ``_power_table``.  It is summed on the
+        first read and again only for a higher row, so every basket marked
+        on this outcome reads the same sums.  One ``bincount`` over the
+        columns 0..top, level by level, adds each sum in list order, as
+        ``np.sum`` adds fewer than 8 terms (with no jumps it gives integer
+        zeros, hence the cast)."""
         if len(self._sums) <= top:
-            table = np.zeros((top + 1, n))
-            table[0] = self.delta_s
-            for i in self._summed:
-                table[i] = self._sums[i]
-            object.__setattr__(self, "_sums", table)
-        for i in orders:
-            if i not in self._summed:
-                self._sums[i] = np.bincount(self._scenario, self.jump_sizes**i, n)
-                self._summed.add(i)
+            n, levels = len(self._runs), np.arange(top + 1)[:, None]
+            bins = (levels * n + np.repeat(np.arange(n), self.n_jumps)).ravel()
+            powers = self._power_table(top)[:, : top + 1].T.ravel()
+            sums = np.bincount(bins, powers, n * (top + 1)).reshape(top + 1, n).astype(float)
+            sums[0] = self.delta_s
+            object.__setattr__(self, "_sums", sums)
         return self._sums
 
     def iterated_integrals(self, k: int, moments: MomentVector, t0: float, t1: float) -> np.ndarray:
@@ -207,21 +218,21 @@ class ScenarioOutcome:
         scenario's path is stepped once through the tree of I_K, K =
         min(moments.order, ``MAX_ORDER``), kept per (moments, t0, t1) and read
         by every order up to K, so a lone order-2 read at K = 12 steps 4095
-        tuples, not 3.  A jump outside (t0, t1] raises on every read."""
+        tuples, not 3.  The jump powers are the scenario's rows of the
+        outcome's power table.  A jump outside (t0, t1] raises on every read."""
         top = max(k, min(moments.order, MAX_ORDER))   # k > K raises in the stepping
         key = (moments, t0, t1)
         values = self._integrals.get(key)
         if values is None:
-            tree, steps = _order_steps(top, moments)
-            rows = [_stepped(tree, steps, times, sizes, t0, t1) for times, sizes in self.paths()]
+            (tree, steps), table = _order_steps(top, moments), self._power_table(top)
+            rows = [_stepped(tree, steps, self.jump_times[run], table[run], t0, t1)
+                    for run in self._runs]
             values = self._integrals[key] = np.array(rows).reshape(-1, len(tree.parent))
         return values[:, _tree_nodes(k, top)]
 
     def paths(self) -> list:
         """Each scenario's (jump_times, jump_sizes)."""
-        starts = [0, *self._bounds[:-1]]
-        return [(self.jump_times[a:b], self.jump_sizes[a:b])
-                for a, b in zip(starts, self._bounds)]
+        return [(self.jump_times[run], self.jump_sizes[run]) for run in self._runs]
 
 
 @dataclass(frozen=True)
@@ -290,7 +301,7 @@ class JumpBasket:
         shared, rows, units, offsets, pji_units = self._mark_terms
         legs = []
         if rows is not None:
-            moved = outcome._sum_rows(self.pja_units, self.moments.order)[rows]
+            moved = outcome._sum_rows(self.moments.order)[rows]
             legs.append((units * (moved - offsets)).T)
         if len(pji_units):
             t0 = self.path_state.t
@@ -401,7 +412,8 @@ def replication_report(basket: JumpBasket, outcome: ScenarioOutcome) -> dict:
     with regime violations (more than one jump in the period for the
     one-jump baskets) flagged so the harness can count rather than hide them.
     """
-    target = basket.coefficient * outcome.delta_s**basket.order
+    moves = np.atleast_1d(outcome.delta_s)
+    target = basket.coefficient * outcome.per_scenario(np.float_power(moves, basket.order))
     achieved = basket.change_of_value(outcome)
     one_jump_basket = not len(basket.pji_unit_array)
     return {
@@ -502,15 +514,17 @@ def pji_basket(
     any jump activity.
 
     Pi_theta = (theta, n)! C^(n) with n = i - sum(theta) (see
-    ``chaos.pi_coefficient``).  The i + 1 constants C^(0..i) come from one
-    ``chaos.constant_terms`` pass, and each tuple's multinomial
+    ``chaos.pi_coefficient``).  The i + 1 constants C^(0..i) are a prefix,
+    bit for bit, of one ``chaos.constant_terms`` pass to order
+    max(i, min(moments.order, ``MAX_ORDER``)), which every order of a
+    ladder on the same moments and dt reads, and each tuple's multinomial
     i!/(theta! n!) and rest n from the per-order table of I_i
     (``_order_table``), so the units are one array expression over the
     2^i - 1 tuples.  The tuple set caps i at ``chaos.MAX_ORDER``."""
     s_t, r, dt = scenario.s_t, scenario.r, scenario.delta_t
     state = path_state if path_state is not None else PathState(t=0.0)
     disc = math.exp(-r * dt)
-    consts = constant_terms(i, moments, dt)
+    consts = _ladder_constants(max(i, min(moments.order, MAX_ORDER)), moments, dt)
     table = _order_table(i)
     pi = table.multinomial * np.array(consts, dtype=float)[table.rest]
     units = (coefficient * s_t**i) * pi * disc
@@ -526,6 +540,9 @@ def pji_basket(
         pji_unit_array=units,
         bank_cash=cash,
     )
+
+
+_ladder_constants = functools.lru_cache(maxsize=32)(constant_terms)
 
 
 def phi_hedge_basket(
@@ -671,16 +688,25 @@ def _order_steps(k: int, moments: MomentVector) -> tuple:
     return tree, _drift_steps(tree, moments)
 
 
-def _jump_events(jump_times, jump_sizes, top: int) -> list:
+def _jump_powers(sizes: np.ndarray, top: int) -> np.ndarray:
+    """x^l for each jump x (rows) and level l = 1..top (columns), with
+    column 0 held at 0: the one place the library forms jump powers.  Each
+    is the left-to-right product x^l = x^(l-1) x, one rounded multiplication
+    per level, so every entry has the bits of a loop over Python floats, on
+    any CPU.  The table is stored level by level, so each column is
+    contiguous."""
+    table = np.empty((top + 1, len(sizes)))
+    table[0], table[1:] = 0.0, sizes
+    for level in range(2, top + 1):
+        np.multiply(table[level - 1], sizes, out=table[level])
+    return table.T
+
+
+def _jump_events(times: list, powers) -> list:
     """(tau, p) for each distinct jump time tau, in time order, where p[l]
-    sums x^l over the jumps at tau for l = 1..top and p[0] = 0.  Jumps that
-    share a time are runs of the stably sorted times; their rows are added
-    in list order."""
-    if not len(jump_times):
-        return []
-    powers = jump_sizes[:, None] ** np.arange(top + 1)
-    powers[:, 0] = 0.0
-    times = jump_times.tolist()
+    sums x^l over the jumps at tau, from each jump's row of ``powers`` (a
+    ``_jump_powers`` table).  Jumps that share a time are runs of the stably
+    sorted times; their rows are added in list order."""
     events = []
     for k in sorted(range(len(times)), key=times.__getitem__):
         if events and times[k] == events[-1][0]:
@@ -690,15 +716,15 @@ def _jump_events(jump_times, jump_sizes, top: int) -> list:
     return events
 
 
-def _stepped(tree: _PrefixTree, drift_steps: tuple, jump_times, jump_sizes, t0, t1):
+def _stepped(tree: _PrefixTree, drift_steps: tuple, jump_times, powers, t0, t1):
     """S' on every node of ``tree`` at t1, from 1 at the root at t0, with
-    ``drift_steps`` the tree's ``_drift_steps`` (the method is given at
-    ``iterated_integrals``)."""
+    ``drift_steps`` the tree's ``_drift_steps`` and ``powers`` the path's
+    ``_jump_powers`` table, one row per jump, to level ``tree.top`` or more
+    (the method is given at ``iterated_integrals``)."""
     if not t1 >= t0:
         raise ValueError(f"the period ({t0}, {t1}] must not end before it starts")
-    jump_times = np.asarray(jump_times, dtype=float)
-    jump_sizes = np.asarray(jump_sizes, dtype=float)
-    if not all(t0 < tau <= t1 for tau in jump_times.tolist()):
+    times = np.asarray(jump_times, dtype=float).tolist()
+    if not all(t0 < tau <= t1 for tau in times):
         raise ValueError("jumps must lie inside (t0, t1]")
     parent, level = tree.parent, tree.level
     value = np.zeros(len(parent))
@@ -717,7 +743,7 @@ def _stepped(tree: _PrefixTree, drift_steps: tuple, jump_times, jump_sizes, t0, 
             reached += term
 
     now, steps = t0, first
-    for tau, power in _jump_events(jump_times, jump_sizes, tree.top):
+    for tau, power in _jump_events(times, powers):
         advance(tau - now, steps)
         value += power[level] * value[parent]
         now, steps = tau, deep
@@ -743,13 +769,14 @@ def iterated_integrals(k: int, jump_times, jump_sizes, moments: MomentVector,
       shallower nodes, as the root's drift is 0);
     * at a jump time V_theta gains (sum of x^l over the jumps at that time)
       times the left limit V_parent(tau-), so jumps that share a time do not
-      see each other.
+      see each other.  x^l is the path's ``_jump_powers`` entry, the
+      left-to-right product x^(l-1) x, as in every mark.
 
     Jumps must lie in (t0, t1], in any order; a jump at t1 counts.  The
     period must not run backwards; t1 = t0 gives zeros.
     """
     tree, steps = _order_steps(k, moments)
-    return _stepped(tree, steps, jump_times, jump_sizes, t0, t1)[tree.index]
+    return _stepped(tree, steps, jump_times, _jump_powers(jump_sizes, tree.top), t0, t1)[tree.index]
 
 
 def iterated_integral(theta, jump_times, jump_sizes, moments: MomentVector,
@@ -758,5 +785,5 @@ def iterated_integral(theta, jump_times, jump_sizes, moments: MomentVector,
     as ``iterated_integrals`` steps the tree of I_k (see there for the
     method and the conventions), so theta is not capped at ``MAX_ORDER``."""
     tree = _build_prefix_tree((tuple(theta),))
-    values = _stepped(tree, _drift_steps(tree, moments), jump_times, jump_sizes, t0, t1)
-    return float(values[tree.index[0]])
+    steps, powers = _drift_steps(tree, moments), _jump_powers(jump_sizes, tree.top)
+    return float(_stepped(tree, steps, jump_times, powers, t0, t1)[tree.index[0]])

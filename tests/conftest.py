@@ -82,16 +82,28 @@ def black_scholes_gamma(s, k, t, r, sigma, dividend=0.0):
     return math.exp(-dividend * t) * norm_pdf(d1) / (s * sigma * math.sqrt(t))
 
 
+def reference_powers(sizes, level):
+    """Oracle: x^level for each jump size x, as the left-to-right product
+    x^l = x^(l-1) * x over Python floats, from x^0 = 1."""
+    powers = []
+    for x in np.asarray(sizes, dtype=float).tolist():
+        power = 1.0
+        for _ in range(level):
+            power *= x
+        powers.append(power)
+    return np.array(powers)
+
+
 def reference_mark(basket, outcome):
     """Oracle: ``basket.change_of_value(outcome)`` assembled column by
     column from the basket's public fields.  The stock leg (always, at
     offset 0) and one leg per T^(i), e^{rt1} units at offset m_i dt, are
     ``np.column_stack``ed over the move and each order's power sums
-    (``bincount`` in list order); e^{r dt} times the U_theta units are
-    joined by ``np.concatenate``, with S'_theta from each scenario's path
-    stepped through the tree of the basket's own order
-    (``iterated_integrals``); each scenario's legs, then the bank leg and
-    the T-legs' frozen values, are added by ``math.fsum``."""
+    (``reference_powers``, added by ``bincount`` in list order); e^{r dt}
+    times the U_theta units are joined by ``np.concatenate``, with S'_theta
+    from each scenario's path stepped through the tree of the basket's own
+    order (``iterated_integrals``); each scenario's legs, then the bank leg
+    and the T-legs' frozen values, are added by ``math.fsum``."""
     t0, dt, r = basket.path_state.t, basket.delta_t, basket.r
     growth = bank_growth(r, dt)
     shared = [basket.bank_cash * growth]
@@ -102,7 +114,8 @@ def reference_mark(basket, outcome):
         offsets.append(basket.moments[i] * dt)
     counts = np.atleast_1d(outcome.n_jumps)
     scenario = np.repeat(np.arange(len(counts)), counts)
-    columns = [outcome.delta_s, *(np.bincount(scenario, outcome.jump_sizes**i, len(counts))
+    columns = [outcome.delta_s, *(np.bincount(scenario, reference_powers(outcome.jump_sizes, i),
+                                              len(counts))
                                   for i in basket.pja_units)]
     legs = np.array(units) * (np.column_stack(columns) - np.array(offsets))
     pji_units = basket.pji_unit_array * math.exp(r * dt)

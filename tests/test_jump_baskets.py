@@ -1,6 +1,11 @@
 import dataclasses
 import hashlib
 import math
+import os
+import pathlib
+import platform
+import subprocess
+import sys
 
 import numpy as np
 import numpy.polynomial.polynomial as P
@@ -8,9 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import reference_mark
+from conftest import package_env, reference_mark, reference_powers
 from levyhedge import jump_baskets
 from levyhedge.chaos import (
+    MAX_ORDER,
     constant_term,
     constant_terms,
     enumerate_compositions,
@@ -30,7 +36,14 @@ from levyhedge.jump_baskets import (
     pji_basket,
     replication_report,
 )
-from levyhedge.models import CompoundPoisson, FixedJumps, LevyModel, NormalJumps, moment_vector
+from levyhedge.models import (
+    CompoundPoisson,
+    FixedJumps,
+    LevyModel,
+    MomentVector,
+    NormalJumps,
+    moment_vector,
+)
 from levyhedge.taylor import HedgeScenario
 
 
@@ -62,8 +75,8 @@ def reference_iterated_integral(theta, times, sizes, moments, t0, t1):
 
 def stepper_reference(thetas, jump_times, jump_sizes, moments, t0, t1):
     """The tree stepper as first written, kept as a bit-for-bit oracle: jump
-    times grouped by ``np.unique`` with their powers summed by ``np.add.at``,
-    and every drift step taken over the whole tree."""
+    times grouped by ``np.unique`` with their powers (``reference_powers``)
+    summed by ``np.add.at``, and every drift step taken over the whole tree."""
     node_of = {(): 0}
     parent, level = [0], [0]
     for theta in sorted({th[:d] for th in thetas for d in range(1, len(th) + 1)}, key=len):
@@ -78,7 +91,8 @@ def stepper_reference(thetas, jump_times, jump_sizes, moments, t0, t1):
     drift = -np.array([0.0] + [moments[k] for k in range(1, top + 1)])[level]
     times, group = np.unique(jump_times, return_inverse=True)
     powers = np.zeros((len(times), top + 1))
-    np.add.at(powers, group, jump_sizes[:, None] ** np.arange(top + 1))
+    np.add.at(powers, group,
+              np.array([reference_powers(jump_sizes, l) for l in range(top + 1)]).T)
     powers[:, 0] = 0.0
 
     def advance(value, width):
@@ -98,6 +112,41 @@ def stepper_reference(thetas, jump_times, jump_sizes, moments, t0, t1):
     return advance(value, t1 - now)[[node_of[th] for th in thetas]]
 
 
+# The digest of ``pji_digest``; it holds on x86-64 with numpy 2.4, whose
+# ``default_rng`` streams it reads, at every level of ``CPU_LEVELS``.
+PJI_DIGEST = "42b37bcc6797f91d15a14fe3f85b9f75f1de37d6f49026174f32a13c6717e586"
+# (numpy features to disable, OpenBLAS core type): the CPU as it is, an
+# AVX2-only one, and one with neither AVX512 nor AVX2 dispatch.
+CPU_LEVELS = (
+    ((), None),
+    (("X86_V4", "AVX512_ICL", "AVX512_SPR"), "Haswell"),
+    (("X86_V4", "AVX512_ICL", "AVX512_SPR", "X86_V3"), "Sandybridge"),
+)
+
+
+def pji_digest() -> str:
+    """sha256 of every unit, the cash and every mark of pji baskets of
+    orders 2..12 on seeded inputs with 0-3 jumps.  The pin was checked
+    against marks summed by ``math.fsum`` from ``stepper_reference``, whose
+    jump powers are ``reference_powers``."""
+    rng = np.random.default_rng(2121)
+    model = LevyModel(jump_spec=CompoundPoisson(3.0, NormalJumps(mean=-0.02, std=0.08)))
+    moments = moment_vector(model, 12)
+    digest = hashlib.sha256()
+    for order in range(2, 13):
+        s_t, dt, r = rng.uniform(20.0, 200.0), rng.uniform(0.01, 0.2), rng.uniform(0.01, 0.1)
+        c = rng.uniform(0.1, 2.0) * rng.choice([-1.0, 1.0])
+        sc = HedgeScenario(s_t=s_t, delta_s=1.0, delta_t=dt, r=r)
+        basket = pji_basket(c, sc, order, moments)
+        digest.update(np.array([*basket.pji_units.values(), basket.bank_cash]).tobytes())
+        for n_jumps in range(4):
+            times = np.sort(dt * (1.0 - rng.random(n_jumps)))
+            sizes = rng.normal(-0.02, 0.08, n_jumps)
+            mark = basket.change_of_value(ScenarioOutcome(s_t * sizes.sum(), times, sizes))
+            digest.update(np.array([mark]).tobytes())
+    return digest.hexdigest()
+
+
 def same_bits(got, want):
     got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
     return got.shape == want.shape and np.array_equal(got.view(np.int64), want.view(np.int64))
@@ -105,6 +154,35 @@ def same_bits(got, want):
 
 def scen(s_t, dt, r):
     return HedgeScenario(s_t=s_t, delta_s=1.0, delta_t=dt, r=r)
+
+
+class TestJumpPowers:
+    """x^l is formed in one place, ``_jump_powers``, by one rule: the
+    left-to-right product x^l = x^(l-1) x."""
+
+    def test_every_entry_is_the_left_to_right_product(self):
+        rng = np.random.default_rng(3600)
+        for n in range(21):
+            sizes = rng.normal(-0.01, 0.3, n) * 10.0 ** rng.integers(-3, 2, n)
+            for top in range(MAX_ORDER + 1):
+                table = jump_baskets._jump_powers(sizes, top)
+                assert table.shape == (n, top + 1)
+                assert same_bits(table[:, 0], np.zeros(n)), (n, top)
+                for level in range(1, top + 1):
+                    assert same_bits(table[:, level], reference_powers(sizes, level)), (n, level)
+
+    def test_power_sums_and_tree_events_read_one_square(self):
+        """On one-jump scenarios at zero moments, a pji tree's node (2)
+        holds its event's x^2, which must be the x^2 of ``power_sums(2)``."""
+        rng = np.random.default_rng(3601)
+        sizes = rng.normal(0.0, 0.1, 3000)
+        outcome = ScenarioOutcome(np.zeros(3000), np.full(3000, 0.5), sizes,
+                                  n_jumps=np.ones(3000, dtype=int))
+        still = MomentVector(m=(0.0,) * MAX_ORDER)
+        node = enumerate_compositions(2).index((2,))
+        squares = outcome.iterated_integrals(2, still, 0.0, 1.0)[:, node]
+        assert same_bits(squares, outcome.power_sums(2))
+        assert same_bits(squares, reference_powers(sizes, 2))
 
 
 class TestScenarioOutcome:
@@ -294,6 +372,25 @@ class TestSimpleBasket:
             lone = ScenarioOutcome(15.5, *group.paths()[1])
             assert replication_report(basket, lone)["regime_violated"] is flags[1]
 
+    def test_set_reports_match_single_reports(self):
+        """A set's report is its scenarios' single reports, by bytes: the
+        target's power is one rule (``np.float_power``) for both."""
+        rng = np.random.default_rng(3402)
+        moments, _ = make_moments(rng, order=6)
+        s_t, dt, t0 = 80.0, 0.05, 0.3
+        group, singles = one_jump_outcomes(rng, 400, t0, dt, s_t, 0.03)
+        for order in (2, 3, 5):
+            basket = pja_basket_general(0.7, scen(s_t, dt, 0.04), order, PathState(t=t0),
+                                        moments, 0.03)
+            report = replication_report(basket, group)
+            lone = [replication_report(basket, single) for single in singles]
+            for key in ("target", "achieved", "error", "regime_violated"):
+                assert same_bits(report[key], [one[key] for one in lone]), (order, key)
+            assert all(type(one["target"]) is float for one in lone)
+            # a single scenario's target is the Python float power it was
+            assert [one["target"] for one in lone] == [0.7 * one.delta_s**order
+                                                        for one in singles]
+
 
 class TestMaterialDtBaskets:
     @pytest.mark.parametrize("order", [2, 3, 4, 5])
@@ -405,7 +502,8 @@ class TestMarkAssembly:
         # the kept power sums are each order's own, and row 0 stays the moves
         scenario = np.repeat(np.arange(300), group.n_jumps)
         for i in (1, 7, 13):
-            assert same_bits(group.power_sums(i), np.bincount(scenario, group.jump_sizes**i, 300))
+            assert same_bits(group.power_sums(i),
+                             np.bincount(scenario, reference_powers(group.jump_sizes, i), 300))
         with pytest.raises(ValueError):
             group.power_sums(0)
 
@@ -682,6 +780,20 @@ class TestPJIBasket:
             want[theta] = c * s_t**order * pi * disc
         assert list(basket.pji_units.items()) == list(want.items())
 
+    def test_a_ladder_reads_one_constant_pass(self):
+        """Orders 2..K on one moment vector and period read one
+        ``constant_terms`` pass, to K = min(moments.order, ``MAX_ORDER``);
+        each order's constants are its prefix, bit for bit (the test above
+        builds each order's units from its own pass)."""
+        rng = np.random.default_rng(3603)
+        for moment_order, top in ((12, 12), (7, 7), (14, 12)):
+            moments, _ = make_moments(rng, order=moment_order)
+            jump_baskets._ladder_constants.cache_clear()
+            for i in range(2, top + 1):
+                pji_basket(0.7, scen(100.0, 0.05, 0.03), i, moments)
+            info = jump_baskets._ladder_constants.cache_info()
+            assert (info.misses, info.hits) == (1, top - 2), moment_order
+
     def test_tuple_set_caps_the_order(self):
         rng = np.random.default_rng(19)
         moments, _ = make_moments(rng, order=13)
@@ -842,28 +954,36 @@ class TestPJIBasket:
         assert same_bits(baskets[0].change_of_value(shared), marks[0])
 
     def test_units_and_marks_keep_their_bits(self):
-        """Every unit, the cash and every mark of orders 2..12 on seeded
-        inputs with 0-3 jumps, hashed.  The digest was computed with the
-        stepper as first written (``stepper_reference``) and the per-tuple
-        loop that built the units before the order tables; it holds on
-        x86-64 with numpy 2.4, whose ``default_rng`` streams it reads."""
-        rng = np.random.default_rng(2121)
-        model = LevyModel(jump_spec=CompoundPoisson(3.0, NormalJumps(mean=-0.02, std=0.08)))
-        moments = moment_vector(model, 12)
-        digest = hashlib.sha256()
-        for order in range(2, 13):
-            s_t, dt, r = rng.uniform(20.0, 200.0), rng.uniform(0.01, 0.2), rng.uniform(0.01, 0.1)
-            c = rng.uniform(0.1, 2.0) * rng.choice([-1.0, 1.0])
-            sc = HedgeScenario(s_t=s_t, delta_s=1.0, delta_t=dt, r=r)
-            basket = pji_basket(c, sc, order, moments)
-            digest.update(np.array([*basket.pji_units.values(), basket.bank_cash]).tobytes())
-            for n_jumps in range(4):
-                times = np.sort(dt * (1.0 - rng.random(n_jumps)))
-                sizes = rng.normal(-0.02, 0.08, n_jumps)
-                mark = basket.change_of_value(ScenarioOutcome(s_t * sizes.sum(), times, sizes))
-                digest.update(np.array([mark]).tobytes())
-        assert digest.hexdigest() == (
-            "f08e0cc6b1022b4312e375897f973b01961897f56e760ea870be7ff809310f49")
+        """``pji_digest`` holds its pin in this process."""
+        assert pji_digest() == PJI_DIGEST
+
+    @pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                        reason="the emulated CPU levels are x86-64 ones")
+    def test_units_and_marks_keep_their_bits_on_every_cpu_level(self):
+        """``pji_digest`` recomputed in child processes: as the CPU is, with
+        numpy's AVX512 dispatch off and OpenBLAS on its Haswell kernels, and
+        with numpy's AVX2 dispatch off too and OpenBLAS on Sandybridge.  All
+        three read the pin.  Only the children's environment is set, and only
+        features numpy dispatches are named."""
+        from numpy._core._multiarray_umath import __cpu_dispatch__
+
+        digests = []
+        for features, core in CPU_LEVELS:
+            env = package_env()
+            env["PYTHONPATH"] = os.pathsep.join([str(pathlib.Path(__file__).parent),
+                                                 env["PYTHONPATH"]])
+            env.pop("NPY_DISABLE_CPU_FEATURES", None)
+            env.pop("OPENBLAS_CORETYPE", None)
+            named = [f for f in features if f in __cpu_dispatch__]
+            if named:
+                env["NPY_DISABLE_CPU_FEATURES"] = " ".join(named)
+            if core:
+                env["OPENBLAS_CORETYPE"] = core
+            child = subprocess.run(
+                [sys.executable, "-c", "import test_jump_baskets as t; print(t.pji_digest())"],
+                env=env, capture_output=True, text=True, timeout=300, check=True)
+            digests.append(child.stdout.strip())
+        assert digests == [PJI_DIGEST] * len(CPU_LEVELS)
 
     def test_expected_change_matches_constant_mc(self):
         model = LevyModel(jump_spec=CompoundPoisson(4.0, FixedJumps(0.06)))
