@@ -22,11 +22,18 @@ from . import harness
 from .config import load_config
 
 
-def _out_path(cfg, args, default_name):
+def _out_paths(cfg, args) -> tuple:
+    """The CSV path and its summary's (only pnl writes one): ``--out`` and
+    ``--out`` + ".summary", or <command>.csv and <command>_summary.csv in
+    ``output.dir``.  Their directory is made here, before the run, so a
+    path that cannot be written fails first."""
     if args.out:
-        return args.out
-    os.makedirs(cfg.output_dir, exist_ok=True)
-    return os.path.join(cfg.output_dir, default_name)
+        paths = args.out, args.out + ".summary"
+    else:
+        paths = tuple(os.path.join(cfg.output_dir, f"{args.command}{suffix}.csv")
+                      for suffix in ("", "_summary"))
+    os.makedirs(os.path.dirname(paths[0]) or ".", exist_ok=True)
+    return paths
 
 
 @functools.cache
@@ -78,28 +85,19 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
 
     cfg = load_config(args.config)
-
+    path, sum_path = _out_paths(cfg, args)
+    ok, summary = True, ""
     if args.command == "qtable":
         header, rows, ok = harness.run_qtable(cfg)
-        path = _out_path(cfg, args, "qtable.csv")
-        harness.write_csv(path, header, rows)
-        print(f"wrote {len(rows)} rows to {path}")
-        return 0 if ok else 1
-
-    if args.command == "converge":
+    elif args.command == "converge":
         header, rows = harness.run_converge(cfg)
-        path = _out_path(cfg, args, "converge.csv")
-        harness.write_csv(path, header, rows)
-        print(f"wrote {len(rows)} rows to {path}")
-        return 0
-
-    header, rows, sum_header, summaries = harness.run_pnl(cfg)
-    path = _out_path(cfg, args, "pnl.csv")
+    else:
+        header, rows, sum_header, summaries = harness.run_pnl(cfg)
+        harness.write_csv(sum_path, sum_header, summaries)
+        summary = f"; summary in {sum_path}"
     harness.write_csv(path, header, rows)
-    sum_path = _out_path(cfg, args, "pnl_summary.csv") if not args.out else args.out + ".summary"
-    harness.write_csv(sum_path, sum_header, summaries)
-    print(f"wrote {len(rows)} rows to {path}; summary in {sum_path}")
-    return 0
+    print(f"wrote {len(rows)} rows to {path}{summary}")
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

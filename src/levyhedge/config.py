@@ -295,6 +295,10 @@ def load_config(source) -> ExperimentConfig:
     if p_max > 2 * half_width - 1:
         raise sten.fail("p_max", f" must be at most 2 * half_width - 1 = {2 * half_width - 1}, "
                                  f"got {p_max}")
+    s_step = sten.number("s_step", max(0.5, s0 * 1e-4), positive=True)
+    if not s0 - half_width * s_step > 0:
+        raise sten.fail("s_step", f" is {s_step!r}: the grid's lowest spot s0 - half_width * "
+                                  f"s_step = {s0 - half_width * s_step!r} must be > 0")
     strategies = top.get("strategies", ["taylor+swaps"])
     if not isinstance(strategies, (list, tuple)) or not strategies:
         raise top.fail("strategies", f" must be a list of names, at least one, got {strategies!r}")
@@ -327,7 +331,7 @@ def load_config(source) -> ExperimentConfig:
         alpha_tol=scen.number("alpha_tol", 0.01, positive=True),
         n_paths=n_paths, steps=steps, seed=mc.number("seed", 0, int, minimum=0),
         antithetic=mc.number("antithetic", False, bool), half_width=half_width, p_max=p_max,
-        s_step=sten.number("s_step", max(0.5, s0 * 1e-4), positive=True),
+        s_step=s_step,
         strategies=tuple(strategies), n_scenarios=n_scenarios, pnl_q=q,
         swap_strike=swap.number("strike", 0.04), swap_unit_price=swap.number("unit_price", 1.0),
         neutral_strikes=neutral_strikes, output_dir=output_dir,

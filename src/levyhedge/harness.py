@@ -365,14 +365,14 @@ def _taylor_swaps(book: _Book):
     history = RealizedHistory(sums={k: 0.0 for k in book.coeffs})
     ledger = assemble_ledger(book.ladder, book.scenario, book.cfg.pnl_q, lambda i, c_i:
                              moment_swap_basket(c_i, book.scenario, book.swap_spec(i), history))
-    return ledger.change_of_value(book.moves)
+    return ledger.change_of_value(book.outcomes)
 
 
 def _taylor_pja(book: _Book):
     state = PathState(t=0.0)
     ledger = assemble_ledger(book.ladder, book.scenario, book.cfg.pnl_q, lambda i, c_i:
                              pja_basket_general(c_i, book.scenario, i, state, book.moments))
-    return ledger.change_of_value(book.moves, book.outcomes)
+    return ledger.change_of_value(book.outcomes)
 
 
 def _minvar(book: _Book):
@@ -397,7 +397,7 @@ def _minvar_varswap(book: _Book):
         weights = mvp_with_varswap(higher, cfg.s0, book.moments, cfg.delta_t, cfg.r, spec,
                                    history)
         legs.append(weights.swap)
-    return book.delta_leg(book.moves) + sum(leg.change_of_value(book.moves) for leg in legs)
+    return book.delta_leg(book.moves) + sum(leg.change_of_value(book.outcomes) for leg in legs)
 
 
 def _delta(book: _Book):

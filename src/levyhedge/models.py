@@ -26,10 +26,11 @@ leaves out has mean zero.
 factors S_{k+1}/S_k on any grid of steps, with flat jump records on request.
 It draws the paths in chunks of about ``CHUNK_CELLS`` cells, each from its
 own stream spawned off the caller's generator, on a thread pool; the result
-depends on the seed and the draw's shape, not on the worker count.  Without
-records a chunk's compound-Poisson jumps are drawn in blocks of whole cells,
-at most ``JUMP_BLOCK`` jumps each, so its memory does not grow with the jumps
-per cell; the blocks move no bit of the factors.
+depends on the seed and the draw's shape, not on the worker count.
+Compound-Poisson jumps and every spec's jump records are drawn by one loop
+over blocks of whole cells, of at most ``JUMP_BLOCK`` jumps without records
+(so memory does not grow with the jumps per cell) and one block with them;
+the blocks move no bit.
 ``one_jump_increments`` samples a different law on purpose: the
 at-most-one-jump reading of a short period in which the hedge weights are
 derived."""
@@ -443,10 +444,8 @@ _NO_JUMPS = JumpRecords(np.empty(0, dtype=int), np.empty(0, dtype=int), np.empty
 # benchmark's draws: 2^14 cells fault fresh memory into the workers on every
 # chunk of a 5-jumps-per-cell draw and lose to a serial draw on one core;
 # 2^13 cells do not, and cost about 0.1 ms per chunk in spawning and handoff.
-# A chunk's count of jumps is not bounded by its cells, so without records its
-# compound-Poisson jumps are drawn in blocks of whole cells, each of at most
-# JUMP_BLOCK jumps unless one cell holds more: a chunk's memory then does not
-# grow with the jumps per cell, and the blocks move no bit of its factors.
+# A chunk's jumps are not bounded by its cells: drawn without records, they
+# come in blocks of whole cells of at most JUMP_BLOCK jumps (``_poisson_cells``).
 CHUNK_CELLS = 2**13
 JUMP_BLOCK = 2**14
 _POOL = None  # see _pool
@@ -459,35 +458,34 @@ def _poisson_cells(rate: float, sample, log_jump, dts: np.ndarray, shape,
     ``shape`` (paths by steps of lengths ``dts``): the log-factor of each
     cell's jumps and, with ``records``, the jumps themselves.
 
-    Without records the cells are taken in blocks of consecutive cells,
-    cut on the cumulative counts so that a block holds at most
-    ``JUMP_BLOCK`` jumps unless one cell holds more.  Each block draws its
-    sizes, takes their logs in place and sums them into its cells.  The
-    draws follow one another as in a single call, and each cell adds its
-    jumps in the same order, so the blocks move no bit."""
-    counts = rng.poisson(rate * dts, shape)
-    if records:
-        sizes = sample(rng, int(counts.sum()))
-        log_sizes = log_jump(sizes)  # before the cell index: a lower memory peak
-        cells = np.repeat(np.arange(counts.size), counts.ravel())
-        jump_log = np.bincount(cells, log_sizes, counts.size).reshape(shape)
-        path, step = np.divmod(cells, shape[1])
-        start = np.cumsum(dts) - dts
-        times = start[step] + dts[step] * rng.random(len(sizes))
-        return jump_log, JumpRecords(path, step, sizes, times)
-    counts = counts.ravel()
+    The cells are taken in blocks of consecutive cells, cut on the
+    cumulative counts so that a block holds at most ``JUMP_BLOCK`` jumps
+    unless one cell holds more; with ``records`` the cap is every jump, so
+    ``sample`` is called once (variance-gamma's draws its sides, then its U,
+    then its E, so a split call would move bits).  Each block draws its
+    sizes, takes their logs (in place without records) and sums them into
+    its cells.  The draws follow one another as in a single call, and each
+    cell adds its jumps in the same order, so the blocks move no bit."""
+    counts = rng.poisson(rate * dts, shape).ravel()
     ends = np.cumsum(counts)  # jumps up to and including each cell
+    cap = int(ends[-1]) if records else JUMP_BLOCK
     jump_log = np.zeros(counts.size)
+    cells, sizes = np.empty(0, dtype=int), np.empty(0)  # unless some cell holds a jump
     first, done = 0, 0  # the block's first cell, and the jumps before it
     while done < ends[-1]:
-        stop = max(first + 1, int(np.searchsorted(ends, done + JUMP_BLOCK, side="right")))
+        stop = max(first + 1, int(np.searchsorted(ends, done + cap, side="right")))
         block = counts[first:stop]
         sizes = sample(rng, int(ends[stop - 1]) - done)
-        log_sizes = log_jump(sizes, out=sizes)
+        log_sizes = log_jump(sizes, out=None if records else sizes)  # before the cell index
         cells = np.repeat(np.arange(block.size), block)
         jump_log[first:stop] = np.bincount(cells, log_sizes, block.size)
         first, done = stop, int(ends[stop - 1])
-    return jump_log.reshape(shape), None
+    if not records:
+        return jump_log.reshape(shape), None
+    path, step = np.divmod(cells, shape[1])  # one block: its cells are the chunk's
+    start = np.cumsum(dts) - dts
+    times = start[step] + dts[step] * rng.random(len(sizes))
+    return jump_log.reshape(shape), JumpRecords(path, step, sizes, times)
 
 
 def relative_factors(

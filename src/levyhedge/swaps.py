@@ -108,15 +108,16 @@ class SwapBasket:
     delta_t: float
     history_power_sum: float
 
-    def change_of_value(self, delta_s):
-        """Mark the basket against one move (a float) or an array of moves
-        (one mark per move).  Each mark adds its three legs exactly
+    def change_of_value(self, period):
+        """Mark the basket against one move (a float), an array of moves or
+        a ``ScenarioOutcome``'s moves.  Each mark adds its three legs exactly
         (``math.fsum``): they are orders of magnitude above their sum.
 
         The power of the return is libm's ``pow``: ``math.pow`` on a float
         move, ``np.float_power`` on an array, so a move marks to the same
         bits either way (numpy's ``**`` on an array rounds differently)."""
         spec = self.spec
+        delta_s = getattr(period, "delta_s", period)
         scalar = getattr(delta_s, "ndim", 0) == 0
         ret = delta_s / self.s_t
         power = math.pow(ret, spec.order) if scalar else np.float_power(ret, spec.order)

@@ -8,7 +8,7 @@ P^(i) whose change of value is exactly (dS)^i.  ``find_q`` measures how
 many spot terms a tolerance demands, for a whole set of moves in one
 pass over an (orders x moves) array of partial sums, the array
 ``taylor_sums`` reads too; a ``HedgeLedger`` marks the terms on one
-input, the moves or a ``ScenarioOutcome``.
+period, the moves or a ``ScenarioOutcome`` holding them.
 
 Every bank leg in the library accrues by ``bank_growth(r, dt)`` =
 e^{r dt} - 1 and is sized by dividing through it: it needs r != 0, and a
@@ -156,31 +156,26 @@ class HedgeLedger:
     """Replicating positions for one hedging period.
 
     ``scenario`` gives the rate and period the bank leg accrues over;
-    ``term_positions[i]`` pairs the Taylor coefficient C_i with the basket
-    fragment whose ``change_of_value`` reproduces (dS)^i per unit; every
-    fragment reads the same input, so swap and jump baskets do not mix.
+    ``term_positions[i]`` is the basket holding C_i (its ``coefficient``)
+    units of P^(i), whose ``change_of_value`` reproduces C_i (dS)^i.
     """
 
     bank_cash: float
     stock_units: float
     scenario: HedgeScenario
-    term_positions: dict[int, tuple[float, object]] = field(default_factory=dict)
+    term_positions: dict[int, object] = field(default_factory=dict)
 
-    def change_of_value(self, delta_s, outcome=None):
-        """Mark the ledger against a realized move, or against a whole set
-        of scenarios at once.
-
-        ``delta_s`` is one move (the mark is a float) or an array of moves
-        (one mark per move); the stock leg reads it.  Every fragment is
-        marked on ``outcome``, a ``ScenarioOutcome`` of the same scenarios,
-        when one is given (jump baskets read the jump records), and on
-        ``delta_s`` otherwise (swap baskets read the moves).
-        """
+    def change_of_value(self, period):
+        """Mark the ledger on a realized period: a move (the mark is a
+        float), an array of moves or a ``ScenarioOutcome`` (a mark per move
+        or scenario).  The stock leg reads the moves (``period.delta_s`` of
+        an outcome) and every basket is marked on ``period`` itself, so
+        swap and jump baskets may share a ledger."""
         sc = self.scenario
-        marked = delta_s if outcome is None else outcome
+        delta_s = getattr(period, "delta_s", period)
         total = self.bank_cash * bank_growth(sc.r, sc.delta_t) + self.stock_units * delta_s
-        for _, fragment in self.term_positions.values():
-            total += fragment.change_of_value(marked)
+        for basket in self.term_positions.values():
+            total += basket.change_of_value(period)
         return total
 
 
@@ -193,23 +188,24 @@ def assemble_ledger(
     """Build the full hedge: bank deposit for the time term, D2^1 F units
     of stock, and C_i = D2^i F / i! units of basket i for i = 2..q.
 
-    ``basket_provider(i, c_i)`` must return the unit basket fragment for
-    each required order; returning None raises ``IncompleteMarketError``
+    ``basket_provider(i, c_i)`` must return the basket holding C_i units
+    of P^(i) for each required order, which the ledger keeps as
+    ``term_positions[i]``; returning None raises ``IncompleteMarketError``
     naming the missing order.
     """
     if q < 0 or q > ladder.order():
         raise ValueError(f"q={q} outside ladder range 0..{ladder.order()}")
     cash = bank_term((ladder.d1,), scenario)
     stock = ladder.derivative(1) if q >= 1 else 0.0
-    positions: dict[int, tuple[float, object]] = {}
+    positions: dict[int, object] = {}
     for i in range(2, q + 1):
         c_i = ladder.derivative(i) / math.factorial(i)
-        fragment = basket_provider(i, c_i) if basket_provider is not None else None
-        if fragment is None:
+        basket = basket_provider(i, c_i) if basket_provider is not None else None
+        if basket is None:
             raise IncompleteMarketError(
                 f"no basket available for Taylor term {i}", order=i
             )
-        positions[i] = (c_i, fragment)
+        positions[i] = basket
     return HedgeLedger(
         bank_cash=cash,
         stock_units=stock,

@@ -106,6 +106,22 @@ class TestQTableCommand:
         assert rc == 1
 
 
+    def test_out_under_a_new_directory_is_written(self, tmp_path):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "missing" / "deeper" / "q.csv"
+        assert main(["qtable", "--config", str(cfg), "--out", str(out)]) == 0
+        assert out.read_text().startswith("option,delta_s,q,")
+
+    def test_out_under_a_file_fails_before_the_experiment(self, tmp_path, monkeypatch):
+        from levyhedge import harness
+
+        monkeypatch.setattr(harness, "run_qtable", lambda cfg: pytest.fail("run_qtable reached"))
+        cfg = write_config(tmp_path)
+        (tmp_path / "plain").write_text("a file, not a directory")
+        with pytest.raises(OSError):
+            main(["qtable", "--config", str(cfg), "--out", str(tmp_path / "plain" / "q.csv")])
+
+
 class TestConvergeCommand:
     def test_runs_and_is_deterministic(self, tmp_path):
         cfg = write_config(

@@ -508,6 +508,18 @@ def test_bad_output_dir_fails_before_the_experiment(tmp_path, monkeypatch):
         cli.main(["qtable", "--config", str(path)])
 
 
+def test_stencil_grid_must_stay_above_zero():
+    # s0 = 100 with 12 steps of 10 below it reaches the spot -20, where a
+    # curve would be priced at a spot the model cannot reach
+    with pytest.raises(ConfigError, match=r"'stencil\.s_step' is 10\.0: the grid's lowest spot "
+                                          r"s0 - half_width \* s_step = -20\.0 must be > 0"):
+        load_config(minimal(stencil={"half_width": 12, "s_step": 10}))
+    with pytest.raises(ConfigError, match=r"'stencil\.s_step'.* = 0\.0 must be > 0"):
+        load_config(minimal(stencil={"half_width": 10, "s_step": 10}))
+    cfg = load_config(minimal(stencil={"half_width": 10, "s_step": 9.999}))
+    assert cfg.s0 - cfg.half_width * cfg.s_step == pytest.approx(0.01)
+
+
 def test_delta_s_must_be_a_list():
     assert load_config(minimal(scenario={"delta_s": [20]})).delta_s == (20.0,)
     with pytest.raises(ConfigError, match=r"'scenario\.delta_s' must be a list, got 20"):

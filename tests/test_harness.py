@@ -904,10 +904,9 @@ class TestBatchedMarks:
         basket = moment_swap_basket(0.3, scen, swap, RealizedHistory(sums={2: 0.0}))
         (times, sizes), *_ = outcomes.paths()
         one = ScenarioOutcome(float(outcomes.delta_s[0]), times, sizes)
-        for mark, batched in ((pja.change_of_value(one.delta_s, one),
-                               pja.change_of_value(outcomes.delta_s, outcomes)),
-                              (pja.term_positions[3][1].change_of_value(one),
-                               pja.term_positions[3][1].change_of_value(outcomes)),
+        for mark, batched in ((pja.change_of_value(one), pja.change_of_value(outcomes)),
+                              (pja.term_positions[3].change_of_value(one),
+                               pja.term_positions[3].change_of_value(outcomes)),
                               (basket.change_of_value(one.delta_s),
                                basket.change_of_value(outcomes.delta_s))):
             assert type(mark) is float

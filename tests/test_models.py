@@ -503,6 +503,31 @@ class TestChunkedDraw:
                                   antithetic, records)
         assert hashlib.sha256(draw_bytes(result)).hexdigest() == digest
 
+    # record draws of one chunk holding more than JUMP_BLOCK jumps, about 19
+    # per path for variance-gamma, which a records draw split at JUMP_BLOCK
+    # would move: sha256 taken while records were drawn outside the blocked
+    # loop, of the bytes with every float rounded to float32, since numpy's
+    # SIMD exp and power round the last bits of the factors and of the
+    # variance-gamma sizes by CPU level.  (model, dt, steps, n_paths)
+    PINNED_PAST_A_BLOCK = {
+        "vg_records": ((LevyModel(jump_spec=VG_BENCH), 0.01, 1, 1000),
+                       "eed025f318b37850137a3487900ac95bce3ac5e22fc5c33a530eec826c3bcea1"),
+        "cp_records": ((CHUNK_MODELS["cp"], 0.1, 4, 2000),
+                       "8ee6de3489d2700d673c4fd352a5d35592417f568bd6294ca48a1e1c551b361b"),
+    }
+
+    @pytest.mark.parametrize("case", PINNED_PAST_A_BLOCK)
+    def test_records_draw_past_a_jump_block_is_pinned(self, case):
+        (model, dt, steps, n_paths), digest = self.PINNED_PAST_A_BLOCK[case]
+        assert n_paths <= chunk_rows(steps)
+        factors, jumps = relative_factors(model, dt, steps, n_paths,
+                                          np.random.default_rng(20260), records=True)
+        assert len(jumps.size) > models.JUMP_BLOCK
+        arrays = (factors, *vars(jumps).values())
+        data = b"".join((a.astype(np.float32) if a.dtype.kind == "f" else a).tobytes()
+                        for a in arrays)
+        assert hashlib.sha256(data).hexdigest() == digest
+
     def test_chunks_draw_from_the_caller_then_its_spawned_streams(self):
         # chunk 0 from rng, chunk k from rng.spawn(n_chunks - 1)[k - 1]; its
         # records keep their order with paths shifted by the chunk's first row

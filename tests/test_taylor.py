@@ -20,6 +20,7 @@ from levyhedge.taylor import (
     HedgeLedger,
     HedgeScenario,
     assemble_ledger,
+    bank_growth,
     bank_term,
     find_q,
     taylor_sums,
@@ -276,8 +277,9 @@ class TestHedgeLedger:
         assert ledger.change_of_value(2.0) == pytest.approx(math.expm1(0.05 * 0.1) + 1.0)
 
     def test_every_fragment_is_marked_on_one_input(self):
-        """With an outcome every fragment receives that very object, whatever
-        it holds; without one, every fragment receives the moves."""
+        """An outcome reaches every fragment as that very object, whatever
+        it holds, and the stock leg reads its moves; moves reach every
+        fragment as moves."""
 
         class Recording:
             def __init__(self):
@@ -289,13 +291,37 @@ class TestHedgeLedger:
 
         fragments = {2: Recording(), 3: Recording()}
         ledger = HedgeLedger(bank_cash=0.0, stock_units=1.0, scenario=scenario(),
-                             term_positions={i: (1.0, f) for i, f in fragments.items()})
+                             term_positions=fragments)
         moves = np.array([2.0, -3.0])
         outcomes = ScenarioOutcome(moves, np.array([0.01]), np.array([0.02]), n_jumps=[1, 0])
-        np.testing.assert_array_equal(ledger.change_of_value(moves, outcomes), moves)
+        np.testing.assert_array_equal(ledger.change_of_value(outcomes), moves)
         np.testing.assert_array_equal(ledger.change_of_value(moves), moves)
         for fragment in fragments.values():
             assert fragment.seen[0] is outcomes and fragment.seen[1] is moves
+
+
+    def test_swap_and_jump_baskets_share_a_ledger(self):
+        """A ledger holding a moment-swap basket and a pja basket, marked on
+        one scenario set, is its legs and the two baskets marked alone,
+        added in the ledger's order, bit for bit."""
+        sc = scenario(delta_t=0.004)
+        model = LevyModel(jump_spec=CompoundPoisson(2.0, NormalJumps(0.0, 0.1)))
+        spec = SwapSpec(order=2, delta_s=0.004, n=3, strike=0.04, unit_price=0.04)
+        swap = moment_swap_basket(0.02, sc, spec, RealizedHistory(sums={2: 0.0}))
+        pja = pja_basket_simple(3e-4, sc, 3, PathState(t=0.0), moment_vector(model, 6))
+        ledger = HedgeLedger(bank_cash=-12.5, stock_units=0.6, scenario=sc,
+                             term_positions={2: swap, 3: pja})
+        rng = np.random.default_rng(38)
+        counts = rng.integers(0, 3, 200)
+        sizes = rng.normal(0.0, 0.1, counts.sum())
+        moves = np.array([sc.s_t * x.sum() + rng.normal(0.0, 0.5)
+                          for x in np.split(sizes, np.cumsum(counts)[:-1])])
+        times = rng.uniform(0.0, sc.delta_t, counts.sum())
+        outcomes = ScenarioOutcome(moves, times, sizes, n_jumps=counts)
+        want = (ledger.bank_cash * bank_growth(sc.r, sc.delta_t) + ledger.stock_units * moves
+                + swap.change_of_value(moves) + pja.change_of_value(outcomes))
+        assert ledger.change_of_value(outcomes).tobytes() == want.tobytes()
+        np.testing.assert_array_equal(swap.change_of_value(outcomes), swap.change_of_value(moves))
 
 
 class TestAssembleLedger:
@@ -320,8 +346,8 @@ class TestAssembleLedger:
 
         ledger = assemble_ledger(ladder, sc, 2, provider)
         assert set(ledger.term_positions) == {2}
-        c2, basket = ledger.term_positions[2]
-        assert c2 == pytest.approx(0.005)
+        basket = ledger.term_positions[2]
+        assert basket.coefficient == pytest.approx(0.005)
         assert basket.swap_units != 0
 
     def test_missing_basket_names_order(self):
@@ -388,5 +414,5 @@ class TestAssembleLedger:
                 jump_sizes=np.array([x]),
             )
             want = taylor_sums(ladder, sc.delta_t, ds, q)[q]
-            got = ledger.change_of_value(ds, outcome)
+            got = ledger.change_of_value(outcome)
             assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
